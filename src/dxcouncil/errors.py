@@ -60,6 +60,11 @@ class DimensionMismatchError(EngineError):
     """An embedding backend returned vectors of inconsistent dimension."""
 
 
+class EmbeddingCountError(EngineError):
+    """An embedding backend returned a different number of vectors than
+    texts it was given."""
+
+
 class EmptyIndexError(EngineError):
     """Retrieval was attempted against an index with no segments."""
 

@@ -21,6 +21,7 @@ from .backends import CrossScorer, Embedder
 from .errors import (
     CorpusError,
     DimensionMismatchError,
+    EmbeddingCountError,
     EmptyCandidatesError,
     EmptyCorpusError,
     EmptyIndexError,
@@ -142,18 +143,17 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
     """
     if not segments:
         raise EmptyCorpusError("corpus contains no segments")
-    vectors = embedder.embed([s.text for s in segments])
-    dim: int | None = None
+    vectors = [np.asarray(vec, dtype=float) for vec in embedder.embed([s.text for s in segments])]
+    if len(vectors) != len(segments):
+        raise EmbeddingCountError(
+            f"embedder returned {len(vectors)} vectors for {len(segments)} segments")
+    dim = vectors[0].shape[0]
     stored: list[GuidelineSegment] = []
     for segment, vec in zip(segments, vectors):
-        vec = np.asarray(vec, dtype=float)
-        if dim is None:
-            dim = vec.shape[0]
-        elif vec.shape[0] != dim:
+        if vec.shape[0] != dim:
             raise DimensionMismatchError(
                 f"segment {segment.segment_id!r} embedding dim {vec.shape[0]} != {dim}")
         stored.append(replace(segment, embedding=_unit(vec)))
-    assert dim is not None
     return GuidelineIndex(stored, embedder, dim)
 
 

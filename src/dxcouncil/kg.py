@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, TextIO
 
@@ -35,7 +36,7 @@ def normalize_term(text: str) -> str:
 
 
 def term_tokens(text: str) -> frozenset[str]:
-    return frozenset(normalize_term(text).split()) if normalize_term(text) else frozenset()
+    return frozenset(normalize_term(text).split())
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,46 @@ class ConceptMatch:
     kind: str  # "exact_name" | "exact_synonym" | "token_overlap"
 
 
+_MATCH_KINDS = ("exact_name", "exact_synonym", "token_overlap")
+
+
+@dataclass(frozen=True)
+class _Lexicon:
+    """Normalized-name lookup tables for entity matching.
+
+    ``by_name`` and ``by_synonym`` map a normalized string to the ids of the
+    concepts carrying it; ``by_token`` maps a token to the ids of the
+    concepts with a name containing it; ``name_tokens`` holds each concept's
+    distinct name token sets. Id lists follow load order, without repeats.
+    """
+
+    by_name: dict[str, list[str]]
+    by_synonym: dict[str, list[str]]
+    by_token: dict[str, list[str]]
+    name_tokens: dict[str, tuple[frozenset[str], ...]]
+
+    @classmethod
+    def build(cls, concepts: Iterable[Concept]) -> "_Lexicon":
+        lexicon = cls({}, {}, {}, {})
+        for concept in concepts:
+            lexicon.by_name.setdefault(normalize_term(concept.preferred_name), []).append(concept.id)
+            for synonym in {normalize_term(s) for s in concept.synonyms}:
+                lexicon.by_synonym.setdefault(synonym, []).append(concept.id)
+            token_sets = {term_tokens(n) for n in concept.matchable_names()}
+            lexicon.name_tokens[concept.id] = tuple(token_sets)
+            for token in frozenset().union(*token_sets):
+                lexicon.by_token.setdefault(token, []).append(concept.id)
+        return lexicon
+
+
 class KnowledgeGraph:
-    """Immutable after load; all read operations are thread-safe."""
+    """Immutable after load; all read operations are thread-safe.
+
+    The entity-matching lexicon is built once per graph, on the first
+    ``match_entity`` call, and never changes afterwards. Threads racing on
+    that first call may each build it, but every build is identical and
+    matching only reads it.
+    """
 
     def __init__(self, concepts: Iterable[Concept], edges: Iterable[Edge]):
         self._concepts: dict[str, Concept] = {}
@@ -157,6 +196,10 @@ class KnowledgeGraph:
 
     # -- entity matching -----------------------------------------------------
 
+    @cached_property
+    def _lexicon(self) -> _Lexicon:
+        return _Lexicon.build(self._concepts.values())
+
     def match_entity(self, raw_mention: str, limit: int = 5) -> list[ConceptMatch]:
         """Rank concepts against a raw mention.
 
@@ -170,31 +213,24 @@ class KnowledgeGraph:
         if not mention:
             raise EmptyMentionError(f"mention {raw_mention!r} is empty after normalization")
         mention_tokens = frozenset(mention.split())
+        lexicon = self._lexicon
 
-        scored: list[tuple[int, float, str, ConceptMatch]] = []
-        for concept in self._concepts.values():
-            if normalize_term(concept.preferred_name) == mention:
-                match = ConceptMatch(concept, 1.0, "exact_name")
-                scored.append((0, 1.0, concept.id, match))
-                continue
-            if any(normalize_term(s) == mention for s in concept.synonyms):
-                match = ConceptMatch(concept, 1.0, "exact_synonym")
-                scored.append((1, 1.0, concept.id, match))
-                continue
-            best = 0.0
-            for name in concept.matchable_names():
-                tokens = term_tokens(name)
-                if not tokens:
-                    continue
-                union = mention_tokens | tokens
-                if union:
-                    best = max(best, len(mention_tokens & tokens) / len(union))
-            if best > 0.0:
-                match = ConceptMatch(concept, best, "token_overlap")
-                scored.append((2, best, concept.id, match))
+        scored: list[tuple[int, float, str]] = []
+        exact: set[str] = set()
+        for tier, table in enumerate((lexicon.by_name, lexicon.by_synonym)):
+            for concept_id in table.get(mention, ()):
+                if concept_id not in exact:
+                    exact.add(concept_id)
+                    scored.append((tier, 1.0, concept_id))
+        overlapping = set().union(*(lexicon.by_token.get(t, ()) for t in mention_tokens))
+        for concept_id in overlapping - exact:
+            best = max(len(mention_tokens & tokens) / len(mention_tokens | tokens)
+                       for tokens in lexicon.name_tokens[concept_id])
+            scored.append((2, best, concept_id))
 
         scored.sort(key=lambda row: (row[0], -row[1], row[2]))
-        return [row[3] for row in scored[:limit]]
+        return [ConceptMatch(self._concepts[concept_id], score, _MATCH_KINDS[tier])
+                for tier, score, concept_id in scored[:limit]]
 
     # -- path enumeration ----------------------------------------------------
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 
 
 @dataclass
@@ -35,11 +36,12 @@ def confusion_counts(pairs: list[tuple[str, str]]) -> dict[str, ClassCounts]:
     return dict(counts)
 
 
-def fbeta(precision: float, recall: float, beta: float) -> float:
+def fbeta(precision, recall, beta):
+    """F-beta of floats or of Fractions; 0.0 when both inputs are zero."""
     denom = beta * beta * precision + recall
-    if denom == 0.0:
+    if denom == 0:
         return 0.0
-    return (1.0 + beta * beta) * precision * recall / denom
+    return (1 + beta * beta) * precision * recall / denom
 
 
 @dataclass(frozen=True)
@@ -71,27 +73,28 @@ def weighted_metrics(pairs: list[tuple[str, str]]) -> MetricsReport:
     """Support-weighted precision/recall/F1/F0.5 on a 0-100 scale.
 
     Labels with zero support (predicted but never true) carry zero weight
-    and so cannot affect the averages.
+    and so cannot affect the averages. Sums are exact fractions, rounded to
+    float once, so a perfect batch reads exactly 100.0.
     """
     counts = confusion_counts(pairs)
     total_support = sum(c.support for c in counts.values())
-    w_precision = w_recall = w_f1 = w_f05 = 0.0
+    w_precision = w_recall = w_f1 = w_f05 = Fraction(0)
     for c in counts.values():
-        if c.support == 0:
-            continue
-        precision = c.tp / (c.tp + c.fp) if c.tp + c.fp else 0.0
-        recall = c.tp / (c.tp + c.fn) if c.tp + c.fn else 0.0
-        weight = c.support / total_support
+        if c.tp == 0:
+            continue  # precision, recall and both F-scores are 0
+        precision = Fraction(c.tp, c.tp + c.fp)
+        recall = Fraction(c.tp, c.tp + c.fn)
+        weight = Fraction(c.support, total_support)
         w_precision += weight * precision
         w_recall += weight * recall
-        w_f1 += weight * fbeta(precision, recall, 1.0)
-        w_f05 += weight * fbeta(precision, recall, 0.5)
+        w_f1 += weight * fbeta(precision, recall, Fraction(1))
+        w_f05 += weight * fbeta(precision, recall, Fraction(1, 2))
     return MetricsReport(
         cases=len(pairs),
         correct=sum(1 for truth, predicted in pairs if truth == predicted),
-        weighted_precision=100.0 * w_precision,
-        weighted_recall=100.0 * w_recall,
-        weighted_f1=100.0 * w_f1,
-        weighted_f05=100.0 * w_f05,
+        weighted_precision=float(100 * w_precision),
+        weighted_recall=float(100 * w_recall),
+        weighted_f1=float(100 * w_f1),
+        weighted_f05=float(100 * w_f05),
         per_class=counts,
     )

@@ -26,9 +26,11 @@ class Trace:
         self.case_id = case_id
         self._records: list[dict[str, Any]] = []
         self._lock = threading.Lock()
+        self._digest: str | None = None  # valid until the next append
 
     def _append(self, record: dict[str, Any]) -> dict[str, Any]:
         with self._lock:
+            self._digest = None
             record["seq"] = len(self._records)
             record["ts"] = time.time()
             self._records.append(record)
@@ -89,14 +91,20 @@ class Trace:
     # -- digest and persistence ---------------------------------------------
 
     def digest(self) -> str:
-        """SHA-256 over the canonical serialization, volatile keys excluded."""
-        hasher = hashlib.sha256()
-        hasher.update(self.case_id.encode("utf-8"))
-        hasher.update(b"\n")
-        for record in self._records:
-            hasher.update(_canonical_line(record).encode("utf-8"))
-            hasher.update(b"\n")
-        return hasher.hexdigest()
+        """SHA-256 over the canonical serialization, volatile keys excluded.
+
+        Computed once and reused until the next record is appended.
+        """
+        with self._lock:
+            if self._digest is None:
+                hasher = hashlib.sha256()
+                hasher.update(self.case_id.encode("utf-8"))
+                hasher.update(b"\n")
+                for record in self._records:
+                    hasher.update(_canonical_line(record).encode("utf-8"))
+                    hasher.update(b"\n")
+                self._digest = hasher.hexdigest()
+            return self._digest
 
     def write(self, path: str | Path) -> Path:
         """Flush to a JSONL file: header line, records, digest line."""

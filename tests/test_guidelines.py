@@ -13,6 +13,7 @@ from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
 from dxcouncil.errors import (
     CorpusError,
     DimensionMismatchError,
+    EmbeddingCountError,
     EmptyCandidatesError,
     EmptyCorpusError,
     EmptyIndexError,
@@ -83,6 +84,17 @@ def test_ingest_rejects_inconsistent_dimensions():
 
     with pytest.raises(DimensionMismatchError):
         ingest_corpus(segs(2), RaggedEmbedder())
+
+
+def test_ingest_rejects_a_short_vector_list():
+    class ShortEmbedder:
+        dim = 4
+
+        def embed(self, texts):
+            return [np.ones(4) for _ in texts[1:]]
+
+    with pytest.raises(EmbeddingCountError, match="returned 4 vectors for 5 segments"):
+        ingest_corpus(segs(5), ShortEmbedder())
 
 
 def test_ingest_empty_corpus_rejected():

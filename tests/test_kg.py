@@ -33,7 +33,7 @@ from dxcouncil.kg import (
     verbalize_path,
 )
 
-from conftest import make_graph, scripted_gateway
+from conftest import FIXTURES, make_graph, scripted_gateway
 
 
 CONCEPTS_TSV = (
@@ -150,15 +150,70 @@ def _oracle_match(graph: KnowledgeGraph, mention: str, limit: int):
     return [(cid, -neg, tier) for tier, neg, cid in rows[:limit]]
 
 
+def _ranking(graph: KnowledgeGraph, mention: str, limit: int):
+    return [(m.concept.id, m.score, {"exact_name": 0, "exact_synonym": 1,
+                                     "token_overlap": 2}[m.kind])
+            for m in graph.match_entity(mention, limit=limit)]
+
+
 @pytest.mark.parametrize("mention", [
     "liver pain", "elevated alt", "Jaundice", "hepatitis B surface antigen",
     "itching of the skin", "fluid in the abdomen", "PBC", "fatty liver",
 ])
 def test_top3_ranking_matches_brute_force(fixture_graph, mention):
-    got = fixture_graph.match_entity(mention, limit=3)
-    want = _oracle_match(fixture_graph, mention, 3)
-    assert [(m.concept.id, m.score, {"exact_name": 0, "exact_synonym": 1,
-                                     "token_overlap": 2}[m.kind]) for m in got] == want
+    assert _ranking(fixture_graph, mention, 3) == _oracle_match(fixture_graph, mention, 3)
+
+
+_FIXTURE_NAMES = sorted(
+    name
+    for concept in load_kg(FIXTURES / "triples.tsv", FIXTURES / "concepts.tsv").concepts()
+    for name in concept.matchable_names())
+_FIXTURE_TOKENS = sorted({token for name in _FIXTURE_NAMES for token in term_tokens(name)})
+
+
+@st.composite
+def noisy_mentions(draw):
+    """A fixture name, or a run of fixture name tokens, with case and
+    punctuation noise that normalization must remove."""
+    words = draw(st.one_of(
+        st.sampled_from(_FIXTURE_NAMES).map(str.split),
+        st.lists(st.sampled_from(_FIXTURE_TOKENS), min_size=1, max_size=5)))
+    noisy = [draw(st.sampled_from([w, w.upper(), w.lower(), w.title()]))
+             + draw(st.sampled_from(["", ",", ".", "!", "?", ")"]))
+             for w in words]
+    return draw(st.sampled_from([" ", "  ", " - ", "/"])).join(noisy)
+
+
+@given(noisy_mentions())
+def test_full_ranking_matches_brute_force(fixture_graph, mention):
+    assume(normalize_term(mention))
+    assert _ranking(fixture_graph, mention, 50) == _oracle_match(fixture_graph, mention, 50)
+
+
+def test_synonym_equal_to_another_concepts_name_ranks_second():
+    g = make_graph(["a", "b"], [], names={"a": "Hepatitis", "b": "Viral hepatitis"},
+                   synonyms={"a": frozenset({"HEPATITIS!"}), "b": frozenset({"hepatitis"})})
+    assert _ranking(g, "HEPATITIS", 50) == [("a", 1.0, 0), ("b", 1.0, 1)]
+    assert _ranking(g, "hepatitis", 50) == _oracle_match(g, "hepatitis", 50)
+
+
+def test_synonyms_normalizing_alike_match_once():
+    g = make_graph(["a"], [], names={"a": "Hepatalgia"},
+                   synonyms={"a": frozenset({"Liver-Pain", "liver pain"})})
+    assert _ranking(g, "liver pain", 50) == [("a", 1.0, 1)]
+    assert _ranking(g, "pain", 50) == [("a", 0.5, 2)]
+
+
+def test_synonym_normalizing_to_nothing_never_matches():
+    g = make_graph(["a", "b"], [], names={"a": "Ascites", "b": "Jaundice"},
+                   synonyms={"a": frozenset({"!!!", "fluid in abdomen"})})
+    assert _ranking(g, "fluid", 50) == [("a", 1 / 3, 2)]
+    for mention in ("fluid", "ascites", "jaundice"):
+        assert _ranking(g, mention, 50) == _oracle_match(g, mention, 50)
+
+
+def test_mention_of_unknown_tokens_matches_nothing(fixture_graph):
+    assert fixture_graph.match_entity("zzyzx quux", limit=50) == []
 
 
 @given(tokens=st.lists(

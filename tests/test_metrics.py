@@ -17,6 +17,12 @@ def test_all_correct_scores_one_hundred_everywhere():
         assert value == pytest.approx(100.0)
 
 
+def test_ten_distinct_correct_labels_score_exactly_one_hundred():
+    report = weighted_metrics([(label, label) for label in "ABCDEFGHIJ"])
+    assert (report.weighted_precision, report.weighted_recall,
+            report.weighted_f1, report.weighted_f05) == (100.0, 100.0, 100.0, 100.0)
+
+
 def test_single_error_hand_computation():
     report = weighted_metrics([("A", "A"), ("A", "B")])
     # class A: tp=1 fn=1 -> precision 1, recall 0.5; class B has no support

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 
 import pytest
 
@@ -128,6 +129,23 @@ def test_full_replay_batch_is_perfect(replay_runtime):
     assert summary["weighted_f1"] == pytest.approx(100.0)
     for case_id in ("case-01", "case-10"):
         assert (out / f"{case_id}.trace.jsonl").exists()
+
+
+def test_thread_pool_batch_matches_the_serial_batch(replay_runtime):
+    serial = run_batch(replay_runtime)
+    config = dataclasses.replace(replay_runtime.config, workers=4,
+                                 output_dir=replay_runtime.config.output_dir / "pooled")
+    pooled_runtime = Runtime(config)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so races show
+    try:
+        pooled = run_batch(pooled_runtime)
+    finally:
+        sys.setswitchinterval(interval)
+        pooled_runtime.close()
+    assert pooled.ok
+    assert pooled.rows == serial.rows
+    assert all(row.trace_digest for row in pooled.rows)
 
 
 def test_batch_keeps_going_past_a_failing_case(replay_runtime, tmp_path):

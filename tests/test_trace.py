@@ -58,6 +58,15 @@ def test_digest_covers_the_case_id():
     assert a.digest() != b.digest()
 
 
+def test_digest_covers_records_appended_after_an_earlier_digest():
+    t = sample_trace()
+    t.digest()
+    t.decision("final_report", {"diagnosis": "X"})
+    fresh = sample_trace()
+    fresh.decision("final_report", {"diagnosis": "X"})
+    assert t.digest() == fresh.digest()
+
+
 def test_write_then_load_preserves_digest(tmp_path):
     t = sample_trace()
     path = t.write(tmp_path / "case-x.trace.jsonl")
