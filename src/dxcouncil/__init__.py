@@ -17,7 +17,7 @@ from .deliberation import (
 )
 from .differential import AbnormalEntity, CaseDescription, HypothesisSet, read_cases
 from .errors import CaseFailure, ConfigError, EngineError
-from .evidence import EvidencePackage, PruneBatchRecord
+from .evidence import EvidencePackage
 from .gateway import Gateway, TaskKind, canonical_key
 from .guidelines import CompositeQuery, GuidelineIndex, RankedSegment
 from .kg import Concept, Edge, KnowledgeGraph, KnowledgePath, load_kg
@@ -48,7 +48,6 @@ __all__ = [
     "KnowledgeGraph",
     "KnowledgePath",
     "MetricsReport",
-    "PruneBatchRecord",
     "RankedSegment",
     "RunConfig",
     "Runtime",

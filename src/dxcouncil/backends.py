@@ -9,25 +9,55 @@ scripted score table, and a deterministic lexical-overlap scorer.
 from __future__ import annotations
 
 import hashlib
-import json
-import threading
 from pathlib import Path
-from typing import Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
+import requests
 
-from .errors import DimensionMismatchError, ResourceError
+from .errors import (
+    DimensionMismatchError,
+    EmbeddingCountError,
+    RecordConflictError,
+    ResourceError,
+    TransportError,
+)
+from .jsonl import JsonlSink, read_jsonl
 from .kg import term_tokens
 
 
 class Embedder(Protocol):
-    dim: int
-
     def embed(self, texts: list[str]) -> list[np.ndarray]: ...
 
 
 class CrossScorer(Protocol):
     def score(self, query_text: str, segment_text: str) -> float: ...
+
+
+def post_json(url: str, body: dict, timeout: float, read: Callable[[Any], Any],
+              attempts: int = 1) -> Any:
+    """POST ``body`` as JSON and return ``read`` of the decoded reply.
+
+    Every failure becomes a ``TransportError``: a request exception or a
+    non-2xx status (each tried up to ``attempts`` times in all), and a body
+    that is not JSON or that ``read`` cannot take apart (never retried).
+    """
+    for _ in range(attempts):
+        try:
+            resp = requests.post(url, json=body, timeout=timeout)
+        except requests.RequestException as exc:
+            error = TransportError(f"request to {url} failed: {exc}")
+            continue
+        if not 200 <= resp.status_code < 300:
+            error = TransportError(f"{url} returned {resp.status_code}",
+                                   status=resp.status_code, body=resp.text)
+            continue
+        try:
+            return read(resp.json())
+        except (ValueError, KeyError, IndexError, TypeError) as exc:
+            raise TransportError(f"malformed response from {url}: {exc}",
+                                 status=resp.status_code, body=resp.text) from exc
+    raise error
 
 
 # -- embedders ---------------------------------------------------------------
@@ -68,20 +98,12 @@ class TableEmbedder:
     def load(cls, path: str | Path) -> "TableEmbedder":
         table: dict[str, np.ndarray] = {}
         dim: int | None = None
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                vec = np.asarray(row["embedding"], dtype=float)
-                text = row["text"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise ResourceError(f"{path}:{line_no}: bad embedding row: {exc}") from exc
+        for location, (text, vec) in read_jsonl(path, _embedding_row, ResourceError,
+                                                "embedding"):
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
-                raise DimensionMismatchError(
-                    f"{path}:{line_no}: embedding dim {vec.shape[0]} != {dim}")
+                raise DimensionMismatchError(f"{location}: embedding dim {vec.shape[0]} != {dim}")
             table[text] = vec
         if dim is None:
             raise ResourceError(f"{path}: embedding table is empty")
@@ -96,6 +118,13 @@ class TableEmbedder:
         return out
 
 
+def _embedding_row(row: dict) -> tuple[str, np.ndarray]:
+    vec = np.asarray(row["embedding"], dtype=float)
+    if vec.ndim != 1:
+        raise ValueError("embedding must be a flat list of numbers")
+    return str(row["text"]), vec
+
+
 class HttpEmbedder:
     """OpenAI-compatible embeddings endpoint.
 
@@ -103,25 +132,20 @@ class HttpEmbedder:
     ``{"data": [{"index": i, "embedding": [...]}]}``.
     """
 
-    def __init__(self, endpoint: str, model: str, dim: int | None = None, timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str, timeout: float = 60.0):
         self.endpoint = endpoint.rstrip("/")
         self.model = model
-        self.dim = dim or 0
         self.timeout = timeout
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        import requests
-
-        resp = requests.post(
-            f"{self.endpoint}/embeddings",
-            json={"input": texts, "model": self.model},
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        data = sorted(resp.json()["data"], key=lambda row: row["index"])
-        vectors = [np.asarray(row["embedding"], dtype=float) for row in data]
-        if vectors and not self.dim:
-            self.dim = vectors[0].shape[0]
+        vectors = post_json(
+            f"{self.endpoint}/embeddings", {"input": texts, "model": self.model},
+            self.timeout,
+            lambda reply: [np.asarray(row["embedding"], dtype=float)
+                           for row in sorted(reply["data"], key=lambda item: item["index"])])
+        if len(vectors) != len(texts):
+            raise EmbeddingCountError(
+                f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} texts")
         return vectors
 
 
@@ -149,22 +173,17 @@ class TableScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "TableScorer":
-        table: dict[tuple[str, str], float] = {}
-        for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                table[(row["query"], row["text"])] = float(row["score"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise ResourceError(f"{path}:{line_no}: bad score row: {exc}") from exc
-        return cls(table)
+        return cls(dict(item for _, item in read_jsonl(path, _score_row, ResourceError, "score")))
 
     def score(self, query_text: str, segment_text: str) -> float:
         key = (query_text, segment_text)
         if key not in self.table:
             raise ResourceError(f"score table has no entry for query {query_text!r}")
         return self.table[key]
+
+
+def _score_row(row: dict) -> tuple[tuple[str, str], float]:
+    return (str(row["query"]), str(row["text"])), float(row["score"])
 
 
 class HttpScorer:
@@ -181,15 +200,10 @@ class HttpScorer:
         self.timeout = timeout
 
     def score(self, query_text: str, segment_text: str) -> float:
-        import requests
-
-        resp = requests.post(
+        return post_json(
             f"{self.endpoint}/rerank",
-            json={"model": self.model, "query": query_text, "documents": [segment_text]},
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        return float(resp.json()["results"][0]["relevance_score"])
+            {"model": self.model, "query": query_text, "documents": [segment_text]},
+            self.timeout, lambda reply: float(reply["results"][0]["relevance_score"]))
 
 
 # -- recording wrappers ------------------------------------------------------
@@ -197,50 +211,36 @@ class HttpScorer:
 class RecordingEmbedder:
     """Wraps an embedder and writes every (text, vector) pair as a replay
     table row. Floats survive the JSON round trip exactly, so a replay run
-    reproduces the recorded run bit for bit."""
+    reproduces the recorded run bit for bit. A text seen again with a
+    different vector raises ``RecordConflictError``."""
 
     def __init__(self, inner: Embedder, sink_path: str | Path):
         self._inner = inner
-        self._fh = open(sink_path, "w", encoding="utf-8")
-        self._seen: set[str] = set()
-        self._lock = threading.Lock()
+        self._sink = JsonlSink(sink_path, RecordConflictError)
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         vectors = self._inner.embed(texts)
-        with self._lock:
-            for text, vec in zip(texts, vectors):
-                if text in self._seen:
-                    continue
-                self._seen.add(text)
-                self._fh.write(json.dumps(
-                    {"text": text, "embedding": [float(x) for x in vec]},
-                    ensure_ascii=False) + "\n")
-            self._fh.flush()
+        self._sink.write((text, {"text": text, "embedding": [float(x) for x in vec]})
+                         for text, vec in zip(texts, vectors))
         return vectors
 
     def close(self) -> None:
-        self._fh.close()
+        self._sink.close()
 
 
 class RecordingScorer:
-    """Wraps a cross-scorer and captures every scored pair."""
+    """Wraps a cross-scorer and captures every scored pair; a pair scored
+    again with a different value raises ``RecordConflictError``."""
 
     def __init__(self, inner: CrossScorer, sink_path: str | Path):
         self._inner = inner
-        self._fh = open(sink_path, "w", encoding="utf-8")
-        self._seen: set[tuple[str, str]] = set()
-        self._lock = threading.Lock()
+        self._sink = JsonlSink(sink_path, RecordConflictError)
 
     def score(self, query_text: str, segment_text: str) -> float:
         value = float(self._inner.score(query_text, segment_text))
-        with self._lock:
-            if (query_text, segment_text) not in self._seen:
-                self._seen.add((query_text, segment_text))
-                self._fh.write(json.dumps(
-                    {"query": query_text, "text": segment_text, "score": value},
-                    ensure_ascii=False) + "\n")
-                self._fh.flush()
+        self._sink.write([((query_text, segment_text),
+                           {"query": query_text, "text": segment_text, "score": value})])
         return value
 
     def close(self) -> None:
-        self._fh.close()
+        self._sink.close()

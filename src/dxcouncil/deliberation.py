@@ -25,8 +25,11 @@ from .differential import (
 )
 from .errors import (
     AdjudicationMismatchError,
+    ConfigError,
     EmptyOpinionsError,
     EmptyRosterError,
+    HypothesisMismatchError,
+    InvariantError,
     UnknownSpecialtyError,
 )
 from .evidence import (
@@ -306,12 +309,16 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
     evidence sufficiency (rho <= tau_suff), then the round budget. Returns
     one final snapshot per hypothesis, in differential order.
     """
+    if t_max < 1:
+        raise ConfigError("t_max", "must be >= 1")
     finals: list[ConsensusSnapshot] = []
     for hypothesis, package, roster in zip(hypotheses, packages, rosters):
-        assert roster.hypothesis == hypothesis
-        snapshot: ConsensusSnapshot | None = None
+        if roster.hypothesis != hypothesis:
+            raise HypothesisMismatchError(
+                f"roster for {roster.hypothesis!r} paired with {hypothesis!r}")
         for t in range(t_max):
-            assert package.iteration == t
+            if package.iteration != t:
+                raise InvariantError(f"package iteration {package.iteration} != round {t}")
             opinions = [
                 elicit_opinion(s, case, findings, hypothesis, package, gateway)
                 for s in roster.specialties
@@ -343,7 +350,6 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
                 case, findings, package, queries, graph, index, scorer, gateway,
                 k=k, n=n, h_max=h_max, batch_size=batch_size)
             package = merge_packages(package, supplement)
-        assert snapshot is not None
         finals.append(snapshot)
     return finals
 

@@ -7,13 +7,13 @@ no candidate fits), then ask for a bounded list of candidate diagnoses.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
 from .errors import EmptyHypothesesError, JudgmentParseError, ResourceError
 from .gateway import Gateway, TaskKind
+from .jsonl import read_jsonl
 from .judgments import parse_judgment
 from .kg import Concept, KnowledgeGraph
 
@@ -68,30 +68,23 @@ class HypothesisSet:
 
 def read_cases(source: str | Path | TextIO) -> list[CaseDescription]:
     """Parse a JSONL case file: case_id, narrative, optional ground_truth."""
-    if hasattr(source, "read"):
-        name, payload = getattr(source, "name", "<stream>"), source.read()
-    else:
-        name, payload = str(source), Path(source).read_text(encoding="utf-8")
     cases: list[CaseDescription] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(payload.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            case = CaseDescription(
-                case_id=str(row["case_id"]),
-                narrative=str(row["narrative"]),
-                ground_truth=(str(row["ground_truth"])
-                              if row.get("ground_truth") is not None else None),
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise ResourceError(f"{name}:{line_no}: bad case row: {exc}") from exc
+    for location, case in read_jsonl(source, _case_row, ResourceError, "case"):
         if case.case_id in seen:
-            raise ResourceError(f"{name}:{line_no}: duplicate case id {case.case_id!r}")
+            raise ResourceError(f"{location}: duplicate case id {case.case_id!r}")
         seen.add(case.case_id)
         cases.append(case)
     return cases
+
+
+def _case_row(row: dict) -> CaseDescription:
+    return CaseDescription(
+        case_id=str(row["case_id"]),
+        narrative=str(row["narrative"]),
+        ground_truth=(str(row["ground_truth"])
+                      if row.get("ground_truth") is not None else None),
+    )
 
 
 def render_findings(findings: list[AbnormalEntity]) -> str:

@@ -88,7 +88,7 @@ class UnboundPlaceholderError(GatewayError):
 
 
 class TransportError(GatewayError):
-    """A live HTTP call failed after retry; carries status and body excerpt."""
+    """A live HTTP call failed (after any retries); carries status and body excerpt."""
 
     def __init__(self, message: str, status: int | None = None, body: str = ""):
         self.status = status
@@ -151,7 +151,11 @@ class EmptyHypothesesError(EngineError):
 
 
 class HypothesisMismatchError(EngineError):
-    """Two evidence packages for different hypotheses were merged."""
+    """Evidence or a roster was paired with the wrong hypothesis."""
+
+
+class InvariantError(EngineError):
+    """A pipeline invariant failed; the case cannot continue."""
 
 
 class UnknownSpecialtyError(EngineError):
@@ -196,6 +200,14 @@ class ConfigError(EngineError):
 
 class ResourceError(EngineError):
     """A required resource (KG, corpus, cases, transcript) failed to load."""
+
+
+class RecordConflictError(EngineError):
+    """A recorded replay table was given a second, different row for a key."""
+
+    def __init__(self, key: object):
+        self.key = key
+        super().__init__(f"recorded table already holds a different row for key {key!r}")
 
 
 class CaseFailure(EngineError):

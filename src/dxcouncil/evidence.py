@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from .backends import CrossScorer
 from .differential import AbnormalEntity, CaseDescription, render_findings
-from .errors import HypothesisMismatchError, JudgmentParseError
+from .errors import HypothesisMismatchError, InvariantError, JudgmentParseError
 from .gateway import Gateway, TaskKind
 from .guidelines import CompositeQuery, GuidelineIndex, RankedSegment, g_ret
 from .judgments import parse_judgment
@@ -23,20 +23,6 @@ from .kg import KnowledgeGraph, KnowledgePath, normalize_term, verbalize_path
 PRUNE_BATCH = 8
 # excerpts shown to the pruning judge; bounds prompt size
 PRUNE_CONTEXT_EXCERPTS = 2
-
-
-@dataclass(frozen=True)
-class PruneBatchRecord:
-    batch_index: int
-    paths: tuple[KnowledgePath, ...]
-    judgments: tuple[int, ...]
-    guideline_context_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.judgments) != len(self.paths):
-            raise ValueError("judgments must align one-to-one with paths")
-        if len(self.paths) > PRUNE_BATCH:
-            raise ValueError(f"batch exceeds {PRUNE_BATCH} paths")
 
 
 @dataclass(frozen=True)
@@ -53,7 +39,6 @@ class EvidencePackage:
     guideline_excerpts: tuple[RankedSegment, ...]
     valid_paths: tuple[KnowledgePath, ...]
     pruned_paths: tuple[tuple[KnowledgePath, bool], ...]
-    batch_records: tuple[PruneBatchRecord, ...] = ()
     disease_concept_id: str | None = None
     degraded: bool = False
 
@@ -73,18 +58,19 @@ def _check_partition(valid: list[KnowledgePath], rejected: list[KnowledgePath],
                      enumerated: list[KnowledgePath]) -> None:
     v = {p.edge_key() for p in valid}
     r = {p.edge_key() for p in rejected}
-    assert not v & r, "a path cannot be both valid and rejected"
-    assert v | r == {p.edge_key() for p in enumerated}, "pruning must partition the paths"
+    if v & r or v | r != {p.edge_key() for p in enumerated}:
+        raise InvariantError("pruning must split the paths into valid and rejected")
 
 
 def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
                 guideline_top: list[RankedSegment], gateway: Gateway,
                 batch_size: int = PRUNE_BATCH,
-                ) -> tuple[list[KnowledgePath], list[KnowledgePath], list[PruneBatchRecord]]:
+                ) -> tuple[list[KnowledgePath], list[KnowledgePath]]:
     """Judge verbalized paths in contiguous batches, preserving order.
 
-    Returns (valid, rejected, batch records); len(valid) + len(rejected)
-    equals len(paths) and the number of model calls is ceil(len/batch_size).
+    Returns (valid, rejected); len(valid) + len(rejected) equals len(paths)
+    and the number of model calls is ceil(len/batch_size). Each batch's bits
+    and guideline context are recorded in the trace as a prune_batch record.
     """
     for path in paths:
         if not path.verbalization:
@@ -95,7 +81,6 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
     context_ids = tuple(seg.segment.segment_id for seg in guideline_top)
     valid: list[KnowledgePath] = []
     rejected: list[KnowledgePath] = []
-    records: list[PruneBatchRecord] = []
     for batch_index in range(math.ceil(len(paths) / batch_size)):
         batch = paths[batch_index * batch_size:(batch_index + 1) * batch_size]
         numbered = "\n".join(f"{i}. {p.verbalization}"
@@ -113,10 +98,8 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
                                       bits=list(bits), guideline_ids=list(context_ids))
         for path, bit in zip(batch, bits):
             (valid if bit == 1 else rejected).append(path)
-        records.append(PruneBatchRecord(batch_index, tuple(batch), tuple(bits),
-                                        context_ids))
     _check_partition(valid, rejected, paths)
-    return valid, rejected, records
+    return valid, rejected
 
 
 def _align_disease_concept(hypothesis: str, graph: KnowledgeGraph,
@@ -173,15 +156,14 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
             pruned_paths=(), disease_concept_id=None, degraded=True)
     verbalized = _enumerate_and_verbalize([f.concept.id for f in findings],
                                           disease_id, graph, gateway, h_max)
-    valid, rejected, records = prune_paths(
+    valid, rejected = prune_paths(
         verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
     rejected_keys = {p.edge_key() for p in rejected}
     audit = tuple((p, p.edge_key() in rejected_keys) for p in verbalized)
     return EvidencePackage(
         hypothesis=hypothesis, iteration=0,
         guideline_excerpts=tuple(excerpts), valid_paths=tuple(valid),
-        pruned_paths=audit, batch_records=tuple(records),
-        disease_concept_id=disease_id, degraded=False)
+        pruned_paths=audit, disease_concept_id=disease_id, degraded=False)
 
 
 def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntity],
@@ -211,18 +193,17 @@ def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntit
             [f.concept.id for f in named], base.disease_concept_id,
             graph, gateway, h_max)
     valid: list[KnowledgePath] = []
-    records: list[PruneBatchRecord] = []
     audit: tuple[tuple[KnowledgePath, bool], ...] = ()
     if verbalized:
-        valid, rejected, records = prune_paths(
+        valid, rejected = prune_paths(
             verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
         rejected_keys = {p.edge_key() for p in rejected}
         audit = tuple((p, p.edge_key() in rejected_keys) for p in verbalized)
     return EvidencePackage(
         hypothesis=base.hypothesis, iteration=0,
         guideline_excerpts=tuple(excerpts), valid_paths=tuple(valid),
-        pruned_paths=audit, batch_records=tuple(records),
-        disease_concept_id=base.disease_concept_id, degraded=base.degraded)
+        pruned_paths=audit, disease_concept_id=base.disease_concept_id,
+        degraded=base.degraded)
 
 
 def _findings_named_in_queries(findings: list[AbnormalEntity],
@@ -262,7 +243,6 @@ def merge_packages(base: EvidencePackage, supplement: EvidencePackage) -> Eviden
         guideline_excerpts=tuple(excerpts),
         valid_paths=tuple(valid),
         pruned_paths=base.pruned_paths + supplement.pruned_paths,
-        batch_records=base.batch_records + supplement.batch_records,
     )
 
 

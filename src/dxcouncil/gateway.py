@@ -9,14 +9,11 @@ transcript recorded on one machine replay anywhere.
 from __future__ import annotations
 
 import hashlib
-import json
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Protocol, TextIO, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
-import requests
-
+from .backends import post_json
 from .errors import (
     DuplicateTranscriptKeyError,
     EmptyResponseError,
@@ -24,8 +21,8 @@ from .errors import (
     GatewayError,
     ReplayMissError,
     TranscriptError,
-    TransportError,
 )
+from .jsonl import JsonlSink, read_jsonl
 from .templates import PromptTask, TaskKind, get_template
 from .trace import Trace
 
@@ -101,25 +98,9 @@ class HttpChatBackend:
             ],
             "temperature": 0,
         }
-        last: Exception | None = None
-        for _ in range(2):
-            try:
-                resp = requests.post(self.endpoint, json=body, timeout=self.timeout)
-            except requests.RequestException as exc:
-                last = TransportError(f"chat request failed: {exc}")
-                continue
-            if resp.status_code != 200:
-                last = TransportError(
-                    f"chat endpoint returned {resp.status_code}",
-                    status=resp.status_code, body=resp.text[:500])
-                continue
-            try:
-                return str(resp.json()["choices"][0]["message"]["content"])
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise TransportError(f"malformed chat response: {exc}",
-                                     body=resp.text[:500]) from exc
-        assert last is not None
-        raise last
+        return post_json(self.endpoint, body, self.timeout,
+                         lambda reply: str(reply["choices"][0]["message"]["content"]),
+                         attempts=2)
 
 
 class ReplayChatBackend:
@@ -152,30 +133,14 @@ class TranscriptRecorder:
     and is rejected outright.
     """
 
-    def __init__(self, sink: str | Path | TextIO):
-        if hasattr(sink, "write"):
-            self._fh: TextIO = sink
-            self._owns = False
-        else:
-            self._fh = open(sink, "w", encoding="utf-8")
-            self._owns = True
-        self._seen: dict[str, str] = {}
-        self._lock = threading.Lock()
+    def __init__(self, path: str | Path):
+        self._sink = JsonlSink(path, DuplicateTranscriptKeyError)
 
     def record(self, key: str, task: str, response: str) -> None:
-        with self._lock:
-            if key in self._seen:
-                if self._seen[key] != response:
-                    raise DuplicateTranscriptKeyError(key)
-                return
-            self._seen[key] = response
-            self._fh.write(json.dumps({"key": key, "task": task, "response": response},
-                                      ensure_ascii=False) + "\n")
-            self._fh.flush()
+        self._sink.write([(key, {"key": key, "task": task, "response": response})])
 
     def close(self) -> None:
-        if self._owns:
-            self._fh.close()
+        self._sink.close()
 
 
 class RecordingBackend:
@@ -193,6 +158,9 @@ class RecordingBackend:
         response = self._inner.respond(task, system, user, key)
         self._recorder.record(key, task.kind.value, response)
         return response
+
+    def close(self) -> None:
+        self._recorder.close()
 
 
 ScriptRule = tuple[TaskKind, "str | Callable[[str, str], bool]",
@@ -228,25 +196,18 @@ class ScriptedResponder:
             f"(prompt starts {user[:80]!r})")
 
 
-def load_transcript(source: str | Path | TextIO) -> dict[str, str]:
+def load_transcript(path: str | Path) -> dict[str, str]:
     """Build the exact-match replay table from a transcript file."""
-    if hasattr(source, "read"):
-        name, payload = getattr(source, "name", "<stream>"), source.read()
-    else:
-        name, payload = str(source), Path(source).read_text(encoding="utf-8")
     table: dict[str, str] = {}
-    for line_no, line in enumerate(payload.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            key, response = str(row["key"]), str(row["response"])
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise TranscriptError(f"{name}:{line_no}: bad transcript row: {exc}") from exc
-        if key in table and table[key] != response:
+    for _, (key, response) in read_jsonl(path, _transcript_row, TranscriptError,
+                                         "transcript"):
+        if table.setdefault(key, response) != response:
             raise DuplicateTranscriptKeyError(key)
-        table[key] = response
     return table
+
+
+def _transcript_row(row: dict) -> tuple[str, str]:
+    return str(row["key"]), str(row["response"])
 
 
 class Gateway:
@@ -257,10 +218,6 @@ class Gateway:
         self.backend = backend
         self.trace = trace
         self.template_version = template_version
-
-    def for_trace(self, trace: Trace | None) -> "Gateway":
-        """Same backend and template version, bound to a different trace."""
-        return Gateway(self.backend, trace, self.template_version)
 
     def complete(self, kind: TaskKind, variables: dict[str, str]) -> ChatExchange:
         task = PromptTask(kind, self.template_version)

@@ -9,7 +9,6 @@ keeps ranked lists byte-stable for replay.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -27,6 +26,7 @@ from .errors import (
     EmptyIndexError,
     RerankError,
 )
+from .jsonl import read_jsonl
 from .trace import Trace
 
 
@@ -81,28 +81,20 @@ class CompositeQuery:
 def read_corpus(source: str | Path | TextIO) -> list[GuidelineSegment]:
     """Parse a JSONL corpus: one object per line with segment_id,
     source_doc, and text."""
-    if hasattr(source, "read"):
-        name, payload = getattr(source, "name", "<stream>"), source.read()
-    else:
-        name, payload = str(source), Path(source).read_text(encoding="utf-8")
     segments: list[GuidelineSegment] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(payload.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-            segment = GuidelineSegment(str(row["segment_id"]), str(row["source_doc"]),
-                                       str(row["text"]))
-        except (json.JSONDecodeError, KeyError) as exc:
-            raise CorpusError(f"{name}:{line_no}: bad corpus row: {exc}") from exc
+    for location, segment in read_jsonl(source, _segment_row, CorpusError, "corpus"):
         if not segment.text.strip():
-            raise CorpusError(f"{name}:{line_no}: segment {segment.segment_id!r} has empty text")
+            raise CorpusError(f"{location}: segment {segment.segment_id!r} has empty text")
         if segment.segment_id in seen:
-            raise CorpusError(f"{name}:{line_no}: duplicate segment id {segment.segment_id!r}")
+            raise CorpusError(f"{location}: duplicate segment id {segment.segment_id!r}")
         seen.add(segment.segment_id)
         segments.append(segment)
     return segments
+
+
+def _segment_row(row: dict) -> GuidelineSegment:
+    return GuidelineSegment(str(row["segment_id"]), str(row["source_doc"]), str(row["text"]))
 
 
 class GuidelineIndex:

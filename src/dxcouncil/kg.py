@@ -26,6 +26,7 @@ from .errors import (
     UnknownConceptError,
     VerbalizationError,
 )
+from .jsonl import open_lines
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
@@ -279,21 +280,13 @@ class KnowledgeGraph:
 
 # -- loading -----------------------------------------------------------------
 
-def _open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
-    if hasattr(source, "read"):
-        name = getattr(source, "name", "<stream>")
-        return str(name), source.read().splitlines()
-    path = Path(source)
-    return str(path), path.read_text(encoding="utf-8").splitlines()
-
-
 def read_concepts(source: str | Path | TextIO) -> list[Concept]:
     """Parse the tab-separated concept file.
 
     Format per line: ``id \\t preferred_name \\t syn1|syn2 \\t st1|st2``;
     synonym and semantic-type fields may be empty; ``#`` lines are comments.
     """
-    name, lines = _open_lines(source)
+    name, lines = open_lines(source)
     concepts: list[Concept] = []
     seen: set[str] = set()
     for line_no, line in enumerate(lines, start=1):
@@ -321,7 +314,7 @@ def read_concepts(source: str | Path | TextIO) -> list[Concept]:
 
 def read_triples(source: str | Path | TextIO) -> list[tuple[int, Edge]]:
     """Parse the tab-separated triple file into (line_no, edge) pairs."""
-    name, lines = _open_lines(source)
+    name, lines = open_lines(source)
     triples: list[tuple[int, Edge]] = []
     for line_no, line in enumerate(lines, start=1):
         if not line.strip() or line.lstrip().startswith("#"):

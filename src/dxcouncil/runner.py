@@ -59,55 +59,46 @@ from .trace import Trace
 class Runtime:
     """Shared per-config state: resources, index, and wired backends.
 
-    Test and fixture code may inject chat_backend, embedder, or scorer to
-    bypass mode wiring; anything injected wins over the config.
+    Test and fixture code may inject all three backends or none. Injected
+    backends replace the config's backend section: nothing is built from it,
+    so no record table is opened (opening one would truncate it).
     """
 
     def __init__(self, config: RunConfig, *, chat_backend: ChatBackend | None = None,
                  embedder: Embedder | None = None, scorer: CrossScorer | None = None):
+        backends = (chat_backend, embedder, scorer)
+        if any(b is None for b in backends) and any(b is not None for b in backends):
+            raise ValueError("inject chat_backend, embedder and scorer together, or none")
         self.config = config
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
-        self._recorder: TranscriptRecorder | None = None
-        self.chat_backend = chat_backend or self._wire_chat(config)
-        self.embedder = embedder or self._wire_embedder(config)
-        self.scorer = scorer or self._wire_scorer(config)
+        self.chat_backend, self.embedder, self.scorer = (
+            _wire_backends(config) if chat_backend is None else backends)
         segments = read_corpus(config.corpus_path)
         self.index: GuidelineIndex = ingest_corpus(segments, self.embedder)
 
-    def _wire_chat(self, config: RunConfig) -> ChatBackend:
-        if config.mode is BackendMode.REPLAY:
-            return ReplayChatBackend.from_file(config.transcript_path)
-        backend: ChatBackend = HttpChatBackend(
-            f"{config.endpoint.rstrip('/')}/chat/completions",
-            config.chat_model or "default")
-        if config.mode is BackendMode.RECORD:
-            self._recorder = TranscriptRecorder(config.transcript_path)
-            backend = RecordingBackend(backend, self._recorder)
-        return backend
-
-    def _wire_embedder(self, config: RunConfig) -> Embedder:
-        if config.mode is BackendMode.REPLAY:
-            return TableEmbedder.load(config.embeddings_path)
-        live = HttpEmbedder(config.endpoint, config.embed_model or "default")
-        if config.mode is BackendMode.RECORD:
-            return RecordingEmbedder(live, config.embeddings_path)
-        return live
-
-    def _wire_scorer(self, config: RunConfig) -> CrossScorer:
-        if config.mode is BackendMode.REPLAY:
-            return TableScorer.load(config.scores_path)
-        live = HttpScorer(config.endpoint, config.rerank_model or "default")
-        if config.mode is BackendMode.RECORD:
-            return RecordingScorer(live, config.scores_path)
-        return live
-
     def close(self) -> None:
-        if self._recorder is not None:
-            self._recorder.close()
-        for component in (self.embedder, self.scorer):
-            close = getattr(component, "close", None)
+        for backend in (self.chat_backend, self.embedder, self.scorer):
+            close = getattr(backend, "close", None)
             if close is not None:
                 close()
+
+
+def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScorer]:
+    """The config's backends: replay tables, or live HTTP clients that in
+    record mode also write every answer to the replay tables."""
+    if config.mode is BackendMode.REPLAY:
+        return (ReplayChatBackend.from_file(config.transcript_path),
+                TableEmbedder.load(config.embeddings_path),
+                TableScorer.load(config.scores_path))
+    chat = HttpChatBackend(f"{config.endpoint.rstrip('/')}/chat/completions",
+                           config.chat_model or "default")
+    embedder = HttpEmbedder(config.endpoint, config.embed_model or "default")
+    scorer = HttpScorer(config.endpoint, config.rerank_model or "default")
+    if config.mode is BackendMode.LIVE:
+        return chat, embedder, scorer
+    return (RecordingBackend(chat, TranscriptRecorder(config.transcript_path)),
+            RecordingEmbedder(embedder, config.embeddings_path),
+            RecordingScorer(scorer, config.scores_path))
 
 
 def trace_path_for(config: RunConfig, case_id: str) -> Path:

@@ -98,16 +98,16 @@ def test_initial_package_full_flow():
     assert not pkg.degraded
     assert len(pkg.valid_paths) == 3
     assert len(pkg.pruned_paths) == 3
-    assert [rec.judgments for rec in pkg.batch_records] == [(1, 1, 1)]
+    [prune_row] = [r for r in trace.records if r["type"] == "prune_batch"]
+    assert prune_row["bits"] == [1, 1, 1]
     assert 1 <= len(pkg.guideline_excerpts) <= 4
     assert pkg.iteration == 0
     for p in pkg.valid_paths:
         assert p.verbalization.startswith("Mechanism: ")
     # prune context is capped at the top two excerpts
-    assert len(pkg.batch_records[0].guideline_context_ids) == 2
-    [prune_row] = [r for r in trace.records if r["type"] == "prune_batch"]
-    assert prune_row["bits"] == [1, 1, 1]
-    assert prune_row["guideline_ids"] == list(pkg.batch_records[0].guideline_context_ids)
+    assert len(prune_row["guideline_ids"]) == 2
+    assert prune_row["guideline_ids"] == [
+        seg.segment.segment_id for seg in pkg.guideline_excerpts[:2]]
 
 
 def test_unmatchable_hypothesis_degrades_to_guidelines_only():
@@ -163,12 +163,20 @@ def test_batch_split_sizes(n_paths, expected_sizes):
     gw = scripted_gateway(
         [(TaskKind.PRUNE, "", batch_pruner([",".join(["1"] * s)
                                             for s in expected_sizes]))], trace)
-    valid, rejected, records = prune_paths(parallel_paths(n_paths), CASE, [], gw)
+    valid, rejected = prune_paths(parallel_paths(n_paths), CASE, [], gw)
     assert len(trace.exchanges(task="prune")) == len(expected_sizes)
-    assert [r["size"] for r in trace.records if r["type"] == "prune_batch"] \
-        == expected_sizes
-    assert [rec.batch_index for rec in records] == list(range(len(expected_sizes)))
+    records = [r for r in trace.records if r["type"] == "prune_batch"]
+    assert [r["size"] for r in records] == expected_sizes
+    assert [r["batch_index"] for r in records] == list(range(len(expected_sizes)))
     assert len(valid) == n_paths and rejected == []
+
+
+def test_a_batch_wider_than_eight_is_one_prune_call():
+    trace = Trace("wide")
+    gw = scripted_gateway([(TaskKind.PRUNE, "", ",".join(["1"] * 9))], trace)
+    valid, rejected = prune_paths(parallel_paths(9), CASE, [], gw, batch_size=9)
+    assert len(trace.exchanges(task="prune")) == 1
+    assert len(valid) == 9 and rejected == []
 
 
 def test_prune_filter_matches_hand_oracle():
@@ -177,7 +185,7 @@ def test_prune_filter_matches_hand_oracle():
     rows = [",".join(str(b) for b in bits[:8]),
             ",".join(str(b) for b in bits[8:])]
     gw = scripted_gateway([(TaskKind.PRUNE, "", batch_pruner(rows))])
-    valid, rejected, _ = prune_paths(paths, CASE, [], gw)
+    valid, rejected = prune_paths(paths, CASE, [], gw)
     want_valid = [p for p, b in zip(paths, bits) if b == 1]
     want_rejected = [p for p, b in zip(paths, bits) if b == 0]
     assert [p.edge_key() for p in valid] == [p.edge_key() for p in want_valid]
@@ -187,7 +195,7 @@ def test_prune_filter_matches_hand_oracle():
 def test_all_rejected_batch():
     paths = parallel_paths(8)
     gw = scripted_gateway([(TaskKind.PRUNE, "", "0,0,0,0,0,0,0,0")])
-    valid, rejected, _ = prune_paths(paths, CASE, [], gw)
+    valid, rejected = prune_paths(paths, CASE, [], gw)
     assert valid == []
     assert len(rejected) == 8
 
@@ -211,15 +219,17 @@ def test_pruning_partitions_the_enumerated_paths(bits):
     paths = parallel_paths(len(bits))
     rows = [",".join(str(b) for b in bits[i:i + 8])
             for i in range(0, len(bits), 8)]
-    gw = scripted_gateway([(TaskKind.PRUNE, "", batch_pruner(rows))])
-    valid, rejected, records = prune_paths(paths, CASE, [], gw)
+    trace = Trace("partition")
+    gw = scripted_gateway([(TaskKind.PRUNE, "", batch_pruner(rows))], trace)
+    valid, rejected = prune_paths(paths, CASE, [], gw)
     assert len(valid) + len(rejected) == len(paths)
     assert {p.edge_key() for p in valid}.isdisjoint(
         p.edge_key() for p in rejected)
     assert {p.edge_key() for p in valid} | {p.edge_key() for p in rejected} \
         == {p.edge_key() for p in paths}
+    records = [r for r in trace.records if r["type"] == "prune_batch"]
     assert len(records) == math.ceil(len(bits) / 8)
-    assert [b for rec in records for b in rec.judgments] == bits
+    assert [b for rec in records for b in rec["bits"]] == bits
 
 
 # -- supplements and merging -------------------------------------------------

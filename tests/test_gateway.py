@@ -7,8 +7,10 @@ import json
 import pytest
 import requests
 
+from dxcouncil.backends import HttpEmbedder, HttpScorer
 from dxcouncil.errors import (
     DuplicateTranscriptKeyError,
+    EmbeddingCountError,
     EmptyResponseError,
     GatewayError,
     ReplayMissError,
@@ -227,3 +229,36 @@ def test_http_chat_malformed_body_fails_fast(monkeypatch):
     with pytest.raises(TransportError):
         backend.respond(PromptTask(TaskKind.NER), "s", "u", "k")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("reply", [
+    requests.ConnectionError("refused"),
+    _Resp(status_code=503, text="busy"),
+    _Resp(payload=None),
+    _Resp(payload={"unexpected": True}),
+], ids=["connection_error", "status_503", "non_json", "wrong_shape"])
+@pytest.mark.parametrize("call", [
+    lambda: HttpEmbedder("http://example.invalid/v1", "m").embed(["a"]),
+    lambda: HttpScorer("http://example.invalid/v1", "m").score("q", "t"),
+], ids=["embed", "rerank"])
+def test_embed_and_rerank_failures_are_transport_errors_without_retry(
+        monkeypatch, call, reply):
+    calls = []
+
+    def post(url, json=None, timeout=None):
+        calls.append(url)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    monkeypatch.setattr(requests, "post", post)
+    with pytest.raises(TransportError):
+        call()
+    assert len(calls) == 1
+
+
+def test_http_embedder_rejects_a_vector_count_that_differs_from_the_texts(monkeypatch):
+    reply = _Resp(payload={"data": [{"index": 0, "embedding": [1.0, 0.0]}]})
+    monkeypatch.setattr(requests, "post", lambda url, json=None, timeout=None: reply)
+    with pytest.raises(EmbeddingCountError):
+        HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b"])

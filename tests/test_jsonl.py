@@ -1,0 +1,138 @@
+"""The shared JSONL reader behind every loader, and the shared record sink
+behind every recorder."""
+
+from __future__ import annotations
+
+import json
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from dxcouncil.backends import (
+    HashEmbedder,
+    LexicalOverlapScorer,
+    RecordingEmbedder,
+    RecordingScorer,
+    TableEmbedder,
+    TableScorer,
+)
+from dxcouncil.differential import read_cases
+from dxcouncil.errors import CorpusError, RecordConflictError, ResourceError, TranscriptError
+from dxcouncil.gateway import load_transcript
+from dxcouncil.guidelines import read_corpus
+from dxcouncil.jsonl import JsonlSink
+
+LOADERS = [
+    pytest.param(read_cases, {"case_id": "a", "narrative": "Story A."}, ResourceError,
+                 id="read_cases"),
+    pytest.param(read_corpus, {"segment_id": "a", "source_doc": "d", "text": "alpha"},
+                 CorpusError, id="read_corpus"),
+    pytest.param(load_transcript, {"key": "k", "task": "ner", "response": "r"},
+                 TranscriptError, id="load_transcript"),
+    pytest.param(TableEmbedder.load, {"text": "t", "embedding": [1.0, 0.5]}, ResourceError,
+                 id="TableEmbedder.load"),
+    pytest.param(TableScorer.load, {"query": "q", "text": "t", "score": 0.5}, ResourceError,
+                 id="TableScorer.load"),
+]
+
+
+@pytest.mark.parametrize("bad_line", ["{not json", '["a"]'], ids=["invalid_json", "array_row"])
+@pytest.mark.parametrize("load,good_row,error", LOADERS)
+def test_every_loader_names_the_bad_line_with_its_own_error(tmp_path, load, good_row,
+                                                            error, bad_line):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(good_row) + "\n" + bad_line + "\n", encoding="utf-8")
+    with pytest.raises(error, match=r"rows\.jsonl:2: "):
+        load(path)
+
+
+def test_table_embedder_rejects_an_embedding_that_is_not_a_list(tmp_path):
+    path = tmp_path / "e.jsonl"
+    path.write_text(json.dumps({"text": "t", "embedding": 5}) + "\n", encoding="utf-8")
+    with pytest.raises(ResourceError, match=r"e\.jsonl:1: "):
+        TableEmbedder.load(path)
+
+
+class Drifting:
+    """A backend that answers every call with a new value, as a
+    nondeterministic model would."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def embed(self, texts):
+        self.calls += 1
+        return [np.full(4, float(self.calls)) for _ in texts]
+
+    def score(self, query_text, segment_text):
+        self.calls += 1
+        return float(self.calls)
+
+
+def table_rows(path):
+    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def test_recorders_write_a_repeated_input_once(tmp_path):
+    embedder = RecordingEmbedder(HashEmbedder(dim=4), tmp_path / "e.jsonl")
+    embedder.embed(["a", "b", "a"])
+    embedder.embed(["b"])
+    embedder.close()
+    scorer = RecordingScorer(LexicalOverlapScorer(), tmp_path / "s.jsonl")
+    scorer.score("liver", "liver disease")
+    scorer.score("liver", "liver disease")
+    scorer.close()
+    assert [row["text"] for row in table_rows(tmp_path / "e.jsonl")] == ["a", "b"]
+    assert len(table_rows(tmp_path / "s.jsonl")) == 1
+
+
+def test_recorders_reject_a_repeated_input_with_a_different_value(tmp_path):
+    embedder = RecordingEmbedder(Drifting(), tmp_path / "e.jsonl")
+    embedder.embed(["a"])
+    with pytest.raises(RecordConflictError):
+        embedder.embed(["a"])
+    embedder.close()
+    scorer = RecordingScorer(Drifting(), tmp_path / "s.jsonl")
+    scorer.score("q", "t")
+    with pytest.raises(RecordConflictError) as exc:
+        scorer.score("q", "t")
+    scorer.close()
+    assert exc.value.key == ("q", "t")
+    assert len(table_rows(tmp_path / "e.jsonl")) == len(table_rows(tmp_path / "s.jsonl")) == 1
+
+
+def test_recorded_tables_load_back_bit_for_bit(tmp_path):
+    texts = ["Jaundice and pruritus", "Ascites — grade 2", "ALP 3x ULN"]
+    embedder = RecordingEmbedder(HashEmbedder(dim=16), tmp_path / "e.jsonl")
+    recorded = embedder.embed(texts)
+    embedder.close()
+    replayed = TableEmbedder.load(tmp_path / "e.jsonl").embed(texts)
+    assert [v.tobytes() for v in replayed] == [v.tobytes() for v in recorded]
+
+    pairs = [(q, t) for q in texts for t in texts]
+    scorer = RecordingScorer(LexicalOverlapScorer(), tmp_path / "s.jsonl")
+    scores = [scorer.score(q, t) for q, t in pairs]
+    scorer.close()
+    table = TableScorer.load(tmp_path / "s.jsonl")
+    assert [table.score(q, t) for q, t in pairs] == scores
+
+
+def test_sink_shared_by_threads_keeps_one_line_per_key(tmp_path):
+    sink = JsonlSink(tmp_path / "t.jsonl", RecordConflictError)
+    rows = [(i, {"key": i}) for i in range(50)]
+    threads = [threading.Thread(target=lambda: [sink.write([row]) for row in rows])
+               for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so races show
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+        sink.close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(row["key"] for row in table_rows(tmp_path / "t.jsonl")) == list(range(50))

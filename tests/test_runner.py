@@ -5,12 +5,16 @@ from __future__ import annotations
 import dataclasses
 import json
 import sys
+from types import SimpleNamespace
 
 import pytest
+import requests
 
-from dxcouncil.config import validate_config
+from dxcouncil.backends import HashEmbedder, HttpEmbedder, TableEmbedder, TableScorer
+from dxcouncil.config import BackendMode, validate_config
 from dxcouncil.differential import read_cases
 from dxcouncil.errors import CaseFailure, EmptyCorpusError
+from dxcouncil.gateway import ReplayChatBackend
 from dxcouncil.runner import (Runtime, diagnoses_agree, resolve_diagnosis_label,
                               run_batch, run_case, trace_path_for)
 from dxcouncil.trace import Trace
@@ -186,3 +190,50 @@ def test_empty_case_file_is_an_error(replay_runtime, tmp_path):
     with pytest.raises(EmptyCorpusError):
         run_batch(runtime)
     runtime.close()
+
+
+def test_embedding_transport_failure_fails_cases_at_the_evidence_stage(
+        replay_runtime, monkeypatch, no_network):
+    config = replay_runtime.config
+    table = TableEmbedder.load(config.embeddings_path)
+    posts = []
+
+    def post(url, json=None, timeout=None):
+        # the first request embeds the corpus at set-up; every later one is
+        # a query embedding during a case, and the endpoint is gone by then
+        posts.append(url)
+        if len(posts) > 1:
+            raise requests.ConnectionError("connection refused")
+        data = [{"index": i, "embedding": list(v)}
+                for i, v in enumerate(table.embed(json["input"]))]
+        return SimpleNamespace(status_code=200, text="", raise_for_status=lambda: None,
+                               json=lambda: {"data": data})
+
+    monkeypatch.setattr(requests, "post", post)
+    runtime = Runtime(config,
+                      chat_backend=ReplayChatBackend.from_file(config.transcript_path),
+                      embedder=HttpEmbedder("http://embed.invalid/v1", "m"),
+                      scorer=TableScorer.load(config.scores_path))
+    result = run_batch(runtime)
+    assert len(result.rows) == result.failed == 10
+    assert {row.failed_stage for row in result.rows} == {"evidence"}
+    assert all("connection refused" in row.error for row in result.rows)
+    summary = json.loads((config.output_dir / "summary.json").read_text())
+    assert summary["cases"] == 10
+    assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
+
+
+def test_backends_are_injected_all_together_or_not_at_all(replay_runtime, tmp_path):
+    config = replay_runtime.config
+    with pytest.raises(ValueError):
+        Runtime(config, embedder=HashEmbedder())
+    tables = [tmp_path / name for name in ("t.jsonl", "e.jsonl", "s.jsonl")]
+    record = dataclasses.replace(config, mode=BackendMode.RECORD,
+                                 endpoint="http://model.invalid/v1",
+                                 transcript_path=tables[0], embeddings_path=tables[1],
+                                 scores_path=tables[2])
+    runtime = Runtime(record, chat_backend=replay_runtime.chat_backend,
+                      embedder=replay_runtime.embedder, scorer=replay_runtime.scorer)
+    runtime.close()
+    # injected backends leave the config's record tables untouched
+    assert not any(path.exists() for path in tables)
