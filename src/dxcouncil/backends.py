@@ -20,6 +20,7 @@ from .errors import (
     EmbeddingCountError,
     RecordConflictError,
     ResourceError,
+    ScoreCountError,
     TransportError,
 )
 from .jsonl import JsonlSink, read_jsonl
@@ -31,7 +32,17 @@ class Embedder(Protocol):
 
 
 class CrossScorer(Protocol):
-    def score(self, query_text: str, segment_text: str) -> float: ...
+    def score(self, query_text: str, segment_texts: list[str]) -> list[float]: ...
+
+
+def checked_scores(scores: list[float], segment_texts: list[str]) -> list[float]:
+    """``scores``, once they hold one score per segment text: zipped against
+    the texts, a short or long list would drop segments or pair scores with
+    the wrong ones. Otherwise ``ScoreCountError``."""
+    if len(scores) != len(segment_texts):
+        raise ScoreCountError(
+            f"cross-scorer returned {len(scores)} scores for {len(segment_texts)} segments")
+    return scores
 
 
 def post_json(url: str, body: dict, timeout: float, read: Callable[[Any], Any],
@@ -154,11 +165,13 @@ class HttpEmbedder:
 class LexicalOverlapScorer:
     """Deterministic offline cross-scorer: token Jaccard overlap."""
 
-    def score(self, query_text: str, segment_text: str) -> float:
-        q, s = term_tokens(query_text), term_tokens(segment_text)
-        if not q or not s:
-            return 0.0
-        return len(q & s) / len(q | s)
+    def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
+        q = term_tokens(query_text)
+        scores = []
+        for text in segment_texts:
+            s = term_tokens(text)
+            scores.append(len(q & s) / len(q | s) if q and s else 0.0)
+        return scores
 
 
 class TableScorer:
@@ -175,11 +188,14 @@ class TableScorer:
     def load(cls, path: str | Path) -> "TableScorer":
         return cls(dict(item for _, item in read_jsonl(path, _score_row, ResourceError, "score")))
 
-    def score(self, query_text: str, segment_text: str) -> float:
-        key = (query_text, segment_text)
-        if key not in self.table:
-            raise ResourceError(f"score table has no entry for query {query_text!r}")
-        return self.table[key]
+    def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
+        scores = []
+        for text in segment_texts:
+            key = (query_text, text)
+            if key not in self.table:
+                raise ResourceError(f"score table has no entry for query {query_text!r}")
+            scores.append(self.table[key])
+        return scores
 
 
 def _score_row(row: dict) -> tuple[tuple[str, str], float]:
@@ -187,11 +203,14 @@ def _score_row(row: dict) -> tuple[tuple[str, str], float]:
 
 
 class HttpScorer:
-    """Reranker service client.
+    """Reranker service client: one request scores every segment text.
 
-    POST ``{"model": ..., "query": ..., "documents": [text]}`` ->
-    ``{"results": [{"index": 0, "relevance_score": x}]}``. Called per pair to
-    keep the scorer contract minimal.
+    POST ``{"model": ..., "query": ..., "documents": [texts]}`` ->
+    ``{"results": [{"index": i, "relevance_score": x}, ...]}`` with one
+    result per document. Services sort ``results`` by relevance, so each
+    score is placed by its ``index``; a missing, repeated or out-of-range
+    index, or a result count that differs from the documents, is a
+    ``TransportError``.
     """
 
     def __init__(self, endpoint: str, model: str, timeout: float = 60.0):
@@ -199,11 +218,25 @@ class HttpScorer:
         self.model = model
         self.timeout = timeout
 
-    def score(self, query_text: str, segment_text: str) -> float:
+    def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
         return post_json(
             f"{self.endpoint}/rerank",
-            {"model": self.model, "query": query_text, "documents": [segment_text]},
-            self.timeout, lambda reply: float(reply["results"][0]["relevance_score"]))
+            {"model": self.model, "query": query_text, "documents": segment_texts},
+            self.timeout, lambda reply: _scores_by_index(reply["results"], len(segment_texts)))
+
+
+def _scores_by_index(results: list[dict], count: int) -> list[float]:
+    if len(results) != count:
+        raise ValueError(f"{len(results)} results for {count} documents")
+    scores: list[float | None] = [None] * count
+    for row in results:
+        index = row["index"]
+        if type(index) is not int or not 0 <= index < count:
+            raise ValueError(f"result index {index!r} is not a document position")
+        if scores[index] is not None:
+            raise ValueError(f"result index {index} appears twice")
+        scores[index] = float(row["relevance_score"])
+    return scores
 
 
 # -- recording wrappers ------------------------------------------------------
@@ -229,18 +262,22 @@ class RecordingEmbedder:
 
 
 class RecordingScorer:
-    """Wraps a cross-scorer and captures every scored pair; a pair scored
-    again with a different value raises ``RecordConflictError``."""
+    """Wraps a cross-scorer and captures every scored pair, one row per pair
+    in input order; a pair scored again with a different value raises
+    ``RecordConflictError``."""
 
     def __init__(self, inner: CrossScorer, sink_path: str | Path):
         self._inner = inner
         self._sink = JsonlSink(sink_path, RecordConflictError)
 
-    def score(self, query_text: str, segment_text: str) -> float:
-        value = float(self._inner.score(query_text, segment_text))
-        self._sink.write([((query_text, segment_text),
-                           {"query": query_text, "text": segment_text, "score": value})])
-        return value
+    def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
+        scores = checked_scores([float(value) for value in
+                                 self._inner.score(query_text, segment_texts)],
+                                segment_texts)
+        self._sink.write(((query_text, text),
+                          {"query": query_text, "text": text, "score": value})
+                         for text, value in zip(segment_texts, scores))
+        return scores
 
     def close(self) -> None:
         self._sink.close()

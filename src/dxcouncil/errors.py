@@ -74,7 +74,12 @@ class EmptyCandidatesError(EngineError):
 
 
 class RerankError(EngineError):
-    """The cross-scoring backend failed; carries the segment id."""
+    """The cross-scoring backend failed on a retrieval's candidates."""
+
+
+class ScoreCountError(EngineError):
+    """A cross-scoring backend returned a different number of scores than
+    segment texts it was given."""
 
 
 # -- gateway -----------------------------------------------------------------

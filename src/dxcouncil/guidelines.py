@@ -1,7 +1,7 @@
 """Guideline corpus index and the two-stage retrieval pipeline.
 
 Stage one embeds a composite query and takes the top-k segments by cosine
-similarity; stage two rescores those candidates pairwise with a cross-scorer
+similarity; stage two rescores those candidates with one cross-scorer call
 and keeps the top-n. Embeddings are unit-normalized at ingest so cosine is a
 plain dot product. Ties at both stages break by ascending segment id, which
 keeps ranked lists byte-stable for replay.
@@ -16,7 +16,7 @@ from typing import TextIO
 
 import numpy as np
 
-from .backends import CrossScorer, Embedder
+from .backends import CrossScorer, Embedder, checked_scores
 from .errors import (
     CorpusError,
     DimensionMismatchError,
@@ -166,7 +166,7 @@ def dense_retrieve(index: GuidelineIndex, query: CompositeQuery, k: int) -> list
 
 def rerank(candidates: list[RankedSegment], query: CompositeQuery,
            scorer: CrossScorer, n: int) -> list[RankedSegment]:
-    """Cross-score every candidate pairwise and keep the top-n.
+    """Cross-score every candidate in one scorer call and keep the top-n.
 
     Dense scores are preserved on the output; ties break by ascending
     segment id.
@@ -175,14 +175,13 @@ def rerank(candidates: list[RankedSegment], query: CompositeQuery,
         raise ValueError("n must be >= 1")
     if not candidates:
         raise EmptyCandidatesError("no candidates to rerank")
-    rescored: list[RankedSegment] = []
-    for cand in candidates:
-        try:
-            score = float(scorer.score(query.rendered, cand.segment.text))
-        except Exception as exc:
-            raise RerankError(
-                f"cross-scoring failed for segment {cand.segment.segment_id!r}: {exc}") from exc
-        rescored.append(replace(cand, rerank_score=score, stage=Stage.RERANKED))
+    texts = [cand.segment.text for cand in candidates]
+    try:
+        scores = [float(score) for score in scorer.score(query.rendered, texts)]
+    except Exception as exc:
+        raise RerankError(f"cross-scoring {len(texts)} candidates failed: {exc}") from exc
+    rescored = [replace(cand, rerank_score=score, stage=Stage.RERANKED)
+                for cand, score in zip(candidates, checked_scores(scores, texts))]
     rescored.sort(key=lambda r: (-r.rerank_score, r.segment.segment_id))
     return rescored[:n]
 

@@ -61,7 +61,9 @@ class Runtime:
 
     Test and fixture code may inject all three backends or none. Injected
     backends replace the config's backend section: nothing is built from it,
-    so no record table is opened (opening one would truncate it).
+    so no record table is opened (opening one would truncate it). Injected
+    backends stay the caller's to close; if set-up fails after wiring, the
+    backends built here are closed before the error propagates.
     """
 
     def __init__(self, config: RunConfig, *, chat_backend: ChatBackend | None = None,
@@ -71,10 +73,16 @@ class Runtime:
             raise ValueError("inject chat_backend, embedder and scorer together, or none")
         self.config = config
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
+        wired = chat_backend is None
         self.chat_backend, self.embedder, self.scorer = (
-            _wire_backends(config) if chat_backend is None else backends)
-        segments = read_corpus(config.corpus_path)
-        self.index: GuidelineIndex = ingest_corpus(segments, self.embedder)
+            _wire_backends(config) if wired else backends)
+        try:
+            segments = read_corpus(config.corpus_path)
+            self.index: GuidelineIndex = ingest_corpus(segments, self.embedder)
+        except BaseException:
+            if wired:
+                self.close()
+            raise
 
     def close(self) -> None:
         for backend in (self.chat_backend, self.embedder, self.scorer):

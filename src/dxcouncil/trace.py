@@ -97,24 +97,29 @@ class Trace:
         """
         with self._lock:
             if self._digest is None:
-                hasher = hashlib.sha256()
-                hasher.update(self.case_id.encode("utf-8"))
-                hasher.update(b"\n")
-                for record in self._records:
-                    hasher.update(_canonical_line(record).encode("utf-8"))
-                    hasher.update(b"\n")
-                self._digest = hasher.hexdigest()
+                self._digest = _digest_of(self.case_id,
+                                          [_canonical_line(r) for r in self._records])
             return self._digest
 
     def write(self, path: str | Path) -> Path:
-        """Flush to a JSONL file: header line, records, digest line."""
+        """Flush to a JSONL file: header line, records, digest line.
+
+        Each record is serialized once: its file line is the canonical line
+        the digest hashes, with the volatile keys appended.
+        """
+        with self._lock:
+            records = list(self._records)
+            lines = [_canonical_line(r) for r in records]
+            if self._digest is None:
+                self._digest = _digest_of(self.case_id, lines)
+            digest = self._digest
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as fh:
             fh.write(json.dumps({"type": "header", "case_id": self.case_id}) + "\n")
-            for record in self._records:
-                fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n")
-            fh.write(json.dumps({"type": "digest", "digest": self.digest()}) + "\n")
+            for record, line in zip(records, lines):
+                fh.write(_with_volatile_keys(line, record) + "\n")
+            fh.write(json.dumps({"type": "digest", "digest": digest}) + "\n")
         return path
 
     @classmethod
@@ -146,6 +151,21 @@ class Trace:
 def _canonical_line(record: dict[str, Any]) -> str:
     clean = {k: v for k, v in record.items() if k not in _VOLATILE_KEYS}
     return json.dumps(clean, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+
+
+def _digest_of(case_id: str, lines: list[str]) -> str:
+    text = "\n".join([case_id, *lines]) + "\n"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _with_volatile_keys(line: str, record: dict[str, Any]) -> str:
+    """``line`` (a canonical JSON object) with the record's volatile keys
+    added after its last key."""
+    volatile = {k: record[k] for k in _VOLATILE_KEYS if k in record}
+    if not volatile:
+        return line
+    return line[:-1] + "," + json.dumps(volatile, ensure_ascii=False,
+                                        separators=(",", ":"))[1:]
 
 
 def scan_for_leakage(trace: Trace, labels: list[str]) -> list[tuple[int, str]]:

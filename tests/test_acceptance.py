@@ -153,9 +153,9 @@ def test_two_stage_retrieval_matches_brute_force_ranking():
             score_table[(f"Q{j}", f"seg-{i:03d}")] = values[i] / 10 ** 6
 
     class TableScorer:
-        def score(self, query_text, segment_text):
-            return score_table[(query_text.split(" |", 1)[0],
-                                segment_text.split(" ", 1)[0])]
+        def score(self, query_text, segment_texts):
+            return [score_table[(query_text.split(" |", 1)[0], text.split(" ", 1)[0])]
+                    for text in segment_texts]
 
     scorer = TableScorer()
     for j in range(50):

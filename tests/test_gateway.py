@@ -239,7 +239,7 @@ def test_http_chat_malformed_body_fails_fast(monkeypatch):
 ], ids=["connection_error", "status_503", "non_json", "wrong_shape"])
 @pytest.mark.parametrize("call", [
     lambda: HttpEmbedder("http://example.invalid/v1", "m").embed(["a"]),
-    lambda: HttpScorer("http://example.invalid/v1", "m").score("q", "t"),
+    lambda: HttpScorer("http://example.invalid/v1", "m").score("q", ["t"]),
 ], ids=["embed", "rerank"])
 def test_embed_and_rerank_failures_are_transport_errors_without_retry(
         monkeypatch, call, reply):
@@ -254,6 +254,41 @@ def test_embed_and_rerank_failures_are_transport_errors_without_retry(
     monkeypatch.setattr(requests, "post", post)
     with pytest.raises(TransportError):
         call()
+    assert len(calls) == 1
+
+
+def test_http_scorer_sends_one_request_and_places_scores_by_index(monkeypatch):
+    posts = []
+    # rerank services sort results by relevance, not by input position
+    ranked = [{"index": 2, "relevance_score": 0.9}, {"index": 0, "relevance_score": 0.5},
+              {"index": 1, "relevance_score": 0.1}]
+
+    def post(url, json=None, timeout=None):
+        posts.append((url, json))
+        return _Resp(payload={"results": ranked})
+
+    monkeypatch.setattr(requests, "post", post)
+    scores = HttpScorer("http://example.invalid/v1", "m").score("q", ["a", "b", "c"])
+    assert scores == [0.5, 0.1, 0.9]
+    assert posts == [("http://example.invalid/v1/rerank",
+                      {"model": "m", "query": "q", "documents": ["a", "b", "c"]})]
+
+
+@pytest.mark.parametrize("indices", [
+    [0, 1], [0, 1, 2, 3], [0, 0, 1], [0, 1, 3], [-1, 0, 1], [0, 1, None], [0, 1, True],
+], ids=["short", "long", "duplicate", "out_of_range", "negative", "missing", "not_int"])
+def test_http_scorer_rejects_results_that_miss_or_repeat_a_document(monkeypatch, indices):
+    results = [{"relevance_score": 0.5} if index is None
+               else {"index": index, "relevance_score": 0.5} for index in indices]
+    calls = []
+
+    def post(url, json=None, timeout=None):
+        calls.append(url)
+        return _Resp(payload={"results": results})
+
+    monkeypatch.setattr(requests, "post", post)
+    with pytest.raises(TransportError):
+        HttpScorer("http://example.invalid/v1", "m").score("q", ["a", "b", "c"])
     assert len(calls) == 1
 
 

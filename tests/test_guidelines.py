@@ -18,6 +18,7 @@ from dxcouncil.errors import (
     EmptyCorpusError,
     EmptyIndexError,
     RerankError,
+    ScoreCountError,
 )
 from dxcouncil.guidelines import (
     CompositeQuery,
@@ -187,9 +188,11 @@ def test_empty_index_and_bad_k():
 class ScriptScorer:
     def __init__(self, table):
         self.table = table
+        self.calls = []
 
-    def score(self, query_text, segment_text):
-        return self.table[segment_text]
+    def score(self, query_text, segment_texts):
+        self.calls.append((query_text, list(segment_texts)))
+        return [self.table[text] for text in segment_texts]
 
 
 def test_rerank_matches_sort_oracle_over_scripted_scores():
@@ -207,6 +210,32 @@ def test_rerank_matches_sort_oracle_over_scripted_scores():
         assert r.rerank_score == table[r.segment.text]
 
 
+def test_one_rerank_is_one_scorer_call_over_every_candidate():
+    index = ingest_corpus(segs(8), HashEmbedder(dim=8))
+    query = CompositeQuery.raw("h", "q")
+    candidates = dense_retrieve(index, query, k=8)
+    scorer = ScriptScorer({c.segment.text: 1.0 for c in candidates})
+    rerank(candidates, query, scorer, n=4)
+    assert scorer.calls == [("q", [c.segment.text for c in candidates])]
+
+
+@pytest.mark.parametrize("miscount", [lambda scores: scores[:-1],
+                                      lambda scores: scores + [0.0]],
+                         ids=["short", "long"])
+def test_rerank_rejects_a_score_count_that_differs_from_the_candidates(miscount):
+    index = ingest_corpus(segs(8), HashEmbedder(dim=8))
+    query = CompositeQuery.raw("h", "q")
+    candidates = dense_retrieve(index, query, k=8)
+
+    class MiscountingScorer:
+        def score(self, query_text, segment_texts):
+            return miscount([1.0] * len(segment_texts))
+
+    got = len(miscount([1.0] * 8))
+    with pytest.raises(ScoreCountError, match=f"returned {got} scores for 8 segments"):
+        rerank(candidates, query, MiscountingScorer(), n=4)
+
+
 def test_rerank_preserves_dense_scores_and_reverses_on_negation():
     index = ingest_corpus(segs(6), HashEmbedder(dim=8))
     query = CompositeQuery.raw("h", "q")
@@ -215,9 +244,10 @@ def test_rerank_preserves_dense_scores_and_reverses_on_negation():
     dense_scores = {c.segment.segment_id: c.dense_score for c in candidates}
 
     class NegatingScorer:
-        def score(self, query_text, segment_text):
-            return -dense_scores[next(c.segment.segment_id for c in candidates
-                                      if c.segment.text == segment_text)]
+        def score(self, query_text, segment_texts):
+            return [-dense_scores[next(c.segment.segment_id for c in candidates
+                                       if c.segment.text == text)]
+                    for text in segment_texts]
 
     got = rerank(candidates, query, NegatingScorer(), n=6)
     assert [r.segment.segment_id for r in got] == list(reversed(dense_order))
@@ -235,7 +265,7 @@ def test_rerank_errors():
         rerank(candidates, query, LexicalOverlapScorer(), n=0)
 
     class BrokenScorer:
-        def score(self, query_text, segment_text):
+        def score(self, query_text, segment_texts):
             raise RuntimeError("backend down")
 
     with pytest.raises(RerankError):

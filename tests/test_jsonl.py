@@ -19,7 +19,13 @@ from dxcouncil.backends import (
     TableScorer,
 )
 from dxcouncil.differential import read_cases
-from dxcouncil.errors import CorpusError, RecordConflictError, ResourceError, TranscriptError
+from dxcouncil.errors import (
+    CorpusError,
+    RecordConflictError,
+    ResourceError,
+    ScoreCountError,
+    TranscriptError,
+)
 from dxcouncil.gateway import load_transcript
 from dxcouncil.guidelines import read_corpus
 from dxcouncil.jsonl import JsonlSink
@@ -66,9 +72,9 @@ class Drifting:
         self.calls += 1
         return [np.full(4, float(self.calls)) for _ in texts]
 
-    def score(self, query_text, segment_text):
+    def score(self, query_text, segment_texts):
         self.calls += 1
-        return float(self.calls)
+        return [float(self.calls)] * len(segment_texts)
 
 
 def table_rows(path):
@@ -81,8 +87,8 @@ def test_recorders_write_a_repeated_input_once(tmp_path):
     embedder.embed(["b"])
     embedder.close()
     scorer = RecordingScorer(LexicalOverlapScorer(), tmp_path / "s.jsonl")
-    scorer.score("liver", "liver disease")
-    scorer.score("liver", "liver disease")
+    scorer.score("liver", ["liver disease", "liver disease"])
+    scorer.score("liver", ["liver disease"])
     scorer.close()
     assert [row["text"] for row in table_rows(tmp_path / "e.jsonl")] == ["a", "b"]
     assert len(table_rows(tmp_path / "s.jsonl")) == 1
@@ -95,12 +101,43 @@ def test_recorders_reject_a_repeated_input_with_a_different_value(tmp_path):
         embedder.embed(["a"])
     embedder.close()
     scorer = RecordingScorer(Drifting(), tmp_path / "s.jsonl")
-    scorer.score("q", "t")
+    scorer.score("q", ["t"])
     with pytest.raises(RecordConflictError) as exc:
-        scorer.score("q", "t")
+        scorer.score("q", ["t"])
     scorer.close()
     assert exc.value.key == ("q", "t")
     assert len(table_rows(tmp_path / "e.jsonl")) == len(table_rows(tmp_path / "s.jsonl")) == 1
+
+
+def test_recording_scorer_writes_one_row_per_pair_in_input_order(tmp_path):
+    texts = ["gamma liver", "alpha liver", "beta"]
+    scorer = RecordingScorer(LexicalOverlapScorer(), tmp_path / "s.jsonl")
+    scores = scorer.score("alpha liver", texts)
+    scorer.close()
+    assert [(row["query"], row["text"], row["score"])
+            for row in table_rows(tmp_path / "s.jsonl")] == \
+        [("alpha liver", text, value) for text, value in zip(texts, scores)]
+
+
+def test_recording_scorer_rejects_a_conflicting_pair_inside_a_batch(tmp_path):
+    scorer = RecordingScorer(Drifting(), tmp_path / "s.jsonl")
+    scorer.score("q", ["t"])
+    with pytest.raises(RecordConflictError) as exc:
+        scorer.score("q", ["u", "t"])
+    scorer.close()
+    assert exc.value.key == ("q", "t")
+
+
+def test_recording_scorer_records_nothing_from_a_miscounted_batch(tmp_path):
+    class ShortScorer:
+        def score(self, query_text, segment_texts):
+            return [0.5] * (len(segment_texts) - 1)
+
+    scorer = RecordingScorer(ShortScorer(), tmp_path / "s.jsonl")
+    with pytest.raises(ScoreCountError):
+        scorer.score("q", ["a", "b"])
+    scorer.close()
+    assert table_rows(tmp_path / "s.jsonl") == []
 
 
 def test_recorded_tables_load_back_bit_for_bit(tmp_path):
@@ -113,10 +150,10 @@ def test_recorded_tables_load_back_bit_for_bit(tmp_path):
 
     pairs = [(q, t) for q in texts for t in texts]
     scorer = RecordingScorer(LexicalOverlapScorer(), tmp_path / "s.jsonl")
-    scores = [scorer.score(q, t) for q, t in pairs]
+    scores = [scorer.score(q, texts) for q in texts]
     scorer.close()
     table = TableScorer.load(tmp_path / "s.jsonl")
-    assert [table.score(q, t) for q, t in pairs] == scores
+    assert [table.score(q, [t]) for q, t in pairs] == [[s] for row in scores for s in row]
 
 
 def test_sink_shared_by_threads_keeps_one_line_per_key(tmp_path):

@@ -10,10 +10,17 @@ from types import SimpleNamespace
 import pytest
 import requests
 
-from dxcouncil.backends import HashEmbedder, HttpEmbedder, TableEmbedder, TableScorer
+from dxcouncil import jsonl
+from dxcouncil.backends import (
+    HashEmbedder,
+    HttpEmbedder,
+    RecordingEmbedder,
+    TableEmbedder,
+    TableScorer,
+)
 from dxcouncil.config import BackendMode, validate_config
 from dxcouncil.differential import read_cases
-from dxcouncil.errors import CaseFailure, EmptyCorpusError
+from dxcouncil.errors import CaseFailure, CorpusError, EmptyCorpusError
 from dxcouncil.gateway import ReplayChatBackend
 from dxcouncil.runner import (Runtime, diagnoses_agree, resolve_diagnosis_label,
                               run_batch, run_case, trace_path_for)
@@ -221,6 +228,56 @@ def test_embedding_transport_failure_fails_cases_at_the_evidence_stage(
     summary = json.loads((config.output_dir / "summary.json").read_text())
     assert summary["cases"] == 10
     assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
+
+
+def test_a_short_score_list_fails_cases_at_the_evidence_stage(replay_runtime):
+    config = replay_runtime.config
+    table = TableScorer.load(config.scores_path)
+
+    class ShortScorer:
+        def score(self, query_text, segment_texts):
+            return table.score(query_text, segment_texts)[:-1]
+
+    runtime = Runtime(config, chat_backend=replay_runtime.chat_backend,
+                      embedder=replay_runtime.embedder, scorer=ShortScorer())
+    result = run_batch(runtime)
+    assert len(result.rows) == result.failed == 10
+    assert {row.failed_stage for row in result.rows} == {"evidence"}
+    assert all("returned 7 scores for 8 segments" in row.error for row in result.rows)
+    summary = json.loads((config.output_dir / "summary.json").read_text())
+    assert summary["cases"] == 10
+    assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
+
+
+def test_a_failed_set_up_closes_the_record_tables_it_opened(replay_runtime, tmp_path,
+                                                             monkeypatch):
+    opened = []
+
+    def tracking_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(jsonl, "open", tracking_open, raising=False)
+    bad_corpus = tmp_path / "corpus.jsonl"
+    bad_corpus.write_text("{not json\n")
+    tables = [tmp_path / name for name in ("t.jsonl", "e.jsonl", "s.jsonl")]
+    record = dataclasses.replace(replay_runtime.config, mode=BackendMode.RECORD,
+                                 endpoint="http://model.invalid/v1", corpus_path=bad_corpus,
+                                 transcript_path=tables[0], embeddings_path=tables[1],
+                                 scores_path=tables[2])
+    with pytest.raises(CorpusError):
+        Runtime(record)
+    assert [fh.name for fh in opened] == [str(path) for path in tables]
+    assert all(fh.closed for fh in opened)
+
+    # injected backends stay open: they belong to the caller
+    embedder = RecordingEmbedder(HashEmbedder(), tmp_path / "injected.jsonl")
+    with pytest.raises(CorpusError):
+        Runtime(record, chat_backend=replay_runtime.chat_backend, embedder=embedder,
+                scorer=replay_runtime.scorer)
+    assert not opened[-1].closed
+    embedder.close()
+    assert opened[-1].closed
 
 
 def test_backends_are_injected_all_together_or_not_at_all(replay_runtime, tmp_path):

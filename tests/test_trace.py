@@ -77,6 +77,20 @@ def test_write_then_load_preserves_digest(tmp_path):
     assert loaded.case_id == "case-x"
     assert loaded.digest() == t.digest()
     assert len(loaded.records) == len(t.records)
+    assert loaded.records == t.records
+
+
+def test_a_line_with_its_volatile_keys_moved_still_verifies(tmp_path):
+    t = sample_trace()
+    path = t.write(tmp_path / "case-x.trace.jsonl")
+    lines = path.read_text().splitlines()
+    record = json.loads(lines[1])
+    moved = {"backend": record.pop("backend"), "ts": record.pop("ts"), **record}
+    lines[1] = json.dumps(moved)
+    path.write_text("\n".join(lines) + "\n")
+    loaded = Trace.load(path)
+    assert loaded.records == t.records
+    assert loaded.digest() == t.digest()
 
 
 def test_load_detects_tampering(tmp_path):
