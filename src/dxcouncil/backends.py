@@ -45,6 +45,15 @@ def checked_scores(scores: list[float], segment_texts: list[str]) -> list[float]
     return scores
 
 
+def checked_vectors(vectors: list[np.ndarray], texts: list[str]) -> list[np.ndarray]:
+    """``vectors``, once they hold one vector per text; otherwise
+    ``EmbeddingCountError``."""
+    if len(vectors) != len(texts):
+        raise EmbeddingCountError(
+            f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
+    return vectors
+
+
 def post_json(url: str, body: dict, timeout: float, read: Callable[[Any], Any],
               attempts: int = 1) -> Any:
     """POST ``body`` as JSON and return ``read`` of the decoded reply.
@@ -149,15 +158,12 @@ class HttpEmbedder:
         self.timeout = timeout
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        vectors = post_json(
+        return checked_vectors(post_json(
             f"{self.endpoint}/embeddings", {"input": texts, "model": self.model},
             self.timeout,
             lambda reply: [np.asarray(row["embedding"], dtype=float)
-                           for row in sorted(reply["data"], key=lambda item: item["index"])])
-        if len(vectors) != len(texts):
-            raise EmbeddingCountError(
-                f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} texts")
-        return vectors
+                           for row in sorted(reply["data"], key=lambda item: item["index"])]),
+            texts)
 
 
 # -- cross scorers -----------------------------------------------------------
@@ -245,14 +251,16 @@ class RecordingEmbedder:
     """Wraps an embedder and writes every (text, vector) pair as a replay
     table row. Floats survive the JSON round trip exactly, so a replay run
     reproduces the recorded run bit for bit. A text seen again with a
-    different vector raises ``RecordConflictError``."""
+    different vector raises ``RecordConflictError``; a vector count that
+    differs from the texts raises ``EmbeddingCountError`` before any row is
+    written."""
 
     def __init__(self, inner: Embedder, sink_path: str | Path):
         self._inner = inner
         self._sink = JsonlSink(sink_path, RecordConflictError)
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        vectors = self._inner.embed(texts)
+        vectors = checked_vectors(self._inner.embed(texts), texts)
         self._sink.write((text, {"text": text, "embedding": [float(x) for x in vec]})
                          for text, vec in zip(texts, vectors))
         return vectors

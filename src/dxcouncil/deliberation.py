@@ -41,7 +41,6 @@ from .evidence import (
 )
 from .gateway import Gateway, TaskKind
 from .guidelines import GuidelineIndex
-from .judgments import parse_judgment
 from .kg import KnowledgeGraph
 
 DEFAULT_ROSTER = (
@@ -150,16 +149,14 @@ def insufficiency_ratio(opinions: list[SpecialistOpinion]) -> float:
 
 def assess_complexity(case: CaseDescription, findings: list[AbnormalEntity],
                       hypotheses: HypothesisSet, gateway: Gateway) -> ComplexityVerdict:
-    exchange = gateway.complete(TaskKind.ASSESS_COMPLEXITY, {
+    word = gateway.complete(TaskKind.ASSESS_COMPLEXITY, {
         "narrative": case.narrative,
         "findings": render_findings(findings),
         "hypotheses": "; ".join(hypotheses),
     })
-    word = parse_judgment(TaskKind.ASSESS_COMPLEXITY, exchange.response_text).payload
     flag = ComplexityFlag.SIMPLE if word == "SIMPLE" else ComplexityFlag.COMPLEX
-    if gateway.trace is not None:
-        gateway.trace.decision("complexity", {"flag": flag.name})
-    return ComplexityVerdict(flag=flag, rationale=exchange.response_text.strip())
+    gateway.trace.decision("complexity", {"flag": flag.name})
+    return ComplexityVerdict(flag=flag, rationale=word)
 
 
 def _match_hypothesis(diagnosis: str, hypotheses: HypothesisSet) -> str:
@@ -185,18 +182,16 @@ def generalist_direct_diagnosis(case: CaseDescription,
                                 gateway: Gateway) -> FinalReport:
     """Single-physician close for a SIMPLE case: one call over every
     candidate's prebuilt evidence, no panel convened."""
-    exchange = gateway.complete(TaskKind.GENERALIST_DIRECT, {
+    parsed = gateway.complete(TaskKind.GENERALIST_DIRECT, {
         "narrative": case.narrative,
         "findings": render_findings(findings),
         "hypotheses": "; ".join(hypotheses),
         "packages": render_packages(packages),
     })
-    parsed = parse_judgment(TaskKind.GENERALIST_DIRECT, exchange.response_text).payload
     diagnosis = _match_hypothesis(parsed["diagnosis"], hypotheses)
     narrative, next_steps = _split_report(parsed["report"])
-    if gateway.trace is not None:
-        gateway.trace.decision("final_report", {
-            "final_diagnosis": diagnosis, "route": "direct"})
+    gateway.trace.decision("final_report", {
+        "final_diagnosis": diagnosis, "route": "direct"})
     return FinalReport(final_diagnosis=diagnosis, per_hypothesis_snapshots=(),
                        consensus_narrative=narrative,
                        recommended_next_steps=next_steps)
@@ -211,14 +206,13 @@ def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
     Names outside the configured roster are an error; duplicates collapse;
     anything past the cap is dropped in order.
     """
-    exchange = gateway.complete(TaskKind.DISPATCH, {
+    names = gateway.complete(TaskKind.DISPATCH, {
         "narrative": case.narrative,
         "findings": render_findings(findings),
         "hypothesis": hypothesis,
         "roster": "; ".join(roster),
         "max_specialists": str(max_specialists),
     })
-    names = parse_judgment(TaskKind.DISPATCH, exchange.response_text).payload
     chosen: list[str] = []
     for name in names:
         if name not in roster:
@@ -228,9 +222,7 @@ def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
     if not chosen:
         raise EmptyRosterError(f"dispatch chose no specialists for {hypothesis!r}")
     chosen = chosen[:max_specialists]
-    if gateway.trace is not None:
-        gateway.trace.decision("roster", {"hypothesis": hypothesis,
-                                          "specialties": chosen})
+    gateway.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
     return SpecialistRoster(hypothesis=hypothesis, specialties=tuple(chosen))
 
 
@@ -238,7 +230,7 @@ def elicit_opinion(specialty: str, case: CaseDescription,
                    findings: list[AbnormalEntity], hypothesis: str,
                    package: EvidencePackage, gateway: Gateway) -> SpecialistOpinion:
     """One specialist's verdict over the shared evidence block."""
-    exchange = gateway.complete(TaskKind.SPECIALIST_OPINION, {
+    parsed = gateway.complete(TaskKind.SPECIALIST_OPINION, {
         "specialty": specialty,
         "narrative": case.narrative,
         "findings": render_findings(findings),
@@ -246,7 +238,6 @@ def elicit_opinion(specialty: str, case: CaseDescription,
         "iteration": str(package.iteration),
         "evidence": render_package(package),
     })
-    parsed = parse_judgment(TaskKind.SPECIALIST_OPINION, exchange.response_text).payload
     return SpecialistOpinion(
         specialty=specialty, hypothesis=hypothesis, iteration=package.iteration,
         stance=Stance(parsed["stance"]), confidence=parsed["confidence"],
@@ -263,13 +254,12 @@ def formulate_refinement_queries(opinions: list[SpecialistOpinion],
     if not gaps:
         raise EmptyOpinionsError("refinement requires at least one Ins opinion")
     rendered_gaps = "\n".join(f"- ({o.specialty}) {o.justification}" for o in gaps)
-    exchange = gateway.complete(TaskKind.REFINE_QUERY, {
+    return gateway.complete(TaskKind.REFINE_QUERY, {
         "hypothesis": hypothesis,
         "narrative": case.narrative,
         "findings": render_findings(findings),
         "gaps": rendered_gaps,
     })
-    return list(parse_judgment(TaskKind.REFINE_QUERY, exchange.response_text).payload)
 
 
 def _render_opinions(opinions: list[SpecialistOpinion]) -> str:
@@ -282,15 +272,13 @@ def _render_opinions(opinions: list[SpecialistOpinion]) -> str:
 def _interim_report(hypothesis: str, iteration: int,
                     opinions: list[SpecialistOpinion], support: float,
                     insufficiency: float, gateway: Gateway) -> str:
-    exchange = gateway.complete(TaskKind.INTERIM_CONSENSUS, {
+    return gateway.complete(TaskKind.INTERIM_CONSENSUS, {
         "hypothesis": hypothesis,
         "iteration": str(iteration),
         "support_score": f"{support:.2f}",
         "insufficiency_ratio": f"{insufficiency:.2f}",
         "opinions": _render_opinions(opinions),
-    })
-    parsed = parse_judgment(TaskKind.INTERIM_CONSENSUS, exchange.response_text).payload
-    return parsed["report"]
+    })["report"]
 
 
 def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
@@ -331,13 +319,12 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
                 hypothesis=hypothesis, iteration=t, opinions=tuple(opinions),
                 support_score=support, insufficiency_ratio=insufficiency,
                 interim_report=report)
-            if gateway.trace is not None:
-                gateway.trace.decision("snapshot", {
-                    "hypothesis": hypothesis, "iteration": t,
-                    "support_score": support, "insufficiency_ratio": insufficiency,
-                    "stances": [o.stance.value for o in opinions],
-                    "sufficiency": [o.sufficiency.value for o in opinions],
-                })
+            gateway.trace.decision("snapshot", {
+                "hypothesis": hypothesis, "iteration": t,
+                "support_score": support, "insufficiency_ratio": insufficiency,
+                "stances": [o.stance.value for o in opinions],
+                "sufficiency": [o.sufficiency.value for o in opinions],
+            })
             if support > tau_high:
                 break
             if insufficiency <= tau_suff:
@@ -367,17 +354,15 @@ def final_adjudication(snapshots: list[ConsensusSnapshot], case: CaseDescription
             f"  support score: {snap.support_score:.2f}\n"
             f"  panel report: {snap.interim_report}\n"
             f"  unresolved gaps: {'; '.join(unresolved) if unresolved else 'none'}")
-    exchange = gateway.complete(TaskKind.FINAL_ADJUDICATE, {
+    parsed = gateway.complete(TaskKind.FINAL_ADJUDICATE, {
         "narrative": case.narrative,
         "findings": render_findings(findings),
         "summaries": "\n".join(sections),
     })
-    parsed = parse_judgment(TaskKind.FINAL_ADJUDICATE, exchange.response_text).payload
     diagnosis = _match_hypothesis(parsed["diagnosis"], hypotheses)
     narrative, next_steps = _split_report(parsed["report"])
-    if gateway.trace is not None:
-        gateway.trace.decision("final_report", {
-            "final_diagnosis": diagnosis, "route": "deliberated"})
+    gateway.trace.decision("final_report", {
+        "final_diagnosis": diagnosis, "route": "deliberated"})
     return FinalReport(final_diagnosis=diagnosis,
                        per_hypothesis_snapshots=tuple(snapshots),
                        consensus_narrative=narrative,

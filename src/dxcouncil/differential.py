@@ -14,8 +14,10 @@ from typing import TextIO
 from .errors import EmptyHypothesesError, JudgmentParseError, ResourceError
 from .gateway import Gateway, TaskKind
 from .jsonl import read_jsonl
-from .judgments import parse_judgment
 from .kg import Concept, KnowledgeGraph
+
+# vocabulary entries offered to the aligner per mention
+ALIGN_CANDIDATES = 5
 
 
 @dataclass(frozen=True)
@@ -95,36 +97,40 @@ def render_findings(findings: list[AbnormalEntity]) -> str:
     return "; ".join(f.concept.preferred_name for f in findings)
 
 
+def align_mention(mention: str, graph: KnowledgeGraph, gateway: Gateway,
+                  ) -> tuple[Concept, tuple[Concept, ...]] | None:
+    """Pin a mention to a graph concept: the aligner's pick among the top
+    matches, with those candidates, or None when nothing matches or the
+    aligner answers NONE."""
+    candidates = tuple(m.concept for m in graph.match_entity(mention,
+                                                             limit=ALIGN_CANDIDATES))
+    if not candidates:
+        return None
+    numbered = "\n".join(f"{i}. {c.preferred_name}"
+                         for i, c in enumerate(candidates, start=1))
+    choice = gateway.complete(TaskKind.ALIGN,
+                              {"mention": mention, "candidates": numbered})
+    if choice is None:
+        return None
+    if not 1 <= choice <= len(candidates):
+        raise JudgmentParseError(
+            f"candidate number {choice} outside 1..{len(candidates)} "
+            f"for mention {mention!r}", span=str(choice))
+    return candidates[choice - 1], candidates
+
+
 def extract_abnormal_entities(case: CaseDescription, gateway: Gateway,
-                              graph: KnowledgeGraph,
-                              candidate_limit: int = 5) -> list[AbnormalEntity]:
+                              graph: KnowledgeGraph) -> list[AbnormalEntity]:
     """Extract raw mentions, standardize each against the graph, keep the
     survivors in narrative order with same-concept duplicates collapsed."""
-    exchange = gateway.complete(TaskKind.NER, {"narrative": case.narrative})
-    mentions = parse_judgment(TaskKind.NER, exchange.response_text).payload
     findings: list[AbnormalEntity] = []
     seen_ids: set[str] = set()
-    for mention in mentions:
-        matches = graph.match_entity(mention, limit=candidate_limit)
-        if not matches:
+    for mention in gateway.complete(TaskKind.NER, {"narrative": case.narrative}):
+        aligned = align_mention(mention, graph, gateway)
+        if aligned is None or aligned[0].id in seen_ids:
             continue
-        candidates = tuple(m.concept for m in matches)
-        numbered = "\n".join(f"{i}. {c.preferred_name}"
-                             for i, c in enumerate(candidates, start=1))
-        align = gateway.complete(TaskKind.ALIGN,
-                                 {"mention": mention, "candidates": numbered})
-        choice = parse_judgment(TaskKind.ALIGN, align.response_text).payload
-        if choice is None:
-            continue
-        if not 1 <= choice <= len(candidates):
-            raise JudgmentParseError(
-                f"candidate number {choice} outside 1..{len(candidates)} "
-                f"for mention {mention!r}", span=align.response_text)
-        concept = candidates[choice - 1]
-        if concept.id in seen_ids:
-            continue
-        seen_ids.add(concept.id)
-        findings.append(AbnormalEntity(mention, concept, candidates))
+        seen_ids.add(aligned[0].id)
+        findings.append(AbnormalEntity(mention, *aligned))
     return findings
 
 
@@ -135,13 +141,11 @@ def generate_hypotheses(case: CaseDescription, findings: list[AbnormalEntity],
     Raw lists longer than k_max are a cardinality error before dedup; an
     empty differential stops the pipeline.
     """
-    exchange = gateway.complete(TaskKind.HYPOTHESIZE, {
+    items = gateway.complete(TaskKind.HYPOTHESIZE, {
         "narrative": case.narrative,
         "findings": render_findings(findings),
         "k_max": str(k_max),
-    })
-    items = parse_judgment(TaskKind.HYPOTHESIZE, exchange.response_text,
-                           max_items=k_max).payload
+    }, max_items=k_max)
     deduped: list[str] = []
     folded: set[str] = set()
     for item in items:

@@ -13,11 +13,10 @@ import math
 from dataclasses import dataclass, replace
 
 from .backends import CrossScorer
-from .differential import AbnormalEntity, CaseDescription, render_findings
-from .errors import HypothesisMismatchError, InvariantError, JudgmentParseError
+from .differential import AbnormalEntity, CaseDescription, align_mention
+from .errors import HypothesisMismatchError, InvariantError
 from .gateway import Gateway, TaskKind
 from .guidelines import CompositeQuery, GuidelineIndex, RankedSegment, g_ret
-from .judgments import parse_judgment
 from .kg import KnowledgeGraph, KnowledgePath, normalize_term, verbalize_path
 
 PRUNE_BATCH = 8
@@ -85,44 +84,18 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
         batch = paths[batch_index * batch_size:(batch_index + 1) * batch_size]
         numbered = "\n".join(f"{i}. {p.verbalization}"
                              for i, p in enumerate(batch, start=1))
-        exchange = gateway.complete(TaskKind.PRUNE, {
+        bits = gateway.complete(TaskKind.PRUNE, {
             "narrative": case.narrative,
             "guidelines": guideline_text,
             "paths": numbered,
             "path_count": str(len(batch)),
-        })
-        bits = parse_judgment(TaskKind.PRUNE, exchange.response_text,
-                              expected_bits=len(batch)).payload
-        if gateway.trace is not None:
-            gateway.trace.prune_batch(batch_index=batch_index, size=len(batch),
-                                      bits=list(bits), guideline_ids=list(context_ids))
+        }, expected_bits=len(batch))
+        gateway.trace.prune_batch(batch_index=batch_index, size=len(batch),
+                                  bits=list(bits), guideline_ids=list(context_ids))
         for path, bit in zip(batch, bits):
             (valid if bit == 1 else rejected).append(path)
     _check_partition(valid, rejected, paths)
     return valid, rejected
-
-
-def _align_disease_concept(hypothesis: str, graph: KnowledgeGraph,
-                           gateway: Gateway) -> str | None:
-    """Pin a hypothesis name to a graph disease concept, or report that none
-    fits. Reuses the mention alignment task; a NONE verdict degrades the
-    package to guideline-only evidence."""
-    matches = graph.match_entity(hypothesis, limit=5)
-    if not matches:
-        return None
-    candidates = [m.concept for m in matches]
-    numbered = "\n".join(f"{i}. {c.preferred_name}"
-                         for i, c in enumerate(candidates, start=1))
-    exchange = gateway.complete(TaskKind.ALIGN,
-                                {"mention": hypothesis, "candidates": numbered})
-    choice = parse_judgment(TaskKind.ALIGN, exchange.response_text).payload
-    if choice is None:
-        return None
-    if not 1 <= choice <= len(candidates):
-        raise JudgmentParseError(
-            f"candidate number {choice} outside 1..{len(candidates)} "
-            f"for hypothesis {hypothesis!r}", span=exchange.response_text)
-    return candidates[choice - 1].id
 
 
 def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
@@ -131,9 +104,8 @@ def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
     out: list[KnowledgePath] = []
     for finding_id in finding_ids:
         enumerated = graph.enumerate_paths(finding_id, disease_id, h_max=h_max)
-        if gateway.trace is not None:
-            gateway.trace.paths(start=finding_id, end=disease_id, h_max=h_max,
-                                enumerated=[p.describe() for p in enumerated])
+        gateway.trace.paths(start=finding_id, end=disease_id, h_max=h_max,
+                            enumerated=[p.describe() for p in enumerated])
         out.extend(verbalize_path(p, gateway) for p in enumerated)
     return out
 
@@ -147,13 +119,16 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
     """Assemble the iteration-0 package for one hypothesis."""
     query = CompositeQuery.compose(hypothesis,
                                    [f.concept.preferred_name for f in findings])
-    excerpts = g_ret(index, query, scorer, k=k, n=n, trace=gateway.trace)
-    disease_id = _align_disease_concept(hypothesis, graph, gateway)
-    if disease_id is None:
+    excerpts = g_ret(index, query, scorer, gateway.trace, k=k, n=n)
+    # a hypothesis the aligner cannot pin to a disease concept gets
+    # guideline excerpts only
+    aligned = align_mention(hypothesis, graph, gateway)
+    if aligned is None:
         return EvidencePackage(
             hypothesis=hypothesis, iteration=0,
             guideline_excerpts=tuple(excerpts), valid_paths=(),
             pruned_paths=(), disease_concept_id=None, degraded=True)
+    disease_id = aligned[0].id
     verbalized = _enumerate_and_verbalize([f.concept.id for f in findings],
                                           disease_id, graph, gateway, h_max)
     valid, rejected = prune_paths(
@@ -182,7 +157,7 @@ def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntit
     seen_segments: set[str] = set()
     for query_text in queries:
         query = CompositeQuery.raw(base.hypothesis, query_text)
-        for seg in g_ret(index, query, scorer, k=k, n=n, trace=gateway.trace):
+        for seg in g_ret(index, query, scorer, gateway.trace, k=k, n=n):
             if seg.segment.segment_id not in seen_segments:
                 seen_segments.add(seg.segment.segment_id)
                 excerpts.append(seg)

@@ -1,15 +1,15 @@
 """Single chokepoint for model calls, with live, record, and replay backends.
 
-Every call renders a versioned template, hashes the canonical form of the
-prompt, and appends the exchange to the case trace. The canonical key is
-stable under trailing-whitespace and line-ending drift, which is what lets a
-transcript recorded on one machine replay anywhere.
+Every call renders its task's template, hashes the canonical form of the
+prompt, dispatches it to the backend, appends the exchange to the case
+trace, and parses the response. The canonical key is stable under
+trailing-whitespace and line-ending drift, which is what lets a transcript
+recorded on one machine replay anywhere.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
@@ -23,13 +23,12 @@ from .errors import (
     TranscriptError,
 )
 from .jsonl import JsonlSink, read_jsonl
-from .templates import PromptTask, TaskKind, get_template
+from .judgments import parse_judgment
+from .templates import TaskKind, get_template
 from .trace import Trace
 
 __all__ = [
     "TaskKind",
-    "PromptTask",
-    "ChatExchange",
     "Gateway",
     "HttpChatBackend",
     "ReplayChatBackend",
@@ -52,26 +51,18 @@ def normalize_prompt(text: str) -> str:
     return "\n".join(line.rstrip() for line in unified.split("\n")).rstrip()
 
 
-def canonical_key(task: PromptTask, rendered_prompt: str) -> str:
-    payload = "\n".join([task.kind.value, task.template_version,
-                         normalize_prompt(rendered_prompt)])
+def canonical_key(kind: TaskKind, rendered_prompt: str) -> str:
+    # "v1" names the only template set there has been; it stays in the hashed
+    # payload so that every transcript recorded with it keeps its keys
+    payload = "\n".join([kind.value, "v1", normalize_prompt(rendered_prompt)])
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class ChatExchange:
-    task: PromptTask
-    rendered_prompt: str
-    response_text: str
-    canonical_key: str
-    backend: str
 
 
 @runtime_checkable
 class ChatBackend(Protocol):
     label: str
 
-    def respond(self, task: PromptTask, system: str, user: str, key: str) -> str:
+    def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
         ...
 
 
@@ -89,7 +80,7 @@ class HttpChatBackend:
         self.model = model
         self.timeout = timeout
 
-    def respond(self, task: PromptTask, system: str, user: str, key: str) -> str:
+    def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
         body = {
             "model": self.model,
             "messages": [
@@ -118,11 +109,11 @@ class ReplayChatBackend:
     def __len__(self) -> int:
         return len(self._table)
 
-    def respond(self, task: PromptTask, system: str, user: str, key: str) -> str:
+    def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
         try:
             return self._table[key]
         except KeyError:
-            raise ReplayMissError(key, task.kind.value) from None
+            raise ReplayMissError(key, kind.value) from None
 
 
 class TranscriptRecorder:
@@ -154,9 +145,9 @@ class RecordingBackend:
     def label(self) -> str:
         return self._inner.label
 
-    def respond(self, task: PromptTask, system: str, user: str, key: str) -> str:
-        response = self._inner.respond(task, system, user, key)
-        self._recorder.record(key, task.kind.value, response)
+    def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
+        response = self._inner.respond(kind, system, user, key)
+        self._recorder.record(key, kind.value, response)
         return response
 
     def close(self) -> None:
@@ -183,16 +174,16 @@ class ScriptedResponder:
     def __init__(self, rules: list[ScriptRule]):
         self._rules = list(rules)
 
-    def respond(self, task: PromptTask, system: str, user: str, key: str) -> str:
+    def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
         combined = system + "\n" + user
-        for kind, matcher, response in self._rules:
-            if kind is not task.kind:
+        for rule_kind, matcher, response in self._rules:
+            if rule_kind is not kind:
                 continue
             hit = matcher(system, user) if callable(matcher) else matcher in combined
             if hit:
                 return response(system, user) if callable(response) else response
         raise GatewayError(
-            f"no scripted rule matches task {task.kind.value!r} "
+            f"no scripted rule matches task {kind.value!r} "
             f"(prompt starts {user[:80]!r})")
 
 
@@ -211,30 +202,32 @@ def _transcript_row(row: dict) -> tuple[str, str]:
 
 
 class Gateway:
-    """Renders, hashes, dispatches, and traces every model call."""
+    """Renders, hashes, dispatches, traces and parses every model call."""
 
-    def __init__(self, backend: ChatBackend, trace: Trace | None = None,
-                 template_version: str = "v1"):
+    def __init__(self, backend: ChatBackend, trace: Trace):
         self.backend = backend
         self.trace = trace
-        self.template_version = template_version
 
-    def complete(self, kind: TaskKind, variables: dict[str, str]) -> ChatExchange:
-        task = PromptTask(kind, self.template_version)
-        template = get_template(kind, self.template_version)
-        system, user = template.render(variables)
+    def complete(self, kind: TaskKind, variables: dict[str, str], *,
+                 max_items: int | None = None,
+                 expected_bits: int | None = None) -> object:
+        """Run one model call and return ``parse_judgment``'s payload.
+
+        The exchange is traced before its response is parsed, so a response
+        that breaks its task's grammar is still in the trace.
+        """
+        system, user = get_template(kind).render(variables)
         rendered = system + "\n\n" + user
-        key = canonical_key(task, rendered)
+        key = canonical_key(kind, rendered)
         try:
-            response = self.backend.respond(task, system, user, key)
+            response = self.backend.respond(kind, system, user, key)
         except EngineError:
             raise
         except Exception as exc:
             raise GatewayError(f"backend failure on task {kind.value!r}: {exc}") from exc
         if not response.strip():
             raise EmptyResponseError(f"empty response for task {kind.value!r}")
-        exchange = ChatExchange(task, rendered, response, key, self.backend.label)
-        if self.trace is not None:
-            self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
-                                response=response, backend=self.backend.label)
-        return exchange
+        self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
+                            response=response, backend=self.backend.label)
+        return parse_judgment(kind, response, max_items=max_items,
+                              expected_bits=expected_bits)

@@ -187,20 +187,19 @@ def rerank(candidates: list[RankedSegment], query: CompositeQuery,
 
 
 def g_ret(index: GuidelineIndex, query: CompositeQuery, scorer: CrossScorer,
-          k: int = 8, n: int = 4, trace: Trace | None = None) -> list[RankedSegment]:
+          trace: Trace, k: int = 8, n: int = 4) -> list[RankedSegment]:
     """The full two-stage retrieval: dense top-k, then reranked top-n.
 
     Records the rendered query and both ranked stages in the trace.
     """
     dense = dense_retrieve(index, query, k)
     ranked = rerank(dense, query, scorer, n)
-    if trace is not None:
-        trace.retrieval(
-            query=query.rendered,
-            dense=[{"segment_id": r.segment.segment_id, "dense_score": r.dense_score}
-                   for r in dense],
-            reranked=[{"segment_id": r.segment.segment_id, "dense_score": r.dense_score,
-                       "rerank_score": r.rerank_score} for r in ranked],
-            k=k, n=n,
-        )
+    trace.retrieval(
+        query=query.rendered,
+        dense=[{"segment_id": r.segment.segment_id, "dense_score": r.dense_score}
+               for r in dense],
+        reranked=[{"segment_id": r.segment.segment_id, "dense_score": r.dense_score,
+                   "rerank_score": r.rerank_score} for r in ranked],
+        k=k, n=n,
+    )
     return ranked

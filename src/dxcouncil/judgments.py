@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 
 from .errors import (
     CardinalityError,
@@ -24,13 +23,6 @@ STANCES = ("S", "N", "O")
 SUFFICIENCY = ("Suf", "Ins")
 
 _INDEX = re.compile(r"^\d+$")
-
-
-@dataclass(frozen=True)
-class StructuredJudgment:
-    kind: TaskKind
-    raw: str
-    payload: object
 
 
 def _json_load(text: str, expect: type) -> object:
@@ -97,39 +89,37 @@ def _parse_report(text: str, with_diagnosis: bool) -> dict:
 
 def parse_judgment(kind: TaskKind, response_text: str, *,
                    max_items: int | None = None,
-                   expected_bits: int | None = None) -> StructuredJudgment:
-    """Parse a response against its task's grammar.
+                   expected_bits: int | None = None) -> object:
+    """Parse a response against its task's grammar and return its payload.
 
     max_items bounds list-valued tasks (differential size, refinement
     queries); expected_bits pins the pruning bit count to the batch size.
     """
     text = response_text.strip()
-    payload: object
 
     if kind is TaskKind.NER:
-        payload = _string_array(text)
+        return _string_array(text)
 
-    elif kind is TaskKind.ALIGN:
+    if kind is TaskKind.ALIGN:
         if text == "NONE":
-            payload = None
-        elif _INDEX.match(text):
-            payload = int(text)
-        else:
-            raise JudgmentParseError("expected a candidate number or NONE", span=text)
+            return None
+        if _INDEX.match(text):
+            return int(text)
+        raise JudgmentParseError("expected a candidate number or NONE", span=text)
 
-    elif kind is TaskKind.HYPOTHESIZE:
+    if kind is TaskKind.HYPOTHESIZE:
         items = _string_array(text)
         if max_items is not None and len(items) > max_items:
             raise CardinalityError(
                 f"{len(items)} diagnoses exceed the maximum of {max_items}", span=text)
-        payload = items
+        return items
 
-    elif kind is TaskKind.VERBALIZE:
+    if kind is TaskKind.VERBALIZE:
         if not text:
             raise JudgmentParseError("verbalization is empty", span=response_text)
-        payload = text
+        return text
 
-    elif kind is TaskKind.PRUNE:
+    if kind is TaskKind.PRUNE:
         tokens = [t.strip() for t in text.split(",")]
         if any(t not in ("0", "1") for t in tokens):
             raise JudgmentParseError("expected comma-separated 0/1 digits", span=text)
@@ -137,24 +127,24 @@ def parse_judgment(kind: TaskKind, response_text: str, *,
         if expected_bits is not None and len(bits) != expected_bits:
             raise JudgmentLengthError(
                 f"got {len(bits)} judgments for a batch of {expected_bits}", span=text)
-        payload = bits
+        return bits
 
-    elif kind is TaskKind.ASSESS_COMPLEXITY:
+    if kind is TaskKind.ASSESS_COMPLEXITY:
         if text not in ("SIMPLE", "COMPLEX"):
             raise JudgmentParseError("expected SIMPLE or COMPLEX", span=text)
-        payload = text
+        return text
 
-    elif kind is TaskKind.DISPATCH:
+    if kind is TaskKind.DISPATCH:
         items = _string_array(text)
         if max_items is not None and len(items) > max_items:
             raise CardinalityError(
                 f"{len(items)} specialties exceed the maximum of {max_items}", span=text)
-        payload = items
+        return items
 
-    elif kind is TaskKind.SPECIALIST_OPINION:
-        payload = _parse_opinion(text)
+    if kind is TaskKind.SPECIALIST_OPINION:
+        return _parse_opinion(text)
 
-    elif kind is TaskKind.REFINE_QUERY:
+    if kind is TaskKind.REFINE_QUERY:
         items = _string_array(text)
         if not items:
             raise EmptyQueryListError("refinement produced no queries")
@@ -163,15 +153,13 @@ def parse_judgment(kind: TaskKind, response_text: str, *,
             raise CardinalityError(
                 f"{len(items)} refinement queries exceed the maximum of {limit}",
                 span=text)
-        payload = items
+        return items
 
-    elif kind is TaskKind.INTERIM_CONSENSUS:
-        payload = _parse_report(text, with_diagnosis=False)
+    if kind is TaskKind.INTERIM_CONSENSUS:
+        return _parse_report(text, with_diagnosis=False)
 
-    elif kind in (TaskKind.FINAL_ADJUDICATE, TaskKind.GENERALIST_DIRECT):
-        payload = _parse_report(text, with_diagnosis=True)
+    if kind in (TaskKind.FINAL_ADJUDICATE, TaskKind.GENERALIST_DIRECT):
+        return _parse_report(text, with_diagnosis=True)
 
-    else:
-        raise JudgmentParseError(f"no grammar registered for task {kind!r}")
+    raise JudgmentParseError(f"no grammar registered for task {kind!r}")
 
-    return StructuredJudgment(kind=kind, raw=response_text, payload=payload)

@@ -20,7 +20,6 @@ from typing import Iterable, TextIO
 from .errors import (
     DanglingReferenceError,
     EmptyMentionError,
-    EmptyResponseError,
     KgLoadError,
     PathEndpointsError,
     UnknownConceptError,
@@ -361,10 +360,7 @@ def verbalize_path(path: KnowledgePath, gw) -> KnowledgePath:
 
     chain = path.describe()
     try:
-        exchange = gw.complete(TaskKind.VERBALIZE, {"path": chain})
+        sentence = gw.complete(TaskKind.VERBALIZE, {"path": chain})
     except Exception as exc:
         raise VerbalizationError(f"verbalization failed for path {chain!r}") from exc
-    sentence = exchange.response_text.strip()
-    if not sentence:
-        raise EmptyResponseError(f"empty verbalization for path {chain!r}")
     return replace(path, verbalization=sentence)

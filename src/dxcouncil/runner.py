@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,9 +105,15 @@ def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScore
     scorer = HttpScorer(config.endpoint, config.rerank_model or "default")
     if config.mode is BackendMode.LIVE:
         return chat, embedder, scorer
-    return (RecordingBackend(chat, TranscriptRecorder(config.transcript_path)),
-            RecordingEmbedder(embedder, config.embeddings_path),
-            RecordingScorer(scorer, config.scores_path))
+    # a table that fails to open closes the tables opened before it
+    with ExitStack() as opened:
+        chat = opened.enter_context(closing(
+            RecordingBackend(chat, TranscriptRecorder(config.transcript_path))))
+        embedder = opened.enter_context(closing(
+            RecordingEmbedder(embedder, config.embeddings_path)))
+        scorer = RecordingScorer(scorer, config.scores_path)
+        opened.pop_all()
+    return chat, embedder, scorer
 
 
 def trace_path_for(config: RunConfig, case_id: str) -> Path:

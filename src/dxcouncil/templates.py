@@ -1,4 +1,4 @@
-"""Versioned prompt templates, one per task kind.
+"""Prompt templates, one per task kind.
 
 Placeholders are ``{lower_snake}`` names substituted in a single pass, so a
 brace sequence inside a substituted value is never re-expanded. Literal JSON
@@ -9,7 +9,7 @@ name alone between the braces.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import UnboundPlaceholderError
@@ -30,25 +30,14 @@ class TaskKind(Enum):
     GENERALIST_DIRECT = "generalist_direct"
 
 
-@dataclass(frozen=True)
-class PromptTask:
-    kind: TaskKind
-    template_version: str = "v1"
-
-
 _PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
 
 
 @dataclass(frozen=True)
 class PromptTemplate:
     kind: TaskKind
-    version: str
     system: str
     user: str
-
-    def placeholders(self) -> frozenset[str]:
-        found = _PLACEHOLDER.findall(self.system) + _PLACEHOLDER.findall(self.user)
-        return frozenset(found)
 
     def render(self, variables: dict[str, str]) -> tuple[str, str]:
         """Fill both message bodies; unknown placeholder names are an error,
@@ -67,25 +56,20 @@ class PromptTemplate:
         return fill(self.system), fill(self.user)
 
 
-_REGISTRY: dict[tuple[TaskKind, str], PromptTemplate] = {}
+_REGISTRY: dict[TaskKind, PromptTemplate] = {}
 
 
-def register_template(template: PromptTemplate) -> None:
-    key = (template.kind, template.version)
-    if key in _REGISTRY:
-        raise ValueError(f"template already registered for {key}")
-    _REGISTRY[key] = template
-
-
-def get_template(kind: TaskKind, version: str = "v1") -> PromptTemplate:
+def get_template(kind: TaskKind) -> PromptTemplate:
     try:
-        return _REGISTRY[(kind, version)]
+        return _REGISTRY[kind]
     except KeyError:
-        raise KeyError(f"no template registered for kind={kind.value!r} version={version!r}")
+        raise KeyError(f"no template registered for kind={kind.value!r}")
 
 
-def _reg(kind: TaskKind, system: str, user: str, version: str = "v1") -> None:
-    register_template(PromptTemplate(kind, version, system, user))
+def _reg(kind: TaskKind, system: str, user: str) -> None:
+    if kind in _REGISTRY:
+        raise ValueError(f"template already registered for {kind}")
+    _REGISTRY[kind] = PromptTemplate(kind, system, user)
 
 
 # kept identical across specialists of one iteration; a trace diff over this

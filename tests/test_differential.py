@@ -110,7 +110,7 @@ def test_candidate_limit_respected():
         (TaskKind.NER, "", '["liver sign"]'),
         (TaskKind.ALIGN, "", "1"),
     ], trace)
-    out = extract_abnormal_entities(CASE, gw, g, candidate_limit=5)
+    out = extract_abnormal_entities(CASE, gw, g)
     assert len(out[0].candidate_set) == 5
 
 

@@ -11,7 +11,11 @@ from hypothesis import given, strategies as st
 
 from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
 from dxcouncil.differential import AbnormalEntity, CaseDescription
-from dxcouncil.errors import HypothesisMismatchError, JudgmentLengthError
+from dxcouncil.errors import (
+    HypothesisMismatchError,
+    JudgmentLengthError,
+    JudgmentParseError,
+)
 from dxcouncil.evidence import (
     EvidencePackage,
     build_initial_package,
@@ -108,6 +112,18 @@ def test_initial_package_full_flow():
     assert len(prune_row["guideline_ids"]) == 2
     assert prune_row["guideline_ids"] == [
         seg.segment.segment_id for seg in pkg.guideline_excerpts[:2]]
+
+
+def test_out_of_range_candidate_number_for_a_hypothesis_is_an_error():
+    graph, index = clinical_world()
+    trace = Trace(CASE.case_id)
+    gw = scripted_gateway([(TaskKind.ALIGN, "", "9")], trace)
+    with pytest.raises(JudgmentParseError):
+        build_initial_package(
+            CASE, [finding(graph, "f1")], "Primary biliary cholangitis", graph, index,
+            LexicalOverlapScorer(), gw)
+    [align] = trace.exchanges(task="align")
+    assert "Mention: Primary biliary cholangitis" in align["prompt"]
 
 
 def test_unmatchable_hypothesis_degrades_to_guidelines_only():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -13,6 +14,8 @@ from dxcouncil.errors import (
     EmbeddingCountError,
     EmptyResponseError,
     GatewayError,
+    JudgmentLengthError,
+    JudgmentParseError,
     ReplayMissError,
     TranscriptError,
     TransportError,
@@ -21,7 +24,6 @@ from dxcouncil.errors import (
 from dxcouncil.gateway import (
     Gateway,
     HttpChatBackend,
-    PromptTask,
     RecordingBackend,
     ReplayChatBackend,
     ScriptedResponder,
@@ -44,16 +46,17 @@ def rendered_for(kind: TaskKind, variables: dict[str, str]) -> str:
 
 def test_replay_serves_the_recorded_response():
     rendered = rendered_for(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
-    key = canonical_key(PromptTask(TaskKind.VERBALIZE), rendered)
-    gw = Gateway(ReplayChatBackend({key: "YES"}))
-    exchange = gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
-    assert exchange.response_text == "YES"
-    assert exchange.canonical_key == key
-    assert exchange.backend == "replay"
+    key = canonical_key(TaskKind.VERBALIZE, rendered)
+    gw = Gateway(ReplayChatBackend({key: "YES"}), Trace("case"))
+    assert gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"}) == "YES"
+    exchange = gw.trace.exchanges()[-1]
+    assert exchange["response"] == "YES"
+    assert exchange["key"] == key
+    assert exchange["backend"] == "replay"
 
 
 def test_replay_miss_names_the_task():
-    gw = Gateway(ReplayChatBackend({}))
+    gw = Gateway(ReplayChatBackend({}), Trace("case"))
     with pytest.raises(ReplayMissError) as exc:
         gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
     assert exc.value.task == "verbalize"
@@ -67,24 +70,26 @@ def test_unbound_placeholder_is_an_error():
 
 def test_same_variables_same_key_different_variables_different_key():
     gw = scripted_gateway([(TaskKind.VERBALIZE, "", "ok")])
-    a = gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
-    b = gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
-    c = gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> C"})
-    assert a.canonical_key == b.canonical_key
-    assert a.canonical_key != c.canonical_key
+    gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
+    gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
+    gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> C"})
+    a, b, c = (exchange["key"] for exchange in gw.trace.exchanges())
+    assert a == b
+    assert a != c
 
 
-def test_key_depends_on_task_kind_and_template_version():
+def test_key_depends_on_task_kind():
     rendered = "same prompt body"
-    k1 = canonical_key(PromptTask(TaskKind.NER), rendered)
-    k2 = canonical_key(PromptTask(TaskKind.ALIGN), rendered)
-    k3 = canonical_key(PromptTask(TaskKind.NER, template_version="v2"), rendered)
-    assert len({k1, k2, k3}) == 3
+    k1 = canonical_key(TaskKind.NER, rendered)
+    k2 = canonical_key(TaskKind.ALIGN, rendered)
+    assert k1 != k2
+    # recorded transcripts hash the template version "v1" after the task kind
+    assert k1 == hashlib.sha256(b"ner\nv1\nsame prompt body").hexdigest()
 
 
 def test_prompt_normalization_is_whitespace_stable():
     assert normalize_prompt("a  \r\nb\t\n\n") == "a\nb"
-    task = PromptTask(TaskKind.NER)
+    task = TaskKind.NER
     assert canonical_key(task, "line one  \r\nline two\n") \
         == canonical_key(task, "line one\nline two")
     assert canonical_key(task, "line one\nline two") \
@@ -95,16 +100,16 @@ def test_record_then_reload_then_replay_identical(tmp_path):
     transcript = tmp_path / "t.jsonl"
     recorder = TranscriptRecorder(transcript)
     scripted = ScriptedResponder([(TaskKind.VERBALIZE, "", lambda s, u: u[-20:])])
-    rec_gw = Gateway(RecordingBackend(scripted, recorder))
-    recorded = [rec_gw.complete(TaskKind.VERBALIZE, {"path": f"A --[r{i}]--> B"})
-                for i in range(3)]
+    rec_gw = Gateway(RecordingBackend(scripted, recorder), Trace("record"))
+    for i in range(3):
+        rec_gw.complete(TaskKind.VERBALIZE, {"path": f"A --[r{i}]--> B"})
     recorder.close()
 
-    replay_gw = Gateway(ReplayChatBackend.from_file(transcript))
-    for i, exchange in enumerate(recorded):
+    replay_gw = Gateway(ReplayChatBackend.from_file(transcript), Trace("replay"))
+    for i, exchange in enumerate(rec_gw.trace.exchanges()):
         again = replay_gw.complete(TaskKind.VERBALIZE, {"path": f"A --[r{i}]--> B"})
-        assert again.response_text == exchange.response_text
-        assert again.canonical_key == exchange.canonical_key
+        assert again == exchange["response"]
+        assert replay_gw.trace.exchanges()[-1]["key"] == exchange["key"]
     assert len(ReplayChatBackend.from_file(transcript)) == 3
 
 
@@ -179,6 +184,24 @@ def test_exchanges_are_traced_in_order():
     assert "A --[r]--> B" in rows[0]["prompt"]
 
 
+def test_complete_returns_the_parsed_payload_and_traces_a_malformed_response():
+    trace = Trace("case")
+    gw = scripted_gateway([(TaskKind.ASSESS_COMPLEXITY, "", " SIMPLE\n"),
+                           (TaskKind.PRUNE, "", "1,0")], trace)
+    variables = {"narrative": "n", "findings": "f", "hypotheses": "h"}
+    assert gw.complete(TaskKind.ASSESS_COMPLEXITY, variables) == "SIMPLE"
+    prune = {"narrative": "n", "guidelines": "g", "paths": "p", "path_count": "3"}
+    with pytest.raises(JudgmentLengthError):
+        gw.complete(TaskKind.PRUNE, prune, expected_bits=3)
+    assert gw.complete(TaskKind.PRUNE, prune, expected_bits=2) == (1, 0)
+    # a response outside its grammar is in the trace before the error surfaces
+    gw = scripted_gateway([(TaskKind.ASSESS_COMPLEXITY, "", "MAYBE")], trace)
+    with pytest.raises(JudgmentParseError):
+        gw.complete(TaskKind.ASSESS_COMPLEXITY, variables)
+    assert [r["response"] for r in trace.exchanges()] == [" SIMPLE\n", "1,0", "1,0",
+                                                          "MAYBE"]
+
+
 # -- live transport (stubbed; no sockets opened) -----------------------------
 
 class _Resp:
@@ -203,7 +226,7 @@ def test_http_chat_retries_once_then_raises(monkeypatch):
     monkeypatch.setattr(requests, "post", failing_post)
     backend = HttpChatBackend("http://example.invalid/v1/chat/completions", "m")
     with pytest.raises(TransportError):
-        backend.respond(PromptTask(TaskKind.NER), "sys", "user", "key")
+        backend.respond(TaskKind.NER, "sys", "user", "key")
     assert len(calls) == 2
 
 
@@ -214,7 +237,7 @@ def test_http_chat_recovers_on_second_attempt(monkeypatch):
     monkeypatch.setattr(requests, "post",
                         lambda url, json=None, timeout=None: responses.pop(0))
     backend = HttpChatBackend("http://example.invalid/v1/chat/completions", "m")
-    assert backend.respond(PromptTask(TaskKind.NER), "s", "u", "k") == "hello"
+    assert backend.respond(TaskKind.NER, "s", "u", "k") == "hello"
 
 
 def test_http_chat_malformed_body_fails_fast(monkeypatch):
@@ -227,7 +250,7 @@ def test_http_chat_malformed_body_fails_fast(monkeypatch):
     monkeypatch.setattr(requests, "post", post)
     backend = HttpChatBackend("http://example.invalid/v1/chat/completions", "m")
     with pytest.raises(TransportError):
-        backend.respond(PromptTask(TaskKind.NER), "s", "u", "k")
+        backend.respond(TaskKind.NER, "s", "u", "k")
     assert len(calls) == 1
 
 

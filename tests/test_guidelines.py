@@ -292,7 +292,7 @@ def test_two_stage_pipeline_bounds_and_containment():
 def test_small_corpus_flows_through_both_stages():
     index = ingest_corpus(segs(3), HashEmbedder(dim=8))
     out = g_ret(index, CompositeQuery.compose("h", ["f"]),
-                LexicalOverlapScorer(), k=8, n=4)
+                LexicalOverlapScorer(), Trace("t"), k=8, n=4)
     assert len(out) == 3
 
 
@@ -300,7 +300,7 @@ def test_retrieval_is_byte_stable_across_runs():
     def run():
         index = ingest_corpus(segs(20), HashEmbedder(dim=16))
         out = g_ret(index, CompositeQuery.compose("Condition", ["sign"]),
-                    LexicalOverlapScorer(), k=8, n=4)
+                    LexicalOverlapScorer(), Trace("t"), k=8, n=4)
         return [(r.segment.segment_id, r.dense_score, r.rerank_score) for r in out]
 
     assert run() == run()
@@ -311,5 +311,5 @@ def test_retrieval_is_byte_stable_across_runs():
 def test_result_size_never_exceeds_limits(n_segs, k, n):
     index = ingest_corpus(segs(n_segs), HashEmbedder(dim=8))
     out = g_ret(index, CompositeQuery.raw("h", "query"),
-                LexicalOverlapScorer(), k=k, n=n)
+                LexicalOverlapScorer(), Trace("t"), k=k, n=n)
     assert len(out) == min(n, min(k, n_segs))

@@ -21,6 +21,7 @@ from dxcouncil.backends import (
 from dxcouncil.differential import read_cases
 from dxcouncil.errors import (
     CorpusError,
+    EmbeddingCountError,
     RecordConflictError,
     ResourceError,
     ScoreCountError,
@@ -138,6 +139,18 @@ def test_recording_scorer_records_nothing_from_a_miscounted_batch(tmp_path):
         scorer.score("q", ["a", "b"])
     scorer.close()
     assert table_rows(tmp_path / "s.jsonl") == []
+
+
+def test_recording_embedder_records_nothing_from_a_miscounted_batch(tmp_path):
+    class ShortEmbedder:
+        def embed(self, texts):
+            return HashEmbedder(dim=4).embed(texts)[:-1]
+
+    embedder = RecordingEmbedder(ShortEmbedder(), tmp_path / "e.jsonl")
+    with pytest.raises(EmbeddingCountError):
+        embedder.embed(["a", "b", "c"])
+    embedder.close()
+    assert table_rows(tmp_path / "e.jsonl") == []
 
 
 def test_recorded_tables_load_back_bit_for_bit(tmp_path):

@@ -19,7 +19,7 @@ from dxcouncil.templates import TaskKind
 
 
 def payload(kind, text, **kwargs):
-    return parse_judgment(kind, text, **kwargs).payload
+    return parse_judgment(kind, text, **kwargs)
 
 
 # -- list grammars -----------------------------------------------------------

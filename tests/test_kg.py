@@ -32,6 +32,7 @@ from dxcouncil.kg import (
     term_tokens,
     verbalize_path,
 )
+from dxcouncil.trace import Trace
 
 from conftest import FIXTURES, make_graph, scripted_gateway
 
@@ -353,10 +354,11 @@ def test_verbalization_replays_identically(tmp_path):
 
     recorder = TranscriptRecorder(transcript)
     recording = Gateway(RecordingBackend(
-        ScriptedResponder([(TaskKind.VERBALIZE, "", "A causes B.")]), recorder))
+        ScriptedResponder([(TaskKind.VERBALIZE, "", "A causes B.")]), recorder),
+        Trace("record"))
     recorded = verbalize_path(path, recording)
     recorder.close()
 
-    replaying = Gateway(ReplayChatBackend.from_file(transcript))
+    replaying = Gateway(ReplayChatBackend.from_file(transcript), Trace("replay"))
     replayed = verbalize_path(path, replaying)
     assert replayed.verbalization == recorded.verbalization == "A causes B."

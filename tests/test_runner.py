@@ -265,10 +265,19 @@ def test_a_failed_set_up_closes_the_record_tables_it_opened(replay_runtime, tmp_
                                  endpoint="http://model.invalid/v1", corpus_path=bad_corpus,
                                  transcript_path=tables[0], embeddings_path=tables[1],
                                  scores_path=tables[2])
-    with pytest.raises(CorpusError):
-        Runtime(record)
-    assert [fh.name for fh in opened] == [str(path) for path in tables]
-    assert all(fh.closed for fh in opened)
+    # the corpus fails after all three tables are open; a score table in a
+    # missing directory fails while the other two are open
+    missing_scores = tmp_path / "missing" / "s.jsonl"
+    for config, error, opened_tables in [
+            (record, CorpusError, tables),
+            (dataclasses.replace(record, corpus_path=replay_runtime.config.corpus_path,
+                                 scores_path=missing_scores),
+             FileNotFoundError, tables[:2])]:
+        opened.clear()
+        with pytest.raises(error):
+            Runtime(config)
+        assert [fh.name for fh in opened] == [str(path) for path in opened_tables]
+        assert all(fh.closed for fh in opened)
 
     # injected backends stay open: they belong to the caller
     embedder = RecordingEmbedder(HashEmbedder(), tmp_path / "injected.jsonl")
