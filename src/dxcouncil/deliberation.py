@@ -9,6 +9,11 @@ targeted queries back through retrieval and merges what returns.
 
 The controller itself is pure arithmetic, not a model call; its only job is
 counting stances against thresholds.
+
+The dispatches over the differential go to the gateway as one fan-out, and
+so does each panel round's set of opinions; the gateway commits their
+exchanges in submission order, so each ``roster`` decision still follows
+its own dispatch exchange in the trace.
 """
 
 from __future__ import annotations
@@ -198,51 +203,60 @@ def generalist_direct_diagnosis(case: CaseDescription,
 
 
 def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
-                         hypothesis: str, gateway: Gateway,
+                         hypotheses: HypothesisSet | list[str], gateway: Gateway,
                          roster: tuple[str, ...] = DEFAULT_ROSTER,
-                         max_specialists: int = MAX_SPECIALISTS) -> SpecialistRoster:
-    """Choose which specialties review one candidate diagnosis.
+                         max_specialists: int = MAX_SPECIALISTS) -> list[SpecialistRoster]:
+    """Choose which specialties review each candidate diagnosis, with one
+    dispatch call per hypothesis, all sent together.
 
     Names outside the configured roster are an error; duplicates collapse;
-    anything past the cap is dropped in order.
+    anything past the cap is dropped in order. Each roster is traced as
+    soon as its call is committed, before the next call's exchange.
     """
-    names = gateway.complete(TaskKind.DISPATCH, {
+    findings_text = render_findings(findings)
+    answers = gateway.complete_all(TaskKind.DISPATCH, [{
         "narrative": case.narrative,
-        "findings": render_findings(findings),
+        "findings": findings_text,
         "hypothesis": hypothesis,
         "roster": "; ".join(roster),
         "max_specialists": str(max_specialists),
-    })
-    chosen: list[str] = []
-    for name in names:
-        if name not in roster:
-            raise UnknownSpecialtyError(name)
-        if name not in chosen:
-            chosen.append(name)
-    if not chosen:
-        raise EmptyRosterError(f"dispatch chose no specialists for {hypothesis!r}")
-    chosen = chosen[:max_specialists]
-    gateway.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
-    return SpecialistRoster(hypothesis=hypothesis, specialties=tuple(chosen))
+    } for hypothesis in hypotheses])
+    rosters: list[SpecialistRoster] = []
+    for hypothesis, names in zip(hypotheses, answers):
+        chosen: list[str] = []
+        for name in names:
+            if name not in roster:
+                raise UnknownSpecialtyError(name)
+            if name not in chosen:
+                chosen.append(name)
+        if not chosen:
+            raise EmptyRosterError(f"dispatch chose no specialists for {hypothesis!r}")
+        chosen = chosen[:max_specialists]
+        gateway.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
+        rosters.append(SpecialistRoster(hypothesis=hypothesis, specialties=tuple(chosen)))
+    return rosters
 
 
-def elicit_opinion(specialty: str, case: CaseDescription,
+def elicit_opinion(specialties: tuple[str, ...], case: CaseDescription,
                    findings: list[AbnormalEntity], hypothesis: str,
-                   package: EvidencePackage, gateway: Gateway) -> SpecialistOpinion:
-    """One specialist's verdict over the shared evidence block."""
-    parsed = gateway.complete(TaskKind.SPECIALIST_OPINION, {
+                   package: EvidencePackage, gateway: Gateway) -> list[SpecialistOpinion]:
+    """One round's verdicts, one per specialty in order, over the shared
+    evidence block; the panel's calls go out together."""
+    findings_text, evidence = render_findings(findings), render_package(package)
+    answers = gateway.complete_all(TaskKind.SPECIALIST_OPINION, [{
         "specialty": specialty,
         "narrative": case.narrative,
-        "findings": render_findings(findings),
+        "findings": findings_text,
         "hypothesis": hypothesis,
         "iteration": str(package.iteration),
-        "evidence": render_package(package),
-    })
-    return SpecialistOpinion(
+        "evidence": evidence,
+    } for specialty in specialties])
+    return [SpecialistOpinion(
         specialty=specialty, hypothesis=hypothesis, iteration=package.iteration,
         stance=Stance(parsed["stance"]), confidence=parsed["confidence"],
         sufficiency=Sufficiency(parsed["sufficiency"]),
         justification=parsed["justification"])
+        for specialty, parsed in zip(specialties, answers)]
 
 
 def formulate_refinement_queries(opinions: list[SpecialistOpinion],
@@ -307,10 +321,8 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
         for t in range(t_max):
             if package.iteration != t:
                 raise InvariantError(f"package iteration {package.iteration} != round {t}")
-            opinions = [
-                elicit_opinion(s, case, findings, hypothesis, package, gateway)
-                for s in roster.specialties
-            ]
+            opinions = elicit_opinion(roster.specialties, case, findings, hypothesis,
+                                      package, gateway)
             support = consensus_score(opinions)
             insufficiency = insufficiency_ratio(opinions)
             report = _interim_report(hypothesis, t, opinions, support,

@@ -2,7 +2,8 @@
 
 The first pipeline stage: pull abnormal finding mentions out of the case
 narrative, pin each one to a graph concept (or drop it when the aligner says
-no candidate fits), then ask for a bounded list of candidate diagnoses.
+no candidate fits), then ask for a bounded list of candidate diagnoses. The
+aligner calls for all of a case's mentions go to the gateway as one fan-out.
 """
 
 from __future__ import annotations
@@ -97,36 +98,42 @@ def render_findings(findings: list[AbnormalEntity]) -> str:
     return "; ".join(f.concept.preferred_name for f in findings)
 
 
-def align_mention(mention: str, graph: KnowledgeGraph, gateway: Gateway,
-                  ) -> tuple[Concept, tuple[Concept, ...]] | None:
-    """Pin a mention to a graph concept: the aligner's pick among the top
+def align_mentions(mentions: list[str], graph: KnowledgeGraph, gateway: Gateway,
+                   ) -> list[tuple[Concept, tuple[Concept, ...]] | None]:
+    """Pin each mention to a graph concept: the aligner's pick among the top
     matches, with those candidates, or None when nothing matches or the
-    aligner answers NONE."""
-    candidates = tuple(m.concept for m in graph.match_entity(mention,
-                                                             limit=ALIGN_CANDIDATES))
-    if not candidates:
-        return None
-    numbered = "\n".join(f"{i}. {c.preferred_name}"
-                         for i, c in enumerate(candidates, start=1))
-    choice = gateway.complete(TaskKind.ALIGN,
-                              {"mention": mention, "candidates": numbered})
-    if choice is None:
-        return None
-    if not 1 <= choice <= len(candidates):
-        raise JudgmentParseError(
-            f"candidate number {choice} outside 1..{len(candidates)} "
-            f"for mention {mention!r}", span=str(choice))
-    return candidates[choice - 1], candidates
+    aligner answers NONE. The aligner calls for all the mentions go out
+    together."""
+    candidate_sets = [tuple(m.concept for m in graph.match_entity(mention,
+                                                                  limit=ALIGN_CANDIDATES))
+                      for mention in mentions]
+    choices = gateway.complete_all(TaskKind.ALIGN, [
+        {"mention": mention,
+         "candidates": "\n".join(f"{i}. {c.preferred_name}"
+                                  for i, c in enumerate(candidates, start=1))}
+        for mention, candidates in zip(mentions, candidate_sets) if candidates])
+    aligned: list[tuple[Concept, tuple[Concept, ...]] | None] = []
+    for mention, candidates in zip(mentions, candidate_sets):
+        choice = next(choices) if candidates else None
+        if choice is None:
+            aligned.append(None)
+            continue
+        if not 1 <= choice <= len(candidates):
+            raise JudgmentParseError(
+                f"candidate number {choice} outside 1..{len(candidates)} "
+                f"for mention {mention!r}", span=str(choice))
+        aligned.append((candidates[choice - 1], candidates))
+    return aligned
 
 
 def extract_abnormal_entities(case: CaseDescription, gateway: Gateway,
                               graph: KnowledgeGraph) -> list[AbnormalEntity]:
     """Extract raw mentions, standardize each against the graph, keep the
     survivors in narrative order with same-concept duplicates collapsed."""
+    mentions = gateway.complete(TaskKind.NER, {"narrative": case.narrative})
     findings: list[AbnormalEntity] = []
     seen_ids: set[str] = set()
-    for mention in gateway.complete(TaskKind.NER, {"narrative": case.narrative}):
-        aligned = align_mention(mention, graph, gateway)
+    for mention, aligned in zip(mentions, align_mentions(mentions, graph, gateway)):
         if aligned is None or aligned[0].id in seen_ids:
             continue
         seen_ids.add(aligned[0].id)

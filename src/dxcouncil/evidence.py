@@ -5,15 +5,21 @@ merges when specialists demand more evidence. Path pruning is a batched
 binary judgment made with the top guideline excerpts in context, so a path
 survives only when the model deems it coherent for this patient and
 consistent with the guidance shown.
+
+A package's path verbalizations (across all its findings) go to the gateway
+as one fan-out, and so do its prune batches; each ``paths`` and
+``prune_batch`` trace record still lands right before or after the
+exchanges it belongs to, because the gateway commits each exchange only when
+it is taken here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
+from itertools import islice
 
 from .backends import CrossScorer
-from .differential import AbnormalEntity, CaseDescription, align_mention
+from .differential import AbnormalEntity, CaseDescription, align_mentions
 from .errors import HypothesisMismatchError, InvariantError
 from .gateway import Gateway, TaskKind
 from .guidelines import CompositeQuery, GuidelineIndex, RankedSegment, g_ret
@@ -78,18 +84,17 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
         f"[{seg.segment.segment_id}] {seg.segment.text}" for seg in guideline_top
     ) or "none available"
     context_ids = tuple(seg.segment.segment_id for seg in guideline_top)
+    batches = [paths[start:start + batch_size]
+               for start in range(0, len(paths), batch_size)]
+    judged = gateway.complete_all(TaskKind.PRUNE, [{
+        "narrative": case.narrative,
+        "guidelines": guideline_text,
+        "paths": "\n".join(f"{i}. {p.verbalization}" for i, p in enumerate(batch, start=1)),
+        "path_count": str(len(batch)),
+    } for batch in batches], expected_bits=[len(batch) for batch in batches])
     valid: list[KnowledgePath] = []
     rejected: list[KnowledgePath] = []
-    for batch_index in range(math.ceil(len(paths) / batch_size)):
-        batch = paths[batch_index * batch_size:(batch_index + 1) * batch_size]
-        numbered = "\n".join(f"{i}. {p.verbalization}"
-                             for i, p in enumerate(batch, start=1))
-        bits = gateway.complete(TaskKind.PRUNE, {
-            "narrative": case.narrative,
-            "guidelines": guideline_text,
-            "paths": numbered,
-            "path_count": str(len(batch)),
-        }, expected_bits=len(batch))
+    for batch_index, (batch, bits) in enumerate(zip(batches, judged)):
         gateway.trace.prune_batch(batch_index=batch_index, size=len(batch),
                                   bits=list(bits), guideline_ids=list(context_ids))
         for path, bit in zip(batch, bits):
@@ -101,12 +106,14 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
 def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
                              graph: KnowledgeGraph, gateway: Gateway,
                              h_max: int) -> list[KnowledgePath]:
+    enumerated = [graph.enumerate_paths(finding_id, disease_id, h_max=h_max)
+                  for finding_id in finding_ids]
+    verbalized = verbalize_path([p for paths in enumerated for p in paths], gateway)
     out: list[KnowledgePath] = []
-    for finding_id in finding_ids:
-        enumerated = graph.enumerate_paths(finding_id, disease_id, h_max=h_max)
+    for finding_id, paths in zip(finding_ids, enumerated):
         gateway.trace.paths(start=finding_id, end=disease_id, h_max=h_max,
-                            enumerated=[p.describe() for p in enumerated])
-        out.extend(verbalize_path(p, gateway) for p in enumerated)
+                            enumerated=[p.describe() for p in paths])
+        out.extend(islice(verbalized, len(paths)))
     return out
 
 
@@ -122,7 +129,7 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
     excerpts = g_ret(index, query, scorer, gateway.trace, k=k, n=n)
     # a hypothesis the aligner cannot pin to a disease concept gets
     # guideline excerpts only
-    aligned = align_mention(hypothesis, graph, gateway)
+    [aligned] = align_mentions([hypothesis], graph, gateway)
     if aligned is None:
         return EvidencePackage(
             hypothesis=hypothesis, iteration=0,

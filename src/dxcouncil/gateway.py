@@ -5,13 +5,25 @@ prompt, dispatches it to the backend, appends the exchange to the case
 trace, and parses the response. The canonical key is stable under
 trailing-whitespace and line-ending drift, which is what lets a transcript
 recorded on one machine replay anywhere.
+
+A call site with independent calls of one task kind makes them in one
+``Gateway.complete_all``: a case's finding aligns, one package's path
+verbalizations, its prune batches, the dispatches over the differential and
+one panel round's opinions. A live or recording backend gets such calls at
+once, on one pool of ``FANOUT`` threads shared by every gateway of the
+process; a replay backend answers each call inline, on the caller's thread.
+Either way an exchange is committed (recorded, checked, traced, parsed) only
+when the caller takes it, in submission order, so the trace and the
+recorded transcript hold exactly what the calls made one after another
+would have written.
 """
 
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Iterator, Protocol, runtime_checkable
 
 from .backends import post_json
 from .errors import (
@@ -43,6 +55,12 @@ __all__ = [
 LIVE = "live"
 REPLAY = "replay"
 
+# concurrent backend calls across every live gateway of the process; the
+# pool's threads start with the first live fan-out, so importing this module
+# or replaying starts none
+FANOUT = 8
+_POOL = ThreadPoolExecutor(max_workers=FANOUT, thread_name_prefix="dxcouncil-chat")
+
 
 def normalize_prompt(text: str) -> str:
     """Canonical prompt form: LF line endings, no trailing whitespace on any
@@ -70,7 +88,9 @@ class HttpChatBackend:
     """OpenAI-compatible chat endpoint, temperature pinned to 0.
 
     One retry on transport failure, then a hard error; the deliberation loop
-    must not stall silently.
+    must not stall silently. The gateway sends a fan-out's requests from its
+    pool threads, up to ``FANOUT`` at once; each request is a POST of its own
+    with no shared session, so concurrent calls share no state.
     """
 
     label = LIVE
@@ -135,7 +155,15 @@ class TranscriptRecorder:
 
 
 class RecordingBackend:
-    """Wraps a backend and captures every (canonical_key, response) pair."""
+    """Wraps a backend; the gateway writes every (canonical_key, response)
+    pair it commits through ``record``.
+
+    ``respond`` only asks the inner backend, since a fan-out's responses
+    arrive in any order. The gateway records each one at its commit point,
+    in submission order, before checking it, so the transcript holds the
+    rows of a sequential run in that run's order, empty and malformed
+    responses included, and no row for a response the case never took.
+    """
 
     def __init__(self, inner: ChatBackend, recorder: TranscriptRecorder):
         self._inner = inner
@@ -146,9 +174,10 @@ class RecordingBackend:
         return self._inner.label
 
     def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
-        response = self._inner.respond(kind, system, user, key)
+        return self._inner.respond(kind, system, user, key)
+
+    def record(self, kind: TaskKind, key: str, response: str) -> None:
         self._recorder.record(key, kind.value, response)
-        return response
 
     def close(self) -> None:
         self._recorder.close()
@@ -207,27 +236,75 @@ class Gateway:
     def __init__(self, backend: ChatBackend, trace: Trace):
         self.backend = backend
         self.trace = trace
+        self._label = backend.label
+        # found by attribute so that no no-op hook is called through a
+        # wrapper that counts every method call as a backend request
+        self._record = getattr(backend, "record", None)
 
     def complete(self, kind: TaskKind, variables: dict[str, str], *,
                  max_items: int | None = None,
                  expected_bits: int | None = None) -> object:
-        """Run one model call and return ``parse_judgment``'s payload.
+        """Run one model call and return ``parse_judgment``'s payload."""
+        [payload] = self.complete_all(
+            kind, [variables], max_items=max_items,
+            expected_bits=None if expected_bits is None else [expected_bits])
+        return payload
 
-        The exchange is traced before its response is parsed, so a response
-        that breaks its task's grammar is still in the trace.
+    def complete_all(self, kind: TaskKind, variables: list[dict[str, str]], *,
+                     max_items: int | None = None,
+                     expected_bits: list[int] | None = None) -> Iterator[object]:
+        """Run independent model calls of one task kind and yield each one's
+        ``parse_judgment`` payload, in the order of ``variables``.
+
+        Every request is rendered and hashed here. A replay backend answers
+        each one inline when its item is taken; any other backend gets them
+        all now, on the shared pool. An exchange is committed when the
+        caller takes its item: its response is recorded (by a backend that
+        has ``record``), checked for emptiness, appended to the trace and
+        parsed, so a response that breaks its task's grammar is still
+        recorded and traced, and trace records the caller appends between
+        items keep their places. ``expected_bits`` gives each item's bit
+        count. When the caller stops early and the iterator is closed or
+        collected, the later responses are dropped unrecorded and untraced,
+        and their calls are cancelled unless already started.
         """
-        system, user = get_template(kind).render(variables)
-        rendered = system + "\n\n" + user
-        key = canonical_key(kind, rendered)
+        bits = [None] * len(variables) if expected_bits is None else expected_bits
+        if len(bits) != len(variables):
+            raise ValueError(f"{len(bits)} bit counts for {len(variables)} requests")
+        requests = []
+        for values in variables:
+            system, user = get_template(kind).render(values)
+            rendered = system + "\n\n" + user
+            requests.append((system, user, rendered, canonical_key(kind, rendered)))
+        futures = None
+        if self._label != REPLAY:
+            futures = [_POOL.submit(self._respond, kind, system, user, key)
+                       for system, user, _, key in requests]
+        return self._commit(kind, requests, futures, max_items, bits)
+
+    def _respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
         try:
-            response = self.backend.respond(kind, system, user, key)
+            return self.backend.respond(kind, system, user, key)
         except EngineError:
             raise
         except Exception as exc:
             raise GatewayError(f"backend failure on task {kind.value!r}: {exc}") from exc
-        if not response.strip():
-            raise EmptyResponseError(f"empty response for task {kind.value!r}")
-        self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
-                            response=response, backend=self.backend.label)
-        return parse_judgment(kind, response, max_items=max_items,
-                              expected_bits=expected_bits)
+
+    def _commit(self, kind: TaskKind, requests: list[tuple[str, str, str, str]],
+                futures: list[Future] | None, max_items: int | None,
+                bits: list[int | None]) -> Iterator[object]:
+        try:
+            for i, (system, user, rendered, key) in enumerate(requests):
+                response = (self._respond(kind, system, user, key) if futures is None
+                            else futures[i].result())
+                if self._record is not None:
+                    self._record(kind, key, response)
+                if not response.strip():
+                    raise EmptyResponseError(f"empty response for task {kind.value!r}")
+                self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
+                                    response=response, backend=self._label)
+                yield parse_judgment(kind, response, max_items=max_items,
+                                     expected_bits=bits[i])
+        finally:
+            for future in futures or ():
+                future.cancel()

@@ -15,7 +15,7 @@ import string
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import (
     DanglingReferenceError,
@@ -349,18 +349,26 @@ def load_kg(triples_source: str | Path | TextIO,
 
 # -- verbalization -----------------------------------------------------------
 
-def verbalize_path(path: KnowledgePath, gw) -> KnowledgePath:
-    """Have the gateway render a path as one natural-language sentence.
+def verbalize_path(paths: list[KnowledgePath], gw) -> Iterator[KnowledgePath]:
+    """Have the gateway render each path as one natural-language sentence.
 
     The raw hop-chain rendering goes into the prompt (and therefore the
-    trace), so verbalization is replayable. Returns a new path with the
-    verbalization set.
+    trace), so verbalization is replayable. The calls go out together, in
+    one ``complete_all``; the result yields, in order and as the caller
+    takes them, new paths with the verbalization set.
     """
     from .gateway import TaskKind
 
-    chain = path.describe()
-    try:
-        sentence = gw.complete(TaskKind.VERBALIZE, {"path": chain})
-    except Exception as exc:
-        raise VerbalizationError(f"verbalization failed for path {chain!r}") from exc
-    return replace(path, verbalization=sentence)
+    chains = [path.describe() for path in paths]
+    sentences = gw.complete_all(TaskKind.VERBALIZE, [{"path": chain} for chain in chains])
+    return _verbalized(paths, chains, sentences)
+
+
+def _verbalized(paths: list[KnowledgePath], chains: list[str],
+                sentences: Iterator[str]) -> Iterator[KnowledgePath]:
+    for path, chain in zip(paths, chains):
+        try:
+            sentence = next(sentences)
+        except Exception as exc:
+            raise VerbalizationError(f"verbalization failed for path {chain!r}") from exc
+        yield replace(path, verbalization=sentence)

@@ -5,6 +5,12 @@ config; each case then runs the full workflow against those shared
 resources, producing a final report plus an audit trace written as one file
 per case. Batches fan cases out across a thread pool and always leave a
 parseable partial trace behind a failed case.
+
+A case's trace does not depend on ``workers``. The record tables do: a
+transcript row is written when its exchange is committed and an embedding or
+score row when its retrieval returns, so with ``workers > 1`` the rows of
+concurrent cases interleave in the order the cases reach those points. With
+``workers: 1`` the tables are byte-stable.
 """
 
 from __future__ import annotations
@@ -151,12 +157,9 @@ def run_case(runtime: Runtime, case: CaseDescription,
                                                  packages, gateway)
         else:
             stage = "dispatch"
-            rosters = [
-                dispatch_specialists(case, findings, hypothesis, gateway,
-                                     roster=config.roster,
-                                     max_specialists=config.max_specialists)
-                for hypothesis in hypotheses
-            ]
+            rosters = dispatch_specialists(case, findings, hypotheses, gateway,
+                                           roster=config.roster,
+                                           max_specialists=config.max_specialists)
             stage = "deliberate"
             snapshots = run_deliberation_loop(
                 case, findings, hypotheses, packages, rosters, runtime.graph,

@@ -100,7 +100,7 @@ def test_complexity_verdict_parsed_and_traced():
 
 def test_dispatch_returns_the_scripted_roster():
     gw = scripted_gateway([(TaskKind.DISPATCH, "", '["Hepatology", "Immunology"]')])
-    roster = dispatch_specialists(CASE, [], "AIH", gw)
+    [roster] = dispatch_specialists(CASE, [], ["AIH"], gw)
     assert roster.specialties == ("Hepatology", "Immunology")
     assert roster.hypothesis == "AIH"
 
@@ -108,7 +108,7 @@ def test_dispatch_returns_the_scripted_roster():
 def test_dispatch_rejects_names_outside_the_roster():
     gw = scripted_gateway([(TaskKind.DISPATCH, "", '["Astrology"]')])
     with pytest.raises(UnknownSpecialtyError) as exc:
-        dispatch_specialists(CASE, [], "AIH", gw)
+        dispatch_specialists(CASE, [], ["AIH"], gw)
     assert exc.value.specialty == "Astrology"
 
 
@@ -116,14 +116,14 @@ def test_dispatch_collapses_duplicates_and_truncates():
     gw = scripted_gateway([(TaskKind.DISPATCH, "",
                             json.dumps(["Hepatology", "Hepatology", "Oncology",
                                         "Immunology"]))])
-    roster = dispatch_specialists(CASE, [], "HCC", gw, max_specialists=2)
+    [roster] = dispatch_specialists(CASE, [], ["HCC"], gw, max_specialists=2)
     assert roster.specialties == ("Hepatology", "Oncology")
 
 
 def test_dispatch_of_nothing_is_an_error():
     gw = scripted_gateway([(TaskKind.DISPATCH, "", "[]")])
     with pytest.raises(EmptyRosterError):
-        dispatch_specialists(CASE, [], "AIH", gw)
+        dispatch_specialists(CASE, [], ["AIH"], gw)
 
 
 def test_roster_dataclass_invariants():
@@ -141,7 +141,7 @@ def test_opinion_elicited_for_the_package_iteration():
         (TaskKind.SPECIALIST_OPINION, "",
          '{"stance": "N", "confidence": 0.4, "sufficiency": "Ins", '
          '"justification": "needs serology"}')], trace)
-    opinion = elicit_opinion("Hepatology", CASE, [], "AIH", pkg, gw)
+    [opinion] = elicit_opinion(("Hepatology",), CASE, [], "AIH", pkg, gw)
     assert opinion.iteration == 2
     assert opinion.stance is Stance.NEUTRAL
     [row] = trace.exchanges(task="specialist_opinion")

@@ -334,7 +334,7 @@ def test_verbalization_stores_the_scripted_sentence():
     g = make_graph(["A", "B"], [("A", "causes", "B")])
     path = g.enumerate_paths("A", "B", h_max=1)[0]
     gw = scripted_gateway([(TaskKind.VERBALIZE, "A --[causes]--> B", "A causes B.")])
-    out = verbalize_path(path, gw)
+    [out] = verbalize_path([path], gw)
     assert out.verbalization == "A causes B."
     assert path.verbalization == ""  # input untouched
 
@@ -344,7 +344,7 @@ def test_empty_verbalization_is_an_error():
     path = g.enumerate_paths("A", "B", h_max=1)[0]
     gw = scripted_gateway([(TaskKind.VERBALIZE, "", "   ")])
     with pytest.raises(VerbalizationError):
-        verbalize_path(path, gw)
+        list(verbalize_path([path], gw))
 
 
 def test_verbalization_replays_identically(tmp_path):
@@ -356,9 +356,9 @@ def test_verbalization_replays_identically(tmp_path):
     recording = Gateway(RecordingBackend(
         ScriptedResponder([(TaskKind.VERBALIZE, "", "A causes B.")]), recorder),
         Trace("record"))
-    recorded = verbalize_path(path, recording)
+    [recorded] = verbalize_path([path], recording)
     recorder.close()
 
     replaying = Gateway(ReplayChatBackend.from_file(transcript), Trace("replay"))
-    replayed = verbalize_path(path, replaying)
+    [replayed] = verbalize_path([path], replaying)
     assert replayed.verbalization == recorded.verbalization == "A causes B."
