@@ -13,13 +13,16 @@ counting stances against thresholds.
 The dispatches over the differential go to the gateway as one fan-out, and
 so does each panel round's set of opinions; the gateway commits their
 exchanges in submission order, so each ``roster`` decision still follows
-its own dispatch exchange in the trace.
+its own dispatch exchange in the trace. The panels deliberate independently
+of each other, so each runs as a gateway branch beside the others, and their
+records are spliced into the case trace in differential order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 from .backends import CrossScorer
 from .differential import (
@@ -307,17 +310,22 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
                           ) -> list[ConsensusSnapshot]:
     """Run every hypothesis's panel to its stopping point.
 
-    Stop order within a round: strong support first (s > tau_high), then
-    evidence sufficiency (rho <= tau_suff), then the round budget. Returns
-    one final snapshot per hypothesis, in differential order.
+    Every roster is checked against its hypothesis before any panel runs;
+    the panels then run as gateway branches. Stop order within a round:
+    strong support first (s > tau_high), then evidence sufficiency
+    (rho <= tau_suff), then the round budget. Returns one final snapshot per
+    hypothesis, in differential order.
     """
     if t_max < 1:
         raise ConfigError("t_max", "must be >= 1")
-    finals: list[ConsensusSnapshot] = []
-    for hypothesis, package, roster in zip(hypotheses, packages, rosters):
+    panels = list(zip(hypotheses, packages, rosters))
+    for hypothesis, _, roster in panels:
         if roster.hypothesis != hypothesis:
             raise HypothesisMismatchError(
                 f"roster for {roster.hypothesis!r} paired with {hypothesis!r}")
+
+    def panel(hypothesis: str, package: EvidencePackage, roster: SpecialistRoster,
+              gateway: Gateway) -> ConsensusSnapshot:
         for t in range(t_max):
             if package.iteration != t:
                 raise InvariantError(f"package iteration {package.iteration} != round {t}")
@@ -349,8 +357,9 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
                 case, findings, package, queries, graph, index, scorer, gateway,
                 k=k, n=n, h_max=h_max, batch_size=batch_size)
             package = merge_packages(package, supplement)
-        finals.append(snapshot)
-    return finals
+        return snapshot
+
+    return gateway.branches([partial(panel, *args) for args in panels])
 
 
 def final_adjudication(snapshots: list[ConsensusSnapshot], case: CaseDescription,

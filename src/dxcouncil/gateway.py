@@ -16,14 +16,20 @@ Either way an exchange is committed (recorded, checked, traced, parsed) only
 when the caller takes it, in submission order, so the trace and the
 recorded transcript hold exactly what the calls made one after another
 would have written.
+
+``Gateway.branches`` runs larger independent pieces of a case (each
+hypothesis's evidence beside the complexity route, then each hypothesis's
+panel) side by side, each against a child gateway on a second pool of
+``BRANCHES`` threads, and splices their trace records and held table rows
+back in branch order; a replay gateway runs them inline, one after another.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, Iterator, Protocol, runtime_checkable
+from typing import Callable, Iterator, Protocol, TypeVar, runtime_checkable
 
 from .backends import post_json
 from .errors import (
@@ -34,7 +40,7 @@ from .errors import (
     ReplayMissError,
     TranscriptError,
 )
-from .jsonl import JsonlSink, read_jsonl
+from .jsonl import JsonlSink, holding, read_jsonl, write_held
 from .judgments import parse_judgment
 from .templates import TaskKind, get_template
 from .trace import Trace
@@ -60,6 +66,12 @@ REPLAY = "replay"
 # or replaying starts none
 FANOUT = 8
 _POOL = ThreadPoolExecutor(max_workers=FANOUT, thread_name_prefix="dxcouncil-chat")
+# branches running at once across every live gateway of the process; kept
+# apart from _POOL, whose threads a branch blocks on
+BRANCHES = 8
+_BRANCHES = ThreadPoolExecutor(max_workers=BRANCHES, thread_name_prefix="dxcouncil-branch")
+
+T = TypeVar("T")
 
 
 def normalize_prompt(text: str) -> str:
@@ -240,6 +252,7 @@ class Gateway:
         # found by attribute so that no no-op hook is called through a
         # wrapper that counts every method call as a backend request
         self._record = getattr(backend, "record", None)
+        self._in_branch = False
 
     def complete(self, kind: TaskKind, variables: dict[str, str], *,
                  max_items: int | None = None,
@@ -282,6 +295,38 @@ class Gateway:
                        for system, user, _, key in requests]
         return self._commit(kind, requests, futures, max_items, bits)
 
+    def branches(self, tasks: list[Callable[["Gateway"], T]]) -> list[T]:
+        """Run independent pieces of this case's work and return each one's
+        result, in the order of ``tasks``; each task takes the gateway it
+        must call through.
+
+        A replay gateway, or one that is itself a branch's, runs the tasks
+        one after another on this thread. Any other gateway runs each on the
+        branch pool against a child gateway whose trace is its own, holding
+        the task's record table writes (see ``jsonl.holding``). When every
+        task has returned or raised, each one's trace records are spliced
+        into this trace and its held rows written, in task order; the first
+        task that raised stops the splicing, and its error is raised. The
+        trace and the tables then hold what the tasks run one after another
+        would have left, except that a row conflicting with an earlier one
+        raises when it is written, after its task has finished.
+        """
+        if self._label == REPLAY or self._in_branch:
+            return [task(self) for task in tasks]
+        children = [Gateway(self.backend, Trace(self.trace.case_id)) for _ in tasks]
+        for child in children:
+            child._in_branch = True
+        held: list[list] = [[] for _ in tasks]
+        futures = [_BRANCHES.submit(_run_holding, task, child, rows)
+                   for task, child, rows in zip(tasks, children, held)]
+        wait(futures)
+        results = []
+        for child, rows, future in zip(children, held, futures):
+            self.trace.splice(child.trace)
+            write_held(rows)
+            results.append(future.result())
+        return results
+
     def _respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
         try:
             return self.backend.respond(kind, system, user, key)
@@ -308,3 +353,8 @@ class Gateway:
         finally:
             for future in futures or ():
                 future.cancel()
+
+
+def _run_holding(task: Callable[[Gateway], T], gateway: Gateway, held: list) -> T:
+    with holding(held):
+        return task(gateway)

@@ -1,13 +1,25 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
 transcript, embedding and score tables) and the one sink every recorder
-writes through, so row format and error reporting are decided here once."""
+writes through, so row format and error reporting are decided here once.
+
+Code that runs beside other work of the same case (a gateway branch) holds
+its sink writes in a list instead of writing them, and the case writes the
+held rows afterwards, in the order the work would have run one piece after
+another.
+"""
 
 from __future__ import annotations
 
 import json
 import threading
+from contextlib import contextmanager
+from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
+
+# (sink, rows) of every write held in the current context, or None when
+# writes go straight to their files
+_HELD: ContextVar[list | None] = ContextVar("dxcouncil_held_rows", default=None)
 
 
 def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
@@ -44,6 +56,8 @@ class JsonlSink:
     A repeated key with an identical row is skipped; with a different row it
     raises ``conflict(key)``, because a table holding two answers for one key
     could not replay the run that wrote it. Thread-safe; flushed per write.
+    A write made inside ``holding`` is only held; ``write_held`` writes it
+    later, and makes its repeat check then.
     """
 
     def __init__(self, path: str | Path, conflict: Callable[[Any], Exception]):
@@ -53,6 +67,10 @@ class JsonlSink:
         self._lock = threading.Lock()
 
     def write(self, rows: Iterable[tuple[Hashable, dict]]) -> None:
+        held = _HELD.get()
+        if held is not None:
+            held.append((self, list(rows)))
+            return
         with self._lock:
             for key, row in rows:
                 line = json.dumps(row, ensure_ascii=False) + "\n"
@@ -66,3 +84,20 @@ class JsonlSink:
 
     def close(self) -> None:
         self._fh.close()
+
+
+@contextmanager
+def holding(held: list) -> Iterator[None]:
+    """Append every ``JsonlSink.write`` made in this context on this thread
+    to ``held`` instead of writing it."""
+    token = _HELD.set(held)
+    try:
+        yield
+    finally:
+        _HELD.reset(token)
+
+
+def write_held(held: list) -> None:
+    """Write rows held by ``holding``, in the order they were held."""
+    for sink, rows in held:
+        sink.write(rows)

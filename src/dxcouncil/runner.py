@@ -6,10 +6,17 @@ resources, producing a final report plus an audit trace written as one file
 per case. Batches fan cases out across a thread pool and always leave a
 parseable partial trace behind a failed case.
 
+Within a case, each hypothesis's evidence package is built beside the
+others and beside the complexity route (assessment, then dispatch for a
+COMPLEX case), and each hypothesis's panel deliberates beside the others;
+both are ``Gateway.branches``, which leave the trace and the record tables
+as the same work done one step after another would.
+
 A case's trace does not depend on ``workers``. The record tables do: a
 transcript row is written when its exchange is committed and an embedding or
-score row when its retrieval returns, so with ``workers > 1`` the rows of
-concurrent cases interleave in the order the cases reach those points. With
+score row when its retrieval returns (for work inside a branch, when the
+case splices the branch in), so with ``workers > 1`` the rows of concurrent
+cases interleave in the order the cases reach those points. With
 ``workers: 1`` the tables are byte-stable.
 """
 
@@ -19,6 +26,7 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 from .backends import (
@@ -35,6 +43,7 @@ from .config import BackendMode, RunConfig
 from .deliberation import (
     ComplexityFlag,
     FinalReport,
+    SpecialistRoster,
     assess_complexity,
     dispatch_specialists,
     final_adjudication,
@@ -48,7 +57,7 @@ from .differential import (
     read_cases,
 )
 from .errors import CaseFailure, ConfigError, EmptyCorpusError, EngineError
-from .evidence import build_initial_package
+from .evidence import EvidencePackage, build_initial_package
 from .gateway import (
     ChatBackend,
     Gateway,
@@ -142,24 +151,35 @@ def run_case(runtime: Runtime, case: CaseDescription,
         stage = "hypothesize"
         hypotheses = generate_hypotheses(case, findings, gateway, k_max=config.k_max)
         stage = "evidence"
-        packages = [
-            build_initial_package(
+
+        def package(hypothesis: str, gw: Gateway) -> EvidencePackage:
+            return build_initial_package(
                 case, findings, hypothesis, runtime.graph, runtime.index,
-                runtime.scorer, gateway, k=config.k, n=config.n,
+                runtime.scorer, gw, k=config.k, n=config.n,
                 h_max=config.h_max, batch_size=config.prune_batch)
-            for hypothesis in hypotheses
-        ]
-        stage = "route"
-        verdict = assess_complexity(case, findings, hypotheses, gateway)
-        if verdict.flag is ComplexityFlag.SIMPLE:
+
+        def route(gw: Gateway) -> list[SpecialistRoster] | None:
+            # the rosters of a COMPLEX case, None for a SIMPLE one; a
+            # failure here is the route's own, not the evidence stage's
+            route_stage = "route"
+            try:
+                verdict = assess_complexity(case, findings, hypotheses, gw)
+                if verdict.flag is ComplexityFlag.SIMPLE:
+                    return None
+                route_stage = "dispatch"
+                return dispatch_specialists(case, findings, hypotheses, gw,
+                                            roster=config.roster,
+                                            max_specialists=config.max_specialists)
+            except EngineError as exc:
+                raise CaseFailure(case.case_id, route_stage, exc) from exc
+
+        *packages, rosters = gateway.branches(
+            [partial(package, hypothesis) for hypothesis in hypotheses] + [route])
+        if rosters is None:
             stage = "direct_diagnosis"
             report = generalist_direct_diagnosis(case, findings, hypotheses,
                                                  packages, gateway)
         else:
-            stage = "dispatch"
-            rosters = dispatch_specialists(case, findings, hypotheses, gateway,
-                                           roster=config.roster,
-                                           max_specialists=config.max_specialists)
             stage = "deliberate"
             snapshots = run_deliberation_loop(
                 case, findings, hypotheses, packages, rosters, runtime.graph,
@@ -171,6 +191,8 @@ def run_case(runtime: Runtime, case: CaseDescription,
             report = final_adjudication(snapshots, case, findings, hypotheses,
                                         gateway)
         return report, trace
+    except CaseFailure:
+        raise
     except EngineError as exc:
         raise CaseFailure(case.case_id, stage, exc) from exc
     finally:

@@ -36,6 +36,14 @@ class Trace:
             self._records.append(record)
             return record
 
+    def splice(self, child: "Trace") -> None:
+        """Append ``child``'s records after this trace's own, numbered on
+        from this trace's last ``seq``; each keeps its ``ts``."""
+        with self._lock:
+            self._digest = None
+            for record in child.records:
+                self._records.append(dict(record, seq=len(self._records)))
+
     # -- typed appenders -----------------------------------------------------
 
     def exchange(self, task: str, canonical_key: str, prompt: str, response: str,

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
 from dxcouncil.deliberation import (
     ComplexityFlag,
     DEFAULT_ROSTER,
@@ -23,20 +24,23 @@ from dxcouncil.deliberation import (
     formulate_refinement_queries,
     generalist_direct_diagnosis,
     insufficiency_ratio,
+    run_deliberation_loop,
 )
 from dxcouncil.differential import CaseDescription, HypothesisSet
 from dxcouncil.errors import (
     AdjudicationMismatchError,
     EmptyOpinionsError,
     EmptyRosterError,
+    HypothesisMismatchError,
     UnknownSpecialtyError,
 )
 from dxcouncil.evidence import EvidencePackage
 from dxcouncil.gateway import TaskKind
+from dxcouncil.guidelines import ingest_corpus
 from dxcouncil.templates import EVIDENCE_CLOSE, EVIDENCE_OPEN
 from dxcouncil.trace import Trace
 
-from conftest import run_panel, scripted_gateway
+from conftest import PANEL_CORPUS, make_graph, run_panel, scripted_gateway
 
 CASE = CaseDescription("dl-case", "Fatigue and yellowing over six weeks.")
 
@@ -291,6 +295,22 @@ def test_snapshot_decisions_carry_exact_fractions():
     assert payloads[0]["stances"] == ["S", "N", "N", "N"]
     assert payloads[1]["support_score"] == 0.5
     assert payloads[1]["insufficiency_ratio"] == 0.0
+
+
+def test_a_mismatched_roster_is_rejected_before_any_panel_runs():
+    hs = HypothesisSet(("PBC", "AIH"))
+    packages = [EvidencePackage(hypothesis=h, iteration=0, guideline_excerpts=(),
+                                valid_paths=(), pruned_paths=(), degraded=True)
+                for h in hs]
+    rosters = [SpecialistRoster("PBC", ("Hepatology",)),
+               SpecialistRoster("HCC", ("Oncology",))]
+    trace = Trace("t")
+    gw = scripted_gateway([], trace)
+    with pytest.raises(HypothesisMismatchError, match="'HCC' paired with 'AIH'"):
+        run_deliberation_loop(CASE, [], hs, packages, rosters, make_graph(["a"], []),
+                              ingest_corpus(PANEL_CORPUS, HashEmbedder(dim=16)),
+                              LexicalOverlapScorer(), gw)
+    assert trace.records == []
 
 
 # -- final adjudication ------------------------------------------------------

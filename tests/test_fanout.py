@@ -1,13 +1,15 @@
-"""Fan-out calls: sent together, committed in submission order.
+"""Fan-out calls and branches: run side by side, committed in sequential order.
 
 Each call site with independent model calls (finding aligns, path
 verbalizations, prune batches, dispatches, one panel round's opinions) makes
-them in one ``Gateway.complete_all``. These tests pin what that may not
-change: the trace records, digests, failure stages and recorded transcript
-rows of a run whose calls are answered out of order, or fail part way
-through a fan-out, equal those of the same run made one call at a time.
-A replay-labelled backend is that sequential run, since replay answers each
-call inline when it is taken.
+them in one ``Gateway.complete_all``, and each hypothesis's evidence package
+(beside the complexity route) and each hypothesis's panel runs as a
+``Gateway.branches`` branch. These tests pin what that may not change: the
+trace records, digests, failure stages and recorded table rows of a run
+whose calls are answered out of order, or fail part way through a fan-out
+or a branch, equal those of the same run made one call at a time. A
+replay-labelled backend is that sequential run, since replay answers each
+call inline when it is taken and runs branches one after another.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from typing import NamedTuple
 import pytest
 
 from dxcouncil import gateway as gateway_module
-from dxcouncil.backends import TableEmbedder, TableScorer
+from dxcouncil.backends import RecordingEmbedder, RecordingScorer, TableEmbedder, TableScorer
 from dxcouncil.config import validate_config
 from dxcouncil.differential import read_cases
-from dxcouncil.errors import TransportError
+from dxcouncil.errors import CaseFailure, TransportError
 from dxcouncil.gateway import (
     FANOUT,
     LIVE,
@@ -80,6 +82,8 @@ class Outcome(NamedTuple):
     rows: dict[str, tuple[str, str | None, str | None]]
     records: dict[str, list[dict]]
     transcript: bytes
+    embeddings: bytes
+    scores: bytes
 
 
 def canonical_records(trace: Trace) -> list[dict]:
@@ -92,20 +96,26 @@ def fixture_config(tmp_path, workers: int = 1):
                                output_dir=tmp_path / "out", workers=workers)
 
 
-def fixture_runtime(config, chat_backend) -> Runtime:
-    return Runtime(config, chat_backend=chat_backend,
-                   embedder=TableEmbedder.load(config.embeddings_path),
-                   scorer=TableScorer.load(config.scores_path))
+def fixture_runtime(config, chat_backend, tables=None) -> Runtime:
+    """The fixture bundle's runtime around ``chat_backend``; with a
+    ``tables`` directory, the embedder and scorer record their rows there."""
+    embedder = TableEmbedder.load(config.embeddings_path)
+    scorer = TableScorer.load(config.scores_path)
+    if tables is not None:
+        embedder = RecordingEmbedder(embedder, tables / "embeddings.jsonl")
+        scorer = RecordingScorer(scorer, tables / "scores.jsonl")
+    return Runtime(config, chat_backend=chat_backend, embedder=embedder, scorer=scorer)
 
 
 def run_recorded(tmp_path, backend: TableBackend, workers: int = 1) -> Outcome:
-    """The fixture batch with ``backend`` behind a transcript recorder; each
-    case's trace is read back from its file."""
+    """The fixture batch with ``backend`` behind a transcript recorder and the
+    embedder and scorer behind theirs; each case's trace is read back from
+    its file."""
     config = fixture_config(tmp_path, workers)
     tmp_path.mkdir(exist_ok=True)
     transcript = tmp_path / "transcript.jsonl"
-    runtime = fixture_runtime(config, RecordingBackend(backend,
-                                                       TranscriptRecorder(transcript)))
+    runtime = fixture_runtime(
+        config, RecordingBackend(backend, TranscriptRecorder(transcript)), tmp_path)
     try:
         result = run_batch(runtime)
     finally:
@@ -116,13 +126,17 @@ def run_recorded(tmp_path, backend: TableBackend, workers: int = 1) -> Outcome:
         records={row.case_id: canonical_records(Trace.load(trace_path_for(config,
                                                                           row.case_id)))
                  for row in result.rows},
-        transcript=transcript.read_bytes())
+        transcript=transcript.read_bytes(),
+        embeddings=(tmp_path / "embeddings.jsonl").read_bytes(),
+        scores=(tmp_path / "scores.jsonl").read_bytes())
 
 
 @pytest.fixture(scope="module")
 def sequential(tmp_path_factory) -> Outcome:
     outcome = run_recorded(tmp_path_factory.mktemp("sequential"), TableBackend(REPLAY))
     assert outcome.transcript == (FIXTURES / "transcript.jsonl").read_bytes()
+    assert outcome.embeddings == (FIXTURES / "embeddings.jsonl").read_bytes()
+    assert outcome.scores == (FIXTURES / "scores.jsonl").read_bytes()
     assert all(status == "ok" for status, _, _ in outcome.rows.values())
     return outcome
 
@@ -188,12 +202,13 @@ def test_fan_outs_answered_in_reverse_commit_in_submission_order(
 
     assert got.rows == sequential.rows
     assert got.records == sequential.records
-    if workers == 1:
-        assert got.transcript == sequential.transcript
-    else:
-        # concurrent cases interleave their rows in commit order
-        assert sorted(got.transcript.splitlines()) == sorted(
-            sequential.transcript.splitlines())
+    for table in ("transcript", "embeddings", "scores"):
+        if workers == 1:
+            assert getattr(got, table) == getattr(sequential, table)
+        else:
+            # concurrent cases interleave their rows in commit order
+            assert sorted(getattr(got, table).splitlines()) == sorted(
+                getattr(sequential, table).splitlines())
     # the backend really was asked out of order
     asked = [key for key, _ in backend.calls]
     committed = [r["key"] for records in sequential.records.values()
@@ -254,6 +269,7 @@ def test_fault_in_a_fan_out_fails_as_the_sequential_run_does(
     # failing response itself only where it was taken (recorded before the
     # empty check, as a replay must reproduce it)
     assert got.transcript == seq.transcript
+    assert (got.embeddings, got.scores) == (seq.embeddings, seq.scores)
     recorded = {row["key"]: row["response"]
                 for row in map(json.loads, got.transcript.decode().splitlines())}
     if fault == "transport":
@@ -270,6 +286,160 @@ def test_fault_in_a_fan_out_fails_as_the_sequential_run_does(
         assert later and not later & recorded.keys()
 
 
+# -- a fault inside a branch ---------------------------------------------------
+
+class Exchange(NamedTuple):
+    index: int  # among the case's exchanges
+    key: str
+    task: str
+
+
+class Branches(NamedTuple):
+    evidence: list[list[Exchange]]
+    route: list[Exchange]
+    panels: list[list[Exchange]]
+
+
+def branches_of(records: list[dict]) -> Branches:
+    """A case's exchanges grouped by the branch that made them: each
+    hypothesis's evidence package (opened by its retrieval record), the
+    complexity route, and each hypothesis's panel (closed by its last
+    ``snapshot`` decision)."""
+    evidence: list[list[Exchange]] = []
+    route: list[Exchange] = []
+    panels: list[tuple[str, list[Exchange]]] = []
+    pending: list[Exchange] = []
+    phase = "extract"
+    exchanges = 0
+    for r in records:
+        if r["type"] == "retrieval" and phase == "evidence":
+            evidence.append([])
+        elif r["type"] == "decision" and r["decision"] == "snapshot":
+            hypothesis = r["payload"]["hypothesis"]
+            if panels and panels[-1][0] == hypothesis:
+                panels[-1][1].extend(pending)
+            else:
+                panels.append((hypothesis, pending))
+            pending = []
+        if r["type"] != "exchange":
+            continue
+        exchange = Exchange(exchanges, r["key"], r["task"])
+        exchanges += 1
+        if exchange.task == "assess_complexity":
+            phase = "route"
+        elif exchange.task == "specialist_opinion" and phase == "route":
+            phase = "panels"
+        elif exchange.task in ("final_adjudicate", "generalist_direct"):
+            phase = "close"
+        if phase == "evidence":
+            evidence[-1].append(exchange)
+        elif phase == "route":
+            route.append(exchange)
+        elif phase == "panels":
+            pending.append(exchange)
+        if exchange.task == "hypothesize":
+            phase = "evidence"
+    return Branches(evidence, route, [exchanges for _, exchanges in panels])
+
+
+BRANCH_FAULTS = {
+    # where the fault sits: the stage the case then fails at
+    "evidence_second": "evidence",
+    "route_assess": "route",
+    "route_dispatch": "dispatch",
+    "panel_second": "deliberate",
+}
+
+
+def branch_fault_position(outcome: Outcome, where: str) -> tuple[str, Exchange]:
+    """(case id, exchange) of the call to fail for ``where``: in the case with
+    the most branches of that kind, the last batch-unique call of the second
+    evidence branch, of the route's assess or dispatch calls, or of the
+    second panel."""
+    counts = Counter(r["key"] for records in outcome.records.values()
+                     for r in records if r["type"] == "exchange")
+    branches = {case_id: branches_of(records)
+                for case_id, records in outcome.records.items()}
+
+    def pick(case_id: str, exchanges: list[Exchange]) -> tuple[str, Exchange]:
+        unique = [e for e in exchanges if counts[e.key] == 1]
+        assert unique, f"no batch-unique call for {where} in {case_id}"
+        return case_id, unique[-1]
+
+    if where in ("evidence_second", "panel_second"):
+        field = "evidence" if where == "evidence_second" else "panels"
+
+        def size(case_id: str) -> tuple[int, int]:
+            kind = getattr(branches[case_id], field)
+            return len(kind), len(kind[1]) if len(kind) > 1 else 0
+
+        case_id = max(branches, key=size)
+        return pick(case_id, getattr(branches[case_id], field)[1])
+    task = "assess_complexity" if where == "route_assess" else "dispatch"
+    case_id = max((c for c in branches
+                   if any(e.task == "dispatch" for e in branches[c].route)),
+                  key=lambda c: len(branches[c].evidence))
+    return pick(case_id, [e for e in branches[case_id].route if e.task == task])
+
+
+def later_branch_keys(outcome: Outcome, case_id: str, where: str,
+                      failing: Exchange) -> set[str]:
+    """Keys of the calls made by the case's branches that run beside the
+    failing one and come after it in branch order, which no other call of
+    the batch and no call before the failing one makes."""
+    branches = branches_of(outcome.records[case_id])
+    if where == "evidence_second":
+        later = [e for branch in branches.evidence[2:] for e in branch] + branches.route
+    elif where == "panel_second":
+        later = [e for branch in branches.panels[2:] for e in branch]
+    else:
+        later = []  # the route is the last branch of its phase
+    elsewhere = {r["key"] for cid, records in outcome.records.items() if cid != case_id
+                 for r in records if r["type"] == "exchange"}
+    exchanges = [r["key"] for r in outcome.records[case_id] if r["type"] == "exchange"]
+    return {e.key for e in later} - elsewhere - set(exchanges[:failing.index + 1])
+
+
+def table_keys(outcome: Outcome) -> tuple[set[str], set[str], set[str]]:
+    """The transcript keys, embedded texts and scored queries recorded."""
+    def rows(data: bytes) -> list[dict]:
+        return [json.loads(line) for line in data.decode().splitlines()]
+
+    return ({row["key"] for row in rows(outcome.transcript)},
+            {row["text"] for row in rows(outcome.embeddings)},
+            {row["query"] for row in rows(outcome.scores)})
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("where", BRANCH_FAULTS)
+def test_fault_in_a_branch_fails_as_the_sequential_run_does(
+        tmp_path, sequential, where, fault):
+    case_id, exchange = branch_fault_position(sequential, where)
+    seq = run_recorded(tmp_path / "seq", TableBackend(REPLAY, fault=(exchange.key, fault)))
+    backend = TableBackend(LIVE, fault=(exchange.key, fault))
+    got = run_recorded(tmp_path / "branch", backend)
+
+    assert got.rows[case_id][:2] == seq.rows[case_id][:2] == ("error", BRANCH_FAULTS[where])
+    assert got.records[case_id] == seq.records[case_id]
+    taken = sum(1 for r in got.records[case_id] if r["type"] == "exchange")
+    assert taken == exchange.index + (fault == "malformed")
+    for other in got.rows.keys() - {case_id}:
+        assert got.rows[other] == sequential.rows[other]
+    assert (got.transcript, got.embeddings, got.scores) == (
+        seq.transcript, seq.embeddings, seq.scores)
+
+    # the branches after the failing one ran, and left no row behind
+    later = later_branch_keys(sequential, case_id, where, exchange)
+    if where in ("evidence_second", "panel_second"):
+        assert later and later <= {key for key, _ in backend.calls}
+    keys, texts, queries = table_keys(got)
+    assert not later & keys
+    later_queries = ({r["query"] for r in sequential.records[case_id]
+                      if r["type"] == "retrieval"}
+                     - {r["query"] for r in got.records[case_id] if r["type"] == "retrieval"})
+    assert not later_queries & (texts | queries)
+
+
 # -- latency shape ------------------------------------------------------------
 
 def case_10(config):
@@ -277,8 +447,9 @@ def case_10(config):
     return case
 
 
-def test_case_wall_time_tracks_fan_out_waves_not_calls(tmp_path):
-    delay_s = 0.02
+def case_10_wall_s(tmp_path, delay_s: float) -> tuple[float, int]:
+    """Wall time and call count of case-10 against a live-labelled backend
+    that takes ``delay_s`` per call."""
     config = fixture_config(tmp_path)
     backend = TableBackend(LIVE, delay_s=delay_s)
     runtime = fixture_runtime(config, backend)
@@ -290,9 +461,23 @@ def test_case_wall_time_tracks_fan_out_waves_not_calls(tmp_path):
         runtime.close()
     calls = len(trace.exchanges())
     assert calls == len(backend.calls) == 42
-    # one call after another would take calls * delay_s; the fan-outs of
-    # case-10 leave 24 sequential waves
+    return wall_s, calls
+
+
+def test_case_wall_time_tracks_fan_out_waves_not_calls(tmp_path):
+    delay_s = 0.02
+    wall_s, calls = case_10_wall_s(tmp_path, delay_s)
+    # one call after another would take calls * delay_s; the fan-outs and
+    # branches of case-10 leave 12 sequential waves
     assert wall_s < 0.8 * calls * delay_s
+
+
+def test_case_wall_time_tracks_branch_waves(tmp_path):
+    delay_s = 0.02
+    wall_s, calls = case_10_wall_s(tmp_path, delay_s)
+    # fan-outs alone leave 24 sequential waves (about 0.5 s here); running
+    # the evidence packages, the route and the panels side by side leaves 12
+    assert wall_s < 0.5 * calls * delay_s
 
 
 def test_replay_answers_every_call_inline_on_the_callers_thread(tmp_path):
@@ -305,6 +490,76 @@ def test_replay_answers_every_call_inline_on_the_callers_thread(tmp_path):
         runtime.close()
     assert len(backend.calls) == 42
     assert {thread for _, thread in backend.calls} == {threading.get_ident()}
+
+
+class SiblingBackend(TableBackend):
+    """Fails every prune call, and holds every dispatch call until
+    ``release`` is set, which it does 0.1 s after the first prune fails."""
+
+    def __init__(self):
+        super().__init__(LIVE)
+        self.release = threading.Event()
+        self.timers: list[threading.Timer] = []
+        self.dispatched: list[str] = []
+
+    def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
+        if kind is TaskKind.PRUNE:
+            if not self.timers:
+                self.timers.append(threading.Timer(0.1, self.release.set))
+                self.timers[0].start()
+            raise TransportError("injected transport failure")
+        if kind is TaskKind.DISPATCH:
+            if not self.release.wait(timeout=10):
+                raise TimeoutError("release never set")
+            response = super().respond(kind, system, user, key)
+            self.dispatched.append(key)
+            return response
+        return super().respond(kind, system, user, key)
+
+
+def test_a_failed_branch_returns_after_its_siblings_settle_and_keeps_none_of_their_rows(
+        tmp_path, sequential):
+    config = fixture_config(tmp_path)
+    backend = SiblingBackend()
+    transcript = tmp_path / "transcript.jsonl"
+    runtime = fixture_runtime(config, RecordingBackend(backend,
+                                                       TranscriptRecorder(transcript)))
+    try:
+        with pytest.raises(CaseFailure) as failure:
+            run_case(runtime, case_10(config), write_trace=False)
+        # the route branch was still waiting on its dispatches when the
+        # first evidence branch failed
+        dispatched = len(backend.dispatched)
+    finally:
+        runtime.close()
+        for timer in backend.timers:
+            timer.join(timeout=10)
+    assert failure.value.stage == "evidence"
+    dispatches = branches_of(sequential.records["case-10"]).route[1:]
+    assert dispatched == len(dispatches) == 3
+    # rows up to the first evidence branch's failing prune call, and none of
+    # the later evidence branches' or the route's
+    exchanges = [(r["key"], r["task"]) for r in sequential.records["case-10"]
+                 if r["type"] == "exchange"]
+    first_prune = [task for _, task in exchanges].index("prune")
+    recorded = [json.loads(line)["key"] for line in transcript.read_text().splitlines()]
+    assert recorded == list(dict.fromkeys(key for key, _ in exchanges[:first_prune]))
+
+
+def test_a_branchs_own_branches_run_inline_on_its_thread():
+    gw = Gateway(TableBackend(LIVE), Trace("nested"))
+
+    def inner(branch: Gateway) -> int:
+        branch.trace.decision("inner", {})
+        return threading.get_ident()
+
+    def outer(branch: Gateway) -> tuple[int, list[int]]:
+        return threading.get_ident(), branch.branches([inner, inner])
+
+    [(outer_thread, inner_threads)] = gw.branches([outer])
+    assert inner_threads == [outer_thread] * 2
+    assert outer_thread != threading.get_ident()
+    assert [r["decision"] for r in gw.trace.records] == ["inner", "inner"]
 
 
 # -- stopping early -------------------------------------------------------------

@@ -1,5 +1,5 @@
 """The shared JSONL reader behind every loader, and the shared record sink
-behind every recorder."""
+behind every recorder, with the writes a gateway branch holds."""
 
 from __future__ import annotations
 
@@ -21,15 +21,16 @@ from dxcouncil.backends import (
 from dxcouncil.differential import read_cases
 from dxcouncil.errors import (
     CorpusError,
+    DuplicateTranscriptKeyError,
     EmbeddingCountError,
     RecordConflictError,
     ResourceError,
     ScoreCountError,
     TranscriptError,
 )
-from dxcouncil.gateway import load_transcript
+from dxcouncil.gateway import TranscriptRecorder, load_transcript
 from dxcouncil.guidelines import read_corpus
-from dxcouncil.jsonl import JsonlSink
+from dxcouncil.jsonl import JsonlSink, holding, write_held
 
 LOADERS = [
     pytest.param(read_cases, {"case_id": "a", "narrative": "Story A."}, ResourceError,
@@ -186,3 +187,76 @@ def test_sink_shared_by_threads_keeps_one_line_per_key(tmp_path):
         sink.close()
     assert not any(thread.is_alive() for thread in threads)
     assert sorted(row["key"] for row in table_rows(tmp_path / "t.jsonl")) == list(range(50))
+
+
+# -- held writes ---------------------------------------------------------------
+
+def test_held_rows_land_in_call_order_when_written(tmp_path):
+    first = JsonlSink(tmp_path / "a.jsonl", RecordConflictError)
+    second = JsonlSink(tmp_path / "b.jsonl", RecordConflictError)
+    held: list = []
+    with holding(held):
+        first.write([("x", {"k": "x"})])
+        second.write([("y", {"k": "y"}), ("z", {"k": "z"})])
+        first.write([("w", {"k": "w"})])
+    assert table_rows(tmp_path / "a.jsonl") == table_rows(tmp_path / "b.jsonl") == []
+    first.write([("v", {"k": "v"})])  # outside the context: written at once
+    write_held(held)
+    first.close()
+    second.close()
+    assert [row["k"] for row in table_rows(tmp_path / "a.jsonl")] == ["v", "x", "w"]
+    assert [row["k"] for row in table_rows(tmp_path / "b.jsonl")] == ["y", "z"]
+
+
+def test_dropped_held_rows_write_nothing(tmp_path):
+    embedder = RecordingEmbedder(HashEmbedder(dim=4), tmp_path / "e.jsonl")
+    with holding([]):
+        embedder.embed(["a", "b"])
+    embedder.close()
+    assert table_rows(tmp_path / "e.jsonl") == []
+
+
+def test_a_conflicting_held_repeat_raises_when_written(tmp_path):
+    scorer = RecordingScorer(Drifting(), tmp_path / "s.jsonl")
+    recorder = TranscriptRecorder(tmp_path / "t.jsonl")
+    scorer.score("q", ["t"])
+    recorder.record("k", "ner", "first")
+    held: list = []
+    with holding(held):
+        scorer.score("q", ["t"])
+    with pytest.raises(RecordConflictError):
+        write_held(held)
+    held = []
+    with holding(held):
+        recorder.record("k", "ner", "second")
+    with pytest.raises(DuplicateTranscriptKeyError):
+        write_held(held)
+    scorer.close()
+    recorder.close()
+    assert len(table_rows(tmp_path / "s.jsonl")) == len(table_rows(tmp_path / "t.jsonl")) == 1
+
+
+def test_a_thread_holding_nothing_writes_while_another_holds(tmp_path):
+    sink = JsonlSink(tmp_path / "t.jsonl", RecordConflictError)
+    held: list = []
+    holding_rows = threading.Event()
+    done = threading.Event()
+
+    def holder():
+        with holding(held):
+            sink.write([("held", {"k": "held"})])
+            holding_rows.set()
+            done.wait(timeout=10)
+
+    thread = threading.Thread(target=holder)
+    thread.start()
+    try:
+        assert holding_rows.wait(timeout=10)
+        sink.write([("direct", {"k": "direct"})])
+        assert [row["k"] for row in table_rows(tmp_path / "t.jsonl")] == ["direct"]
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    write_held(held)
+    sink.close()
+    assert [row["k"] for row in table_rows(tmp_path / "t.jsonl")] == ["direct", "held"]

@@ -28,6 +28,24 @@ def test_sequence_numbers_are_gapless_and_ordered():
         "exchange", "retrieval", "paths", "prune_batch", "decision"]
 
 
+def test_splice_numbers_a_childs_records_on_and_resets_the_digest():
+    t = Trace("case-x")
+    t.decision("complexity", {"flag": "SIMPLE"})
+    before = t.digest()
+    child = sample_trace()
+    t.splice(child)
+    assert [r["seq"] for r in t.records] == list(range(6))
+    assert [r["type"] for r in t.records[1:]] == [r["type"] for r in child.records]
+    assert [r["ts"] for r in t.records[1:]] == [r["ts"] for r in child.records]
+    assert [r["seq"] for r in child.records] == list(range(5))
+    assert t.digest() != before
+    whole = Trace("case-x")
+    whole.decision("complexity", {"flag": "SIMPLE"})
+    for record in sample_trace().records:
+        whole._append({k: v for k, v in record.items() if k not in ("seq", "ts")})
+    assert t.digest() == whole.digest()
+
+
 def test_filters_select_by_task_and_decision():
     t = sample_trace()
     assert len(t.exchanges()) == 1
