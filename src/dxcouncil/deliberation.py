@@ -10,12 +10,11 @@ targeted queries back through retrieval and merges what returns.
 The controller itself is pure arithmetic, not a model call; its only job is
 counting stances against thresholds.
 
-The dispatches over the differential go to the gateway as one fan-out, and
-so does each panel round's set of opinions; the gateway commits their
-exchanges in submission order, so each ``roster`` decision still follows
-its own dispatch exchange in the trace. The panels deliberate independently
-of each other, so each runs as a gateway branch beside the others, and their
-records are spliced into the case trace in differential order.
+Each dispatch over the differential, each specialist's opinion in a panel
+round, and each hypothesis's whole panel run as gateway branches; their
+records are spliced into the case trace in branch order, so each ``roster``
+decision still follows its own dispatch exchange and the panels appear in
+differential order.
 """
 
 from __future__ import annotations
@@ -210,22 +209,22 @@ def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
                          roster: tuple[str, ...] = DEFAULT_ROSTER,
                          max_specialists: int = MAX_SPECIALISTS) -> list[SpecialistRoster]:
     """Choose which specialties review each candidate diagnosis, with one
-    dispatch call per hypothesis, all sent together.
+    dispatch call per hypothesis, each a gateway branch.
 
     Names outside the configured roster are an error; duplicates collapse;
-    anything past the cap is dropped in order. Each roster is traced as
-    soon as its call is committed, before the next call's exchange.
+    anything past the cap is dropped in order. Each roster is traced right
+    after its own call's exchange.
     """
     findings_text = render_findings(findings)
-    answers = gateway.complete_all(TaskKind.DISPATCH, [{
-        "narrative": case.narrative,
-        "findings": findings_text,
-        "hypothesis": hypothesis,
-        "roster": "; ".join(roster),
-        "max_specialists": str(max_specialists),
-    } for hypothesis in hypotheses])
-    rosters: list[SpecialistRoster] = []
-    for hypothesis, names in zip(hypotheses, answers):
+
+    def dispatch(hypothesis: str, gw: Gateway) -> SpecialistRoster:
+        names = gw.complete(TaskKind.DISPATCH, {
+            "narrative": case.narrative,
+            "findings": findings_text,
+            "hypothesis": hypothesis,
+            "roster": "; ".join(roster),
+            "max_specialists": str(max_specialists),
+        })
         chosen: list[str] = []
         for name in names:
             if name not in roster:
@@ -235,31 +234,35 @@ def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
         if not chosen:
             raise EmptyRosterError(f"dispatch chose no specialists for {hypothesis!r}")
         chosen = chosen[:max_specialists]
-        gateway.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
-        rosters.append(SpecialistRoster(hypothesis=hypothesis, specialties=tuple(chosen)))
-    return rosters
+        gw.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
+        return SpecialistRoster(hypothesis=hypothesis, specialties=tuple(chosen))
+
+    return gateway.branches([partial(dispatch, hypothesis) for hypothesis in hypotheses])
 
 
 def elicit_opinion(specialties: tuple[str, ...], case: CaseDescription,
                    findings: list[AbnormalEntity], hypothesis: str,
                    package: EvidencePackage, gateway: Gateway) -> list[SpecialistOpinion]:
     """One round's verdicts, one per specialty in order, over the shared
-    evidence block; the panel's calls go out together."""
+    evidence block; each specialty's call is a gateway branch."""
     findings_text, evidence = render_findings(findings), render_package(package)
-    answers = gateway.complete_all(TaskKind.SPECIALIST_OPINION, [{
-        "specialty": specialty,
-        "narrative": case.narrative,
-        "findings": findings_text,
-        "hypothesis": hypothesis,
-        "iteration": str(package.iteration),
-        "evidence": evidence,
-    } for specialty in specialties])
-    return [SpecialistOpinion(
-        specialty=specialty, hypothesis=hypothesis, iteration=package.iteration,
-        stance=Stance(parsed["stance"]), confidence=parsed["confidence"],
-        sufficiency=Sufficiency(parsed["sufficiency"]),
-        justification=parsed["justification"])
-        for specialty, parsed in zip(specialties, answers)]
+
+    def opine(specialty: str, gw: Gateway) -> SpecialistOpinion:
+        parsed = gw.complete(TaskKind.SPECIALIST_OPINION, {
+            "specialty": specialty,
+            "narrative": case.narrative,
+            "findings": findings_text,
+            "hypothesis": hypothesis,
+            "iteration": str(package.iteration),
+            "evidence": evidence,
+        })
+        return SpecialistOpinion(
+            specialty=specialty, hypothesis=hypothesis, iteration=package.iteration,
+            stance=Stance(parsed["stance"]), confidence=parsed["confidence"],
+            sufficiency=Sufficiency(parsed["sufficiency"]),
+            justification=parsed["justification"])
+
+    return gateway.branches([partial(opine, specialty) for specialty in specialties])
 
 
 def formulate_refinement_queries(opinions: list[SpecialistOpinion],

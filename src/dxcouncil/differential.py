@@ -3,12 +3,14 @@
 The first pipeline stage: pull abnormal finding mentions out of the case
 narrative, pin each one to a graph concept (or drop it when the aligner says
 no candidate fits), then ask for a bounded list of candidate diagnoses. The
-aligner calls for all of a case's mentions go to the gateway as one fan-out.
+aligner calls for a case's mentions run as gateway branches, one per
+mention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import TextIO
 
@@ -102,28 +104,29 @@ def align_mentions(mentions: list[str], graph: KnowledgeGraph, gateway: Gateway,
                    ) -> list[tuple[Concept, tuple[Concept, ...]] | None]:
     """Pin each mention to a graph concept: the aligner's pick among the top
     matches, with those candidates, or None when nothing matches or the
-    aligner answers NONE. The aligner calls for all the mentions go out
-    together."""
-    candidate_sets = [tuple(m.concept for m in graph.match_entity(mention,
-                                                                  limit=ALIGN_CANDIDATES))
-                      for mention in mentions]
-    choices = gateway.complete_all(TaskKind.ALIGN, [
-        {"mention": mention,
-         "candidates": "\n".join(f"{i}. {c.preferred_name}"
-                                  for i, c in enumerate(candidates, start=1))}
-        for mention, candidates in zip(mentions, candidate_sets) if candidates])
-    aligned: list[tuple[Concept, tuple[Concept, ...]] | None] = []
-    for mention, candidates in zip(mentions, candidate_sets):
-        choice = next(choices) if candidates else None
+    aligner answers NONE. The aligner calls for all the mentions run as
+    gateway branches."""
+
+    def align(mention: str, candidates: tuple[Concept, ...],
+              gw: Gateway) -> tuple[Concept, tuple[Concept, ...]] | None:
+        if not candidates:
+            return None
+        choice = gw.complete(TaskKind.ALIGN, {
+            "mention": mention,
+            "candidates": "\n".join(f"{i}. {c.preferred_name}"
+                                     for i, c in enumerate(candidates, start=1))})
         if choice is None:
-            aligned.append(None)
-            continue
+            return None
         if not 1 <= choice <= len(candidates):
             raise JudgmentParseError(
                 f"candidate number {choice} outside 1..{len(candidates)} "
                 f"for mention {mention!r}", span=str(choice))
-        aligned.append((candidates[choice - 1], candidates))
-    return aligned
+        return candidates[choice - 1], candidates
+
+    return gateway.branches([
+        partial(align, mention,
+                tuple(m.concept for m in graph.match_entity(mention, limit=ALIGN_CANDIDATES)))
+        for mention in mentions])
 
 
 def extract_abnormal_entities(case: CaseDescription, gateway: Gateway,

@@ -6,17 +6,16 @@ binary judgment made with the top guideline excerpts in context, so a path
 survives only when the model deems it coherent for this patient and
 consistent with the guidance shown.
 
-A package's path verbalizations (across all its findings) go to the gateway
-as one fan-out, and so do its prune batches; each ``paths`` and
-``prune_batch`` trace record still lands right before or after the
-exchanges it belongs to, because the gateway commits each exchange only when
-it is taken here.
+Each finding's paths, each path's verbalization and each prune batch run as
+gateway branches (a finding's branch starts its paths' branches), so each
+``paths`` and ``prune_batch`` trace record lands right before or after the
+exchanges it belongs to, as in a run made one call after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
+from functools import partial
 
 from .backends import CrossScorer
 from .differential import AbnormalEntity, CaseDescription, align_mentions
@@ -86,17 +85,22 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
     context_ids = tuple(seg.segment.segment_id for seg in guideline_top)
     batches = [paths[start:start + batch_size]
                for start in range(0, len(paths), batch_size)]
-    judged = gateway.complete_all(TaskKind.PRUNE, [{
-        "narrative": case.narrative,
-        "guidelines": guideline_text,
-        "paths": "\n".join(f"{i}. {p.verbalization}" for i, p in enumerate(batch, start=1)),
-        "path_count": str(len(batch)),
-    } for batch in batches], expected_bits=[len(batch) for batch in batches])
+
+    def judge(batch_index: int, batch: list[KnowledgePath], gw: Gateway) -> tuple[int, ...]:
+        bits = gw.complete(TaskKind.PRUNE, {
+            "narrative": case.narrative,
+            "guidelines": guideline_text,
+            "paths": "\n".join(f"{i}. {p.verbalization}" for i, p in enumerate(batch, start=1)),
+            "path_count": str(len(batch)),
+        }, expected_bits=len(batch))
+        gw.trace.prune_batch(batch_index=batch_index, size=len(batch),
+                             bits=list(bits), guideline_ids=list(context_ids))
+        return bits
+
+    judged = gateway.branches([partial(judge, i, batch) for i, batch in enumerate(batches)])
     valid: list[KnowledgePath] = []
     rejected: list[KnowledgePath] = []
-    for batch_index, (batch, bits) in enumerate(zip(batches, judged)):
-        gateway.trace.prune_batch(batch_index=batch_index, size=len(batch),
-                                  bits=list(bits), guideline_ids=list(context_ids))
+    for batch, bits in zip(batches, judged):
         for path, bit in zip(batch, bits):
             (valid if bit == 1 else rejected).append(path)
     _check_partition(valid, rejected, paths)
@@ -106,15 +110,16 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
 def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
                              graph: KnowledgeGraph, gateway: Gateway,
                              h_max: int) -> list[KnowledgePath]:
-    enumerated = [graph.enumerate_paths(finding_id, disease_id, h_max=h_max)
-                  for finding_id in finding_ids]
-    verbalized = verbalize_path([p for paths in enumerated for p in paths], gateway)
-    out: list[KnowledgePath] = []
-    for finding_id, paths in zip(finding_ids, enumerated):
-        gateway.trace.paths(start=finding_id, end=disease_id, h_max=h_max,
-                            enumerated=[p.describe() for p in paths])
-        out.extend(islice(verbalized, len(paths)))
-    return out
+    def finding(finding_id: str, paths: list[KnowledgePath],
+                gw: Gateway) -> list[KnowledgePath]:
+        gw.trace.paths(start=finding_id, end=disease_id, h_max=h_max,
+                       enumerated=[p.describe() for p in paths])
+        return verbalize_path(paths, gw)
+
+    verbalized = gateway.branches([
+        partial(finding, finding_id, graph.enumerate_paths(finding_id, disease_id, h_max=h_max))
+        for finding_id in finding_ids])
+    return [path for paths in verbalized for path in paths]
 
 
 def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],

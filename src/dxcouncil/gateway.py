@@ -6,22 +6,18 @@ trace, and parses the response. The canonical key is stable under
 trailing-whitespace and line-ending drift, which is what lets a transcript
 recorded on one machine replay anywhere.
 
-A call site with independent calls of one task kind makes them in one
-``Gateway.complete_all``: a case's finding aligns, one package's path
-verbalizations, its prune batches, the dispatches over the differential and
-one panel round's opinions. A live or recording backend gets such calls at
-once, on one pool of ``FANOUT`` threads shared by every gateway of the
-process; a replay backend answers each call inline, on the caller's thread.
-Either way an exchange is committed (recorded, checked, traced, parsed) only
-when the caller takes it, in submission order, so the trace and the
-recorded transcript hold exactly what the calls made one after another
-would have written.
-
-``Gateway.branches`` runs larger independent pieces of a case (each
-hypothesis's evidence beside the complexity route, then each hypothesis's
-panel) side by side, each against a child gateway on a second pool of
-``BRANCHES`` threads, and splices their trace records and held table rows
-back in branch order; a replay gateway runs them inline, one after another.
+``Gateway.branches`` is the one way a case runs independent work side by
+side: the calls of a fan-out site (a case's finding aligns, a finding's path
+verbalizations, a package's prune batches, the dispatches, a panel round's
+opinions), each finding's paths within a package, each hypothesis's evidence
+beside the complexity route, and each hypothesis's panel. Against a live or
+recording backend the branches run on one pool of ``FANOUT`` threads shared
+by every gateway of the process, each against a child gateway, and their
+trace records and held table rows are spliced back in branch order, so the
+trace and the record tables hold what the work done one step after another
+would have written. Branches nest; a thread waiting on branches first runs
+itself every branch no pool thread has started, so it never waits on queued
+work. A replay gateway runs branches inline, one after another.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, Iterator, Protocol, TypeVar, runtime_checkable
+from typing import Callable, Protocol, TypeVar, runtime_checkable
 
 from .backends import post_json
 from .errors import (
@@ -61,15 +57,11 @@ __all__ = [
 LIVE = "live"
 REPLAY = "replay"
 
-# concurrent backend calls across every live gateway of the process; the
-# pool's threads start with the first live fan-out, so importing this module
+# branches running at once across every live gateway of the process; the
+# pool's threads start with the first live branch, so importing this module
 # or replaying starts none
 FANOUT = 8
-_POOL = ThreadPoolExecutor(max_workers=FANOUT, thread_name_prefix="dxcouncil-chat")
-# branches running at once across every live gateway of the process; kept
-# apart from _POOL, whose threads a branch blocks on
-BRANCHES = 8
-_BRANCHES = ThreadPoolExecutor(max_workers=BRANCHES, thread_name_prefix="dxcouncil-branch")
+_POOL = ThreadPoolExecutor(max_workers=FANOUT, thread_name_prefix="dxcouncil-branch")
 
 T = TypeVar("T")
 
@@ -100,9 +92,10 @@ class HttpChatBackend:
     """OpenAI-compatible chat endpoint, temperature pinned to 0.
 
     One retry on transport failure, then a hard error; the deliberation loop
-    must not stall silently. The gateway sends a fan-out's requests from its
-    pool threads, up to ``FANOUT`` at once; each request is a POST of its own
-    with no shared session, so concurrent calls share no state.
+    must not stall silently. Branches send requests from the gateway's pool
+    threads and from the threads waiting on them, so several may be in
+    flight at once; each request is a POST of its own with no shared
+    session, so concurrent calls share no state.
     """
 
     label = LIVE
@@ -168,13 +161,14 @@ class TranscriptRecorder:
 
 class RecordingBackend:
     """Wraps a backend; the gateway writes every (canonical_key, response)
-    pair it commits through ``record``.
+    pair it receives through ``record``.
 
-    ``respond`` only asks the inner backend, since a fan-out's responses
-    arrive in any order. The gateway records each one at its commit point,
-    in submission order, before checking it, so the transcript holds the
-    rows of a sequential run in that run's order, empty and malformed
-    responses included, and no row for a response the case never took.
+    ``respond`` only asks the inner backend. The gateway records each
+    response before checking it, so empty and malformed responses are
+    recorded too. A call made inside a branch has its row held and written
+    when the branch is spliced into its case, so the transcript holds the
+    rows of a sequential run in that run's order, and no row for a call
+    made after the first failing branch.
     """
 
     def __init__(self, inner: ChatBackend, recorder: TranscriptRecorder):
@@ -252,73 +246,62 @@ class Gateway:
         # found by attribute so that no no-op hook is called through a
         # wrapper that counts every method call as a backend request
         self._record = getattr(backend, "record", None)
-        self._in_branch = False
 
     def complete(self, kind: TaskKind, variables: dict[str, str], *,
                  max_items: int | None = None,
                  expected_bits: int | None = None) -> object:
-        """Run one model call and return ``parse_judgment``'s payload."""
-        [payload] = self.complete_all(
-            kind, [variables], max_items=max_items,
-            expected_bits=None if expected_bits is None else [expected_bits])
-        return payload
+        """Run one model call and return ``parse_judgment``'s payload.
 
-    def complete_all(self, kind: TaskKind, variables: list[dict[str, str]], *,
-                     max_items: int | None = None,
-                     expected_bits: list[int] | None = None) -> Iterator[object]:
-        """Run independent model calls of one task kind and yield each one's
-        ``parse_judgment`` payload, in the order of ``variables``.
-
-        Every request is rendered and hashed here. A replay backend answers
-        each one inline when its item is taken; any other backend gets them
-        all now, on the shared pool. An exchange is committed when the
-        caller takes its item: its response is recorded (by a backend that
-        has ``record``), checked for emptiness, appended to the trace and
-        parsed, so a response that breaks its task's grammar is still
-        recorded and traced, and trace records the caller appends between
-        items keep their places. ``expected_bits`` gives each item's bit
-        count. When the caller stops early and the iterator is closed or
-        collected, the later responses are dropped unrecorded and untraced,
-        and their calls are cancelled unless already started.
+        The response is recorded (by a backend that has ``record``) before
+        it is checked for emptiness, traced and parsed, so a response that
+        breaks its task's grammar is still recorded and traced.
         """
-        bits = [None] * len(variables) if expected_bits is None else expected_bits
-        if len(bits) != len(variables):
-            raise ValueError(f"{len(bits)} bit counts for {len(variables)} requests")
-        requests = []
-        for values in variables:
-            system, user = get_template(kind).render(values)
-            rendered = system + "\n\n" + user
-            requests.append((system, user, rendered, canonical_key(kind, rendered)))
-        futures = None
-        if self._label != REPLAY:
-            futures = [_POOL.submit(self._respond, kind, system, user, key)
-                       for system, user, _, key in requests]
-        return self._commit(kind, requests, futures, max_items, bits)
+        system, user = get_template(kind).render(variables)
+        rendered = system + "\n\n" + user
+        key = canonical_key(kind, rendered)
+        try:
+            response = self.backend.respond(kind, system, user, key)
+        except EngineError:
+            raise
+        except Exception as exc:
+            raise GatewayError(f"backend failure on task {kind.value!r}: {exc}") from exc
+        if self._record is not None:
+            self._record(kind, key, response)
+        if not response.strip():
+            raise EmptyResponseError(f"empty response for task {kind.value!r}")
+        self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
+                            response=response, backend=self._label)
+        return parse_judgment(kind, response, max_items=max_items,
+                              expected_bits=expected_bits)
 
     def branches(self, tasks: list[Callable[["Gateway"], T]]) -> list[T]:
         """Run independent pieces of this case's work and return each one's
         result, in the order of ``tasks``; each task takes the gateway it
         must call through.
 
-        A replay gateway, or one that is itself a branch's, runs the tasks
-        one after another on this thread. Any other gateway runs each on the
-        branch pool against a child gateway whose trace is its own, holding
-        the task's record table writes (see ``jsonl.holding``). When every
-        task has returned or raised, each one's trace records are spliced
-        into this trace and its held rows written, in task order; the first
-        task that raised stops the splicing, and its error is raised. The
-        trace and the tables then hold what the tasks run one after another
-        would have left, except that a row conflicting with an earlier one
-        raises when it is written, after its task has finished.
+        A replay gateway runs the tasks one after another on this thread.
+        Any other gateway submits each to the pool against a child gateway
+        whose trace is its own, holding the task's record table writes (see
+        ``jsonl.holding``); a task may start branches of its own. This
+        thread then takes back, in task order, every task no pool thread has
+        started and runs it itself, and only then waits, so no thread waits
+        on queued work and a busy pool cannot deadlock. When every task has
+        returned or raised, each one's trace records are spliced into this
+        trace and its held rows written, in task order; the first task that
+        raised stops the splicing, and its error is raised. The trace and
+        the tables then hold what the tasks run one after another would have
+        left, except that a row conflicting with an earlier one raises when
+        it is written, after its task has finished.
         """
-        if self._label == REPLAY or self._in_branch:
+        if self._label == REPLAY:
             return [task(self) for task in tasks]
         children = [Gateway(self.backend, Trace(self.trace.case_id)) for _ in tasks]
-        for child in children:
-            child._in_branch = True
         held: list[list] = [[] for _ in tasks]
-        futures = [_BRANCHES.submit(_run_holding, task, child, rows)
+        futures = [_POOL.submit(_run_holding, task, child, rows)
                    for task, child, rows in zip(tasks, children, held)]
+        for i, future in enumerate(futures):
+            if future.cancel():
+                futures[i] = _run_here(tasks[i], children[i], held[i])
         wait(futures)
         results = []
         for child, rows, future in zip(children, held, futures):
@@ -327,34 +310,18 @@ class Gateway:
             results.append(future.result())
         return results
 
-    def _respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
-        try:
-            return self.backend.respond(kind, system, user, key)
-        except EngineError:
-            raise
-        except Exception as exc:
-            raise GatewayError(f"backend failure on task {kind.value!r}: {exc}") from exc
-
-    def _commit(self, kind: TaskKind, requests: list[tuple[str, str, str, str]],
-                futures: list[Future] | None, max_items: int | None,
-                bits: list[int | None]) -> Iterator[object]:
-        try:
-            for i, (system, user, rendered, key) in enumerate(requests):
-                response = (self._respond(kind, system, user, key) if futures is None
-                            else futures[i].result())
-                if self._record is not None:
-                    self._record(kind, key, response)
-                if not response.strip():
-                    raise EmptyResponseError(f"empty response for task {kind.value!r}")
-                self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
-                                    response=response, backend=self._label)
-                yield parse_judgment(kind, response, max_items=max_items,
-                                     expected_bits=bits[i])
-        finally:
-            for future in futures or ():
-                future.cancel()
-
 
 def _run_holding(task: Callable[[Gateway], T], gateway: Gateway, held: list) -> T:
     with holding(held):
         return task(gateway)
+
+
+def _run_here(task: Callable[[Gateway], T], gateway: Gateway, held: list) -> Future:
+    """``_run_holding`` on this thread, settled into a future as the pool
+    would settle it."""
+    future: Future = Future()
+    try:
+        future.set_result(_run_holding(task, gateway, held))
+    except Exception as exc:
+        future.set_exception(exc)
+    return future

@@ -2,7 +2,7 @@
 
 Holds concepts with synonym sets, typed directed edges, lexical entity
 matching, bounded simple-path enumeration, and deterministic path
-verbalization through the model gateway.
+verbalization through the model gateway, one gateway branch per path.
 
 Traversal follows stored edge direction only; a loader that wants
 bidirectional reasoning must materialize inverse triples itself.
@@ -13,9 +13,9 @@ from __future__ import annotations
 import re
 import string
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, TextIO
 
 from .errors import (
     DanglingReferenceError,
@@ -349,26 +349,22 @@ def load_kg(triples_source: str | Path | TextIO,
 
 # -- verbalization -----------------------------------------------------------
 
-def verbalize_path(paths: list[KnowledgePath], gw) -> Iterator[KnowledgePath]:
+def verbalize_path(paths: list[KnowledgePath], gw) -> list[KnowledgePath]:
     """Have the gateway render each path as one natural-language sentence.
 
     The raw hop-chain rendering goes into the prompt (and therefore the
-    trace), so verbalization is replayable. The calls go out together, in
-    one ``complete_all``; the result yields, in order and as the caller
-    takes them, new paths with the verbalization set.
+    trace), so verbalization is replayable. Each path's call runs as a
+    gateway branch; the result holds, in order, new paths with the
+    verbalization set.
     """
     from .gateway import TaskKind
 
-    chains = [path.describe() for path in paths]
-    sentences = gw.complete_all(TaskKind.VERBALIZE, [{"path": chain} for chain in chains])
-    return _verbalized(paths, chains, sentences)
-
-
-def _verbalized(paths: list[KnowledgePath], chains: list[str],
-                sentences: Iterator[str]) -> Iterator[KnowledgePath]:
-    for path, chain in zip(paths, chains):
+    def verbalize(path: KnowledgePath, gw) -> KnowledgePath:
+        chain = path.describe()
         try:
-            sentence = next(sentences)
+            sentence = gw.complete(TaskKind.VERBALIZE, {"path": chain})
         except Exception as exc:
             raise VerbalizationError(f"verbalization failed for path {chain!r}") from exc
-        yield replace(path, verbalization=sentence)
+        return replace(path, verbalization=sentence)
+
+    return gw.branches([partial(verbalize, path) for path in paths])

@@ -9,15 +9,16 @@ parseable partial trace behind a failed case.
 Within a case, each hypothesis's evidence package is built beside the
 others and beside the complexity route (assessment, then dispatch for a
 COMPLEX case), and each hypothesis's panel deliberates beside the others;
-both are ``Gateway.branches``, which leave the trace and the record tables
-as the same work done one step after another would.
+both are ``Gateway.branches``, as are the fan-outs inside them, which leave
+the trace and the record tables as the same work done one step after
+another would.
 
 A case's trace does not depend on ``workers``. The record tables do: a
-transcript row is written when its exchange is committed and an embedding or
-score row when its retrieval returns (for work inside a branch, when the
-case splices the branch in), so with ``workers > 1`` the rows of concurrent
-cases interleave in the order the cases reach those points. With
-``workers: 1`` the tables are byte-stable.
+transcript row is written when its call returns and an embedding or score
+row when its retrieval returns (for work inside a branch, when the case
+splices the branch in), so with ``workers > 1`` the rows of concurrent cases
+interleave in the order the cases reach those points. With ``workers: 1``
+the tables are byte-stable.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ from .differential import (
     generate_hypotheses,
     read_cases,
 )
-from .errors import CaseFailure, ConfigError, EmptyCorpusError, EngineError
+from .errors import CaseFailure, EmptyCorpusError, EngineError
 from .evidence import EvidencePackage, build_initial_package
 from .gateway import (
     ChatBackend,
@@ -77,9 +78,11 @@ class Runtime:
 
     Test and fixture code may inject all three backends or none. Injected
     backends replace the config's backend section: nothing is built from it,
-    so no record table is opened (opening one would truncate it). Injected
-    backends stay the caller's to close; if set-up fails after wiring, the
-    backends built here are closed before the error propagates.
+    so no record table is opened (opening one would truncate it). ``close``
+    closes all three backends, injected or wired, so a caller that injects
+    recorders closes them by closing the runtime. If set-up fails, the
+    backends wired here are closed before the error propagates; injected
+    ones are left open, as no runtime was returned to close them.
     """
 
     def __init__(self, config: RunConfig, *, chat_backend: ChatBackend | None = None,

@@ -1,25 +1,26 @@
-"""Fan-out calls and branches: run side by side, committed in sequential order.
+"""Branches: run side by side, committed in sequential order.
 
-Each call site with independent model calls (finding aligns, path
-verbalizations, prune batches, dispatches, one panel round's opinions) makes
-them in one ``Gateway.complete_all``, and each hypothesis's evidence package
-(beside the complexity route) and each hypothesis's panel runs as a
-``Gateway.branches`` branch. These tests pin what that may not change: the
+Every piece of a case's independent work runs as a ``Gateway.branches``
+branch: each call of a fan-out site (finding aligns, path verbalizations,
+prune batches, dispatches, one panel round's opinions), each finding's
+paths, each hypothesis's evidence package (beside the complexity route) and
+each hypothesis's panel. These tests pin what that may not change: the
 trace records, digests, failure stages and recorded table rows of a run
 whose calls are answered out of order, or fail part way through a fan-out
-or a branch, equal those of the same run made one call at a time. A
-replay-labelled backend is that sequential run, since replay answers each
-call inline when it is taken and runs branches one after another.
+or a branch, or run on a saturated pool, equal those of the same run made
+one call at a time. A replay-labelled backend is that sequential run, since
+a replay gateway runs branches inline, one after another.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import re
+import sys
 import threading
 from collections import Counter
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
+from functools import partial
 from time import perf_counter, sleep
 from typing import NamedTuple
 
@@ -31,7 +32,6 @@ from dxcouncil.config import validate_config
 from dxcouncil.differential import read_cases
 from dxcouncil.errors import CaseFailure, TransportError
 from dxcouncil.gateway import (
-    FANOUT,
     LIVE,
     REPLAY,
     Gateway,
@@ -143,21 +143,12 @@ def sequential(tmp_path_factory) -> Outcome:
 
 # -- answered out of order ----------------------------------------------------
 
-class _HeldFuture(Future):
-    def __init__(self, pool: "ReversingPool"):
-        super().__init__()
-        self._pool = pool
-
-    def result(self, timeout=None):
-        self._pool.release()
-        return super().result(timeout=10)
-
-
 class ReversingPool:
-    """Stands in for the gateway's pool. It holds each fan-out's calls until
-    the thread that submitted them first waits for a result, then answers
-    them on a thread of their own, last submitted first; no call's order
-    depends on a sleep."""
+    """Stands in for the gateway's pool. Its futures count as started, so
+    the submitting thread cannot take one back to run itself. It holds each
+    thread's branches until that thread waits on them, then answers them on
+    a thread of their own, last submitted first; no call's order depends on
+    a sleep."""
 
     def __init__(self):
         self._held: dict[int, list] = {}
@@ -165,24 +156,24 @@ class ReversingPool:
         self.threads: list[threading.Thread] = []
 
     def submit(self, fn, *args) -> Future:
-        future = _HeldFuture(self)
+        future = Future()
+        future.set_running_or_notify_cancel()
         with self._lock:
             self._held.setdefault(threading.get_ident(), []).append((future, fn, args))
         return future
 
-    def release(self) -> None:
+    def wait(self, futures):
         with self._lock:
             held = self._held.pop(threading.get_ident(), [])
         if held:
             thread = threading.Thread(target=self._answer, args=(held[::-1],))
             self.threads.append(thread)
             thread.start()
+        return wait(futures, timeout=10)
 
     @staticmethod
     def _answer(calls) -> None:
         for future, fn, args in calls:
-            if not future.set_running_or_notify_cancel():
-                continue
             try:
                 future.set_result(fn(*args))
             except BaseException as exc:
@@ -194,6 +185,7 @@ def test_fan_outs_answered_in_reverse_commit_in_submission_order(
         tmp_path, monkeypatch, sequential, workers):
     pool = ReversingPool()
     monkeypatch.setattr(gateway_module, "_POOL", pool)
+    monkeypatch.setattr(gateway_module, "wait", pool.wait)
     backend = TableBackend(LIVE)
     got = run_recorded(tmp_path, backend, workers)
     for thread in pool.threads:
@@ -546,66 +538,61 @@ def test_a_failed_branch_returns_after_its_siblings_settle_and_keeps_none_of_the
     assert recorded == list(dict.fromkeys(key for key, _ in exchanges[:first_prune]))
 
 
-def test_a_branchs_own_branches_run_inline_on_its_thread():
-    gw = Gateway(TableBackend(LIVE), Trace("nested"))
+# -- a saturated pool ------------------------------------------------------------
 
-    def inner(branch: Gateway) -> int:
-        branch.trace.decision("inner", {})
-        return threading.get_ident()
-
-    def outer(branch: Gateway) -> tuple[int, list[int]]:
-        return threading.get_ident(), branch.branches([inner, inner])
-
-    [(outer_thread, inner_threads)] = gw.branches([outer])
-    assert inner_threads == [outer_thread] * 2
-    assert outer_thread != threading.get_ident()
-    assert [r["decision"] for r in gw.trace.records] == ["inner", "inner"]
+def nest(path: str, depth: int, gw: Gateway) -> str:
+    """A branch that traces its entry, runs three branches of its own until
+    ``depth`` reaches 3, then traces its exit."""
+    gw.trace.decision("enter", {"path": path})
+    if depth < 3:
+        gw.branches([partial(nest, f"{path}.{i}", depth + 1) for i in range(3)])
+    gw.trace.decision("leave", {"path": path})
+    return path
 
 
-# -- stopping early -------------------------------------------------------------
-
-class GatedBackend:
-    """Answers the call for narrative 0 at once and every other call once
-    ``gate`` is set; notes which narratives it was asked about and which
-    keys the gateway recorded."""
-
-    label = LIVE
-
-    def __init__(self):
-        self.gate = threading.Event()
-        self.asked: list[int] = []
-        self.arrived = threading.Condition()
-        self.rows: list[str] = []
-
-    def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
-        number = int(re.search(r"narrative #(\d+)", user).group(1))
-        with self.arrived:
-            self.asked.append(number)
-            self.arrived.notify_all()
-        if number and not self.gate.wait(timeout=10):
-            raise TimeoutError("gate never opened")
-        return '["finding"]'
-
-    def record(self, kind: TaskKind, key: str, response: str) -> None:
-        self.rows.append(key)
-
-
-def test_stopping_early_drops_later_responses_and_cancels_queued_calls(monkeypatch):
-    pool = ThreadPoolExecutor(max_workers=FANOUT)
+@pytest.fixture
+def one_thread_pool(monkeypatch):
+    """The gateway's pool swapped for one of a single thread. It is shut
+    down without joining its thread, so a test whose thread is stuck
+    waiting on queued branches fails on its own timeout instead of hanging
+    in the teardown."""
+    pool = ThreadPoolExecutor(max_workers=1)
     monkeypatch.setattr(gateway_module, "_POOL", pool)
-    backend = GatedBackend()
-    gw = Gateway(backend, Trace("early"))
+    yield pool
+    pool.shutdown(wait=False)
+
+
+def test_branches_nest_three_deep_on_a_one_thread_pool(one_thread_pool):
+    tree = [partial(nest, str(i), 1) for i in range(3)]
+    sequential = Gateway(TableBackend(REPLAY), Trace("nested"))
+    assert sequential.branches(tree) == ["0", "1", "2"]
+
+    gw = Gateway(TableBackend(LIVE), Trace("nested"))
+    # the outer call holds the pool's only thread, so every branch it starts
+    # is queued behind a thread that waits on it
+    assert one_thread_pool.submit(gw.branches, tree).result(timeout=10) == ["0", "1", "2"]
+    assert len(gw.trace.records) == 2 * (3 + 9 + 27)
+    assert gw.trace.records == [dict(r, ts=mine["ts"])
+                                for r, mine in zip(sequential.trace.records, gw.trace.records)]
+
+
+def test_a_one_thread_pool_under_four_workers_runs_the_batch_as_the_sequential_run(
+        tmp_path, one_thread_pool, sequential):
+    outcomes: list[Outcome] = []
+    switch_s = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the case threads more finely
     try:
-        payloads = gw.complete_all(TaskKind.NER, [{"narrative": f"narrative #{i}"}
-                                                  for i in range(2 * FANOUT + 1)])
-        assert next(payloads) == ["finding"]
-        # every pool thread now holds a gated call: narratives 1..FANOUT
-        with backend.arrived:
-            assert backend.arrived.wait_for(lambda: len(backend.asked) == FANOUT + 1,
-                                            timeout=10)
-        payloads.close()
+        batch = threading.Thread(target=lambda: outcomes.append(
+            run_recorded(tmp_path, TableBackend(LIVE), workers=4)))
+        batch.start()
+        batch.join(timeout=60)
     finally:
-        backend.gate.set()
-        pool.shutdown(wait=True)
-    assert sorted(backend.asked) == list(range(FANOUT + 1))
-    assert len(gw.trace.exchanges()) == len(backend.rows) == 1
+        sys.setswitchinterval(switch_s)
+    assert not batch.is_alive()
+    [got] = outcomes
+    assert got.rows == sequential.rows
+    assert got.records == sequential.records
+    for table in ("transcript", "embeddings", "scores"):
+        # concurrent cases interleave their rows in commit order
+        assert sorted(getattr(got, table).splitlines()) == sorted(
+            getattr(sequential, table).splitlines())

@@ -17,3 +17,48 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _names_used(tree: ast.AST) -> set[str]:
+    """Every name the module reads: bare names, the strings of ``__all__``,
+    and names inside string annotations and subscripts (``"Gateway"`` in
+    ``Callable[["Gateway"], T]``)."""
+    used: set[str] = set()
+    typed: list[ast.AST] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation is not None:
+            typed.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns:
+            typed.append(node.returns)
+        elif isinstance(node, ast.Subscript):
+            typed.append(node.slice)
+    for annotation in typed:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    used |= _names_used(ast.parse(node.value, mode="eval"))
+                except SyntaxError:  # a string that is not a type, as in Literal
+                    pass
+    return used
+
+
+def test_package_has_no_unused_imports():
+    package = Path(dxcouncil.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _names_used(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
