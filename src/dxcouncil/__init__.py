@@ -5,7 +5,6 @@ and fully replayable model interactions."""
 from .config import BackendMode, RunConfig, validate_config
 from .deliberation import (
     ComplexityFlag,
-    ComplexityVerdict,
     ConsensusSnapshot,
     FinalReport,
     SpecialistOpinion,
@@ -19,7 +18,7 @@ from .differential import AbnormalEntity, CaseDescription, HypothesisSet, read_c
 from .errors import CaseFailure, ConfigError, EngineError
 from .evidence import EvidencePackage
 from .gateway import Gateway, TaskKind, canonical_key
-from .guidelines import CompositeQuery, GuidelineIndex, RankedSegment
+from .guidelines import GuidelineIndex, RankedSegment
 from .kg import Concept, Edge, KnowledgeGraph, KnowledgePath, load_kg
 from .metrics import MetricsReport, weighted_metrics
 from .runner import Runtime, run_batch, run_case
@@ -33,11 +32,9 @@ __all__ = [
     "CaseDescription",
     "CaseFailure",
     "ComplexityFlag",
-    "ComplexityVerdict",
     "Concept",
     "ConfigError",
     "ConsensusSnapshot",
-    "CompositeQuery",
     "Edge",
     "EngineError",
     "EvidencePackage",

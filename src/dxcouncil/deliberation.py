@@ -86,12 +86,6 @@ class Sufficiency(Enum):
 
 
 @dataclass(frozen=True)
-class ComplexityVerdict:
-    flag: ComplexityFlag
-    rationale: str
-
-
-@dataclass(frozen=True)
 class SpecialistRoster:
     hypothesis: str
     specialties: tuple[str, ...]
@@ -155,7 +149,7 @@ def insufficiency_ratio(opinions: list[SpecialistOpinion]) -> float:
 
 
 def assess_complexity(case: CaseDescription, findings: list[AbnormalEntity],
-                      hypotheses: HypothesisSet, gateway: Gateway) -> ComplexityVerdict:
+                      hypotheses: HypothesisSet, gateway: Gateway) -> ComplexityFlag:
     word = gateway.complete(TaskKind.ASSESS_COMPLEXITY, {
         "narrative": case.narrative,
         "findings": render_findings(findings),
@@ -163,7 +157,7 @@ def assess_complexity(case: CaseDescription, findings: list[AbnormalEntity],
     })
     flag = ComplexityFlag.SIMPLE if word == "SIMPLE" else ComplexityFlag.COMPLEX
     gateway.trace.decision("complexity", {"flag": flag.name})
-    return ComplexityVerdict(flag=flag, rationale=word)
+    return flag
 
 
 def _match_hypothesis(diagnosis: str, hypotheses: HypothesisSet) -> str:

@@ -155,7 +155,7 @@ def generate_hypotheses(case: CaseDescription, findings: list[AbnormalEntity],
         "narrative": case.narrative,
         "findings": render_findings(findings),
         "k_max": str(k_max),
-    }, max_items=k_max)
+    })
     deduped: list[str] = []
     folded: set[str] = set()
     for item in items:

@@ -21,7 +21,7 @@ from .backends import CrossScorer
 from .differential import AbnormalEntity, CaseDescription, align_mentions
 from .errors import HypothesisMismatchError, InvariantError
 from .gateway import Gateway, TaskKind
-from .guidelines import CompositeQuery, GuidelineIndex, RankedSegment, g_ret
+from .guidelines import GuidelineIndex, RankedSegment, composite_query, g_ret
 from .kg import KnowledgeGraph, KnowledgePath, normalize_term, verbalize_path
 
 PRUNE_BATCH = 8
@@ -92,7 +92,7 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
             "guidelines": guideline_text,
             "paths": "\n".join(f"{i}. {p.verbalization}" for i, p in enumerate(batch, start=1)),
             "path_count": str(len(batch)),
-        }, expected_bits=len(batch))
+        })
         gw.trace.prune_batch(batch_index=batch_index, size=len(batch),
                              bits=list(bits), guideline_ids=list(context_ids))
         return bits
@@ -129,8 +129,7 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
                           h_max: int = 3, batch_size: int = PRUNE_BATCH,
                           ) -> EvidencePackage:
     """Assemble the iteration-0 package for one hypothesis."""
-    query = CompositeQuery.compose(hypothesis,
-                                   [f.concept.preferred_name for f in findings])
+    query = composite_query(hypothesis, [f.concept.preferred_name for f in findings])
     excerpts = g_ret(index, query, scorer, gateway.trace, k=k, n=n)
     # a hypothesis the aligner cannot pin to a disease concept gets
     # guideline excerpts only
@@ -161,14 +160,14 @@ def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntit
                              batch_size: int = PRUNE_BATCH) -> EvidencePackage:
     """Run refinement queries and package what they bring back.
 
-    Each query text stands in for the composite rendering in retrieval. Path
+    Each query's own text is the retrieval query, where the initial package
+    retrieves with the composite query of hypothesis and findings. Path
     enumeration re-runs only for findings a query names (normalized name or
     synonym substring); the disease side is the hypothesis's own concept.
     """
     excerpts: list[RankedSegment] = []
     seen_segments: set[str] = set()
-    for query_text in queries:
-        query = CompositeQuery.raw(base.hypothesis, query_text)
+    for query in queries:
         for seg in g_ret(index, query, scorer, gateway.trace, k=k, n=n):
             if seg.segment.segment_id not in seen_segments:
                 seen_segments.add(seg.segment.segment_id)

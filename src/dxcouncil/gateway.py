@@ -2,9 +2,11 @@
 
 Every call renders its task's template, hashes the canonical form of the
 prompt, dispatches it to the backend, appends the exchange to the case
-trace, and parses the response. The canonical key is stable under
-trailing-whitespace and line-ending drift, which is what lets a transcript
-recorded on one machine replay anywhere.
+trace, and parses the response against the variables the prompt was
+rendered from. The canonical key is stable under trailing-whitespace and
+line-ending drift, which is what lets a transcript recorded on one machine
+replay anywhere. In record mode the backend is a ``RecordingBackend``, which
+writes each response to the transcript as it returns it.
 
 ``Gateway.branches`` is the one way a case runs independent work side by
 side: the calls of a fan-out site (a case's finding aligns, a finding's path
@@ -160,15 +162,15 @@ class TranscriptRecorder:
 
 
 class RecordingBackend:
-    """Wraps a backend; the gateway writes every (canonical_key, response)
-    pair it receives through ``record``.
+    """Wraps a backend and writes every (canonical_key, response) pair it
+    receives through its ``TranscriptRecorder`` before returning it.
 
-    ``respond`` only asks the inner backend. The gateway records each
-    response before checking it, so empty and malformed responses are
-    recorded too. A call made inside a branch has its row held and written
-    when the branch is spliced into its case, so the transcript holds the
-    rows of a sequential run in that run's order, and no row for a call
-    made after the first failing branch.
+    The gateway checks a response only after ``respond`` returns, so empty
+    and malformed responses are recorded too. A call made inside a branch
+    has its row held (see ``jsonl.holding``) and written when the branch is
+    spliced into its case, so the transcript holds the rows of a sequential
+    run in that run's order, and no row for a call made after the first
+    failing branch.
     """
 
     def __init__(self, inner: ChatBackend, recorder: TranscriptRecorder):
@@ -180,10 +182,9 @@ class RecordingBackend:
         return self._inner.label
 
     def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
-        return self._inner.respond(kind, system, user, key)
-
-    def record(self, kind: TaskKind, key: str, response: str) -> None:
+        response = self._inner.respond(kind, system, user, key)
         self._recorder.record(key, kind.value, response)
+        return response
 
     def close(self) -> None:
         self._recorder.close()
@@ -243,18 +244,15 @@ class Gateway:
         self.backend = backend
         self.trace = trace
         self._label = backend.label
-        # found by attribute so that no no-op hook is called through a
-        # wrapper that counts every method call as a backend request
-        self._record = getattr(backend, "record", None)
 
-    def complete(self, kind: TaskKind, variables: dict[str, str], *,
-                 max_items: int | None = None,
-                 expected_bits: int | None = None) -> object:
+    def complete(self, kind: TaskKind, variables: dict[str, str]) -> object:
         """Run one model call and return ``parse_judgment``'s payload.
 
-        The response is recorded (by a backend that has ``record``) before
-        it is checked for emptiness, traced and parsed, so a response that
-        breaks its task's grammar is still recorded and traced.
+        A response is checked for emptiness, traced and parsed only after
+        the backend returns it (a recording backend has recorded it by
+        then), so a response that breaks its task's grammar is still
+        recorded and traced. A bounded task's bound is read from
+        ``variables``, the values its prompt states.
         """
         system, user = get_template(kind).render(variables)
         rendered = system + "\n\n" + user
@@ -265,14 +263,11 @@ class Gateway:
             raise
         except Exception as exc:
             raise GatewayError(f"backend failure on task {kind.value!r}: {exc}") from exc
-        if self._record is not None:
-            self._record(kind, key, response)
         if not response.strip():
             raise EmptyResponseError(f"empty response for task {kind.value!r}")
         self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
                             response=response, backend=self._label)
-        return parse_judgment(kind, response, max_items=max_items,
-                              expected_bits=expected_bits)
+        return parse_judgment(kind, response, variables)
 
     def branches(self, tasks: list[Callable[["Gateway"], T]]) -> list[T]:
         """Run independent pieces of this case's work and return each one's

@@ -1,26 +1,27 @@
 """Guideline corpus index and the two-stage retrieval pipeline.
 
-Stage one embeds a composite query and takes the top-k segments by cosine
-similarity; stage two rescores those candidates with one cross-scorer call
-and keeps the top-n. Embeddings are unit-normalized at ingest so cosine is a
-plain dot product. Ties at both stages break by ascending segment id, which
-keeps ranked lists byte-stable for replay.
+Retrieval takes the query as plain text: the composite query of a
+hypothesis and its findings for an initial package, a refinement query's own
+text for a supplement. Stage one embeds the query and takes the top-k
+segments by cosine similarity; stage two rescores those candidates with one
+cross-scorer call and keeps the top-n; a segment has a ``rerank_score``
+exactly when it was rescored. Embeddings are unit-normalized at ingest so
+cosine is a plain dot product. Ties at both stages break by ascending
+segment id, which keeps ranked lists byte-stable for replay.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from pathlib import Path
 from typing import TextIO
 
 import numpy as np
 
-from .backends import CrossScorer, Embedder, checked_scores
+from .backends import CrossScorer, Embedder, checked_scores, checked_vectors
 from .errors import (
     CorpusError,
     DimensionMismatchError,
-    EmbeddingCountError,
     EmptyCandidatesError,
     EmptyCorpusError,
     EmptyIndexError,
@@ -38,44 +39,18 @@ class GuidelineSegment:
     embedding: np.ndarray | None = None
 
 
-class Stage(Enum):
-    DENSE_ONLY = "dense_only"
-    RERANKED = "reranked"
-
-
 @dataclass(frozen=True)
 class RankedSegment:
     segment: GuidelineSegment
     dense_score: float
     rerank_score: float | None = None
-    stage: Stage = Stage.DENSE_ONLY
-
-    def __post_init__(self):
-        if self.stage is Stage.RERANKED and self.rerank_score is None:
-            raise ValueError("a reranked segment needs a rerank score")
 
 
-@dataclass(frozen=True)
-class CompositeQuery:
-    """The retrieval query for one hypothesis.
-
-    The canonical rendering is ``"<hypothesis> | findings: <n1>; <n2>; ..."``
-    with findings in extraction order; refinement queries substitute raw
-    query text for the rendering.
-    """
-
-    hypothesis: str
-    findings: tuple[str, ...]
-    rendered: str
-
-    @classmethod
-    def compose(cls, hypothesis: str, finding_names: list[str]) -> "CompositeQuery":
-        rendered = f"{hypothesis} | findings: " + "; ".join(finding_names)
-        return cls(hypothesis, tuple(finding_names), rendered)
-
-    @classmethod
-    def raw(cls, hypothesis: str, query_text: str) -> "CompositeQuery":
-        return cls(hypothesis, (), query_text)
+def composite_query(hypothesis: str, finding_names: list[str]) -> str:
+    """The retrieval query for one hypothesis:
+    ``"<hypothesis> | findings: <n1>; <n2>; ..."``, findings in extraction
+    order."""
+    return f"{hypothesis} | findings: " + "; ".join(finding_names)
 
 
 def read_corpus(source: str | Path | TextIO) -> list[GuidelineSegment]:
@@ -113,7 +88,8 @@ class GuidelineIndex:
         return list(self._segments)
 
     def embed_query(self, text: str) -> np.ndarray:
-        vec = np.asarray(self._embedder.embed([text])[0], dtype=float)
+        [vec] = checked_vectors(self._embedder.embed([text]), [text])
+        vec = np.asarray(vec, dtype=float)
         if vec.shape[0] != self.dim:
             raise DimensionMismatchError(
                 f"query embedding dim {vec.shape[0]} != index dim {self.dim}")
@@ -135,10 +111,9 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
     """
     if not segments:
         raise EmptyCorpusError("corpus contains no segments")
-    vectors = [np.asarray(vec, dtype=float) for vec in embedder.embed([s.text for s in segments])]
-    if len(vectors) != len(segments):
-        raise EmbeddingCountError(
-            f"embedder returned {len(vectors)} vectors for {len(segments)} segments")
+    texts = [s.text for s in segments]
+    vectors = [np.asarray(vec, dtype=float)
+               for vec in checked_vectors(embedder.embed(texts), texts)]
     dim = vectors[0].shape[0]
     stored: list[GuidelineSegment] = []
     for segment, vec in zip(segments, vectors):
@@ -149,13 +124,13 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
     return GuidelineIndex(stored, embedder, dim)
 
 
-def dense_retrieve(index: GuidelineIndex, query: CompositeQuery, k: int) -> list[RankedSegment]:
+def dense_retrieve(index: GuidelineIndex, query: str, k: int) -> list[RankedSegment]:
     """Top-k segments by cosine similarity, ties by ascending segment id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if index.segment_count == 0:
         raise EmptyIndexError("cannot retrieve from an empty index")
-    q = index.embed_query(query.rendered)
+    q = index.embed_query(query)
     scored = [
         RankedSegment(segment=s, dense_score=float(np.dot(s.embedding, q)))
         for s in index.segments()
@@ -164,7 +139,7 @@ def dense_retrieve(index: GuidelineIndex, query: CompositeQuery, k: int) -> list
     return scored[:k]
 
 
-def rerank(candidates: list[RankedSegment], query: CompositeQuery,
+def rerank(candidates: list[RankedSegment], query: str,
            scorer: CrossScorer, n: int) -> list[RankedSegment]:
     """Cross-score every candidate in one scorer call and keep the top-n.
 
@@ -177,25 +152,25 @@ def rerank(candidates: list[RankedSegment], query: CompositeQuery,
         raise EmptyCandidatesError("no candidates to rerank")
     texts = [cand.segment.text for cand in candidates]
     try:
-        scores = [float(score) for score in scorer.score(query.rendered, texts)]
+        scores = [float(score) for score in scorer.score(query, texts)]
     except Exception as exc:
         raise RerankError(f"cross-scoring {len(texts)} candidates failed: {exc}") from exc
-    rescored = [replace(cand, rerank_score=score, stage=Stage.RERANKED)
+    rescored = [replace(cand, rerank_score=score)
                 for cand, score in zip(candidates, checked_scores(scores, texts))]
     rescored.sort(key=lambda r: (-r.rerank_score, r.segment.segment_id))
     return rescored[:n]
 
 
-def g_ret(index: GuidelineIndex, query: CompositeQuery, scorer: CrossScorer,
+def g_ret(index: GuidelineIndex, query: str, scorer: CrossScorer,
           trace: Trace, k: int = 8, n: int = 4) -> list[RankedSegment]:
     """The full two-stage retrieval: dense top-k, then reranked top-n.
 
-    Records the rendered query and both ranked stages in the trace.
+    Records the query and both ranked stages in the trace.
     """
     dense = dense_retrieve(index, query, k)
     ranked = rerank(dense, query, scorer, n)
     trace.retrieval(
-        query=query.rendered,
+        query=query,
         dense=[{"segment_id": r.segment.segment_id, "dense_score": r.dense_score}
                for r in dense],
         reranked=[{"segment_id": r.segment.segment_id, "dense_score": r.dense_score,

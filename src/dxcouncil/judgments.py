@@ -87,13 +87,13 @@ def _parse_report(text: str, with_diagnosis: bool) -> dict:
     return {k: obj[k] for k in sorted(required)}
 
 
-def parse_judgment(kind: TaskKind, response_text: str, *,
-                   max_items: int | None = None,
-                   expected_bits: int | None = None) -> object:
+def parse_judgment(kind: TaskKind, response_text: str,
+                   variables: dict[str, str]) -> object:
     """Parse a response against its task's grammar and return its payload.
 
-    max_items bounds list-valued tasks (differential size, refinement
-    queries); expected_bits pins the pruning bit count to the batch size.
+    ``variables`` are the values the prompt was rendered from; a bounded
+    task reads its bound there, as the prompt states it: the differential
+    size from ``k_max`` and the pruning bit count from ``path_count``.
     """
     text = response_text.strip()
 
@@ -109,9 +109,10 @@ def parse_judgment(kind: TaskKind, response_text: str, *,
 
     if kind is TaskKind.HYPOTHESIZE:
         items = _string_array(text)
-        if max_items is not None and len(items) > max_items:
+        k_max = int(variables["k_max"])
+        if len(items) > k_max:
             raise CardinalityError(
-                f"{len(items)} diagnoses exceed the maximum of {max_items}", span=text)
+                f"{len(items)} diagnoses exceed the maximum of {k_max}", span=text)
         return items
 
     if kind is TaskKind.VERBALIZE:
@@ -124,9 +125,10 @@ def parse_judgment(kind: TaskKind, response_text: str, *,
         if any(t not in ("0", "1") for t in tokens):
             raise JudgmentParseError("expected comma-separated 0/1 digits", span=text)
         bits = tuple(int(t) for t in tokens)
-        if expected_bits is not None and len(bits) != expected_bits:
+        path_count = int(variables["path_count"])
+        if len(bits) != path_count:
             raise JudgmentLengthError(
-                f"got {len(bits)} judgments for a batch of {expected_bits}", span=text)
+                f"got {len(bits)} judgments for a batch of {path_count}", span=text)
         return bits
 
     if kind is TaskKind.ASSESS_COMPLEXITY:
@@ -135,11 +137,7 @@ def parse_judgment(kind: TaskKind, response_text: str, *,
         return text
 
     if kind is TaskKind.DISPATCH:
-        items = _string_array(text)
-        if max_items is not None and len(items) > max_items:
-            raise CardinalityError(
-                f"{len(items)} specialties exceed the maximum of {max_items}", span=text)
-        return items
+        return _string_array(text)
 
     if kind is TaskKind.SPECIALIST_OPINION:
         return _parse_opinion(text)
@@ -148,11 +146,9 @@ def parse_judgment(kind: TaskKind, response_text: str, *,
         items = _string_array(text)
         if not items:
             raise EmptyQueryListError("refinement produced no queries")
-        limit = 3 if max_items is None else max_items
-        if len(items) > limit:
+        if len(items) > 3:
             raise CardinalityError(
-                f"{len(items)} refinement queries exceed the maximum of {limit}",
-                span=text)
+                f"{len(items)} refinement queries exceed the maximum of 3", span=text)
         return items
 
     if kind is TaskKind.INTERIM_CONSENSUS:

@@ -26,6 +26,7 @@ from .errors import (
     VerbalizationError,
 )
 from .jsonl import open_lines
+from .templates import TaskKind
 
 _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
@@ -357,8 +358,6 @@ def verbalize_path(paths: list[KnowledgePath], gw) -> list[KnowledgePath]:
     gateway branch; the result holds, in order, new paths with the
     verbalization set.
     """
-    from .gateway import TaskKind
-
     def verbalize(path: KnowledgePath, gw) -> KnowledgePath:
         chain = path.describe()
         try:

@@ -138,8 +138,7 @@ def trace_path_for(config: RunConfig, case_id: str) -> Path:
     return config.output_dir / f"{case_id}.trace.jsonl"
 
 
-def run_case(runtime: Runtime, case: CaseDescription,
-             write_trace: bool = True) -> tuple[FinalReport, Trace]:
+def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trace]:
     """Run one case through the whole workflow.
 
     On failure the partial trace is still flushed to disk before the error
@@ -166,8 +165,8 @@ def run_case(runtime: Runtime, case: CaseDescription,
             # failure here is the route's own, not the evidence stage's
             route_stage = "route"
             try:
-                verdict = assess_complexity(case, findings, hypotheses, gw)
-                if verdict.flag is ComplexityFlag.SIMPLE:
+                flag = assess_complexity(case, findings, hypotheses, gw)
+                if flag is ComplexityFlag.SIMPLE:
                     return None
                 route_stage = "dispatch"
                 return dispatch_specialists(case, findings, hypotheses, gw,
@@ -199,9 +198,8 @@ def run_case(runtime: Runtime, case: CaseDescription,
     except EngineError as exc:
         raise CaseFailure(case.case_id, stage, exc) from exc
     finally:
-        if write_trace:
-            config.output_dir.mkdir(parents=True, exist_ok=True)
-            trace.write(trace_path_for(config, case.case_id))
+        config.output_dir.mkdir(parents=True, exist_ok=True)
+        trace.write(trace_path_for(config, case.case_id))
 
 
 def resolve_diagnosis_label(graph: KnowledgeGraph, text: str) -> str | None:

@@ -26,7 +26,7 @@ from dxcouncil.deliberation import (Stance, Sufficiency, SpecialistOpinion,
                                     consensus_score, insufficiency_ratio)
 from dxcouncil.differential import AbnormalEntity, CaseDescription, read_cases
 from dxcouncil.evidence import build_initial_package
-from dxcouncil.guidelines import (CompositeQuery, GuidelineSegment,
+from dxcouncil.guidelines import (GuidelineSegment, composite_query,
                                   dense_retrieve, ingest_corpus, rerank)
 from dxcouncil.judgments import TaskKind
 from dxcouncil.metrics import weighted_metrics
@@ -159,9 +159,9 @@ def test_two_stage_retrieval_matches_brute_force_ranking():
 
     scorer = TableScorer()
     for j in range(50):
-        query = CompositeQuery.compose(
+        query = composite_query(
             f"Q{j}", [f"marker {j % 7}", f"pathway {j % 5}"])
-        qvec = np.asarray(embedder.embed([query.rendered])[0], dtype=float)
+        qvec = np.asarray(embedder.embed([query])[0], dtype=float)
         qvec = qvec / np.linalg.norm(qvec)
         oracle_dense = sorted(
             ((round(float(np.dot(unit[s.segment_id], qvec)), 12), s.segment_id)

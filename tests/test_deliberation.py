@@ -96,8 +96,7 @@ def test_complexity_verdict_parsed_and_traced():
                        ("COMPLEX", ComplexityFlag.COMPLEX)):
         trace = Trace("t")
         gw = scripted_gateway([(TaskKind.ASSESS_COMPLEXITY, "", word)], trace)
-        verdict = assess_complexity(CASE, [], HypothesisSet(("A", "B")), gw)
-        assert verdict.flag is flag
+        assert assess_complexity(CASE, [], HypothesisSet(("A", "B")), gw) is flag
         [decision] = trace.decisions("complexity")
         assert decision["payload"] == {"flag": flag.name}
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import replace
 
@@ -70,6 +71,18 @@ def batch_pruner(bit_rows: list[str]):
 
     def respond(system: str, user: str) -> str:
         return queue.popleft()
+
+    return respond
+
+
+def path_pruner(bits: list[int]):
+    """Answers each prune call with the bits of the paths its prompt lists,
+    found by their ``explanation {i}`` lines (see ``parallel_paths``), so
+    batches judged side by side may arrive in any order."""
+
+    def respond(system: str, user: str) -> str:
+        listed = re.findall(r"^\d+\. explanation (\d+)$", user, flags=re.MULTILINE)
+        return ",".join(str(bits[int(i)]) for i in listed)
 
     return respond
 
@@ -176,9 +189,7 @@ def test_rejected_paths_leave_the_valid_set_but_stay_in_the_audit():
 ])
 def test_batch_split_sizes(n_paths, expected_sizes):
     trace = Trace("batching")
-    gw = scripted_gateway(
-        [(TaskKind.PRUNE, "", batch_pruner([",".join(["1"] * s)
-                                            for s in expected_sizes]))], trace)
+    gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner([1] * n_paths))], trace)
     valid, rejected = prune_paths(parallel_paths(n_paths), CASE, [], gw)
     assert len(trace.exchanges(task="prune")) == len(expected_sizes)
     records = [r for r in trace.records if r["type"] == "prune_batch"]
@@ -198,9 +209,7 @@ def test_a_batch_wider_than_eight_is_one_prune_call():
 def test_prune_filter_matches_hand_oracle():
     paths = parallel_paths(11)
     bits = [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1]
-    rows = [",".join(str(b) for b in bits[:8]),
-            ",".join(str(b) for b in bits[8:])]
-    gw = scripted_gateway([(TaskKind.PRUNE, "", batch_pruner(rows))])
+    gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner(bits))])
     valid, rejected = prune_paths(paths, CASE, [], gw)
     want_valid = [p for p, b in zip(paths, bits) if b == 1]
     want_rejected = [p for p, b in zip(paths, bits) if b == 0]
@@ -233,10 +242,8 @@ def test_unverbalized_path_rejected_up_front():
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=20))
 def test_pruning_partitions_the_enumerated_paths(bits):
     paths = parallel_paths(len(bits))
-    rows = [",".join(str(b) for b in bits[i:i + 8])
-            for i in range(0, len(bits), 8)]
     trace = Trace("partition")
-    gw = scripted_gateway([(TaskKind.PRUNE, "", batch_pruner(rows))], trace)
+    gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner(bits))], trace)
     valid, rejected = prune_paths(paths, CASE, [], gw)
     assert len(valid) + len(rejected) == len(paths)
     assert {p.edge_key() for p in valid}.isdisjoint(

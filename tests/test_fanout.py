@@ -447,7 +447,7 @@ def case_10_wall_s(tmp_path, delay_s: float) -> tuple[float, int]:
     runtime = fixture_runtime(config, backend)
     try:
         start = perf_counter()
-        _, trace = run_case(runtime, case_10(config), write_trace=False)
+        _, trace = run_case(runtime, case_10(config))
         wall_s = perf_counter() - start
     finally:
         runtime.close()
@@ -477,7 +477,7 @@ def test_replay_answers_every_call_inline_on_the_callers_thread(tmp_path):
     backend = TableBackend(REPLAY)
     runtime = fixture_runtime(config, backend)
     try:
-        run_case(runtime, case_10(config), write_trace=False)
+        run_case(runtime, case_10(config))
     finally:
         runtime.close()
     assert len(backend.calls) == 42
@@ -518,7 +518,7 @@ def test_a_failed_branch_returns_after_its_siblings_settle_and_keeps_none_of_the
                                                        TranscriptRecorder(transcript)))
     try:
         with pytest.raises(CaseFailure) as failure:
-            run_case(runtime, case_10(config), write_trace=False)
+            run_case(runtime, case_10(config))
         # the route branch was still waiting on its dispatches when the
         # first evidence branch failed
         dispatched = len(backend.dispatched)

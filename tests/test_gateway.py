@@ -192,8 +192,8 @@ def test_complete_returns_the_parsed_payload_and_traces_a_malformed_response():
     assert gw.complete(TaskKind.ASSESS_COMPLEXITY, variables) == "SIMPLE"
     prune = {"narrative": "n", "guidelines": "g", "paths": "p", "path_count": "3"}
     with pytest.raises(JudgmentLengthError):
-        gw.complete(TaskKind.PRUNE, prune, expected_bits=3)
-    assert gw.complete(TaskKind.PRUNE, prune, expected_bits=2) == (1, 0)
+        gw.complete(TaskKind.PRUNE, prune)
+    assert gw.complete(TaskKind.PRUNE, dict(prune, path_count="2")) == (1, 0)
     # a response outside its grammar is in the trace before the error surfaces
     gw = scripted_gateway([(TaskKind.ASSESS_COMPLEXITY, "", "MAYBE")], trace)
     with pytest.raises(JudgmentParseError):

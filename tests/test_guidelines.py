@@ -21,10 +21,9 @@ from dxcouncil.errors import (
     ScoreCountError,
 )
 from dxcouncil.guidelines import (
-    CompositeQuery,
     GuidelineIndex,
     GuidelineSegment,
-    Stage,
+    composite_query,
     dense_retrieve,
     g_ret,
     ingest_corpus,
@@ -94,7 +93,7 @@ def test_ingest_rejects_a_short_vector_list():
         def embed(self, texts):
             return [np.ones(4) for _ in texts[1:]]
 
-    with pytest.raises(EmbeddingCountError, match="returned 4 vectors for 5 segments"):
+    with pytest.raises(EmbeddingCountError, match="returned 4 vectors for 5 texts"):
         ingest_corpus(segs(5), ShortEmbedder())
 
 
@@ -119,14 +118,14 @@ def test_self_similarity_is_one_and_negation_minus_one():
               GuidelineSegment("b", "d", "other text")]
     index = ingest_corpus(corpus, VectorTableEmbedder(
         dict(table, **{"q": table["the exact segment"]}), 3))
-    hit = dense_retrieve(index, CompositeQuery.raw("h", "q"), k=1)[0]
+    hit = dense_retrieve(index, "q", k=1)[0]
     assert hit.segment.segment_id == "a"
     assert abs(hit.dense_score - 1.0) < 1e-9
 
     neg = ingest_corpus(corpus, VectorTableEmbedder(
         dict(table, **{"q": [-1.0, -2.0, -3.0]}), 3))
     scores = {r.segment.segment_id: r.dense_score
-              for r in dense_retrieve(neg, CompositeQuery.raw("h", "q"), k=2)}
+              for r in dense_retrieve(neg, "q", k=2)}
     assert abs(scores["a"] - (-1.0)) < 1e-9
 
 
@@ -139,9 +138,9 @@ def test_query_dimension_checked():
 
 def test_k_larger_than_corpus_returns_everything():
     index = ingest_corpus(segs(3), HashEmbedder(dim=8))
-    out = dense_retrieve(index, CompositeQuery.compose("h", ["f"]), k=8)
+    out = dense_retrieve(index, composite_query("h", ["f"]), k=8)
     assert len(out) == 3
-    assert all(r.stage is Stage.DENSE_ONLY for r in out)
+    assert all(r.rerank_score is None for r in out)
 
 
 def test_dense_ranking_matches_cosine_sort_oracle():
@@ -149,9 +148,9 @@ def test_dense_ranking_matches_cosine_sort_oracle():
     index = ingest_corpus(corpus, HashEmbedder(dim=24))
     embedder = HashEmbedder(dim=24)
     for qi in range(10):
-        query = CompositeQuery.raw("h", f"query text {qi}")
+        query = f"query text {qi}"
         got = dense_retrieve(index, query, k=8)
-        q = embedder.embed([query.rendered])[0]
+        q = embedder.embed([query])[0]
         q = q / np.linalg.norm(q)
         oracle = []
         for seg in corpus:
@@ -172,17 +171,17 @@ def test_dense_tie_break_is_ascending_segment_id():
 
     index = ingest_corpus([GuidelineSegment(s, "d", f"text {s}")
                            for s in ["z9", "a1", "m5"]], ConstantEmbedder())
-    out = dense_retrieve(index, CompositeQuery.raw("h", "q"), k=3)
+    out = dense_retrieve(index, "q", k=3)
     assert [r.segment.segment_id for r in out] == ["a1", "m5", "z9"]
 
 
 def test_empty_index_and_bad_k():
     index = GuidelineIndex([], HashEmbedder(dim=8), 8)
     with pytest.raises(EmptyIndexError):
-        dense_retrieve(index, CompositeQuery.raw("h", "q"), k=1)
+        dense_retrieve(index, "q", k=1)
     full = ingest_corpus(segs(2), HashEmbedder(dim=8))
     with pytest.raises(ValueError):
-        dense_retrieve(full, CompositeQuery.raw("h", "q"), k=0)
+        dense_retrieve(full, "q", k=0)
 
 
 class ScriptScorer:
@@ -197,7 +196,7 @@ class ScriptScorer:
 
 def test_rerank_matches_sort_oracle_over_scripted_scores():
     index = ingest_corpus(segs(8), HashEmbedder(dim=8))
-    query = CompositeQuery.raw("h", "q")
+    query = "q"
     candidates = dense_retrieve(index, query, k=8)
     table = {c.segment.text: float(i % 5) for i, c in enumerate(candidates)}
     got = rerank(candidates, query, ScriptScorer(table), n=4)
@@ -206,13 +205,13 @@ def test_rerank_matches_sort_oracle_over_scripted_scores():
     assert [r.segment.segment_id for r in got] == \
         [c.segment.segment_id for c in oracle[:4]]
     for r in got:
-        assert r.stage is Stage.RERANKED
+        assert r.rerank_score is not None
         assert r.rerank_score == table[r.segment.text]
 
 
 def test_one_rerank_is_one_scorer_call_over_every_candidate():
     index = ingest_corpus(segs(8), HashEmbedder(dim=8))
-    query = CompositeQuery.raw("h", "q")
+    query = "q"
     candidates = dense_retrieve(index, query, k=8)
     scorer = ScriptScorer({c.segment.text: 1.0 for c in candidates})
     rerank(candidates, query, scorer, n=4)
@@ -224,7 +223,7 @@ def test_one_rerank_is_one_scorer_call_over_every_candidate():
                          ids=["short", "long"])
 def test_rerank_rejects_a_score_count_that_differs_from_the_candidates(miscount):
     index = ingest_corpus(segs(8), HashEmbedder(dim=8))
-    query = CompositeQuery.raw("h", "q")
+    query = "q"
     candidates = dense_retrieve(index, query, k=8)
 
     class MiscountingScorer:
@@ -238,7 +237,7 @@ def test_rerank_rejects_a_score_count_that_differs_from_the_candidates(miscount)
 
 def test_rerank_preserves_dense_scores_and_reverses_on_negation():
     index = ingest_corpus(segs(6), HashEmbedder(dim=8))
-    query = CompositeQuery.raw("h", "q")
+    query = "q"
     candidates = dense_retrieve(index, query, k=6)
     dense_order = [c.segment.segment_id for c in candidates]
     dense_scores = {c.segment.segment_id: c.dense_score for c in candidates}
@@ -257,7 +256,7 @@ def test_rerank_preserves_dense_scores_and_reverses_on_negation():
 
 def test_rerank_errors():
     index = ingest_corpus(segs(3), HashEmbedder(dim=8))
-    query = CompositeQuery.raw("h", "q")
+    query = "q"
     candidates = dense_retrieve(index, query, k=3)
     with pytest.raises(EmptyCandidatesError):
         rerank([], query, LexicalOverlapScorer(), n=2)
@@ -274,7 +273,7 @@ def test_rerank_errors():
 
 def test_two_stage_pipeline_bounds_and_containment():
     index = ingest_corpus(segs(12), HashEmbedder(dim=16))
-    query = CompositeQuery.compose("Condition", ["finding one", "finding two"])
+    query = composite_query("Condition", ["finding one", "finding two"])
     trace = Trace("t")
     out = g_ret(index, query, LexicalOverlapScorer(), k=8, n=4, trace=trace)
     assert len(out) <= 4
@@ -291,7 +290,7 @@ def test_two_stage_pipeline_bounds_and_containment():
 
 def test_small_corpus_flows_through_both_stages():
     index = ingest_corpus(segs(3), HashEmbedder(dim=8))
-    out = g_ret(index, CompositeQuery.compose("h", ["f"]),
+    out = g_ret(index, composite_query("h", ["f"]),
                 LexicalOverlapScorer(), Trace("t"), k=8, n=4)
     assert len(out) == 3
 
@@ -299,7 +298,7 @@ def test_small_corpus_flows_through_both_stages():
 def test_retrieval_is_byte_stable_across_runs():
     def run():
         index = ingest_corpus(segs(20), HashEmbedder(dim=16))
-        out = g_ret(index, CompositeQuery.compose("Condition", ["sign"]),
+        out = g_ret(index, composite_query("Condition", ["sign"]),
                     LexicalOverlapScorer(), Trace("t"), k=8, n=4)
         return [(r.segment.segment_id, r.dense_score, r.rerank_score) for r in out]
 
@@ -310,6 +309,6 @@ def test_retrieval_is_byte_stable_across_runs():
        st.integers(min_value=1, max_value=4))
 def test_result_size_never_exceeds_limits(n_segs, k, n):
     index = ingest_corpus(segs(n_segs), HashEmbedder(dim=8))
-    out = g_ret(index, CompositeQuery.raw("h", "query"),
+    out = g_ret(index, "query",
                 LexicalOverlapScorer(), Trace("t"), k=k, n=n)
     assert len(out) == min(n, min(k, n_segs))

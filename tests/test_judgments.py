@@ -18,8 +18,8 @@ from dxcouncil.judgments import parse_judgment
 from dxcouncil.templates import TaskKind
 
 
-def payload(kind, text, **kwargs):
-    return parse_judgment(kind, text, **kwargs)
+def payload(kind, text, **variables):
+    return parse_judgment(kind, text, variables)
 
 
 # -- list grammars -----------------------------------------------------------
@@ -42,20 +42,18 @@ def test_ner_rejects_non_arrays_and_non_strings():
 
 def test_differential_of_three_within_limit_four():
     assert payload(TaskKind.HYPOTHESIZE, '["PBC", "AIH", "DILI"]',
-                   max_items=4) == ["PBC", "AIH", "DILI"]
+                   k_max="4") == ["PBC", "AIH", "DILI"]
 
 
 def test_differential_of_five_over_limit_four():
     five = json.dumps(["A", "B", "C", "D", "E"])
     with pytest.raises(CardinalityError):
-        payload(TaskKind.HYPOTHESIZE, five, max_items=4)
+        payload(TaskKind.HYPOTHESIZE, five, k_max="4")
 
 
 def test_dispatch_list_and_cap():
-    assert payload(TaskKind.DISPATCH, '["Hepatology", "Immunology"]',
-                   max_items=4) == ["Hepatology", "Immunology"]
-    with pytest.raises(CardinalityError):
-        payload(TaskKind.DISPATCH, json.dumps(["A", "B", "C"]), max_items=2)
+    assert payload(TaskKind.DISPATCH, '["Hepatology", "Immunology"]') \
+        == ["Hepatology", "Immunology"]
 
 
 def test_refinement_queries_bounded_one_to_three():
@@ -94,14 +92,14 @@ def test_complexity_two_words_only():
 
 def test_prune_bits_parse_and_length_check():
     assert payload(TaskKind.PRUNE, "1,0,1,1,0,0,1,0",
-                   expected_bits=8) == (1, 0, 1, 1, 0, 0, 1, 0)
-    assert payload(TaskKind.PRUNE, "1, 0 , 1", expected_bits=3) == (1, 0, 1)
+                   path_count="8") == (1, 0, 1, 1, 0, 0, 1, 0)
+    assert payload(TaskKind.PRUNE, "1, 0 , 1", path_count="3") == (1, 0, 1)
     with pytest.raises(JudgmentLengthError):
-        payload(TaskKind.PRUNE, "1,0", expected_bits=3)
+        payload(TaskKind.PRUNE, "1,0", path_count="3")
     with pytest.raises(JudgmentParseError):
-        payload(TaskKind.PRUNE, "1,2,0", expected_bits=3)
+        payload(TaskKind.PRUNE, "1,2,0", path_count="3")
     with pytest.raises(JudgmentParseError):
-        payload(TaskKind.PRUNE, "10", expected_bits=2)
+        payload(TaskKind.PRUNE, "10", path_count="2")
 
 
 # -- object grammars ---------------------------------------------------------
@@ -176,13 +174,13 @@ def test_interim_report_is_report_only():
 
 @given(st.lists(st.text(min_size=1).filter(str.strip), min_size=1, max_size=4))
 def test_any_bounded_string_array_round_trips(items):
-    assert payload(TaskKind.HYPOTHESIZE, json.dumps(items), max_items=4) == items
+    assert payload(TaskKind.HYPOTHESIZE, json.dumps(items), k_max="4") == items
 
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=24))
 def test_any_bit_vector_round_trips(bits):
     text = ",".join(str(b) for b in bits)
-    assert payload(TaskKind.PRUNE, text, expected_bits=len(bits)) == tuple(bits)
+    assert payload(TaskKind.PRUNE, text, path_count=str(len(bits))) == tuple(bits)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

@@ -249,6 +249,26 @@ def test_a_short_score_list_fails_cases_at_the_evidence_stage(replay_runtime):
     assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
 
 
+def test_a_missing_query_embedding_fails_cases_at_the_evidence_stage(replay_runtime):
+    config = replay_runtime.config
+    table = TableEmbedder.load(config.embeddings_path)
+
+    class NoQueryVector:
+        # the corpus is embedded in one call at set-up; a query is one text
+        def embed(self, texts):
+            return table.embed(texts) if len(texts) > 1 else []
+
+    runtime = Runtime(config, chat_backend=replay_runtime.chat_backend,
+                      embedder=NoQueryVector(), scorer=replay_runtime.scorer)
+    result = run_batch(runtime)
+    assert len(result.rows) == result.failed == 10
+    assert {row.failed_stage for row in result.rows} == {"evidence"}
+    assert all("returned 0 vectors for 1 texts" in row.error for row in result.rows)
+    summary = json.loads((config.output_dir / "summary.json").read_text())
+    assert summary["cases"] == 10
+    assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
+
+
 def test_a_failed_set_up_closes_the_record_tables_it_opened(replay_runtime, tmp_path,
                                                              monkeypatch):
     opened = []

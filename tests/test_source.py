@@ -62,3 +62,20 @@ def test_package_has_no_unused_imports():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_every_name_in_all_exists_on_the_package():
+    assert [name for name in dxcouncil.__all__ if not hasattr(dxcouncil, name)] == []
+
+
+def test_package_imports_only_at_module_level():
+    # an import inside a function hides a module dependency from the top of
+    # the file, and usually works round an import cycle that is not there
+    package = Path(dxcouncil.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(package.glob("*.py"))
+             for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert found == []
