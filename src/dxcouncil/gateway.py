@@ -8,6 +8,13 @@ line-ending drift, which is what lets a transcript recorded on one machine
 replay anywhere. In record mode the backend is a ``RecordingBackend``, which
 writes each response to the transcript as it returns it.
 
+A gateway answers a key from its runtime's answer table, ``{canonical_key:
+response}``, before it asks the backend: a prompt an earlier case of the
+run already had answered costs no request, whatever the backend. Such an
+exchange is traced and parsed as any other, labelled ``"shared"``; the label
+is a volatile trace key, so digests do not change. ``runner.run_case`` fills
+the table, from the exchanges of each case that returns its report.
+
 ``Gateway.branches`` is the one way a case runs independent work side by
 side: the calls of a fan-out site (a case's finding aligns, a finding's path
 verbalizations, a package's prune batches, the dispatches, a panel round's
@@ -238,35 +245,48 @@ def _transcript_row(row: dict) -> tuple[str, str]:
 
 
 class Gateway:
-    """Renders, hashes, dispatches, traces and parses every model call."""
+    """Renders, hashes, dispatches, traces and parses every model call.
 
-    def __init__(self, backend: ChatBackend, trace: Trace):
+    ``answers`` is the answer table of the runtime the gateway works for;
+    the gateway reads it and never writes it. Without one, every call asks
+    the backend.
+    """
+
+    def __init__(self, backend: ChatBackend, trace: Trace,
+                 answers: dict[str, str] | None = None):
         self.backend = backend
         self.trace = trace
+        self.answers = {} if answers is None else answers
         self._label = backend.label
 
     def complete(self, kind: TaskKind, variables: dict[str, str]) -> object:
         """Run one model call and return ``parse_judgment``'s payload.
 
-        A response is checked for emptiness, traced and parsed only after
-        the backend returns it (a recording backend has recorded it by
-        then), so a response that breaks its task's grammar is still
-        recorded and traced. A bounded task's bound is read from
-        ``variables``, the values its prompt states.
+        A key in the answer table is answered from it, with no backend call
+        (so nothing is recorded), and traced with the backend label
+        ``"shared"``. Any other response is checked for emptiness, traced
+        and parsed only after the backend returns it (a recording backend
+        has recorded it by then), so a response that breaks its task's
+        grammar is still recorded and traced. A bounded task's bound is read
+        from ``variables``, the values its prompt states.
         """
         system, user = get_template(kind).render(variables)
         rendered = system + "\n\n" + user
         key = canonical_key(kind, rendered)
-        try:
-            response = self.backend.respond(kind, system, user, key)
-        except EngineError:
-            raise
-        except Exception as exc:
-            raise GatewayError(f"backend failure on task {kind.value!r}: {exc}") from exc
+        label = "shared"
+        response = self.answers.get(key)
+        if response is None:
+            label = self._label
+            try:
+                response = self.backend.respond(kind, system, user, key)
+            except EngineError:
+                raise
+            except Exception as exc:
+                raise GatewayError(f"backend failure on task {kind.value!r}: {exc}") from exc
         if not response.strip():
             raise EmptyResponseError(f"empty response for task {kind.value!r}")
         self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
-                            response=response, backend=self._label)
+                            response=response, backend=label)
         return parse_judgment(kind, response, variables)
 
     def branches(self, tasks: list[Callable[["Gateway"], T]]) -> list[T]:
@@ -276,11 +296,12 @@ class Gateway:
 
         A replay gateway runs the tasks one after another on this thread.
         Any other gateway submits each to the pool against a child gateway
-        whose trace is its own, holding the task's record table writes (see
-        ``jsonl.holding``); a task may start branches of its own. This
-        thread then takes back, in task order, every task no pool thread has
-        started and runs it itself, and only then waits, so no thread waits
-        on queued work and a busy pool cannot deadlock. When every task has
+        whose trace is its own and whose answer table is this gateway's,
+        holding the task's record table writes (see ``jsonl.holding``); a
+        task may start branches of its own. This thread then takes back, in
+        task order, every task no pool thread has started and runs it
+        itself, and only then waits, so no thread waits on queued work and a
+        busy pool cannot deadlock. When every task has
         returned or raised, each one's trace records are spliced into this
         trace and its held rows written, in task order; the first task that
         raised stops the splicing, and its error is raised. The trace and
@@ -290,7 +311,8 @@ class Gateway:
         """
         if self._label == REPLAY:
             return [task(self) for task in tasks]
-        children = [Gateway(self.backend, Trace(self.trace.case_id)) for _ in tasks]
+        children = [Gateway(self.backend, Trace(self.trace.case_id), self.answers)
+                    for _ in tasks]
         held: list[list] = [[] for _ in tasks]
         futures = [_POOL.submit(_run_holding, task, child, rows)
                    for task, child, rows in zip(tasks, children, held)]

@@ -13,7 +13,9 @@ both are ``Gateway.branches``, as are the fan-outs inside them, which leave
 the trace and the record tables as the same work done one step after
 another would.
 
-A case's trace does not depend on ``workers``. The record tables do: a
+A case's trace does not depend on ``workers``, apart from the volatile
+``backend`` labels: which calls are answered from the runtime's answer
+table depends on which cases have finished. The record tables do: a
 transcript row is written when its call returns and an embedding or score
 row when its retrieval returns (for work inside a branch, when the case
 splices the branch in), so with ``workers > 1`` the rows of concurrent cases
@@ -83,6 +85,14 @@ class Runtime:
     recorders closes them by closing the runtime. If set-up fails, the
     backends wired here are closed before the error propagates; injected
     ones are left open, as no runtime was returned to close them.
+
+    ``answers`` is the runtime's answer table, ``{canonical_key: response}``,
+    which its gateways read before the backend (see ``gateway``). It lasts
+    as long as the runtime: one batch, or one CLI run. ``run_case`` adds the
+    exchanges of each case that returns its report, when every transcript
+    row of that case is written, so a shared answer never stands in for a
+    row still held in a branch. A failed case adds nothing, so a malformed
+    answer is never shared; a transport error is never traced at all.
     """
 
     def __init__(self, config: RunConfig, *, chat_backend: ChatBackend | None = None,
@@ -91,6 +101,7 @@ class Runtime:
         if any(b is None for b in backends) and any(b is not None for b in backends):
             raise ValueError("inject chat_backend, embedder and scorer together, or none")
         self.config = config
+        self.answers: dict[str, str] = {}
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
         wired = chat_backend is None
         self.chat_backend, self.embedder, self.scorer = (
@@ -142,11 +153,13 @@ def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trac
     """Run one case through the whole workflow.
 
     On failure the partial trace is still flushed to disk before the error
-    surfaces, wrapped with the failing stage's label.
+    surfaces, wrapped with the failing stage's label. A case that returns
+    its report adds its exchanges to the runtime's answer table, once its
+    trace is written; a failed case adds nothing.
     """
     config = runtime.config
     trace = Trace(case.case_id)
-    gateway = Gateway(runtime.chat_backend, trace)
+    gateway = Gateway(runtime.chat_backend, trace, runtime.answers)
     stage = "extract"
     try:
         findings = extract_abnormal_entities(case, gateway, runtime.graph)
@@ -192,7 +205,6 @@ def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trac
             stage = "adjudicate"
             report = final_adjudication(snapshots, case, findings, hypotheses,
                                         gateway)
-        return report, trace
     except CaseFailure:
         raise
     except EngineError as exc:
@@ -200,6 +212,8 @@ def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trac
     finally:
         config.output_dir.mkdir(parents=True, exist_ok=True)
         trace.write(trace_path_for(config, case.case_id))
+    runtime.answers.update((r["key"], r["response"]) for r in trace.exchanges())
+    return report, trace
 
 
 def resolve_diagnosis_label(graph: KnowledgeGraph, text: str) -> str | None:

@@ -53,6 +53,8 @@ FAN_OUT_SITES = ("align", "verbalize", "prune", "dispatch", "specialist_opinion"
 # call whose prompt carries it, which the recorded transcript cannot answer
 MALFORMED = "{not a judgment"
 FAULTS = ("transport", "empty", "malformed")
+# the backend label of an exchange answered from the runtime's answer table
+SHARED = "shared"
 
 
 class TableBackend(ReplayChatBackend):
@@ -81,6 +83,8 @@ class TableBackend(ReplayChatBackend):
 class Outcome(NamedTuple):
     rows: dict[str, tuple[str, str | None, str | None]]
     records: dict[str, list[dict]]
+    # each case's exchanges as (key, backend label), in trace order
+    exchanges: dict[str, list[tuple[str, str]]]
     transcript: bytes
     embeddings: bytes
     scores: bytes
@@ -120,12 +124,14 @@ def run_recorded(tmp_path, backend: TableBackend, workers: int = 1) -> Outcome:
         result = run_batch(runtime)
     finally:
         runtime.close()
+    traces = {row.case_id: Trace.load(trace_path_for(config, row.case_id))
+              for row in result.rows}
     return Outcome(
         rows={row.case_id: (row.status, row.failed_stage, row.trace_digest)
               for row in result.rows},
-        records={row.case_id: canonical_records(Trace.load(trace_path_for(config,
-                                                                          row.case_id)))
-                 for row in result.rows},
+        records={case_id: canonical_records(trace) for case_id, trace in traces.items()},
+        exchanges={case_id: [(r["key"], r["backend"]) for r in trace.exchanges()]
+                   for case_id, trace in traces.items()},
         transcript=transcript.read_bytes(),
         embeddings=(tmp_path / "embeddings.jsonl").read_bytes(),
         scores=(tmp_path / "scores.jsonl").read_bytes())
@@ -201,12 +207,21 @@ def test_fan_outs_answered_in_reverse_commit_in_submission_order(
             # concurrent cases interleave their rows in commit order
             assert sorted(getattr(got, table).splitlines()) == sorted(
                 getattr(sequential, table).splitlines())
-    # the backend really was asked out of order
+    # the backend was asked for every exchange not answered from the answer
+    # table, and really was asked out of order
     asked = [key for key, _ in backend.calls]
     committed = [r["key"] for records in sequential.records.values()
                  for r in records if r["type"] == "exchange"]
-    assert Counter(asked) == Counter(committed)
+    assert Counter(asked) == Counter(key for exchanges in got.exchanges.values()
+                                     for key, label in exchanges if label != SHARED)
     if workers == 1:
+        # one case after another: an exchange is shared exactly when an
+        # earlier case committed its key
+        earlier: set[str] = set()
+        for exchanges in got.exchanges.values():
+            assert [label == SHARED for _, label in exchanges] == [
+                key in earlier for key, _ in exchanges]
+            earlier.update(key for key, _ in exchanges)
         assert asked != committed
 
 

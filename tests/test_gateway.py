@@ -7,6 +7,7 @@ import json
 
 import pytest
 import requests
+from hypothesis import given, strategies as st
 
 from dxcouncil.backends import HttpEmbedder, HttpScorer
 from dxcouncil.errors import (
@@ -94,6 +95,28 @@ def test_prompt_normalization_is_whitespace_stable():
         == canonical_key(task, "line one\nline two")
     assert canonical_key(task, "line one\nline two") \
         != canonical_key(task, "line one\nline 2")
+
+
+LINE = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"))
+
+
+@given(kind=st.sampled_from(TaskKind), lines=st.lists(LINE, min_size=1),
+       ending=st.sampled_from(["\n", "\r\n", "\r"]),
+       pads=st.lists(st.text(" \t"), min_size=1), trailing=st.integers(0, 3))
+def test_canonical_key_ignores_line_endings_trailing_spaces_and_newlines(
+        kind, lines, ending, pads, trailing):
+    # every line padded, lines joined by one line-ending style throughout (a
+    # CR ending before an empty line and an LF would read as one CRLF)
+    padded = [line + pads[i % len(pads)] for i, line in enumerate(lines)]
+    drifted = ending.join(padded) + ending * trailing
+    assert canonical_key(kind, drifted) == canonical_key(kind, "\n".join(lines))
+
+
+@given(prompt=st.text(), kinds=st.lists(st.sampled_from(TaskKind), min_size=2,
+                                        max_size=2, unique=True))
+def test_canonical_key_differs_across_task_kinds(prompt, kinds):
+    first, second = kinds
+    assert canonical_key(first, prompt) != canonical_key(second, prompt)
 
 
 def test_record_then_reload_then_replay_identical(tmp_path):
