@@ -248,15 +248,13 @@ class Gateway:
     """Renders, hashes, dispatches, traces and parses every model call.
 
     ``answers`` is the answer table of the runtime the gateway works for;
-    the gateway reads it and never writes it. Without one, every call asks
-    the backend.
+    the gateway reads it and never writes it.
     """
 
-    def __init__(self, backend: ChatBackend, trace: Trace,
-                 answers: dict[str, str] | None = None):
+    def __init__(self, backend: ChatBackend, trace: Trace, answers: dict[str, str]):
         self.backend = backend
         self.trace = trace
-        self.answers = {} if answers is None else answers
+        self.answers = answers
         self._label = backend.label
 
     def complete(self, kind: TaskKind, variables: dict[str, str]) -> object:

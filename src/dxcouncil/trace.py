@@ -168,14 +168,12 @@ def _digest_of(case_id: str, lines: list[str]) -> str:
 
 def _with_volatile_keys(line: str, record: dict[str, Any]) -> str:
     """``line`` (a canonical JSON object) with the record's volatile keys
-    added after its last key, as ``json.dumps`` writes them: ``ts`` as
-    ``float.__repr__`` gives it, the backend label as a JSON string."""
-    tail = ""
-    if "ts" in record:
-        tail += ',"ts":' + float.__repr__(record["ts"])
-    if "backend" in record:
-        tail += ',"backend":' + json.dumps(record["backend"], ensure_ascii=False)
-    return line[:-1] + tail + "}" if tail else line
+    added after its last key."""
+    volatile = {k: record[k] for k in _VOLATILE_KEYS if k in record}
+    if not volatile:
+        return line
+    return line[:-1] + "," + json.dumps(volatile, ensure_ascii=False,
+                                        separators=(",", ":"))[1:]
 
 
 def scan_for_leakage(trace: Trace, labels: list[str]) -> list[tuple[int, str]]:

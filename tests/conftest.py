@@ -54,7 +54,7 @@ def make_graph(concept_ids: list[str], triples: list[tuple[str, str, str]],
 
 
 def scripted_gateway(rules, trace: Trace | None = None) -> Gateway:
-    return Gateway(ScriptedResponder(rules), trace or Trace("scripted"))
+    return Gateway(ScriptedResponder(rules), trace or Trace("scripted"), {})
 
 
 @contextmanager

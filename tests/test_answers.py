@@ -104,7 +104,7 @@ def test_gateway_answers_a_key_in_its_table_without_the_backend():
     def never(system: str, user: str) -> str:
         raise AssertionError("the backend was asked")
 
-    probe = Gateway(ScriptedResponder([(TaskKind.VERBALIZE, "", "known")]), Trace("case"))
+    probe = Gateway(ScriptedResponder([(TaskKind.VERBALIZE, "", "known")]), Trace("case"), {})
     probe.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
     [asked] = probe.trace.exchanges()
     gw = Gateway(ScriptedResponder([(TaskKind.VERBALIZE, "", never)]), Trace("case"),
@@ -144,6 +144,10 @@ def test_a_key_an_earlier_case_asked_reaches_the_backend_once(tmp_path, sequenti
         runtime.close()
     assert {row.case_id: row.trace_digest for row in replayed.rows} == {
         case_id: digest for case_id, (_, _, digest) in got.rows.items()}
+    # and shares through the same table
+    assert {r["backend"] for row in replayed.rows
+            for r in Trace.load(trace_path_for(config, row.case_id)).exchanges()} == {
+        REPLAY, SHARED}
 
 
 @pytest.mark.parametrize("fault", ["transport", "malformed"])
@@ -206,29 +210,3 @@ def test_a_second_runtime_starts_with_an_empty_table(tmp_path):
     assert len(backend.calls) == len(trace.exchanges()) == 42
     assert {r["backend"] for r in trace.exchanges()} == {LIVE}
 
-
-def test_four_workers_share_answers_and_leave_what_the_sequential_run_does(
-        tmp_path, sequential):
-    backend = TableBackend(LIVE)
-    got = run_recorded(tmp_path, backend, workers=4)
-    assert got.rows == sequential.rows
-    assert got.records == sequential.records
-    for table in ("transcript", "embeddings", "scores"):
-        # concurrent cases interleave their rows in commit order
-        assert sorted(getattr(got, table).splitlines()) == sorted(
-            getattr(sequential, table).splitlines())
-    # which repeats are shared depends on which cases finished first; every
-    # exchange not shared was asked of the backend
-    asked = [key for key, _ in backend.calls]
-    assert Counter(asked) == Counter(key for exchanges in got.exchanges.values()
-                                     for key, label in exchanges if label != SHARED)
-    assert 209 <= len(asked) <= 231
-
-
-def test_replay_labelled_backends_share_too(tmp_path, sequential):
-    backend = TableBackend(REPLAY)
-    got = run_recorded(tmp_path, backend)
-    assert Counter(key for key, _ in backend.calls) == first_asks(sequential)
-    assert got.rows == sequential.rows
-    assert {label for exchanges in got.exchanges.values()
-            for _, label in exchanges} == {REPLAY, SHARED}

@@ -48,7 +48,7 @@ def rendered_for(kind: TaskKind, variables: dict[str, str]) -> str:
 def test_replay_serves_the_recorded_response():
     rendered = rendered_for(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
     key = canonical_key(TaskKind.VERBALIZE, rendered)
-    gw = Gateway(ReplayChatBackend({key: "YES"}), Trace("case"))
+    gw = Gateway(ReplayChatBackend({key: "YES"}), Trace("case"), {})
     assert gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"}) == "YES"
     exchange = gw.trace.exchanges()[-1]
     assert exchange["response"] == "YES"
@@ -57,7 +57,7 @@ def test_replay_serves_the_recorded_response():
 
 
 def test_replay_miss_names_the_task():
-    gw = Gateway(ReplayChatBackend({}), Trace("case"))
+    gw = Gateway(ReplayChatBackend({}), Trace("case"), {})
     with pytest.raises(ReplayMissError) as exc:
         gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
     assert exc.value.task == "verbalize"
@@ -123,12 +123,12 @@ def test_record_then_reload_then_replay_identical(tmp_path):
     transcript = tmp_path / "t.jsonl"
     recorder = TranscriptRecorder(transcript)
     scripted = ScriptedResponder([(TaskKind.VERBALIZE, "", lambda s, u: u[-20:])])
-    rec_gw = Gateway(RecordingBackend(scripted, recorder), Trace("record"))
+    rec_gw = Gateway(RecordingBackend(scripted, recorder), Trace("record"), {})
     for i in range(3):
         rec_gw.complete(TaskKind.VERBALIZE, {"path": f"A --[r{i}]--> B"})
     recorder.close()
 
-    replay_gw = Gateway(ReplayChatBackend.from_file(transcript), Trace("replay"))
+    replay_gw = Gateway(ReplayChatBackend.from_file(transcript), Trace("replay"), {})
     for i, exchange in enumerate(rec_gw.trace.exchanges()):
         again = replay_gw.complete(TaskKind.VERBALIZE, {"path": f"A --[r{i}]--> B"})
         assert again == exchange["response"]
@@ -169,13 +169,13 @@ def test_record_and_replay_traces_share_a_digest(tmp_path):
     rec_trace = Trace("case")
     rec_gw = Gateway(RecordingBackend(
         ScriptedResponder([(TaskKind.VERBALIZE, "", "sentence.")]), recorder),
-        rec_trace)
+        rec_trace, {})
     for v in variables:
         rec_gw.complete(TaskKind.VERBALIZE, v)
     recorder.close()
 
     rep_trace = Trace("case")
-    rep_gw = Gateway(ReplayChatBackend.from_file(transcript), rep_trace)
+    rep_gw = Gateway(ReplayChatBackend.from_file(transcript), rep_trace, {})
     for v in variables:
         rep_gw.complete(TaskKind.VERBALIZE, v)
 

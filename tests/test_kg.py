@@ -355,10 +355,10 @@ def test_verbalization_replays_identically(tmp_path):
     recorder = TranscriptRecorder(transcript)
     recording = Gateway(RecordingBackend(
         ScriptedResponder([(TaskKind.VERBALIZE, "", "A causes B.")]), recorder),
-        Trace("record"))
+        Trace("record"), {})
     [recorded] = verbalize_path([path], recording)
     recorder.close()
 
-    replaying = Gateway(ReplayChatBackend.from_file(transcript), Trace("replay"))
+    replaying = Gateway(ReplayChatBackend.from_file(transcript), Trace("replay"), {})
     [replayed] = verbalize_path([path], replaying)
     assert replayed.verbalization == recorded.verbalization == "A causes B."

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
 
-from dxcouncil.config import validate_config
-from dxcouncil.runner import Runtime, run_batch, trace_path_for
 from dxcouncil.trace import Trace, scan_for_leakage
-
-from conftest import FIXTURES
 
 
 def sample_trace():
@@ -140,46 +135,6 @@ def test_load_requires_a_header(tmp_path):
     path.write_text(json.dumps({"type": "digest", "digest": "x"}) + "\n")
     with pytest.raises(ValueError):
         Trace.load(path)
-
-
-def two_dump_line(record: dict) -> str:
-    """A record's file line as it was built before: the canonical line, then
-    a second ``json.dumps`` of the volatile keys spliced on after it."""
-    clean = {k: v for k, v in record.items() if k not in ("ts", "backend")}
-    line = json.dumps(clean, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
-    volatile = {k: record[k] for k in ("ts", "backend") if k in record}
-    if not volatile:
-        return line
-    return line[:-1] + "," + json.dumps(volatile, ensure_ascii=False,
-                                        separators=(",", ":"))[1:]
-
-
-def test_file_lines_equal_the_two_dump_construction(tmp_path):
-    config = dataclasses.replace(validate_config(FIXTURES / "replay_config.yaml"),
-                                 output_dir=tmp_path / "out")
-    runtime = Runtime(config)
-    try:
-        result = run_batch(runtime)
-    finally:
-        runtime.close()
-    labels = set()
-    for row in result.rows:
-        path = trace_path_for(config, row.case_id)
-        _, *lines, _ = path.read_text(encoding="utf-8").splitlines()
-        records = Trace.load(path).records
-        assert lines == [two_dump_line(r) for r in records]
-        labels.update(r["backend"] for r in records if "backend" in r)
-    assert labels == {"replay", "shared"}
-
-    # records with no volatile key, with one, and with a non-ASCII label
-    base = {"type": "decision", "seq": 0, "decision": "d", "payload": {"é": [1.5]}}
-    for record in (base, dict(base, ts=1760000000.25), dict(base, backend="répl\"ay"),
-                   dict(base, ts=1e-7, backend="live")):
-        trace = Trace("case-x")
-        trace._records = [record]
-        trace.write(tmp_path / "one.trace.jsonl")
-        line = (tmp_path / "one.trace.jsonl").read_text(encoding="utf-8").splitlines()[1]
-        assert line == two_dump_line(record)
 
 
 def test_leakage_scan_hits_prompts_only():
