@@ -448,6 +448,90 @@ def test_fault_in_a_branch_fails_as_the_sequential_run_does(
     assert not later_queries & (texts | queries)
 
 
+# -- the failed row of a fault at each task kind ---------------------------------
+
+NOT_JSON = ("response is not valid JSON: Expecting property name enclosed in double "
+            "quotes (offending span: '{not a judgment')")
+FAILED_ROWS = {
+    # (task, fault): (case id, failed stage, error) of the one case that fails
+    ("ner", "transport"): ("case-01", "extract", "injected transport failure"),
+    ("ner", "empty"): ("case-01", "extract", "empty response for task 'ner'"),
+    ("ner", "malformed"): ("case-01", "extract", NOT_JSON),
+    ("align", "transport"): ("case-01", "extract", "injected transport failure"),
+    ("align", "empty"): ("case-01", "extract", "empty response for task 'align'"),
+    ("align", "malformed"): ("case-01", "extract", "expected a candidate number or NONE "
+                             "(offending span: '{not a judgment')"),
+    ("hypothesize", "transport"): ("case-01", "hypothesize", "injected transport failure"),
+    ("hypothesize", "empty"): ("case-01", "hypothesize",
+                               "empty response for task 'hypothesize'"),
+    ("hypothesize", "malformed"): ("case-01", "hypothesize", NOT_JSON),
+    ("verbalize", "transport"): ("case-01", "evidence", "verbalization failed for path "
+                                 "'Anechoic liver lesion on ultrasound --[indicates]--> "
+                                 "Liver cyst'"),
+    ("verbalize", "empty"): ("case-01", "evidence", "verbalization failed for path "
+                             "'Anechoic liver lesion on ultrasound --[indicates]--> "
+                             "Liver cyst'"),
+    ("verbalize", "malformed"): ("case-01", "evidence", "replay transcript has no entry "
+                                 "for prune key b3d56259af975f6cf6093d687c8603c0ef890aeb"
+                                 "933ea2b79c8586535f795266"),
+    ("prune", "transport"): ("case-01", "evidence", "injected transport failure"),
+    ("prune", "empty"): ("case-01", "evidence", "empty response for task 'prune'"),
+    ("prune", "malformed"): ("case-01", "evidence", "expected comma-separated 0/1 digits "
+                             "(offending span: '{not a judgment')"),
+    ("assess_complexity", "transport"): ("case-01", "route", "injected transport failure"),
+    ("assess_complexity", "empty"): ("case-01", "route",
+                                     "empty response for task 'assess_complexity'"),
+    ("assess_complexity", "malformed"): ("case-01", "route", "expected SIMPLE or COMPLEX "
+                                         "(offending span: '{not a judgment')"),
+    ("dispatch", "transport"): ("case-02", "dispatch", "injected transport failure"),
+    ("dispatch", "empty"): ("case-02", "dispatch", "empty response for task 'dispatch'"),
+    ("dispatch", "malformed"): ("case-02", "dispatch", NOT_JSON),
+    ("specialist_opinion", "transport"): ("case-02", "deliberate",
+                                          "injected transport failure"),
+    ("specialist_opinion", "empty"): ("case-02", "deliberate",
+                                      "empty response for task 'specialist_opinion'"),
+    ("specialist_opinion", "malformed"): ("case-02", "deliberate", NOT_JSON),
+    ("refine_query", "transport"): ("case-04", "deliberate", "injected transport failure"),
+    ("refine_query", "empty"): ("case-04", "deliberate",
+                                "empty response for task 'refine_query'"),
+    ("refine_query", "malformed"): ("case-04", "deliberate", NOT_JSON),
+    ("interim_consensus", "transport"): ("case-02", "deliberate",
+                                         "injected transport failure"),
+    ("interim_consensus", "empty"): ("case-02", "deliberate",
+                                     "empty response for task 'interim_consensus'"),
+    ("interim_consensus", "malformed"): ("case-02", "deliberate", NOT_JSON),
+    ("final_adjudicate", "transport"): ("case-02", "adjudicate", "injected transport failure"),
+    ("final_adjudicate", "empty"): ("case-02", "adjudicate",
+                                    "empty response for task 'final_adjudicate'"),
+    ("final_adjudicate", "malformed"): ("case-02", "adjudicate", NOT_JSON),
+    ("generalist_direct", "transport"): ("case-01", "direct_diagnosis",
+                                         "injected transport failure"),
+    ("generalist_direct", "empty"): ("case-01", "direct_diagnosis",
+                                     "empty response for task 'generalist_direct'"),
+    ("generalist_direct", "malformed"): ("case-01", "direct_diagnosis", NOT_JSON),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+@pytest.mark.parametrize("kind", list(TaskKind), ids=lambda kind: kind.value)
+def test_a_fault_at_the_first_call_of_each_kind_leaves_these_rows(
+        tmp_path, sequential, kind, fault):
+    """Pins each failed row's stage and message, whatever error class
+    carries them: the first call of ``kind`` in the batch is faulted, inline."""
+    key = next(r["key"] for records in sequential.records.values() for r in records
+               if r["type"] == "exchange" and r["task"] == kind.value)
+    runtime = fixture_runtime(fixture_config(tmp_path),
+                              TableBackend(REPLAY, fault=(key, fault)))
+    try:
+        result = run_batch(runtime)
+    finally:
+        runtime.close()
+    case_id, stage, error = FAILED_ROWS[kind.value, fault]
+    assert {row.case_id: (row.status, row.failed_stage, row.error) for row in result.rows} == {
+        cid: ("error", stage, error) if cid == case_id else ("ok", None, None)
+        for cid in sequential.rows}
+
+
 # -- latency shape ------------------------------------------------------------
 
 def case_10(config):
