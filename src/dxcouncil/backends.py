@@ -15,15 +15,8 @@ from typing import Any, Callable, Protocol
 import numpy as np
 import requests
 
-from .errors import (
-    DimensionMismatchError,
-    EmbeddingCountError,
-    RecordConflictError,
-    ResourceError,
-    ScoreCountError,
-    TransportError,
-)
-from .jsonl import JsonlSink, read_jsonl
+from .errors import RecordConflictError, ResourceError, RetrievalError, TransportError
+from .jsonl import JsonlSink, read_jsonl, text_field
 from .kg import term_tokens
 
 
@@ -38,18 +31,18 @@ class CrossScorer(Protocol):
 def checked_scores(scores: list[float], segment_texts: list[str]) -> list[float]:
     """``scores``, once they hold one score per segment text: zipped against
     the texts, a short or long list would drop segments or pair scores with
-    the wrong ones. Otherwise ``ScoreCountError``."""
+    the wrong ones. Otherwise ``RetrievalError``."""
     if len(scores) != len(segment_texts):
-        raise ScoreCountError(
+        raise RetrievalError(
             f"cross-scorer returned {len(scores)} scores for {len(segment_texts)} segments")
     return scores
 
 
 def checked_vectors(vectors: list[np.ndarray], texts: list[str]) -> list[np.ndarray]:
     """``vectors``, once they hold one vector per text; otherwise
-    ``EmbeddingCountError``."""
+    ``RetrievalError``."""
     if len(vectors) != len(texts):
-        raise EmbeddingCountError(
+        raise RetrievalError(
             f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
     return vectors
 
@@ -118,12 +111,11 @@ class TableEmbedder:
     def load(cls, path: str | Path) -> "TableEmbedder":
         table: dict[str, np.ndarray] = {}
         dim: int | None = None
-        for location, (text, vec) in read_jsonl(path, _embedding_row, ResourceError,
-                                                "embedding"):
+        for location, (text, vec) in read_jsonl(path, _embedding_row, "embedding"):
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
-                raise DimensionMismatchError(f"{location}: embedding dim {vec.shape[0]} != {dim}")
+                raise ResourceError(f"{location}: embedding dim {vec.shape[0]} != {dim}")
             table[text] = vec
         if dim is None:
             raise ResourceError(f"{path}: embedding table is empty")
@@ -142,7 +134,7 @@ def _embedding_row(row: dict) -> tuple[str, np.ndarray]:
     vec = np.asarray(row["embedding"], dtype=float)
     if vec.ndim != 1:
         raise ValueError("embedding must be a flat list of numbers")
-    return str(row["text"]), vec
+    return text_field(row, "text"), vec
 
 
 class HttpEmbedder:
@@ -192,7 +184,7 @@ class TableScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "TableScorer":
-        return cls(dict(item for _, item in read_jsonl(path, _score_row, ResourceError, "score")))
+        return cls(dict(item for _, item in read_jsonl(path, _score_row, "score")))
 
     def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
         scores = []
@@ -205,7 +197,7 @@ class TableScorer:
 
 
 def _score_row(row: dict) -> tuple[tuple[str, str], float]:
-    return (str(row["query"]), str(row["text"])), float(row["score"])
+    return (text_field(row, "query"), text_field(row, "text")), float(row["score"])
 
 
 class HttpScorer:
@@ -252,7 +244,7 @@ class RecordingEmbedder:
     table row. Floats survive the JSON round trip exactly, so a replay run
     reproduces the recorded run bit for bit. A text seen again with a
     different vector raises ``RecordConflictError``; a vector count that
-    differs from the texts raises ``EmbeddingCountError`` before any row is
+    differs from the texts raises ``RetrievalError`` before any row is
     written."""
 
     def __init__(self, inner: Embedder, sink_path: str | Path):

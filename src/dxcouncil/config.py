@@ -123,7 +123,7 @@ def validate_config(source: str | Path | dict, base_dir: Path | None = None) -> 
         base = path.parent.resolve()
         try:
             doc = yaml.safe_load(path.read_text(encoding="utf-8"))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("config", f"cannot read {path}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError("config", f"invalid YAML: {exc}") from exc

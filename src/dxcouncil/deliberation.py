@@ -30,15 +30,7 @@ from .differential import (
     HypothesisSet,
     render_findings,
 )
-from .errors import (
-    AdjudicationMismatchError,
-    ConfigError,
-    EmptyOpinionsError,
-    EmptyRosterError,
-    HypothesisMismatchError,
-    InvariantError,
-    UnknownSpecialtyError,
-)
+from .errors import ConfigError, DeliberationError
 from .evidence import (
     EvidencePackage,
     build_supplement_package,
@@ -92,7 +84,7 @@ class SpecialistRoster:
 
     def __post_init__(self):
         if not self.specialties:
-            raise EmptyRosterError(f"no specialists for {self.hypothesis!r}")
+            raise DeliberationError(f"no specialists for {self.hypothesis!r}")
         if len(set(self.specialties)) != len(self.specialties):
             raise ValueError("roster entries must be pairwise distinct")
 
@@ -136,14 +128,14 @@ def consensus_score(opinions: list[SpecialistOpinion]) -> float:
     """Fraction of the panel whose stance is support. Confidence values do
     not enter this score; they are carried into reports only."""
     if not opinions:
-        raise EmptyOpinionsError("cannot score an empty opinion list")
+        raise DeliberationError("cannot score an empty opinion list")
     return sum(1 for o in opinions if o.stance is Stance.SUPPORT) / len(opinions)
 
 
 def insufficiency_ratio(opinions: list[SpecialistOpinion]) -> float:
     """Fraction of the panel judging the current evidence insufficient."""
     if not opinions:
-        raise EmptyOpinionsError("cannot compute a ratio over no opinions")
+        raise DeliberationError("cannot compute a ratio over no opinions")
     return (sum(1 for o in opinions if o.sufficiency is Sufficiency.INSUFFICIENT)
             / len(opinions))
 
@@ -164,7 +156,8 @@ def _match_hypothesis(diagnosis: str, hypotheses: HypothesisSet) -> str:
     for name in hypotheses:
         if name.casefold() == diagnosis.casefold():
             return name
-    raise AdjudicationMismatchError(diagnosis, list(hypotheses))
+    raise DeliberationError(
+        f"adjudicated diagnosis {diagnosis!r} is not among the hypotheses {list(hypotheses)}")
 
 
 def _split_report(report: str) -> tuple[str, str]:
@@ -222,11 +215,11 @@ def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
         chosen: list[str] = []
         for name in names:
             if name not in roster:
-                raise UnknownSpecialtyError(name)
+                raise DeliberationError(f"specialty {name!r} is not in the configured roster")
             if name not in chosen:
                 chosen.append(name)
         if not chosen:
-            raise EmptyRosterError(f"dispatch chose no specialists for {hypothesis!r}")
+            raise DeliberationError(f"dispatch chose no specialists for {hypothesis!r}")
         chosen = chosen[:max_specialists]
         gw.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
         return SpecialistRoster(hypothesis=hypothesis, specialties=tuple(chosen))
@@ -266,7 +259,7 @@ def formulate_refinement_queries(opinions: list[SpecialistOpinion],
     """Turn the panel's insufficiency complaints into 1-3 retrieval queries."""
     gaps = [o for o in opinions if o.sufficiency is Sufficiency.INSUFFICIENT]
     if not gaps:
-        raise EmptyOpinionsError("refinement requires at least one Ins opinion")
+        raise DeliberationError("refinement requires at least one Ins opinion")
     rendered_gaps = "\n".join(f"- ({o.specialty}) {o.justification}" for o in gaps)
     return gateway.complete(TaskKind.REFINE_QUERY, {
         "hypothesis": hypothesis,
@@ -318,14 +311,14 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
     panels = list(zip(hypotheses, packages, rosters))
     for hypothesis, _, roster in panels:
         if roster.hypothesis != hypothesis:
-            raise HypothesisMismatchError(
+            raise DeliberationError(
                 f"roster for {roster.hypothesis!r} paired with {hypothesis!r}")
 
     def panel(hypothesis: str, package: EvidencePackage, roster: SpecialistRoster,
               gateway: Gateway) -> ConsensusSnapshot:
         for t in range(t_max):
             if package.iteration != t:
-                raise InvariantError(f"package iteration {package.iteration} != round {t}")
+                raise DeliberationError(f"package iteration {package.iteration} != round {t}")
             opinions = elicit_opinion(roster.specialties, case, findings, hypothesis,
                                       package, gateway)
             support = consensus_score(opinions)

@@ -14,9 +14,9 @@ from functools import partial
 from pathlib import Path
 from typing import TextIO
 
-from .errors import EmptyHypothesesError, JudgmentParseError, ResourceError
+from .errors import DeliberationError, JudgmentParseError, ResourceError
 from .gateway import Gateway, TaskKind
-from .jsonl import read_jsonl
+from .jsonl import read_jsonl, text_field
 from .kg import Concept, KnowledgeGraph
 
 # vocabulary entries offered to the aligner per mention
@@ -75,7 +75,7 @@ def read_cases(source: str | Path | TextIO) -> list[CaseDescription]:
     """Parse a JSONL case file: case_id, narrative, optional ground_truth."""
     cases: list[CaseDescription] = []
     seen: set[str] = set()
-    for location, case in read_jsonl(source, _case_row, ResourceError, "case"):
+    for location, case in read_jsonl(source, _case_row, "case"):
         if case.case_id in seen:
             raise ResourceError(f"{location}: duplicate case id {case.case_id!r}")
         seen.add(case.case_id)
@@ -85,9 +85,9 @@ def read_cases(source: str | Path | TextIO) -> list[CaseDescription]:
 
 def _case_row(row: dict) -> CaseDescription:
     return CaseDescription(
-        case_id=str(row["case_id"]),
-        narrative=str(row["narrative"]),
-        ground_truth=(str(row["ground_truth"])
+        case_id=text_field(row, "case_id"),
+        narrative=text_field(row, "narrative"),
+        ground_truth=(text_field(row, "ground_truth")
                       if row.get("ground_truth") is not None else None),
     )
 
@@ -164,6 +164,6 @@ def generate_hypotheses(case: CaseDescription, findings: list[AbnormalEntity],
         folded.add(item.casefold())
         deduped.append(item)
     if not deduped:
-        raise EmptyHypothesesError(
+        raise DeliberationError(
             f"case {case.case_id!r}: model produced no diagnoses")
     return HypothesisSet(tuple(deduped), k_max=k_max)

@@ -1,8 +1,10 @@
-"""Exception hierarchy for the diagnostic engine.
+"""Exception hierarchy for the diagnostic engine: one class per stage.
 
-Every failure mode the pipeline can surface has a dedicated class so callers
-(and the CLI exit-code mapping) can distinguish bad configuration, bad
-resources, model-output violations, and per-case failures.
+A failed row records the stage a case failed at and the error's message,
+never its class, and the CLI's exit code depends only on whether the error
+is a ``ConfigError`` (1), a ``CaseFailure`` (2) or any other ``EngineError``
+(3). So the stages below are the only distinctions the classes draw; the
+message says what went wrong.
 """
 
 
@@ -10,86 +12,33 @@ class EngineError(Exception):
     """Base class for all engine errors."""
 
 
-# -- knowledge graph ---------------------------------------------------------
+class ConfigError(EngineError):
+    """A run configuration violated an invariant; carries the field path."""
 
-class KgLoadError(EngineError):
-    """A concept or triple file line could not be loaded."""
-
-    def __init__(self, source: str, line_no: int, message: str):
-        self.source = source
-        self.line_no = line_no
-        super().__init__(f"{source}:{line_no}: {message}")
+    def __init__(self, field: str, message: str):
+        self.field = field
+        super().__init__(f"{field}: {message}")
 
 
-class DanglingReferenceError(EngineError):
-    """A triple references a concept id that was never defined."""
-
-    def __init__(self, concept_id: str, line_no: int):
-        self.concept_id = concept_id
-        self.line_no = line_no
-        super().__init__(f"triple line {line_no} references unknown concept id {concept_id!r}")
+class ResourceError(EngineError):
+    """A resource (graph, corpus, cases, transcript or replay table) failed
+    to load, named by ``file:line`` where there is one, or a replay table has
+    no entry for what it was asked."""
 
 
-class UnknownConceptError(EngineError):
-    """An operation was asked about a concept id not in the graph."""
+class KgError(EngineError):
+    """A knowledge-graph operation failed: an unknown concept, an empty
+    mention, a path from a node to itself, or an unverbalizable path."""
 
 
-class EmptyMentionError(EngineError):
-    """An entity mention is empty after normalization."""
+class RetrievalError(EngineError):
+    """Guideline retrieval failed: an embedding or score count or dimension
+    that does not fit, an empty index or candidate list, or a failed rerank."""
 
-
-class PathEndpointsError(EngineError):
-    """Path enumeration was asked for a path from a node to itself."""
-
-
-class VerbalizationError(EngineError):
-    """A path could not be verbalized; carries the path identity."""
-
-
-# -- guideline index ---------------------------------------------------------
-
-class CorpusError(EngineError):
-    """A guideline corpus file is malformed."""
-
-
-class EmptyCorpusError(EngineError):
-    """The corpus contains no segments."""
-
-
-class DimensionMismatchError(EngineError):
-    """An embedding backend returned vectors of inconsistent dimension."""
-
-
-class EmbeddingCountError(EngineError):
-    """An embedding backend returned a different number of vectors than
-    texts it was given."""
-
-
-class EmptyIndexError(EngineError):
-    """Retrieval was attempted against an index with no segments."""
-
-
-class EmptyCandidatesError(EngineError):
-    """Reranking was attempted with no candidates."""
-
-
-class RerankError(EngineError):
-    """The cross-scoring backend failed on a retrieval's candidates."""
-
-
-class ScoreCountError(EngineError):
-    """A cross-scoring backend returned a different number of scores than
-    segment texts it was given."""
-
-
-# -- gateway -----------------------------------------------------------------
 
 class GatewayError(EngineError):
-    """Base for model-gateway failures."""
-
-
-class UnboundPlaceholderError(GatewayError):
-    """A template placeholder was left unbound at render time."""
+    """A model call failed: an unbound template placeholder, an empty
+    response, or a backend failure."""
 
 
 class TransportError(GatewayError):
@@ -110,26 +59,8 @@ class ReplayMissError(GatewayError):
         super().__init__(f"replay transcript has no entry for {task} key {canonical_key}")
 
 
-class TranscriptError(GatewayError):
-    """A transcript file is malformed."""
-
-
-class DuplicateTranscriptKeyError(TranscriptError):
-    """Two transcript rows share a key but disagree on the response."""
-
-    def __init__(self, canonical_key: str):
-        self.canonical_key = canonical_key
-        super().__init__(f"transcript key {canonical_key} appears twice with different responses")
-
-
-class EmptyResponseError(GatewayError):
-    """The backend returned an empty response where text was required."""
-
-
-# -- response parsing --------------------------------------------------------
-
 class JudgmentParseError(EngineError):
-    """A model response violated its task's response grammar."""
+    """A model response violated its task's response grammar or bounds."""
 
     def __init__(self, message: str, span: str = ""):
         self.span = span[:200]
@@ -137,82 +68,19 @@ class JudgmentParseError(EngineError):
         super().__init__(detail)
 
 
-class CardinalityError(JudgmentParseError):
-    """A response list exceeded its declared maximum length."""
-
-
-class JudgmentLengthError(JudgmentParseError):
-    """A pruning response had the wrong number of bits for its batch."""
-
-
-class ConfidenceRangeError(JudgmentParseError):
-    """A specialist confidence fell outside [0, 1]."""
-
-
-# -- hypothesis / evidence / deliberation ------------------------------------
-
-class EmptyHypothesesError(EngineError):
-    """The model produced zero hypotheses; the pipeline cannot continue."""
-
-
-class HypothesisMismatchError(EngineError):
-    """Evidence or a roster was paired with the wrong hypothesis."""
-
-
-class InvariantError(EngineError):
-    """A pipeline invariant failed; the case cannot continue."""
-
-
-class UnknownSpecialtyError(EngineError):
-    """A dispatched specialty is not in the configured roster."""
-
-    def __init__(self, specialty: str):
-        self.specialty = specialty
-        super().__init__(f"specialty {specialty!r} is not in the configured roster")
-
-
-class EmptyRosterError(EngineError):
-    """Dispatch produced no usable specialists."""
-
-
-class EmptyOpinionsError(EngineError):
-    """A consensus statistic was requested over zero opinions."""
-
-
-class EmptyQueryListError(EngineError):
-    """Refinement produced no retrieval queries."""
-
-
-class AdjudicationMismatchError(EngineError):
-    """An adjudicated diagnosis is not a member of the hypothesis set."""
-
-    def __init__(self, diagnosis: str, hypotheses: list[str]):
-        self.diagnosis = diagnosis
-        super().__init__(
-            f"adjudicated diagnosis {diagnosis!r} is not among the hypotheses {hypotheses}"
-        )
-
-
-# -- configuration / runner --------------------------------------------------
-
-class ConfigError(EngineError):
-    """A run configuration violated an invariant; carries the field path."""
-
-    def __init__(self, field: str, message: str):
-        self.field = field
-        super().__init__(f"{field}: {message}")
-
-
-class ResourceError(EngineError):
-    """A required resource (KG, corpus, cases, transcript) failed to load."""
+class DeliberationError(EngineError):
+    """The differential, an evidence package, routing, a panel or the
+    adjudication broke a workflow invariant."""
 
 
 class RecordConflictError(EngineError):
-    """A recorded replay table was given a second, different row for a key."""
+    """A record table or transcript was given a second, different row for a
+    key; ``message`` replaces the default text."""
 
-    def __init__(self, key: object):
+    def __init__(self, key: object, message: str = ""):
         self.key = key
-        super().__init__(f"recorded table already holds a different row for key {key!r}")
+        super().__init__(
+            message or f"recorded table already holds a different row for key {key!r}")
 
 
 class CaseFailure(EngineError):

@@ -19,7 +19,7 @@ from functools import partial
 
 from .backends import CrossScorer
 from .differential import AbnormalEntity, CaseDescription, align_mentions
-from .errors import HypothesisMismatchError, InvariantError
+from .errors import DeliberationError
 from .gateway import Gateway, TaskKind
 from .guidelines import GuidelineIndex, RankedSegment, composite_query, g_ret
 from .kg import KnowledgeGraph, KnowledgePath, normalize_term, verbalize_path
@@ -63,7 +63,7 @@ def _check_partition(valid: list[KnowledgePath], rejected: list[KnowledgePath],
     v = {p.edge_key() for p in valid}
     r = {p.edge_key() for p in rejected}
     if v & r or v | r != {p.edge_key() for p in enumerated}:
-        raise InvariantError("pruning must split the paths into valid and rejected")
+        raise DeliberationError("pruning must split the paths into valid and rejected")
 
 
 def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
@@ -208,7 +208,7 @@ def merge_packages(base: EvidencePackage, supplement: EvidencePackage) -> Eviden
     """Fold a supplement into the base package: unions keep base order first,
     audits concatenate, and the iteration steps forward by one."""
     if base.hypothesis != supplement.hypothesis:
-        raise HypothesisMismatchError(
+        raise DeliberationError(
             f"cannot merge packages for {base.hypothesis!r} and "
             f"{supplement.hypothesis!r}")
     excerpts = list(base.guideline_excerpts)

@@ -37,15 +37,8 @@ from pathlib import Path
 from typing import Callable, Protocol, TypeVar, runtime_checkable
 
 from .backends import post_json
-from .errors import (
-    DuplicateTranscriptKeyError,
-    EmptyResponseError,
-    EngineError,
-    GatewayError,
-    ReplayMissError,
-    TranscriptError,
-)
-from .jsonl import JsonlSink, holding, read_jsonl, write_held
+from .errors import EngineError, GatewayError, RecordConflictError, ReplayMissError
+from .jsonl import JsonlSink, holding, read_jsonl, text_field, write_held
 from .judgments import parse_judgment
 from .templates import TaskKind, get_template
 from .trace import Trace
@@ -101,7 +94,9 @@ class HttpChatBackend:
     """OpenAI-compatible chat endpoint, temperature pinned to 0.
 
     One retry on transport failure, then a hard error; the deliberation loop
-    must not stall silently. Branches send requests from the gateway's pool
+    must not stall silently. A reply whose content is not a string, or holds
+    a lone surrogate, is a malformed-response ``TransportError``, so no
+    recorder is handed text it cannot write. Branches send requests from the gateway's pool
     threads and from the threads waiting on them, so several may be in
     flight at once; each request is a POST of its own with no shared
     session, so concurrent calls share no state.
@@ -124,7 +119,7 @@ class HttpChatBackend:
             "temperature": 0,
         }
         return post_json(self.endpoint, body, self.timeout,
-                         lambda reply: str(reply["choices"][0]["message"]["content"]),
+                         lambda reply: text_field(reply["choices"][0]["message"], "content"),
                          attempts=2)
 
 
@@ -159,7 +154,7 @@ class TranscriptRecorder:
     """
 
     def __init__(self, path: str | Path):
-        self._sink = JsonlSink(path, DuplicateTranscriptKeyError)
+        self._sink = JsonlSink(path, _duplicate_key)
 
     def record(self, key: str, task: str, response: str) -> None:
         self._sink.write([(key, {"key": key, "task": task, "response": response})])
@@ -233,15 +228,18 @@ class ScriptedResponder:
 def load_transcript(path: str | Path) -> dict[str, str]:
     """Build the exact-match replay table from a transcript file."""
     table: dict[str, str] = {}
-    for _, (key, response) in read_jsonl(path, _transcript_row, TranscriptError,
-                                         "transcript"):
+    for _, (key, response) in read_jsonl(path, _transcript_row, "transcript"):
         if table.setdefault(key, response) != response:
-            raise DuplicateTranscriptKeyError(key)
+            raise _duplicate_key(key)
     return table
 
 
 def _transcript_row(row: dict) -> tuple[str, str]:
-    return str(row["key"]), str(row["response"])
+    return text_field(row, "key"), text_field(row, "response")
+
+
+def _duplicate_key(key: str) -> RecordConflictError:
+    return RecordConflictError(key, f"transcript key {key} appears twice with different responses")
 
 
 class Gateway:
@@ -282,7 +280,7 @@ class Gateway:
             except Exception as exc:
                 raise GatewayError(f"backend failure on task {kind.value!r}: {exc}") from exc
         if not response.strip():
-            raise EmptyResponseError(f"empty response for task {kind.value!r}")
+            raise GatewayError(f"empty response for task {kind.value!r}")
         self.trace.exchange(task=kind.value, canonical_key=key, prompt=rendered,
                             response=response, backend=label)
         return parse_judgment(kind, response, variables)

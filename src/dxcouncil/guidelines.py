@@ -19,15 +19,8 @@ from typing import TextIO
 import numpy as np
 
 from .backends import CrossScorer, Embedder, checked_scores, checked_vectors
-from .errors import (
-    CorpusError,
-    DimensionMismatchError,
-    EmptyCandidatesError,
-    EmptyCorpusError,
-    EmptyIndexError,
-    RerankError,
-)
-from .jsonl import read_jsonl
+from .errors import ResourceError, RetrievalError
+from .jsonl import read_jsonl, text_field
 from .trace import Trace
 
 
@@ -58,18 +51,19 @@ def read_corpus(source: str | Path | TextIO) -> list[GuidelineSegment]:
     source_doc, and text."""
     segments: list[GuidelineSegment] = []
     seen: set[str] = set()
-    for location, segment in read_jsonl(source, _segment_row, CorpusError, "corpus"):
+    for location, segment in read_jsonl(source, _segment_row, "corpus"):
         if not segment.text.strip():
-            raise CorpusError(f"{location}: segment {segment.segment_id!r} has empty text")
+            raise ResourceError(f"{location}: segment {segment.segment_id!r} has empty text")
         if segment.segment_id in seen:
-            raise CorpusError(f"{location}: duplicate segment id {segment.segment_id!r}")
+            raise ResourceError(f"{location}: duplicate segment id {segment.segment_id!r}")
         seen.add(segment.segment_id)
         segments.append(segment)
     return segments
 
 
 def _segment_row(row: dict) -> GuidelineSegment:
-    return GuidelineSegment(str(row["segment_id"]), str(row["source_doc"]), str(row["text"]))
+    return GuidelineSegment(text_field(row, "segment_id"), text_field(row, "source_doc"),
+                            text_field(row, "text"))
 
 
 class GuidelineIndex:
@@ -91,7 +85,7 @@ class GuidelineIndex:
         [vec] = checked_vectors(self._embedder.embed([text]), [text])
         vec = np.asarray(vec, dtype=float)
         if vec.shape[0] != self.dim:
-            raise DimensionMismatchError(
+            raise RetrievalError(
                 f"query embedding dim {vec.shape[0]} != index dim {self.dim}")
         return _unit(vec)
 
@@ -99,7 +93,7 @@ class GuidelineIndex:
 def _unit(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
-        raise DimensionMismatchError("cannot normalize a zero embedding vector")
+        raise RetrievalError("cannot normalize a zero embedding vector")
     return vec / norm
 
 
@@ -110,7 +104,7 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
     order regardless of how the backend batches.
     """
     if not segments:
-        raise EmptyCorpusError("corpus contains no segments")
+        raise ResourceError("corpus contains no segments")
     texts = [s.text for s in segments]
     vectors = [np.asarray(vec, dtype=float)
                for vec in checked_vectors(embedder.embed(texts), texts)]
@@ -118,7 +112,7 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
     stored: list[GuidelineSegment] = []
     for segment, vec in zip(segments, vectors):
         if vec.shape[0] != dim:
-            raise DimensionMismatchError(
+            raise RetrievalError(
                 f"segment {segment.segment_id!r} embedding dim {vec.shape[0]} != {dim}")
         stored.append(replace(segment, embedding=_unit(vec)))
     return GuidelineIndex(stored, embedder, dim)
@@ -129,7 +123,7 @@ def dense_retrieve(index: GuidelineIndex, query: str, k: int) -> list[RankedSegm
     if k < 1:
         raise ValueError("k must be >= 1")
     if index.segment_count == 0:
-        raise EmptyIndexError("cannot retrieve from an empty index")
+        raise RetrievalError("cannot retrieve from an empty index")
     q = index.embed_query(query)
     scored = [
         RankedSegment(segment=s, dense_score=float(np.dot(s.embedding, q)))
@@ -149,12 +143,12 @@ def rerank(candidates: list[RankedSegment], query: str,
     if n < 1:
         raise ValueError("n must be >= 1")
     if not candidates:
-        raise EmptyCandidatesError("no candidates to rerank")
+        raise RetrievalError("no candidates to rerank")
     texts = [cand.segment.text for cand in candidates]
     try:
         scores = [float(score) for score in scorer.score(query, texts)]
     except Exception as exc:
-        raise RerankError(f"cross-scoring {len(texts)} candidates failed: {exc}") from exc
+        raise RetrievalError(f"cross-scoring {len(texts)} candidates failed: {exc}") from exc
     rescored = [replace(cand, rerank_score=score)
                 for cand, score in zip(candidates, checked_scores(scores, texts))]
     rescored.sort(key=lambda r: (-r.rerank_score, r.segment.segment_id))

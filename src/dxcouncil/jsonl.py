@@ -17,26 +17,33 @@ from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
+from .errors import ResourceError
+
 # (sink, rows) of every write held in the current context, or None when
 # writes go straight to their files
 _HELD: ContextVar[list | None] = ContextVar("dxcouncil_held_rows", default=None)
 
 
 def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
-    """The lines of a path or a text stream, with a name for error messages."""
-    if hasattr(source, "read"):
-        return str(getattr(source, "name", "<stream>")), source.read().splitlines()
-    path = Path(source)
-    return str(path), path.read_text(encoding="utf-8").splitlines()
+    """The lines of a path or a text stream, with a name for error messages.
+    Text that is not UTF-8 is a ``ResourceError`` naming the file."""
+    stream = hasattr(source, "read")
+    name = str(getattr(source, "name", "<stream>")) if stream else str(source)
+    try:
+        text = source.read() if stream else Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ResourceError(f"{name}: {exc}") from exc
+    return name, text.splitlines()
 
 
 def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
-               error: Callable[[str], Exception], what: str) -> Iterator[tuple[str, Any]]:
+               what: str) -> Iterator[tuple[str, Any]]:
     """Yield ``(location, parse(row))`` for each non-blank line.
 
     ``location`` is ``file:line``. Invalid JSON and any ``ValueError``,
     ``KeyError`` or ``TypeError`` from ``parse`` (which a row that is not an
-    object raises at its first key lookup) raise ``error(location: ...)``.
+    object raises at its first key lookup) raise ``ResourceError(location:
+    ...)``.
     """
     name, lines = open_lines(source)
     for line_no, line in enumerate(lines, start=1):
@@ -46,8 +53,19 @@ def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
         try:
             item = parse(json.loads(line))
         except (ValueError, KeyError, TypeError) as exc:
-            raise error(f"{location}: bad {what} row: {exc}") from exc
+            raise ResourceError(f"{location}: bad {what} row: {exc}") from exc
         yield location, item
+
+
+def text_field(row: dict, key: str) -> str:
+    """``row[key]``, once it is a string that encodes as UTF-8: JSON can
+    carry a lone surrogate, which no file, prompt hash or trace can then
+    encode. Otherwise ``ValueError`` (``UnicodeEncodeError`` is one)."""
+    value = row[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
+    value.encode("utf-8")
+    return value
 
 
 class JsonlSink:

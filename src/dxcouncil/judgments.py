@@ -10,13 +10,7 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import (
-    CardinalityError,
-    ConfidenceRangeError,
-    EmptyQueryListError,
-    JudgmentLengthError,
-    JudgmentParseError,
-)
+from .errors import DeliberationError, JudgmentParseError
 from .templates import TaskKind
 
 STANCES = ("S", "N", "O")
@@ -66,7 +60,7 @@ def _parse_opinion(text: str) -> dict:
     if isinstance(conf, bool) or not isinstance(conf, (int, float)):
         raise JudgmentParseError("confidence must be a number", span=repr(conf))
     if not 0.0 <= float(conf) <= 1.0:
-        raise ConfidenceRangeError(f"confidence {conf} outside [0, 1]", span=repr(conf))
+        raise JudgmentParseError(f"confidence {conf} outside [0, 1]", span=repr(conf))
     just = obj["justification"]
     if not isinstance(just, str) or not just.strip():
         raise JudgmentParseError("justification must be a non-empty string",
@@ -111,7 +105,7 @@ def parse_judgment(kind: TaskKind, response_text: str,
         items = _string_array(text)
         k_max = int(variables["k_max"])
         if len(items) > k_max:
-            raise CardinalityError(
+            raise JudgmentParseError(
                 f"{len(items)} diagnoses exceed the maximum of {k_max}", span=text)
         return items
 
@@ -127,7 +121,7 @@ def parse_judgment(kind: TaskKind, response_text: str,
         bits = tuple(int(t) for t in tokens)
         path_count = int(variables["path_count"])
         if len(bits) != path_count:
-            raise JudgmentLengthError(
+            raise JudgmentParseError(
                 f"got {len(bits)} judgments for a batch of {path_count}", span=text)
         return bits
 
@@ -145,9 +139,9 @@ def parse_judgment(kind: TaskKind, response_text: str,
     if kind is TaskKind.REFINE_QUERY:
         items = _string_array(text)
         if not items:
-            raise EmptyQueryListError("refinement produced no queries")
+            raise DeliberationError("refinement produced no queries")
         if len(items) > 3:
-            raise CardinalityError(
+            raise JudgmentParseError(
                 f"{len(items)} refinement queries exceed the maximum of 3", span=text)
         return items
 

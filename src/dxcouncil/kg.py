@@ -17,14 +17,7 @@ from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, TextIO
 
-from .errors import (
-    DanglingReferenceError,
-    EmptyMentionError,
-    KgLoadError,
-    PathEndpointsError,
-    UnknownConceptError,
-    VerbalizationError,
-)
+from .errors import KgError, ResourceError
 from .jsonl import open_lines
 from .templates import TaskKind
 
@@ -163,9 +156,9 @@ class KnowledgeGraph:
         seen: set[tuple[str, str, str]] = set()
         for edge in edges:
             if edge.source not in self._concepts:
-                raise UnknownConceptError(f"edge source {edge.source!r} is not a loaded concept")
+                raise KgError(f"edge source {edge.source!r} is not a loaded concept")
             if edge.target not in self._concepts:
-                raise UnknownConceptError(f"edge target {edge.target!r} is not a loaded concept")
+                raise KgError(f"edge target {edge.target!r} is not a loaded concept")
             if edge.as_triple() in seen:
                 continue
             seen.add(edge.as_triple())
@@ -184,7 +177,7 @@ class KnowledgeGraph:
         try:
             return self._concepts[concept_id]
         except KeyError:
-            raise UnknownConceptError(f"unknown concept id {concept_id!r}") from None
+            raise KgError(f"unknown concept id {concept_id!r}") from None
 
     def has_concept(self, concept_id: str) -> bool:
         return concept_id in self._concepts
@@ -212,7 +205,7 @@ class KnowledgeGraph:
             raise ValueError("limit must be positive")
         mention = normalize_term(raw_mention)
         if not mention:
-            raise EmptyMentionError(f"mention {raw_mention!r} is empty after normalization")
+            raise KgError(f"mention {raw_mention!r} is empty after normalization")
         mention_tokens = frozenset(mention.split())
         lexicon = self._lexicon
 
@@ -244,7 +237,7 @@ class KnowledgeGraph:
         if h_max < 1:
             raise ValueError("h_max must be >= 1")
         if start == end:
-            raise PathEndpointsError(f"path start and end are both {start!r}")
+            raise KgError(f"path start and end are both {start!r}")
         self.concept(start)
         self.concept(end)
 
@@ -294,14 +287,15 @@ def read_concepts(source: str | Path | TextIO) -> list[Concept]:
             continue
         fields = line.split("\t")
         if len(fields) != 4:
-            raise KgLoadError(name, line_no, f"expected 4 tab-separated fields, got {len(fields)}")
+            raise ResourceError(
+                f"{name}:{line_no}: expected 4 tab-separated fields, got {len(fields)}")
         concept_id, preferred, synonyms, semtypes = (f.strip() for f in fields)
         if not concept_id:
-            raise KgLoadError(name, line_no, "empty concept id")
+            raise ResourceError(f"{name}:{line_no}: empty concept id")
         if not preferred:
-            raise KgLoadError(name, line_no, "empty preferred name")
+            raise ResourceError(f"{name}:{line_no}: empty preferred name")
         if concept_id in seen:
-            raise KgLoadError(name, line_no, f"duplicate concept id {concept_id!r}")
+            raise ResourceError(f"{name}:{line_no}: duplicate concept id {concept_id!r}")
         seen.add(concept_id)
         concepts.append(Concept(
             id=concept_id,
@@ -321,10 +315,11 @@ def read_triples(source: str | Path | TextIO) -> list[tuple[int, Edge]]:
             continue
         fields = line.split("\t")
         if len(fields) != 3:
-            raise KgLoadError(name, line_no, f"expected 3 tab-separated fields, got {len(fields)}")
+            raise ResourceError(
+                f"{name}:{line_no}: expected 3 tab-separated fields, got {len(fields)}")
         source_id, relation, target_id = (f.strip() for f in fields)
         if not source_id or not relation or not target_id:
-            raise KgLoadError(name, line_no, "empty field in triple")
+            raise ResourceError(f"{name}:{line_no}: empty field in triple")
         triples.append((line_no, Edge(source_id, relation, target_id)))
     return triples
 
@@ -340,10 +335,10 @@ def load_kg(triples_source: str | Path | TextIO,
     ids = {c.id for c in concepts}
     edges: list[Edge] = []
     for line_no, edge in read_triples(triples_source):
-        if edge.source not in ids:
-            raise DanglingReferenceError(edge.source, line_no)
-        if edge.target not in ids:
-            raise DanglingReferenceError(edge.target, line_no)
+        for concept_id in (edge.source, edge.target):
+            if concept_id not in ids:
+                raise ResourceError(
+                    f"triple line {line_no} references unknown concept id {concept_id!r}")
         edges.append(edge)
     return KnowledgeGraph(concepts, edges)
 
@@ -363,7 +358,7 @@ def verbalize_path(paths: list[KnowledgePath], gw) -> list[KnowledgePath]:
         try:
             sentence = gw.complete(TaskKind.VERBALIZE, {"path": chain})
         except Exception as exc:
-            raise VerbalizationError(f"verbalization failed for path {chain!r}") from exc
+            raise KgError(f"verbalization failed for path {chain!r}") from exc
         return replace(path, verbalization=sentence)
 
     return gw.branches([partial(verbalize, path) for path in paths])

@@ -59,7 +59,7 @@ from .differential import (
     generate_hypotheses,
     read_cases,
 )
-from .errors import CaseFailure, EmptyCorpusError, EngineError
+from .errors import CaseFailure, EngineError, ResourceError
 from .evidence import EvidencePackage, build_initial_package
 from .gateway import (
     ChatBackend,
@@ -275,7 +275,7 @@ def run_batch(runtime: Runtime) -> BatchResult:
     config = runtime.config
     cases = read_cases(config.cases_path)
     if not cases:
-        raise EmptyCorpusError(f"no cases in {config.cases_path}")
+        raise ResourceError(f"no cases in {config.cases_path}")
     config.output_dir.mkdir(parents=True, exist_ok=True)
 
     def one(case: CaseDescription) -> CaseRow:

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnboundPlaceholderError
+from .errors import GatewayError
 
 
 class TaskKind(Enum):
@@ -47,7 +47,7 @@ class PromptTemplate:
             def sub(match: re.Match) -> str:
                 name = match.group(1)
                 if name not in variables:
-                    raise UnboundPlaceholderError(
+                    raise GatewayError(
                         f"placeholder {{{name}}} unbound for task {self.kind.value!r}")
                 return str(variables[name])
 

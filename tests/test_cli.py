@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import pytest
 import yaml
 
 from dxcouncil import cli
@@ -119,3 +120,27 @@ def test_missing_config_file_exits_one(tmp_path, capsys):
     code = cli.main(["validate", "--config", str(tmp_path / "nope.yaml")])
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+def not_utf8_copy(tmp_path, name):
+    """A fixture file with one byte that is not UTF-8 on its first line."""
+    path = tmp_path / name
+    path.write_bytes(b"\xff" + (FIXTURES / name).read_bytes())
+    return path
+
+
+@pytest.mark.parametrize("section,key,name", [("cases", "path", "cases.jsonl"),
+                                              ("kg", "concepts", "concepts.tsv")],
+                         ids=["cases", "concepts"])
+def test_an_input_file_that_is_not_utf8_exits_three(tmp_path, capsys, section, key, name):
+    path = not_utf8_copy(tmp_path, name)
+    config = write_cli_config(tmp_path, **{section: {key: str(path)}})
+    assert cli.main(["batch", "--config", str(config)]) == 3
+    assert f"resource error: {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
+
+def test_a_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
+    config = not_utf8_copy(tmp_path, "replay_config.yaml")
+    assert cli.main(["validate", "--config", str(config)]) == 1
+    assert (f"config error: config: cannot read {config}: 'utf-8' codec can't decode"
+            in capsys.readouterr().err)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import io
 import json
+import re
 
 import pytest
+from hypothesis import given, strategies as st
 
 from dxcouncil.differential import (
     CaseDescription,
@@ -15,11 +17,7 @@ from dxcouncil.differential import (
     read_cases,
     render_findings,
 )
-from dxcouncil.errors import (
-    EmptyHypothesesError,
-    JudgmentParseError,
-    ResourceError,
-)
+from dxcouncil.errors import DeliberationError, JudgmentParseError, ResourceError
 from dxcouncil.gateway import TaskKind
 from dxcouncil.trace import Trace
 
@@ -124,7 +122,8 @@ def test_hypotheses_casefold_dedup():
 
 def test_empty_differential_stops_the_pipeline():
     gw = scripted_gateway([(TaskKind.HYPOTHESIZE, "", "[]")])
-    with pytest.raises(EmptyHypothesesError):
+    with pytest.raises(DeliberationError,
+                       match="^case 'c1': model produced no diagnoses$"):
         generate_hypotheses(CASE, [], gw, k_max=4)
 
 
@@ -179,3 +178,29 @@ def test_read_cases_parses_and_validates(tmp_path):
         read_cases(io.StringIO('{"case_id": "x", "narrative": "  "}\n'))
     with pytest.raises(ValueError):
         CaseDescription("x", "   ")
+
+
+# a case-file field: any text, or very long text, with lone surrogates drawn
+# as often as all other characters together; or a value that is not text
+CHARACTER = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])
+FIELD = st.one_of(
+    st.text(CHARACTER, max_size=20),
+    st.builds(str.__mul__, CHARACTER, st.integers(10_000, 100_000)),
+    st.none(), st.integers(), st.floats(allow_nan=False))
+CASE_ROW = st.fixed_dictionaries({"case_id": FIELD, "narrative": FIELD},
+                                 optional={"ground_truth": FIELD})
+
+
+@given(st.lists(CASE_ROW, min_size=1, max_size=4))
+def test_a_case_file_is_rejected_at_a_line_or_holds_only_encodable_text(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("cases") / "cases.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    try:
+        cases = read_cases(path)
+    except ResourceError as exc:
+        assert re.match(rf"{re.escape(str(path))}:[1-4]: ", str(exc))
+        return
+    for case in cases:
+        for text in (case.case_id, case.narrative, case.ground_truth or ""):
+            assert isinstance(text, str)
+            text.encode("utf-8")

@@ -12,11 +12,7 @@ from hypothesis import given, strategies as st
 
 from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
 from dxcouncil.differential import AbnormalEntity, CaseDescription
-from dxcouncil.errors import (
-    HypothesisMismatchError,
-    JudgmentLengthError,
-    JudgmentParseError,
-)
+from dxcouncil.errors import DeliberationError, JudgmentParseError
 from dxcouncil.evidence import (
     EvidencePackage,
     build_initial_package,
@@ -227,7 +223,8 @@ def test_all_rejected_batch():
 
 def test_wrong_bit_count_is_a_length_error():
     gw = scripted_gateway([(TaskKind.PRUNE, "", "1,0")])
-    with pytest.raises(JudgmentLengthError):
+    with pytest.raises(JudgmentParseError, match=r"^got 2 judgments for a batch of 3 "
+                                                 r"\(offending span: '1,0'\)$"):
         prune_paths(parallel_paths(3), CASE, [], gw)
 
 
@@ -301,7 +298,7 @@ def test_merge_overlapping_paths_dedupes():
 
 def test_merge_requires_matching_hypotheses():
     p1, p2 = parallel_paths(2)
-    with pytest.raises(HypothesisMismatchError):
+    with pytest.raises(DeliberationError, match="^cannot merge packages for 'D' and 'E'$"):
         merge_packages(make_package("D", [p1], ["s1"]),
                        make_package("E", [p2], ["s2"]))
 

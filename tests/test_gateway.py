@@ -11,16 +11,13 @@ from hypothesis import given, strategies as st
 
 from dxcouncil.backends import HttpEmbedder, HttpScorer
 from dxcouncil.errors import (
-    DuplicateTranscriptKeyError,
-    EmbeddingCountError,
-    EmptyResponseError,
     GatewayError,
-    JudgmentLengthError,
     JudgmentParseError,
+    RecordConflictError,
     ReplayMissError,
-    TranscriptError,
+    ResourceError,
+    RetrievalError,
     TransportError,
-    UnboundPlaceholderError,
 )
 from dxcouncil.gateway import (
     Gateway,
@@ -65,7 +62,8 @@ def test_replay_miss_names_the_task():
 
 def test_unbound_placeholder_is_an_error():
     gw = scripted_gateway([(TaskKind.VERBALIZE, "", "ok")])
-    with pytest.raises(UnboundPlaceholderError):
+    with pytest.raises(GatewayError,
+                       match="^placeholder {path} unbound for task 'verbalize'$"):
         gw.complete(TaskKind.VERBALIZE, {})
 
 
@@ -141,7 +139,8 @@ def test_recorder_dedupes_and_rejects_conflicts(tmp_path):
     recorder = TranscriptRecorder(transcript)
     recorder.record("k1", "ner", "response A")
     recorder.record("k1", "ner", "response A")  # identical repeat is fine
-    with pytest.raises(DuplicateTranscriptKeyError):
+    with pytest.raises(RecordConflictError,
+                       match="^transcript key k1 appears twice with different responses$"):
         recorder.record("k1", "ner", "response B")
     recorder.close()
     assert len(transcript.read_text().splitlines()) == 1
@@ -152,12 +151,13 @@ def test_load_transcript_rejects_conflicting_rows(tmp_path):
     rows = [{"key": "k", "task": "ner", "response": "A"},
             {"key": "k", "task": "ner", "response": "B"}]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
-    with pytest.raises(DuplicateTranscriptKeyError):
+    with pytest.raises(RecordConflictError,
+                       match="^transcript key k appears twice with different responses$"):
         load_transcript(path)
     path.write_text(json.dumps(rows[0]) + "\n" + json.dumps(rows[0]) + "\n")
     assert load_transcript(path) == {"k": "A"}
     path.write_text("not json\n")
-    with pytest.raises(TranscriptError):
+    with pytest.raises(ResourceError, match=r"t\.jsonl:1: bad transcript row: "):
         load_transcript(path)
 
 
@@ -187,7 +187,7 @@ def test_record_and_replay_traces_share_a_digest(tmp_path):
 
 def test_empty_backend_response_rejected():
     gw = scripted_gateway([(TaskKind.VERBALIZE, "", "   ")])
-    with pytest.raises(EmptyResponseError):
+    with pytest.raises(GatewayError, match="^empty response for task 'verbalize'$"):
         gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
 
 
@@ -214,7 +214,8 @@ def test_complete_returns_the_parsed_payload_and_traces_a_malformed_response():
     variables = {"narrative": "n", "findings": "f", "hypotheses": "h"}
     assert gw.complete(TaskKind.ASSESS_COMPLEXITY, variables) == "SIMPLE"
     prune = {"narrative": "n", "guidelines": "g", "paths": "p", "path_count": "3"}
-    with pytest.raises(JudgmentLengthError):
+    with pytest.raises(JudgmentParseError, match=r"^got 2 judgments for a batch of 3 "
+                                                 r"\(offending span: '1,0'\)$"):
         gw.complete(TaskKind.PRUNE, prune)
     assert gw.complete(TaskKind.PRUNE, dict(prune, path_count="2")) == (1, 0)
     # a response outside its grammar is in the trace before the error surfaces
@@ -261,6 +262,22 @@ def test_http_chat_recovers_on_second_attempt(monkeypatch):
                         lambda url, json=None, timeout=None: responses.pop(0))
     backend = HttpChatBackend("http://example.invalid/v1/chat/completions", "m")
     assert backend.respond(TaskKind.NER, "s", "u", "k") == "hello"
+
+
+def test_a_live_reply_holding_a_lone_surrogate_is_malformed_and_never_recorded(
+        monkeypatch, tmp_path):
+    reply = _Resp(payload={"choices": [{"message": {"content": "A causes B \ud800."}}]})
+    monkeypatch.setattr(requests, "post", lambda url, json=None, timeout=None: reply)
+    transcript = tmp_path / "t.jsonl"
+    backend = RecordingBackend(HttpChatBackend("http://example.invalid/v1/chat/completions",
+                                               "m"), TranscriptRecorder(transcript))
+    gw = Gateway(backend, Trace("case"), {})
+    # inside a branch, where a recorded row would be held and written at the splice
+    with pytest.raises(TransportError, match="^malformed response from .*surrogates not allowed"):
+        gw.branches([lambda child: child.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})])
+    backend.close()
+    assert transcript.read_text() == ""
+    assert gw.trace.records == []
 
 
 def test_http_chat_malformed_body_fails_fast(monkeypatch):
@@ -341,5 +358,5 @@ def test_http_scorer_rejects_results_that_miss_or_repeat_a_document(monkeypatch,
 def test_http_embedder_rejects_a_vector_count_that_differs_from_the_texts(monkeypatch):
     reply = _Resp(payload={"data": [{"index": 0, "embedding": [1.0, 0.0]}]})
     monkeypatch.setattr(requests, "post", lambda url, json=None, timeout=None: reply)
-    with pytest.raises(EmbeddingCountError):
+    with pytest.raises(RetrievalError, match="^embedder returned 1 vectors for 2 texts$"):
         HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b"])

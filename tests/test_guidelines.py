@@ -10,16 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
-from dxcouncil.errors import (
-    CorpusError,
-    DimensionMismatchError,
-    EmbeddingCountError,
-    EmptyCandidatesError,
-    EmptyCorpusError,
-    EmptyIndexError,
-    RerankError,
-    ScoreCountError,
-)
+from dxcouncil.errors import ResourceError, RetrievalError
 from dxcouncil.guidelines import (
     GuidelineIndex,
     GuidelineSegment,
@@ -56,11 +47,11 @@ def test_read_corpus_parses_and_validates():
     out = read_corpus(io.StringIO(payload))
     assert [s.segment_id for s in out] == ["a", "b"]
 
-    with pytest.raises(CorpusError):
+    with pytest.raises(ResourceError, match="^<stream>:1: bad corpus row: 'source_doc'$"):
         read_corpus(io.StringIO('{"segment_id": "a"}\n'))
-    with pytest.raises(CorpusError):
+    with pytest.raises(ResourceError, match="^<stream>:3: duplicate segment id 'a'$"):
         read_corpus(io.StringIO(payload + payload.splitlines()[0] + "\n"))
-    with pytest.raises(CorpusError):
+    with pytest.raises(ResourceError, match="^<stream>:1: segment 'x' has empty text$"):
         read_corpus(io.StringIO(
             json.dumps({"segment_id": "x", "source_doc": "d", "text": "  "}) + "\n"))
 
@@ -82,7 +73,7 @@ def test_ingest_rejects_inconsistent_dimensions():
             return [np.ones(4) if i == 0 else np.ones(5)
                     for i, _ in enumerate(texts)]
 
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RetrievalError, match="^segment 'g001' embedding dim 5 != 4$"):
         ingest_corpus(segs(2), RaggedEmbedder())
 
 
@@ -93,12 +84,12 @@ def test_ingest_rejects_a_short_vector_list():
         def embed(self, texts):
             return [np.ones(4) for _ in texts[1:]]
 
-    with pytest.raises(EmbeddingCountError, match="returned 4 vectors for 5 texts"):
+    with pytest.raises(RetrievalError, match="^embedder returned 4 vectors for 5 texts$"):
         ingest_corpus(segs(5), ShortEmbedder())
 
 
 def test_ingest_empty_corpus_rejected():
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(ResourceError, match="^corpus contains no segments$"):
         ingest_corpus([], HashEmbedder(dim=8))
 
 
@@ -132,7 +123,7 @@ def test_self_similarity_is_one_and_negation_minus_one():
 def test_query_dimension_checked():
     index = ingest_corpus(segs(3), HashEmbedder(dim=8))
     index._embedder = HashEmbedder(dim=4)  # swap in a mismatched backend
-    with pytest.raises(DimensionMismatchError):
+    with pytest.raises(RetrievalError, match="^query embedding dim 4 != index dim 8$"):
         index.embed_query("anything")
 
 
@@ -177,7 +168,7 @@ def test_dense_tie_break_is_ascending_segment_id():
 
 def test_empty_index_and_bad_k():
     index = GuidelineIndex([], HashEmbedder(dim=8), 8)
-    with pytest.raises(EmptyIndexError):
+    with pytest.raises(RetrievalError, match="^cannot retrieve from an empty index$"):
         dense_retrieve(index, "q", k=1)
     full = ingest_corpus(segs(2), HashEmbedder(dim=8))
     with pytest.raises(ValueError):
@@ -231,7 +222,8 @@ def test_rerank_rejects_a_score_count_that_differs_from_the_candidates(miscount)
             return miscount([1.0] * len(segment_texts))
 
     got = len(miscount([1.0] * 8))
-    with pytest.raises(ScoreCountError, match=f"returned {got} scores for 8 segments"):
+    with pytest.raises(RetrievalError,
+                       match=f"^cross-scorer returned {got} scores for 8 segments$"):
         rerank(candidates, query, MiscountingScorer(), n=4)
 
 
@@ -258,7 +250,7 @@ def test_rerank_errors():
     index = ingest_corpus(segs(3), HashEmbedder(dim=8))
     query = "q"
     candidates = dense_retrieve(index, query, k=3)
-    with pytest.raises(EmptyCandidatesError):
+    with pytest.raises(RetrievalError, match="^no candidates to rerank$"):
         rerank([], query, LexicalOverlapScorer(), n=2)
     with pytest.raises(ValueError):
         rerank(candidates, query, LexicalOverlapScorer(), n=0)
@@ -267,7 +259,8 @@ def test_rerank_errors():
         def score(self, query_text, segment_texts):
             raise RuntimeError("backend down")
 
-    with pytest.raises(RerankError):
+    with pytest.raises(RetrievalError,
+                       match="^cross-scoring 3 candidates failed: backend down$"):
         rerank(candidates, query, BrokenScorer(), n=2)
 
 

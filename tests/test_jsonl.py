@@ -19,40 +19,46 @@ from dxcouncil.backends import (
     TableScorer,
 )
 from dxcouncil.differential import read_cases
-from dxcouncil.errors import (
-    CorpusError,
-    DuplicateTranscriptKeyError,
-    EmbeddingCountError,
-    RecordConflictError,
-    ResourceError,
-    ScoreCountError,
-    TranscriptError,
-)
+from dxcouncil.errors import RecordConflictError, ResourceError, RetrievalError
 from dxcouncil.gateway import TranscriptRecorder, load_transcript
 from dxcouncil.guidelines import read_corpus
 from dxcouncil.jsonl import JsonlSink, holding, write_held
 
 LOADERS = [
-    pytest.param(read_cases, {"case_id": "a", "narrative": "Story A."}, ResourceError,
+    pytest.param(read_cases, {"case_id": "a", "narrative": "Story A."}, "case",
                  id="read_cases"),
     pytest.param(read_corpus, {"segment_id": "a", "source_doc": "d", "text": "alpha"},
-                 CorpusError, id="read_corpus"),
+                 "corpus", id="read_corpus"),
     pytest.param(load_transcript, {"key": "k", "task": "ner", "response": "r"},
-                 TranscriptError, id="load_transcript"),
-    pytest.param(TableEmbedder.load, {"text": "t", "embedding": [1.0, 0.5]}, ResourceError,
+                 "transcript", id="load_transcript"),
+    pytest.param(TableEmbedder.load, {"text": "t", "embedding": [1.0, 0.5]}, "embedding",
                  id="TableEmbedder.load"),
-    pytest.param(TableScorer.load, {"query": "q", "text": "t", "score": 0.5}, ResourceError,
+    pytest.param(TableScorer.load, {"query": "q", "text": "t", "score": 0.5}, "score",
                  id="TableScorer.load"),
 ]
 
 
 @pytest.mark.parametrize("bad_line", ["{not json", '["a"]'], ids=["invalid_json", "array_row"])
-@pytest.mark.parametrize("load,good_row,error", LOADERS)
+@pytest.mark.parametrize("load,good_row,what", LOADERS)
 def test_every_loader_names_the_bad_line_with_its_own_error(tmp_path, load, good_row,
-                                                            error, bad_line):
+                                                            what, bad_line):
     path = tmp_path / "rows.jsonl"
     path.write_text(json.dumps(good_row) + "\n" + bad_line + "\n", encoding="utf-8")
-    with pytest.raises(error, match=r"rows\.jsonl:2: "):
+    with pytest.raises(ResourceError, match=rf"rows\.jsonl:2: bad {what} row: "):
+        load(path)
+
+
+@pytest.mark.parametrize("value", ["Story \ud800.", None, 5],
+                         ids=["lone_surrogate", "null", "number"])
+@pytest.mark.parametrize("load,good_row,what", LOADERS)
+def test_every_loader_rejects_a_text_field_that_is_not_encodable_text(tmp_path, load, good_row,
+                                                                      what, value):
+    # the last text field: a case's narrative, a transcript row's response
+    field = [key for key, text in good_row.items() if isinstance(text, str)][-1]
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(good_row) + "\n" + json.dumps(dict(good_row, **{field: value}))
+                    + "\n", encoding="utf-8")
+    with pytest.raises(ResourceError, match=rf"rows\.jsonl:2: bad {what} row: "):
         load(path)
 
 
@@ -136,7 +142,7 @@ def test_recording_scorer_records_nothing_from_a_miscounted_batch(tmp_path):
             return [0.5] * (len(segment_texts) - 1)
 
     scorer = RecordingScorer(ShortScorer(), tmp_path / "s.jsonl")
-    with pytest.raises(ScoreCountError):
+    with pytest.raises(RetrievalError, match="^cross-scorer returned 1 scores for 2 segments$"):
         scorer.score("q", ["a", "b"])
     scorer.close()
     assert table_rows(tmp_path / "s.jsonl") == []
@@ -148,7 +154,7 @@ def test_recording_embedder_records_nothing_from_a_miscounted_batch(tmp_path):
             return HashEmbedder(dim=4).embed(texts)[:-1]
 
     embedder = RecordingEmbedder(ShortEmbedder(), tmp_path / "e.jsonl")
-    with pytest.raises(EmbeddingCountError):
+    with pytest.raises(RetrievalError, match="^embedder returned 2 vectors for 3 texts$"):
         embedder.embed(["a", "b", "c"])
     embedder.close()
     assert table_rows(tmp_path / "e.jsonl") == []
@@ -229,7 +235,8 @@ def test_a_conflicting_held_repeat_raises_when_written(tmp_path):
     held = []
     with holding(held):
         recorder.record("k", "ner", "second")
-    with pytest.raises(DuplicateTranscriptKeyError):
+    with pytest.raises(RecordConflictError,
+                       match="^transcript key k appears twice with different responses$"):
         write_held(held)
     scorer.close()
     recorder.close()

@@ -3,17 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from dxcouncil.errors import (
-    CardinalityError,
-    ConfidenceRangeError,
-    EmptyQueryListError,
-    JudgmentLengthError,
-    JudgmentParseError,
-)
+from dxcouncil.errors import DeliberationError, JudgmentParseError
 from dxcouncil.judgments import parse_judgment
 from dxcouncil.templates import TaskKind
 
@@ -47,7 +42,8 @@ def test_differential_of_three_within_limit_four():
 
 def test_differential_of_five_over_limit_four():
     five = json.dumps(["A", "B", "C", "D", "E"])
-    with pytest.raises(CardinalityError):
+    with pytest.raises(JudgmentParseError,
+                       match=r"^5 diagnoses exceed the maximum of 4 \(offending span: "):
         payload(TaskKind.HYPOTHESIZE, five, k_max="4")
 
 
@@ -58,9 +54,10 @@ def test_dispatch_list_and_cap():
 
 def test_refinement_queries_bounded_one_to_three():
     assert payload(TaskKind.REFINE_QUERY, '["q1", "q2"]') == ["q1", "q2"]
-    with pytest.raises(EmptyQueryListError):
+    with pytest.raises(DeliberationError, match="^refinement produced no queries$"):
         payload(TaskKind.REFINE_QUERY, "[]")
-    with pytest.raises(CardinalityError):
+    with pytest.raises(JudgmentParseError, match=r"^4 refinement queries exceed the "
+                                                 r"maximum of 3 \(offending span: "):
         payload(TaskKind.REFINE_QUERY, json.dumps(["a", "b", "c", "d"]))
 
 
@@ -94,7 +91,8 @@ def test_prune_bits_parse_and_length_check():
     assert payload(TaskKind.PRUNE, "1,0,1,1,0,0,1,0",
                    path_count="8") == (1, 0, 1, 1, 0, 0, 1, 0)
     assert payload(TaskKind.PRUNE, "1, 0 , 1", path_count="3") == (1, 0, 1)
-    with pytest.raises(JudgmentLengthError):
+    with pytest.raises(JudgmentParseError, match=r"^got 2 judgments for a batch of 3 "
+                                                 r"\(offending span: '1,0'\)$"):
         payload(TaskKind.PRUNE, "1,0", path_count="3")
     with pytest.raises(JudgmentParseError):
         payload(TaskKind.PRUNE, "1,2,0", path_count="3")
@@ -118,9 +116,11 @@ def test_opinion_parses_exact_keys():
 
 
 def test_opinion_confidence_bounds():
-    with pytest.raises(ConfidenceRangeError):
+    with pytest.raises(JudgmentParseError, match=r"^confidence 1\.3 outside \[0, 1\] "
+                                                 r"\(offending span: '1\.3'\)$"):
         payload(TaskKind.SPECIALIST_OPINION, opinion(confidence=1.3))
-    with pytest.raises(ConfidenceRangeError):
+    with pytest.raises(JudgmentParseError, match=r"^confidence -0\.1 outside \[0, 1\] "
+                                                 r"\(offending span: '-0\.1'\)$"):
         payload(TaskKind.SPECIALIST_OPINION, opinion(confidence=-0.1))
     assert payload(TaskKind.SPECIALIST_OPINION, opinion(confidence=0))["confidence"] == 0.0
     assert payload(TaskKind.SPECIALIST_OPINION, opinion(confidence=1))["confidence"] == 1.0
@@ -192,5 +192,6 @@ def test_in_range_confidence_accepted(conf):
 @given(st.floats(allow_nan=False, allow_infinity=False).filter(
     lambda x: x < 0.0 or x > 1.0))
 def test_out_of_range_confidence_rejected(conf):
-    with pytest.raises(ConfidenceRangeError):
+    with pytest.raises(JudgmentParseError,
+                       match="^" + re.escape(f"confidence {conf} outside [0, 1] ")):
         payload(TaskKind.SPECIALIST_OPINION, opinion(confidence=conf))

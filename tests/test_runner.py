@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import sys
 from types import SimpleNamespace
 
@@ -20,7 +21,7 @@ from dxcouncil.backends import (
 )
 from dxcouncil.config import BackendMode, validate_config
 from dxcouncil.differential import read_cases
-from dxcouncil.errors import CaseFailure, CorpusError, EmptyCorpusError
+from dxcouncil.errors import CaseFailure, ResourceError
 from dxcouncil.gateway import ReplayChatBackend
 from dxcouncil.runner import (Runtime, diagnoses_agree, resolve_diagnosis_label,
                               run_batch, run_case, trace_path_for)
@@ -194,7 +195,7 @@ def test_empty_case_file_is_an_error(replay_runtime, tmp_path):
     empty.write_text("")
     runtime = Runtime(dataclasses.replace(replay_runtime.config,
                                           cases_path=empty))
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(ResourceError, match=f"^no cases in {re.escape(str(empty))}$"):
         run_batch(runtime)
     runtime.close()
 
@@ -288,20 +289,21 @@ def test_a_failed_set_up_closes_the_record_tables_it_opened(replay_runtime, tmp_
     # the corpus fails after all three tables are open; a score table in a
     # missing directory fails while the other two are open
     missing_scores = tmp_path / "missing" / "s.jsonl"
-    for config, error, opened_tables in [
-            (record, CorpusError, tables),
+    bad_row = r"corpus\.jsonl:1: bad corpus row: "
+    for config, error, match, opened_tables in [
+            (record, ResourceError, bad_row, tables),
             (dataclasses.replace(record, corpus_path=replay_runtime.config.corpus_path,
                                  scores_path=missing_scores),
-             FileNotFoundError, tables[:2])]:
+             FileNotFoundError, None, tables[:2])]:
         opened.clear()
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             Runtime(config)
         assert [fh.name for fh in opened] == [str(path) for path in opened_tables]
         assert all(fh.closed for fh in opened)
 
     # injected backends stay open: they belong to the caller
     embedder = RecordingEmbedder(HashEmbedder(), tmp_path / "injected.jsonl")
-    with pytest.raises(CorpusError):
+    with pytest.raises(ResourceError, match=bad_row):
         Runtime(record, chat_backend=replay_runtime.chat_backend, embedder=embedder,
                 scorer=replay_runtime.scorer)
     assert not opened[-1].closed

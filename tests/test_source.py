@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import dxcouncil
+from dxcouncil import errors
 
 
 def test_package_has_no_assert_statements():
@@ -79,3 +81,27 @@ def test_package_imports_only_at_module_level():
              for node in ast.walk(func)
              if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
+
+
+def test_every_exception_class_is_defined_in_errors_py():
+    package = Path(dxcouncil.__file__).parent
+    modules = [importlib.import_module(f"dxcouncil.{path.stem}")
+               for path in sorted(package.glob("*.py")) if path.stem != "__main__"]
+    found = {f"{module.__name__}.{name}"
+             for module in modules for name, value in vars(module).items()
+             if isinstance(value, type) and issubclass(value, BaseException)
+             and value.__module__ == module.__name__}
+    assert found == {f"dxcouncil.errors.{name}" for name, value in vars(errors).items()
+                     if isinstance(value, type) and issubclass(value, errors.EngineError)}
+
+
+def test_every_error_class_but_the_base_is_raised_or_caught_outside_errors_py():
+    # a class only tests tell apart from its stage's class folds into it
+    package = Path(dxcouncil.__file__).parent
+    used: set[str] = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name != "errors.py":
+            used |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    classes = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.EngineError)}
+    assert sorted(classes - used - {"EngineError"}) == []
