@@ -98,6 +98,33 @@ def test_write_then_load_preserves_digest(tmp_path):
     assert loaded.records == t.records
 
 
+def test_write_produces_these_exact_bytes(tmp_path):
+    # the header and digest lines keep json.dumps' default separators and
+    # ASCII escapes; a record line is its canonical line (sorted, compact,
+    # UTF-8) with the volatile keys appended in _VOLATILE_KEYS order
+    t = Trace("case-\u00e9")
+    t.exchange(task="ner", canonical_key="k1",
+               prompt="Patient record: itching \u2192 jaundice",
+               response='["itching"]', backend="live")
+    t.retrieval(query="q", dense=[{"segment_id": "s1", "dense_score": 0.5}],
+                reranked=[], k=8, n=4)
+    t.decision("complexity", {"flag": "SIMPLE", "z": 1, "a": [True, None]})
+    for record, ts in zip(t._records, (1700000000.125, 0.5, 2.0)):
+        record["ts"] = ts
+    path = t.write(tmp_path / "case.trace.jsonl")
+    assert path.read_bytes() == (
+        b'{"type": "header", "case_id": "case-\\u00e9"}\n'
+        b'{"key":"k1","prompt":"Patient record: itching \xe2\x86\x92 jaundice",'
+        b'"response":"[\\"itching\\"]","seq":0,"task":"ner","type":"exchange",'
+        b'"ts":1700000000.125,"backend":"live"}\n'
+        b'{"dense":[{"dense_score":0.5,"segment_id":"s1"}],"k":8,"n":4,"query":"q",'
+        b'"reranked":[],"seq":1,"type":"retrieval","ts":0.5}\n'
+        b'{"decision":"complexity","payload":{"a":[true,null],"flag":"SIMPLE","z":1},'
+        b'"seq":2,"type":"decision","ts":2.0}\n'
+        b'{"type": "digest", "digest": '
+        b'"2b1c656b69db7036963bf27cd48e0bc3022db586f32b5d52aba10f1216a1621a"}\n')
+
+
 def test_a_line_with_its_volatile_keys_moved_still_verifies(tmp_path):
     t = sample_trace()
     path = t.write(tmp_path / "case-x.trace.jsonl")
