@@ -77,6 +77,26 @@ def _section(doc: dict, name: str, allowed: set[str]) -> dict:
     return value
 
 
+def _check_text(value: object, field: str) -> None:
+    """Raise ``ConfigError(field)`` unless every string in ``value``, mapping
+    keys included, encodes as UTF-8: a double-quoted YAML ``"\\ud800"``
+    escape yields a lone surrogate, which no prompt hash, file or trace can
+    encode later."""
+    if isinstance(value, str):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(field,
+                              f"must be text that encodes as UTF-8: {exc}") from exc
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            _check_text(key, field)
+            _check_text(item, str(key) if field == "config" else f"{field}.{key}")
+    elif isinstance(value, list):
+        for item in value:
+            _check_text(item, field)
+
+
 def _require_str(section: dict, section_name: str, key: str) -> str:
     value = section.get(key)
     if not isinstance(value, str) or not value.strip():
@@ -132,6 +152,7 @@ def validate_config(source: str | Path | dict, base_dir: Path | None = None) -> 
         base = (base_dir or Path.cwd()).resolve()
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be a mapping")
+    _check_text(doc, "config")
     unknown = set(doc) - _SECTIONS
     if unknown:
         raise ConfigError("config", f"unknown sections {sorted(unknown)}")

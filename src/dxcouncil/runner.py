@@ -70,6 +70,7 @@ from .gateway import (
     TranscriptRecorder,
 )
 from .guidelines import GuidelineIndex, ingest_corpus, read_corpus
+from .jsonl import write_new
 from .kg import KnowledgeGraph, load_kg
 from .metrics import MetricsReport, weighted_metrics
 from .trace import Trace
@@ -210,7 +211,6 @@ def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trac
     except EngineError as exc:
         raise CaseFailure(case.case_id, stage, exc) from exc
     finally:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
         trace.write(trace_path_for(config, case.case_id))
     runtime.answers.update((r["key"], r["response"]) for r in trace.exchanges())
     return report, trace
@@ -276,7 +276,6 @@ def run_batch(runtime: Runtime) -> BatchResult:
     cases = read_cases(config.cases_path)
     if not cases:
         raise ResourceError(f"no cases in {config.cases_path}")
-    config.output_dir.mkdir(parents=True, exist_ok=True)
 
     def one(case: CaseDescription) -> CaseRow:
         try:
@@ -310,15 +309,14 @@ def run_batch(runtime: Runtime) -> BatchResult:
     metrics = weighted_metrics(pairs)
     failed = sum(1 for row in rows if row.status != "ok")
 
-    with open(config.output_dir / "results.jsonl", "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row.to_dict(), ensure_ascii=False) + "\n")
+    write_new(config.output_dir / "results.jsonl",
+              "".join(json.dumps(row.to_dict(), ensure_ascii=False) + "\n"
+                      for row in rows))
     # cases/correct cover the whole batch; the weighted metrics cover the
     # labeled cases that produced a diagnosis
     summary = metrics.to_dict()
     summary["cases"] = len(rows)
     summary["correct"] = sum(1 for row in rows if row.correct)
-    with open(config.output_dir / "summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    write_new(config.output_dir / "summary.json",
+              json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
     return BatchResult(rows=rows, metrics=metrics, failed=failed)

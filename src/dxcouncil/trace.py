@@ -15,8 +15,15 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
+from .jsonl import write_new
+
 # Keys excluded from the canonical serialization the digest is computed over.
 _VOLATILE_KEYS = ("ts", "backend")
+# built once: json.dumps with any non-default option builds a new encoder
+# per call
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
+                              separators=(",", ":"))
+_VOLATILE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 class Trace:
@@ -110,10 +117,15 @@ class Trace:
             return self._digest
 
     def write(self, path: str | Path) -> Path:
-        """Flush to a JSONL file: header line, records, digest line.
+        """Write the trace to ``path`` as JSONL: header line, records, digest
+        line.
 
         Each record is serialized once: its file line is the canonical line
-        the digest hashes, with the volatile keys appended.
+        the digest hashes, with the volatile keys appended. The whole file
+        is built first and written with one call to a new file
+        (``jsonl.write_new``): a file an earlier run left at ``path`` is
+        replaced, never truncated in place, and the parent directory is made
+        if missing.
         """
         with self._lock:
             records = list(self._records)
@@ -121,14 +133,11 @@ class Trace:
             if self._digest is None:
                 self._digest = _digest_of(self.case_id, lines)
             digest = self._digest
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"type": "header", "case_id": self.case_id}) + "\n")
-            for record, line in zip(records, lines):
-                fh.write(_with_volatile_keys(line, record) + "\n")
-            fh.write(json.dumps({"type": "digest", "digest": digest}) + "\n")
-        return path
+        return write_new(path, "\n".join([
+            json.dumps({"type": "header", "case_id": self.case_id}),
+            *map(_with_volatile_keys, lines, records),
+            json.dumps({"type": "digest", "digest": digest}),
+            ""]))
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
@@ -157,8 +166,8 @@ class Trace:
 
 
 def _canonical_line(record: dict[str, Any]) -> str:
-    clean = {k: v for k, v in record.items() if k not in _VOLATILE_KEYS}
-    return json.dumps(clean, ensure_ascii=False, sort_keys=True, separators=(",", ":"))
+    return _CANONICAL.encode(
+        {k: v for k, v in record.items() if k not in _VOLATILE_KEYS})
 
 
 def _digest_of(case_id: str, lines: list[str]) -> str:
@@ -172,8 +181,7 @@ def _with_volatile_keys(line: str, record: dict[str, Any]) -> str:
     volatile = {k: record[k] for k in _VOLATILE_KEYS if k in record}
     if not volatile:
         return line
-    return line[:-1] + "," + json.dumps(volatile, ensure_ascii=False,
-                                        separators=(",", ":"))[1:]
+    return line[:-1] + "," + _VOLATILE.encode(volatile)[1:]
 
 
 def scan_for_leakage(trace: Trace, labels: list[str]) -> list[tuple[int, str]]:

@@ -144,3 +144,13 @@ def test_a_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(config)]) == 1
     assert (f"config error: config: cannot read {config}: 'utf-8' codec can't decode"
             in capsys.readouterr().err)
+
+
+def test_a_roster_name_that_is_not_encodable_text_exits_one(tmp_path, capsys):
+    config = write_cli_config(tmp_path, params={"roster": ["Hepatology\ud800",
+                                                           "Oncology"]})
+    assert cli.main(["batch", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: params.roster: must be text that encodes as UTF-8")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

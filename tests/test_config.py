@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 import yaml
 
@@ -164,3 +166,26 @@ def test_shipped_replay_config_validates():
     assert config.concepts_path.exists()
     assert config.transcript_path.exists()
     assert config.cases_path.exists()
+
+
+@pytest.mark.parametrize("section,key,value,field", [
+    ("params", "roster", ["Hepatology\ud800", "Oncology"], "params.roster"),
+    ("backend", "chat_model", "m\ud800", "backend.chat_model"),
+    ("backend", "transcript", "t\udfff.jsonl", "backend.transcript"),
+    ("kg", "concepts", "c\ud800.tsv", "kg.concepts"),
+    ("output", "directory", "out\ud800", "output.directory"),
+    ("output", "bonus\ud800", "x", "output"),
+], ids=["roster", "model", "table-path", "kg-path", "output-dir", "key"])
+def test_a_string_that_is_not_encodable_text_names_its_field(tmp_path, section, key,
+                                                             value, field):
+    doc = {name: dict(part) for name, part in MINIMAL_REPLAY.items()}
+    doc.setdefault(section, {})[key] = value
+    path = write_config(tmp_path, doc)
+    assert "\\uD" in path.read_text()  # YAML's double-quoted escape
+    for source in (path, doc):
+        with pytest.raises(ConfigError, match=(
+                f"^{re.escape(field)}: must be text that encodes as UTF-8: 'utf-8' "
+                r"codec can't encode character '\\ud[89a-f][0-9a-f]{2}' in position "
+                r"\d+: surrogates not allowed$")) as exc:
+            validate_config(source)
+        assert exc.value.field == field

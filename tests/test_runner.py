@@ -22,7 +22,7 @@ from dxcouncil.backends import (
 from dxcouncil.config import BackendMode, validate_config
 from dxcouncil.differential import read_cases
 from dxcouncil.errors import CaseFailure, ResourceError
-from dxcouncil.gateway import ReplayChatBackend
+from dxcouncil.gateway import ReplayChatBackend, TaskKind, load_transcript
 from dxcouncil.runner import (Runtime, diagnoses_agree, resolve_diagnosis_label,
                               run_batch, run_case, trace_path_for)
 from dxcouncil.trace import Trace
@@ -188,6 +188,72 @@ def test_batch_keeps_going_past_a_failing_case(replay_runtime, tmp_path):
         (runtime.config.output_dir / "summary.json").read_text())
     assert summary["cases"] == 2
     assert summary["correct"] == 1
+
+
+class MalformedHypotheses(ReplayChatBackend):
+    """The fixture transcript, except a malformed answer to each
+    differential prompt that holds ``narrative``."""
+
+    def __init__(self, transcript, narrative: str):
+        super().__init__(load_transcript(transcript))
+        self.narrative = narrative
+
+    def respond(self, kind, system, user, key):
+        if kind is TaskKind.HYPOTHESIZE and self.narrative in user:
+            return "{not a differential"
+        return super().respond(kind, system, user, key)
+
+
+def masked_ts(text: str) -> str:
+    return re.sub(r'"ts":[0-9.e+-]+', '"ts":0', text)
+
+
+def test_a_rerun_into_the_same_output_dir_leaves_only_the_new_run(replay_runtime, tmp_path):
+    config = replay_runtime.config
+    failing = case_by_id(replay_runtime, "case-03")
+
+    def batch(output_dir):
+        runtime = Runtime(dataclasses.replace(config, output_dir=output_dir),
+                          chat_backend=MalformedHypotheses(config.transcript_path,
+                                                           failing.narrative),
+                          embedder=TableEmbedder.load(config.embeddings_path),
+                          scorer=TableScorer.load(config.scores_path))
+        try:
+            return run_batch(runtime)
+        finally:
+            runtime.close()
+
+    fresh_dir, rerun_dir, old_dir = (tmp_path / name for name in ("fresh", "rerun", "old"))
+    fresh = batch(fresh_dir)
+    assert [(row.case_id, row.failed_stage) for row in fresh.rows if row.status != "ok"] == [
+        ("case-03", "hypothesize")]
+    # what a longer earlier run left behind, each file also linked from
+    # old/ as a reader still holding it would see it
+    old_dir.mkdir()
+    rerun_dir.mkdir()
+    names = sorted(path.name for path in fresh_dir.iterdir())
+    assert len(names) == 12
+    stale = {}
+    for name in names:
+        text = (fresh_dir / name).read_text(encoding="utf-8")
+        stale[name] = (text * 2 if name.endswith(".trace.jsonl")
+                       else text + text.splitlines(True)[0])
+        (old_dir / name).write_text(stale[name], encoding="utf-8")
+        (rerun_dir / name).hardlink_to(old_dir / name)
+
+    rerun = batch(rerun_dir)
+    assert rerun.rows == fresh.rows
+    for name in names:
+        new = (rerun_dir / name).read_text(encoding="utf-8")
+        assert masked_ts(new) == masked_ts((fresh_dir / name).read_text(encoding="utf-8"))
+        assert (old_dir / name).read_text(encoding="utf-8") == stale[name]
+    for row in rerun.rows:
+        trace = Trace.load(rerun_dir / f"{row.case_id}.trace.jsonl")
+        assert trace.digest() == Trace.load(fresh_dir / f"{row.case_id}.trace.jsonl").digest()
+        if row.status == "ok":
+            assert trace.digest() == row.trace_digest
+        else:
+            assert trace.exchanges()[-1]["response"] == "{not a differential"
 
 
 def test_empty_case_file_is_an_error(replay_runtime, tmp_path):
