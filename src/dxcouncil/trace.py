@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 from pathlib import Path
@@ -24,6 +25,8 @@ _VOLATILE_KEYS = ("ts", "backend")
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
                               separators=(",", ":"))
 _VOLATILE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# (key, the text before its value in a file line), in _VOLATILE_KEYS order
+_VOLATILE_PREFIXES = tuple((key, f",{_VOLATILE.encode(key)}:") for key in _VOLATILE_KEYS)
 
 
 class Trace:
@@ -178,10 +181,18 @@ def _digest_of(case_id: str, lines: list[str]) -> str:
 def _with_volatile_keys(line: str, record: dict[str, Any]) -> str:
     """``line`` (a canonical JSON object) with the record's volatile keys
     added after its last key."""
-    volatile = {k: record[k] for k in _VOLATILE_KEYS if k in record}
-    if not volatile:
-        return line
-    return line[:-1] + "," + _VOLATILE.encode(volatile)[1:]
+    tail = "".join([prefix + _volatile_value(record[key])
+                    for key, prefix in _VOLATILE_PREFIXES if key in record])
+    return line[:-1] + tail + "}" if tail else line
+
+
+def _volatile_value(value: Any) -> str:
+    # a finite float, as every ts is, is written as its repr, which is what
+    # the encoder writes for one; the encoder's per-call set-up costs more
+    # than the repr
+    if type(value) is float and math.isfinite(value):
+        return repr(value)
+    return _VOLATILE.encode(value)
 
 
 def scan_for_leakage(trace: Trace, labels: list[str]) -> list[tuple[int, str]]:

@@ -125,6 +125,19 @@ def test_write_produces_these_exact_bytes(tmp_path):
         b'"2b1c656b69db7036963bf27cd48e0bc3022db586f32b5d52aba10f1216a1621a"}\n')
 
 
+@pytest.mark.parametrize("value", [1.5, 0.1 + 0.2, 1e-7, 1e22, float("nan"),
+                                   float("inf"), -float("inf"), -0.0, 3, True, None,
+                                   "r\u00e9play", [1, "x"], {"b": 1, "a": 2}])
+def test_a_volatile_value_is_written_as_json_dumps_writes_it(tmp_path, value):
+    t = Trace("case")
+    t.decision("complexity", {"flag": "SIMPLE"})
+    t._records[0]["ts"] = value
+    t._records[0]["backend"] = value
+    line = t.write(tmp_path / "case.trace.jsonl").read_text(encoding="utf-8").splitlines()[1]
+    tail = json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+    assert line.endswith(f',"ts":{tail},"backend":{tail}}}')
+
+
 def test_a_line_with_its_volatile_keys_moved_still_verifies(tmp_path):
     t = sample_trace()
     path = t.write(tmp_path / "case-x.trace.jsonl")
