@@ -1,6 +1,8 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
-transcript, embedding and score tables) and the one sink every recorder
-writes through, so row format and error reporting are decided here once.
+transcript, embedding and score tables), the one sink every recorder
+writes through, and the one writer of each whole output file (traces,
+``results.jsonl``, ``summary.json``), so row format, error reporting and
+how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
 its sink writes in a list instead of writing them, and the case writes the
