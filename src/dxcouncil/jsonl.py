@@ -70,19 +70,14 @@ def text_field(row: dict, key: str) -> str:
     return value
 
 
-def write_new(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` with one write, as a new file.
-
-    The parent directory is made if missing. A file already at ``path`` is
-    unlinked rather than truncated: rewriting a truncated file that held
-    data makes ext4 flush the new data at close (``auto_da_alloc``), which
-    a new file does not wait for. A symlink at ``path`` is replaced by a
-    regular file.
-    """
+def write_whole(path: str | Path, text: str) -> Path:
+    """Write ``text`` to ``path`` with one write, replacing what the file
+    held. The parent directory is made if missing. Text that does not
+    encode as UTF-8 raises before the file is opened, so the old file is
+    left as it was."""
     path = Path(path)
     data = text.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.unlink(missing_ok=True)
     with open(path, "wb") as fh:
         fh.write(data)
     return path

@@ -70,7 +70,7 @@ from .gateway import (
     TranscriptRecorder,
 )
 from .guidelines import GuidelineIndex, ingest_corpus, read_corpus
-from .jsonl import write_new
+from .jsonl import write_whole
 from .kg import KnowledgeGraph, load_kg
 from .metrics import MetricsReport, weighted_metrics
 from .trace import Trace
@@ -309,14 +309,14 @@ def run_batch(runtime: Runtime) -> BatchResult:
     metrics = weighted_metrics(pairs)
     failed = sum(1 for row in rows if row.status != "ok")
 
-    write_new(config.output_dir / "results.jsonl",
-              "".join(json.dumps(row.to_dict(), ensure_ascii=False) + "\n"
-                      for row in rows))
+    write_whole(config.output_dir / "results.jsonl",
+                "".join(json.dumps(row.to_dict(), ensure_ascii=False) + "\n"
+                        for row in rows))
     # cases/correct cover the whole batch; the weighted metrics cover the
     # labeled cases that produced a diagnosis
     summary = metrics.to_dict()
     summary["cases"] = len(rows)
     summary["correct"] = sum(1 for row in rows if row.correct)
-    write_new(config.output_dir / "summary.json",
-              json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
+    write_whole(config.output_dir / "summary.json",
+                json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
     return BatchResult(rows=rows, metrics=metrics, failed=failed)

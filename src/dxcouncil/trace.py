@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import threading
 import time
 from pathlib import Path
 from typing import Any, Iterator
 
-from .jsonl import write_new
+from .jsonl import write_whole
 
 # Keys excluded from the canonical serialization the digest is computed over.
 _VOLATILE_KEYS = ("ts", "backend")
@@ -25,8 +24,6 @@ _VOLATILE_KEYS = ("ts", "backend")
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
                               separators=(",", ":"))
 _VOLATILE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-# (key, the text before its value in a file line), in _VOLATILE_KEYS order
-_VOLATILE_PREFIXES = tuple((key, f",{_VOLATILE.encode(key)}:") for key in _VOLATILE_KEYS)
 
 
 class Trace:
@@ -125,10 +122,9 @@ class Trace:
 
         Each record is serialized once: its file line is the canonical line
         the digest hashes, with the volatile keys appended. The whole file
-        is built first and written with one call to a new file
-        (``jsonl.write_new``): a file an earlier run left at ``path`` is
-        replaced, never truncated in place, and the parent directory is made
-        if missing.
+        is built first and written with one call (``jsonl.write_whole``),
+        which replaces what an earlier run left at ``path`` and makes the
+        parent directory if missing.
         """
         with self._lock:
             records = list(self._records)
@@ -136,7 +132,7 @@ class Trace:
             if self._digest is None:
                 self._digest = _digest_of(self.case_id, lines)
             digest = self._digest
-        return write_new(path, "\n".join([
+        return write_whole(path, "\n".join([
             json.dumps({"type": "header", "case_id": self.case_id}),
             *map(_with_volatile_keys, lines, records),
             json.dumps({"type": "digest", "digest": digest}),
@@ -181,18 +177,10 @@ def _digest_of(case_id: str, lines: list[str]) -> str:
 def _with_volatile_keys(line: str, record: dict[str, Any]) -> str:
     """``line`` (a canonical JSON object) with the record's volatile keys
     added after its last key."""
-    tail = "".join([prefix + _volatile_value(record[key])
-                    for key, prefix in _VOLATILE_PREFIXES if key in record])
-    return line[:-1] + tail + "}" if tail else line
-
-
-def _volatile_value(value: Any) -> str:
-    # a finite float, as every ts is, is written as its repr, which is what
-    # the encoder writes for one; the encoder's per-call set-up costs more
-    # than the repr
-    if type(value) is float and math.isfinite(value):
-        return repr(value)
-    return _VOLATILE.encode(value)
+    volatile = {k: record[k] for k in _VOLATILE_KEYS if k in record}
+    if not volatile:
+        return line
+    return line[:-1] + "," + _VOLATILE.encode(volatile)[1:]
 
 
 def scan_for_leakage(trace: Trace, labels: list[str]) -> list[tuple[int, str]]:

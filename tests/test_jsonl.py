@@ -22,7 +22,7 @@ from dxcouncil.differential import read_cases
 from dxcouncil.errors import RecordConflictError, ResourceError, RetrievalError
 from dxcouncil.gateway import TranscriptRecorder, load_transcript
 from dxcouncil.guidelines import read_corpus
-from dxcouncil.jsonl import JsonlSink, holding, write_held, write_new
+from dxcouncil.jsonl import JsonlSink, holding, write_held, write_whole
 
 LOADERS = [
     pytest.param(read_cases, {"case_id": "a", "narrative": "Story A."}, "case",
@@ -269,30 +269,16 @@ def test_a_thread_holding_nothing_writes_while_another_holds(tmp_path):
     assert [row["k"] for row in table_rows(tmp_path / "t.jsonl")] == ["direct", "held"]
 
 
-def test_write_new_replaces_the_file_at_its_path_and_never_truncates_it(tmp_path):
+def test_write_whole_replaces_all_a_longer_file_held(tmp_path):
     path = tmp_path / "out" / "results.jsonl"
-    assert write_new(path, "first\n") == path  # the parent is made
-    kept = tmp_path / "kept.jsonl"
-    kept.hardlink_to(path)  # a reader still holding the earlier file
-    write_new(path, "\u00e9\n")
+    assert write_whole(path, "first\nsecond\n") == path  # the parent is made
+    write_whole(path, "\u00e9\n")
     assert path.read_bytes() == "\u00e9\n".encode("utf-8")
-    assert kept.read_text() == "first\n"
 
 
-def test_write_new_replaces_a_symlink_with_a_regular_file(tmp_path):
-    target = tmp_path / "target.json"
-    target.write_text("target\n")
-    path = tmp_path / "summary.json"
-    path.symlink_to(target)
-    write_new(path, "new\n")
-    assert not path.is_symlink()
-    assert path.read_text() == "new\n"
-    assert target.read_text() == "target\n"
-
-
-def test_write_new_leaves_the_old_file_when_the_text_does_not_encode(tmp_path):
+def test_write_whole_leaves_the_old_file_when_the_text_does_not_encode(tmp_path):
     path = tmp_path / "case.trace.jsonl"
     path.write_text("old\n")
     with pytest.raises(UnicodeEncodeError):
-        write_new(path, "lone \ud800\n")
+        write_whole(path, "lone \ud800\n")
     assert path.read_text() == "old\n"

