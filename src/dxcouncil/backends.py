@@ -39,11 +39,16 @@ def checked_scores(scores: list[float], segment_texts: list[str]) -> list[float]
 
 
 def checked_vectors(vectors: list[np.ndarray], texts: list[str]) -> list[np.ndarray]:
-    """``vectors``, once they hold one vector per text; otherwise
-    ``RetrievalError``."""
+    """``vectors``, once they hold one vector per text and each is 1-d (a
+    bare number or a nested list would fail later, outside the engine's
+    errors); otherwise ``RetrievalError``."""
     if len(vectors) != len(texts):
         raise RetrievalError(
             f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
+    for position, vec in enumerate(vectors):
+        if np.ndim(vec) != 1:
+            raise RetrievalError(
+                f"embedder returned a {np.ndim(vec)}-d vector at position {position}")
     return vectors
 
 

@@ -11,10 +11,14 @@ The controller itself is pure arithmetic, not a model call; its only job is
 counting stances against thresholds.
 
 Each dispatch over the differential, each specialist's opinion in a panel
-round, and each hypothesis's whole panel run as gateway branches; their
-records are spliced into the case trace in branch order, so each ``roster``
-decision still follows its own dispatch exchange and the panels appear in
-differential order.
+round, and each hypothesis's whole panel run as gateway branches. The stop
+test reads only the round's opinions, so it is decided before the round
+closes; a continuing round then closes (interim report, ``snapshot``
+decision) in one branch while a second formulates its refinement queries
+and builds the supplement. Records are spliced into the case trace in
+branch order, so each ``roster`` decision still follows its own dispatch
+exchange, each ``snapshot`` precedes its round's refinement, and the panels
+appear in differential order.
 """
 
 from __future__ import annotations
@@ -276,16 +280,27 @@ def _render_opinions(opinions: list[SpecialistOpinion]) -> str:
         for o in opinions)
 
 
-def _interim_report(hypothesis: str, iteration: int,
-                    opinions: list[SpecialistOpinion], support: float,
-                    insufficiency: float, gateway: Gateway) -> str:
-    return gateway.complete(TaskKind.INTERIM_CONSENSUS, {
+def _close_round(hypothesis: str, iteration: int,
+                 opinions: list[SpecialistOpinion], support: float,
+                 insufficiency: float, gateway: Gateway) -> ConsensusSnapshot:
+    """A round's interim report, then its ``snapshot`` decision."""
+    report = gateway.complete(TaskKind.INTERIM_CONSENSUS, {
         "hypothesis": hypothesis,
         "iteration": str(iteration),
         "support_score": f"{support:.2f}",
         "insufficiency_ratio": f"{insufficiency:.2f}",
         "opinions": _render_opinions(opinions),
     })["report"]
+    gateway.trace.decision("snapshot", {
+        "hypothesis": hypothesis, "iteration": iteration,
+        "support_score": support, "insufficiency_ratio": insufficiency,
+        "stances": [o.stance.value for o in opinions],
+        "sufficiency": [o.sufficiency.value for o in opinions],
+    })
+    return ConsensusSnapshot(
+        hypothesis=hypothesis, iteration=iteration, opinions=tuple(opinions),
+        support_score=support, insufficiency_ratio=insufficiency,
+        interim_report=report)
 
 
 def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
@@ -301,7 +316,8 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
     """Run every hypothesis's panel to its stopping point.
 
     Every roster is checked against its hypothesis before any panel runs;
-    the panels then run as gateway branches. Stop order within a round:
+    the panels then run as gateway branches, and within a panel a continuing
+    round's close runs beside its refinement. Stop order within a round:
     strong support first (s > tau_high), then evidence sufficiency
     (rho <= tau_suff), then the round budget. Returns one final snapshot per
     hypothesis, in differential order.
@@ -314,40 +330,30 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
             raise DeliberationError(
                 f"roster for {roster.hypothesis!r} paired with {hypothesis!r}")
 
+    def refine(hypothesis: str, package: EvidencePackage,
+               opinions: list[SpecialistOpinion], gw: Gateway) -> EvidencePackage:
+        queries = formulate_refinement_queries(opinions, hypothesis, case, findings, gw)
+        return build_supplement_package(
+            case, findings, package, queries, graph, index, scorer, gw,
+            k=k, n=n, h_max=h_max, batch_size=batch_size)
+
     def panel(hypothesis: str, package: EvidencePackage, roster: SpecialistRoster,
-              gateway: Gateway) -> ConsensusSnapshot:
+              gw: Gateway) -> ConsensusSnapshot:
         for t in range(t_max):
             if package.iteration != t:
                 raise DeliberationError(f"package iteration {package.iteration} != round {t}")
             opinions = elicit_opinion(roster.specialties, case, findings, hypothesis,
-                                      package, gateway)
+                                      package, gw)
             support = consensus_score(opinions)
             insufficiency = insufficiency_ratio(opinions)
-            report = _interim_report(hypothesis, t, opinions, support,
-                                     insufficiency, gateway)
-            snapshot = ConsensusSnapshot(
-                hypothesis=hypothesis, iteration=t, opinions=tuple(opinions),
-                support_score=support, insufficiency_ratio=insufficiency,
-                interim_report=report)
-            gateway.trace.decision("snapshot", {
-                "hypothesis": hypothesis, "iteration": t,
-                "support_score": support, "insufficiency_ratio": insufficiency,
-                "stances": [o.stance.value for o in opinions],
-                "sufficiency": [o.sufficiency.value for o in opinions],
-            })
-            if support > tau_high:
+            close = partial(_close_round, hypothesis, t, opinions, support, insufficiency)
+            if support > tau_high or insufficiency <= tau_suff or t + 1 == t_max:
                 break
-            if insufficiency <= tau_suff:
-                break
-            if t + 1 == t_max:
-                break
-            queries = formulate_refinement_queries(opinions, hypothesis, case,
-                                                   findings, gateway)
-            supplement = build_supplement_package(
-                case, findings, package, queries, graph, index, scorer, gateway,
-                k=k, n=n, h_max=h_max, batch_size=batch_size)
+            # a continuing round's refinement reads only its opinions, so it
+            # runs beside the round's close
+            _, supplement = gw.branches([close, partial(refine, hypothesis, package, opinions)])
             package = merge_packages(package, supplement)
-        return snapshot
+        return close(gw)
 
     return gateway.branches([partial(panel, *args) for args in panels])
 

@@ -6,10 +6,15 @@ binary judgment made with the top guideline excerpts in context, so a path
 survives only when the model deems it coherent for this patient and
 consistent with the guidance shown.
 
-Each finding's paths, each path's verbalization and each prune batch run as
-gateway branches (a finding's branch starts its paths' branches), so each
-``paths`` and ``prune_batch`` trace record lands right before or after the
-exchanges it belongs to, as in a run made one call after another.
+A package's guideline retrieval (one per query for a supplement) runs as a
+gateway branch beside its path work (aligning the hypothesis for an initial
+package, then enumerating and verbalizing paths); only pruning needs both.
+Within the path work, each finding's paths, each path's verbalization and
+each prune batch run as branches too (a finding's branch starts its paths'
+branches). Branches splice in the order the steps were written, so each
+``retrieval``, ``paths`` and ``prune_batch`` trace record lands right
+before or after the exchanges it belongs to, as in a run made one call
+after another.
 """
 
 from __future__ import annotations
@@ -122,30 +127,52 @@ def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
     return [path for paths in verbalized for path in paths]
 
 
+def _retrieve(index: GuidelineIndex, scorer: CrossScorer, k: int, n: int,
+              query: str, gw: Gateway) -> list[RankedSegment]:
+    return g_ret(index, query, scorer, gw.trace, k=k, n=n)
+
+
+def _pruned(verbalized: list[KnowledgePath], case: CaseDescription,
+            excerpts: list[RankedSegment], gateway: Gateway, batch_size: int,
+            ) -> tuple[list[KnowledgePath], tuple[tuple[KnowledgePath, bool], ...]]:
+    """The paths that survive pruning, and the audit of every path."""
+    valid, rejected = prune_paths(
+        verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
+    rejected_keys = {p.edge_key() for p in rejected}
+    return valid, tuple((p, p.edge_key() in rejected_keys) for p in verbalized)
+
+
 def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
                           hypothesis: str, graph: KnowledgeGraph,
                           index: GuidelineIndex, scorer: CrossScorer,
                           gateway: Gateway, k: int = 8, n: int = 4,
                           h_max: int = 3, batch_size: int = PRUNE_BATCH,
                           ) -> EvidencePackage:
-    """Assemble the iteration-0 package for one hypothesis."""
+    """Assemble the iteration-0 package for one hypothesis.
+
+    Retrieval and the path work (aligning the hypothesis, then enumerating
+    and verbalizing paths) run as two branches; pruning needs both.
+    """
     query = composite_query(hypothesis, [f.concept.preferred_name for f in findings])
-    excerpts = g_ret(index, query, scorer, gateway.trace, k=k, n=n)
+
+    def paths(gw: Gateway) -> tuple[str | None, list[KnowledgePath]]:
+        [aligned] = align_mentions([hypothesis], graph, gw)
+        if aligned is None:
+            return None, []
+        disease_id = aligned[0].id
+        return disease_id, _enumerate_and_verbalize(
+            [f.concept.id for f in findings], disease_id, graph, gw, h_max)
+
+    excerpts, (disease_id, verbalized) = gateway.branches(
+        [partial(_retrieve, index, scorer, k, n, query), paths])
     # a hypothesis the aligner cannot pin to a disease concept gets
     # guideline excerpts only
-    [aligned] = align_mentions([hypothesis], graph, gateway)
-    if aligned is None:
+    if disease_id is None:
         return EvidencePackage(
             hypothesis=hypothesis, iteration=0,
             guideline_excerpts=tuple(excerpts), valid_paths=(),
             pruned_paths=(), disease_concept_id=None, degraded=True)
-    disease_id = aligned[0].id
-    verbalized = _enumerate_and_verbalize([f.concept.id for f in findings],
-                                          disease_id, graph, gateway, h_max)
-    valid, rejected = prune_paths(
-        verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
-    rejected_keys = {p.edge_key() for p in rejected}
-    audit = tuple((p, p.edge_key() in rejected_keys) for p in verbalized)
+    valid, audit = _pruned(verbalized, case, excerpts, gateway, batch_size)
     return EvidencePackage(
         hypothesis=hypothesis, iteration=0,
         guideline_excerpts=tuple(excerpts), valid_paths=tuple(valid),
@@ -164,27 +191,26 @@ def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntit
     retrieves with the composite query of hypothesis and findings. Path
     enumeration re-runs only for findings a query names (normalized name or
     synonym substring); the disease side is the hypothesis's own concept.
+    Each query's retrieval and the path work run as branches; pruning needs
+    them all.
     """
+    def paths(gw: Gateway) -> list[KnowledgePath]:
+        named = _findings_named_in_queries(findings, queries)
+        if base.disease_concept_id is None or not named:
+            return []
+        return _enumerate_and_verbalize(
+            [f.concept.id for f in named], base.disease_concept_id, graph, gw, h_max)
+
+    *retrieved, verbalized = gateway.branches(
+        [partial(_retrieve, index, scorer, k, n, query) for query in queries] + [paths])
     excerpts: list[RankedSegment] = []
     seen_segments: set[str] = set()
-    for query in queries:
-        for seg in g_ret(index, query, scorer, gateway.trace, k=k, n=n):
+    for ranked in retrieved:
+        for seg in ranked:
             if seg.segment.segment_id not in seen_segments:
                 seen_segments.add(seg.segment.segment_id)
                 excerpts.append(seg)
-    named = _findings_named_in_queries(findings, queries)
-    verbalized: list[KnowledgePath] = []
-    if base.disease_concept_id is not None and named:
-        verbalized = _enumerate_and_verbalize(
-            [f.concept.id for f in named], base.disease_concept_id,
-            graph, gateway, h_max)
-    valid: list[KnowledgePath] = []
-    audit: tuple[tuple[KnowledgePath, bool], ...] = ()
-    if verbalized:
-        valid, rejected = prune_paths(
-            verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
-        rejected_keys = {p.edge_key() for p in rejected}
-        audit = tuple((p, p.edge_key() in rejected_keys) for p in verbalized)
+    valid, audit = _pruned(verbalized, case, excerpts, gateway, batch_size)
     return EvidencePackage(
         hypothesis=base.hypothesis, iteration=0,
         guideline_excerpts=tuple(excerpts), valid_paths=tuple(valid),

@@ -18,8 +18,10 @@ the table, from the exchanges of each case that returns its report.
 ``Gateway.branches`` is the one way a case runs independent work side by
 side: the calls of a fan-out site (a case's finding aligns, a finding's path
 verbalizations, a package's prune batches, the dispatches, a panel round's
-opinions), each finding's paths within a package, each hypothesis's evidence
-beside the complexity route, and each hypothesis's panel. Against a live or
+opinions), each finding's paths within a package, a package's retrieval
+beside its path work (a supplement's queries beside each other), each
+hypothesis's evidence beside the complexity route, each hypothesis's panel,
+and a continuing panel round's close beside its refinement. Against a live or
 recording backend the branches run on one pool of ``FANOUT`` threads shared
 by every gateway of the process, each against a child gateway, and their
 trace records and held table rows are spliced back in branch order, so the

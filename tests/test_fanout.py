@@ -19,8 +19,10 @@ import json
 import sys
 import threading
 from collections import Counter
+from collections.abc import Collection
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from functools import partial
+from itertools import takewhile
 from time import perf_counter, sleep
 from typing import NamedTuple
 
@@ -100,18 +102,42 @@ def fixture_config(tmp_path, workers: int = 1):
                                output_dir=tmp_path / "out", workers=workers)
 
 
-def fixture_runtime(config, chat_backend, tables=None) -> Runtime:
+class FaultyRetrieval:
+    """An embedder and a scorer in one, failing the one call (``"embed"`` or
+    ``"score"``) made for the retrieval query ``query``."""
+
+    def __init__(self, embedder: TableEmbedder, scorer: TableScorer, call: str, query: str):
+        self.embedder, self.scorer = embedder, scorer
+        self.call, self.query = call, query
+
+    def embed(self, texts: list[str]):
+        if self.call == "embed" and texts == [self.query]:
+            raise TransportError("injected embed failure")
+        return self.embedder.embed(texts)
+
+    def score(self, query_text: str, segment_texts: list[str]):
+        if self.call == "score" and query_text == self.query:
+            raise TransportError("injected score failure")
+        return self.scorer.score(query_text, segment_texts)
+
+
+def fixture_runtime(config, chat_backend, tables=None,
+                    retrieval_fault: tuple[str, str] | None = None) -> Runtime:
     """The fixture bundle's runtime around ``chat_backend``; with a
-    ``tables`` directory, the embedder and scorer record their rows there."""
+    ``tables`` directory, the embedder and scorer record their rows there;
+    with a ``retrieval_fault`` (call, query), that call fails."""
     embedder = TableEmbedder.load(config.embeddings_path)
     scorer = TableScorer.load(config.scores_path)
+    if retrieval_fault is not None:
+        embedder = scorer = FaultyRetrieval(embedder, scorer, *retrieval_fault)
     if tables is not None:
         embedder = RecordingEmbedder(embedder, tables / "embeddings.jsonl")
         scorer = RecordingScorer(scorer, tables / "scores.jsonl")
     return Runtime(config, chat_backend=chat_backend, embedder=embedder, scorer=scorer)
 
 
-def run_recorded(tmp_path, backend: TableBackend, workers: int = 1) -> Outcome:
+def run_recorded(tmp_path, backend: TableBackend, workers: int = 1,
+                 retrieval_fault: tuple[str, str] | None = None) -> Outcome:
     """The fixture batch with ``backend`` behind a transcript recorder and the
     embedder and scorer behind theirs; each case's trace is read back from
     its file."""
@@ -119,7 +145,8 @@ def run_recorded(tmp_path, backend: TableBackend, workers: int = 1) -> Outcome:
     tmp_path.mkdir(exist_ok=True)
     transcript = tmp_path / "transcript.jsonl"
     runtime = fixture_runtime(
-        config, RecordingBackend(backend, TranscriptRecorder(transcript)), tmp_path)
+        config, RecordingBackend(backend, TranscriptRecorder(transcript)), tmp_path,
+        retrieval_fault)
     try:
         result = run_batch(runtime)
     finally:
@@ -356,16 +383,46 @@ BRANCH_FAULTS = {
     "route_assess": "route",
     "route_dispatch": "dispatch",
     "panel_second": "deliberate",
+    # a continuing round's interim report, while its refinement runs beside it
+    "round_interim": "deliberate",
+    # a continuing round's refinement query, while the round's close runs
+    "round_refine": "deliberate",
 }
+
+
+def exchange_counts(outcome: Outcome) -> Counter:
+    return Counter(r["key"] for records in outcome.records.values()
+                   for r in records if r["type"] == "exchange")
+
+
+def continuing_round(outcome: Outcome) -> tuple[str, Exchange, list[Exchange]]:
+    """(case id, interim report exchange, the exchanges of its refinement
+    branch) of the continuing panel round whose refinement makes the most
+    calls, among those whose report and refinement query are batch-unique."""
+    counts = exchange_counts(outcome)
+    rounds: list[tuple[str, Exchange, list[Exchange]]] = []
+    for case_id, records in outcome.records.items():
+        exchanges = [Exchange(index, r["key"], r["task"]) for index, r in
+                     enumerate(r for r in records if r["type"] == "exchange")]
+        for interim, refine in zip(exchanges, exchanges[1:]):
+            if ((interim.task, refine.task) == ("interim_consensus", "refine_query")
+                    and counts[interim.key] == counts[refine.key] == 1):
+                branch = list(takewhile(lambda e: e.task != "specialist_opinion",
+                                        exchanges[refine.index:]))
+                rounds.append((case_id, interim, branch))
+    assert rounds, "no continuing round with batch-unique calls in the fixture traces"
+    return max(rounds, key=lambda found: len(found[2]))
 
 
 def branch_fault_position(outcome: Outcome, where: str) -> tuple[str, Exchange]:
     """(case id, exchange) of the call to fail for ``where``: in the case with
     the most branches of that kind, the last batch-unique call of the second
     evidence branch, of the route's assess or dispatch calls, or of the
-    second panel."""
-    counts = Counter(r["key"] for records in outcome.records.values()
-                     for r in records if r["type"] == "exchange")
+    second panel; or a continuing round's report or refinement query."""
+    if where in ("round_interim", "round_refine"):
+        case_id, interim, refinement = continuing_round(outcome)
+        return case_id, interim if where == "round_interim" else refinement[0]
+    counts = exchange_counts(outcome)
     branches = {case_id: branches_of(records)
                 for case_id, records in outcome.records.items()}
 
@@ -390,22 +447,39 @@ def branch_fault_position(outcome: Outcome, where: str) -> tuple[str, Exchange]:
     return pick(case_id, [e for e in branches[case_id].route if e.task == task])
 
 
-def later_branch_keys(outcome: Outcome, case_id: str, where: str,
-                      failing: Exchange) -> set[str]:
-    """Keys of the calls made by the case's branches that run beside the
-    failing one and come after it in branch order, which no other call of
-    the batch and no call before the failing one makes."""
+def later_branch_exchanges(outcome: Outcome, case_id: str, where: str,
+                           failing: Exchange) -> list[Exchange]:
+    """The calls made by the case's branches that run beside the failing one
+    and come after it in branch order."""
     branches = branches_of(outcome.records[case_id])
     if where == "evidence_second":
-        later = [e for branch in branches.evidence[2:] for e in branch] + branches.route
-    elif where == "panel_second":
-        later = [e for branch in branches.panels[2:] for e in branch]
-    else:
-        later = []  # the route is the last branch of its phase
+        return [e for branch in branches.evidence[2:] for e in branch] + branches.route
+    if where.startswith(("panel", "round")):
+        [panel] = [i for i, exchanges in enumerate(branches.panels) if failing in exchanges]
+        later = [e for exchanges in branches.panels[panel + 1:] for e in exchanges]
+        if where == "round_interim":
+            later += continuing_round(outcome)[2]
+        return later
+    return []  # the route is the last branch of its phase
+
+
+def unique_keys(outcome: Outcome, case_id: str, exchanges: list[Exchange],
+                before: int) -> set[str]:
+    """Keys of ``exchanges`` that no other case of the batch and none of the
+    case's first ``before`` exchanges asks for."""
     elsewhere = {r["key"] for cid, records in outcome.records.items() if cid != case_id
                  for r in records if r["type"] == "exchange"}
-    exchanges = [r["key"] for r in outcome.records[case_id] if r["type"] == "exchange"]
-    return {e.key for e in later} - elsewhere - set(exchanges[:failing.index + 1])
+    earlier = [r["key"] for r in outcome.records[case_id] if r["type"] == "exchange"]
+    return {e.key for e in exchanges} - elsewhere - set(earlier[:before])
+
+
+def later_queries(seq: Outcome, got: Outcome, case_id: str) -> set[str]:
+    """Retrieval queries of the sequential run that the failed case never
+    traced."""
+    def queries(outcome: Outcome) -> set[str]:
+        return {r["query"] for r in outcome.records[case_id] if r["type"] == "retrieval"}
+
+    return queries(seq) - queries(got)
 
 
 def table_keys(outcome: Outcome) -> tuple[set[str], set[str], set[str]]:
@@ -437,15 +511,52 @@ def test_fault_in_a_branch_fails_as_the_sequential_run_does(
         seq.transcript, seq.embeddings, seq.scores)
 
     # the branches after the failing one ran, and left no row behind
-    later = later_branch_keys(sequential, case_id, where, exchange)
-    if where in ("evidence_second", "panel_second"):
+    later = unique_keys(sequential, case_id,
+                        later_branch_exchanges(sequential, case_id, where, exchange),
+                        exchange.index + 1)
+    if not where.startswith("route"):
         assert later and later <= {key for key, _ in backend.calls}
     keys, texts, queries = table_keys(got)
     assert not later & keys
-    later_queries = ({r["query"] for r in sequential.records[case_id]
-                      if r["type"] == "retrieval"}
-                     - {r["query"] for r in got.records[case_id] if r["type"] == "retrieval"})
-    assert not later_queries & (texts | queries)
+    assert not later_queries(sequential, got, case_id) & (texts | queries)
+
+
+@pytest.mark.parametrize("call", ["embed", "score"])
+def test_a_retrieval_fault_beside_a_packages_path_work_fails_as_the_sequential_run_does(
+        tmp_path, sequential, call):
+    # the second package's retrieval fails while its path work (the
+    # hypothesis align, then the path verbalizations) runs beside it
+    case_id, _ = branch_fault_position(sequential, "evidence_second")
+    records = sequential.records[case_id]
+    packages = branches_of(records).evidence
+    route_at = next(i for i, r in enumerate(records) if r.get("task") == "assess_complexity")
+    query = [r["query"] for r in records[:route_at] if r["type"] == "retrieval"][1]
+    seq = run_recorded(tmp_path / "seq", TableBackend(REPLAY), retrieval_fault=(call, query))
+    backend = TableBackend(LIVE)
+    got = run_recorded(tmp_path / "branch", backend, retrieval_fault=(call, query))
+
+    assert got.rows[case_id][:2] == seq.rows[case_id][:2] == ("error", "evidence")
+    assert got.records[case_id] == seq.records[case_id]
+    first = packages[1][0].index
+    assert sum(1 for r in got.records[case_id] if r["type"] == "exchange") == first
+    for other in got.rows.keys() - {case_id}:
+        assert got.rows[other] == sequential.rows[other]
+    assert (got.transcript, got.embeddings, got.scores) == (
+        seq.transcript, seq.embeddings, seq.scores)
+
+    # the package's path work (its prune needs the failed retrieval) and the
+    # branches after it ran, and left no row behind
+    path_work = [e for e in packages[1] if e.task != "prune"]
+    later = unique_keys(sequential, case_id,
+                        path_work + later_branch_exchanges(sequential, case_id,
+                                                           "evidence_second", packages[1][-1]),
+                        first)
+    assert {e.task for e in path_work} == {"align", "verbalize"}
+    assert later and later <= {key for key, _ in backend.calls}
+    keys, texts, queries = table_keys(got)
+    assert not later & keys
+    assert not (later_queries(sequential, got, case_id) - {query}) & (texts | queries)
+    assert query not in queries and (query in texts) == (call == "score")
 
 
 # -- the failed row of a fault at each task kind ---------------------------------
@@ -582,6 +693,103 @@ def test_replay_answers_every_call_inline_on_the_callers_thread(tmp_path):
         runtime.close()
     assert len(backend.calls) == 42
     assert {thread for _, thread in backend.calls} == {threading.get_ident()}
+
+
+class Meeting:
+    """Calls that must be in flight at once: each call that arrives waits,
+    up to 5 s, for all the others, and notes whether they all came. Once
+    one wait times out, every later arrival notes a miss at once."""
+
+    def __init__(self, parties: int):
+        self._barrier = threading.Barrier(parties, timeout=5)
+        self.met: list[bool] = []
+
+    def attend(self) -> None:
+        try:
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            self.met.append(False)
+        else:
+            self.met.append(True)
+
+
+class MeetingBackend(TableBackend):
+    """The live-labelled fixture backend; a call of one of ``keys`` attends
+    ``meeting`` first."""
+
+    def __init__(self, meeting: Meeting, keys: Collection[str]):
+        super().__init__(LIVE)
+        self.meeting, self.keys = meeting, keys
+
+    def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
+        if key in self.keys:
+            self.meeting.attend()
+        return super().respond(kind, system, user, key)
+
+
+class MeetingEmbedder(TableEmbedder):
+    """The fixture embedder; embedding one of ``queries`` attends
+    ``meeting`` first."""
+
+    def __init__(self, config, meeting: Meeting, queries: Collection[str]):
+        table = TableEmbedder.load(config.embeddings_path)
+        super().__init__(table.table, table.dim)
+        self.meeting, self.queries = meeting, queries
+
+    def embed(self, texts: list[str]):
+        if len(texts) == 1 and texts[0] in self.queries:
+            self.meeting.attend()
+        return super().embed(texts)
+
+
+def run_meeting(tmp_path, case_id: str, meeting: Meeting, keys: Collection[str] = (),
+                queries: Collection[str] = ()) -> None:
+    """Run one fixture case live, with the calls of ``keys`` and the
+    embeddings of ``queries`` attending ``meeting``."""
+    config = fixture_config(tmp_path)
+    [case] = [c for c in read_cases(config.cases_path) if c.case_id == case_id]
+    runtime = Runtime(config, chat_backend=MeetingBackend(meeting, keys),
+                      embedder=MeetingEmbedder(config, meeting, queries),
+                      scorer=TableScorer.load(config.scores_path))
+    try:
+        run_case(runtime, case)
+    finally:
+        runtime.close()
+
+
+def test_a_packages_embed_request_is_in_flight_with_its_hypothesis_align(
+        tmp_path, sequential):
+    case_id = "case-10"
+    records = sequential.records[case_id]
+    opened = next(i for i, r in enumerate(records) if r["type"] == "retrieval")
+    align = records[opened + 1]
+    assert align["task"] == "align"
+    meeting = Meeting(2)
+    run_meeting(tmp_path, case_id, meeting, keys={align["key"]},
+                queries={records[opened]["query"]})
+    assert meeting.met == [True, True]
+
+
+def test_a_supplements_query_retrievals_are_in_flight_together(tmp_path, sequential):
+    case_id = "case-08"
+    records = sequential.records[case_id]
+    refined = next(i for i, r in enumerate(records) if r.get("task") == "refine_query")
+    queries = [r["query"] for r in takewhile(lambda r: r["type"] == "retrieval",
+                                             records[refined + 1:])]
+    assert len(queries) == 2
+    # no other retrieval of the case embeds these queries
+    counts = Counter(r["query"] for r in records if r["type"] == "retrieval")
+    assert [counts[query] for query in queries] == [1, 1]
+    meeting = Meeting(2)
+    run_meeting(tmp_path, case_id, meeting, queries=set(queries))
+    assert meeting.met == [True, True]
+
+
+def test_a_continuing_rounds_report_is_in_flight_with_its_refinement(tmp_path, sequential):
+    case_id, interim, refinement = continuing_round(sequential)
+    meeting = Meeting(2)
+    run_meeting(tmp_path, case_id, meeting, keys={interim.key, refinement[0].key})
+    assert meeting.met == [True, True]
 
 
 class SiblingBackend(TableBackend):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 import requests
 from hypothesis import given, strategies as st
@@ -353,6 +354,16 @@ def test_http_scorer_rejects_results_that_miss_or_repeat_a_document(monkeypatch,
     with pytest.raises(TransportError):
         HttpScorer("http://example.invalid/v1", "m").score("q", ["a", "b", "c"])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("embedding", [0.5, [[1.0, 0.0]]], ids=["number", "nested"])
+def test_http_embedder_rejects_a_vector_that_is_not_1d(monkeypatch, embedding):
+    reply = _Resp(payload={"data": [{"index": 0, "embedding": [1.0, 0.0]},
+                                    {"index": 1, "embedding": embedding}]})
+    monkeypatch.setattr(requests, "post", lambda url, json=None, timeout=None: reply)
+    with pytest.raises(RetrievalError,
+                       match=f"^embedder returned a {np.ndim(embedding)}-d vector at position 1$"):
+        HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b"])
 
 
 def test_http_embedder_rejects_a_vector_count_that_differs_from_the_texts(monkeypatch):

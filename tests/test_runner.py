@@ -8,6 +8,7 @@ import re
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import requests
 
@@ -21,7 +22,7 @@ from dxcouncil.backends import (
 )
 from dxcouncil.config import BackendMode, validate_config
 from dxcouncil.differential import read_cases
-from dxcouncil.errors import CaseFailure, ResourceError
+from dxcouncil.errors import CaseFailure, ResourceError, RetrievalError
 from dxcouncil.gateway import ReplayChatBackend, TaskKind, load_transcript
 from dxcouncil.runner import (Runtime, diagnoses_agree, resolve_diagnosis_label,
                               run_batch, run_case, trace_path_for)
@@ -329,6 +330,43 @@ def test_a_missing_query_embedding_fails_cases_at_the_evidence_stage(replay_runt
     summary = json.loads((config.output_dir / "summary.json").read_text())
     assert summary["cases"] == 10
     assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
+
+
+def test_a_query_embedding_that_is_a_bare_number_fails_cases_at_the_evidence_stage(
+        replay_runtime):
+    config = replay_runtime.config
+    table = TableEmbedder.load(config.embeddings_path)
+
+    class ScalarQueryVector:
+        # the corpus is embedded in one call at set-up; a query is one text
+        def embed(self, texts):
+            return table.embed(texts) if len(texts) > 1 else [np.float64(1.0)]
+
+    runtime = Runtime(config, chat_backend=replay_runtime.chat_backend,
+                      embedder=ScalarQueryVector(), scorer=replay_runtime.scorer)
+    result = run_batch(runtime)
+    assert len(result.rows) == result.failed == 10
+    assert {row.failed_stage for row in result.rows} == {"evidence"}
+    assert {row.error for row in result.rows} == {
+        "embedder returned a 0-d vector at position 0"}
+    summary = json.loads((config.output_dir / "summary.json").read_text())
+    assert summary["cases"] == 10
+    assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
+
+
+def test_a_corpus_embedding_that_is_a_bare_number_fails_the_runtime(replay_runtime):
+    config = replay_runtime.config
+    table = TableEmbedder.load(config.embeddings_path)
+
+    class ScalarFourthVector:
+        def embed(self, texts):
+            vectors = table.embed(texts)
+            return vectors[:3] + [np.float64(1.0)] + vectors[4:]
+
+    with pytest.raises(RetrievalError,
+                       match="^embedder returned a 0-d vector at position 3$"):
+        Runtime(config, chat_backend=replay_runtime.chat_backend,
+                embedder=ScalarFourthVector(), scorer=replay_runtime.scorer)
 
 
 def test_a_failed_set_up_closes_the_record_tables_it_opened(replay_runtime, tmp_path,
