@@ -7,7 +7,7 @@ import re
 import pytest
 import yaml
 
-from dxcouncil.config import BackendMode, validate_config
+from dxcouncil.config import BackendMode, RunConfig, validate_config
 from dxcouncil.deliberation import DEFAULT_ROSTER
 from dxcouncil.errors import ConfigError
 
@@ -189,3 +189,143 @@ def test_a_string_that_is_not_encodable_text_names_its_field(tmp_path, section, 
                 r"\d+: surrogates not allowed$")) as exc:
             validate_config(source)
         assert exc.value.field == field
+
+
+REJECTED = object()  # the outcome "ConfigError naming this key"
+DEFAULT = object()  # the outcome "RunConfig's own default for the field"
+ABSENT = object()  # the input "key left out"
+
+
+class Rel(str):
+    """A path outcome: this name resolved against the config's directory."""
+
+
+# Each kind of key: the wrong-typed, out-of-range and valid input it is tried
+# with, then its outcome for: absent, null, "", " ", wrong type, True, 0, -1,
+# out of range, valid.
+R = REJECTED
+KINDS = {
+    "required-path": ((["x"], "x\ud800", "x.tsv"),
+                      (R, R, R, R, R, R, R, R, R, Rel("x.tsv"))),
+    "replay-table": ((["x"], "x\ud800", "x.jsonl"),
+                     (R, R, R, R, R, R, R, R, R, Rel("x.jsonl"))),
+    "endpoint": ((["x"], "x\ud800", "http://localhost:9"),
+                 (None, None, R, R, R, R, R, R, R, "http://localhost:9")),
+    "model": ((["x"], "m\ud800", "m"),
+              (None, None, "", " ", R, R, R, R, R, "m")),
+    "mode": ((["replay"], "offline", "REPLAY"),
+             (BackendMode.REPLAY, R, R, R, R, R, R, R, R, BackendMode.REPLAY)),
+    "count": (("3", 1.5, 5),
+              (DEFAULT, R, R, R, R, R, R, R, R, 5)),
+    "fraction": (("0.5", 1.5, 0.25),
+                 (DEFAULT, R, R, R, R, R, 0.0, R, R, 0.25)),
+    "roster": (("Hepatology", ["Oncology", "Oncology"], ["Oncology", "Hepatology"]),
+               (DEFAULT, R, R, R, R, R, R, R, R, ("Oncology", "Hepatology"))),
+    "directory": ((["x"], "x\ud800", "out"),
+                  (Rel("runs"), R, R, R, R, R, R, R, R, Rel("out"))),
+}
+KEYS = {  # section.key -> (RunConfig field, kind), with MINIMAL_REPLAY as the base
+    "kg.concepts": ("concepts_path", "required-path"),
+    "kg.triples": ("triples_path", "required-path"),
+    "corpus.path": ("corpus_path", "required-path"),
+    "cases.path": ("cases_path", "required-path"),
+    "backend.mode": ("mode", "mode"),
+    "backend.endpoint": ("endpoint", "endpoint"),
+    "backend.chat_model": ("chat_model", "model"),
+    "backend.embed_model": ("embed_model", "model"),
+    "backend.rerank_model": ("rerank_model", "model"),
+    "backend.transcript": ("transcript_path", "replay-table"),
+    "backend.embeddings": ("embeddings_path", "replay-table"),
+    "backend.scores": ("scores_path", "replay-table"),
+    "params.k": ("k", "count"),
+    "params.n": ("n", "count"),
+    "params.h_max": ("h_max", "count"),
+    "params.k_max": ("k_max", "count"),
+    "params.prune_batch": ("prune_batch", "count"),
+    "params.tau_suff": ("tau_suff", "fraction"),
+    "params.tau_high": ("tau_high", "fraction"),
+    "params.t_max": ("t_max", "count"),
+    "params.roster": ("roster", "roster"),
+    "params.max_specialists": ("max_specialists", "count"),
+    "output.directory": ("output_dir", "directory"),
+    "output.workers": ("workers", "count"),
+}
+INPUTS = ("absent", "null", "empty", "blank", "wrong-type", "true", "zero", "minus-one",
+          "out-of-range", "valid")
+
+
+def key_cases():
+    for name, (field, kind) in KEYS.items():
+        (wrong, out_of_range, valid), outcomes = KINDS[kind]
+        values = (ABSENT, None, "", " ", wrong, True, 0, -1, out_of_range, valid)
+        for label, value, outcome in zip(INPUTS, values, outcomes):
+            yield pytest.param(name, field, value, outcome, id=f"{name}-{label}")
+
+
+@pytest.mark.parametrize("name,field,value,outcome", key_cases())
+def test_every_key_keeps_its_outcome(tmp_path, name, field, value, outcome):
+    section, key = name.split(".")
+    doc = {part: dict(keys) for part, keys in MINIMAL_REPLAY.items()}
+    doc.setdefault(section, {}).pop(key, None)
+    if value is not ABSENT:
+        doc[section][key] = value
+    if outcome is REJECTED:
+        with pytest.raises(ConfigError) as exc:
+            validate_config(doc, base_dir=tmp_path)
+        assert exc.value.field == name
+        return
+    got = getattr(validate_config(doc, base_dir=tmp_path), field)
+    if outcome is DEFAULT:
+        outcome = getattr(RunConfig, field)
+    elif isinstance(outcome, Rel):
+        outcome = tmp_path / outcome
+    assert (got, type(got)) == (outcome, type(outcome))
+
+
+@pytest.mark.parametrize("section,value,field", [
+    ("kg", ABSENT, "kg.concepts"), ("kg", None, "kg.concepts"), ("kg", [], "kg"),
+    ("corpus", ABSENT, "corpus.path"), ("corpus", None, "corpus.path"),
+    ("cases", None, "cases.path"), ("cases", "cases.jsonl", "cases"),
+    ("backend", ABSENT, "backend.transcript"), ("backend", None, "backend.transcript"),
+    ("backend", {"mode": "live"}, "backend.endpoint"),
+    ("backend", {"mode": "record", "endpoint": "http://localhost:9"},
+     "backend.transcript"),
+    ("params", ABSENT, None), ("params", None, None), ("params", [], "params"),
+    ("params", {"bonus": 1}, "params"),
+    ("output", ABSENT, None), ("output", None, None), ("output", 1, "output"),
+    ("extra", {}, "config"),
+])
+def test_every_section_keeps_its_outcome(tmp_path, section, value, field):
+    doc = {part: dict(keys) for part, keys in MINIMAL_REPLAY.items()}
+    doc.pop(section, None)
+    if value is not ABSENT:
+        doc[section] = value
+    if field is None:
+        assert validate_config(doc, base_dir=tmp_path).mode is BackendMode.REPLAY
+        return
+    with pytest.raises(ConfigError) as exc:
+        validate_config(doc, base_dir=tmp_path)
+    assert exc.value.field == field
+
+
+@pytest.mark.parametrize("patch,field", [
+    ({"backend": {"mode": "live"}, "params": {"k": 0}}, "backend.endpoint"),
+    ({"backend": {"mode": "live", "chat_model": 5}}, "backend.chat_model"),
+    ({"backend": {"mode": "record", "endpoint": "http://localhost:9"},
+      "output": {"workers": 0}}, "backend.transcript"),
+    ({"backend": {"mode": "record", "scores": ""}}, "backend.scores"),
+    ({"kg": {"concepts": ""}, "params": {"bonus": 1}}, "params"),
+    ({"kg": {"concepts": ""}, "corpus": {"path": 0}}, "kg.concepts"),
+    ({"params": {"tau_high": 2, "k": 0}}, "params.k"),
+    ({"params": {"roster": [], "tau_suff": -1}}, "params.tau_suff"),
+    ({"params": {"roster": []}, "output": {"directory": ""}}, "params.roster"),
+], ids=["needs-before-params", "model-before-needs", "needs-before-output",
+        "value-before-needs", "sections-first", "kg-before-corpus",
+        "counts-before-fractions", "fractions-before-roster", "params-before-output"])
+def test_the_first_of_two_faults_is_the_one_named(tmp_path, patch, field):
+    doc = {part: dict(keys) for part, keys in MINIMAL_REPLAY.items()}
+    for section, keys in patch.items():
+        doc[section] = keys if section == "backend" else {**doc.get(section, {}), **keys}
+    with pytest.raises(ConfigError) as exc:
+        validate_config(doc, base_dir=tmp_path)
+    assert exc.value.field == field
