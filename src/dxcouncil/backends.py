@@ -106,6 +106,7 @@ class TableEmbedder:
 
     Row format: ``{"text": ..., "embedding": [...]}``. A lookup miss is an
     error: replay must be closed over everything the pipeline will ask for.
+    A text repeated with a different vector is a ``RecordConflictError``.
     """
 
     def __init__(self, table: dict[str, np.ndarray], dim: int):
@@ -121,7 +122,9 @@ class TableEmbedder:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
                 raise ResourceError(f"{location}: embedding dim {vec.shape[0]} != {dim}")
-            table[text] = vec
+            if (seen := table.setdefault(text, vec)) is not vec and not np.array_equal(seen, vec):
+                raise RecordConflictError(
+                    text, f"{location}: text {text!r} appears twice with different embeddings")
         if dim is None:
             raise ResourceError(f"{path}: embedding table is empty")
         return cls(table, dim)
@@ -181,7 +184,8 @@ class TableScorer:
     """Scripted pairwise scores, keyed by (query text, segment text).
 
     File rows: ``{"query": ..., "text": ..., "score": x}``. A miss raises so
-    a scripted test that forgot a pair fails loudly instead of silently.
+    a scripted test that forgot a pair fails loudly instead of silently. A
+    pair repeated with a different score is a ``RecordConflictError``.
     """
 
     def __init__(self, table: dict[tuple[str, str], float]):
@@ -189,7 +193,12 @@ class TableScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "TableScorer":
-        return cls(dict(item for _, item in read_jsonl(path, _score_row, "score")))
+        table: dict[tuple[str, str], float] = {}
+        for location, (key, score) in read_jsonl(path, _score_row, "score"):
+            if table.setdefault(key, score) != score:
+                raise RecordConflictError(
+                    key, f"{location}: pair {key!r} appears twice with different scores")
+        return cls(table)
 
     def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
         scores = []

@@ -9,10 +9,9 @@ failures, 3 resource or load error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
-from .config import BackendMode, RunConfig, validate_config
+from .config import as_record, validate_config
 from .differential import read_cases
 from .errors import CaseFailure, ConfigError, EngineError
 from .runner import Runtime, run_batch, run_case, trace_path_for
@@ -46,20 +45,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(path: str, force_record: bool = False) -> RunConfig:
-    config = validate_config(path)
-    if force_record and config.mode is not BackendMode.RECORD:
-        config = dataclasses.replace(config, mode=BackendMode.RECORD)
-        if config.endpoint is None:
-            raise ConfigError("backend.endpoint", "required in record mode")
-        for key in ("transcript_path", "embeddings_path", "scores_path"):
-            if getattr(config, key) is None:
-                raise ConfigError(f"backend.{key}", "required in record mode")
-    return config
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
+    config = validate_config(args.config)
     runtime = Runtime(config)
     try:
         cases = read_cases(config.cases_path)
@@ -93,8 +80,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         runtime.close()
 
 
-def _cmd_batch(args: argparse.Namespace, force_record: bool = False) -> int:
-    config = _load_config(args.config, force_record=force_record)
+def _cmd_batch(args: argparse.Namespace) -> int:
+    config = validate_config(args.config)
+    if args.command == "record":
+        config = as_record(config)
     runtime = Runtime(config)
     try:
         result = run_batch(runtime)
@@ -130,10 +119,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args)
-        if args.command == "batch":
+        if args.command in ("batch", "record"):
             return _cmd_batch(args)
-        if args.command == "record":
-            return _cmd_batch(args, force_record=True)
         if args.command == "validate":
             return _cmd_validate(args)
     except ConfigError as exc:

@@ -8,7 +8,7 @@ at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 
@@ -52,31 +52,6 @@ class RunConfig:
     workers: int = 1
 
 
-_SECTIONS = {"kg", "corpus", "cases", "backend", "params", "output"}
-_KG_KEYS = {"concepts", "triples"}
-_BACKEND_KEYS = {"mode", "endpoint", "chat_model", "embed_model", "rerank_model",
-                 "transcript", "embeddings", "scores"}
-_PARAM_KEYS = {"k", "n", "h_max", "k_max", "prune_batch", "tau_suff", "tau_high",
-               "t_max", "roster", "max_specialists"}
-_OUTPUT_KEYS = {"directory", "workers"}
-
-_COUNT_FIELDS = ("k", "n", "h_max", "k_max", "prune_batch", "t_max",
-                 "max_specialists", "workers")
-_THRESHOLD_FIELDS = ("tau_suff", "tau_high")
-
-
-def _section(doc: dict, name: str, allowed: set[str]) -> dict:
-    value = doc.get(name)
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(name, "must be a mapping")
-    unknown = set(value) - allowed
-    if unknown:
-        raise ConfigError(name, f"unknown keys {sorted(unknown)}")
-    return value
-
-
 def _check_text(value: object, field: str) -> None:
     """Raise ``ConfigError(field)`` unless every string in ``value``, mapping
     keys included, encodes as UTF-8: a double-quoted YAML ``"\\ud800"``
@@ -97,39 +72,107 @@ def _check_text(value: object, field: str) -> None:
             _check_text(item, field)
 
 
-def _require_str(section: dict, section_name: str, key: str) -> str:
-    value = section.get(key)
-    if not isinstance(value, str) or not value.strip():
-        raise ConfigError(f"{section_name}.{key}", "required non-empty string")
+def _text(value: object, base: Path) -> str | None:
+    if value is not None and (not isinstance(value, str) or not value.strip()):
+        raise ValueError(f"must be a non-empty string, got {value!r}")
     return value
 
 
-def _opt_path(section: dict, key: str, base: Path) -> Path | None:
-    value = section.get(key)
+def _opt_path(value: object, base: Path) -> Path | None:
+    return None if value is None else base / _text(value, base)
+
+
+def _path(value: object, base: Path) -> Path:
     if value is None:
-        return None
-    if not isinstance(value, str) or not value.strip():
-        raise ConfigError(f"backend.{key}", "must be a non-empty string path")
-    return _resolve(value, base)
+        raise ValueError("required non-empty string")
+    return _opt_path(value, base)
 
 
-def _resolve(value: str, base: Path) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else (base / path)
-
-
-def _int_field(params: dict, key: str, default: int) -> int:
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"params.{key}", f"must be an integer, got {value!r}")
+def _model(value: object, base: Path) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ValueError(f"must be a string, got {value!r}")
     return value
 
 
-def _float_field(params: dict, key: str, default: float) -> float:
-    value = params.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"params.{key}", f"must be a number, got {value!r}")
+def _mode(value: object, base: Path) -> BackendMode:
+    try:
+        return BackendMode(str.lower(value))
+    except (TypeError, ValueError):
+        raise ValueError(f"must be one of live, record, replay; got {value!r}") from None
+
+
+def _count(value: object, base: Path) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _fraction(value: object, base: Path) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= 1:
+        raise ValueError(f"must be a number in [0, 1], got {value!r}")
     return float(value)
+
+
+def _roster(value: object, base: Path) -> tuple[str, ...]:
+    if (not isinstance(value, list) or not value
+            or not all(isinstance(name, str) and name.strip() for name in value)
+            or len(set(value)) != len(value)):
+        raise ValueError(f"must be a non-empty list of distinct names, got {value!r}")
+    return tuple(value)
+
+
+# section.key -> (RunConfig field, reader[, YAML value when absent]). A reader
+# takes the YAML value and the config's directory and returns the field's
+# value, or raises ValueError with the message of the key's ConfigError.
+# Without a third item an absent key reads as the field's default, or None
+# when the field has none. Table order is check order: the first fault found
+# is the one named.
+_SCHEMA = {
+    "kg.concepts": ("concepts_path", _path),
+    "kg.triples": ("triples_path", _path),
+    "corpus.path": ("corpus_path", _path),
+    "cases.path": ("cases_path", _path),
+    "backend.mode": ("mode", _mode, "replay"),
+    "backend.endpoint": ("endpoint", _text),
+    "backend.transcript": ("transcript_path", _opt_path),
+    "backend.embeddings": ("embeddings_path", _opt_path),
+    "backend.scores": ("scores_path", _opt_path),
+    "backend.chat_model": ("chat_model", _model),
+    "backend.embed_model": ("embed_model", _model),
+    "backend.rerank_model": ("rerank_model", _model),
+    "params.k": ("k", _count),
+    "params.n": ("n", _count),
+    "params.h_max": ("h_max", _count),
+    "params.k_max": ("k_max", _count),
+    "params.prune_batch": ("prune_batch", _count),
+    "params.t_max": ("t_max", _count),
+    "params.max_specialists": ("max_specialists", _count),
+    "params.tau_suff": ("tau_suff", _fraction),
+    "params.tau_high": ("tau_high", _fraction),
+    "params.roster": ("roster", _roster, list(DEFAULT_ROSTER)),
+    "output.directory": ("output_dir", _path, "runs"),
+    "output.workers": ("workers", _count),
+}
+_SECTIONS = dict.fromkeys(name.split(".")[0] for name in _SCHEMA)
+
+# The keys each mode needs set, in the order they are checked.
+_TABLES = ("backend.transcript", "backend.embeddings", "backend.scores")
+_NEEDS = {BackendMode.LIVE: ("backend.endpoint",),
+          BackendMode.RECORD: ("backend.endpoint", *_TABLES), BackendMode.REPLAY: _TABLES}
+
+
+def _check_needs(fields: dict) -> None:
+    for name in _NEEDS[fields["mode"]]:
+        if fields[_SCHEMA[name][0]] is None:
+            raise ConfigError(name, f"required in {fields['mode'].value} mode")
+
+
+def as_record(config: RunConfig) -> RunConfig:
+    """``config`` with the backend in record mode, once it sets what record
+    mode needs; otherwise ``ConfigError`` naming the first key missing."""
+    config = replace(config, mode=BackendMode.RECORD)
+    _check_needs(vars(config))
+    return config
 
 
 def validate_config(source: str | Path | dict, base_dir: Path | None = None) -> RunConfig:
@@ -153,102 +196,27 @@ def validate_config(source: str | Path | dict, base_dir: Path | None = None) -> 
     if not isinstance(doc, dict):
         raise ConfigError("config", "top level must be a mapping")
     _check_text(doc, "config")
-    unknown = set(doc) - _SECTIONS
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
-        raise ConfigError("config", f"unknown sections {sorted(unknown)}")
+        raise ConfigError("config", f"unknown sections {sorted(unknown, key=str)}")
+    sections = {}
+    for name in _SECTIONS:
+        section = sections[name] = {} if doc.get(name) is None else doc[name]
+        if not isinstance(section, dict):
+            raise ConfigError(name, "must be a mapping")
+        unknown = {key for key in section if f"{name}.{key}" not in _SCHEMA}
+        if unknown:
+            raise ConfigError(name, f"unknown keys {sorted(unknown, key=str)}")
 
-    kg = _section(doc, "kg", _KG_KEYS)
-    corpus = _section(doc, "corpus", {"path"})
-    cases = _section(doc, "cases", {"path"})
-    backend = _section(doc, "backend", _BACKEND_KEYS)
-    params = _section(doc, "params", _PARAM_KEYS)
-    output = _section(doc, "output", _OUTPUT_KEYS)
-
-    concepts = _resolve(_require_str(kg, "kg", "concepts"), base)
-    triples = _resolve(_require_str(kg, "kg", "triples"), base)
-    corpus_path = _resolve(_require_str(corpus, "corpus", "path"), base)
-    cases_path = _resolve(_require_str(cases, "cases", "path"), base)
-
-    mode_raw = backend.get("mode", "replay")
-    if not isinstance(mode_raw, str):
-        raise ConfigError("backend.mode", "must be a string")
-    try:
-        mode = BackendMode(mode_raw.lower())
-    except ValueError:
-        raise ConfigError("backend.mode",
-                          f"must be one of live, record, replay; got {mode_raw!r}")
-
-    endpoint = backend.get("endpoint")
-    if endpoint is not None and (not isinstance(endpoint, str) or not endpoint.strip()):
-        raise ConfigError("backend.endpoint", "must be a non-empty string")
-    transcript = _opt_path(backend, "transcript", base)
-    embeddings = _opt_path(backend, "embeddings", base)
-    scores = _opt_path(backend, "scores", base)
-
-    for key in ("chat_model", "embed_model", "rerank_model"):
-        value = backend.get(key)
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"backend.{key}", "must be a string")
-
-    if mode is BackendMode.REPLAY:
-        for key, value in (("transcript", transcript), ("embeddings", embeddings),
-                           ("scores", scores)):
-            if value is None:
-                raise ConfigError(f"backend.{key}", "required in replay mode")
-    else:
-        if endpoint is None:
-            raise ConfigError("backend.endpoint",
-                              f"required in {mode.value} mode")
-        if mode is BackendMode.RECORD:
-            for key, value in (("transcript", transcript),
-                               ("embeddings", embeddings), ("scores", scores)):
-                if value is None:
-                    raise ConfigError(f"backend.{key}",
-                                      "required in record mode (output path)")
-
-    counts = {key: _int_field(params, key, getattr(RunConfig, key))
-              for key in _COUNT_FIELDS if key != "workers"}
-    for key, value in counts.items():
-        if value < 1:
-            raise ConfigError(f"params.{key}", f"must be >= 1, got {value}")
-
-    thresholds = {key: _float_field(params, key, getattr(RunConfig, key))
-                  for key in _THRESHOLD_FIELDS}
-    for key, value in thresholds.items():
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"params.{key}", f"must be in [0, 1], got {value}")
-
-    roster_raw = params.get("roster", list(DEFAULT_ROSTER))
-    if (not isinstance(roster_raw, list) or not roster_raw
-            or not all(isinstance(r, str) and r.strip() for r in roster_raw)):
-        raise ConfigError("params.roster", "must be a non-empty list of names")
-    if len(set(roster_raw)) != len(roster_raw):
-        raise ConfigError("params.roster", "names must be distinct")
-
-    directory = output.get("directory", "runs")
-    if not isinstance(directory, str) or not directory.strip():
-        raise ConfigError("output.directory", "must be a non-empty string")
-    workers = output.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError("output.workers", f"must be an integer >= 1, got {workers!r}")
-
-    return RunConfig(
-        concepts_path=concepts,
-        triples_path=triples,
-        corpus_path=corpus_path,
-        cases_path=cases_path,
-        mode=mode,
-        output_dir=_resolve(directory, base),
-        endpoint=endpoint,
-        chat_model=backend.get("chat_model"),
-        embed_model=backend.get("embed_model"),
-        rerank_model=backend.get("rerank_model"),
-        transcript_path=transcript,
-        embeddings_path=embeddings,
-        scores_path=scores,
-        tau_suff=thresholds["tau_suff"],
-        tau_high=thresholds["tau_high"],
-        roster=tuple(roster_raw),
-        workers=workers,
-        **counts,
-    )
+    fields: dict = {}
+    for name, (field, read, *absent) in _SCHEMA.items():
+        if name == "params.k":  # the mode's needs rank after the backend keys, before params
+            _check_needs(fields)
+        section, key = name.split(".")
+        value = sections[section].get(key, absent[0] if absent
+                                      else getattr(RunConfig, field, None))
+        try:
+            fields[field] = read(value, base)
+        except ValueError as exc:
+            raise ConfigError(name, str(exc)) from None
+    return RunConfig(**fields)

@@ -19,7 +19,7 @@ from typing import TextIO
 import numpy as np
 
 from .backends import CrossScorer, Embedder, checked_scores, checked_vectors
-from .errors import ResourceError, RetrievalError
+from .errors import EngineError, ResourceError, RetrievalError
 from .jsonl import read_jsonl, text_field
 from .trace import Trace
 
@@ -82,12 +82,25 @@ class GuidelineIndex:
         return list(self._segments)
 
     def embed_query(self, text: str) -> np.ndarray:
-        [vec] = checked_vectors(self._embedder.embed([text]), [text])
-        vec = np.asarray(vec, dtype=float)
+        [vec] = _embed(self._embedder, [text])
         if vec.shape[0] != self.dim:
             raise RetrievalError(
                 f"query embedding dim {vec.shape[0]} != index dim {self.dim}")
         return _unit(vec)
+
+
+def _embed(embedder: Embedder, texts: list[str]) -> list[np.ndarray]:
+    """One checked float vector per text. An exception that is not an
+    ``EngineError`` becomes a ``RetrievalError``, as ``Gateway.complete``
+    wraps a chat backend's, so it fails the case or the set-up instead of
+    aborting the batch."""
+    try:
+        return [np.asarray(vec, dtype=float)
+                for vec in checked_vectors(embedder.embed(texts), texts)]
+    except EngineError:
+        raise
+    except Exception as exc:
+        raise RetrievalError(f"embedding {len(texts)} texts failed: {exc}") from exc
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -105,9 +118,7 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
     """
     if not segments:
         raise ResourceError("corpus contains no segments")
-    texts = [s.text for s in segments]
-    vectors = [np.asarray(vec, dtype=float)
-               for vec in checked_vectors(embedder.embed(texts), texts)]
+    vectors = _embed(embedder, [s.text for s in segments])
     dim = vectors[0].shape[0]
     stored: list[GuidelineSegment] = []
     for segment, vec in zip(segments, vectors):

@@ -154,3 +154,18 @@ def test_a_roster_name_that_is_not_encodable_text_exits_one(tmp_path, capsys):
     assert err.startswith("config error: params.roster: must be text that encodes as UTF-8")
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("backend,field", [
+    ({"mode": "live", "endpoint": "http://localhost:9"}, "backend.transcript"),
+    ({"mode": "replay", "transcript": "t.jsonl", "embeddings": "e.jsonl",
+      "scores": "s.jsonl"}, "backend.endpoint"),
+], ids=["live-without-tables", "replay-without-endpoint"])
+def test_record_names_the_config_key_record_mode_needs(tmp_path, capsys, backend, field):
+    path = write_cli_config(tmp_path)
+    doc = yaml.safe_load(path.read_text())
+    doc["backend"] = backend
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["record", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {field}: required in record mode\n"
+    assert not (tmp_path / "out").exists()

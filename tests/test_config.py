@@ -7,6 +7,7 @@ import re
 import pytest
 import yaml
 
+from dxcouncil import config as config_module
 from dxcouncil.config import BackendMode, RunConfig, validate_config
 from dxcouncil.deliberation import DEFAULT_ROSTER
 from dxcouncil.errors import ConfigError
@@ -114,6 +115,17 @@ def test_unknown_sections_and_keys_rejected(tmp_path):
     doc = dict(MINIMAL_REPLAY, kg={"concepts": "c", "triples": "t", "bonus": "x"})
     with pytest.raises(ConfigError):
         validate_config(write_config(tmp_path, doc))
+
+
+def test_unknown_keys_that_are_not_all_strings_are_named(tmp_path):
+    # YAML reads `1:` as an integer key, which does not sort beside a string
+    doc = dict(MINIMAL_REPLAY, params={1: 2, "bonus": 3})
+    with pytest.raises(ConfigError, match=r"^params: unknown keys \[1, 'bonus'\]$"):
+        validate_config(write_config(tmp_path, doc))
+    doc = dict(MINIMAL_REPLAY, extra={})
+    doc[2] = {}
+    with pytest.raises(ConfigError, match=r"^config: unknown sections \[2, 'extra'\]$"):
+        validate_config(doc, base_dir=tmp_path)
 
 
 def test_bad_mode_and_bad_top_level(tmp_path):
@@ -329,3 +341,12 @@ def test_the_first_of_two_faults_is_the_one_named(tmp_path, patch, field):
     with pytest.raises(ConfigError) as exc:
         validate_config(doc, base_dir=tmp_path)
     assert exc.value.field == field
+
+
+def test_the_readme_and_the_pinned_table_name_exactly_the_schema_keys():
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Configuration\n", 1)[1].split("```yaml\n", 1)[1]
+    documented = yaml.safe_load(block.split("```", 1)[0])
+    assert {f"{section}.{key}" for section, keys in documented.items()
+            for key in keys} == set(config_module._SCHEMA)
+    assert set(KEYS) == set(config_module._SCHEMA)

@@ -62,6 +62,25 @@ def test_every_loader_rejects_a_text_field_that_is_not_encodable_text(tmp_path, 
         load(path)
 
 
+@pytest.mark.parametrize("load,row,changed,key", [
+    (load_transcript, {"key": "k", "task": "ner", "response": "r"}, {"response": "s"}, "k"),
+    (TableEmbedder.load, {"text": "t", "embedding": [1.0, 0.5]}, {"embedding": [1.0, 0.25]},
+     "t"),
+    (TableScorer.load, {"query": "q", "text": "t", "score": 0.5}, {"score": 0.25},
+     ("q", "t")),
+], ids=["load_transcript", "TableEmbedder.load", "TableScorer.load"])
+def test_every_replay_table_rejects_a_key_repeated_with_a_different_row(tmp_path, load, row,
+                                                                        changed, key):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(row) + "\n" + json.dumps(row) + "\n", encoding="utf-8")
+    load(path)  # an identical repeat is one row
+    path.write_text(json.dumps(row) + "\n" + json.dumps(dict(row, **changed)) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(RecordConflictError) as exc:
+        load(path)
+    assert exc.value.key == key
+
+
 def test_table_embedder_rejects_an_embedding_that_is_not_a_list(tmp_path):
     path = tmp_path / "e.jsonl"
     path.write_text(json.dumps({"text": "t", "embedding": 5}) + "\n", encoding="utf-8")

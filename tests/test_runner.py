@@ -312,61 +312,63 @@ def test_a_short_score_list_fails_cases_at_the_evidence_stage(replay_runtime):
     assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
 
 
-def test_a_missing_query_embedding_fails_cases_at_the_evidence_stage(replay_runtime):
+def no_vector(texts):
+    return []
+
+
+def bare_number(texts):
+    return [np.float64(1.0)]
+
+
+def connection_reset(texts_or_vectors):
+    raise requests.ConnectionError("connection reset")
+
+
+@pytest.mark.parametrize("reply,error", [
+    (no_vector, "embedder returned 0 vectors for 1 texts"),
+    (bare_number, "embedder returned a 0-d vector at position 0"),
+    (connection_reset, "embedding 1 texts failed: connection reset"),
+], ids=["no-vector", "bare-number", "raises"])
+def test_a_bad_query_embedding_fails_cases_at_the_evidence_stage(replay_runtime, reply,
+                                                                 error):
     config = replay_runtime.config
     table = TableEmbedder.load(config.embeddings_path)
 
-    class NoQueryVector:
+    class BadQueryVector:
         # the corpus is embedded in one call at set-up; a query is one text
         def embed(self, texts):
-            return table.embed(texts) if len(texts) > 1 else []
+            return table.embed(texts) if len(texts) > 1 else reply(texts)
 
     runtime = Runtime(config, chat_backend=replay_runtime.chat_backend,
-                      embedder=NoQueryVector(), scorer=replay_runtime.scorer)
+                      embedder=BadQueryVector(), scorer=replay_runtime.scorer)
     result = run_batch(runtime)
     assert len(result.rows) == result.failed == 10
     assert {row.failed_stage for row in result.rows} == {"evidence"}
-    assert all("returned 0 vectors for 1 texts" in row.error for row in result.rows)
+    assert {row.error for row in result.rows} == {error}
     summary = json.loads((config.output_dir / "summary.json").read_text())
     assert summary["cases"] == 10
     assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
 
 
-def test_a_query_embedding_that_is_a_bare_number_fails_cases_at_the_evidence_stage(
-        replay_runtime):
+def fourth_is_a_bare_number(vectors):
+    return vectors[:3] + [np.float64(1.0)] + vectors[4:]
+
+
+@pytest.mark.parametrize("reply,error", [
+    (fourth_is_a_bare_number, "embedder returned a 0-d vector at position 3"),
+    (connection_reset, "embedding 25 texts failed: connection reset"),
+], ids=["bare-number", "raises"])
+def test_a_bad_corpus_embedding_fails_the_runtime(replay_runtime, reply, error):
     config = replay_runtime.config
     table = TableEmbedder.load(config.embeddings_path)
 
-    class ScalarQueryVector:
-        # the corpus is embedded in one call at set-up; a query is one text
+    class BadCorpusVectors:
         def embed(self, texts):
-            return table.embed(texts) if len(texts) > 1 else [np.float64(1.0)]
+            return reply(table.embed(texts))
 
-    runtime = Runtime(config, chat_backend=replay_runtime.chat_backend,
-                      embedder=ScalarQueryVector(), scorer=replay_runtime.scorer)
-    result = run_batch(runtime)
-    assert len(result.rows) == result.failed == 10
-    assert {row.failed_stage for row in result.rows} == {"evidence"}
-    assert {row.error for row in result.rows} == {
-        "embedder returned a 0-d vector at position 0"}
-    summary = json.loads((config.output_dir / "summary.json").read_text())
-    assert summary["cases"] == 10
-    assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
-
-
-def test_a_corpus_embedding_that_is_a_bare_number_fails_the_runtime(replay_runtime):
-    config = replay_runtime.config
-    table = TableEmbedder.load(config.embeddings_path)
-
-    class ScalarFourthVector:
-        def embed(self, texts):
-            vectors = table.embed(texts)
-            return vectors[:3] + [np.float64(1.0)] + vectors[4:]
-
-    with pytest.raises(RetrievalError,
-                       match="^embedder returned a 0-d vector at position 3$"):
+    with pytest.raises(RetrievalError, match=f"^{re.escape(error)}$"):
         Runtime(config, chat_backend=replay_runtime.chat_backend,
-                embedder=ScalarFourthVector(), scorer=replay_runtime.scorer)
+                embedder=BadCorpusVectors(), scorer=replay_runtime.scorer)
 
 
 def test_a_failed_set_up_closes_the_record_tables_it_opened(replay_runtime, tmp_path,
