@@ -401,3 +401,71 @@ def test_audit_consistency_enforced():
     with pytest.raises(ValueError):
         EvidencePackage(hypothesis="D", iteration=-1, guideline_excerpts=(),
                         valid_paths=(), pruned_paths=())
+
+
+# -- pinned package traces ---------------------------------------------------
+
+def _record_kinds(trace):
+    return [(r["type"], r.get("task")) for r in trace.records]
+
+
+def _described(package):
+    return (package.degraded, package.disease_concept_id,
+            [p.describe() for p in package.valid_paths],
+            [(p.describe(), rejected) for p, rejected in package.pruned_paths])
+
+
+def test_an_unmatchable_hypothesis_writes_one_retrieval_record():
+    graph, index = clinical_world()
+    trace = Trace(CASE.case_id)
+    pkg = build_initial_package(
+        CASE, [finding(graph, "f1")], "Zebra fever", graph, index,
+        LexicalOverlapScorer(), scripted_gateway([], trace))
+    assert _record_kinds(trace) == [("retrieval", None)]
+    assert _described(pkg) == (True, None, [], [])
+
+
+def test_an_align_none_hypothesis_writes_retrieval_then_the_align_exchange():
+    graph, index = clinical_world()
+    trace = Trace(CASE.case_id)
+    pkg = build_initial_package(
+        CASE, [finding(graph, "f1")], "Primary cholangitis", graph, index,
+        LexicalOverlapScorer(), scripted_gateway([(TaskKind.ALIGN, "", "NONE")], trace))
+    assert _record_kinds(trace) == [("retrieval", None), ("exchange", "align")]
+    assert _described(pkg) == (True, None, [], [])
+
+
+def test_a_two_query_supplement_merged_into_a_base_holding_one_of_its_paths():
+    graph, index = clinical_world()
+    [direct] = graph.enumerate_paths("f1", "d", h_max=1)
+    direct = replace(direct, verbalization="Mechanism: known")
+    base = make_package("Primary biliary cholangitis", [direct], ["s3"])
+    trace = Trace(CASE.case_id)
+    gw = scripted_gateway([
+        (TaskKind.VERBALIZE, "", verbalizer),
+        (TaskKind.PRUNE, "", batch_pruner(["1,1"])),
+    ], trace)
+    queries = ["jaundice and bile acid management", "jaundice and itching from bile acids"]
+    supp = build_supplement_package(
+        CASE, [finding(graph, "f1"), finding(graph, "f2")], base, queries,
+        graph, index, LexicalOverlapScorer(), gw)
+    retrieved = [[row["segment_id"] for row in r["reranked"]]
+                 for r in trace.records if r["type"] == "retrieval"]
+    assert set(retrieved[0]) & set(retrieved[1])
+    assert [s.segment.segment_id for s in supp.guideline_excerpts] == list(
+        dict.fromkeys(retrieved[0] + retrieved[1]))
+    assert _record_kinds(trace) == [
+        ("retrieval", None), ("retrieval", None), ("paths", None),
+        ("exchange", "verbalize"), ("exchange", "verbalize"),
+        ("exchange", "prune"), ("prune_batch", None)]
+    chains = ["Jaundice --[associated_with]--> Primary biliary cholangitis",
+              "Jaundice --[indicates]--> Cholestasis --[leads_to]--> "
+              "Primary biliary cholangitis"]
+    assert _described(supp) == (False, "d", chains, [(c, False) for c in chains])
+    merged = merge_packages(base, supp)
+    assert _described(merged) == (
+        False, "d", chains,
+        [(chains[0], False), (chains[0], False), (chains[1], False)])
+    assert merged.valid_paths[0] is direct
+    assert [s.segment.segment_id for s in merged.guideline_excerpts] == list(
+        dict.fromkeys(["s3"] + retrieved[0] + retrieved[1]))
