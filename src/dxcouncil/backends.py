@@ -9,6 +9,7 @@ scripted score table, and a deterministic lexical-overlap scorer.
 from __future__ import annotations
 
 import hashlib
+import math
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
@@ -29,19 +30,23 @@ class CrossScorer(Protocol):
 
 
 def checked_scores(scores: list[float], segment_texts: list[str]) -> list[float]:
-    """``scores``, once they hold one score per segment text: zipped against
-    the texts, a short or long list would drop segments or pair scores with
-    the wrong ones. Otherwise ``RetrievalError``."""
+    """``scores``, once they hold one finite score per segment text: zipped
+    against the texts, a short or long list would drop segments or pair
+    scores with the wrong ones, and a NaN would leave the ranking arbitrary.
+    Otherwise ``RetrievalError``."""
     if len(scores) != len(segment_texts):
         raise RetrievalError(
             f"cross-scorer returned {len(scores)} scores for {len(segment_texts)} segments")
+    for position, score in enumerate(scores):
+        if not math.isfinite(score):
+            raise RetrievalError(f"cross-scorer returned {score} at position {position}")
     return scores
 
 
 def checked_vectors(vectors: list[np.ndarray], texts: list[str]) -> list[np.ndarray]:
     """``vectors``, once they hold one vector per text and each is 1-d (a
     bare number or a nested list would fail later, outside the engine's
-    errors); otherwise ``RetrievalError``."""
+    errors) and finite; otherwise ``RetrievalError``."""
     if len(vectors) != len(texts):
         raise RetrievalError(
             f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
@@ -49,6 +54,9 @@ def checked_vectors(vectors: list[np.ndarray], texts: list[str]) -> list[np.ndar
         if np.ndim(vec) != 1:
             raise RetrievalError(
                 f"embedder returned a {np.ndim(vec)}-d vector at position {position}")
+        if not np.isfinite(vec).all():
+            raise RetrievalError(
+                f"embedder returned a non-finite vector at position {position}")
     return vectors
 
 
@@ -149,7 +157,8 @@ class HttpEmbedder:
     """OpenAI-compatible embeddings endpoint.
 
     POST ``{"input": [texts], "model": ...}`` ->
-    ``{"data": [{"index": i, "embedding": [...]}]}``.
+    ``{"data": [{"index": i, "embedding": [...]}]}``. Each vector is placed
+    by its ``index``, under the rule ``HttpScorer`` follows.
     """
 
     def __init__(self, endpoint: str, model: str, timeout: float = 60.0):
@@ -161,8 +170,8 @@ class HttpEmbedder:
         return checked_vectors(post_json(
             f"{self.endpoint}/embeddings", {"input": texts, "model": self.model},
             self.timeout,
-            lambda reply: [np.asarray(row["embedding"], dtype=float)
-                           for row in sorted(reply["data"], key=lambda item: item["index"])]),
+            lambda reply: _by_index(reply["data"],
+                                    lambda row: np.asarray(row["embedding"], dtype=float))),
             texts)
 
 
@@ -231,24 +240,31 @@ class HttpScorer:
         self.timeout = timeout
 
     def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
+        def read(reply: dict) -> list[float]:
+            count, results = len(segment_texts), reply["results"]
+            if len(results) != count:
+                raise ValueError(f"{len(results)} results for {count} documents")
+            return _by_index(results, lambda row: float(row["relevance_score"]))
+
         return post_json(
             f"{self.endpoint}/rerank",
             {"model": self.model, "query": query_text, "documents": segment_texts},
-            self.timeout, lambda reply: _scores_by_index(reply["results"], len(segment_texts)))
+            self.timeout, read)
 
 
-def _scores_by_index(results: list[dict], count: int) -> list[float]:
-    if len(results) != count:
-        raise ValueError(f"{len(results)} results for {count} documents")
-    scores: list[float | None] = [None] * count
-    for row in results:
+def _by_index(rows: list[dict], value: Callable[[dict], Any]) -> list:
+    """``value`` of each row, placed at the row's ``index``: each index must
+    be an int, name a position among the rows, and appear once; otherwise
+    ``ValueError``."""
+    placed: list = [None] * len(rows)
+    for row in rows:
         index = row["index"]
-        if type(index) is not int or not 0 <= index < count:
+        if type(index) is not int or not 0 <= index < len(rows):
             raise ValueError(f"result index {index!r} is not a document position")
-        if scores[index] is not None:
+        if placed[index] is not None:
             raise ValueError(f"result index {index} appears twice")
-        scores[index] = float(row["relevance_score"])
-    return scores
+        placed[index] = value(row)
+    return placed
 
 
 # -- recording wrappers ------------------------------------------------------

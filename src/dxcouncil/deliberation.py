@@ -32,6 +32,7 @@ from .differential import (
     AbnormalEntity,
     CaseDescription,
     HypothesisSet,
+    first_by,
     render_findings,
 )
 from .errors import ConfigError, DeliberationError
@@ -156,21 +157,22 @@ def assess_complexity(case: CaseDescription, findings: list[AbnormalEntity],
     return flag
 
 
-def _match_hypothesis(diagnosis: str, hypotheses: HypothesisSet) -> str:
-    for name in hypotheses:
-        if name.casefold() == diagnosis.casefold():
-            return name
-    raise DeliberationError(
-        f"adjudicated diagnosis {diagnosis!r} is not among the hypotheses {list(hypotheses)}")
-
-
-def _split_report(report: str) -> tuple[str, str]:
+def _close(parsed: dict, hypotheses: HypothesisSet, route: str,
+           snapshots: tuple[ConsensusSnapshot, ...], gateway: Gateway) -> FinalReport:
+    """The Generalist Agent's close of a case, from its parsed answer: the
+    diagnosis must name a hypothesis, ignoring case."""
+    diagnosis = next((name for name in hypotheses
+                      if name.casefold() == parsed["diagnosis"].casefold()), None)
+    if diagnosis is None:
+        raise DeliberationError(f"adjudicated diagnosis {parsed['diagnosis']!r} is not "
+                                f"among the hypotheses {list(hypotheses)}")
     # the closing templates ask for a "Next steps:" line; absent one, the
     # whole report is the narrative
-    pos = report.find(NEXT_STEPS_MARKER)
-    if pos < 0:
-        return report.strip(), ""
-    return report[:pos].strip(), report[pos + len(NEXT_STEPS_MARKER):].strip()
+    narrative, _, next_steps = parsed["report"].partition(NEXT_STEPS_MARKER)
+    gateway.trace.decision("final_report", {"final_diagnosis": diagnosis, "route": route})
+    return FinalReport(final_diagnosis=diagnosis, per_hypothesis_snapshots=snapshots,
+                       consensus_narrative=narrative.strip(),
+                       recommended_next_steps=next_steps.strip())
 
 
 def generalist_direct_diagnosis(case: CaseDescription,
@@ -186,13 +188,7 @@ def generalist_direct_diagnosis(case: CaseDescription,
         "hypotheses": "; ".join(hypotheses),
         "packages": render_packages(packages),
     })
-    diagnosis = _match_hypothesis(parsed["diagnosis"], hypotheses)
-    narrative, next_steps = _split_report(parsed["report"])
-    gateway.trace.decision("final_report", {
-        "final_diagnosis": diagnosis, "route": "direct"})
-    return FinalReport(final_diagnosis=diagnosis, per_hypothesis_snapshots=(),
-                       consensus_narrative=narrative,
-                       recommended_next_steps=next_steps)
+    return _close(parsed, hypotheses, "direct", (), gateway)
 
 
 def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
@@ -216,15 +212,12 @@ def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
             "roster": "; ".join(roster),
             "max_specialists": str(max_specialists),
         })
-        chosen: list[str] = []
         for name in names:
             if name not in roster:
                 raise DeliberationError(f"specialty {name!r} is not in the configured roster")
-            if name not in chosen:
-                chosen.append(name)
-        if not chosen:
+        if not names:
             raise DeliberationError(f"dispatch chose no specialists for {hypothesis!r}")
-        chosen = chosen[:max_specialists]
+        chosen = first_by(names, str)[:max_specialists]
         gw.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
         return SpecialistRoster(hypothesis=hypothesis, specialties=tuple(chosen))
 
@@ -376,11 +369,4 @@ def final_adjudication(snapshots: list[ConsensusSnapshot], case: CaseDescription
         "findings": render_findings(findings),
         "summaries": "\n".join(sections),
     })
-    diagnosis = _match_hypothesis(parsed["diagnosis"], hypotheses)
-    narrative, next_steps = _split_report(parsed["report"])
-    gateway.trace.decision("final_report", {
-        "final_diagnosis": diagnosis, "route": "deliberated"})
-    return FinalReport(final_diagnosis=diagnosis,
-                       per_hypothesis_snapshots=tuple(snapshots),
-                       consensus_narrative=narrative,
-                       recommended_next_steps=next_steps)
+    return _close(parsed, hypotheses, "deliberated", tuple(snapshots), gateway)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import TextIO
+from typing import Any, Callable, Hashable, Iterable, TextIO
 
 from .errors import DeliberationError, JudgmentParseError, ResourceError
 from .gateway import Gateway, TaskKind
@@ -21,6 +21,13 @@ from .kg import Concept, KnowledgeGraph
 
 # vocabulary entries offered to the aligner per mention
 ALIGN_CANDIDATES = 5
+
+def first_by(items: Iterable, key: Callable[[Any], Hashable]) -> list:
+    """``items`` in order, keeping only the first of each ``key``."""
+    firsts: dict = {}
+    for item in items:
+        firsts.setdefault(key(item), item)
+    return list(firsts.values())
 
 
 @dataclass(frozen=True)
@@ -134,14 +141,10 @@ def extract_abnormal_entities(case: CaseDescription, gateway: Gateway,
     """Extract raw mentions, standardize each against the graph, keep the
     survivors in narrative order with same-concept duplicates collapsed."""
     mentions = gateway.complete(TaskKind.NER, {"narrative": case.narrative})
-    findings: list[AbnormalEntity] = []
-    seen_ids: set[str] = set()
-    for mention, aligned in zip(mentions, align_mentions(mentions, graph, gateway)):
-        if aligned is None or aligned[0].id in seen_ids:
-            continue
-        seen_ids.add(aligned[0].id)
-        findings.append(AbnormalEntity(mention, *aligned))
-    return findings
+    aligned = align_mentions(mentions, graph, gateway)
+    return first_by([AbnormalEntity(mention, *pair)
+                     for mention, pair in zip(mentions, aligned) if pair is not None],
+                    lambda finding: finding.concept.id)
 
 
 def generate_hypotheses(case: CaseDescription, findings: list[AbnormalEntity],
@@ -156,13 +159,7 @@ def generate_hypotheses(case: CaseDescription, findings: list[AbnormalEntity],
         "findings": render_findings(findings),
         "k_max": str(k_max),
     })
-    deduped: list[str] = []
-    folded: set[str] = set()
-    for item in items:
-        if item.casefold() in folded:
-            continue
-        folded.add(item.casefold())
-        deduped.append(item)
+    deduped = first_by(items, str.casefold)
     if not deduped:
         raise DeliberationError(
             f"case {case.case_id!r}: model produced no diagnoses")

@@ -28,12 +28,13 @@ class ResourceError(EngineError):
 
 class KgError(EngineError):
     """A knowledge-graph operation failed: an unknown concept, an empty
-    mention, a path from a node to itself, or an unverbalizable path."""
+    mention, or a path from a node to itself."""
 
 
 class RetrievalError(EngineError):
-    """Guideline retrieval failed: an embedding or score count or dimension
-    that does not fit, an empty index or candidate list, or a failed rerank."""
+    """Guideline retrieval failed: an embedding or score count, dimension or
+    non-finite value that does not fit, an empty index or candidate list, or a
+    failed rerank."""
 
 
 class GatewayError(EngineError):

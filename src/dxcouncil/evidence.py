@@ -6,24 +6,25 @@ binary judgment made with the top guideline excerpts in context, so a path
 survives only when the model deems it coherent for this patient and
 consistent with the guidance shown.
 
-A package's guideline retrieval (one per query for a supplement) runs as a
-gateway branch beside its path work (aligning the hypothesis for an initial
-package, then enumerating and verbalizing paths); only pruning needs both.
-Within the path work, each finding's paths, each path's verbalization and
-each prune batch run as branches too (a finding's branch starts its paths'
-branches). Branches splice in the order the steps were written, so each
-``retrieval``, ``paths`` and ``prune_batch`` trace record lands right
-before or after the exchanges it belongs to, as in a run made one call
-after another.
+Initial packages and supplements come from one builder: each retrieval
+query runs as a gateway branch beside the path work (aligning the hypothesis
+for an initial package, then enumerating and verbalizing paths), and only
+pruning needs both. A hypothesis the aligner cannot pin takes the same path
+with no paths to prune, so its package is degraded. Within the path work,
+each finding's paths, each path's verbalization and each prune batch run as
+branches too. Branches splice in the order the steps were written, so each
+``retrieval``, ``paths`` and ``prune_batch`` trace record lands where a run
+made one call after another puts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable
 
 from .backends import CrossScorer
-from .differential import AbnormalEntity, CaseDescription, align_mentions
+from .differential import AbnormalEntity, CaseDescription, align_mentions, first_by
 from .errors import DeliberationError
 from .gateway import Gateway, TaskKind
 from .guidelines import GuidelineIndex, RankedSegment, composite_query, g_ret
@@ -127,19 +128,33 @@ def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
     return [path for paths in verbalized for path in paths]
 
 
-def _retrieve(index: GuidelineIndex, scorer: CrossScorer, k: int, n: int,
-              query: str, gw: Gateway) -> list[RankedSegment]:
-    return g_ret(index, query, scorer, gw.trace, k=k, n=n)
+def _package(case: CaseDescription, hypothesis: str, queries: list[str],
+             paths: Callable[[Gateway], tuple[str | None, list[KnowledgePath]]],
+             index: GuidelineIndex, scorer: CrossScorer, gateway: Gateway,
+             k: int, n: int, batch_size: int) -> EvidencePackage:
+    """The one package builder. Each query's retrieval runs as a branch
+    beside ``paths``, which returns the disease concept id (None for a
+    hypothesis the aligner cannot pin) and the verbalized paths; the first
+    excerpt of each segment id is kept, and pruning needs them all."""
 
+    def retrieve(query: str, gw: Gateway) -> list[RankedSegment]:
+        return g_ret(index, query, scorer, gw.trace, k=k, n=n)
 
-def _pruned(verbalized: list[KnowledgePath], case: CaseDescription,
-            excerpts: list[RankedSegment], gateway: Gateway, batch_size: int,
-            ) -> tuple[list[KnowledgePath], tuple[tuple[KnowledgePath, bool], ...]]:
-    """The paths that survive pruning, and the audit of every path."""
+    *retrieved, (disease_id, verbalized) = gateway.branches(
+        [partial(retrieve, query) for query in queries] + [paths])
+    excerpts = first_by([seg for ranked in retrieved for seg in ranked], _segment_id)
     valid, rejected = prune_paths(
         verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
     rejected_keys = {p.edge_key() for p in rejected}
-    return valid, tuple((p, p.edge_key() in rejected_keys) for p in verbalized)
+    return EvidencePackage(
+        hypothesis=hypothesis, iteration=0, guideline_excerpts=tuple(excerpts),
+        valid_paths=tuple(valid),
+        pruned_paths=tuple((p, p.edge_key() in rejected_keys) for p in verbalized),
+        disease_concept_id=disease_id, degraded=disease_id is None)
+
+
+def _segment_id(seg: RankedSegment) -> str:
+    return seg.segment.segment_id
 
 
 def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
@@ -148,12 +163,10 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
                           gateway: Gateway, k: int = 8, n: int = 4,
                           h_max: int = 3, batch_size: int = PRUNE_BATCH,
                           ) -> EvidencePackage:
-    """Assemble the iteration-0 package for one hypothesis.
-
-    Retrieval and the path work (aligning the hypothesis, then enumerating
-    and verbalizing paths) run as two branches; pruning needs both.
-    """
-    query = composite_query(hypothesis, [f.concept.preferred_name for f in findings])
+    """Assemble the iteration-0 package for one hypothesis, retrieving with
+    the composite query of hypothesis and findings. The path work aligns the
+    hypothesis, then enumerates and verbalizes paths; a hypothesis the
+    aligner cannot pin gets guideline excerpts only."""
 
     def paths(gw: Gateway) -> tuple[str | None, list[KnowledgePath]]:
         [aligned] = align_mentions([hypothesis], graph, gw)
@@ -163,20 +176,9 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
         return disease_id, _enumerate_and_verbalize(
             [f.concept.id for f in findings], disease_id, graph, gw, h_max)
 
-    excerpts, (disease_id, verbalized) = gateway.branches(
-        [partial(_retrieve, index, scorer, k, n, query), paths])
-    # a hypothesis the aligner cannot pin to a disease concept gets
-    # guideline excerpts only
-    if disease_id is None:
-        return EvidencePackage(
-            hypothesis=hypothesis, iteration=0,
-            guideline_excerpts=tuple(excerpts), valid_paths=(),
-            pruned_paths=(), disease_concept_id=None, degraded=True)
-    valid, audit = _pruned(verbalized, case, excerpts, gateway, batch_size)
-    return EvidencePackage(
-        hypothesis=hypothesis, iteration=0,
-        guideline_excerpts=tuple(excerpts), valid_paths=tuple(valid),
-        pruned_paths=audit, disease_concept_id=disease_id, degraded=False)
+    query = composite_query(hypothesis, [f.concept.preferred_name for f in findings])
+    return _package(case, hypothesis, [query], paths, index, scorer, gateway,
+                    k, n, batch_size)
 
 
 def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntity],
@@ -187,35 +189,20 @@ def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntit
                              batch_size: int = PRUNE_BATCH) -> EvidencePackage:
     """Run refinement queries and package what they bring back.
 
-    Each query's own text is the retrieval query, where the initial package
-    retrieves with the composite query of hypothesis and findings. Path
-    enumeration re-runs only for findings a query names (normalized name or
-    synonym substring); the disease side is the hypothesis's own concept.
-    Each query's retrieval and the path work run as branches; pruning needs
-    them all.
+    Each query's own text is a retrieval query. Path enumeration re-runs
+    only for findings a query names (normalized name or synonym substring);
+    the disease side is the hypothesis's own concept.
     """
-    def paths(gw: Gateway) -> list[KnowledgePath]:
+    def paths(gw: Gateway) -> tuple[str | None, list[KnowledgePath]]:
+        disease_id = base.disease_concept_id
         named = _findings_named_in_queries(findings, queries)
-        if base.disease_concept_id is None or not named:
-            return []
-        return _enumerate_and_verbalize(
-            [f.concept.id for f in named], base.disease_concept_id, graph, gw, h_max)
+        if disease_id is None or not named:
+            return disease_id, []
+        return disease_id, _enumerate_and_verbalize(
+            [f.concept.id for f in named], disease_id, graph, gw, h_max)
 
-    *retrieved, verbalized = gateway.branches(
-        [partial(_retrieve, index, scorer, k, n, query) for query in queries] + [paths])
-    excerpts: list[RankedSegment] = []
-    seen_segments: set[str] = set()
-    for ranked in retrieved:
-        for seg in ranked:
-            if seg.segment.segment_id not in seen_segments:
-                seen_segments.add(seg.segment.segment_id)
-                excerpts.append(seg)
-    valid, audit = _pruned(verbalized, case, excerpts, gateway, batch_size)
-    return EvidencePackage(
-        hypothesis=base.hypothesis, iteration=0,
-        guideline_excerpts=tuple(excerpts), valid_paths=tuple(valid),
-        pruned_paths=audit, disease_concept_id=base.disease_concept_id,
-        degraded=base.degraded)
+    return _package(case, base.hypothesis, queries, paths, index, scorer, gateway,
+                    k, n, batch_size)
 
 
 def _findings_named_in_queries(findings: list[AbnormalEntity],
@@ -237,23 +224,13 @@ def merge_packages(base: EvidencePackage, supplement: EvidencePackage) -> Eviden
         raise DeliberationError(
             f"cannot merge packages for {base.hypothesis!r} and "
             f"{supplement.hypothesis!r}")
-    excerpts = list(base.guideline_excerpts)
-    seen_segments = {seg.segment.segment_id for seg in excerpts}
-    for seg in supplement.guideline_excerpts:
-        if seg.segment.segment_id not in seen_segments:
-            seen_segments.add(seg.segment.segment_id)
-            excerpts.append(seg)
-    valid = list(base.valid_paths)
-    seen_paths = {p.edge_key() for p in valid}
-    for path in supplement.valid_paths:
-        if path.edge_key() not in seen_paths:
-            seen_paths.add(path.edge_key())
-            valid.append(path)
     return replace(
         base,
         iteration=base.iteration + 1,
-        guideline_excerpts=tuple(excerpts),
-        valid_paths=tuple(valid),
+        guideline_excerpts=tuple(first_by(
+            base.guideline_excerpts + supplement.guideline_excerpts, _segment_id)),
+        valid_paths=tuple(first_by(base.valid_paths + supplement.valid_paths,
+                                   KnowledgePath.edge_key)),
         pruned_paths=base.pruned_paths + supplement.pruned_paths,
     )
 

@@ -15,7 +15,7 @@ import string
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 from .errors import KgError, ResourceError
 from .jsonl import open_lines
@@ -153,15 +153,11 @@ class KnowledgeGraph:
             self._concepts[concept.id] = concept
         self._edges: list[Edge] = []
         self._out: dict[str, list[Edge]] = {}
-        seen: set[tuple[str, str, str]] = set()
-        for edge in edges:
+        for edge in dict.fromkeys(edges):  # equal triples collapse to the first
             if edge.source not in self._concepts:
                 raise KgError(f"edge source {edge.source!r} is not a loaded concept")
             if edge.target not in self._concepts:
                 raise KgError(f"edge target {edge.target!r} is not a loaded concept")
-            if edge.as_triple() in seen:
-                continue
-            seen.add(edge.as_triple())
             self._edges.append(edge)
             self._out.setdefault(edge.source, []).append(edge)
 
@@ -273,23 +269,31 @@ class KnowledgeGraph:
 
 # -- loading -----------------------------------------------------------------
 
+def _tsv_rows(source: str | Path | TextIO, width: int
+              ) -> Iterator[tuple[str, int, list[str]]]:
+    """``(file name, line number, stripped fields)`` of each row of a
+    tab-separated file, skipping blank and ``#`` lines; a row without
+    ``width`` fields is a ``ResourceError``."""
+    name, lines = open_lines(source)
+    for line_no, line in enumerate(lines, start=1):
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ResourceError(f"{name}:{line_no}: expected {width} tab-separated "
+                                f"fields, got {len(fields)}")
+        yield name, line_no, [f.strip() for f in fields]
+
+
 def read_concepts(source: str | Path | TextIO) -> list[Concept]:
     """Parse the tab-separated concept file.
 
     Format per line: ``id \\t preferred_name \\t syn1|syn2 \\t st1|st2``;
     synonym and semantic-type fields may be empty; ``#`` lines are comments.
     """
-    name, lines = open_lines(source)
     concepts: list[Concept] = []
     seen: set[str] = set()
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise ResourceError(
-                f"{name}:{line_no}: expected 4 tab-separated fields, got {len(fields)}")
-        concept_id, preferred, synonyms, semtypes = (f.strip() for f in fields)
+    for name, line_no, (concept_id, preferred, synonyms, semtypes) in _tsv_rows(source, 4):
         if not concept_id:
             raise ResourceError(f"{name}:{line_no}: empty concept id")
         if not preferred:
@@ -308,16 +312,8 @@ def read_concepts(source: str | Path | TextIO) -> list[Concept]:
 
 def read_triples(source: str | Path | TextIO) -> list[tuple[int, Edge]]:
     """Parse the tab-separated triple file into (line_no, edge) pairs."""
-    name, lines = open_lines(source)
     triples: list[tuple[int, Edge]] = []
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ResourceError(
-                f"{name}:{line_no}: expected 3 tab-separated fields, got {len(fields)}")
-        source_id, relation, target_id = (f.strip() for f in fields)
+    for name, line_no, (source_id, relation, target_id) in _tsv_rows(source, 3):
         if not source_id or not relation or not target_id:
             raise ResourceError(f"{name}:{line_no}: empty field in triple")
         triples.append((line_no, Edge(source_id, relation, target_id)))
@@ -354,11 +350,7 @@ def verbalize_path(paths: list[KnowledgePath], gw) -> list[KnowledgePath]:
     verbalization set.
     """
     def verbalize(path: KnowledgePath, gw) -> KnowledgePath:
-        chain = path.describe()
-        try:
-            sentence = gw.complete(TaskKind.VERBALIZE, {"path": chain})
-        except Exception as exc:
-            raise KgError(f"verbalization failed for path {chain!r}") from exc
-        return replace(path, verbalization=sentence)
+        return replace(path, verbalization=gw.complete(
+            TaskKind.VERBALIZE, {"path": path.describe()}))
 
     return gw.branches([partial(verbalize, path) for path in paths])

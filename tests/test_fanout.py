@@ -576,12 +576,8 @@ FAILED_ROWS = {
     ("hypothesize", "empty"): ("case-01", "hypothesize",
                                "empty response for task 'hypothesize'"),
     ("hypothesize", "malformed"): ("case-01", "hypothesize", NOT_JSON),
-    ("verbalize", "transport"): ("case-01", "evidence", "verbalization failed for path "
-                                 "'Anechoic liver lesion on ultrasound --[indicates]--> "
-                                 "Liver cyst'"),
-    ("verbalize", "empty"): ("case-01", "evidence", "verbalization failed for path "
-                             "'Anechoic liver lesion on ultrasound --[indicates]--> "
-                             "Liver cyst'"),
+    ("verbalize", "transport"): ("case-01", "evidence", "injected transport failure"),
+    ("verbalize", "empty"): ("case-01", "evidence", "empty response for task 'verbalize'"),
     ("verbalize", "malformed"): ("case-01", "evidence", "replay transcript has no entry "
                                  "for prune key b3d56259af975f6cf6093d687c8603c0ef890aeb"
                                  "933ea2b79c8586535f795266"),

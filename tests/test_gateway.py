@@ -338,22 +338,44 @@ def test_http_scorer_sends_one_request_and_places_scores_by_index(monkeypatch):
                       {"model": "m", "query": "q", "documents": ["a", "b", "c"]})]
 
 
-@pytest.mark.parametrize("indices", [
-    [0, 1], [0, 1, 2, 3], [0, 0, 1], [0, 1, 3], [-1, 0, 1], [0, 1, None], [0, 1, True],
-], ids=["short", "long", "duplicate", "out_of_range", "negative", "missing", "not_int"])
-def test_http_scorer_rejects_results_that_miss_or_repeat_a_document(monkeypatch, indices):
-    results = [{"relevance_score": 0.5} if index is None
-               else {"index": index, "relevance_score": 0.5} for index in indices]
+INDEX_FAULTS = {"duplicate": [0, 0, 1], "out_of_range": [0, 1, 3], "negative": [-1, 0, 1],
+                "missing": [0, 1, None], "not_int": [0, 1, True]}
+
+
+@pytest.mark.parametrize("client,indices", [
+    ("score", [0, 1]), ("score", [0, 1, 2, 3]),
+    *(("score", indices) for indices in INDEX_FAULTS.values()),
+    *(("embed", indices) for indices in INDEX_FAULTS.values()),
+], ids=["short", "long", *INDEX_FAULTS, *(f"embed_{name}" for name in INDEX_FAULTS)])
+def test_http_scorer_rejects_results_that_miss_or_repeat_a_document(monkeypatch, client,
+                                                                     indices):
+    # the embedder places its vectors by the same index rule
+    key, field, value = (("results", "relevance_score", 0.5) if client == "score"
+                         else ("data", "embedding", [1.0]))
+    rows = [{field: value} if index is None else {"index": index, field: value}
+            for index in indices]
     calls = []
 
     def post(url, json=None, timeout=None):
         calls.append(url)
-        return _Resp(payload={"results": results})
+        return _Resp(payload={key: rows})
 
     monkeypatch.setattr(requests, "post", post)
     with pytest.raises(TransportError):
-        HttpScorer("http://example.invalid/v1", "m").score("q", ["a", "b", "c"])
+        if client == "score":
+            HttpScorer("http://example.invalid/v1", "m").score("q", ["a", "b", "c"])
+        else:
+            HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b", "c"])
     assert len(calls) == 1
+
+
+def test_http_embedder_places_vectors_by_index(monkeypatch):
+    data = [{"index": 2, "embedding": [2.0]}, {"index": 0, "embedding": [0.0]},
+            {"index": 1, "embedding": [1.0]}]
+    monkeypatch.setattr(requests, "post",
+                        lambda url, json=None, timeout=None: _Resp(payload={"data": data}))
+    vectors = HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b", "c"])
+    assert [vec.tolist() for vec in vectors] == [[0.0], [1.0], [2.0]]
 
 
 @pytest.mark.parametrize("embedding", [0.5, [[1.0, 0.0]]], ids=["number", "nested"])

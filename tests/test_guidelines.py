@@ -88,6 +88,28 @@ def test_ingest_rejects_a_short_vector_list():
         ingest_corpus(segs(5), ShortEmbedder())
 
 
+def test_ingest_rejects_a_non_finite_embedding():
+    class NanEmbedder:
+        def embed(self, texts):
+            return [np.array([1.0, np.nan, 0.0]) if i == 2 else np.ones(3)
+                    for i, _ in enumerate(texts)]
+
+    with pytest.raises(RetrievalError,
+                       match="^embedder returned a non-finite vector at position 2$"):
+        ingest_corpus(segs(4), NanEmbedder())
+
+
+def test_a_non_finite_query_embedding_is_a_retrieval_error():
+    class QueryNanEmbedder:
+        def embed(self, texts):
+            return [np.full(3, np.inf) if text == "q" else np.ones(3) for text in texts]
+
+    index = ingest_corpus(segs(3), QueryNanEmbedder())
+    with pytest.raises(RetrievalError,
+                       match="^embedder returned a non-finite vector at position 0$"):
+        dense_retrieve(index, "q", k=2)
+
+
 def test_ingest_empty_corpus_rejected():
     with pytest.raises(ResourceError, match="^corpus contains no segments$"):
         ingest_corpus([], HashEmbedder(dim=8))
@@ -225,6 +247,21 @@ def test_rerank_rejects_a_score_count_that_differs_from_the_candidates(miscount)
     with pytest.raises(RetrievalError,
                        match=f"^cross-scorer returned {got} scores for 8 segments$"):
         rerank(candidates, query, MiscountingScorer(), n=4)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")],
+                         ids=["nan", "inf", "minus_inf"])
+def test_rerank_rejects_a_non_finite_score(bad):
+    index = ingest_corpus(segs(4), HashEmbedder(dim=8))
+    candidates = dense_retrieve(index, "q", k=4)
+    by_text = {c.segment.text: score for c, score in zip(candidates, [0.2, bad, 0.9, 0.5])}
+
+    class BadScorer:
+        def score(self, query_text, segment_texts):
+            return [by_text[text] for text in segment_texts]
+
+    with pytest.raises(RetrievalError, match=f"^cross-scorer returned {bad} at position 1$"):
+        rerank(candidates, "q", BadScorer(), n=4)
 
 
 def test_rerank_preserves_dense_scores_and_reverses_on_negation():

@@ -179,6 +179,27 @@ def test_recording_embedder_records_nothing_from_a_miscounted_batch(tmp_path):
     assert table_rows(tmp_path / "e.jsonl") == []
 
 
+def test_recorders_record_nothing_from_a_batch_holding_a_non_finite_value(tmp_path):
+    class NanBackend:
+        def embed(self, texts):
+            return [np.array([1.0, float("nan")]) if text == "b" else np.ones(2)
+                    for text in texts]
+
+        def score(self, query_text, segment_texts):
+            return [float("nan") if text == "b" else 0.5 for text in segment_texts]
+
+    embedder = RecordingEmbedder(NanBackend(), tmp_path / "e.jsonl")
+    with pytest.raises(RetrievalError,
+                       match="^embedder returned a non-finite vector at position 1$"):
+        embedder.embed(["a", "b"])
+    embedder.close()
+    scorer = RecordingScorer(NanBackend(), tmp_path / "s.jsonl")
+    with pytest.raises(RetrievalError, match="^cross-scorer returned nan at position 1$"):
+        scorer.score("q", ["a", "b"])
+    scorer.close()
+    assert table_rows(tmp_path / "e.jsonl") == table_rows(tmp_path / "s.jsonl") == []
+
+
 def test_recorded_tables_load_back_bit_for_bit(tmp_path):
     texts = ["Jaundice and pruritus", "Ascites — grade 2", "ALP 3x ULN"]
     embedder = RecordingEmbedder(HashEmbedder(dim=16), tmp_path / "e.jsonl")

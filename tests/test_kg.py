@@ -7,7 +7,7 @@ import io
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from dxcouncil.errors import KgError, ResourceError
+from dxcouncil.errors import GatewayError, KgError, ResourceError
 from dxcouncil.gateway import (
     Gateway,
     ReplayChatBackend,
@@ -337,8 +337,7 @@ def test_empty_verbalization_is_an_error():
     g = make_graph(["A", "B"], [("A", "causes", "B")])
     path = g.enumerate_paths("A", "B", h_max=1)[0]
     gw = scripted_gateway([(TaskKind.VERBALIZE, "", "   ")])
-    with pytest.raises(KgError,
-                       match=r"^verbalization failed for path 'A --\[causes\]--> B'$"):
+    with pytest.raises(GatewayError, match="^empty response for task 'verbalize'$"):
         list(verbalize_path([path], gw))
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import dxcouncil
@@ -140,4 +141,52 @@ def test_a_branch_task_calls_only_through_the_gateway_it_is_given():
              for path in sorted(package.glob("*.py"))
              for line, name in _outer_gateway_loads(
                  ast.parse(path.read_text(encoding="utf-8")), set(), set())]
+    assert found == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def _private_definitions(tree: ast.Module) -> list[tuple[str, ast.AST]]:
+    """(name, node) of each private module-level function, class and
+    constant, and of each private method."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.extend((t.id, node) for t in targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.ClassDef):
+            found.extend((item.name, item) for item in node.body
+                         if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+    return [(name, node) for name, node in found if _private(name)]
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read under ``node``: as a bare name, an
+    attribute, or an imported name."""
+    found: Counter = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            found[child.id] += 1
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            found[child.attr] += 1
+        elif isinstance(child, ast.ImportFrom):
+            found.update(alias.name for alias in child.names)
+    return found
+
+
+def test_every_private_helper_is_used_outside_its_own_definition():
+    # a helper only its own body (or nothing) refers to is dead code left
+    # behind by a refactor; names are matched across the package
+    package = Path(dxcouncil.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    used = sum((_references(tree) for tree in trees.values()), Counter())
+    found = [f"{module}:{node.lineno} {name}"
+             for module, tree in trees.items()
+             for name, node in _private_definitions(tree)
+             if used[name] - _references(node)[name] <= 0]
     assert found == []
