@@ -310,6 +310,28 @@ def test_merge_iteration_steps_from_the_base():
     assert merged.iteration == 2
 
 
+def test_a_path_rejected_in_one_pass_and_accepted_in_the_other_is_valid_once():
+    graph, index = clinical_world()
+    findings = [finding(graph, "f1")]
+
+    def pruned_by(bits: str):
+        return scripted_gateway([(TaskKind.ALIGN, "", "1"),
+                                 (TaskKind.VERBALIZE, "", verbalizer),
+                                 (TaskKind.PRUNE, "", bits)])
+
+    base = build_initial_package(
+        CASE, findings, "Primary biliary cholangitis", graph, index,
+        LexicalOverlapScorer(), pruned_by("1,0"))
+    supplement = build_supplement_package(
+        CASE, findings, base, ["mechanistic chain linking jaundice to disease"],
+        graph, index, LexicalOverlapScorer(), pruned_by("0,1"))
+    merged = merge_packages(base, supplement)
+    direct, chain = graph.enumerate_paths("f1", "d")
+    assert [p.edge_key() for p in merged.valid_paths] == [direct.edge_key(),
+                                                          chain.edge_key()]
+    assert [rejected for _, rejected in merged.pruned_paths] == [False, True, True, False]
+
+
 def test_supplement_reenumerates_only_named_findings():
     graph, index = clinical_world()
     base = EvidencePackage(
