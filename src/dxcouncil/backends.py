@@ -60,8 +60,11 @@ def checked_vectors(vectors: list[np.ndarray], texts: list[str]) -> list[np.ndar
     return vectors
 
 
-def post_json(url: str, body: dict, timeout: float, read: Callable[[Any], Any],
-              attempts: int = 1) -> Any:
+# seconds each live request may take
+POST_TIMEOUT_S = 60.0
+
+
+def post_json(url: str, body: dict, read: Callable[[Any], Any], attempts: int = 1) -> Any:
     """POST ``body`` as JSON and return ``read`` of the decoded reply.
 
     Every failure becomes a ``TransportError``: a request exception or a
@@ -70,7 +73,7 @@ def post_json(url: str, body: dict, timeout: float, read: Callable[[Any], Any],
     """
     for _ in range(attempts):
         try:
-            resp = requests.post(url, json=body, timeout=timeout)
+            resp = requests.post(url, json=body, timeout=POST_TIMEOUT_S)
         except requests.RequestException as exc:
             error = TransportError(f"request to {url} failed: {exc}")
             continue
@@ -112,14 +115,14 @@ class HashEmbedder:
 class TableEmbedder:
     """Replay embeddings from a JSONL table keyed by exact text.
 
-    Row format: ``{"text": ..., "embedding": [...]}``. A lookup miss is an
-    error: replay must be closed over everything the pipeline will ask for.
-    A text repeated with a different vector is a ``RecordConflictError``.
+    Row format: ``{"text": ..., "embedding": [...]}``, every vector finite
+    and of one length. A lookup miss is an error: replay must be closed over
+    everything the pipeline will ask for. A text repeated with a different
+    vector is a ``RecordConflictError``.
     """
 
-    def __init__(self, table: dict[str, np.ndarray], dim: int):
+    def __init__(self, table: dict[str, np.ndarray]):
         self.table = table
-        self.dim = dim
 
     @classmethod
     def load(cls, path: str | Path) -> "TableEmbedder":
@@ -135,7 +138,7 @@ class TableEmbedder:
                     text, f"{location}: text {text!r} appears twice with different embeddings")
         if dim is None:
             raise ResourceError(f"{path}: embedding table is empty")
-        return cls(table, dim)
+        return cls(table)
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         out = []
@@ -148,8 +151,8 @@ class TableEmbedder:
 
 def _embedding_row(row: dict) -> tuple[str, np.ndarray]:
     vec = np.asarray(row["embedding"], dtype=float)
-    if vec.ndim != 1:
-        raise ValueError("embedding must be a flat list of numbers")
+    if vec.ndim != 1 or not np.isfinite(vec).all():  # Python's JSON reads NaN
+        raise ValueError("embedding must be a flat list of finite numbers")
     return text_field(row, "text"), vec
 
 
@@ -161,15 +164,13 @@ class HttpEmbedder:
     by its ``index``, under the rule ``HttpScorer`` follows.
     """
 
-    def __init__(self, endpoint: str, model: str, timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str):
         self.endpoint = endpoint.rstrip("/")
         self.model = model
-        self.timeout = timeout
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         return checked_vectors(post_json(
             f"{self.endpoint}/embeddings", {"input": texts, "model": self.model},
-            self.timeout,
             lambda reply: _by_index(reply["data"],
                                     lambda row: np.asarray(row["embedding"], dtype=float))),
             texts)
@@ -220,7 +221,10 @@ class TableScorer:
 
 
 def _score_row(row: dict) -> tuple[tuple[str, str], float]:
-    return (text_field(row, "query"), text_field(row, "text")), float(row["score"])
+    score = float(row["score"])
+    if not math.isfinite(score):  # Python's JSON reads NaN
+        raise ValueError(f"score {score} is not finite")
+    return (text_field(row, "query"), text_field(row, "text")), score
 
 
 class HttpScorer:
@@ -234,10 +238,9 @@ class HttpScorer:
     ``TransportError``.
     """
 
-    def __init__(self, endpoint: str, model: str, timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str):
         self.endpoint = endpoint.rstrip("/")
         self.model = model
-        self.timeout = timeout
 
     def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
         def read(reply: dict) -> list[float]:
@@ -249,7 +252,7 @@ class HttpScorer:
         return post_json(
             f"{self.endpoint}/rerank",
             {"model": self.model, "query": query_text, "documents": segment_texts},
-            self.timeout, read)
+            read)
 
 
 def _by_index(rows: list[dict], value: Callable[[dict], Any]) -> list:

@@ -96,9 +96,10 @@ class SpecialistRoster:
 
 @dataclass(frozen=True)
 class SpecialistOpinion:
+    """One specialty's verdict; the enclosing ``ConsensusSnapshot`` names
+    its hypothesis and round."""
+
     specialty: str
-    hypothesis: str
-    iteration: int
     stance: Stance
     confidence: float
     sufficiency: Sufficiency
@@ -240,11 +241,8 @@ def elicit_opinion(specialties: tuple[str, ...], case: CaseDescription,
             "iteration": str(package.iteration),
             "evidence": evidence,
         })
-        return SpecialistOpinion(
-            specialty=specialty, hypothesis=hypothesis, iteration=package.iteration,
-            stance=Stance(parsed["stance"]), confidence=parsed["confidence"],
-            sufficiency=Sufficiency(parsed["sufficiency"]),
-            justification=parsed["justification"])
+        return SpecialistOpinion(specialty, Stance(parsed["stance"]), parsed["confidence"],
+                                 Sufficiency(parsed["sufficiency"]), parsed["justification"])
 
     return gateway.branches([partial(opine, specialty) for specialty in specialties])
 

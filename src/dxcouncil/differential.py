@@ -48,22 +48,15 @@ class CaseDescription:
 class AbnormalEntity:
     raw_mention: str
     concept: Concept
-    candidate_set: tuple[Concept, ...]
-
-    def __post_init__(self):
-        if self.concept not in self.candidate_set:
-            raise ValueError("aligned concept must come from the candidate set")
 
 
 @dataclass(frozen=True)
 class HypothesisSet:
     hypotheses: tuple[str, ...]
-    k_max: int = 4
 
     def __post_init__(self):
-        if not 1 <= len(self.hypotheses) <= self.k_max:
-            raise ValueError(
-                f"differential size {len(self.hypotheses)} outside [1, {self.k_max}]")
+        if not self.hypotheses:
+            raise ValueError("differential is empty")
         folded = [h.casefold() for h in self.hypotheses]
         if len(set(folded)) != len(folded):
             raise ValueError("differential entries must be pairwise distinct")
@@ -108,14 +101,13 @@ def render_findings(findings: list[AbnormalEntity]) -> str:
 
 
 def align_mentions(mentions: list[str], graph: KnowledgeGraph, gateway: Gateway,
-                   ) -> list[tuple[Concept, tuple[Concept, ...]] | None]:
+                   ) -> list[Concept | None]:
     """Pin each mention to a graph concept: the aligner's pick among the top
-    matches, with those candidates, or None when nothing matches or the
-    aligner answers NONE. The aligner calls for all the mentions run as
-    gateway branches."""
+    matches, or None when nothing matches or the aligner answers NONE. The
+    aligner calls for all the mentions run as gateway branches."""
 
     def align(mention: str, candidates: tuple[Concept, ...],
-              gw: Gateway) -> tuple[Concept, tuple[Concept, ...]] | None:
+              gw: Gateway) -> Concept | None:
         if not candidates:
             return None
         choice = gw.complete(TaskKind.ALIGN, {
@@ -128,7 +120,7 @@ def align_mentions(mentions: list[str], graph: KnowledgeGraph, gateway: Gateway,
             raise JudgmentParseError(
                 f"candidate number {choice} outside 1..{len(candidates)} "
                 f"for mention {mention!r}", span=str(choice))
-        return candidates[choice - 1], candidates
+        return candidates[choice - 1]
 
     return gateway.branches([
         partial(align, mention,
@@ -142,8 +134,8 @@ def extract_abnormal_entities(case: CaseDescription, gateway: Gateway,
     survivors in narrative order with same-concept duplicates collapsed."""
     mentions = gateway.complete(TaskKind.NER, {"narrative": case.narrative})
     aligned = align_mentions(mentions, graph, gateway)
-    return first_by([AbnormalEntity(mention, *pair)
-                     for mention, pair in zip(mentions, aligned) if pair is not None],
+    return first_by([AbnormalEntity(mention, concept)
+                     for mention, concept in zip(mentions, aligned) if concept is not None],
                     lambda finding: finding.concept.id)
 
 
@@ -163,4 +155,4 @@ def generate_hypotheses(case: CaseDescription, findings: list[AbnormalEntity],
     if not deduped:
         raise DeliberationError(
             f"case {case.case_id!r}: model produced no diagnoses")
-    return HypothesisSet(tuple(deduped), k_max=k_max)
+    return HypothesisSet(tuple(deduped))

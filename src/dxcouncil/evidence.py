@@ -40,28 +40,29 @@ class EvidencePackage:
     """Evidence for one hypothesis at one deliberation iteration.
 
     pruned_paths is the full audit: every enumerated-and-verbalized path with
-    its rejection flag.  degraded marks a hypothesis with no graph concept,
-    which carries guideline excerpts only.
+    its rejection flag. valid_paths is derived from it: the accepted paths,
+    keeping the first of each edge key. degraded is derived too: a hypothesis
+    with no graph concept carries guideline excerpts only.
     """
 
     hypothesis: str
     iteration: int
     guideline_excerpts: tuple[RankedSegment, ...]
-    valid_paths: tuple[KnowledgePath, ...]
     pruned_paths: tuple[tuple[KnowledgePath, bool], ...]
     disease_concept_id: str | None = None
-    degraded: bool = False
 
     def __post_init__(self):
         if self.iteration < 0:
             raise ValueError("iteration must be >= 0")
-        audit_keys = {p.edge_key() for p, _ in self.pruned_paths}
-        for path in self.valid_paths:
-            if path.edge_key() not in audit_keys:
-                raise ValueError("every valid path must appear in the audit record")
 
-    def rejected_paths(self) -> list[KnowledgePath]:
-        return [p for p, rejected in self.pruned_paths if rejected]
+    @property
+    def valid_paths(self) -> tuple[KnowledgePath, ...]:
+        return tuple(first_by((p for p, rejected in self.pruned_paths if not rejected),
+                              KnowledgePath.edge_key))
+
+    @property
+    def degraded(self) -> bool:
+        return self.disease_concept_id is None
 
 
 def _check_partition(valid: list[KnowledgePath], rejected: list[KnowledgePath],
@@ -143,14 +144,13 @@ def _package(case: CaseDescription, hypothesis: str, queries: list[str],
     *retrieved, (disease_id, verbalized) = gateway.branches(
         [partial(retrieve, query) for query in queries] + [paths])
     excerpts = first_by([seg for ranked in retrieved for seg in ranked], _segment_id)
-    valid, rejected = prune_paths(
+    _, rejected = prune_paths(
         verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
     rejected_keys = {p.edge_key() for p in rejected}
     return EvidencePackage(
         hypothesis=hypothesis, iteration=0, guideline_excerpts=tuple(excerpts),
-        valid_paths=tuple(valid),
         pruned_paths=tuple((p, p.edge_key() in rejected_keys) for p in verbalized),
-        disease_concept_id=disease_id, degraded=disease_id is None)
+        disease_concept_id=disease_id)
 
 
 def _segment_id(seg: RankedSegment) -> str:
@@ -169,10 +169,10 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
     aligner cannot pin gets guideline excerpts only."""
 
     def paths(gw: Gateway) -> tuple[str | None, list[KnowledgePath]]:
-        [aligned] = align_mentions([hypothesis], graph, gw)
-        if aligned is None:
+        [disease] = align_mentions([hypothesis], graph, gw)
+        if disease is None:
             return None, []
-        disease_id = aligned[0].id
+        disease_id = disease.id
         return disease_id, _enumerate_and_verbalize(
             [f.concept.id for f in findings], disease_id, graph, gw, h_max)
 
@@ -218,8 +218,9 @@ def _findings_named_in_queries(findings: list[AbnormalEntity],
 
 
 def merge_packages(base: EvidencePackage, supplement: EvidencePackage) -> EvidencePackage:
-    """Fold a supplement into the base package: unions keep base order first,
-    audits concatenate, and the iteration steps forward by one."""
+    """Fold a supplement into the base package: excerpts keep the first of
+    each segment id, base first; audits concatenate, so the valid paths are
+    the union in base order; and the iteration steps forward by one."""
     if base.hypothesis != supplement.hypothesis:
         raise DeliberationError(
             f"cannot merge packages for {base.hypothesis!r} and "
@@ -229,8 +230,6 @@ def merge_packages(base: EvidencePackage, supplement: EvidencePackage) -> Eviden
         iteration=base.iteration + 1,
         guideline_excerpts=tuple(first_by(
             base.guideline_excerpts + supplement.guideline_excerpts, _segment_id)),
-        valid_paths=tuple(first_by(base.valid_paths + supplement.valid_paths,
-                                   KnowledgePath.edge_key)),
         pruned_paths=base.pruned_paths + supplement.pruned_paths,
     )
 
@@ -248,9 +247,9 @@ def render_package(package: EvidencePackage) -> str:
                      for seg in package.guideline_excerpts)
     else:
         lines.append("Guideline excerpts: none retrieved")
-    if package.valid_paths:
+    if valid := package.valid_paths:
         lines.append("Mechanistic explanations from the knowledge graph:")
-        lines.extend(f"- {p.verbalization}" for p in package.valid_paths)
+        lines.extend(f"- {p.verbalization}" for p in valid)
     elif package.degraded:
         lines.append("Knowledge-graph evidence: unavailable for this diagnosis name")
     else:

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from pathlib import Path
-from typing import Callable, Protocol, TypeVar, runtime_checkable
+from typing import Callable, Protocol, TypeVar
 
 from .backends import post_json
 from .errors import EngineError, GatewayError, RecordConflictError, ReplayMissError
@@ -84,7 +84,6 @@ def canonical_key(kind: TaskKind, rendered_prompt: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-@runtime_checkable
 class ChatBackend(Protocol):
     label: str
 
@@ -106,10 +105,9 @@ class HttpChatBackend:
 
     label = LIVE
 
-    def __init__(self, endpoint: str, model: str, timeout: float = 60.0):
+    def __init__(self, endpoint: str, model: str):
         self.endpoint = endpoint
         self.model = model
-        self.timeout = timeout
 
     def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
         body = {
@@ -120,7 +118,7 @@ class HttpChatBackend:
             ],
             "temperature": 0,
         }
-        return post_json(self.endpoint, body, self.timeout,
+        return post_json(self.endpoint, body,
                          lambda reply: text_field(reply["choices"][0]["message"], "content"),
                          attempts=2)
 

@@ -31,13 +31,13 @@ def _json_load(text: str, expect: type) -> object:
     return value
 
 
-def _string_array(text: str, allow_empty_items: bool = False) -> list[str]:
+def _string_array(text: str) -> list[str]:
     items = _json_load(text, list)
     out: list[str] = []
     for item in items:
         if not isinstance(item, str):
             raise JudgmentParseError("array items must be strings", span=repr(item))
-        if not item.strip() and not allow_empty_items:
+        if not item.strip():
             raise JudgmentParseError("array items must be non-empty", span=text)
         out.append(item)
     return out

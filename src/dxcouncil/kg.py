@@ -60,27 +60,32 @@ class Edge:
 class KnowledgePath:
     """A simple directed path of 1..h_max hops, verbalized lazily.
 
-    ``node_labels`` carries the preferred names along the path (start node
-    first) so verbalization does not need the graph again.
+    ``start`` and ``end`` are read off the hops. ``node_labels`` carries the
+    preferred names along the path (start node first) so verbalization does
+    not need the graph again.
     """
 
     hops: tuple[Edge, ...]
-    start: str
-    end: str
     node_labels: tuple[str, ...] = ()
     verbalization: str = ""
 
     def __post_init__(self):
         if not self.hops:
             raise ValueError("a knowledge path needs at least one hop")
-        if self.start != self.hops[0].source or self.end != self.hops[-1].target:
-            raise ValueError("path endpoints do not match its hop chain")
         for prev, nxt in zip(self.hops, self.hops[1:]):
             if prev.target != nxt.source:
                 raise ValueError("path hops do not form a chain")
         visited = [self.start] + [e.target for e in self.hops]
         if len(set(visited)) != len(visited):
             raise ValueError("path revisits a node")
+
+    @property
+    def start(self) -> str:
+        return self.hops[0].source
+
+    @property
+    def end(self) -> str:
+        return self.hops[-1].target
 
     def edge_key(self) -> tuple[tuple[str, str, str], ...]:
         """Structural identity: the ordered hop triples."""
@@ -151,32 +156,19 @@ class KnowledgeGraph:
             if concept.id in self._concepts:
                 raise ValueError(f"duplicate concept id {concept.id!r}")
             self._concepts[concept.id] = concept
-        self._edges: list[Edge] = []
         self._out: dict[str, list[Edge]] = {}
         for edge in dict.fromkeys(edges):  # equal triples collapse to the first
             if edge.source not in self._concepts:
                 raise KgError(f"edge source {edge.source!r} is not a loaded concept")
             if edge.target not in self._concepts:
                 raise KgError(f"edge target {edge.target!r} is not a loaded concept")
-            self._edges.append(edge)
             self._out.setdefault(edge.source, []).append(edge)
-
-    @property
-    def concept_count(self) -> int:
-        return len(self._concepts)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self._edges)
 
     def concept(self, concept_id: str) -> Concept:
         try:
             return self._concepts[concept_id]
         except KeyError:
             raise KgError(f"unknown concept id {concept_id!r}") from None
-
-    def has_concept(self, concept_id: str) -> bool:
-        return concept_id in self._concepts
 
     def concepts(self) -> list[Concept]:
         return list(self._concepts.values())
@@ -263,8 +255,7 @@ class KnowledgeGraph:
     def _make_path(self, hops: tuple[Edge, ...]) -> KnowledgePath:
         node_ids = [hops[0].source] + [e.target for e in hops]
         labels = tuple(self._concepts[i].preferred_name for i in node_ids)
-        return KnowledgePath(hops=hops, start=hops[0].source, end=hops[-1].target,
-                             node_labels=labels)
+        return KnowledgePath(hops=hops, node_labels=labels)
 
 
 # -- loading -----------------------------------------------------------------

@@ -116,8 +116,7 @@ def run_panel(rounds: list[list[tuple[str, str]]], *, tau_suff: float = 0.5,
     graph = make_graph(["a", "b"], [("a", "causes", "b")])
     index = ingest_corpus(PANEL_CORPUS, HashEmbedder(dim=16))
     package = EvidencePackage(hypothesis=hypothesis, iteration=0,
-                              guideline_excerpts=(), valid_paths=(),
-                              pruned_paths=(), degraded=True)
+                              guideline_excerpts=(), pruned_paths=())
     from dxcouncil.deliberation import SpecialistRoster
     roster = SpecialistRoster(hypothesis=hypothesis, specialties=tuple(specialists))
     finals = run_deliberation_loop(

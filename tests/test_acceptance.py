@@ -193,8 +193,7 @@ def test_consensus_fractions_match_exhaustive_counting():
     for stances in itertools.product(list(Stance), repeat=6):
         for sufficiencies in itertools.product(list(Sufficiency), repeat=6):
             opinions = [
-                SpecialistOpinion(specialty=f"s{i}", hypothesis="H",
-                                  iteration=0, stance=stances[i],
+                SpecialistOpinion(specialty=f"s{i}", stance=stances[i],
                                   confidence=0.5, sufficiency=sufficiencies[i],
                                   justification="x")
                 for i in range(6)
@@ -281,9 +280,7 @@ def test_pruning_exchange_count_follows_batch_size(n_paths, expected_batches):
          (TaskKind.PRUNE, "", approve_all_pruner)],
         trace)
     case = CaseDescription("prune-case", "A patient with one test finding.")
-    findings = [AbnormalEntity(raw_mention="test finding",
-                               concept=graph.concept("f"),
-                               candidate_set=(graph.concept("f"),))]
+    findings = [AbnormalEntity(raw_mention="test finding", concept=graph.concept("f"))]
     package = build_initial_package(case, findings, "Condition d", graph,
                                     index, LexicalOverlapScorer(), gateway,
                                     k=8, n=4, h_max=1, batch_size=8)

@@ -39,10 +39,9 @@ from conftest import PANEL_CORPUS, make_graph, run_panel, scripted_gateway
 CASE = CaseDescription("dl-case", "Fatigue and yellowing over six weeks.")
 
 
-def op(stance, suff, confidence=0.6, specialty="Hepatology", iteration=0):
+def op(stance, suff, confidence=0.6, specialty="Hepatology"):
     return SpecialistOpinion(
-        specialty=specialty, hypothesis="H", iteration=iteration,
-        stance=Stance(stance), confidence=confidence,
+        specialty=specialty, stance=Stance(stance), confidence=confidence,
         sufficiency=Sufficiency(suff), justification="scripted")
 
 
@@ -132,14 +131,13 @@ def test_roster_dataclass_invariants():
 
 def test_opinion_elicited_for_the_package_iteration():
     pkg = EvidencePackage(hypothesis="AIH", iteration=2, guideline_excerpts=(),
-                          valid_paths=(), pruned_paths=(), degraded=True)
+                          pruned_paths=())
     trace = Trace("t")
     gw = scripted_gateway([
         (TaskKind.SPECIALIST_OPINION, "",
          '{"stance": "N", "confidence": 0.4, "sufficiency": "Ins", '
          '"justification": "needs serology"}')], trace)
     [opinion] = elicit_opinion(("Hepatology",), CASE, [], "AIH", pkg, gw)
-    assert opinion.iteration == 2
     assert opinion.stance is Stance.NEUTRAL
     [row] = trace.exchanges(task="specialist_opinion")
     assert "Deliberation round: 2\n" in row["prompt"]
@@ -172,7 +170,7 @@ def direct_rules(diagnosis):
 def test_direct_close_picks_from_the_differential():
     hs = HypothesisSet(("PBC", "AIH"))
     packages = [EvidencePackage(hypothesis=h, iteration=0, guideline_excerpts=(),
-                                valid_paths=(), pruned_paths=(), degraded=True)
+                                pruned_paths=())
                 for h in hs]
     trace = Trace("t")
     gw = scripted_gateway(direct_rules("pbc"), trace)
@@ -188,7 +186,7 @@ def test_direct_close_picks_from_the_differential():
 def test_direct_close_outside_differential_is_an_error():
     hs = HypothesisSet(("PBC", "AIH"))
     packages = [EvidencePackage(hypothesis=h, iteration=0, guideline_excerpts=(),
-                                valid_paths=(), pruned_paths=(), degraded=True)
+                                pruned_paths=())
                 for h in hs]
     gw = scripted_gateway(direct_rules("Wilson disease"))
     with pytest.raises(DeliberationError,
@@ -200,8 +198,8 @@ def test_direct_close_outside_differential_is_an_error():
 def test_report_without_next_steps_marker_keeps_whole_narrative():
     hs = HypothesisSet(("PBC",))
     packages = [EvidencePackage(hypothesis="PBC", iteration=0,
-                                guideline_excerpts=(), valid_paths=(),
-                                pruned_paths=(), degraded=True)]
+                                guideline_excerpts=(),
+                                pruned_paths=())]
     gw = scripted_gateway([(TaskKind.GENERALIST_DIRECT, "", json.dumps(
         {"diagnosis": "PBC", "report": "Single block of text."}))])
     report = generalist_direct_diagnosis(CASE, [], hs, packages, gw)
@@ -296,7 +294,7 @@ def test_snapshot_decisions_carry_exact_fractions():
 def test_a_mismatched_roster_is_rejected_before_any_panel_runs():
     hs = HypothesisSet(("PBC", "AIH"))
     packages = [EvidencePackage(hypothesis=h, iteration=0, guideline_excerpts=(),
-                                valid_paths=(), pruned_paths=(), degraded=True)
+                                pruned_paths=())
                 for h in hs]
     rosters = [SpecialistRoster("PBC", ("Hepatology",)),
                SpecialistRoster("HCC", ("Oncology",))]

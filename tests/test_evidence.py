@@ -53,8 +53,7 @@ def clinical_world():
 
 def finding(graph, concept_id, mention=None):
     concept = graph.concept(concept_id)
-    return AbnormalEntity(mention or concept.preferred_name.lower(), concept,
-                          (concept,))
+    return AbnormalEntity(mention or concept.preferred_name.lower(), concept)
 
 
 def verbalizer(system: str, user: str) -> str:
@@ -171,7 +170,6 @@ def test_rejected_paths_leave_the_valid_set_but_stay_in_the_audit():
         CASE, [finding(graph, "f1"), finding(graph, "f2")],
         "Primary biliary cholangitis", graph, index, LexicalOverlapScorer(), gw)
     assert len(pkg.valid_paths) == 2
-    assert len(pkg.rejected_paths()) == 1
     flags = [rejected for _, rejected in pkg.pruned_paths]
     assert flags == [False, True, False]
 
@@ -261,7 +259,7 @@ def make_package(hypothesis, paths, excerpt_ids, iteration=0, concept="d"):
         for sid in excerpt_ids)
     return EvidencePackage(
         hypothesis=hypothesis, iteration=iteration, guideline_excerpts=excerpts,
-        valid_paths=tuple(paths), pruned_paths=tuple((p, False) for p in paths),
+        pruned_paths=tuple((p, False) for p in paths),
         disease_concept_id=concept)
 
 
@@ -336,8 +334,7 @@ def test_supplement_reenumerates_only_named_findings():
     graph, index = clinical_world()
     base = EvidencePackage(
         hypothesis="Primary biliary cholangitis", iteration=0,
-        guideline_excerpts=(), valid_paths=(), pruned_paths=(),
-        disease_concept_id="d")
+        guideline_excerpts=(), pruned_paths=(), disease_concept_id="d")
     findings = [finding(graph, "f1"), finding(graph, "f2")]
     gw = scripted_gateway([
         (TaskKind.VERBALIZE, "", verbalizer),
@@ -356,8 +353,7 @@ def test_supplement_without_named_findings_is_guideline_only():
     graph, index = clinical_world()
     base = EvidencePackage(
         hypothesis="Primary biliary cholangitis", iteration=0,
-        guideline_excerpts=(), valid_paths=(), pruned_paths=(),
-        disease_concept_id="d")
+        guideline_excerpts=(), pruned_paths=(), disease_concept_id="d")
     trace = Trace(CASE.case_id)
     gw = scripted_gateway([], trace)
     supp = build_supplement_package(
@@ -374,8 +370,7 @@ def test_supplement_dedupes_segments_across_queries():
     graph, index = clinical_world()
     base = EvidencePackage(
         hypothesis="Primary biliary cholangitis", iteration=0,
-        guideline_excerpts=(), valid_paths=(), pruned_paths=(),
-        disease_concept_id="d")
+        guideline_excerpts=(), pruned_paths=(), disease_concept_id="d")
     gw = scripted_gateway([])
     supp = build_supplement_package(
         CASE, [], base,
@@ -396,14 +391,15 @@ def test_render_package_sections():
     assert f"- {paths[0].verbalization}" in text
 
     empty = EvidencePackage(hypothesis="D", iteration=0, guideline_excerpts=(),
-                            valid_paths=(), pruned_paths=(), degraded=True)
+                            pruned_paths=())
     text = render_package(empty)
     assert "Guideline excerpts: none retrieved" in text
     assert "unavailable for this diagnosis name" in text
 
     pruned_out = EvidencePackage(hypothesis="D", iteration=0,
-                                 guideline_excerpts=(), valid_paths=(),
-                                 pruned_paths=tuple((p, True) for p in paths))
+                                 guideline_excerpts=(),
+                                 pruned_paths=tuple((p, True) for p in paths),
+                                 disease_concept_id="d")
     assert "no surviving explanation chains" in render_package(pruned_out)
 
 
@@ -416,13 +412,9 @@ def test_render_packages_has_one_section_per_candidate():
 
 
 def test_audit_consistency_enforced():
-    paths = parallel_paths(2)
-    with pytest.raises(ValueError):
-        EvidencePackage(hypothesis="D", iteration=0, guideline_excerpts=(),
-                        valid_paths=tuple(paths), pruned_paths=())
     with pytest.raises(ValueError):
         EvidencePackage(hypothesis="D", iteration=-1, guideline_excerpts=(),
-                        valid_paths=(), pruned_paths=())
+                        pruned_paths=())
 
 
 # -- pinned package traces ---------------------------------------------------

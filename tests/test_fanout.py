@@ -729,7 +729,7 @@ class MeetingEmbedder(TableEmbedder):
 
     def __init__(self, config, meeting: Meeting, queries: Collection[str]):
         table = TableEmbedder.load(config.embeddings_path)
-        super().__init__(table.table, table.dim)
+        super().__init__(table.table)
         self.meeting, self.queries = meeting, queries
 
     def embed(self, texts: list[str]):

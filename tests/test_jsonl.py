@@ -88,6 +88,19 @@ def test_table_embedder_rejects_an_embedding_that_is_not_a_list(tmp_path):
         TableEmbedder.load(path)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+@pytest.mark.parametrize("load,row,what", [
+    (TableEmbedder.load, lambda value: {"text": "t", "embedding": [1.0, value]}, "embedding"),
+    (TableScorer.load, lambda value: {"query": "q", "text": "t", "score": value}, "score"),
+], ids=["TableEmbedder.load", "TableScorer.load"])
+def test_replay_tables_reject_a_non_finite_value(tmp_path, load, row, what, value):
+    # Python's JSON reader takes NaN and Infinity, and json.dumps writes them
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(row(value)) + "\n", encoding="utf-8")
+    with pytest.raises(ResourceError, match=rf"rows\.jsonl:1: bad {what} row: "):
+        load(path)
+
+
 class Drifting:
     """A backend that answers every call with a new value, as a
     nondeterministic model would."""
