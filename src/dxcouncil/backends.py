@@ -9,12 +9,15 @@ scripted score table, and a deterministic lexical-overlap scorer.
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import math
+import urllib.error
+import urllib.request
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
 import numpy as np
-import requests
 
 from .errors import RecordConflictError, ResourceError, RetrievalError, TransportError
 from .jsonl import JsonlSink, read_jsonl, text_field
@@ -67,25 +70,46 @@ POST_TIMEOUT_S = 60.0
 def post_json(url: str, body: dict, read: Callable[[Any], Any], attempts: int = 1) -> Any:
     """POST ``body`` as JSON and return ``read`` of the decoded reply.
 
-    Every failure becomes a ``TransportError``: a request exception or a
-    non-2xx status (each tried up to ``attempts`` times in all), and a body
-    that is not JSON or that ``read`` cannot take apart (never retried).
+    The request goes through urllib's default opener: the proxy variables
+    apply, and TLS certificates are verified. Every failure becomes a
+    ``TransportError``:
+
+    - a body that JSON cannot encode;
+    - tried up to ``attempts`` times in all: a connection, DNS, timeout or
+      reset failure (``OSError``), a protocol failure
+      (``http.client.HTTPException``), a URL urllib rejects
+      (``ValueError``), and a non-2xx status, which carries its status and
+      body;
+    - never retried: a 2xx body that is not JSON (UTF-8, -16 or -32), or
+      that ``read`` cannot take apart, however deep or large its values.
     """
+    try:
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+    except (ValueError, TypeError) as exc:
+        raise TransportError(f"request to {url} failed: {exc}") from exc
     for _ in range(attempts):
         try:
-            resp = requests.post(url, json=body, timeout=POST_TIMEOUT_S)
-        except requests.RequestException as exc:
+            request = urllib.request.Request(
+                url, data=data, headers={"Content-Type": "application/json"}, method="POST")
+            try:
+                with urllib.request.urlopen(request, timeout=POST_TIMEOUT_S) as resp:
+                    status, raw = resp.status, resp.read()
+            except urllib.error.HTTPError as exc:  # before OSError: it is one
+                with exc:
+                    status, raw = exc.code, exc.read()
+        except (OSError, http.client.HTTPException, ValueError) as exc:
             error = TransportError(f"request to {url} failed: {exc}")
             continue
-        if not 200 <= resp.status_code < 300:
-            error = TransportError(f"{url} returned {resp.status_code}",
-                                   status=resp.status_code, body=resp.text)
+        if not 200 <= status < 300:
+            error = TransportError(f"{url} returned {status}", status=status,
+                                   body=raw.decode("utf-8", "replace"))
             continue
         try:
-            return read(resp.json())
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise TransportError(f"malformed response from {url}: {exc}",
-                                 status=resp.status_code, body=resp.text) from exc
+            return read(json.loads(raw))
+        except (ValueError, KeyError, IndexError, TypeError, RecursionError,
+                OverflowError) as exc:
+            raise TransportError(f"malformed response from {url}: {exc}", status=status,
+                                 body=raw.decode("utf-8", "replace")) from exc
     raise error
 
 

@@ -99,8 +99,8 @@ class HttpChatBackend:
     a lone surrogate, is a malformed-response ``TransportError``, so no
     recorder is handed text it cannot write. Branches send requests from the gateway's pool
     threads and from the threads waiting on them, so several may be in
-    flight at once; each request is a POST of its own with no shared
-    session, so concurrent calls share no state.
+    flight at once; each request is a POST on a connection of its own, so
+    concurrent calls share no state.
     """
 
     label = LIVE

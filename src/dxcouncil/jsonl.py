@@ -42,10 +42,11 @@ def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
                what: str) -> Iterator[tuple[str, Any]]:
     """Yield ``(location, parse(row))`` for each non-blank line.
 
-    ``location`` is ``file:line``. Invalid JSON and any ``ValueError``,
-    ``KeyError`` or ``TypeError`` from ``parse`` (which a row that is not an
-    object raises at its first key lookup) raise ``ResourceError(location:
-    ...)``.
+    ``location`` is ``file:line``. Invalid JSON, JSON nested too deep for
+    the parser, and any ``ValueError``, ``KeyError``, ``TypeError`` or
+    ``OverflowError`` from ``parse`` (a row that is not an object raises
+    ``TypeError`` at its first key lookup; ``float`` of a huge integer
+    overflows) raise ``ResourceError(location: ...)``.
     """
     name, lines = open_lines(source)
     for line_no, line in enumerate(lines, start=1):
@@ -54,7 +55,7 @@ def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
         location = f"{name}:{line_no}"
         try:
             item = parse(json.loads(line))
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ResourceError(f"{location}: bad {what} row: {exc}") from exc
         yield location, item
 

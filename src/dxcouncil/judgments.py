@@ -22,8 +22,8 @@ _INDEX = re.compile(r"^\d+$")
 def _json_load(text: str, expect: type) -> object:
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise JudgmentParseError(f"response is not valid JSON: {exc.msg}",
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
+        raise JudgmentParseError(f"response is not valid JSON: {getattr(exc, 'msg', exc)}",
                                  span=text) from exc
     if not isinstance(value, expect):
         raise JudgmentParseError(
@@ -59,7 +59,7 @@ def _parse_opinion(text: str) -> dict:
     conf = obj["confidence"]
     if isinstance(conf, bool) or not isinstance(conf, (int, float)):
         raise JudgmentParseError("confidence must be a number", span=repr(conf))
-    if not 0.0 <= float(conf) <= 1.0:
+    if not 0 <= conf <= 1:  # before float(), which overflows on a huge int
         raise JudgmentParseError(f"confidence {conf} outside [0, 1]", span=repr(conf))
     just = obj["justification"]
     if not isinstance(just, str) or not just.strip():
@@ -97,9 +97,13 @@ def parse_judgment(kind: TaskKind, response_text: str,
     if kind is TaskKind.ALIGN:
         if text == "NONE":
             return None
-        if _INDEX.match(text):
+        if not _INDEX.match(text):
+            raise JudgmentParseError("expected a candidate number or NONE", span=text)
+        try:
             return int(text)
-        raise JudgmentParseError("expected a candidate number or NONE", span=text)
+        except ValueError as exc:  # more digits than int() converts
+            raise JudgmentParseError(f"candidate number is not readable: {exc}",
+                                     span=text) from exc
 
     if kind is TaskKind.HYPOTHESIZE:
         items = _string_array(text)

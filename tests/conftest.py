@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import ipaddress
 import json
 import re
 import socket
+import threading
 from contextlib import contextmanager
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from unittest import mock
 
@@ -57,15 +60,33 @@ def scripted_gateway(rules, trace: Trace | None = None) -> Gateway:
     return Gateway(ScriptedResponder(rules), trace or Trace("scripted"), {})
 
 
+def _loopback(address) -> bool:
+    """Whether a connect address is a loopback IP; a host name is not
+    resolved, so it never is."""
+    try:
+        return ipaddress.ip_address(address[0]).is_loopback
+    except (ValueError, TypeError, IndexError):
+        return False
+
+
 @contextmanager
 def blocked_network():
-    """Fail the test if anything tries to open a socket."""
+    """Fail the test if anything tries to connect a socket to an address
+    other than loopback."""
+    connect, create_connection = socket.socket.connect, socket.create_connection
 
-    def deny(*args, **kwargs):
-        raise AssertionError("network access attempted during an offline test")
+    def guarded_connect(sock, address):
+        if not _loopback(address):
+            raise AssertionError("network access attempted during an offline test")
+        return connect(sock, address)
 
-    with mock.patch.object(socket.socket, "connect", deny), \
-            mock.patch.object(socket, "create_connection", deny):
+    def guarded_create_connection(address, *args, **kwargs):
+        if not _loopback(address):
+            raise AssertionError("network access attempted during an offline test")
+        return create_connection(address, *args, **kwargs)
+
+    with mock.patch.object(socket.socket, "connect", guarded_connect), \
+            mock.patch.object(socket, "create_connection", guarded_create_connection):
         yield
 
 
@@ -73,6 +94,89 @@ def blocked_network():
 def no_network():
     with blocked_network():
         yield
+
+
+# -- loopback HTTP stub ------------------------------------------------------
+
+HANG = "hang"  # accept the request and never answer it
+DROP = "drop"  # read the request and close the connection without answering
+
+
+class HttpStub:
+    """An HTTP server on 127.0.0.1 that answers each POST with the next
+    queued reply and keeps every request it read, as ``{"path": ...,
+    "content_type": ..., "body": <decoded JSON>}``."""
+
+    def __init__(self):
+        self.requests: list[dict] = []
+        self._replies: list = []
+        self._released = threading.Event()
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            # the status line, headers and body go out in separate writes;
+            # with Nagle's algorithm on, delayed ACKs would stall each one
+            disable_nagle_algorithm = True
+
+            def do_POST(self):
+                raw = self.rfile.read(int(self.headers["Content-Length"]))
+                stub.requests.append({"path": self.path,
+                                      "content_type": self.headers["Content-Type"],
+                                      "body": json.loads(raw)})
+                reply = stub._replies.pop(0) if stub._replies else (500, b"no reply queued")
+                if reply == HANG:
+                    stub._released.wait()
+                if reply in (HANG, DROP):
+                    return
+                status, body = reply
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def log_message(self, format, *args):
+                pass
+
+        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self._server.server_port}"
+        # a short poll lets close() stop the server without a half-second wait
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,))
+        self._thread.start()
+
+    def reply(self, payload, status: int = 200) -> None:
+        """Queue one reply: ``HANG``, ``DROP``, or ``status`` with
+        ``payload`` as its body, sent as is if bytes, else as JSON."""
+        if payload in (HANG, DROP):
+            self._replies.append(payload)
+        else:
+            self._replies.append((status, payload if isinstance(payload, bytes)
+                                  else json.dumps(payload).encode("utf-8")))
+
+    def close(self) -> None:
+        """Stop serving and close the listening socket; a later connect to
+        ``url`` is refused. Safe to call twice."""
+        if self._thread.is_alive():
+            self._released.set()
+            self._server.shutdown()
+            self._thread.join()
+            self._server.server_close()
+
+
+@pytest.fixture
+def http_stub():
+    stub = HttpStub()
+    yield stub
+    stub.close()
+
+
+@pytest.fixture
+def refused_url() -> str:
+    """The URL of a loopback port that was bound and then closed."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 # -- panel harness -----------------------------------------------------------

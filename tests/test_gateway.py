@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
-import requests
 from hypothesis import given, strategies as st
 
+from dxcouncil import backends
 from dxcouncil.backends import HttpEmbedder, HttpScorer
 from dxcouncil.errors import (
     GatewayError,
@@ -35,7 +36,7 @@ from dxcouncil.gateway import (
 from dxcouncil.templates import get_template
 from dxcouncil.trace import Trace
 
-from conftest import scripted_gateway
+from conftest import DROP, HANG, scripted_gateway
 
 
 def rendered_for(kind: TaskKind, variables: dict[str, str]) -> str:
@@ -227,51 +228,33 @@ def test_complete_returns_the_parsed_payload_and_traces_a_malformed_response():
                                                           "MAYBE"]
 
 
-# -- live transport (stubbed; no sockets opened) -----------------------------
+# -- live transport (a loopback stub server) --------------------------------
 
-class _Resp:
-    def __init__(self, status_code=200, payload=None, text="raw"):
-        self.status_code = status_code
-        self._payload = payload
-        self.text = text
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no json")
-        return self._payload
+CHAT = "/v1/chat/completions"
 
 
-def test_http_chat_retries_once_then_raises(monkeypatch):
-    calls = []
-
-    def failing_post(url, json=None, timeout=None):
-        calls.append(url)
-        raise requests.ConnectionError("down")
-
-    monkeypatch.setattr(requests, "post", failing_post)
-    backend = HttpChatBackend("http://example.invalid/v1/chat/completions", "m")
+def test_http_chat_retries_once_then_raises(http_stub):
+    http_stub.reply(DROP)
+    http_stub.reply(DROP)
+    backend = HttpChatBackend(http_stub.url + CHAT, "m")
     with pytest.raises(TransportError):
         backend.respond(TaskKind.NER, "sys", "user", "key")
-    assert len(calls) == 2
+    assert len(http_stub.requests) == 2
 
 
-def test_http_chat_recovers_on_second_attempt(monkeypatch):
-    responses = [_Resp(status_code=500, text="oops"),
-                 _Resp(payload={"choices": [{"message": {"content": "hello"}}]})]
-
-    monkeypatch.setattr(requests, "post",
-                        lambda url, json=None, timeout=None: responses.pop(0))
-    backend = HttpChatBackend("http://example.invalid/v1/chat/completions", "m")
+def test_http_chat_recovers_on_second_attempt(http_stub):
+    http_stub.reply(b"oops", status=500)
+    http_stub.reply({"choices": [{"message": {"content": "hello"}}]})
+    backend = HttpChatBackend(http_stub.url + CHAT, "m")
     assert backend.respond(TaskKind.NER, "s", "u", "k") == "hello"
 
 
 def test_a_live_reply_holding_a_lone_surrogate_is_malformed_and_never_recorded(
-        monkeypatch, tmp_path):
-    reply = _Resp(payload={"choices": [{"message": {"content": "A causes B \ud800."}}]})
-    monkeypatch.setattr(requests, "post", lambda url, json=None, timeout=None: reply)
+        http_stub, tmp_path):
+    http_stub.reply({"choices": [{"message": {"content": "A causes B \ud800."}}]})
     transcript = tmp_path / "t.jsonl"
-    backend = RecordingBackend(HttpChatBackend("http://example.invalid/v1/chat/completions",
-                                               "m"), TranscriptRecorder(transcript))
+    backend = RecordingBackend(HttpChatBackend(http_stub.url + CHAT, "m"),
+                               TranscriptRecorder(transcript))
     gw = Gateway(backend, Trace("case"), {})
     # inside a branch, where a recorded row would be held and written at the splice
     with pytest.raises(TransportError, match="^malformed response from .*surrogates not allowed"):
@@ -281,61 +264,41 @@ def test_a_live_reply_holding_a_lone_surrogate_is_malformed_and_never_recorded(
     assert gw.trace.records == []
 
 
-def test_http_chat_malformed_body_fails_fast(monkeypatch):
-    calls = []
-
-    def post(url, json=None, timeout=None):
-        calls.append(url)
-        return _Resp(payload={"unexpected": True})
-
-    monkeypatch.setattr(requests, "post", post)
-    backend = HttpChatBackend("http://example.invalid/v1/chat/completions", "m")
+def test_http_chat_malformed_body_fails_fast(http_stub):
+    http_stub.reply({"unexpected": True})
+    backend = HttpChatBackend(http_stub.url + CHAT, "m")
     with pytest.raises(TransportError):
         backend.respond(TaskKind.NER, "s", "u", "k")
-    assert len(calls) == 1
+    assert len(http_stub.requests) == 1
 
 
-@pytest.mark.parametrize("reply", [
-    requests.ConnectionError("refused"),
-    _Resp(status_code=503, text="busy"),
-    _Resp(payload=None),
-    _Resp(payload={"unexpected": True}),
+@pytest.mark.parametrize("reply,status", [
+    (DROP, 200),
+    (b"busy", 503),
+    (b"raw", 200),
+    ({"unexpected": True}, 200),
 ], ids=["connection_error", "status_503", "non_json", "wrong_shape"])
 @pytest.mark.parametrize("call", [
-    lambda: HttpEmbedder("http://example.invalid/v1", "m").embed(["a"]),
-    lambda: HttpScorer("http://example.invalid/v1", "m").score("q", ["t"]),
+    lambda url: HttpEmbedder(url + "/v1", "m").embed(["a"]),
+    lambda url: HttpScorer(url + "/v1", "m").score("q", ["t"]),
 ], ids=["embed", "rerank"])
 def test_embed_and_rerank_failures_are_transport_errors_without_retry(
-        monkeypatch, call, reply):
-    calls = []
-
-    def post(url, json=None, timeout=None):
-        calls.append(url)
-        if isinstance(reply, Exception):
-            raise reply
-        return reply
-
-    monkeypatch.setattr(requests, "post", post)
+        http_stub, call, reply, status):
+    http_stub.reply(reply, status=status)
     with pytest.raises(TransportError):
-        call()
-    assert len(calls) == 1
+        call(http_stub.url)
+    assert len(http_stub.requests) == 1
 
 
-def test_http_scorer_sends_one_request_and_places_scores_by_index(monkeypatch):
-    posts = []
+def test_http_scorer_sends_one_request_and_places_scores_by_index(http_stub):
     # rerank services sort results by relevance, not by input position
     ranked = [{"index": 2, "relevance_score": 0.9}, {"index": 0, "relevance_score": 0.5},
               {"index": 1, "relevance_score": 0.1}]
-
-    def post(url, json=None, timeout=None):
-        posts.append((url, json))
-        return _Resp(payload={"results": ranked})
-
-    monkeypatch.setattr(requests, "post", post)
-    scores = HttpScorer("http://example.invalid/v1", "m").score("q", ["a", "b", "c"])
+    http_stub.reply({"results": ranked})
+    scores = HttpScorer(http_stub.url + "/v1", "m").score("q", ["a", "b", "c"])
     assert scores == [0.5, 0.1, 0.9]
-    assert posts == [("http://example.invalid/v1/rerank",
-                      {"model": "m", "query": "q", "documents": ["a", "b", "c"]})]
+    assert [(r["path"], r["body"]) for r in http_stub.requests] == [
+        ("/v1/rerank", {"model": "m", "query": "q", "documents": ["a", "b", "c"]})]
 
 
 INDEX_FAULTS = {"duplicate": [0, 0, 1], "out_of_range": [0, 1, 3], "negative": [-1, 0, 1],
@@ -347,49 +310,99 @@ INDEX_FAULTS = {"duplicate": [0, 0, 1], "out_of_range": [0, 1, 3], "negative": [
     *(("score", indices) for indices in INDEX_FAULTS.values()),
     *(("embed", indices) for indices in INDEX_FAULTS.values()),
 ], ids=["short", "long", *INDEX_FAULTS, *(f"embed_{name}" for name in INDEX_FAULTS)])
-def test_http_scorer_rejects_results_that_miss_or_repeat_a_document(monkeypatch, client,
+def test_http_scorer_rejects_results_that_miss_or_repeat_a_document(http_stub, client,
                                                                      indices):
     # the embedder places its vectors by the same index rule
     key, field, value = (("results", "relevance_score", 0.5) if client == "score"
                          else ("data", "embedding", [1.0]))
     rows = [{field: value} if index is None else {"index": index, field: value}
             for index in indices]
-    calls = []
-
-    def post(url, json=None, timeout=None):
-        calls.append(url)
-        return _Resp(payload={key: rows})
-
-    monkeypatch.setattr(requests, "post", post)
+    http_stub.reply({key: rows})
     with pytest.raises(TransportError):
         if client == "score":
-            HttpScorer("http://example.invalid/v1", "m").score("q", ["a", "b", "c"])
+            HttpScorer(http_stub.url + "/v1", "m").score("q", ["a", "b", "c"])
         else:
-            HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b", "c"])
-    assert len(calls) == 1
+            HttpEmbedder(http_stub.url + "/v1", "m").embed(["a", "b", "c"])
+    assert len(http_stub.requests) == 1
 
 
-def test_http_embedder_places_vectors_by_index(monkeypatch):
+def test_http_embedder_places_vectors_by_index(http_stub):
     data = [{"index": 2, "embedding": [2.0]}, {"index": 0, "embedding": [0.0]},
             {"index": 1, "embedding": [1.0]}]
-    monkeypatch.setattr(requests, "post",
-                        lambda url, json=None, timeout=None: _Resp(payload={"data": data}))
-    vectors = HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b", "c"])
+    http_stub.reply({"data": data})
+    vectors = HttpEmbedder(http_stub.url + "/v1", "m").embed(["a", "b", "c"])
     assert [vec.tolist() for vec in vectors] == [[0.0], [1.0], [2.0]]
 
 
 @pytest.mark.parametrize("embedding", [0.5, [[1.0, 0.0]]], ids=["number", "nested"])
-def test_http_embedder_rejects_a_vector_that_is_not_1d(monkeypatch, embedding):
-    reply = _Resp(payload={"data": [{"index": 0, "embedding": [1.0, 0.0]},
-                                    {"index": 1, "embedding": embedding}]})
-    monkeypatch.setattr(requests, "post", lambda url, json=None, timeout=None: reply)
+def test_http_embedder_rejects_a_vector_that_is_not_1d(http_stub, embedding):
+    http_stub.reply({"data": [{"index": 0, "embedding": [1.0, 0.0]},
+                              {"index": 1, "embedding": embedding}]})
     with pytest.raises(RetrievalError,
                        match=f"^embedder returned a {np.ndim(embedding)}-d vector at position 1$"):
-        HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b"])
+        HttpEmbedder(http_stub.url + "/v1", "m").embed(["a", "b"])
 
 
-def test_http_embedder_rejects_a_vector_count_that_differs_from_the_texts(monkeypatch):
-    reply = _Resp(payload={"data": [{"index": 0, "embedding": [1.0, 0.0]}]})
-    monkeypatch.setattr(requests, "post", lambda url, json=None, timeout=None: reply)
+def test_http_embedder_rejects_a_vector_count_that_differs_from_the_texts(http_stub):
+    http_stub.reply({"data": [{"index": 0, "embedding": [1.0, 0.0]}]})
     with pytest.raises(RetrievalError, match="^embedder returned 1 vectors for 2 texts$"):
-        HttpEmbedder("http://example.invalid/v1", "m").embed(["a", "b"])
+        HttpEmbedder(http_stub.url + "/v1", "m").embed(["a", "b"])
+
+
+@pytest.mark.parametrize("send,path,body", [
+    (lambda url: HttpChatBackend(url + CHAT, "m").respond(TaskKind.NER, "sys", "user", "k"),
+     CHAT, {"model": "m", "messages": [{"role": "system", "content": "sys"},
+                                       {"role": "user", "content": "user"}],
+            "temperature": 0}),
+    (lambda url: HttpEmbedder(url + "/v1/", "m").embed(["a", "é\ud800"]),
+     "/v1/embeddings", {"input": ["a", "é\ud800"], "model": "m"}),
+    (lambda url: HttpScorer(url + "/v1", "m").score("q", ["a"]),
+     "/v1/rerank", {"model": "m", "query": "q", "documents": ["a"]}),
+], ids=["chat", "embed", "rerank"])
+def test_each_client_posts_its_json_body_to_its_path(http_stub, send, path, body):
+    http_stub.reply(b"{}")
+    with pytest.raises(TransportError, match="^malformed response from "):
+        send(http_stub.url)
+    assert http_stub.requests == [{"path": path, "content_type": "application/json",
+                                   "body": body}]
+
+
+def test_a_reply_that_never_comes_times_out_after_two_chat_attempts(http_stub, monkeypatch):
+    monkeypatch.setattr(backends, "POST_TIMEOUT_S", 0.2)
+    http_stub.reply(HANG)
+    http_stub.reply(HANG)
+    url = http_stub.url + CHAT
+    with pytest.raises(TransportError, match=f"^request to {re.escape(url)} failed: "):
+        HttpChatBackend(url, "m").respond(TaskKind.NER, "s", "u", "k")
+    assert len(http_stub.requests) == 2
+
+
+def test_a_refused_connection_is_a_transport_error_naming_the_url(refused_url):
+    url = refused_url + CHAT
+    with pytest.raises(TransportError, match=f"^request to {re.escape(url)} failed: .*refused"):
+        HttpChatBackend(url, "m").respond(TaskKind.NER, "s", "u", "k")
+
+
+@pytest.mark.parametrize("post,reply", [
+    (lambda url: HttpChatBackend(url + CHAT, "m").respond(TaskKind.NER, "s", "u", "k"),
+     b"[" * 100_000),
+    (lambda url: HttpScorer(url + "/v1", "m").score("q", ["t"]),
+     {"results": [{"index": 0, "relevance_score": 10 ** 400}]}),
+    (lambda url: HttpEmbedder(url + "/v1", "m").embed(["t"]),
+     {"data": [{"index": 0, "embedding": [1.0, 10 ** 400]}]}),
+], ids=["nested-100000-deep", "400-digit-score", "400-digit-embedding-value"])
+def test_a_reply_too_deep_or_too_large_to_read_is_malformed_and_not_retried(http_stub, post,
+                                                                            reply):
+    http_stub.reply(reply)
+    http_stub.reply(reply)
+    with pytest.raises(TransportError, match="^malformed response from "):
+        post(http_stub.url)
+    assert len(http_stub.requests) == 1
+
+
+def test_a_reply_in_utf16_or_utf32_reads_as_json(http_stub):
+    for codec in ("utf-16", "utf-32-le"):
+        http_stub.reply(json.dumps({"choices": [{"message": {"content": "héllo"}}]})
+                        .encode(codec))
+        assert HttpChatBackend(http_stub.url + CHAT, "m").respond(
+            TaskKind.NER, "s", "u", "k") == "héllo"

@@ -38,7 +38,8 @@ LOADERS = [
 ]
 
 
-@pytest.mark.parametrize("bad_line", ["{not json", '["a"]'], ids=["invalid_json", "array_row"])
+@pytest.mark.parametrize("bad_line", ["{not json", '["a"]', "[" * 100_000],
+                         ids=["invalid_json", "array_row", "nested_100000_deep"])
 @pytest.mark.parametrize("load,good_row,what", LOADERS)
 def test_every_loader_names_the_bad_line_with_its_own_error(tmp_path, load, good_row,
                                                             what, bad_line):
@@ -97,6 +98,17 @@ def test_replay_tables_reject_a_non_finite_value(tmp_path, load, row, what, valu
     # Python's JSON reader takes NaN and Infinity, and json.dumps writes them
     path = tmp_path / "rows.jsonl"
     path.write_text(json.dumps(row(value)) + "\n", encoding="utf-8")
+    with pytest.raises(ResourceError, match=rf"rows\.jsonl:1: bad {what} row: "):
+        load(path)
+
+
+@pytest.mark.parametrize("load,row,what", [
+    (TableEmbedder.load, {"text": "t", "embedding": [1.0, 10 ** 400]}, "embedding"),
+    (TableScorer.load, {"query": "q", "text": "t", "score": 10 ** 400}, "score"),
+], ids=["TableEmbedder.load", "TableScorer.load"])
+def test_replay_tables_reject_a_value_too_large_for_a_float(tmp_path, load, row, what):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
     with pytest.raises(ResourceError, match=rf"rows\.jsonl:1: bad {what} row: "):
         load(path)
 

@@ -126,6 +126,25 @@ def test_opinion_confidence_bounds():
     assert payload(TaskKind.SPECIALIST_OPINION, opinion(confidence=1))["confidence"] == 1.0
 
 
+@pytest.mark.parametrize("kind,text,message,span", [
+    (TaskKind.NER, "[" * 100_000, "response is not valid JSON: maximum recursion depth",
+     "[" * 200),
+    (TaskKind.DISPATCH, "[" + "9" * 5000 + "]",
+     "response is not valid JSON: Exceeds the limit", "[" + "9" * 199),
+    (TaskKind.INTERIM_CONSENSUS, '{"report": ' + "[" * 100_000,
+     "response is not valid JSON: maximum recursion depth", '{"report": ' + "[" * 189),
+    (TaskKind.ALIGN, "9" * 5000, "candidate number is not readable: ", "9" * 200),
+    (TaskKind.SPECIALIST_OPINION, opinion(confidence=10 ** 400),
+     "confidence 1" + "0" * 400 + r" outside \[0, 1\]", "1" + "0" * 199),
+], ids=["nested-100000-deep", "5000-digit-int", "nested-report", "5000-digit-align",
+        "400-digit-confidence"])
+def test_a_response_too_deep_or_too_large_is_a_parse_error_quoting_its_span(kind, text,
+                                                                            message, span):
+    with pytest.raises(JudgmentParseError, match=f"^{message}") as exc:
+        payload(kind, text)
+    assert exc.value.span == span
+
+
 def test_opinion_key_set_is_exact():
     missing = {"stance": "S", "confidence": 0.5, "sufficiency": "Suf"}
     with pytest.raises(JudgmentParseError):

@@ -6,11 +6,9 @@ import dataclasses
 import json
 import re
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import requests
 
 from dxcouncil import jsonl
 from dxcouncil.backends import (
@@ -24,6 +22,7 @@ from dxcouncil.config import BackendMode, validate_config
 from dxcouncil.differential import read_cases
 from dxcouncil.errors import CaseFailure, ResourceError, RetrievalError
 from dxcouncil.gateway import ReplayChatBackend, TaskKind, load_transcript
+from dxcouncil.guidelines import read_corpus
 from dxcouncil.runner import (Runtime, diagnoses_agree, resolve_diagnosis_label,
                               run_batch, run_case, trace_path_for)
 from dxcouncil.trace import Trace
@@ -252,6 +251,43 @@ def test_a_rerun_into_the_same_output_dir_leaves_only_the_new_run(replay_runtime
             assert trace.exchanges()[-1]["response"] == "{not a differential"
 
 
+class FirstAnswerReplaced(ReplayChatBackend):
+    """The fixture transcript, except ``reply`` answers the batch's first
+    ``kind`` prompt."""
+
+    def __init__(self, transcript, kind: TaskKind, reply: str):
+        super().__init__(load_transcript(transcript))
+        self.kind, self.reply = kind, reply
+
+    def respond(self, kind, system, user, key):
+        if kind is self.kind and self.reply is not None:
+            reply, self.reply = self.reply, None
+            return reply
+        return super().respond(kind, system, user, key)
+
+
+@pytest.mark.parametrize("kind,reply,stage", [
+    (TaskKind.HYPOTHESIZE, "[" * 100_000, "hypothesize"),
+    (TaskKind.ALIGN, "9" * 5000, "extract"),
+    (TaskKind.SPECIALIST_OPINION, json.dumps({"stance": "S", "confidence": 10 ** 400,
+                                              "sufficiency": "Suf", "justification": "j"}),
+     "deliberate"),
+], ids=["nested-100000-deep", "5000-digit-align", "400-digit-confidence"])
+def test_a_reply_too_deep_or_too_large_fails_one_case_at_its_stage(replay_runtime, kind,
+                                                                   reply, stage):
+    config = replay_runtime.config
+    runtime = Runtime(config, chat_backend=FirstAnswerReplaced(config.transcript_path,
+                                                               kind, reply),
+                      embedder=replay_runtime.embedder, scorer=replay_runtime.scorer)
+    result = run_batch(runtime)
+    failed = [row for row in result.rows if row.status != "ok"]
+    assert [row.failed_stage for row in failed] == [stage]
+    assert "offending span" in failed[0].error
+    summary = json.loads((config.output_dir / "summary.json").read_text())
+    assert summary["cases"] == 10
+    assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
+
+
 def test_empty_case_file_is_an_error(replay_runtime, tmp_path):
     empty = tmp_path / "none.jsonl"
     empty.write_text("")
@@ -263,34 +299,28 @@ def test_empty_case_file_is_an_error(replay_runtime, tmp_path):
 
 
 def test_embedding_transport_failure_fails_cases_at_the_evidence_stage(
-        replay_runtime, monkeypatch, no_network):
+        replay_runtime, http_stub, no_network):
     config = replay_runtime.config
     table = TableEmbedder.load(config.embeddings_path)
-    posts = []
-
-    def post(url, json=None, timeout=None):
-        # the first request embeds the corpus at set-up; every later one is
-        # a query embedding during a case, and the endpoint is gone by then
-        posts.append(url)
-        if len(posts) > 1:
-            raise requests.ConnectionError("connection refused")
-        data = [{"index": i, "embedding": list(v)}
-                for i, v in enumerate(table.embed(json["input"]))]
-        return SimpleNamespace(status_code=200, text="", raise_for_status=lambda: None,
-                               json=lambda: {"data": data})
-
-    monkeypatch.setattr(requests, "post", post)
+    corpus = [segment.text for segment in read_corpus(config.corpus_path)]
+    http_stub.reply({"data": [{"index": i, "embedding": list(v)}
+                              for i, v in enumerate(table.embed(corpus))]})
     runtime = Runtime(config,
                       chat_backend=ReplayChatBackend.from_file(config.transcript_path),
-                      embedder=HttpEmbedder("http://embed.invalid/v1", "m"),
+                      embedder=HttpEmbedder(http_stub.url + "/v1", "m"),
                       scorer=TableScorer.load(config.scores_path))
+    # the one request so far embedded the corpus at set-up; every later one
+    # is a query embedding during a case, and the endpoint is gone by then
+    assert http_stub.requests[0]["body"]["input"] == corpus
+    http_stub.close()
     result = run_batch(runtime)
     assert len(result.rows) == result.failed == 10
     assert {row.failed_stage for row in result.rows} == {"evidence"}
-    assert all("connection refused" in row.error for row in result.rows)
+    assert all("Connection refused" in row.error for row in result.rows)
     summary = json.loads((config.output_dir / "summary.json").read_text())
     assert summary["cases"] == 10
     assert len((config.output_dir / "results.jsonl").read_text().splitlines()) == 10
+    assert len(http_stub.requests) == 1
 
 
 def test_a_short_score_list_fails_cases_at_the_evidence_stage(replay_runtime):
@@ -321,7 +351,7 @@ def bare_number(texts):
 
 
 def connection_reset(texts_or_vectors):
-    raise requests.ConnectionError("connection reset")
+    raise ConnectionResetError("connection reset")
 
 
 @pytest.mark.parametrize("reply,error", [

@@ -4,11 +4,22 @@ from __future__ import annotations
 
 import ast
 import importlib
+import os
+import re
+import shutil
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import dxcouncil
 from dxcouncil import errors
+
+from conftest import FIXTURES
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 def test_package_has_no_assert_statements():
@@ -190,3 +201,48 @@ def test_every_private_helper_is_used_outside_its_own_definition():
              for name, node in _private_definitions(tree)
              if used[name] - _references(node)[name] <= 0]
     assert found == []
+
+
+# distributions whose import name differs from their name
+_IMPORT_NAMES = {"pyyaml": "yaml"}
+
+
+def _imported_top_level_modules(tree: ast.Module) -> set[str]:
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_the_package_imports_the_standard_library_and_its_declared_dependencies_only():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((REPO / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = set()
+    for requirement in project["dependencies"]:
+        name = re.match(r"[A-Za-z0-9._-]+", requirement).group(0).lower()
+        declared.add(_IMPORT_NAMES.get(name, name))
+    package = Path(dxcouncil.__file__).parent
+    imported = set().union(*(_imported_top_level_modules(ast.parse(path.read_text(
+        encoding="utf-8"))) for path in sorted(package.glob("*.py"))))
+    undeclared = imported - set(sys.stdlib_module_names) - {"dxcouncil"} - declared
+    assert (sorted(undeclared), sorted(declared - imported)) == ([], [])
+
+
+def test_a_cli_replay_loads_no_http_client_package(tmp_path):
+    # the replay config's output directory, ../runs/replay, then lies in tmp_path
+    config = shutil.copytree(FIXTURES, tmp_path / "fixtures") / "replay_config.yaml"
+    script = (
+        "import sys\n"
+        "from dxcouncil import cli\n"
+        f"code = cli.main(['batch', '--config', {str(config)!r}])\n"
+        "loaded = {'requests', 'urllib3', 'charset_normalizer', 'idna'} & set(sys.modules)\n"
+        "print(repr((code, sorted(loaded))))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "(0, [])"
+    assert len((tmp_path / "runs" / "replay" / "results.jsonl").read_text().splitlines()) == 10
