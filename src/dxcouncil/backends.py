@@ -78,8 +78,7 @@ def post_json(url: str, body: dict, read: Callable[[Any], Any], attempts: int = 
     - tried up to ``attempts`` times in all: a connection, DNS, timeout or
       reset failure (``OSError``), a protocol failure
       (``http.client.HTTPException``), a URL urllib rejects
-      (``ValueError``), and a non-2xx status, which carries its status and
-      body;
+      (``ValueError``), and a non-2xx status, which the message names;
     - never retried: a 2xx body that is not JSON (UTF-8, -16 or -32), or
       that ``read`` cannot take apart, however deep or large its values.
     """
@@ -101,15 +100,13 @@ def post_json(url: str, body: dict, read: Callable[[Any], Any], attempts: int = 
             error = TransportError(f"request to {url} failed: {exc}")
             continue
         if not 200 <= status < 300:
-            error = TransportError(f"{url} returned {status}", status=status,
-                                   body=raw.decode("utf-8", "replace"))
+            error = TransportError(f"{url} returned {status}")
             continue
         try:
             return read(json.loads(raw))
         except (ValueError, KeyError, IndexError, TypeError, RecursionError,
                 OverflowError) as exc:
-            raise TransportError(f"malformed response from {url}: {exc}", status=status,
-                                 body=raw.decode("utf-8", "replace")) from exc
+            raise TransportError(f"malformed response from {url}: {exc}") from exc
     raise error
 
 

@@ -43,12 +43,8 @@ class GatewayError(EngineError):
 
 
 class TransportError(GatewayError):
-    """A live HTTP call failed (after any retries); carries status and body excerpt."""
-
-    def __init__(self, message: str, status: int | None = None, body: str = ""):
-        self.status = status
-        self.body = body[:500]
-        super().__init__(message)
+    """A live HTTP call failed (after any retries); a non-2xx status is in
+    the message."""
 
 
 class ReplayMissError(GatewayError):

@@ -210,9 +210,9 @@ def _findings_named_in_queries(findings: list[AbnormalEntity],
     normalized_queries = [normalize_term(q) for q in queries]
     named: list[AbnormalEntity] = []
     for finding in findings:
-        names = [finding.concept.preferred_name, *finding.concept.synonyms]
-        if any(normalize_term(name) in nq
-               for name in names for nq in normalized_queries):
+        names = [normalize_term(name)
+                 for name in (finding.concept.preferred_name, *finding.concept.synonyms)]
+        if any(name in nq for name in names for nq in normalized_queries):
             named.append(finding)
     return named
 

@@ -5,13 +5,26 @@ hypothesis and its findings for an initial package, a refinement query's own
 text for a supplement. Stage one embeds the query and takes the top-k
 segments by cosine similarity; stage two rescores those candidates with one
 cross-scorer call and keeps the top-n; a segment has a ``rerank_score``
-exactly when it was rescored. Embeddings are unit-normalized at ingest so
-cosine is a plain dot product. Ties at both stages break by ascending
+exactly when it was rescored. Ties at both stages break by ascending
 segment id, which keeps ranked lists byte-stable for replay.
+
+The index holds the corpus as one C-contiguous (S, d) matrix of unit
+vectors, so cosine is a plain dot product. Stage one takes every score in
+one mat-vec, ``units @ q``, and shortlists each row within
+``_SHORTLIST_MARGIN`` of the k-th best. The mat-vec rounds differently
+from a single row's product in the last bits, so each shortlisted row is
+scored again as ``units[i] @ q``, and those scores are the ones ranked and
+recorded. For unit vectors the gap between the two is at most about
+d * 2**-52 (7e-15 at d = 32), far inside the margin, so the shortlist holds
+every row of the exact top-k, ties included. Every per-row product is a
+1-d ``@``: it gives the bits ``np.dot`` gives, but keeps the GIL, where
+``np.dot`` and ``np.linalg.norm`` release and re-take it on every call and
+so wait behind any busy Python thread.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TextIO
@@ -29,7 +42,6 @@ class GuidelineSegment:
     segment_id: str
     source_doc: str
     text: str
-    embedding: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -67,19 +79,24 @@ def _segment_row(row: dict) -> GuidelineSegment:
 
 
 class GuidelineIndex:
-    """Immutable after ingest; retrieval calls are thread-safe."""
+    """The corpus segments and their unit vectors, row i of ``units``
+    belonging to segment i. ``units`` is one read-only, C-contiguous
+    (S, d) matrix, so stage one scores the whole corpus in one mat-vec
+    (see the module docstring for the shortlist and why it is exact).
 
-    def __init__(self, segments: list[GuidelineSegment], embedder: Embedder, dim: int):
-        self._segments = segments
+    Immutable after ingest; retrieval calls are thread-safe.
+    """
+
+    def __init__(self, segments: list[GuidelineSegment], units: np.ndarray,
+                 embedder: Embedder):
+        self._segments = tuple(segments)
+        self.units = units
         self._embedder = embedder
-        self.dim = dim
+        self.dim = units.shape[1]
 
     @property
     def segment_count(self) -> int:
         return len(self._segments)
-
-    def segments(self) -> list[GuidelineSegment]:
-        return list(self._segments)
 
     def embed_query(self, text: str) -> np.ndarray:
         [vec] = _embed(self._embedder, [text])
@@ -104,7 +121,9 @@ def _embed(embedder: Embedder, texts: list[str]) -> list[np.ndarray]:
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    norm = float(np.linalg.norm(vec))
+    # the same bits as vec / np.linalg.norm(vec), which is sqrt(dot(v, v))
+    # on a 1-d float vector
+    norm = math.sqrt(vec @ vec)
     if norm == 0.0:
         raise RetrievalError("cannot normalize a zero embedding vector")
     return vec / norm
@@ -120,26 +139,38 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
         raise ResourceError("corpus contains no segments")
     vectors = _embed(embedder, [s.text for s in segments])
     dim = vectors[0].shape[0]
-    stored: list[GuidelineSegment] = []
     for segment, vec in zip(segments, vectors):
         if vec.shape[0] != dim:
             raise RetrievalError(
                 f"segment {segment.segment_id!r} embedding dim {vec.shape[0]} != {dim}")
-        stored.append(replace(segment, embedding=_unit(vec)))
-    return GuidelineIndex(stored, embedder, dim)
+    units = np.array([_unit(vec) for vec in vectors])
+    units.flags.writeable = False
+    return GuidelineIndex(segments, units, embedder)
+
+
+# Rows whose mat-vec score is this close to the k-th best are re-scored. It
+# is far above the mat-vec's rounding gap, about d * 2**-52 for unit vectors.
+_SHORTLIST_MARGIN = 1e-9
 
 
 def dense_retrieve(index: GuidelineIndex, query: str, k: int) -> list[RankedSegment]:
-    """Top-k segments by cosine similarity, ties by ascending segment id."""
+    """Top-k segments by cosine similarity, ties by ascending segment id.
+
+    One mat-vec shortlists the rows that can be in the top-k; each of those
+    is scored again on its own, and the ranking uses those scores."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if index.segment_count == 0:
         raise RetrievalError("cannot retrieve from an empty index")
     q = index.embed_query(query)
-    scored = [
-        RankedSegment(segment=s, dense_score=float(np.dot(s.embedding, q)))
-        for s in index.segments()
-    ]
+    units = index.units
+    rows = range(index.segment_count)
+    if index.segment_count > k:
+        scores = units @ q
+        kth = np.partition(scores, -k)[-k]
+        rows = np.flatnonzero(scores >= kth - _SHORTLIST_MARGIN).tolist()
+    scored = [RankedSegment(segment=index._segments[i], dense_score=float(units[i] @ q))
+              for i in rows]
     scored.sort(key=lambda r: (-r.dense_score, r.segment.segment_id))
     return scored[:k]
 

@@ -10,7 +10,6 @@ bidirectional reasoning must materialize inverse triples itself.
 
 from __future__ import annotations
 
-import re
 import string
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -26,7 +25,7 @@ _PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
 
 def normalize_term(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace."""
-    return re.sub(r"\s+", " ", text.lower().translate(_PUNCT_TABLE)).strip()
+    return " ".join(text.lower().translate(_PUNCT_TABLE).split())
 
 
 def term_tokens(text: str) -> frozenset[str]:
@@ -131,10 +130,12 @@ class _Lexicon:
     def build(cls, concepts: Iterable[Concept]) -> "_Lexicon":
         lexicon = cls({}, {}, {}, {})
         for concept in concepts:
-            lexicon.by_name.setdefault(normalize_term(concept.preferred_name), []).append(concept.id)
-            for synonym in {normalize_term(s) for s in concept.synonyms}:
+            name = normalize_term(concept.preferred_name)
+            synonyms = {normalize_term(s) for s in concept.synonyms}
+            lexicon.by_name.setdefault(name, []).append(concept.id)
+            for synonym in synonyms:
                 lexicon.by_synonym.setdefault(synonym, []).append(concept.id)
-            token_sets = {term_tokens(n) for n in concept.matchable_names()}
+            token_sets = {frozenset(n.split()) for n in synonyms | {name}}
             lexicon.name_tokens[concept.id] = tuple(token_sets)
             for token in frozenset().union(*token_sets):
                 lexicon.by_token.setdefault(token, []).append(concept.id)
@@ -145,9 +146,11 @@ class KnowledgeGraph:
     """Immutable after load; all read operations are thread-safe.
 
     The entity-matching lexicon is built once per graph, on the first
-    ``match_entity`` call, and never changes afterwards. Threads racing on
-    that first call may each build it, but every build is identical and
-    matching only reads it.
+    ``match_entity`` call, and never changes afterwards. The build is one
+    pass over the concepts: it normalizes each preferred name and synonym
+    once, and takes every token set from those normalized names. Threads
+    racing on that first call may each build it, but every build is
+    identical and matching only reads it.
     """
 
     def __init__(self, concepts: Iterable[Concept], edges: Iterable[Edge]):

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
 from dxcouncil.errors import ResourceError, RetrievalError
@@ -60,9 +60,10 @@ def test_ingest_counts_and_dimension():
     index = ingest_corpus(segs(10), HashEmbedder(dim=8))
     assert index.segment_count == 10
     assert index.dim == 8
-    for seg in index.segments():
-        assert seg.embedding.shape == (8,)
-        assert abs(float(np.linalg.norm(seg.embedding)) - 1.0) < 1e-9
+    assert index.units.shape == (10, 8)
+    assert index.units.flags.c_contiguous and not index.units.flags.writeable
+    for row in index.units:
+        assert abs(float(np.linalg.norm(row)) - 1.0) < 1e-9
 
 
 def test_ingest_rejects_inconsistent_dimensions():
@@ -118,8 +119,13 @@ def test_ingest_empty_corpus_rejected():
 def test_reingest_produces_identical_vectors():
     a = ingest_corpus(segs(6), HashEmbedder(dim=16))
     b = ingest_corpus(segs(6), HashEmbedder(dim=16))
-    for sa, sb in zip(a.segments(), b.segments()):
-        assert np.array_equal(sa.embedding, sb.embedding)
+    assert np.array_equal(a.units, b.units)
+
+    def hits(index):
+        return [(r.segment.segment_id, r.dense_score.hex())
+                for r in dense_retrieve(index, "q", k=6)]
+
+    assert hits(a) == hits(b)
 
 
 def test_self_similarity_is_one_and_negation_minus_one():
@@ -188,8 +194,70 @@ def test_dense_tie_break_is_ascending_segment_id():
     assert [r.segment.segment_id for r in out] == ["a1", "m5", "z9"]
 
 
+def _brute_force_top_k(vectors, segment_ids, query, k):
+    """The ranking as it was first written: each vector normalized on its
+    own by ``np.linalg.norm``, and each score one ``np.dot``."""
+    q = np.asarray(query, dtype=float)
+    q = q / np.linalg.norm(q)
+    scored = []
+    for segment_id, vec in zip(segment_ids, vectors):
+        vec = np.asarray(vec, dtype=float)
+        scored.append((float(np.dot(vec / np.linalg.norm(vec), q)), segment_id))
+    scored.sort(key=lambda row: (-row[0], row[1]))
+    return [(segment_id, score.hex()) for score, segment_id in scored[:k]]
+
+
+_COMPONENTS = st.one_of(st.sampled_from([-3.0, -2.0, -1.0, 0.0, 1.0, 2.0, 3.0]),
+                        st.floats(min_value=-1, max_value=1, allow_subnormal=False))
+
+
+@st.composite
+def near_tie_corpora(draw):
+    """A corpus built for near ties: each row is a new vector, a copy of an
+    earlier row, an earlier row doubled (the same unit vector), or an
+    earlier row with one component moved by one ulp. Segment ids are a
+    shuffle, so ties do not follow row order. k runs up to S + 1."""
+    dim = draw(st.sampled_from([1, 2, 3, 8, 33]))
+    fresh = st.lists(_COMPONENTS, min_size=dim, max_size=dim).filter(
+        lambda v: sum(x * x for x in v) > 1e-12)
+    vectors = [draw(fresh)]
+    for _ in range(draw(st.integers(min_value=0, max_value=39))):
+        kind = draw(st.sampled_from(["fresh", "copy", "double", "ulp"]))
+        if kind == "fresh":
+            vectors.append(draw(fresh))
+            continue
+        vec = list(draw(st.sampled_from(vectors)))
+        if kind == "double":
+            vec = [2.0 * x for x in vec]
+        elif kind == "ulp":
+            j = draw(st.integers(min_value=0, max_value=dim - 1))
+            vec[j] = float(np.nextafter(vec[j], draw(st.sampled_from([-np.inf, np.inf]))))
+        vectors.append(vec)
+    query = draw(st.one_of(st.sampled_from(vectors), fresh))
+    order = draw(st.permutations(range(len(vectors))))
+    k = draw(st.integers(min_value=1, max_value=len(vectors) + 1))
+    return vectors, [f"s{i:02d}" for i in order], query, k
+
+
+@given(near_tie_corpora())
+@example(([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], ["s02", "s00", "s01"], [1.0, 0.0], 2))
+@example(([[0.6, 0.8], [float(np.nextafter(0.6, 1.0)), 0.8], [0.8, 0.6], [0.6, 0.8]],
+          ["s03", "s01", "s02", "s00"], [0.6, 0.8], 1))
+@example(([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]], ["s01", "s00"], [1.0, 1.0, 1.0], 3))
+def test_dense_retrieval_matches_per_row_products_bit_for_bit(corpus):
+    vectors, segment_ids, query, k = corpus
+    table = {f"text {i}": vec for i, vec in enumerate(vectors)}
+    index = ingest_corpus(
+        [GuidelineSegment(segment_id, "d", f"text {i}")
+         for i, segment_id in enumerate(segment_ids)],
+        VectorTableEmbedder(dict(table, q=query), len(query)))
+    got = [(r.segment.segment_id, r.dense_score.hex())
+           for r in dense_retrieve(index, "q", k)]
+    assert got == _brute_force_top_k(vectors, segment_ids, query, k)
+
+
 def test_empty_index_and_bad_k():
-    index = GuidelineIndex([], HashEmbedder(dim=8), 8)
+    index = GuidelineIndex([], np.empty((0, 8)), HashEmbedder(dim=8))
     with pytest.raises(RetrievalError, match="^cannot retrieve from an empty index$"):
         dense_retrieve(index, "q", k=1)
     full = ingest_corpus(segs(2), HashEmbedder(dim=8))

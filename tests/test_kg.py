@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import io
+import re
+import string
+import sys
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from dxcouncil.errors import GatewayError, KgError, ResourceError
 from dxcouncil.gateway import (
@@ -20,8 +23,10 @@ from dxcouncil.kg import (
     Concept,
     Edge,
     KnowledgeGraph,
+    _Lexicon,
     load_kg,
     normalize_term,
+    read_concepts,
     term_tokens,
     verbalize_path,
 )
@@ -220,6 +225,70 @@ def test_exact_tiers_always_sort_before_overlap(fixture_graph, tokens):
     tiers = [{"exact_name": 0, "exact_synonym": 1, "token_overlap": 2}[m.kind]
              for m in fixture_graph.match_entity(mention, limit=50)]
     assert tiers == sorted(tiers)
+
+
+_PUNCTUATION_TO_SPACE = str.maketrans({c: " " for c in string.punctuation})
+
+
+def _regex_normalize(text: str) -> str:
+    """``normalize_term`` as it was first written, with a regex."""
+    return re.sub(r"\s+", " ", text.lower().translate(_PUNCTUATION_TO_SPACE)).strip()
+
+
+# separators \s and str.isspace must agree on, a zero-width space that
+# neither counts, and every ASCII punctuation mark
+_SPACES_AND_PUNCTUATION = ("\t\n\x0b\x0c\r \x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2009"
+                           "\u200a\u200b\u2028\u2029\u202f\u205f\u3000" + string.punctuation)
+
+
+@given(st.text(alphabet=st.one_of(st.sampled_from(_SPACES_AND_PUNCTUATION), st.characters())))
+def test_normalize_term_equals_the_regex_version(text):
+    assert normalize_term(text) == _regex_normalize(text)
+
+
+def test_normalize_term_equals_the_regex_version_on_every_code_point():
+    text = "a".join(map(chr, range(sys.maxunicode + 1)))
+    assert normalize_term(text) == _regex_normalize(text)
+
+
+def _two_pass_lexicon(concepts):
+    """``_Lexicon.build`` as it was first written: each name normalized
+    once for the exact tables and again for its token set."""
+    by_name, by_synonym, by_token, name_tokens = {}, {}, {}, {}
+    for concept in concepts:
+        by_name.setdefault(_regex_normalize(concept.preferred_name), []).append(concept.id)
+        for synonym in {_regex_normalize(s) for s in concept.synonyms}:
+            by_synonym.setdefault(synonym, []).append(concept.id)
+        token_sets = {frozenset(_regex_normalize(n).split()) for n in concept.matchable_names()}
+        name_tokens[concept.id] = token_sets
+        for token in frozenset().union(*token_sets):
+            by_token.setdefault(token, []).append(concept.id)
+    return by_name, by_synonym, by_token, name_tokens
+
+
+_NAMES = st.text(alphabet=st.sampled_from("abAB -,.!\xa0\u3000"), max_size=8)
+
+
+@st.composite
+def concept_lists(draw):
+    """Concepts whose names often normalize alike, or to nothing, listed
+    in an id order that is not sorted."""
+    order = draw(st.permutations(range(draw(st.integers(min_value=1, max_value=8)))))
+    return [Concept(id=f"c{i}", preferred_name=draw(_NAMES),
+                    synonyms=frozenset(draw(st.lists(_NAMES, max_size=4))))
+            for i in order]
+
+
+@given(concept_lists())
+@example(read_concepts(FIXTURES / "concepts.tsv"))
+def test_lexicon_tables_equal_the_two_pass_build(concepts):
+    lexicon = _Lexicon.build(concepts)
+    by_name, by_synonym, by_token, name_tokens = _two_pass_lexicon(concepts)
+    assert lexicon.by_name == by_name
+    assert lexicon.by_synonym == by_synonym
+    assert lexicon.by_token == by_token
+    assert {cid: set(sets) for cid, sets in lexicon.name_tokens.items()} == name_tokens
+    assert all(len(set(sets)) == len(sets) for sets in lexicon.name_tokens.values())
 
 
 # -- path enumeration --------------------------------------------------------

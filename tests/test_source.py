@@ -95,6 +95,20 @@ def test_package_imports_only_at_module_level():
     assert found == []
 
 
+def test_package_takes_vector_products_with_matmul_only():
+    # np.dot and np.linalg.norm release and re-take the GIL on every call,
+    # so beside a busy thread each call waits; 1-d `@` gives the same bits
+    # and keeps the GIL
+    package = Path(dxcouncil.__file__).parent
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)
+             and (node.attr == "dot" or node.attr == "norm"
+                  and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg")]
+    assert found == []
+
+
 def test_every_exception_class_is_defined_in_errors_py():
     package = Path(dxcouncil.__file__).parent
     modules = [importlib.import_module(f"dxcouncil.{path.stem}")
