@@ -15,7 +15,7 @@ round, and each hypothesis's whole panel run as gateway branches. The stop
 test reads only the round's opinions, so it is decided before the round
 closes; a continuing round then closes (interim report, ``snapshot``
 decision) in one branch while a second formulates its refinement queries
-and builds the supplement. Records are spliced into the case trace in
+and builds the supplement. Records are committed to the case trace in
 branch order, so each ``roster`` decision still follows its own dispatch
 exchange, each ``snapshot`` precedes its round's refinement, and the panels
 appear in differential order.
@@ -205,8 +205,8 @@ def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
     """
     findings_text = render_findings(findings)
 
-    def dispatch(hypothesis: str, gw: Gateway) -> SpecialistRoster:
-        names = gw.complete(TaskKind.DISPATCH, {
+    def dispatch(hypothesis: str) -> SpecialistRoster:
+        names = gateway.complete(TaskKind.DISPATCH, {
             "narrative": case.narrative,
             "findings": findings_text,
             "hypothesis": hypothesis,
@@ -219,7 +219,7 @@ def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
         if not names:
             raise DeliberationError(f"dispatch chose no specialists for {hypothesis!r}")
         chosen = first_by(names, str)[:max_specialists]
-        gw.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
+        gateway.trace.decision("roster", {"hypothesis": hypothesis, "specialties": chosen})
         return SpecialistRoster(hypothesis=hypothesis, specialties=tuple(chosen))
 
     return gateway.branches([partial(dispatch, hypothesis) for hypothesis in hypotheses])
@@ -232,8 +232,8 @@ def elicit_opinion(specialties: tuple[str, ...], case: CaseDescription,
     evidence block; each specialty's call is a gateway branch."""
     findings_text, evidence = render_findings(findings), render_package(package)
 
-    def opine(specialty: str, gw: Gateway) -> SpecialistOpinion:
-        parsed = gw.complete(TaskKind.SPECIALIST_OPINION, {
+    def opine(specialty: str) -> SpecialistOpinion:
+        parsed = gateway.complete(TaskKind.SPECIALIST_OPINION, {
             "specialty": specialty,
             "narrative": case.narrative,
             "findings": findings_text,
@@ -322,29 +322,30 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
                 f"roster for {roster.hypothesis!r} paired with {hypothesis!r}")
 
     def refine(hypothesis: str, package: EvidencePackage,
-               opinions: list[SpecialistOpinion], gw: Gateway) -> EvidencePackage:
-        queries = formulate_refinement_queries(opinions, hypothesis, case, findings, gw)
+               opinions: list[SpecialistOpinion]) -> EvidencePackage:
+        queries = formulate_refinement_queries(opinions, hypothesis, case, findings, gateway)
         return build_supplement_package(
-            case, findings, package, queries, graph, index, scorer, gw,
+            case, findings, package, queries, graph, index, scorer, gateway,
             k=k, n=n, h_max=h_max, batch_size=batch_size)
 
-    def panel(hypothesis: str, package: EvidencePackage, roster: SpecialistRoster,
-              gw: Gateway) -> ConsensusSnapshot:
+    def panel(hypothesis: str, package: EvidencePackage,
+              roster: SpecialistRoster) -> ConsensusSnapshot:
         for t in range(t_max):
             if package.iteration != t:
                 raise DeliberationError(f"package iteration {package.iteration} != round {t}")
             opinions = elicit_opinion(roster.specialties, case, findings, hypothesis,
-                                      package, gw)
+                                      package, gateway)
             support = consensus_score(opinions)
             insufficiency = insufficiency_ratio(opinions)
-            close = partial(_close_round, hypothesis, t, opinions, support, insufficiency)
+            close = partial(_close_round, hypothesis, t, opinions, support, insufficiency, gateway)
             if support > tau_high or insufficiency <= tau_suff or t + 1 == t_max:
                 break
             # a continuing round's refinement reads only its opinions, so it
             # runs beside the round's close
-            _, supplement = gw.branches([close, partial(refine, hypothesis, package, opinions)])
+            _, supplement = gateway.branches(
+                [close, partial(refine, hypothesis, package, opinions)])
             package = merge_packages(package, supplement)
-        return close(gw)
+        return close()
 
     return gateway.branches([partial(panel, *args) for args in panels])
 

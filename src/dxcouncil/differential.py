@@ -106,11 +106,10 @@ def align_mentions(mentions: list[str], graph: KnowledgeGraph, gateway: Gateway,
     matches, or None when nothing matches or the aligner answers NONE. The
     aligner calls for all the mentions run as gateway branches."""
 
-    def align(mention: str, candidates: tuple[Concept, ...],
-              gw: Gateway) -> Concept | None:
+    def align(mention: str, candidates: tuple[Concept, ...]) -> Concept | None:
         if not candidates:
             return None
-        choice = gw.complete(TaskKind.ALIGN, {
+        choice = gateway.complete(TaskKind.ALIGN, {
             "mention": mention,
             "candidates": "\n".join(f"{i}. {c.preferred_name}"
                                      for i, c in enumerate(candidates, start=1))})

@@ -12,7 +12,7 @@ for an initial package, then enumerating and verbalizing paths), and only
 pruning needs both. A hypothesis the aligner cannot pin takes the same path
 with no paths to prune, so its package is degraded. Within the path work,
 each finding's paths, each path's verbalization and each prune batch run as
-branches too. Branches splice in the order the steps were written, so each
+branches too. Branches commit in the order the steps were written, so each
 ``retrieval``, ``paths`` and ``prune_batch`` trace record lands where a run
 made one call after another puts it.
 """
@@ -93,15 +93,15 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
     batches = [paths[start:start + batch_size]
                for start in range(0, len(paths), batch_size)]
 
-    def judge(batch_index: int, batch: list[KnowledgePath], gw: Gateway) -> tuple[int, ...]:
-        bits = gw.complete(TaskKind.PRUNE, {
+    def judge(batch_index: int, batch: list[KnowledgePath]) -> tuple[int, ...]:
+        bits = gateway.complete(TaskKind.PRUNE, {
             "narrative": case.narrative,
             "guidelines": guideline_text,
             "paths": "\n".join(f"{i}. {p.verbalization}" for i, p in enumerate(batch, start=1)),
             "path_count": str(len(batch)),
         })
-        gw.trace.prune_batch(batch_index=batch_index, size=len(batch),
-                             bits=list(bits), guideline_ids=list(context_ids))
+        gateway.trace.prune_batch(batch_index=batch_index, size=len(batch),
+                                  bits=list(bits), guideline_ids=list(context_ids))
         return bits
 
     judged = gateway.branches([partial(judge, i, batch) for i, batch in enumerate(batches)])
@@ -117,11 +117,10 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
 def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
                              graph: KnowledgeGraph, gateway: Gateway,
                              h_max: int) -> list[KnowledgePath]:
-    def finding(finding_id: str, paths: list[KnowledgePath],
-                gw: Gateway) -> list[KnowledgePath]:
-        gw.trace.paths(start=finding_id, end=disease_id, h_max=h_max,
-                       enumerated=[p.describe() for p in paths])
-        return verbalize_path(paths, gw)
+    def finding(finding_id: str, paths: list[KnowledgePath]) -> list[KnowledgePath]:
+        gateway.trace.paths(start=finding_id, end=disease_id, h_max=h_max,
+                            enumerated=[p.describe() for p in paths])
+        return verbalize_path(paths, gateway)
 
     verbalized = gateway.branches([
         partial(finding, finding_id, graph.enumerate_paths(finding_id, disease_id, h_max=h_max))
@@ -130,7 +129,7 @@ def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
 
 
 def _package(case: CaseDescription, hypothesis: str, queries: list[str],
-             paths: Callable[[Gateway], tuple[str | None, list[KnowledgePath]]],
+             paths: Callable[[], tuple[str | None, list[KnowledgePath]]],
              index: GuidelineIndex, scorer: CrossScorer, gateway: Gateway,
              k: int, n: int, batch_size: int) -> EvidencePackage:
     """The one package builder. Each query's retrieval runs as a branch
@@ -138,8 +137,8 @@ def _package(case: CaseDescription, hypothesis: str, queries: list[str],
     hypothesis the aligner cannot pin) and the verbalized paths; the first
     excerpt of each segment id is kept, and pruning needs them all."""
 
-    def retrieve(query: str, gw: Gateway) -> list[RankedSegment]:
-        return g_ret(index, query, scorer, gw.trace, k=k, n=n)
+    def retrieve(query: str) -> list[RankedSegment]:
+        return g_ret(index, query, scorer, gateway.trace, k=k, n=n)
 
     *retrieved, (disease_id, verbalized) = gateway.branches(
         [partial(retrieve, query) for query in queries] + [paths])
@@ -168,13 +167,13 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
     hypothesis, then enumerates and verbalizes paths; a hypothesis the
     aligner cannot pin gets guideline excerpts only."""
 
-    def paths(gw: Gateway) -> tuple[str | None, list[KnowledgePath]]:
-        [disease] = align_mentions([hypothesis], graph, gw)
+    def paths() -> tuple[str | None, list[KnowledgePath]]:
+        [disease] = align_mentions([hypothesis], graph, gateway)
         if disease is None:
             return None, []
         disease_id = disease.id
         return disease_id, _enumerate_and_verbalize(
-            [f.concept.id for f in findings], disease_id, graph, gw, h_max)
+            [f.concept.id for f in findings], disease_id, graph, gateway, h_max)
 
     query = composite_query(hypothesis, [f.concept.preferred_name for f in findings])
     return _package(case, hypothesis, [query], paths, index, scorer, gateway,
@@ -193,13 +192,13 @@ def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntit
     only for findings a query names (normalized name or synonym substring);
     the disease side is the hypothesis's own concept.
     """
-    def paths(gw: Gateway) -> tuple[str | None, list[KnowledgePath]]:
+    def paths() -> tuple[str | None, list[KnowledgePath]]:
         disease_id = base.disease_concept_id
         named = _findings_named_in_queries(findings, queries)
         if disease_id is None or not named:
             return disease_id, []
         return disease_id, _enumerate_and_verbalize(
-            [f.concept.id for f in named], disease_id, graph, gw, h_max)
+            [f.concept.id for f in named], disease_id, graph, gateway, h_max)
 
     return _package(case, base.hypothesis, queries, paths, index, scorer, gateway,
                     k, n, batch_size)

@@ -16,19 +16,9 @@ is a volatile trace key, so digests do not change. ``runner.run_case`` fills
 the table, from the exchanges of each case that returns its report.
 
 ``Gateway.branches`` is the one way a case runs independent work side by
-side: the calls of a fan-out site (a case's finding aligns, a finding's path
-verbalizations, a package's prune batches, the dispatches, a panel round's
-opinions), each finding's paths within a package, a package's retrieval
-beside its path work (a supplement's queries beside each other), each
-hypothesis's evidence beside the complexity route, each hypothesis's panel,
-and a continuing panel round's close beside its refinement. Against a live or
-recording backend the branches run on one pool of ``FANOUT`` threads shared
-by every gateway of the process, each against a child gateway, and their
-trace records and held table rows are spliced back in branch order, so the
-trace and the record tables hold what the work done one step after another
-would have written. Branches nest; a thread waiting on branches first runs
-itself every branch no pool thread has started, so it never waits on queued
-work. A replay gateway runs branches inline, one after another.
+side, and the stage modules say which of their steps are branches. Every
+branch calls through its case's one gateway, and what it writes is
+committed in branch order (see ``jsonl.holding``).
 """
 
 from __future__ import annotations
@@ -169,8 +159,8 @@ class RecordingBackend:
 
     The gateway checks a response only after ``respond`` returns, so empty
     and malformed responses are recorded too. A call made inside a branch
-    has its row held (see ``jsonl.holding``) and written when the branch is
-    spliced into its case, so the transcript holds the rows of a sequential
+    has its row held (see ``jsonl.holding``) and written when its case
+    commits the branch, so the transcript holds the rows of a sequential
     run in that run's order, and no row for a call made after the first
     failing branch.
     """
@@ -285,56 +275,50 @@ class Gateway:
                             response=response, backend=label)
         return parse_judgment(kind, response, variables)
 
-    def branches(self, tasks: list[Callable[["Gateway"], T]]) -> list[T]:
+    def branches(self, tasks: list[Callable[[], T]]) -> list[T]:
         """Run independent pieces of this case's work and return each one's
-        result, in the order of ``tasks``; each task takes the gateway it
-        must call through.
+        result, in the order of ``tasks``; each task takes no arguments and
+        calls through this gateway.
 
         A replay gateway runs the tasks one after another on this thread.
-        Any other gateway submits each to the pool against a child gateway
-        whose trace is its own and whose answer table is this gateway's,
-        holding the task's record table writes (see ``jsonl.holding``); a
-        task may start branches of its own. This thread then takes back, in
-        task order, every task no pool thread has started and runs it
-        itself, and only then waits, so no thread waits on queued work and a
-        busy pool cannot deadlock. When every task has
-        returned or raised, each one's trace records are spliced into this
-        trace and its held rows written, in task order; the first task that
-        raised stops the splicing, and its error is raised. The trace and
-        the tables then hold what the tasks run one after another would have
-        left, except that a row conflicting with an earlier one raises when
-        it is written, after its task has finished.
+        Any other gateway submits each to the pool, holding what the task
+        writes, trace records and table rows alike, in a list of its own
+        (see ``jsonl.holding``); a task may start branches of its own. This
+        thread then takes back, in task order, every task no pool thread has
+        started and runs it itself, and only then waits, so no thread waits
+        on queued work and a busy pool cannot deadlock. Then each task's
+        held writes are committed in task order; the first task that raised
+        stops the commits, and its error is raised. The trace and the tables
+        then hold what the tasks run one after another would have left,
+        except that a conflicting row raises when it is written.
         """
         if self._label == REPLAY:
-            return [task(self) for task in tasks]
-        children = [Gateway(self.backend, Trace(self.trace.case_id), self.answers)
-                    for _ in tasks]
+            return [task() for task in tasks]
         held: list[list] = [[] for _ in tasks]
-        futures = [_POOL.submit(_run_holding, task, child, rows)
-                   for task, child, rows in zip(tasks, children, held)]
+        futures = [_POOL.submit(_run_holding, task, writes)
+                   for task, writes in zip(tasks, held)]
         for i, future in enumerate(futures):
             if future.cancel():
-                futures[i] = _run_here(tasks[i], children[i], held[i])
+                futures[i] = _run_here(tasks[i], held[i])
         wait(futures)
         results = []
-        for child, rows, future in zip(children, held, futures):
-            self.trace.splice(child.trace)
-            write_held(rows)
+        for writes, future in zip(held, futures):
+            write_held(writes)
             results.append(future.result())
         return results
 
 
-def _run_holding(task: Callable[[Gateway], T], gateway: Gateway, held: list) -> T:
+def _run_holding(task: Callable[[], T], held: list) -> T:
     with holding(held):
-        return task(gateway)
+        return task()
 
 
-def _run_here(task: Callable[[Gateway], T], gateway: Gateway, held: list) -> Future:
+def _run_here(task: Callable[[], T], held: list) -> Future:
     """``_run_holding`` on this thread, settled into a future as the pool
     would settle it."""
     future: Future = Future()
     try:
-        future.set_result(_run_holding(task, gateway, held))
+        future.set_result(_run_holding(task, held))
     except Exception as exc:
         future.set_exception(exc)
     return future

@@ -5,9 +5,9 @@ writes through, and the one writer of each whole output file (traces,
 how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
-its sink writes in a list instead of writing them, and the case writes the
-held rows afterwards, in the order the work would have run one piece after
-another.
+what it writes, table rows and trace records alike, in a list, and the case
+commits the held writes afterwards, in the order the work would have run
+one piece after another.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
 from .errors import ResourceError
 
-# (sink, rows) of every write held in the current context, or None when
-# writes go straight to their files
-_HELD: ContextVar[list | None] = ContextVar("dxcouncil_held_rows", default=None)
+# (write, item) of every write held in the current context, or None when
+# writes are committed at once
+_HELD: ContextVar[list | None] = ContextVar("dxcouncil_held_writes", default=None)
 
 
 def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
@@ -35,7 +35,8 @@ def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
         text = source.read() if stream else Path(source).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ResourceError(f"{name}: {exc}") from exc
-    return name, text.splitlines()
+    # not splitlines, which also splits at the U+2028, U+2029 and U+0085 JSON holds raw
+    return name, text.split("\n")
 
 
 def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
@@ -101,9 +102,8 @@ class JsonlSink:
         self._lock = threading.Lock()
 
     def write(self, rows: Iterable[tuple[Hashable, dict]]) -> None:
-        held = _HELD.get()
-        if held is not None:
-            held.append((self, list(rows)))
+        rows = list(rows)
+        if hold(self.write, rows):
             return
         with self._lock:
             for key, row in rows:
@@ -122,8 +122,8 @@ class JsonlSink:
 
 @contextmanager
 def holding(held: list) -> Iterator[None]:
-    """Append every ``JsonlSink.write`` made in this context on this thread
-    to ``held`` instead of writing it."""
+    """Append every write made in this context on this thread to ``held``
+    instead of committing it: sink rows and trace records alike."""
     token = _HELD.set(held)
     try:
         yield
@@ -131,7 +131,17 @@ def holding(held: list) -> Iterator[None]:
         _HELD.reset(token)
 
 
+def hold(write: Callable[[Any], None], item: Any) -> bool:
+    """Hold ``write(item)`` in the current ``holding`` list and return True,
+    or return False when nothing holds writes here."""
+    held = _HELD.get()
+    if held is not None:
+        held.append((write, item))
+    return held is not None
+
+
 def write_held(held: list) -> None:
-    """Write rows held by ``holding``, in the order they were held."""
-    for sink, rows in held:
-        sink.write(rows)
+    """Commit the writes held by ``holding``, in the order they were held;
+    each goes back through ``hold``, so an outer ``holding`` holds it again."""
+    for write, item in held:
+        write(item)

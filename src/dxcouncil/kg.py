@@ -343,7 +343,7 @@ def verbalize_path(paths: list[KnowledgePath], gw) -> list[KnowledgePath]:
     gateway branch; the result holds, in order, new paths with the
     verbalization set.
     """
-    def verbalize(path: KnowledgePath, gw) -> KnowledgePath:
+    def verbalize(path: KnowledgePath) -> KnowledgePath:
         return replace(path, verbalization=gw.complete(
             TaskKind.VERBALIZE, {"path": path.describe()}))
 

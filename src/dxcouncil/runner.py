@@ -6,19 +6,19 @@ resources, producing a final report plus an audit trace written as one file
 per case. Batches fan cases out across a thread pool and always leave a
 parseable partial trace behind a failed case.
 
-Within a case, each hypothesis's evidence package is built beside the
-others and beside the complexity route (assessment, then dispatch for a
-COMPLEX case), and each hypothesis's panel deliberates beside the others;
-both are ``Gateway.branches``, as are the fan-outs inside them, which leave
-the trace and the record tables as the same work done one step after
-another would.
+Each case has one gateway and one trace. Within it, each hypothesis's
+evidence package is built beside the others and beside the complexity route
+(assessment, then dispatch for a COMPLEX case), and each hypothesis's panel
+deliberates beside the others; both are ``Gateway.branches``, as are the
+fan-outs inside them, whose held writes leave the trace and the record
+tables as the same work done one step after another would.
 
 A case's trace does not depend on ``workers``, apart from the volatile
 ``backend`` labels: which calls are answered from the runtime's answer
 table depends on which cases have finished. The record tables do: a
 transcript row is written when its call returns and an embedding or score
 row when its retrieval returns (for work inside a branch, when the case
-splices the branch in), so with ``workers > 1`` the rows of concurrent cases
+commits the branch), so with ``workers > 1`` the rows of concurrent cases
 interleave in the order the cases reach those points. With ``workers: 1``
 the tables are byte-stable.
 """
@@ -168,22 +168,22 @@ def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trac
         hypotheses = generate_hypotheses(case, findings, gateway, k_max=config.k_max)
         stage = "evidence"
 
-        def package(hypothesis: str, gw: Gateway) -> EvidencePackage:
+        def package(hypothesis: str) -> EvidencePackage:
             return build_initial_package(
                 case, findings, hypothesis, runtime.graph, runtime.index,
-                runtime.scorer, gw, k=config.k, n=config.n,
+                runtime.scorer, gateway, k=config.k, n=config.n,
                 h_max=config.h_max, batch_size=config.prune_batch)
 
-        def route(gw: Gateway) -> list[SpecialistRoster] | None:
+        def route() -> list[SpecialistRoster] | None:
             # the rosters of a COMPLEX case, None for a SIMPLE one; a
             # failure here is the route's own, not the evidence stage's
             route_stage = "route"
             try:
-                flag = assess_complexity(case, findings, hypotheses, gw)
+                flag = assess_complexity(case, findings, hypotheses, gateway)
                 if flag is ComplexityFlag.SIMPLE:
                     return None
                 route_stage = "dispatch"
-                return dispatch_specialists(case, findings, hypotheses, gw,
+                return dispatch_specialists(case, findings, hypotheses, gateway,
                                             roster=config.roster,
                                             max_specialists=config.max_specialists)
             except EngineError as exc:

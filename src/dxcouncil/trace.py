@@ -1,9 +1,11 @@
 """Per-case diagnostic trace: an append-only, digest-stamped audit record.
 
 Every model exchange, retrieval, path enumeration, prune batch, and
-controller decision lands here with a gapless sequence number. The digest
-covers a canonical serialization that excludes timestamps and the backend
-label, so a record-mode run and its replay produce identical digests.
+controller decision lands here with a gapless sequence number, given when
+the record is committed (inside a gateway branch a record is held, like a
+table row; see ``jsonl.holding``). The digest covers a canonical
+serialization that excludes timestamps and the backend label, so a
+record-mode run and its replay produce identical digests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
-from .jsonl import write_whole
+from .jsonl import hold, open_lines, write_whole
 
 # Keys excluded from the canonical serialization the digest is computed over.
 _VOLATILE_KEYS = ("ts", "backend")
@@ -33,56 +35,52 @@ class Trace:
         self.case_id = case_id
         self._records: list[dict[str, Any]] = []
         self._lock = threading.Lock()
-        self._digest: str | None = None  # valid until the next append
+        self._digest: str | None = None  # valid until the next commit
 
-    def _append(self, record: dict[str, Any]) -> dict[str, Any]:
+    def _append(self, record: dict[str, Any]) -> None:
+        record["ts"] = time.time()
+        self._commit(record)
+
+    def _commit(self, record: dict[str, Any]) -> None:
+        if hold(self._commit, record):
+            return
         with self._lock:
             self._digest = None
             record["seq"] = len(self._records)
-            record["ts"] = time.time()
             self._records.append(record)
-            return record
-
-    def splice(self, child: "Trace") -> None:
-        """Append ``child``'s records after this trace's own, numbered on
-        from this trace's last ``seq``; each keeps its ``ts``."""
-        with self._lock:
-            self._digest = None
-            for record in child.records:
-                self._records.append(dict(record, seq=len(self._records)))
 
     # -- typed appenders -----------------------------------------------------
 
     def exchange(self, task: str, canonical_key: str, prompt: str, response: str,
-                 backend: str) -> dict[str, Any]:
-        return self._append({
+                 backend: str) -> None:
+        self._append({
             "type": "exchange", "task": task, "key": canonical_key,
             "prompt": prompt, "response": response, "backend": backend,
         })
 
     def retrieval(self, query: str, dense: list[dict[str, Any]],
-                  reranked: list[dict[str, Any]], k: int, n: int) -> dict[str, Any]:
-        return self._append({
+                  reranked: list[dict[str, Any]], k: int, n: int) -> None:
+        self._append({
             "type": "retrieval", "query": query, "k": k, "n": n,
             "dense": dense, "reranked": reranked,
         })
 
     def paths(self, start: str, end: str, h_max: int,
-              enumerated: list[list[list[str]]]) -> dict[str, Any]:
-        return self._append({
+              enumerated: list[list[list[str]]]) -> None:
+        self._append({
             "type": "paths", "start": start, "end": end, "h_max": h_max,
             "count": len(enumerated), "paths": enumerated,
         })
 
     def prune_batch(self, batch_index: int, size: int, bits: list[int],
-                    guideline_ids: list[str]) -> dict[str, Any]:
-        return self._append({
+                    guideline_ids: list[str]) -> None:
+        self._append({
             "type": "prune_batch", "batch_index": batch_index, "size": size,
             "bits": bits, "guideline_ids": guideline_ids,
         })
 
-    def decision(self, decision: str, payload: dict[str, Any]) -> dict[str, Any]:
-        return self._append({"type": "decision", "decision": decision, "payload": payload})
+    def decision(self, decision: str, payload: dict[str, Any]) -> None:
+        self._append({"type": "decision", "decision": decision, "payload": payload})
 
     # -- reading -------------------------------------------------------------
 
@@ -108,7 +106,7 @@ class Trace:
     def digest(self) -> str:
         """SHA-256 over the canonical serialization, volatile keys excluded.
 
-        Computed once and reused until the next record is appended.
+        Computed once and reused until the next record is committed.
         """
         with self._lock:
             if self._digest is None:
@@ -141,20 +139,29 @@ class Trace:
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
         """Rebuild a trace from file; tolerates a missing digest line
-        (a crashed case leaves header + records only)."""
+        (a crashed case leaves header + records only). A malformed line is
+        a ``ValueError`` naming its ``file:line``."""
         trace: Trace | None = None
         stored_digest: str | None = None
         records: list[dict[str, Any]] = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        name, lines = open_lines(path)
+        for line_no, line in enumerate(lines, start=1):
             if not line.strip():
                 continue
-            row = json.loads(line)
-            if row.get("type") == "header":
-                trace = cls(row["case_id"])
-            elif row.get("type") == "digest":
-                stored_digest = row["digest"]
-            else:
-                records.append(row)
+            try:
+                row = json.loads(line)
+                if not isinstance(row, dict):
+                    raise ValueError("not a JSON object")
+                if row.get("type") == "header":
+                    trace = cls(row["case_id"])
+                elif row.get("type") == "digest":
+                    stored_digest = row["digest"]
+                elif type(row.get("seq")) is int:
+                    records.append(row)
+                else:
+                    raise ValueError("a record needs an integer seq")
+            except (ValueError, KeyError, RecursionError) as exc:
+                raise ValueError(f"{name}:{line_no}: bad trace line: {exc}") from exc
         if trace is None:
             raise ValueError(f"{path} has no trace header line")
         records.sort(key=lambda r: r["seq"])

@@ -844,12 +844,12 @@ def test_a_failed_branch_returns_after_its_siblings_settle_and_keeps_none_of_the
 
 # -- a saturated pool ------------------------------------------------------------
 
-def nest(path: str, depth: int, gw: Gateway) -> str:
-    """A branch that traces its entry, runs three branches of its own until
-    ``depth`` reaches 3, then traces its exit."""
+def nest(gw: Gateway, path: str, depth: int) -> str:
+    """A branch of ``gw`` that traces its entry, runs three branches of its
+    own until ``depth`` reaches 3, then traces its exit."""
     gw.trace.decision("enter", {"path": path})
     if depth < 3:
-        gw.branches([partial(nest, f"{path}.{i}", depth + 1) for i in range(3)])
+        gw.branches([partial(nest, gw, f"{path}.{i}", depth + 1) for i in range(3)])
     gw.trace.decision("leave", {"path": path})
     return path
 
@@ -867,11 +867,12 @@ def one_thread_pool(monkeypatch):
 
 
 def test_branches_nest_three_deep_on_a_one_thread_pool(one_thread_pool):
-    tree = [partial(nest, str(i), 1) for i in range(3)]
     sequential = Gateway(TableBackend(REPLAY), Trace("nested"), {})
+    tree = [partial(nest, sequential, str(i), 1) for i in range(3)]
     assert sequential.branches(tree) == ["0", "1", "2"]
 
     gw = Gateway(TableBackend(LIVE), Trace("nested"), {})
+    tree = [partial(nest, gw, str(i), 1) for i in range(3)]
     # the outer call holds the pool's only thread, so every branch it starts
     # is queued behind a thread that waits on it
     assert one_thread_pool.submit(gw.branches, tree).result(timeout=10) == ["0", "1", "2"]

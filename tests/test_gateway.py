@@ -256,9 +256,9 @@ def test_a_live_reply_holding_a_lone_surrogate_is_malformed_and_never_recorded(
     backend = RecordingBackend(HttpChatBackend(http_stub.url + CHAT, "m"),
                                TranscriptRecorder(transcript))
     gw = Gateway(backend, Trace("case"), {})
-    # inside a branch, where a recorded row would be held and written at the splice
+    # inside a branch, where a recorded row would be held and written at the commit
     with pytest.raises(TransportError, match="^malformed response from .*surrogates not allowed"):
-        gw.branches([lambda child: child.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})])
+        gw.branches([lambda: gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})])
     backend.close()
     assert transcript.read_text() == ""
     assert gw.trace.records == []

@@ -23,6 +23,7 @@ from dxcouncil.errors import RecordConflictError, ResourceError, RetrievalError
 from dxcouncil.gateway import TranscriptRecorder, load_transcript
 from dxcouncil.guidelines import read_corpus
 from dxcouncil.jsonl import JsonlSink, holding, write_held, write_whole
+from dxcouncil.trace import Trace
 
 LOADERS = [
     pytest.param(read_cases, {"case_id": "a", "narrative": "Story A."}, "case",
@@ -80,6 +81,43 @@ def test_every_replay_table_rejects_a_key_repeated_with_a_different_row(tmp_path
     with pytest.raises(RecordConflictError) as exc:
         load(path)
     assert exc.value.key == key
+
+
+# str.splitlines splits at each of these, and JSON text written with
+# ensure_ascii=False holds them raw
+LINE_SEPARATORS = pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                                          ids=["U+2028", "U+2029", "U+0085"])
+
+
+@LINE_SEPARATORS
+def test_recorded_rows_holding_a_line_separator_load_back(tmp_path, char):
+    text = f"Jaundice{char}pruritus"
+    recorder = TranscriptRecorder(tmp_path / "t.jsonl")
+    recorder.record("k", "ner", text)
+    recorder.close()
+    assert load_transcript(tmp_path / "t.jsonl") == {"k": text}
+
+    embedder = RecordingEmbedder(HashEmbedder(dim=4), tmp_path / "e.jsonl")
+    [recorded] = embedder.embed([text])
+    embedder.close()
+    [replayed] = TableEmbedder.load(tmp_path / "e.jsonl").embed([text])
+    assert replayed.tobytes() == recorded.tobytes()
+
+    scorer = RecordingScorer(LexicalOverlapScorer(), tmp_path / "s.jsonl")
+    scores = scorer.score(text, [text, "alpha"])
+    scorer.close()
+    assert TableScorer.load(tmp_path / "s.jsonl").score(text, [text, "alpha"]) == scores
+
+
+@pytest.mark.parametrize("load,row,field", [
+    (read_cases, {"case_id": "a", "narrative": "Story\u2028A."}, "narrative"),
+    (read_corpus, {"segment_id": "a", "source_doc": "d", "text": "alpha\u2028beta"}, "text"),
+], ids=["read_cases", "read_corpus"])
+def test_a_raw_line_separator_inside_a_row_keeps_the_row_whole(tmp_path, load, row, field):
+    path = tmp_path / "rows.jsonl"
+    path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    [item] = load(path)
+    assert getattr(item, field) == row[field]
 
 
 def test_table_embedder_rejects_an_embedding_that_is_not_a_list(tmp_path):
@@ -277,6 +315,26 @@ def test_held_rows_land_in_call_order_when_written(tmp_path):
     second.close()
     assert [row["k"] for row in table_rows(tmp_path / "a.jsonl")] == ["v", "x", "w"]
     assert [row["k"] for row in table_rows(tmp_path / "b.jsonl")] == ["y", "z"]
+
+
+def test_writes_held_under_an_outer_holding_are_held_again_and_committed_with_it(tmp_path):
+    sink = JsonlSink(tmp_path / "t.jsonl", RecordConflictError)
+    trace = Trace("case")
+    outer: list = []
+    with holding(outer):
+        trace.decision("first", {})
+        inner: list = []
+        with holding(inner):
+            trace.decision("held", {})
+            sink.write([("row", {"k": "row"})])
+        write_held(inner)
+        assert [item for _, item in outer][1:] == [item for _, item in inner]
+    assert len(outer) == 3
+    assert trace.records == [] and table_rows(tmp_path / "t.jsonl") == []
+    write_held(outer)
+    sink.close()
+    assert [(r["seq"], r["decision"]) for r in trace.records] == [(0, "first"), (1, "held")]
+    assert table_rows(tmp_path / "t.jsonl") == [{"k": "row"}]
 
 
 def test_dropped_held_rows_write_nothing(tmp_path):

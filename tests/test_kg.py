@@ -81,6 +81,15 @@ def test_duplicate_concept_id_rejected():
         load_kg(io.StringIO(TRIPLES_TSV), io.StringIO(bad))
 
 
+def test_a_concept_name_holding_a_line_separator_stays_one_row(tmp_path):
+    # str.splitlines would split the row at U+2028
+    path = tmp_path / "concepts.tsv"
+    path.write_text("c1\tJaundice\u2028yellow skin\ticterus\tFinding\n", encoding="utf-8")
+    [concept] = read_concepts(path)
+    assert concept.preferred_name == "Jaundice\u2028yellow skin"
+    assert concept.synonyms == frozenset({"icterus"})
+
+
 def test_unknown_concept_lookup():
     g = load_kg(io.StringIO(TRIPLES_TSV), io.StringIO(CONCEPTS_TSV))
     with pytest.raises(KgError, match="^unknown concept id 'nope'$"):

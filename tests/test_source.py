@@ -133,40 +133,16 @@ def test_every_error_class_but_the_base_is_raised_or_caught_outside_errors_py():
     assert sorted(classes - used - {"EngineError"}) == []
 
 
-def _params(func: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> list[ast.arg]:
-    args = func.args
-    return [*args.posonlyargs, *args.args, *args.kwonlyargs,
-            *filter(None, [args.vararg, args.kwarg])]
-
-
-def _outer_gateway_loads(node: ast.AST, enclosing: set[str], forbidden: set[str]
-                         ) -> list[tuple[int, str]]:
-    """(line, name) of each load, inside a function that takes a ``Gateway``
-    (a branch task), of a ``Gateway`` parameter of a function around it.
-    ``enclosing`` holds the ``Gateway`` parameters in scope, ``forbidden``
-    those the current scope must not load."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-        params = {arg.arg for arg in _params(node)}
-        own = {arg.arg for arg in _params(node)
-               if arg.annotation is not None and "Gateway" in ast.unparse(arg.annotation)}
-        forbidden = (enclosing if own else forbidden) - params
-        enclosing = (enclosing - params) | own
-    elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in forbidden:
-        return [(node.lineno, node.id)]
-    return [found for child in ast.iter_child_nodes(node)
-            for found in _outer_gateway_loads(child, enclosing, forbidden)]
-
-
-def test_a_branch_task_calls_only_through_the_gateway_it_is_given():
-    # a nested function taking a Gateway is a branch task; a load of its
-    # caller's gateway would trace or call through that gateway from a pool
-    # thread, so its records and rows would skip the ordered splice
+def test_only_the_runner_builds_a_gateway_or_a_trace():
+    # one gateway and one trace per case: every branch task calls through
+    # its case's gateway, and what a branch writes is held, not traced apart
     package = Path(dxcouncil.__file__).parent
-    found = [f"{path.name}:{line} {name}"
-             for path in sorted(package.glob("*.py"))
-             for line, name in _outer_gateway_loads(
-                 ast.parse(path.read_text(encoding="utf-8")), set(), set())]
-    assert found == []
+    found = sorted(f"{path.name} {node.func.id}"
+                   for path in package.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id in ("Gateway", "Trace"))
+    assert found == ["runner.py Gateway", "runner.py Trace"]
 
 
 def _private(name: str) -> bool:

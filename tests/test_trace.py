@@ -6,11 +6,15 @@ import json
 
 import pytest
 
+from dxcouncil.jsonl import holding, write_held
 from dxcouncil.trace import Trace, scan_for_leakage
 
 
 def sample_trace():
-    t = Trace("case-x")
+    return append_sample(Trace("case-x"))
+
+
+def append_sample(t: Trace) -> Trace:
     t.exchange(task="ner", canonical_key="k1", prompt="Patient record: itching",
                response='["itching"]', backend="live")
     t.retrieval(query="q", dense=[{"segment_id": "s1", "dense_score": 0.5}],
@@ -28,22 +32,25 @@ def test_sequence_numbers_are_gapless_and_ordered():
         "exchange", "retrieval", "paths", "prune_batch", "decision"]
 
 
-def test_splice_numbers_a_childs_records_on_and_resets_the_digest():
+def test_held_records_are_numbered_when_written_and_reset_the_digest():
     t = Trace("case-x")
     t.decision("complexity", {"flag": "SIMPLE"})
     before = t.digest()
-    child = sample_trace()
-    t.splice(child)
+    held: list = []
+    with holding(held):
+        append_sample(t)
+    held_records = [record for _, record in held]
+    assert len(held_records) == 5 and not any("seq" in r for r in held_records)
+    stamps = [r["ts"] for r in held_records]
+    assert len(t.records) == 1 and t.digest() == before
+    write_held(held)
     assert [r["seq"] for r in t.records] == list(range(6))
-    assert [r["type"] for r in t.records[1:]] == [r["type"] for r in child.records]
-    assert [r["ts"] for r in t.records[1:]] == [r["ts"] for r in child.records]
-    assert [r["seq"] for r in child.records] == list(range(5))
+    assert [r["type"] for r in t.records[1:]] == [r["type"] for r in sample_trace().records]
+    assert [r["ts"] for r in t.records[1:]] == stamps
     assert t.digest() != before
     whole = Trace("case-x")
     whole.decision("complexity", {"flag": "SIMPLE"})
-    for record in sample_trace().records:
-        whole._append({k: v for k, v in record.items() if k not in ("seq", "ts")})
-    assert t.digest() == whole.digest()
+    assert t.digest() == append_sample(whole).digest()
 
 
 def test_filters_select_by_task_and_decision():
@@ -175,6 +182,30 @@ def test_load_requires_a_header(tmp_path):
     path.write_text(json.dumps({"type": "digest", "digest": "x"}) + "\n")
     with pytest.raises(ValueError):
         Trace.load(path)
+
+
+@pytest.mark.parametrize("line", ["[1, 2]", '"text"', '{"type": "decision"}',
+                                  '{"type": "decision", "seq": 0'])
+def test_load_names_the_file_and_line_of_a_malformed_line(tmp_path, line):
+    path = sample_trace().write(tmp_path / "case-x.trace.jsonl")
+    lines = path.read_text(encoding="utf-8").split("\n")
+    lines[2] = line
+    path.write_text("\n".join(lines), encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        Trace.load(path)
+    assert type(caught.value) is ValueError
+    assert str(caught.value).startswith(f"{path}:3: ")
+
+
+@pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
+                         ids=["U+2028", "U+2029", "U+0085"])
+def test_a_prompt_holding_a_line_separator_loads_back_with_its_digest(tmp_path, char):
+    t = Trace("case-x")
+    t.exchange(task="ner", canonical_key="k", prompt=f"itching{char}jaundice",
+               response='["itching"]', backend="live")
+    loaded = Trace.load(t.write(tmp_path / "case-x.trace.jsonl"))
+    assert loaded.records == t.records
+    assert loaded.digest() == t.digest()
 
 
 def test_leakage_scan_hits_prompts_only():
