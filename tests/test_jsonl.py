@@ -50,6 +50,92 @@ def test_every_loader_names_the_bad_line_with_its_own_error(tmp_path, load, good
         load(path)
 
 
+# every reader of a JSONL file, a row it takes, and how it names a bad line;
+# a trace file's first line is its header
+READERS = [
+    pytest.param(read_cases, {"case_id": "a", "narrative": "Story A."}, ResourceError,
+                 "bad case row", id="read_cases"),
+    pytest.param(read_corpus, {"segment_id": "a", "source_doc": "d", "text": "alpha"},
+                 ResourceError, "bad corpus row", id="read_corpus"),
+    pytest.param(load_transcript, {"key": "k", "task": "ner", "response": "r"},
+                 ResourceError, "bad transcript row", id="load_transcript"),
+    pytest.param(TableEmbedder.load, {"text": "t", "embedding": [1.0, 0.5]}, ResourceError,
+                 "bad embedding row", id="TableEmbedder.load"),
+    pytest.param(TableScorer.load, {"query": "q", "text": "t", "score": 0.5}, ResourceError,
+                 "bad score row", id="TableScorer.load"),
+    pytest.param(Trace.load, {"type": "decision", "decision": "d", "payload": {}, "seq": 0},
+                 ValueError, "bad trace line", id="Trace.load"),
+]
+
+
+def write_rows(path, load, *lines):
+    head = [json.dumps({"type": "header", "case_id": "c"})] if load == Trace.load else []
+    path.write_text("\n".join(head + list(lines)) + "\n", encoding="utf-8")
+    return len(head) + 1  # the line number of the first line given
+
+
+def contents(loaded):
+    """What a reader returned, in a form ``==`` compares bit for bit."""
+    if isinstance(loaded, TableEmbedder):
+        return {text: vec.tobytes() for text, vec in loaded.table.items()}
+    if isinstance(loaded, TableScorer):
+        return loaded.table
+    if isinstance(loaded, Trace):
+        return loaded.records
+    return loaded
+
+
+# a file read as text turns a CR into a line break, so CR makes blank lines
+@pytest.mark.parametrize("wrap", [
+    lambda row: "  " + row + "  ", lambda row: "\t" + row + "\t", lambda row: row + "\r",
+    lambda row: "\r \t" + row + " \r\t ",
+], ids=["spaces", "tabs", "trailing_cr", "mixed"])
+@pytest.mark.parametrize("load,row,error,what", READERS)
+def test_every_reader_takes_json_whitespace_around_a_row(tmp_path, load, row, error, what,
+                                                         wrap):
+    write_rows(tmp_path / "bare.jsonl", load, json.dumps(row))
+    write_rows(tmp_path / "wrapped.jsonl", load, wrap(json.dumps(row)))
+    assert (contents(load(tmp_path / "wrapped.jsonl"))
+            == contents(load(tmp_path / "bare.jsonl")))
+
+
+def json_loads_error(line: str) -> str:
+    try:
+        json.loads(line)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError(f"json.loads takes {line!r}")
+
+
+@pytest.mark.parametrize("bad,reason", [
+    (lambda row: "\ufeff" + row, None),
+    (lambda row: row + " {}", None),
+    (lambda row: row + "\t x", None),
+    (lambda row: "\f" + row, None),
+    (lambda row: row + "\f", None),
+    (lambda row: row[:-1], None),
+    (lambda row: row.replace(":", "", 1), None),
+    (lambda row: '["a"]', {"trace": "not a JSON object",
+                           "row": "list indices must be integers or slices, not str"}),
+    (lambda row: "[" * 100_000, None),
+], ids=["bom", "extra_data", "extra_data_after_whitespace", "form_feed_before",
+        "form_feed_after", "truncated_object", "missing_colon", "non_object", "nested_too_deep"])
+@pytest.mark.parametrize("load,row,error,what", READERS)
+def test_every_reader_rejects_a_bad_line_as_json_loads_does(tmp_path, load, row, error, what,
+                                                           bad, reason):
+    line = bad(json.dumps(row))
+    path = tmp_path / "rows.jsonl"
+    line_no = write_rows(path, load, line)
+    if reason is None:
+        reason = json_loads_error(line)
+    else:
+        reason = reason["trace" if load == Trace.load else "row"]
+    with pytest.raises(error) as exc:
+        load(path)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{path}:{line_no}: {what}: {reason}"
+
+
 @pytest.mark.parametrize("value", ["Story \ud800.", None, 5],
                          ids=["lone_surrogate", "null", "number"])
 @pytest.mark.parametrize("load,good_row,what", LOADERS)
