@@ -140,6 +140,11 @@ class TableEmbedder:
     and of one length. A lookup miss is an error: replay must be closed over
     everything the pipeline will ask for. A text repeated with a different
     vector is a ``RecordConflictError``.
+
+    ``load`` converts and checks all vectors with one ``np.array`` and one
+    ``isfinite``, and keeps them as read-only rows of that (N, d) matrix. A
+    table that fails either is read again row by row, which names the first
+    fault in file order.
     """
 
     def __init__(self, table: dict[str, np.ndarray]):
@@ -147,9 +152,20 @@ class TableEmbedder:
 
     @classmethod
     def load(cls, path: str | Path) -> "TableEmbedder":
+        try:
+            rows = list(read_jsonl(path, _embedding_fields, "embedding"))
+            matrix = np.array([vec for _, (_, vec) in rows], dtype=float)
+            if matrix.ndim != 2 or not np.isfinite(matrix).all():
+                raise ValueError("not one matrix of finite numbers")
+        except (ResourceError, ValueError, TypeError, OverflowError):
+            located = read_jsonl(path, _embedding_row, "embedding")
+        else:
+            matrix.flags.writeable = False
+            located = ((location, (text, vec))
+                       for (location, (text, _)), vec in zip(rows, matrix))
         table: dict[str, np.ndarray] = {}
         dim: int | None = None
-        for location, (text, vec) in read_jsonl(path, _embedding_row, "embedding"):
+        for location, (text, vec) in located:
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
@@ -168,6 +184,10 @@ class TableEmbedder:
                 raise ResourceError(f"embedding table has no entry for text {text!r}")
             out.append(self.table[text])
         return out
+
+
+def _embedding_fields(row: dict) -> tuple[str, Any]:
+    return text_field(row, "text"), row["embedding"]
 
 
 def _embedding_row(row: dict) -> tuple[str, np.ndarray]:

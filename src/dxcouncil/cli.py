@@ -13,7 +13,7 @@ import sys
 
 from .config import as_record, validate_config
 from .differential import read_cases
-from .errors import CaseFailure, ConfigError, EngineError
+from .errors import CaseFailure, ConfigError, EngineError, ResourceError
 from .runner import Runtime, run_batch, run_case, trace_path_for
 
 EXIT_OK = 0
@@ -50,6 +50,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     runtime = Runtime(config)
     try:
         cases = read_cases(config.cases_path)
+        if not cases:
+            raise ResourceError(f"no cases in {config.cases_path}")
         if args.case_id is not None:
             matching = [c for c in cases if c.case_id == args.case_id]
             if not matching:

@@ -114,12 +114,13 @@ class HttpChatBackend:
 
 
 class ReplayChatBackend:
-    """Serves responses from a recorded transcript; never touches the network."""
+    """Serves responses from a recorded transcript; never touches the network.
+    It keeps the table it is given and only reads it."""
 
     label = REPLAY
 
     def __init__(self, table: dict[str, str]):
-        self._table = dict(table)
+        self._table = table
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayChatBackend":

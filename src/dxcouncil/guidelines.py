@@ -120,6 +120,33 @@ def _embed(embedder: Embedder, texts: list[str]) -> list[np.ndarray]:
         raise RetrievalError(f"embedding {len(texts)} texts failed: {exc}") from exc
 
 
+def _embed_corpus(embedder: Embedder, segments: list[GuidelineSegment]) -> np.ndarray:
+    """``_embed`` for every segment, as one (S, d) matrix stacked and checked
+    at once. Vectors that do not stack as S finite float64 rows take the
+    row-by-row checks, which name the first fault."""
+    texts = [s.text for s in segments]
+    try:
+        vectors = embedder.embed(texts)
+        try:
+            matrix = np.array(vectors)
+        except Exception:  # ragged, or not numbers: named below
+            matrix = None
+        if (matrix is not None and matrix.dtype == np.float64 and matrix.ndim == 2
+                and len(matrix) == len(texts) and np.isfinite(matrix).all()):
+            return matrix
+        vectors = [np.asarray(vec, dtype=float) for vec in checked_vectors(vectors, texts)]
+    except EngineError:
+        raise
+    except Exception as exc:
+        raise RetrievalError(f"embedding {len(texts)} texts failed: {exc}") from exc
+    dim = vectors[0].shape[0]
+    for segment, vec in zip(segments, vectors):
+        if vec.shape[0] != dim:
+            raise RetrievalError(
+                f"segment {segment.segment_id!r} embedding dim {vec.shape[0]} != {dim}")
+    return np.array(vectors)
+
+
 def _unit(vec: np.ndarray) -> np.ndarray:
     # the same bits as vec / np.linalg.norm(vec), which is sqrt(dot(v, v))
     # on a 1-d float vector
@@ -133,17 +160,16 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
     """Embed every segment and build the index.
 
     Stored vectors are unit-normalized; embedding results commit in source
-    order regardless of how the backend batches.
+    order regardless of how the backend batches. Each norm is a 1-d ``@``
+    on its own row, so every unit vector has the bits ``_unit`` gives it.
     """
     if not segments:
         raise ResourceError("corpus contains no segments")
-    vectors = _embed(embedder, [s.text for s in segments])
-    dim = vectors[0].shape[0]
-    for segment, vec in zip(segments, vectors):
-        if vec.shape[0] != dim:
-            raise RetrievalError(
-                f"segment {segment.segment_id!r} embedding dim {vec.shape[0]} != {dim}")
-    units = np.array([_unit(vec) for vec in vectors])
+    vectors = _embed_corpus(embedder, segments)
+    norms = np.array([math.sqrt(vec @ vec) for vec in vectors])
+    if not norms.all():
+        raise RetrievalError("cannot normalize a zero embedding vector")
+    units = vectors / norms[:, None]
     units.flags.writeable = False
     return GuidelineIndex(segments, units, embedder)
 

@@ -1,8 +1,9 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
-transcript, embedding and score tables), the one sink every recorder
-writes through, and the one writer of each whole output file (traces,
-``results.jsonl``, ``summary.json``), so row format, error reporting and
-how a file is replaced are decided here once.
+transcript, embedding and score tables), the one decoder of a file line
+(``decode``, which trace files read through too), the one sink every
+recorder writes through, and the one writer of each whole output file
+(traces, ``results.jsonl``, ``summary.json``), so row format, error
+reporting and how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
 what it writes, table rows and trace records alike, in a list, and the case
@@ -25,6 +26,10 @@ from .errors import ResourceError
 # writes are committed at once
 _HELD: ContextVar[list | None] = ContextVar("dxcouncil_held_writes", default=None)
 
+# built once: json.loads checks its arguments and matches whitespace on
+# every call
+_DECODER = json.JSONDecoder()
+
 
 def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
     """The lines of a path or a text stream, with a name for error messages.
@@ -39,9 +44,29 @@ def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
     return name, text.split("\n")
 
 
+def decode(line: str) -> Any:
+    """``json.loads(line)``: the same value, or the same error at the same
+    position. A row that starts at the first character and ends at the last
+    is decoded in one call; any other line takes ``json.loads``' own steps:
+    the BOM check, then ``JSONDecoder.decode``, which skips JSON whitespace
+    (space, tab, CR, LF) on both sides and rejects anything else after the
+    row as extra data."""
+    try:
+        value, end = _DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        pass
+    else:
+        if end == len(line):
+            return value
+    if line.startswith("\ufeff"):
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+    return _DECODER.decode(line)
+
+
 def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
                what: str) -> Iterator[tuple[str, Any]]:
-    """Yield ``(location, parse(row))`` for each non-blank line.
+    """Yield ``(location, parse(row))`` for each non-blank line, each row
+    read by ``decode``.
 
     ``location`` is ``file:line``. Invalid JSON, JSON nested too deep for
     the parser, and any ``ValueError``, ``KeyError``, ``TypeError`` or
@@ -51,11 +76,11 @@ def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
     """
     name, lines = open_lines(source)
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line or line.isspace():  # the lines str.strip empties
             continue
         location = f"{name}:{line_no}"
         try:
-            item = parse(json.loads(line))
+            item = parse(decode(line))
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
             raise ResourceError(f"{location}: bad {what} row: {exc}") from exc
         yield location, item
@@ -68,7 +93,8 @@ def text_field(row: dict, key: str) -> str:
     value = row[key]
     if not isinstance(value, str):
         raise ValueError(f"{key!r} must be a string, got {type(value).__name__}")
-    value.encode("utf-8")
+    if not value.isascii():  # ASCII holds no surrogate, and costs no encode
+        value.encode("utf-8")
     return value
 
 

@@ -270,7 +270,8 @@ def _tsv_rows(source: str | Path | TextIO, width: int
     ``width`` fields is a ``ResourceError``."""
     name, lines = open_lines(source)
     for line_no, line in enumerate(lines, start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
+        head = line.lstrip()
+        if not head or head[0] == "#":
             continue
         fields = line.split("\t")
         if len(fields) != width:
@@ -298,8 +299,8 @@ def read_concepts(source: str | Path | TextIO) -> list[Concept]:
         concepts.append(Concept(
             id=concept_id,
             preferred_name=preferred,
-            synonyms=frozenset(s.strip() for s in synonyms.split("|") if s.strip()),
-            semantic_types=frozenset(s.strip() for s in semtypes.split("|") if s.strip()),
+            synonyms=frozenset(filter(None, map(str.strip, synonyms.split("|")))),
+            semantic_types=frozenset(filter(None, map(str.strip, semtypes.split("|")))),
         ))
     return concepts
 

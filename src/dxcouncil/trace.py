@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
-from .jsonl import hold, open_lines, write_whole
+from .jsonl import decode, hold, open_lines, write_whole
 
 # Keys excluded from the canonical serialization the digest is computed over.
 _VOLATILE_KEYS = ("ts", "backend")
@@ -149,7 +149,7 @@ class Trace:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = decode(line)
                 if not isinstance(row, dict):
                     raise ValueError("not a JSON object")
                 if row.get("type") == "header":

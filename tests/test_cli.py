@@ -82,6 +82,16 @@ def test_run_with_unknown_case_id(tmp_path, capsys):
     assert "case-99" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["run", "--case-id", "case-01"], ["batch"]],
+                         ids=["run", "run-with-case-id", "batch"])
+def test_an_empty_case_file_is_a_resource_error(tmp_path, capsys, command):
+    empty = tmp_path / "cases.jsonl"
+    empty.write_text("", encoding="utf-8")
+    config = write_cli_config(tmp_path, cases={"path": str(empty)})
+    assert cli.main([*command, "--config", str(config)]) == 3
+    assert capsys.readouterr().err == f"resource error: no cases in {empty}\n"
+
+
 def test_batch_prints_per_case_lines_and_metrics(tmp_path, capsys):
     config = write_cli_config(tmp_path)
     assert cli.main(["batch", "--config", str(config)]) == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -109,6 +110,57 @@ def test_a_non_finite_query_embedding_is_a_retrieval_error():
     with pytest.raises(RetrievalError,
                        match="^embedder returned a non-finite vector at position 0$"):
         dense_retrieve(index, "q", k=2)
+
+
+class ListEmbedder:
+    """Returns the vectors it holds, in order, one per text."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+
+    def embed(self, texts):
+        return self.vectors[:len(texts)]
+
+
+def test_ingest_rejects_a_zero_vector():
+    embedder = ListEmbedder([np.ones(3), np.zeros(3), np.ones(3)])
+    with pytest.raises(RetrievalError, match="^cannot normalize a zero embedding vector$"):
+        ingest_corpus(segs(3), embedder)
+
+
+def test_ingest_converts_vectors_that_are_not_float_rows_one_by_one():
+    rows = [[3, 4], np.array([1, 0], dtype=np.int32), [True, False]]
+    units = ingest_corpus(segs(3), ListEmbedder(rows)).units
+    assert units.dtype == np.float64 and units.flags.c_contiguous
+    assert [row.tobytes() for row in units] == [
+        (vec / math.sqrt(vec @ vec)).tobytes()
+        for vec in (np.asarray(row, dtype=float) for row in rows)]
+
+
+# signed values from 1e-300 to 1e300, and zero
+magnitudes = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e, negative: (-m if negative else m) * 10.0 ** e,
+              st.floats(1, 10, exclude_max=True), st.integers(-300, 299), st.booleans()))
+
+
+@given(st.integers(1, 40).flatmap(
+    lambda d: st.lists(st.lists(magnitudes, min_size=d, max_size=d), min_size=1, max_size=6)),
+    st.booleans())
+@example([[1e300, 1e300]], False)  # the norm overflows: every unit entry is 0.0
+@example([[1e-300, -1e-300]], False)  # the norm underflows to zero
+@np.errstate(over="ignore")
+def test_ingest_unit_vectors_equal_per_row_division_bit_for_bit(rows, as_lists):
+    vectors = [np.array(row) for row in rows]
+    norms = [math.sqrt(vec @ vec) for vec in vectors]
+    embedder = ListEmbedder(rows if as_lists else vectors)
+    if 0.0 in norms:
+        with pytest.raises(RetrievalError, match="^cannot normalize a zero embedding vector$"):
+            ingest_corpus(segs(len(rows)), embedder)
+        return
+    units = ingest_corpus(segs(len(rows)), embedder).units
+    assert [row.tobytes() for row in units] == [
+        (vec / norm).tobytes() for vec, norm in zip(vectors, norms)]
 
 
 def test_ingest_empty_corpus_rejected():

@@ -237,6 +237,70 @@ def test_replay_tables_reject_a_value_too_large_for_a_float(tmp_path, load, row,
         load(path)
 
 
+def embedding_line(text, embedding):
+    return json.dumps({"text": text, "embedding": embedding})
+
+
+def numpy_error(value) -> str:
+    try:
+        np.asarray(value, dtype=float)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return str(exc)
+    raise AssertionError(f"numpy converts {value!r}")
+
+
+NOT_FLAT = "bad embedding row: embedding must be a flat list of finite numbers"
+
+
+@pytest.mark.parametrize("lines,error,fault", [
+    ([embedding_line("a", [1.0, float("nan")]), "{not json"], ResourceError, f"1: {NOT_FLAT}"),
+    ([embedding_line("a", [1.0, 0.5]), embedding_line("b", [1.0, 0.5, 0.25]),
+      embedding_line("a", [0.0, 1.0])], ResourceError, "2: embedding dim 3 != 2"),
+    ([embedding_line("a", [1.0, 0.5]), embedding_line("a", [0.0, 1.0]),
+      embedding_line("b", [1.0, 0.5, 0.25])], RecordConflictError,
+     "2: text 'a' appears twice with different embeddings"),
+    ([embedding_line("a", [1.0, 0.5]), embedding_line("b", [[1.0, 0.5]]),
+      embedding_line("c", [1.0])], ResourceError, f"2: {NOT_FLAT}"),
+    ([embedding_line("a", [1.0, 0.5]), embedding_line("b", [1.0, [0.5, 0.25]]),
+      embedding_line("c", [float("inf"), 0.5])], ResourceError,
+     f"2: bad embedding row: {numpy_error([1.0, [0.5, 0.25]])}"),
+    ([embedding_line("a", [1.0, 0.5]), embedding_line("b", [1.0, 10 ** 400]),
+      embedding_line("c", [float("nan"), 0.5])], ResourceError,
+     f"2: bad embedding row: {numpy_error([1.0, 10 ** 400])}"),
+    ([embedding_line("a", [float("nan"), 0.5]), embedding_line("b", [1.0, 10 ** 400])],
+     ResourceError, f"1: {NOT_FLAT}"),
+    ([embedding_line("a", [1.0, 0.5]), embedding_line("b", {"x": 1.0}),
+      embedding_line("c", 5)], ResourceError,
+     f"2: bad embedding row: {numpy_error({'x': 1.0})}"),
+    ([embedding_line("a", [1.0, 0.5]), embedding_line("b", [1.0, 0.5]).replace('"b"', "5"),
+      embedding_line("c", [float("nan"), 0.5])], ResourceError,
+     "2: bad embedding row: 'text' must be a string, got int"),
+], ids=["nan_before_malformed", "dim_before_conflict", "conflict_before_dim",
+        "nested_row", "ragged_row", "int_too_large_before_nan", "nan_before_int_too_large",
+        "object_row", "bad_text_before_nan"])
+def test_an_embedding_table_with_several_faults_names_the_first_in_file_order(
+        tmp_path, lines, error, fault):
+    path = tmp_path / "e.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(error) as exc:
+        TableEmbedder.load(path)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{path}:{fault}"
+
+
+def test_a_loaded_embedding_holds_the_bits_a_row_by_row_conversion_gives(tmp_path):
+    values = [[1, 2 ** 64 + 1], [True, 0.1], ["1.5", "-2e-308"], [10 ** 300, -0.0],
+              [5e-324, 1.7976931348623157e308]]
+    path = tmp_path / "e.jsonl"
+    path.write_text("".join(embedding_line(f"t{i}", value) + "\n"
+                            for i, value in enumerate(values)), encoding="utf-8")
+    table = TableEmbedder.load(path).table
+    assert [table[f"t{i}"].tobytes() for i in range(len(values))] == [
+        np.asarray(value, dtype=float).tobytes() for value in values]
+    assert not any(vec.flags.writeable for vec in table.values())
+    assert len({id(vec.base) for vec in table.values()}) == 1  # rows of one matrix
+
+
 class Drifting:
     """A backend that answers every call with a new value, as a
     nondeterministic model would."""

@@ -109,6 +109,22 @@ def test_package_takes_vector_products_with_matmul_only():
     assert found == []
 
 
+def test_file_lines_are_decoded_by_the_jsonl_decoder_only():
+    # json.loads reads a model's answer and an HTTP reply; a line of a file
+    # goes through jsonl.decode, one decoder built once
+    package = Path(dxcouncil.__file__).parent
+    found = sorted(f"{path.name} {getattr(top, 'name', top.lineno)}"
+                   for path in package.glob("*.py")
+                   for top in ast.parse(path.read_text(encoding="utf-8")).body
+                   for node in ast.walk(top)
+                   if isinstance(node, ast.Attribute) and node.attr == "loads"
+                   or isinstance(node, ast.ImportFrom)
+                   and any(alias.name == "loads" for alias in node.names))
+    assert [site for site in found
+            if not site.startswith("judgments.py ") and site != "backends.py post_json"] == []
+    assert "backends.py post_json" in found
+
+
 def test_every_exception_class_is_defined_in_errors_py():
     package = Path(dxcouncil.__file__).parent
     modules = [importlib.import_module(f"dxcouncil.{path.stem}")
