@@ -334,6 +334,9 @@ class RecordingEmbedder:
     def close(self) -> None:
         self._sink.close()
 
+    def discard(self) -> None:
+        self._sink.discard()
+
 
 class RecordingScorer:
     """Wraps a cross-scorer and captures every scored pair, one row per pair
@@ -355,3 +358,6 @@ class RecordingScorer:
 
     def close(self) -> None:
         self._sink.close()
+
+    def discard(self) -> None:
+        self._sink.discard()

@@ -51,10 +51,12 @@ __all__ = [
 LIVE = "live"
 REPLAY = "replay"
 
-# branches running at once across every live gateway of the process; the
-# pool's threads start with the first live branch, so importing this module
-# or replaying starts none
-FANOUT = 8
+# pool threads across every live gateway of the process, those blocked in
+# ``Gateway.branches`` on their own branches included; each caller of
+# ``branches`` also runs a branch itself, so requests in flight can reach
+# FANOUT plus the calling threads. The pool's threads start with the first
+# live branch, so importing this module or replaying starts none
+FANOUT = 32
 _POOL = ThreadPoolExecutor(max_workers=FANOUT, thread_name_prefix="dxcouncil-branch")
 
 T = TypeVar("T")
@@ -87,10 +89,10 @@ class HttpChatBackend:
     One retry on transport failure, then a hard error; the deliberation loop
     must not stall silently. A reply whose content is not a string, or holds
     a lone surrogate, is a malformed-response ``TransportError``, so no
-    recorder is handed text it cannot write. Branches send requests from the gateway's pool
-    threads and from the threads waiting on them, so several may be in
-    flight at once; each request is a POST on a connection of its own, so
-    concurrent calls share no state.
+    recorder is handed text it cannot write. Branches send requests from the
+    gateway's pool threads and from the threads that start them (see
+    ``FANOUT``), so several may be in flight at once; each request is a
+    POST on a connection of its own, so concurrent calls share no state.
     """
 
     label = LIVE
@@ -137,7 +139,9 @@ class ReplayChatBackend:
 
 
 class TranscriptRecorder:
-    """Append-only transcript sink, one JSON object per line.
+    """Append-only transcript sink, one JSON object per line. The file is
+    written when the recorder closes, and left as it was if it is discarded
+    (see ``JsonlSink``).
 
     Repeated identical (key, response) pairs are written once; the same key
     with a different response means the upstream model was nondeterministic
@@ -152,6 +156,9 @@ class TranscriptRecorder:
 
     def close(self) -> None:
         self._sink.close()
+
+    def discard(self) -> None:
+        self._sink.discard()
 
 
 class RecordingBackend:
@@ -181,6 +188,9 @@ class RecordingBackend:
 
     def close(self) -> None:
         self._recorder.close()
+
+    def discard(self) -> None:
+        self._recorder.discard()
 
 
 ScriptRule = tuple[TaskKind, "str | Callable[[str, str], bool]",
@@ -282,9 +292,10 @@ class Gateway:
         calls through this gateway.
 
         A replay gateway runs the tasks one after another on this thread.
-        Any other gateway submits each to the pool, holding what the task
-        writes, trace records and table rows alike, in a list of its own
-        (see ``jsonl.holding``); a task may start branches of its own. This
+        Any other gateway submits every task but the first to the pool and
+        runs the first on this thread, each holding what it writes, trace
+        records and table rows alike, in a list of its own (see
+        ``jsonl.holding``); a task may start branches of its own. This
         thread then takes back, in task order, every task no pool thread has
         started and runs it itself, and only then waits, so no thread waits
         on queued work and a busy pool cannot deadlock. Then each task's
@@ -296,8 +307,9 @@ class Gateway:
         if self._label == REPLAY:
             return [task() for task in tasks]
         held: list[list] = [[] for _ in tasks]
-        futures = [_POOL.submit(_run_holding, task, writes)
-                   for task, writes in zip(tasks, held)]
+        rest = [_POOL.submit(_run_holding, task, writes)
+                for task, writes in zip(tasks[1:], held[1:])]
+        futures = [_run_here(task, writes) for task, writes in zip(tasks[:1], held[:1])] + rest
         for i, future in enumerate(futures):
             if future.cancel():
                 futures[i] = _run_here(tasks[i], held[i])

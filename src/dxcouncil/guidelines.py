@@ -25,6 +25,7 @@ so wait behind any busy Python thread.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TextIO
@@ -148,12 +149,25 @@ def _embed_corpus(embedder: Embedder, segments: list[GuidelineSegment]) -> np.nd
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
-    # the same bits as vec / np.linalg.norm(vec), which is sqrt(dot(v, v))
-    # on a 1-d float vector
-    norm = math.sqrt(vec @ vec)
-    if norm == 0.0:
-        raise RetrievalError("cannot normalize a zero embedding vector")
-    return vec / norm
+    """``vec / sqrt(vec @ vec)``: the bits ``vec / np.linalg.norm(vec)``
+    gives a 1-d float vector. Where ``vec @ vec`` overflows, or falls below
+    the smallest normal float and so loses its bits, ``vec`` is first
+    divided by its largest absolute entry."""
+    with np.errstate(over="ignore"):
+        square = vec @ vec
+    if not _ordinary(square):
+        scale = np.abs(vec).max()
+        if scale == 0.0:
+            raise RetrievalError("cannot normalize a zero embedding vector")
+        vec = vec / scale
+        square = vec @ vec
+    return vec / math.sqrt(square)
+
+
+def _ordinary(square):
+    # a squared norm that keeps its bits: finite and not below the smallest
+    # normal float; elementwise on an array
+    return (square >= sys.float_info.min) & (square != math.inf)
 
 
 def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> GuidelineIndex:
@@ -166,10 +180,12 @@ def ingest_corpus(segments: list[GuidelineSegment], embedder: Embedder) -> Guide
     if not segments:
         raise ResourceError("corpus contains no segments")
     vectors = _embed_corpus(embedder, segments)
-    norms = np.array([math.sqrt(vec @ vec) for vec in vectors])
-    if not norms.all():
-        raise RetrievalError("cannot normalize a zero embedding vector")
-    units = vectors / norms[:, None]
+    with np.errstate(over="ignore"):
+        squares = np.array([vec @ vec for vec in vectors])
+    if _ordinary(squares).all():
+        units = vectors / np.sqrt(squares)[:, None]
+    else:
+        units = np.array([_unit(vec) for vec in vectors])
     units.flags.writeable = False
     return GuidelineIndex(segments, units, embedder)
 

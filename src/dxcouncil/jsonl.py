@@ -14,6 +14,7 @@ one piece after another.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -119,10 +120,17 @@ class JsonlSink:
     could not replay the run that wrote it. Thread-safe; flushed per write.
     A write made inside ``holding`` is only held; ``write_held`` writes it
     later, and makes its repeat check then.
+
+    Rows go to a new sibling temp file, which ``close`` moves onto the table
+    and ``discard`` deletes, so until then the table holds what it held
+    before. Either call closes the sink; a later call does nothing.
     """
 
     def __init__(self, path: str | Path, conflict: Callable[[Any], Exception]):
-        self._fh = open(path, "w", encoding="utf-8")
+        self._path = Path(path)
+        self._tmp: Path | None = self._path.with_name(
+            f".{self._path.name}.{os.urandom(16).hex()}.tmp")
+        self._fh = open(self._tmp, "x", encoding="utf-8")
         self._conflict = conflict
         self._lines: dict[Hashable, str] = {}
         self._lock = threading.Lock()
@@ -143,7 +151,17 @@ class JsonlSink:
             self._fh.flush()
 
     def close(self) -> None:
-        self._fh.close()
+        self._end(lambda tmp: os.replace(tmp, self._path))
+
+    def discard(self) -> None:
+        self._end(os.unlink)
+
+    def _end(self, settle: Callable[[Path], None]) -> None:
+        with self._lock:
+            tmp, self._tmp = self._tmp, None
+            if tmp is not None:
+                self._fh.close()
+                settle(tmp)
 
 
 @contextmanager

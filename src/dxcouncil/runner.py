@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import ExitStack, closing
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -81,10 +81,11 @@ class Runtime:
 
     Test and fixture code may inject all three backends or none. Injected
     backends replace the config's backend section: nothing is built from it,
-    so no record table is opened (opening one would truncate it). ``close``
-    closes all three backends, injected or wired, so a caller that injects
-    recorders closes them by closing the runtime. If set-up fails, the
-    backends wired here are closed before the error propagates; injected
+    so no record table is opened. ``close`` closes all three backends,
+    injected or wired, so a caller that injects recorders closes them by
+    closing the runtime; closing a recorder is what writes its table. If
+    set-up fails, the backends wired here are discarded before the error
+    propagates, so each record table keeps what it held before; injected
     ones are left open, as no runtime was returned to close them.
 
     ``answers`` is the runtime's answer table, ``{canonical_key: response}``,
@@ -112,14 +113,17 @@ class Runtime:
             self.index: GuidelineIndex = ingest_corpus(segments, self.embedder)
         except BaseException:
             if wired:
-                self.close()
+                self._end("discard")
             raise
 
     def close(self) -> None:
+        self._end("close")
+
+    def _end(self, how: str) -> None:
         for backend in (self.chat_backend, self.embedder, self.scorer):
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
+            end = getattr(backend, how, None)
+            if end is not None:
+                end()
 
 
 def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScorer]:
@@ -135,12 +139,12 @@ def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScore
     scorer = HttpScorer(config.endpoint, config.rerank_model or "default")
     if config.mode is BackendMode.LIVE:
         return chat, embedder, scorer
-    # a table that fails to open closes the tables opened before it
+    # a table that fails to open discards the tables opened before it
     with ExitStack() as opened:
-        chat = opened.enter_context(closing(
-            RecordingBackend(chat, TranscriptRecorder(config.transcript_path))))
-        embedder = opened.enter_context(closing(
-            RecordingEmbedder(embedder, config.embeddings_path)))
+        chat = RecordingBackend(chat, TranscriptRecorder(config.transcript_path))
+        opened.callback(chat.discard)
+        embedder = RecordingEmbedder(embedder, config.embeddings_path)
+        opened.callback(embedder.discard)
         scorer = RecordingScorer(scorer, config.scores_path)
         opened.pop_all()
     return chat, embedder, scorer

@@ -190,3 +190,26 @@ def test_record_names_the_config_key_record_mode_needs(tmp_path, capsys, backend
     assert cli.main(["record", "--config", str(path)]) == 1
     assert capsys.readouterr().err == f"config error: {field}: required in record mode\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_record_run_that_fails_at_set_up_leaves_the_record_tables_as_they_were(
+        tmp_path, capsys):
+    tables = {}
+    for key, name in (("transcript", "transcript.jsonl"), ("embeddings", "embeddings.jsonl"),
+                      ("scores", "scores.jsonl")):
+        tables[key] = tmp_path / "tables" / name
+        tables[key].parent.mkdir(exist_ok=True)
+        tables[key].write_bytes((FIXTURES / name).read_bytes())
+    empty = tmp_path / "cases.jsonl"
+    empty.write_text("", encoding="utf-8")
+    # nothing listens on the discard port, so embedding the corpus fails
+    config = write_cli_config(tmp_path, cases={"path": str(empty)},
+                              backend={"mode": "record", "endpoint": "http://127.0.0.1:9",
+                                       **{key: str(path) for key, path in tables.items()}})
+    assert cli.main(["batch", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "resource error: request to http://127.0.0.1:9/embeddings failed")
+    for path in tables.values():
+        assert path.read_bytes() == (FIXTURES / path.name).read_bytes()
+    assert sorted(p.name for p in tables["transcript"].parent.iterdir()) == sorted(
+        path.name for path in tables.values())

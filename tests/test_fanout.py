@@ -901,3 +901,19 @@ def test_a_one_thread_pool_under_four_workers_runs_the_batch_as_the_sequential_r
         # concurrent cases interleave their rows in commit order
         assert sorted(getattr(got, table).splitlines()) == sorted(
             getattr(sequential, table).splitlines())
+
+
+def test_the_sixteen_leaves_of_a_four_by_four_nest_are_in_flight_together():
+    # four branches, each a parent blocked on four leaves of its own; every
+    # leaf holds its thread until all sixteen have come
+    meeting = Meeting(16)
+    gw = Gateway(TableBackend(LIVE), Trace("nested"), {})
+    gw.branches([partial(gw.branches, [meeting.attend] * 4)] * 4)
+    assert meeting.met == [True] * 16
+
+
+def test_the_first_task_runs_on_the_callers_thread():
+    gw = Gateway(TableBackend(LIVE), Trace("first"), {})
+    assert gw.branches([threading.get_ident]) == [threading.get_ident()]
+    here, *rest = gw.branches([threading.get_ident] * 3)
+    assert here == threading.get_ident() and len(rest) == 2

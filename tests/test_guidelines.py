@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -147,20 +148,45 @@ magnitudes = st.one_of(
 @given(st.integers(1, 40).flatmap(
     lambda d: st.lists(st.lists(magnitudes, min_size=d, max_size=d), min_size=1, max_size=6)),
     st.booleans())
-@example([[1e300, 1e300]], False)  # the norm overflows: every unit entry is 0.0
-@example([[1e-300, -1e-300]], False)  # the norm underflows to zero
+@example([[1e300, 1e300], [3.0, 4.0]], False)  # a square that overflows beside one that does not
+@example([[1e-300, -1e-300]], False)  # a square that underflows to zero
 @np.errstate(over="ignore")
 def test_ingest_unit_vectors_equal_per_row_division_bit_for_bit(rows, as_lists):
+    """Bit for bit where ``vec @ vec`` is finite and a normal float; a unit
+    vector, pointing the same way, otherwise."""
     vectors = [np.array(row) for row in rows]
-    norms = [math.sqrt(vec @ vec) for vec in vectors]
+    squares = [vec @ vec for vec in vectors]
     embedder = ListEmbedder(rows if as_lists else vectors)
-    if 0.0 in norms:
+    if not all(vec.any() for vec in vectors):
         with pytest.raises(RetrievalError, match="^cannot normalize a zero embedding vector$"):
             ingest_corpus(segs(len(rows)), embedder)
         return
     units = ingest_corpus(segs(len(rows)), embedder).units
-    assert [row.tobytes() for row in units] == [
-        (vec / norm).tobytes() for vec, norm in zip(vectors, norms)]
+    for vec, square, unit in zip(vectors, squares, units):
+        if sys.float_info.min <= square < math.inf:
+            assert unit.tobytes() == (vec / math.sqrt(square)).tobytes()
+        else:
+            assert math.isclose(unit @ unit, 1.0, rel_tol=1e-12)
+            assert (np.sign(unit) == np.sign(vec))[unit != 0].all()
+
+
+@pytest.mark.parametrize("entry", [1e300, 1.7e308])
+def test_a_vector_whose_square_overflows_normalizes_to_a_unit_vector(entry):
+    embedder = ListEmbedder([[entry, entry], [-entry, 0.0]])
+    units = ingest_corpus(segs(2), embedder).units
+    half = 1 / math.sqrt(2)
+    assert units.tolist() == [[half, half], [-1.0, 0.0]]
+    index = GuidelineIndex(segs(1), units[:1], ListEmbedder([[entry, -entry]]))
+    assert index.embed_query("q").tolist() == [half, -half]
+
+
+def test_a_vector_whose_square_underflows_normalizes_to_a_unit_vector():
+    embedder = ListEmbedder([[1e-300, -1e-300], [5e-324, 0.0]])
+    units = ingest_corpus(segs(2), embedder).units
+    half = 1 / math.sqrt(2)
+    assert units.tolist() == [[half, -half], [1.0, 0.0]]
+    index = GuidelineIndex(segs(1), units[:1], ListEmbedder([[-1e-300, -1e-300]]))
+    assert index.embed_query("q").tolist() == [-half, -half]
 
 
 def test_ingest_empty_corpus_rejected():

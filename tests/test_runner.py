@@ -6,6 +6,7 @@ import dataclasses
 import json
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,8 +430,13 @@ def test_a_failed_set_up_closes_the_record_tables_it_opened(replay_runtime, tmp_
         opened.clear()
         with pytest.raises(error, match=match):
             Runtime(config)
-        assert [fh.name for fh in opened] == [str(path) for path in opened_tables]
+        # each table is written to a sibling temp file, which set-up deletes
+        assert [Path(fh.name).parent for fh in opened] == [p.parent for p in opened_tables]
+        assert [Path(fh.name).name.startswith(f".{p.name}.") for fh, p in
+                zip(opened, opened_tables)] == [True] * len(opened_tables)
         assert all(fh.closed for fh in opened)
+        assert not any(Path(fh.name).exists() for fh in opened)
+        assert not any(table.exists() for table in tables)
 
     # injected backends stay open: they belong to the caller
     embedder = RecordingEmbedder(HashEmbedder(), tmp_path / "injected.jsonl")
