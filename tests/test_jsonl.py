@@ -328,6 +328,23 @@ def written_rows(path):
     return table_rows(tmp)
 
 
+def test_a_sink_leaves_its_table_as_it_was_until_it_closes(tmp_path):
+    table = tmp_path / "t.jsonl"
+    table.write_text("old\n")
+    kept, dropped = (JsonlSink(table, RecordConflictError) for _ in range(2))
+    kept.write([("k", {"k": "new"})])
+    dropped.write([("d", {"k": "dropped"})])
+    assert table.read_text() == "old\n"
+    dropped.discard()
+    dropped.close()
+    assert table.read_text() == "old\n"
+    kept.close()
+    kept.close()
+    kept.discard()
+    assert table_rows(table) == [{"k": "new"}]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
+
 def test_recorders_write_a_repeated_input_once(tmp_path):
     embedder = RecordingEmbedder(HashEmbedder(dim=4), tmp_path / "e.jsonl")
     embedder.embed(["a", "b", "a"])
