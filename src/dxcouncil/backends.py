@@ -262,7 +262,10 @@ class TableScorer:
 
 
 def _score_row(row: dict) -> tuple[tuple[str, str], float]:
-    score = float(row["score"])
+    score = row["score"]
+    if type(score) not in (int, float):  # not a JSON number; bool is an int
+        raise ValueError(f"score must be a number, got {type(score).__name__}")
+    score = float(score)
     if not math.isfinite(score):  # Python's JSON reads NaN
         raise ValueError(f"score {score} is not finite")
     return (text_field(row, "query"), text_field(row, "text")), score

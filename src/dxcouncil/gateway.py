@@ -65,8 +65,9 @@ T = TypeVar("T")
 def normalize_prompt(text: str) -> str:
     """Canonical prompt form: LF line endings, no trailing whitespace on any
     line, no trailing newlines."""
-    unified = text.replace("\r\n", "\n").replace("\r", "\n")
-    return "\n".join(line.rstrip() for line in unified.split("\n")).rstrip()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return "\n".join(map(str.rstrip, text.split("\n"))).rstrip()
 
 
 def canonical_key(kind: TaskKind, rendered_prompt: str) -> str:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TextIO
 
@@ -233,7 +233,7 @@ def rerank(candidates: list[RankedSegment], query: str,
         scores = [float(score) for score in scorer.score(query, texts)]
     except Exception as exc:
         raise RetrievalError(f"cross-scoring {len(texts)} candidates failed: {exc}") from exc
-    rescored = [replace(cand, rerank_score=score)
+    rescored = [RankedSegment(cand.segment, cand.dense_score, score)
                 for cand, score in zip(candidates, checked_scores(scores, texts))]
     rescored.sort(key=lambda r: (-r.rerank_score, r.segment.segment_id))
     return rescored[:n]

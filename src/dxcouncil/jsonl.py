@@ -30,6 +30,9 @@ _HELD: ContextVar[list | None] = ContextVar("dxcouncil_held_writes", default=Non
 # built once: json.loads checks its arguments and matches whitespace on
 # every call
 _DECODER = json.JSONDecoder()
+# built once, like the decoder: json.dumps with a non-default option builds
+# a new encoder per call
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
@@ -141,7 +144,7 @@ class JsonlSink:
             return
         with self._lock:
             for key, row in rows:
-                line = json.dumps(row, ensure_ascii=False) + "\n"
+                line = _ROW_ENCODER.encode(row) + "\n"
                 seen = self._lines.get(key)
                 if seen is None:
                     self._lines[key] = line

@@ -11,7 +11,7 @@ bidirectional reasoning must materialize inverse triples itself.
 from __future__ import annotations
 
 import string
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
@@ -345,7 +345,7 @@ def verbalize_path(paths: list[KnowledgePath], gw) -> list[KnowledgePath]:
     verbalization set.
     """
     def verbalize(path: KnowledgePath) -> KnowledgePath:
-        return replace(path, verbalization=gw.complete(
+        return KnowledgePath(path.hops, path.node_labels, gw.complete(
             TaskKind.VERBALIZE, {"path": path.describe()}))
 
     return gw.branches([partial(verbalize, path) for path in paths])

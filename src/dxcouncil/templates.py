@@ -1,15 +1,17 @@
 """Prompt templates, one per task kind.
 
-Placeholders are ``{lower_snake}`` names substituted in a single pass, so a
-brace sequence inside a substituted value is never re-expanded. Literal JSON
-shown in instruction text is safe because a placeholder match requires the
-name alone between the braces.
+Placeholders are ``{lower_snake}`` names. Each template text is split into
+literal and placeholder parts once, when the template is registered; a
+render joins the literals with the values, so substitution is still a single
+pass and a brace sequence inside a substituted value is never re-expanded.
+Literal JSON shown in instruction text is safe because a placeholder match
+requires the name alone between the braces.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import GatewayError
@@ -38,22 +40,28 @@ class PromptTemplate:
     kind: TaskKind
     system: str
     user: str
+    # each text split by _PLACEHOLDER: literals at even positions, names at odd
+    _parts: tuple[list[str], list[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_parts", (_PLACEHOLDER.split(self.system),
+                                            _PLACEHOLDER.split(self.user)))
 
     def render(self, variables: dict[str, str]) -> tuple[str, str]:
         """Fill both message bodies; unknown placeholder names are an error,
         unused variables are ignored."""
+        system, user = self._parts
+        return self._fill(system, variables), self._fill(user, variables)
 
-        def fill(text: str) -> str:
-            def sub(match: re.Match) -> str:
-                name = match.group(1)
-                if name not in variables:
-                    raise GatewayError(
-                        f"placeholder {{{name}}} unbound for task {self.kind.value!r}")
-                return str(variables[name])
-
-            return _PLACEHOLDER.sub(sub, text)
-
-        return fill(self.system), fill(self.user)
+    def _fill(self, parts: list[str], variables: dict[str, str]) -> str:
+        filled = parts.copy()
+        for i in range(1, len(filled), 2):
+            name = filled[i]
+            if name not in variables:
+                raise GatewayError(
+                    f"placeholder {{{name}}} unbound for task {self.kind.value!r}")
+            filled[i] = str(variables[name])
+        return "".join(filled)
 
 
 _REGISTRY: dict[TaskKind, PromptTemplate] = {}

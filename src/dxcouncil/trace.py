@@ -22,7 +22,9 @@ from .jsonl import decode, hold, open_lines, write_whole
 # Keys excluded from the canonical serialization the digest is computed over.
 _VOLATILE_KEYS = ("ts", "backend")
 # built once: json.dumps with any non-default option builds a new encoder
-# per call
+# per call. The canonical encoder is handed a copy of the record with the
+# volatile keys popped: the copy is one C call, where filtering the record
+# key by key ran a Python loop per record
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
                               separators=(",", ":"))
 _VOLATILE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
@@ -172,8 +174,10 @@ class Trace:
 
 
 def _canonical_line(record: dict[str, Any]) -> str:
-    return _CANONICAL.encode(
-        {k: v for k, v in record.items() if k not in _VOLATILE_KEYS})
+    canonical = record.copy()
+    for key in _VOLATILE_KEYS:
+        canonical.pop(key, None)
+    return _CANONICAL.encode(canonical)
 
 
 def _digest_of(case_id: str, lines: list[str]) -> str:

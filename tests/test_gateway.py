@@ -69,6 +69,64 @@ def test_unbound_placeholder_is_an_error():
         gw.complete(TaskKind.VERBALIZE, {})
 
 
+# the single-pass renderer templates had before they were split at
+# registration, kept here as the oracle of the split one
+PLACEHOLDER = re.compile(r"\{([a-z_]+)\}")
+
+
+def render_by_substitution(kind: TaskKind, variables: dict) -> tuple[str, str]:
+    def sub(match: re.Match) -> str:
+        name = match.group(1)
+        if name not in variables:
+            raise GatewayError(f"placeholder {{{name}}} unbound for task {kind.value!r}")
+        return str(variables[name])
+
+    template = get_template(kind)
+    return PLACEHOLDER.sub(sub, template.system), PLACEHOLDER.sub(sub, template.user)
+
+
+def outcome(render, kind: TaskKind, variables: dict):
+    try:
+        return render(kind, variables)
+    except GatewayError as exc:
+        return f"GatewayError: {exc}"
+
+
+# values that re.sub would expand as a replacement string, or a renderer that
+# ran twice would expand as placeholders
+VALUE = st.one_of(
+    st.lists(st.sampled_from(["{narrative}", "{path}", "{evidence}", "{", "}", "{}",
+                              "\\", "\\1", "\\g<0>", "\\n", "\n", " ", "a",
+                              "é", "肝", "\U0001f600", "\u2028"])).map("".join),
+    st.text(),
+    st.integers(),
+)
+
+
+@given(kind=st.sampled_from(TaskKind), data=st.data())
+def test_a_split_template_renders_what_single_pass_substitution_renders(kind, data):
+    template = get_template(kind)
+    names = sorted(set(PLACEHOLDER.findall(template.system + template.user)))
+    bound = data.draw(st.lists(st.sampled_from(names), unique=True), label="bound") \
+        if data.draw(st.booleans(), label="some unbound") else names
+    variables = {name: data.draw(VALUE, label=name) for name in bound}
+    variables.update(data.draw(st.dictionaries(st.sampled_from(["extra", "unused"]), VALUE),
+                               label="unused"))
+    assert outcome(lambda k, v: get_template(k).render(v), kind, variables) \
+        == outcome(render_by_substitution, kind, variables)
+
+
+def test_an_unbound_system_placeholder_is_named_before_an_unbound_user_one():
+    # the specialist system text names {specialty}; its user text names the rest
+    template = get_template(TaskKind.SPECIALIST_OPINION)
+    with pytest.raises(GatewayError,
+                       match="^placeholder {specialty} unbound for task 'specialist_opinion'$"):
+        template.render({})
+    with pytest.raises(GatewayError,
+                       match="^placeholder {narrative} unbound for task 'specialist_opinion'$"):
+        template.render({"specialty": "hepatology"})
+
+
 def test_same_variables_same_key_different_variables_different_key():
     gw = scripted_gateway([(TaskKind.VERBALIZE, "", "ok")])
     gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"})
@@ -95,6 +153,25 @@ def test_prompt_normalization_is_whitespace_stable():
         == canonical_key(task, "line one\nline two")
     assert canonical_key(task, "line one\nline two") \
         != canonical_key(task, "line one\nline 2")
+
+
+def normalize_line_by_line(text: str) -> str:
+    # the form normalize_prompt had before it skipped the CR replace on text
+    # with no CR
+    unified = text.replace("\r\n", "\n").replace("\r", "\n")
+    return "\n".join(line.rstrip() for line in unified.split("\n")).rstrip()
+
+
+# line breaks and the characters str.rstrip takes for whitespace, some of
+# which str.splitlines would also split at
+DRIFT = st.lists(st.sampled_from([
+    "\r", "\r\n", "\n", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85",
+    "\xa0", "\u2028", "\u3000", " ", "a", "é", "{x}"])).map("".join)
+
+
+@given(text=st.one_of(DRIFT, st.text()))
+def test_normalize_prompt_equals_the_line_by_line_form(text):
+    assert normalize_prompt(text) == normalize_line_by_line(text)
 
 
 LINE = st.text(st.characters(codec="utf-8", exclude_characters="\r\n"))

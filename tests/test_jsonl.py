@@ -237,6 +237,29 @@ def test_replay_tables_reject_a_value_too_large_for_a_float(tmp_path, load, row,
         load(path)
 
 
+@pytest.mark.parametrize("score", ["0.5", True, False, None, [0.5], {"v": 0.5}],
+                         ids=["numeric_string", "true", "false", "null", "list", "object"])
+def test_a_score_table_rejects_a_score_that_is_not_a_json_number(tmp_path, score):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"query": "q", "text": "a", "score": 0.25}) + "\n"
+                    + json.dumps({"query": "q", "text": "t", "score": score}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ResourceError,
+                       match=rf"s\.jsonl:2: bad score row: score must be a number, "
+                             rf"got {type(score).__name__}$"):
+        TableScorer.load(path)
+
+
+def test_a_score_table_takes_integer_and_float_scores_as_floats(tmp_path):
+    path = tmp_path / "s.jsonl"
+    path.write_text(json.dumps({"query": "q", "text": "a", "score": 1}) + "\n"
+                    + json.dumps({"query": "q", "text": "b", "score": -0.5}) + "\n",
+                    encoding="utf-8")
+    scores = TableScorer.load(path).score("q", ["a", "b"])
+    assert scores == [1.0, -0.5]
+    assert [type(score) for score in scores] == [float, float]
+
+
 def embedding_line(text, embedding):
     return json.dumps({"text": text, "embedding": embedding})
 
