@@ -23,8 +23,8 @@ from .jsonl import decode, hold, open_lines, write_whole
 _VOLATILE_KEYS = ("ts", "backend")
 # built once: json.dumps with any non-default option builds a new encoder
 # per call. The canonical encoder is handed a copy of the record with the
-# volatile keys popped: the copy is one C call, where filtering the record
-# key by key ran a Python loop per record
+# volatile keys popped: the copy is one C call, where a comprehension that
+# leaves them out would run Python code for every key of every record
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
                               separators=(",", ":"))
 _VOLATILE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
