@@ -4,7 +4,10 @@ The first pipeline stage: pull abnormal finding mentions out of the case
 narrative, pin each one to a graph concept (or drop it when the aligner says
 no candidate fits), then ask for a bounded list of candidate diagnoses. The
 aligner calls for a case's mentions run as gateway branches, one per
-mention.
+mention. What follows an alignment may start on its guessed outcome beside
+those calls (``align_mentions``): the differential beside a case's finding
+aligns, and a hypothesis's path work beside its own align (see
+``evidence``).
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, TextIO
+from typing import Any, Callable, Hashable, Iterable, TextIO, TypeVar
 
 from .errors import DeliberationError, JudgmentParseError, ResourceError
 from .gateway import Gateway, TaskKind
@@ -21,6 +24,9 @@ from .kg import Concept, KnowledgeGraph
 
 # vocabulary entries offered to the aligner per mention
 ALIGN_CANDIDATES = 5
+
+T = TypeVar("T")
+
 
 def first_by(items: Iterable, key: Callable[[Any], Hashable]) -> list:
     """``items`` in order, keeping only the first of each ``key``."""
@@ -101,10 +107,19 @@ def render_findings(findings: list[AbnormalEntity]) -> str:
 
 
 def align_mentions(mentions: list[str], graph: KnowledgeGraph, gateway: Gateway,
-                   ) -> list[Concept | None]:
-    """Pin each mention to a graph concept: the aligner's pick among the top
-    matches, or None when nothing matches or the aligner answers NONE. The
-    aligner calls for all the mentions run as gateway branches."""
+                   then: Callable[[list[Concept | None]], T]) -> T:
+    """``then`` of each mention pinned to a graph concept: the aligner's
+    pick among the top matches, or None when nothing matches or the aligner
+    answers NONE. The aligner calls for all the mentions run as gateway
+    branches.
+
+    Each mention is matched once, and its matches give both the candidates
+    the aligner is shown and the guess of its answer: the top match when
+    that is an exact name or synonym match, None when nothing matches. When
+    every mention has a guess and some aligner call is to be made, ``then``
+    starts on the guessed alignment beside the calls (``Gateway.speculate``).
+    """
+    matches = [graph.match_entity(mention, limit=ALIGN_CANDIDATES) for mention in mentions]
 
     def align(mention: str, candidates: tuple[Concept, ...]) -> Concept | None:
         if not candidates:
@@ -121,21 +136,33 @@ def align_mentions(mentions: list[str], graph: KnowledgeGraph, gateway: Gateway,
                 f"for mention {mention!r}", span=str(choice))
         return candidates[choice - 1]
 
-    return gateway.branches([
-        partial(align, mention,
-                tuple(m.concept for m in graph.match_entity(mention, limit=ALIGN_CANDIDATES)))
-        for mention in mentions])
+    def decide() -> list[Concept | None]:
+        return gateway.branches([partial(align, mention, tuple(m.concept for m in found))
+                                 for mention, found in zip(mentions, matches)])
+
+    if not any(matches) or not all(found[0].exact for found in matches if found):
+        return then(decide())
+    return gateway.speculate(decide, [found[0].concept if found else None
+                                      for found in matches], then)
 
 
 def extract_abnormal_entities(case: CaseDescription, gateway: Gateway,
-                              graph: KnowledgeGraph) -> list[AbnormalEntity]:
+                              graph: KnowledgeGraph,
+                              then: Callable[[list[AbnormalEntity]], T] | None = None,
+                              ) -> list[AbnormalEntity] | T:
     """Extract raw mentions, standardize each against the graph, keep the
-    survivors in narrative order with same-concept duplicates collapsed."""
+    survivors in narrative order with same-concept duplicates collapsed.
+    With ``then``, return ``then`` of those findings, which may start on the
+    guessed findings beside the aligner calls (see ``align_mentions``)."""
     mentions = gateway.complete(TaskKind.NER, {"narrative": case.narrative})
-    aligned = align_mentions(mentions, graph, gateway)
-    return first_by([AbnormalEntity(mention, concept)
-                     for mention, concept in zip(mentions, aligned) if concept is not None],
-                    lambda finding: finding.concept.id)
+
+    def findings(aligned: list[Concept | None]) -> list[AbnormalEntity] | T:
+        kept = first_by([AbnormalEntity(mention, concept)
+                         for mention, concept in zip(mentions, aligned) if concept is not None],
+                        lambda finding: finding.concept.id)
+        return kept if then is None else then(kept)
+
+    return align_mentions(mentions, graph, gateway, findings)
 
 
 def generate_hypotheses(case: CaseDescription, findings: list[AbnormalEntity],

@@ -9,12 +9,16 @@ consistent with the guidance shown.
 Initial packages and supplements come from one builder: each retrieval
 query runs as a gateway branch beside the path work (aligning the hypothesis
 for an initial package, then enumerating and verbalizing paths), and only
-pruning needs both. A hypothesis the aligner cannot pin takes the same path
-with no paths to prune, so its package is degraded. Within the path work,
-each finding's paths, each path's verbalization and each prune batch run as
-branches too. Branches commit in the order the steps were written, so each
-``retrieval``, ``paths`` and ``prune_batch`` trace record lands where a run
-made one call after another puts it.
+pruning needs both. An initial package's path work speculates past its
+align: the paths to the hypothesis's exact top match are enumerated and
+verbalized beside the align call, and dropped if the aligner picks another
+concept or none (``Gateway.speculate``). A hypothesis the aligner cannot
+pin takes the same path with no paths to prune, so its package is
+degraded. Within the path work, each finding's paths, each path's
+verbalization and each prune batch run as branches too. Branches commit in
+the order the steps were written, and speculative work after the align it
+waited on, so each ``retrieval``, ``paths`` and ``prune_batch`` trace
+record lands where a run made one call after another puts it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .differential import AbnormalEntity, CaseDescription, align_mentions, first
 from .errors import DeliberationError
 from .gateway import Gateway, TaskKind
 from .guidelines import GuidelineIndex, RankedSegment, composite_query, g_ret
-from .kg import KnowledgeGraph, KnowledgePath, normalize_term, verbalize_path
+from .kg import Concept, KnowledgeGraph, KnowledgePath, normalize_term, verbalize_path
 
 PRUNE_BATCH = 8
 # excerpts shown to the pruning judge; bounds prompt size
@@ -164,16 +168,21 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
                           ) -> EvidencePackage:
     """Assemble the iteration-0 package for one hypothesis, retrieving with
     the composite query of hypothesis and findings. The path work aligns the
-    hypothesis, then enumerates and verbalizes paths; a hypothesis the
-    aligner cannot pin gets guideline excerpts only."""
+    hypothesis, then enumerates and verbalizes paths; when the hypothesis's
+    top match is exact, the paths to that concept are enumerated and
+    verbalized beside its align, and kept if the aligner picks it (see
+    ``align_mentions``). A hypothesis the aligner cannot pin gets guideline
+    excerpts only."""
 
-    def paths() -> tuple[str | None, list[KnowledgePath]]:
-        [disease] = align_mentions([hypothesis], graph, gateway)
+    def paths_to(aligned: list[Concept | None]) -> tuple[str | None, list[KnowledgePath]]:
+        [disease] = aligned
         if disease is None:
             return None, []
-        disease_id = disease.id
-        return disease_id, _enumerate_and_verbalize(
-            [f.concept.id for f in findings], disease_id, graph, gateway, h_max)
+        return disease.id, _enumerate_and_verbalize(
+            [f.concept.id for f in findings], disease.id, graph, gateway, h_max)
+
+    def paths() -> tuple[str | None, list[KnowledgePath]]:
+        return align_mentions([hypothesis], graph, gateway, paths_to)
 
     query = composite_query(hypothesis, [f.concept.preferred_name for f in findings])
     return _package(case, hypothesis, [query], paths, index, scorer, gateway,

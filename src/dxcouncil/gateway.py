@@ -18,13 +18,16 @@ the table, from the exchanges of each case that returns its report.
 ``Gateway.branches`` is the one way a case runs independent work side by
 side, and the stage modules say which of their steps are branches. Every
 branch calls through its case's one gateway, and what it writes is
-committed in branch order (see ``jsonl.holding``).
+committed in branch order (see ``jsonl.holding``). ``Gateway.speculate``
+runs a step that waits on a decision beside that decision, on a guess of
+its outcome, and keeps it only when the guess was right.
 """
 
 from __future__ import annotations
 
 import hashlib
 from concurrent.futures import Future, ThreadPoolExecutor, wait
+from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol, TypeVar
 
@@ -52,14 +55,15 @@ LIVE = "live"
 REPLAY = "replay"
 
 # pool threads across every live gateway of the process, those blocked in
-# ``Gateway.branches`` on their own branches included; each caller of
-# ``branches`` also runs a branch itself, so requests in flight can reach
-# FANOUT plus the calling threads. The pool's threads start with the first
+# ``Gateway.branches`` or ``Gateway.speculate`` on their own tasks included;
+# each caller of either also runs a task itself, so requests in flight can
+# reach FANOUT plus the calling threads. The pool's threads start with the first
 # live branch, so importing this module or replaying starts none
 FANOUT = 32
 _POOL = ThreadPoolExecutor(max_workers=FANOUT, thread_name_prefix="dxcouncil-branch")
 
 T = TypeVar("T")
+D = TypeVar("D")
 
 
 def normalize_prompt(text: str) -> str:
@@ -320,6 +324,42 @@ class Gateway:
             write_held(writes)
             results.append(future.result())
         return results
+
+    def speculate(self, decide: Callable[[], D], guess: D, then: Callable[[D], T]) -> T:
+        """``then(decide())``, with ``then(guess)`` started beside ``decide``.
+
+        A replay gateway runs ``decide`` and then ``then`` on this thread.
+        Any other gateway runs ``decide`` on this thread and submits
+        ``then(guess)`` to the pool, each holding what it writes in a list
+        of its own, as ``branches`` does. Once ``decide`` has returned or
+        raised, the speculative task is taken back if no pool thread has
+        started it, and otherwise waited for, so none outlives this call.
+        ``decide``'s held writes are committed, and its error, if any, is
+        raised. When its outcome equals ``guess``, the speculative writes
+        are committed after ``decide``'s, and the speculative result is
+        returned or its error raised, as if it had run after ``decide``.
+        Otherwise the speculative writes and error are dropped and
+        ``then(outcome)`` runs here. A miss costs the speculative calls and
+        the wait for them; the trace and the tables hold what the
+        sequential run leaves either way.
+        """
+        if self._label == REPLAY:
+            return then(decide())
+        guessed_writes: list = []
+        decided_writes: list = []
+        speculative = _POOL.submit(_run_holding, partial(then, guess), guessed_writes)
+        try:
+            decided = _run_here(decide, decided_writes)
+        finally:
+            started = not speculative.cancel()
+            if started:
+                wait((speculative,))
+        write_held(decided_writes)
+        outcome = decided.result()
+        if started and outcome == guess:
+            write_held(guessed_writes)
+            return speculative.result()
+        return then(outcome)
 
 
 def _run_holding(task: Callable[[], T], held: list) -> T:

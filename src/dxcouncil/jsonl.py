@@ -109,8 +109,12 @@ def write_whole(path: str | Path, text: str) -> Path:
     left as it was."""
     path = Path(path)
     data = text.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    try:
+        fh = open(path, "wb")
+    except FileNotFoundError:  # only the first write into a directory pays the mkdir
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "wb")
+    with fh:
         fh.write(data)
     return path
 

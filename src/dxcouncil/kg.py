@@ -107,6 +107,11 @@ class ConceptMatch:
     score: float
     kind: str  # "exact_name" | "exact_synonym" | "token_overlap"
 
+    @property
+    def exact(self) -> bool:
+        """Whether the mention is the concept's name or one of its synonyms."""
+        return self.kind != "token_overlap"
+
 
 _MATCH_KINDS = ("exact_name", "exact_synonym", "token_overlap")
 

@@ -6,12 +6,15 @@ resources, producing a final report plus an audit trace written as one file
 per case. Batches fan cases out across a thread pool and always leave a
 parseable partial trace behind a failed case.
 
-Each case has one gateway and one trace. Within it, each hypothesis's
-evidence package is built beside the others and beside the complexity route
-(assessment, then dispatch for a COMPLEX case), and each hypothesis's panel
-deliberates beside the others; both are ``Gateway.branches``, as are the
-fan-outs inside them, whose held writes leave the trace and the record
-tables as the same work done one step after another would.
+Each case has one gateway and one trace. Within it, the differential is
+generated on the guessed findings beside the finding aligns
+(``Gateway.speculate``, kept when the aligner confirms the guess); each
+hypothesis's evidence package is built beside the others and beside the
+complexity route (assessment, then dispatch for a COMPLEX case), and each
+hypothesis's panel deliberates beside the others; both are
+``Gateway.branches``, as are the fan-outs inside them. Held writes leave
+the trace and the record tables as the same work done one step after
+another would.
 
 A case's trace does not depend on ``workers``, apart from the volatile
 ``backend`` labels: which calls are answered from the runtime's answer
@@ -54,7 +57,9 @@ from .deliberation import (
     run_deliberation_loop,
 )
 from .differential import (
+    AbnormalEntity,
     CaseDescription,
+    HypothesisSet,
     extract_abnormal_entities,
     generate_hypotheses,
     read_cases,
@@ -166,10 +171,18 @@ def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trac
     trace = Trace(case.case_id)
     gateway = Gateway(runtime.chat_backend, trace, runtime.answers)
     stage = "extract"
+
+    def hypothesize(findings: list[AbnormalEntity]) -> tuple[list[AbnormalEntity], HypothesisSet]:
+        # may start on the guessed findings beside the finding aligns; a
+        # failure here is the differential's own, not the extraction's
+        try:
+            return findings, generate_hypotheses(case, findings, gateway, k_max=config.k_max)
+        except EngineError as exc:
+            raise CaseFailure(case.case_id, "hypothesize", exc) from exc
+
     try:
-        findings = extract_abnormal_entities(case, gateway, runtime.graph)
-        stage = "hypothesize"
-        hypotheses = generate_hypotheses(case, findings, gateway, k_max=config.k_max)
+        findings, hypotheses = extract_abnormal_entities(case, gateway, runtime.graph,
+                                                         hypothesize)
         stage = "evidence"
 
         def package(hypothesis: str) -> EvidencePackage:
@@ -227,7 +240,7 @@ def resolve_diagnosis_label(graph: KnowledgeGraph, text: str) -> str | None:
     if not text.strip():
         return None
     matches = graph.match_entity(text, limit=1)
-    if matches and matches[0].kind in ("exact_name", "exact_synonym"):
+    if matches and matches[0].exact:
         return matches[0].concept.id
     return None
 

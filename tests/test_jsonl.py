@@ -596,6 +596,19 @@ def test_write_whole_replaces_all_a_longer_file_held(tmp_path):
     assert path.read_bytes() == "\u00e9\n".encode("utf-8")
 
 
+def test_write_whole_makes_every_missing_parent(tmp_path):
+    path = tmp_path / "a" / "b" / "case.trace.jsonl"
+    write_whole(path, "one\n")
+    write_whole(path.with_name("other.jsonl"), "two\n")  # the parent is there now
+    assert [p.read_text() for p in (path, path.with_name("other.jsonl"))] == ["one\n", "two\n"]
+
+
+def test_write_whole_makes_nothing_when_the_text_does_not_encode(tmp_path):
+    with pytest.raises(UnicodeEncodeError):
+        write_whole(tmp_path / "out" / "results.jsonl", "lone \ud800\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_write_whole_leaves_the_old_file_when_the_text_does_not_encode(tmp_path):
     path = tmp_path / "case.trace.jsonl"
     path.write_text("old\n")
