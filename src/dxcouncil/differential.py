@@ -148,19 +148,18 @@ def align_mentions(mentions: list[str], graph: KnowledgeGraph, gateway: Gateway,
 
 def extract_abnormal_entities(case: CaseDescription, gateway: Gateway,
                               graph: KnowledgeGraph,
-                              then: Callable[[list[AbnormalEntity]], T] | None = None,
-                              ) -> list[AbnormalEntity] | T:
+                              then: Callable[[list[AbnormalEntity]], T]) -> T:
     """Extract raw mentions, standardize each against the graph, keep the
-    survivors in narrative order with same-concept duplicates collapsed.
-    With ``then``, return ``then`` of those findings, which may start on the
-    guessed findings beside the aligner calls (see ``align_mentions``)."""
+    survivors in narrative order with same-concept duplicates collapsed,
+    and return ``then`` of those findings, which may start on the guessed
+    findings beside the aligner calls (see ``align_mentions``)."""
     mentions = gateway.complete(TaskKind.NER, {"narrative": case.narrative})
 
-    def findings(aligned: list[Concept | None]) -> list[AbnormalEntity] | T:
-        kept = first_by([AbnormalEntity(mention, concept)
-                         for mention, concept in zip(mentions, aligned) if concept is not None],
-                        lambda finding: finding.concept.id)
-        return kept if then is None else then(kept)
+    def findings(aligned: list[Concept | None]) -> T:
+        return then(first_by([AbnormalEntity(mention, concept)
+                              for mention, concept in zip(mentions, aligned)
+                              if concept is not None],
+                             lambda finding: finding.concept.id))
 
     return align_mentions(mentions, graph, gateway, findings)
 

@@ -109,12 +109,8 @@ def write_whole(path: str | Path, text: str) -> Path:
     left as it was."""
     path = Path(path)
     data = text.encode("utf-8")
-    try:
-        fh = open(path, "wb")
-    except FileNotFoundError:  # only the first write into a directory pays the mkdir
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fh = open(path, "wb")
-    with fh:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
         fh.write(data)
     return path
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import threading
 import time
 from pathlib import Path
@@ -20,9 +19,7 @@ from typing import Any, Iterator
 
 from .jsonl import decode, hold, open_lines, write_whole
 
-# Keys excluded from the canonical serialization the digest is computed over,
-# in the order a file line appends them; ``_with_volatile_keys`` also names
-# the two for the records the engine makes.
+# Keys excluded from the canonical serialization the digest is computed over.
 _VOLATILE_KEYS = ("ts", "backend")
 # built once: json.dumps with any non-default option builds a new encoder
 # per call. The canonical encoder is handed a copy of the record with the
@@ -190,19 +187,7 @@ def _digest_of(case_id: str, lines: list[str]) -> str:
 
 def _with_volatile_keys(line: str, record: dict[str, Any]) -> str:
     """``line`` (a canonical JSON object) with the record's volatile keys
-    added after its last key.
-
-    A record the engine made has a finite float ``ts`` and a string
-    ``backend`` or none, and those are formatted as the encoder would:
-    a float as its ``repr``, a string through the encoder. Any other
-    record (one read back by ``Trace.load`` may hold anything) goes
-    through the encoder whole."""
-    ts = record.get("ts")
-    if type(ts) is float and math.isfinite(ts):
-        if "backend" not in record:
-            return f'{line[:-1]},"ts":{ts!r}}}'
-        if type(record["backend"]) is str:
-            return f'{line[:-1]},"ts":{ts!r},"backend":{_VOLATILE.encode(record["backend"])}}}'
+    added after its last key."""
     volatile = {k: record[k] for k in _VOLATILE_KEYS if k in record}
     if not volatile:
         return line

@@ -38,13 +38,18 @@ def clinical_graph():
 CASE = CaseDescription("c1", "Yellowing of the eyes with severe itching.")
 
 
+def keep(findings):
+    """``extract_abnormal_entities``'s ``then`` that returns the findings."""
+    return findings
+
+
 def test_extraction_keeps_narrative_order():
     gw = scripted_gateway([
         (TaskKind.NER, "", '["jaundice", "itching"]'),
         (TaskKind.ALIGN, "Mention: jaundice", "1"),
         (TaskKind.ALIGN, "Mention: itching", "1"),
     ])
-    out = extract_abnormal_entities(CASE, gw, clinical_graph())
+    out = extract_abnormal_entities(CASE, gw, clinical_graph(), keep)
     assert [e.concept.id for e in out] == ["f_jaund", "f_prur"]
     assert [e.raw_mention for e in out] == ["jaundice", "itching"]
 
@@ -54,7 +59,7 @@ def test_same_concept_mentions_collapse_to_one():
         (TaskKind.NER, "", '["jaundice", "icterus"]'),
         (TaskKind.ALIGN, "", "1"),
     ])
-    out = extract_abnormal_entities(CASE, gw, clinical_graph())
+    out = extract_abnormal_entities(CASE, gw, clinical_graph(), keep)
     assert [e.concept.id for e in out] == ["f_jaund"]
 
 
@@ -64,7 +69,7 @@ def test_none_verdict_drops_the_mention():
         (TaskKind.ALIGN, "Mention: jaundice", "NONE"),
         (TaskKind.ALIGN, "Mention: itching", "1"),
     ])
-    out = extract_abnormal_entities(CASE, gw, clinical_graph())
+    out = extract_abnormal_entities(CASE, gw, clinical_graph(), keep)
     assert [e.concept.id for e in out] == ["f_prur"]
 
 
@@ -74,7 +79,7 @@ def test_unmatched_mention_skipped_without_alignment_call():
         (TaskKind.NER, "", '["splenomegaly", "jaundice"]'),
         (TaskKind.ALIGN, "", "1"),
     ], trace)
-    out = extract_abnormal_entities(CASE, gw, clinical_graph())
+    out = extract_abnormal_entities(CASE, gw, clinical_graph(), keep)
     assert [e.concept.id for e in out] == ["f_jaund"]
     assert len(trace.exchanges(task="align")) == 1
 
@@ -85,7 +90,7 @@ def test_candidate_lists_show_preferred_names_only():
         (TaskKind.NER, "", '["jaundice"]'),
         (TaskKind.ALIGN, "", "1"),
     ], trace)
-    extract_abnormal_entities(CASE, gw, clinical_graph())
+    extract_abnormal_entities(CASE, gw, clinical_graph(), keep)
     [align] = trace.exchanges(task="align")
     assert "Jaundice" in align["prompt"]
     assert "icterus" not in align["prompt"]
@@ -97,7 +102,7 @@ def test_out_of_range_candidate_number_is_an_error():
         (TaskKind.ALIGN, "", "9"),
     ])
     with pytest.raises(JudgmentParseError):
-        extract_abnormal_entities(CASE, gw, clinical_graph())
+        extract_abnormal_entities(CASE, gw, clinical_graph(), keep)
 
 
 def test_candidate_limit_respected():
@@ -108,7 +113,7 @@ def test_candidate_limit_respected():
         (TaskKind.NER, "", '["liver sign"]'),
         (TaskKind.ALIGN, "", "1"),
     ], trace)
-    extract_abnormal_entities(CASE, gw, g)
+    extract_abnormal_entities(CASE, gw, g, keep)
     [align] = trace.exchanges(task="align")
     assert re.findall(r"^\d+\. liver sign \d$", align["prompt"], flags=re.MULTILINE) == [
         f"{i}. liver sign {i - 1}" for i in range(1, 6)]
@@ -153,7 +158,7 @@ def test_render_findings_order_and_empty():
         (TaskKind.NER, "", '["itching", "jaundice"]'),
         (TaskKind.ALIGN, "", "1"),
     ])
-    out = extract_abnormal_entities(CASE, gw, clinical_graph())
+    out = extract_abnormal_entities(CASE, gw, clinical_graph(), keep)
     assert render_findings(out) == "Pruritus; Jaundice"
     assert render_findings([]) == "none recorded"
 

@@ -131,11 +131,13 @@ def test_a_failed_decision_drops_the_speculative_work_once_it_has_ended(error):
     step = Step(gw, "A", error=error)
     with pytest.raises(type(error)):
         gw.speculate(step.decide, "A", step.then)
-    # no speculative task outlives the call, whatever the decision raised;
-    # only an Exception is caught, so only then are the decision's writes
-    # committed before it is raised
+    # no speculative task outlives the call and none of its writes is
+    # committed, whatever the decision raised; a failed decision's own
+    # writes are committed before its Exception is raised
     assert step.ended == ["A"]
-    assert trail(gw) == ([("decide", {})] if isinstance(error, Exception) else [])
+    assert ("then", {"value": "A"}) not in trail(gw)
+    if isinstance(error, Exception):
+        assert trail(gw) == [("decide", {})]
 
 
 def test_a_speculative_failure_is_raised_on_a_hit_after_its_writes():

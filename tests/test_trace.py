@@ -5,10 +5,9 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import example, given, strategies as st
 
 from dxcouncil.jsonl import holding, write_held
-from dxcouncil.trace import Trace, _canonical_line, _with_volatile_keys, scan_for_leakage
+from dxcouncil.trace import Trace, scan_for_leakage
 
 
 def sample_trace():
@@ -144,30 +143,6 @@ def test_a_volatile_value_is_written_as_json_dumps_writes_it(tmp_path, value):
     line = t.write(tmp_path / "case.trace.jsonl").read_text(encoding="utf-8").splitlines()[1]
     tail = json.dumps(value, ensure_ascii=False, separators=(",", ":"))
     assert line.endswith(f',"ts":{tail},"backend":{tail}}}')
-
-
-ABSENT = object()
-
-
-@given(ts=st.one_of(st.just(ABSENT), st.floats(), st.integers()),
-       backend=st.one_of(st.just(ABSENT), st.none(), st.integers(), st.text()))
-@example(ts=-0.0, backend="live")
-@example(ts=1e-300, backend='a "quoted" \\ label')
-@example(ts=1e300, backend="line\u2028separator")
-@example(ts=5e-324, backend="r\u00e9play \u2192 \U0001f600")
-@example(ts=1700000000.125, backend=ABSENT)
-@example(ts=3, backend="live")
-@example(ts=float("nan"), backend="live")
-def test_volatile_keys_are_appended_as_the_encoder_appends_them(ts, backend):
-    record = {"type": "decision", "decision": "complexity", "payload": {}, "seq": 0}
-    for key, value in (("ts", ts), ("backend", backend)):
-        if value is not ABSENT:
-            record[key] = value
-    line = _canonical_line(record)
-    volatile = {k: record[k] for k in ("ts", "backend") if k in record}
-    want = line if not volatile else line[:-1] + "," + json.dumps(
-        volatile, ensure_ascii=False, separators=(",", ":"))[1:]
-    assert _with_volatile_keys(line, record) == want
 
 
 def test_a_line_with_its_volatile_keys_moved_still_verifies(tmp_path):
