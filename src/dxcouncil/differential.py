@@ -70,12 +70,6 @@ class HypothesisSet:
     def __iter__(self):
         return iter(self.hypotheses)
 
-    def __len__(self) -> int:
-        return len(self.hypotheses)
-
-    def __contains__(self, name: str) -> bool:
-        return name.casefold() in (h.casefold() for h in self.hypotheses)
-
 
 def read_cases(source: str | Path | TextIO) -> list[CaseDescription]:
     """Parse a JSONL case file: case_id, narrative, optional ground_truth."""

@@ -128,7 +128,7 @@ def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
 
     verbalized = gateway.branches([
         partial(finding, finding_id, graph.enumerate_paths(finding_id, disease_id, h_max=h_max))
-        for finding_id in finding_ids])
+        for finding_id in finding_ids if finding_id != disease_id])
     return [path for paths in verbalized for path in paths]
 
 

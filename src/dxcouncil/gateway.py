@@ -20,7 +20,10 @@ side, and the stage modules say which of their steps are branches. Every
 branch calls through its case's one gateway, and what it writes is
 committed in branch order (see ``jsonl.holding``). ``Gateway.speculate``
 runs a step that waits on a decision beside that decision, on a guess of
-its outcome, and keeps it only when the guess was right.
+its outcome, and keeps it only when the guess was right. Both fork through
+one core, ``_fork``: a task no pool thread has started is run on the caller
+by ``branches`` and dropped by ``speculate``. No task outlives its fork, and
+an interrupted task's writes are committed as a failed task's are.
 """
 
 from __future__ import annotations
@@ -55,10 +58,10 @@ LIVE = "live"
 REPLAY = "replay"
 
 # pool threads across every live gateway of the process, those blocked in
-# ``Gateway.branches`` or ``Gateway.speculate`` on their own tasks included;
-# each caller of either also runs a task itself, so requests in flight can
-# reach FANOUT plus the calling threads. The pool's threads start with the first
-# live branch, so importing this module or replaying starts none
+# ``_fork`` (under ``Gateway.branches`` or ``Gateway.speculate``) on their own
+# tasks included; each fork also runs a task on its caller, so requests in
+# flight can reach FANOUT plus the calling threads. The pool's threads start
+# with the first live fork, so importing this module or replaying starts none
 FANOUT = 32
 _POOL = ThreadPoolExecutor(max_workers=FANOUT, thread_name_prefix="dxcouncil-branch")
 
@@ -132,9 +135,6 @@ class ReplayChatBackend:
     @classmethod
     def from_file(cls, path: str | Path) -> "ReplayChatBackend":
         return cls(load_transcript(path))
-
-    def __len__(self) -> int:
-        return len(self._table)
 
     def respond(self, kind: TaskKind, system: str, user: str, key: str) -> str:
         try:
@@ -297,28 +297,17 @@ class Gateway:
         calls through this gateway.
 
         A replay gateway runs the tasks one after another on this thread.
-        Any other gateway submits every task but the first to the pool and
-        runs the first on this thread, each holding what it writes, trace
-        records and table rows alike, in a list of its own (see
-        ``jsonl.holding``); a task may start branches of its own. This
-        thread then takes back, in task order, every task no pool thread has
-        started and runs it itself, and only then waits, so no thread waits
-        on queued work and a busy pool cannot deadlock. Then each task's
-        held writes are committed in task order; the first task that raised
-        stops the commits, and its error is raised. The trace and the tables
+        Any other gateway forks them (see ``_fork``), running here every
+        task no pool thread has started; a task may start branches of its
+        own. Then each task's held writes are committed in task order; the
+        first task that raised, an interrupt included, stops the commits
+        after its own, and its error is raised. The trace and the tables
         then hold what the tasks run one after another would have left,
         except that a conflicting row raises when it is written.
         """
         if self._label == REPLAY:
             return [task() for task in tasks]
-        held: list[list] = [[] for _ in tasks]
-        rest = [_POOL.submit(_run_holding, task, writes)
-                for task, writes in zip(tasks[1:], held[1:])]
-        futures = [_run_here(task, writes) for task, writes in zip(tasks[:1], held[:1])] + rest
-        for i, future in enumerate(futures):
-            if future.cancel():
-                futures[i] = _run_here(tasks[i], held[i])
-        wait(futures)
+        held, futures = _fork(tasks, run_unstarted=True)
         results = []
         for writes, future in zip(held, futures):
             write_held(writes)
@@ -329,15 +318,13 @@ class Gateway:
         """``then(decide())``, with ``then(guess)`` started beside ``decide``.
 
         A replay gateway runs ``decide`` and then ``then`` on this thread.
-        Any other gateway runs ``decide`` on this thread and submits
-        ``then(guess)`` to the pool, each holding what it writes in a list
-        of its own, as ``branches`` does. Once ``decide`` has returned or
-        raised, the speculative task is taken back if no pool thread has
-        started it, and otherwise waited for, so none outlives this call.
-        ``decide``'s held writes are committed, and its error, if any, is
-        raised. When its outcome equals ``guess``, the speculative writes
-        are committed after ``decide``'s, and the speculative result is
-        returned or its error raised, as if it had run after ``decide``.
+        Any other gateway forks ``[decide, then(guess)]`` (see ``_fork``),
+        dropping the speculative task if no pool thread has started it by
+        the time ``decide`` has returned or raised. ``decide``'s held writes
+        are committed, and its error, if any, is raised. When its outcome
+        equals ``guess`` and the speculative task ran, the speculative
+        writes are committed after ``decide``'s, and the speculative result
+        is returned or its error raised, as if it had run after ``decide``.
         Otherwise the speculative writes and error are dropped and
         ``then(outcome)`` runs here. A miss costs the speculative calls and
         the wait for them; the trace and the tables hold what the
@@ -345,21 +332,40 @@ class Gateway:
         """
         if self._label == REPLAY:
             return then(decide())
-        guessed_writes: list = []
-        decided_writes: list = []
-        speculative = _POOL.submit(_run_holding, partial(then, guess), guessed_writes)
-        try:
-            decided = _run_here(decide, decided_writes)
-        finally:
-            started = not speculative.cancel()
-            if started:
-                wait((speculative,))
+        (decided_writes, guessed_writes), (decided, speculative) = _fork(
+            [decide, partial(then, guess)], run_unstarted=False)
         write_held(decided_writes)
         outcome = decided.result()
-        if started and outcome == guess:
+        if not speculative.cancelled() and outcome == guess:
             write_held(guessed_writes)
             return speculative.result()
         return then(outcome)
+
+
+def _fork(tasks: list[Callable[[], T]], run_unstarted: bool) -> tuple[list[list], list[Future]]:
+    """Run ``tasks`` side by side and return, in task order, the list each
+    one's writes are held in (see ``jsonl.holding``) and its settled future.
+
+    ``tasks[0]`` runs on this thread and the rest are submitted to the pool.
+    Then, in a ``finally``, this thread takes back, in task order, every
+    task no pool thread has started, and runs it here if ``run_unstarted``
+    or else drops it, leaving its future cancelled. Only then does it wait
+    on the started tasks, so no thread waits on queued work, a busy pool
+    cannot deadlock, and no task outlives this call unless an interrupt
+    ends that wait. A task's error, an interrupt included, is settled into
+    its future, as the pool settles it.
+    """
+    held: list[list] = [[] for _ in tasks]
+    rest = [_POOL.submit(_run_holding, task, writes) for task, writes in zip(tasks[1:], held[1:])]
+    try:
+        here = [_run_here(task, writes) for task, writes in zip(tasks[:1], held[:1])]
+    finally:
+        for i, future in enumerate(rest, 1):
+            if future.cancel() and run_unstarted:
+                rest[i - 1] = _run_here(tasks[i], held[i])
+        # a cancelled future counts as not done until a pool thread dequeues it
+        wait([future for future in rest if not future.cancelled()])
+    return held, here + rest
 
 
 def _run_holding(task: Callable[[], T], held: list) -> T:
@@ -373,6 +379,6 @@ def _run_here(task: Callable[[], T], held: list) -> Future:
     future: Future = Future()
     try:
         future.set_result(_run_holding(task, held))
-    except Exception as exc:
+    except BaseException as exc:
         future.set_exception(exc)
     return future

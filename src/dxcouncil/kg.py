@@ -59,9 +59,9 @@ class Edge:
 class KnowledgePath:
     """A simple directed path of 1..h_max hops, verbalized lazily.
 
-    ``start`` and ``end`` are read off the hops. ``node_labels`` carries the
-    preferred names along the path (start node first) so verbalization does
-    not need the graph again.
+    ``start`` is read off the hops. ``node_labels`` carries the preferred
+    names along the path (start node first) so verbalization does not need
+    the graph again.
     """
 
     hops: tuple[Edge, ...]
@@ -81,10 +81,6 @@ class KnowledgePath:
     @property
     def start(self) -> str:
         return self.hops[0].source
-
-    @property
-    def end(self) -> str:
-        return self.hops[-1].target
 
     def edge_key(self) -> tuple[tuple[str, str, str], ...]:
         """Structural identity: the ordered hop triples."""
@@ -195,13 +191,15 @@ class KnowledgeGraph:
 
         Tiers: exact normalized preferred-name match (score 1.0), then exact
         synonym match (score 1.0), then token-overlap Jaccard; ties broken by
-        ascending concept id. Concepts with zero overlap are excluded.
+        ascending concept id. Concepts with zero overlap are excluded, and a
+        mention that normalizes to nothing matches nothing, even a concept
+        whose name normalizes to nothing too.
         """
         if limit < 1:
             raise ValueError("limit must be positive")
         mention = normalize_term(raw_mention)
         if not mention:
-            raise KgError(f"mention {raw_mention!r} is empty after normalization")
+            return []
         mention_tokens = frozenset(mention.split())
         lexicon = self._lexicon
 

@@ -103,6 +103,20 @@ def test_batch_prints_per_case_lines_and_metrics(tmp_path, capsys):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
+def test_a_ground_truth_that_normalizes_to_nothing_is_scored_not_fatal(tmp_path, capsys):
+    rows = [json.loads(line) for line in (FIXTURES / "cases.jsonl").read_text().splitlines()]
+    rows[0]["ground_truth"] = "???"
+    cases = tmp_path / "cases.jsonl"
+    cases.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    config = write_cli_config(tmp_path, cases={"path": str(cases)})
+    assert cli.main(["batch", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    assert "case-01: Liver cyst (wrong)" in out
+    assert "cases: 10  failed: 0" in out
+    assert (tmp_path / "out" / "results.jsonl").exists()
+    assert (tmp_path / "out" / "summary.json").exists()
+
+
 def test_batch_with_an_unreplayable_case_exits_two(tmp_path, capsys):
     mixed = tmp_path / "mixed.jsonl"
     first = (FIXTURES / "cases.jsonl").read_text().splitlines()[0]

@@ -84,6 +84,18 @@ def test_unmatched_mention_skipped_without_alignment_call():
     assert len(trace.exchanges(task="align")) == 1
 
 
+def test_a_mention_that_normalizes_to_nothing_aligns_to_nothing_without_a_call():
+    trace = Trace("c1")
+    gw = scripted_gateway([
+        (TaskKind.NER, "", '["???", "jaundice"]'),
+        (TaskKind.ALIGN, "Mention: jaundice", "1"),
+    ], trace)
+    out = extract_abnormal_entities(CASE, gw, clinical_graph(), keep)
+    assert [e.concept.id for e in out] == ["f_jaund"]
+    [align] = trace.exchanges(task="align")
+    assert "Mention: jaundice" in align["prompt"]
+
+
 def test_candidate_lists_show_preferred_names_only():
     trace = Trace("c1")
     gw = scripted_gateway([
@@ -148,9 +160,7 @@ def test_hypothesis_set_invariants():
     with pytest.raises(ValueError):
         HypothesisSet(("A", "a"))
     hs = HypothesisSet(("PBC", "AIH"))
-    assert "pbc" in hs
-    assert "DILI" not in hs
-    assert len(hs) == 2
+    assert hs.hypotheses == ("PBC", "AIH") == tuple(hs)
 
 
 def test_render_findings_order_and_empty():

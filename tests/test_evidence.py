@@ -449,6 +449,24 @@ def test_an_align_none_hypothesis_writes_retrieval_then_the_align_exchange():
     assert _described(pkg) == (True, None, [], [])
 
 
+def test_a_finding_on_the_hypothesis_concept_contributes_no_path_and_no_paths_record():
+    graph, index = clinical_world()
+
+    def package(findings, trace):
+        return build_initial_package(
+            CASE, [finding(graph, concept_id) for concept_id in findings],
+            "Primary biliary cholangitis", graph, index, LexicalOverlapScorer(),
+            scripted_gateway([(TaskKind.ALIGN, "", "1"), (TaskKind.VERBALIZE, "", verbalizer),
+                              (TaskKind.PRUNE, "", batch_pruner(["1,1"]))], trace))
+
+    # one of the case's findings is the disease itself: the package and its
+    # record kinds are those of the package built without that finding
+    with_self, without = Trace(CASE.case_id), Trace(CASE.case_id)
+    assert _described(package(["d", "f1"], with_self)) == _described(package(["f1"], without))
+    assert _record_kinds(with_self) == _record_kinds(without)
+    assert [r["start"] for r in with_self.records if r["type"] == "paths"] == ["f1"]
+
+
 def test_a_two_query_supplement_merged_into_a_base_holding_one_of_its_paths():
     graph, index = clinical_world()
     [direct] = graph.enumerate_paths("f1", "d", h_max=1)

@@ -842,6 +842,27 @@ def test_a_failed_branch_returns_after_its_siblings_settle_and_keeps_none_of_the
     assert recorded == list(dict.fromkeys(key for key, _ in exchanges[:first_prune]))
 
 
+def test_an_interrupted_branch_keeps_its_records_and_returns_after_its_siblings_end():
+    gw = Gateway(TableBackend(LIVE), Trace("interrupt"), {})
+    ended = threading.Event()
+
+    def interrupted():
+        gw.trace.decision("first", {})
+        raise KeyboardInterrupt
+
+    def slow():
+        sleep(0.3)
+        gw.trace.decision("second", {})
+        ended.set()
+
+    with pytest.raises(KeyboardInterrupt):
+        gw.branches([interrupted, slow])
+    # no branch outlives the call, and the trace holds what the sequential
+    # run holds: the interrupted branch's records and none after them
+    assert ended.is_set()
+    assert [r["decision"] for r in gw.trace.records] == ["first"]
+
+
 # -- a saturated pool ------------------------------------------------------------
 
 def nest(gw: Gateway, path: str, depth: int) -> str:

@@ -210,7 +210,7 @@ def test_record_then_reload_then_replay_identical(tmp_path):
         again = replay_gw.complete(TaskKind.VERBALIZE, {"path": f"A --[r{i}]--> B"})
         assert again == exchange["response"]
         assert replay_gw.trace.exchanges()[-1]["key"] == exchange["key"]
-    assert len(ReplayChatBackend.from_file(transcript)) == 3
+    assert len(load_transcript(transcript)) == 3
 
 
 def test_recorder_dedupes_and_rejects_conflicts(tmp_path):

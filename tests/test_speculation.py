@@ -133,11 +133,31 @@ def test_a_failed_decision_drops_the_speculative_work_once_it_has_ended(error):
         gw.speculate(step.decide, "A", step.then)
     # no speculative task outlives the call and none of its writes is
     # committed, whatever the decision raised; a failed decision's own
-    # writes are committed before its Exception is raised
+    # writes are committed before its error, an interrupt included, is raised
     assert step.ended == ["A"]
     assert ("then", {"value": "A"}) not in trail(gw)
-    if isinstance(error, Exception):
-        assert trail(gw) == [("decide", {})]
+    assert trail(gw) == [("decide", {})]
+
+
+def test_an_interrupted_decision_keeps_its_records_and_returns_after_the_speculation_ends():
+    gw = live_gateway()
+    started, ended = threading.Event(), threading.Event()
+
+    def decide():
+        assert started.wait(timeout=5), "then(guess) never started"
+        gw.trace.decision("decide", {})
+        raise KeyboardInterrupt
+
+    def then(value):
+        started.set()
+        sleep(0.3)
+        gw.trace.decision("then", {"value": value})
+        ended.set()
+
+    with pytest.raises(KeyboardInterrupt):
+        gw.speculate(decide, "A", then)
+    assert ended.is_set()
+    assert trail(gw) == [("decide", {})]
 
 
 def test_a_speculative_failure_is_raised_on_a_hit_after_its_writes():
