@@ -136,15 +136,16 @@ class HashEmbedder:
 class TableEmbedder:
     """Replay embeddings from a JSONL table keyed by exact text.
 
-    Row format: ``{"text": ..., "embedding": [...]}``, every vector finite
-    and of one length. A lookup miss is an error: replay must be closed over
+    Row format: ``{"text": ..., "embedding": [...]}``, every entry a finite
+    JSON number (not a numeric string or a boolean) and every vector of one
+    length. A lookup miss is an error: replay must be closed over
     everything the pipeline will ask for. A text repeated with a different
     vector is a ``RecordConflictError``.
 
-    ``load`` converts and checks all vectors with one ``np.array`` and one
-    ``isfinite``, and keeps them as read-only rows of that (N, d) matrix. A
-    table that fails either is read again row by row, which names the first
-    fault in file order.
+    ``load`` converts and checks all vectors with one ``np.array``, one
+    ``isfinite`` and one pass over the entries' types, and keeps them as
+    read-only rows of that (N, d) matrix. A table that fails any of them is
+    read again row by row, which names the first fault in file order.
     """
 
     def __init__(self, table: dict[str, np.ndarray]):
@@ -155,7 +156,8 @@ class TableEmbedder:
         try:
             rows = list(read_jsonl(path, _embedding_fields, "embedding"))
             matrix = np.array([vec for _, (_, vec) in rows], dtype=float)
-            if matrix.ndim != 2 or not np.isfinite(matrix).all():
+            if (matrix.ndim != 2 or not np.isfinite(matrix).all()
+                    or not {type(x) for _, (_, vec) in rows for x in vec} <= {int, float}):
                 raise ValueError("not one matrix of finite numbers")
         except (ResourceError, ValueError, TypeError, OverflowError):
             located = read_jsonl(path, _embedding_row, "embedding")
@@ -192,7 +194,9 @@ def _embedding_fields(row: dict) -> tuple[str, Any]:
 
 def _embedding_row(row: dict) -> tuple[str, np.ndarray]:
     vec = np.asarray(row["embedding"], dtype=float)
-    if vec.ndim != 1 or not np.isfinite(vec).all():  # Python's JSON reads NaN
+    # Python's JSON reads NaN, and numpy converts "1.5" and true
+    if (vec.ndim != 1 or not np.isfinite(vec).all()
+            or not set(map(type, row["embedding"])) <= {int, float}):
         raise ValueError("embedding must be a flat list of finite numbers")
     return text_field(row, "text"), vec
 

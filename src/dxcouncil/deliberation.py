@@ -5,7 +5,7 @@ prebuilt evidence. A COMPLEX case convenes a panel per candidate diagnosis:
 each round the panel opines over identical evidence, the controller computes
 the support score and the insufficiency ratio as exact stance fractions, and
 either stops (strong support, sufficient evidence, or round budget) or sends
-targeted queries back through retrieval and merges what returns.
+targeted queries to the caller's supplement builder and merges what returns.
 
 The controller itself is pure arithmetic, not a model call; its only job is
 counting stances against thresholds.
@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from typing import Callable
 
-from .backends import CrossScorer
 from .differential import (
     AbnormalEntity,
     CaseDescription,
@@ -36,16 +36,8 @@ from .differential import (
     render_findings,
 )
 from .errors import ConfigError, DeliberationError
-from .evidence import (
-    EvidencePackage,
-    build_supplement_package,
-    merge_packages,
-    render_package,
-    render_packages,
-)
+from .evidence import EvidencePackage, merge_packages, render_package, render_packages
 from .gateway import Gateway, TaskKind
-from .guidelines import GuidelineIndex
-from .kg import KnowledgeGraph
 
 DEFAULT_ROSTER = (
     "Hepatology",
@@ -298,20 +290,19 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
                           hypotheses: HypothesisSet,
                           packages: list[EvidencePackage],
                           rosters: list[SpecialistRoster],
-                          graph: KnowledgeGraph, index: GuidelineIndex,
-                          scorer: CrossScorer, gateway: Gateway, *,
-                          tau_suff: float = TAU_SUFF, tau_high: float = TAU_HIGH,
-                          t_max: int = T_MAX, k: int = 8, n: int = 4,
-                          h_max: int = 3, batch_size: int = 8,
+                          supplement: Callable[[EvidencePackage, list[str]], EvidencePackage],
+                          gateway: Gateway, *, tau_suff: float = TAU_SUFF,
+                          tau_high: float = TAU_HIGH, t_max: int = T_MAX,
                           ) -> list[ConsensusSnapshot]:
     """Run every hypothesis's panel to its stopping point.
 
     Every roster is checked against its hypothesis before any panel runs;
     the panels then run as gateway branches, and within a panel a continuing
-    round's close runs beside its refinement. Stop order within a round:
-    strong support first (s > tau_high), then evidence sufficiency
-    (rho <= tau_suff), then the round budget. Returns one final snapshot per
-    hypothesis, in differential order.
+    round's close runs beside its refinement, which asks
+    ``supplement(base, queries)`` for the package its queries bring back.
+    Stop order within a round: strong support first (s > tau_high), then
+    evidence sufficiency (rho <= tau_suff), then the round budget. Returns
+    one final snapshot per hypothesis, in differential order.
     """
     if t_max < 1:
         raise ConfigError("t_max", "must be >= 1")
@@ -323,10 +314,8 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
 
     def refine(hypothesis: str, package: EvidencePackage,
                opinions: list[SpecialistOpinion]) -> EvidencePackage:
-        queries = formulate_refinement_queries(opinions, hypothesis, case, findings, gateway)
-        return build_supplement_package(
-            case, findings, package, queries, graph, index, scorer, gateway,
-            k=k, n=n, h_max=h_max, batch_size=batch_size)
+        return supplement(package, formulate_refinement_queries(
+            opinions, hypothesis, case, findings, gateway))
 
     def panel(hypothesis: str, package: EvidencePackage,
               roster: SpecialistRoster) -> ConsensusSnapshot:

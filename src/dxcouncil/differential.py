@@ -159,7 +159,7 @@ def extract_abnormal_entities(case: CaseDescription, gateway: Gateway,
 
 
 def generate_hypotheses(case: CaseDescription, findings: list[AbnormalEntity],
-                        gateway: Gateway, k_max: int = 4) -> HypothesisSet:
+                        gateway: Gateway, k_max: int) -> HypothesisSet:
     """Ask for the bounded initial differential.
 
     Raw lists longer than k_max are a cardinality error before dedup; an

@@ -27,8 +27,8 @@ class ResourceError(EngineError):
 
 
 class KgError(EngineError):
-    """A knowledge-graph operation failed: an unknown concept, an empty
-    mention, or a path from a node to itself."""
+    """A knowledge-graph operation failed: an edge or lookup naming an
+    unknown concept, or a path from a node to itself."""
 
 
 class RetrievalError(EngineError):

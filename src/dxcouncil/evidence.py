@@ -34,7 +34,6 @@ from .gateway import Gateway, TaskKind
 from .guidelines import GuidelineIndex, RankedSegment, composite_query, g_ret
 from .kg import Concept, KnowledgeGraph, KnowledgePath, normalize_term, verbalize_path
 
-PRUNE_BATCH = 8
 # excerpts shown to the pruning judge; bounds prompt size
 PRUNE_CONTEXT_EXCERPTS = 2
 
@@ -78,8 +77,7 @@ def _check_partition(valid: list[KnowledgePath], rejected: list[KnowledgePath],
 
 
 def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
-                guideline_top: list[RankedSegment], gateway: Gateway,
-                batch_size: int = PRUNE_BATCH,
+                guideline_top: list[RankedSegment], gateway: Gateway, batch_size: int,
                 ) -> tuple[list[KnowledgePath], list[KnowledgePath]]:
     """Judge verbalized paths in contiguous batches, preserving order.
 
@@ -127,7 +125,7 @@ def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
         return verbalize_path(paths, gateway)
 
     verbalized = gateway.branches([
-        partial(finding, finding_id, graph.enumerate_paths(finding_id, disease_id, h_max=h_max))
+        partial(finding, finding_id, graph.enumerate_paths(finding_id, disease_id, h_max))
         for finding_id in finding_ids if finding_id != disease_id])
     return [path for paths in verbalized for path in paths]
 
@@ -140,12 +138,9 @@ def _package(case: CaseDescription, hypothesis: str, queries: list[str],
     beside ``paths``, which returns the disease concept id (None for a
     hypothesis the aligner cannot pin) and the verbalized paths; the first
     excerpt of each segment id is kept, and pruning needs them all."""
-
-    def retrieve(query: str) -> list[RankedSegment]:
-        return g_ret(index, query, scorer, gateway.trace, k=k, n=n)
-
     *retrieved, (disease_id, verbalized) = gateway.branches(
-        [partial(retrieve, query) for query in queries] + [paths])
+        [partial(g_ret, index, query, scorer, gateway.trace, k, n) for query in queries]
+        + [paths])
     excerpts = first_by([seg for ranked in retrieved for seg in ranked], _segment_id)
     _, rejected = prune_paths(
         verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
@@ -163,9 +158,8 @@ def _segment_id(seg: RankedSegment) -> str:
 def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
                           hypothesis: str, graph: KnowledgeGraph,
                           index: GuidelineIndex, scorer: CrossScorer,
-                          gateway: Gateway, k: int = 8, n: int = 4,
-                          h_max: int = 3, batch_size: int = PRUNE_BATCH,
-                          ) -> EvidencePackage:
+                          gateway: Gateway, k: int, n: int, h_max: int,
+                          batch_size: int) -> EvidencePackage:
     """Assemble the iteration-0 package for one hypothesis, retrieving with
     the composite query of hypothesis and findings. The path work aligns the
     hypothesis, then enumerates and verbalizes paths; when the hypothesis's
@@ -192,9 +186,8 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
 def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntity],
                              base: EvidencePackage, queries: list[str],
                              graph: KnowledgeGraph, index: GuidelineIndex,
-                             scorer: CrossScorer, gateway: Gateway,
-                             k: int = 8, n: int = 4, h_max: int = 3,
-                             batch_size: int = PRUNE_BATCH) -> EvidencePackage:
+                             scorer: CrossScorer, gateway: Gateway, k: int, n: int,
+                             h_max: int, batch_size: int) -> EvidencePackage:
     """Run refinement queries and package what they bring back.
 
     Each query's own text is a retrieval query. Path enumeration re-runs

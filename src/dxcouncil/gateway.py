@@ -22,8 +22,9 @@ committed in branch order (see ``jsonl.holding``). ``Gateway.speculate``
 runs a step that waits on a decision beside that decision, on a guess of
 its outcome, and keeps it only when the guess was right. Both fork through
 one core, ``_fork``: a task no pool thread has started is run on the caller
-by ``branches`` and dropped by ``speculate``. No task outlives its fork, and
-an interrupted task's writes are committed as a failed task's are.
+by ``branches`` (until a task fails) and dropped by ``speculate``. No task
+outlives its fork, and an interrupted task's writes are committed as a
+failed task's are.
 """
 
 from __future__ import annotations
@@ -297,13 +298,14 @@ class Gateway:
         calls through this gateway.
 
         A replay gateway runs the tasks one after another on this thread.
-        Any other gateway forks them (see ``_fork``), running here every
-        task no pool thread has started; a task may start branches of its
-        own. Then each task's held writes are committed in task order; the
-        first task that raised, an interrupt included, stops the commits
-        after its own, and its error is raised. The trace and the tables
-        then hold what the tasks run one after another would have left,
-        except that a conflicting row raises when it is written.
+        Any other gateway forks them (see ``_fork``), running here each
+        task no pool thread has started, until one task has failed; a task
+        may start branches of its own. Then each task's held writes are
+        committed in task order; the first task that raised, an interrupt
+        included, stops the commits after its own, and its error is raised.
+        The trace and the tables then hold what the tasks run one after
+        another would have left, except that a conflicting row raises when
+        it is written.
         """
         if self._label == REPLAY:
             return [task() for task in tasks]
@@ -349,6 +351,7 @@ def _fork(tasks: list[Callable[[], T]], run_unstarted: bool) -> tuple[list[list]
     ``tasks[0]`` runs on this thread and the rest are submitted to the pool.
     Then, in a ``finally``, this thread takes back, in task order, every
     task no pool thread has started, and runs it here if ``run_unstarted``
+    and no earlier task has failed (its writes could never be committed),
     or else drops it, leaving its future cancelled. Only then does it wait
     on the started tasks, so no thread waits on queued work, a busy pool
     cannot deadlock, and no task outlives this call unless an interrupt
@@ -357,15 +360,21 @@ def _fork(tasks: list[Callable[[], T]], run_unstarted: bool) -> tuple[list[list]
     """
     held: list[list] = [[] for _ in tasks]
     rest = [_POOL.submit(_run_holding, task, writes) for task, writes in zip(tasks[1:], held[1:])]
+    futures: list[Future] = []
     try:
-        here = [_run_here(task, writes) for task, writes in zip(tasks[:1], held[:1])]
+        futures += [_run_here(task, writes) for task, writes in zip(tasks[:1], held[:1])]
     finally:
-        for i, future in enumerate(rest, 1):
-            if future.cancel() and run_unstarted:
-                rest[i - 1] = _run_here(tasks[i], held[i])
+        for task, writes, future in zip(tasks[1:], held[1:], rest):
+            if future.cancel() and run_unstarted and not any(map(_failed, futures)):
+                future = _run_here(task, writes)
+            futures.append(future)
         # a cancelled future counts as not done until a pool thread dequeues it
         wait([future for future in rest if not future.cancelled()])
-    return held, here + rest
+    return held, futures
+
+
+def _failed(future: Future) -> bool:
+    return future.done() and not future.cancelled() and future.exception() is not None
 
 
 def _run_holding(task: Callable[[], T], held: list) -> T:

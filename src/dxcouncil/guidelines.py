@@ -240,7 +240,7 @@ def rerank(candidates: list[RankedSegment], query: str,
 
 
 def g_ret(index: GuidelineIndex, query: str, scorer: CrossScorer,
-          trace: Trace, k: int = 8, n: int = 4) -> list[RankedSegment]:
+          trace: Trace, k: int, n: int) -> list[RankedSegment]:
     """The full two-stage retrieval: dense top-k, then reranked top-n.
 
     Records the query and both ranked stages in the trace.

@@ -222,7 +222,7 @@ class KnowledgeGraph:
 
     # -- path enumeration ----------------------------------------------------
 
-    def enumerate_paths(self, start: str, end: str, h_max: int = 3) -> list[KnowledgePath]:
+    def enumerate_paths(self, start: str, end: str, h_max: int) -> list[KnowledgePath]:
         """All simple directed paths ``start -> end`` of length <= h_max.
 
         Deterministic: ordered by length ascending, then lexicographically

@@ -16,6 +16,11 @@ hypothesis's panel deliberates beside the others; both are
 the trace and the record tables as the same work done one step after
 another would.
 
+``run_case`` names each step's stage once: a step's ``EngineError`` fails
+the case at that stage, unless a step inside it already failed the case.
+It names the evidence resources once too, for the package builder and for
+the supplement builder it hands the panels.
+
 A case's trace does not depend on ``workers``, apart from the volatile
 ``backend`` labels: which calls are answered from the runtime's answer
 table depends on which cases have finished. The record tables do: a
@@ -34,6 +39,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .backends import (
     CrossScorer,
@@ -65,7 +71,7 @@ from .differential import (
     read_cases,
 )
 from .errors import CaseFailure, EngineError, ResourceError
-from .evidence import EvidencePackage, build_initial_package
+from .evidence import EvidencePackage, build_initial_package, build_supplement_package
 from .gateway import (
     ChatBackend,
     Gateway,
@@ -170,63 +176,49 @@ def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trac
     config = runtime.config
     trace = Trace(case.case_id)
     gateway = Gateway(runtime.chat_backend, trace, runtime.answers)
-    stage = "extract"
+    # what both evidence builders read past their case and hypothesis
+    evidence = (runtime.graph, runtime.index, runtime.scorer, gateway,
+                config.k, config.n, config.h_max, config.prune_batch)
+
+    def stage(name: str, step: Callable, *args, **kwargs):
+        try:
+            return step(*args, **kwargs)
+        except CaseFailure:
+            raise
+        except EngineError as exc:
+            raise CaseFailure(case.case_id, name, exc) from exc
 
     def hypothesize(findings: list[AbnormalEntity]) -> tuple[list[AbnormalEntity], HypothesisSet]:
-        # may start on the guessed findings beside the finding aligns; a
-        # failure here is the differential's own, not the extraction's
-        try:
-            return findings, generate_hypotheses(case, findings, gateway, k_max=config.k_max)
-        except EngineError as exc:
-            raise CaseFailure(case.case_id, "hypothesize", exc) from exc
+        # may start on the guessed findings beside the finding aligns
+        return findings, stage("hypothesize", generate_hypotheses, case, findings, gateway,
+                               config.k_max)
+
+    def supplement(base: EvidencePackage, queries: list[str]) -> EvidencePackage:
+        return build_supplement_package(case, findings, base, queries, *evidence)
+
+    def route() -> list[SpecialistRoster] | None:
+        # the rosters of a COMPLEX case, None for a SIMPLE one
+        flag = stage("route", assess_complexity, case, findings, hypotheses, gateway)
+        if flag is ComplexityFlag.SIMPLE:
+            return None
+        return stage("dispatch", dispatch_specialists, case, findings, hypotheses, gateway,
+                     config.roster, config.max_specialists)
 
     try:
-        findings, hypotheses = extract_abnormal_entities(case, gateway, runtime.graph,
-                                                         hypothesize)
-        stage = "evidence"
-
-        def package(hypothesis: str) -> EvidencePackage:
-            return build_initial_package(
-                case, findings, hypothesis, runtime.graph, runtime.index,
-                runtime.scorer, gateway, k=config.k, n=config.n,
-                h_max=config.h_max, batch_size=config.prune_batch)
-
-        def route() -> list[SpecialistRoster] | None:
-            # the rosters of a COMPLEX case, None for a SIMPLE one; a
-            # failure here is the route's own, not the evidence stage's
-            route_stage = "route"
-            try:
-                flag = assess_complexity(case, findings, hypotheses, gateway)
-                if flag is ComplexityFlag.SIMPLE:
-                    return None
-                route_stage = "dispatch"
-                return dispatch_specialists(case, findings, hypotheses, gateway,
-                                            roster=config.roster,
-                                            max_specialists=config.max_specialists)
-            except EngineError as exc:
-                raise CaseFailure(case.case_id, route_stage, exc) from exc
-
-        *packages, rosters = gateway.branches(
-            [partial(package, hypothesis) for hypothesis in hypotheses] + [route])
+        findings, hypotheses = stage("extract", extract_abnormal_entities, case, gateway,
+                                     runtime.graph, hypothesize)
+        *packages, rosters = stage("evidence", gateway.branches, [
+            partial(build_initial_package, case, findings, hypothesis, *evidence)
+            for hypothesis in hypotheses] + [route])
         if rosters is None:
-            stage = "direct_diagnosis"
-            report = generalist_direct_diagnosis(case, findings, hypotheses,
-                                                 packages, gateway)
+            report = stage("direct_diagnosis", generalist_direct_diagnosis, case, findings,
+                           hypotheses, packages, gateway)
         else:
-            stage = "deliberate"
-            snapshots = run_deliberation_loop(
-                case, findings, hypotheses, packages, rosters, runtime.graph,
-                runtime.index, runtime.scorer, gateway,
-                tau_suff=config.tau_suff, tau_high=config.tau_high,
-                t_max=config.t_max, k=config.k, n=config.n,
-                h_max=config.h_max, batch_size=config.prune_batch)
-            stage = "adjudicate"
-            report = final_adjudication(snapshots, case, findings, hypotheses,
-                                        gateway)
-    except CaseFailure:
-        raise
-    except EngineError as exc:
-        raise CaseFailure(case.case_id, stage, exc) from exc
+            snapshots = stage("deliberate", run_deliberation_loop, case, findings, hypotheses,
+                              packages, rosters, supplement, gateway, tau_suff=config.tau_suff,
+                              tau_high=config.tau_high, t_max=config.t_max)
+            report = stage("adjudicate", final_adjudication, snapshots, case, findings,
+                           hypotheses, gateway)
     finally:
         trace.write(trace_path_for(config, case.case_id))
     runtime.answers.update((r["key"], r["response"]) for r in trace.exchanges())

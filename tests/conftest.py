@@ -10,15 +10,17 @@ import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
 from hypothesis import settings
 
 from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
-from dxcouncil.deliberation import DEFAULT_ROSTER, run_deliberation_loop
+from dxcouncil.config import RunConfig
+from dxcouncil.deliberation import DEFAULT_ROSTER, SpecialistRoster, run_deliberation_loop
 from dxcouncil.differential import CaseDescription, HypothesisSet
-from dxcouncil.evidence import EvidencePackage
+from dxcouncil.evidence import EvidencePackage, build_supplement_package
 from dxcouncil.gateway import Gateway, ScriptedResponder, TaskKind
 from dxcouncil.guidelines import GuidelineSegment, ingest_corpus
 from dxcouncil.kg import Concept, Edge, KnowledgeGraph, load_kg
@@ -28,6 +30,11 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# RunConfig's default run settings, named as the stage functions name their
+# parameters, for stage calls made outside a run
+DEFAULTS = SimpleNamespace(k=RunConfig.k, n=RunConfig.n, h_max=RunConfig.h_max,
+                           batch_size=RunConfig.prune_batch, k_max=RunConfig.k_max)
 
 
 @pytest.fixture(scope="session")
@@ -221,11 +228,15 @@ def run_panel(rounds: list[list[tuple[str, str]]], *, tau_suff: float = 0.5,
     index = ingest_corpus(PANEL_CORPUS, HashEmbedder(dim=16))
     package = EvidencePackage(hypothesis=hypothesis, iteration=0,
                               guideline_excerpts=(), pruned_paths=())
-    from dxcouncil.deliberation import SpecialistRoster
     roster = SpecialistRoster(hypothesis=hypothesis, specialties=tuple(specialists))
+
+    def supplement(base: EvidencePackage, queries: list[str]) -> EvidencePackage:
+        return build_supplement_package(
+            case, [], base, queries, graph, index, LexicalOverlapScorer(), gateway,
+            DEFAULTS.k, DEFAULTS.n, DEFAULTS.h_max, DEFAULTS.batch_size)
+
     finals = run_deliberation_loop(
-        case, [], HypothesisSet((hypothesis,)), [package], [roster],
-        graph, index, LexicalOverlapScorer(), gateway,
+        case, [], HypothesisSet((hypothesis,)), [package], [roster], supplement, gateway,
         tau_suff=tau_suff, tau_high=tau_high, t_max=t_max)
     return finals, trace
 

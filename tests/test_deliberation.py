@@ -8,7 +8,6 @@ import re
 
 import pytest
 
-from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
 from dxcouncil.deliberation import (
     ComplexityFlag,
     DEFAULT_ROSTER,
@@ -30,11 +29,10 @@ from dxcouncil.differential import CaseDescription, HypothesisSet
 from dxcouncil.errors import DeliberationError
 from dxcouncil.evidence import EvidencePackage
 from dxcouncil.gateway import TaskKind
-from dxcouncil.guidelines import ingest_corpus
 from dxcouncil.templates import EVIDENCE_CLOSE, EVIDENCE_OPEN
 from dxcouncil.trace import Trace
 
-from conftest import PANEL_CORPUS, make_graph, run_panel, scripted_gateway
+from conftest import run_panel, scripted_gateway
 
 CASE = CaseDescription("dl-case", "Fatigue and yellowing over six weeks.")
 
@@ -300,10 +298,12 @@ def test_a_mismatched_roster_is_rejected_before_any_panel_runs():
                SpecialistRoster("HCC", ("Oncology",))]
     trace = Trace("t")
     gw = scripted_gateway([], trace)
+
+    def no_supplement(base, queries):
+        raise AssertionError("no panel may run")
+
     with pytest.raises(DeliberationError, match="^roster for 'HCC' paired with 'AIH'$"):
-        run_deliberation_loop(CASE, [], hs, packages, rosters, make_graph(["a"], []),
-                              ingest_corpus(PANEL_CORPUS, HashEmbedder(dim=16)),
-                              LexicalOverlapScorer(), gw)
+        run_deliberation_loop(CASE, [], hs, packages, rosters, no_supplement, gw)
     assert trace.records == []
 
 

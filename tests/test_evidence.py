@@ -26,9 +26,11 @@ from dxcouncil.gateway import TaskKind
 from dxcouncil.guidelines import GuidelineSegment, RankedSegment, ingest_corpus
 from dxcouncil.trace import Trace
 
-from conftest import make_graph, scripted_gateway
+from conftest import DEFAULTS, make_graph, scripted_gateway
 
 CASE = CaseDescription("ev-case", "Yellow sclerae and intense itching for a month.")
+# what the evidence builders take past their gateway
+SETTINGS = (DEFAULTS.k, DEFAULTS.n, DEFAULTS.h_max, DEFAULTS.batch_size)
 
 CORPUS = [
     GuidelineSegment("s1", "doc-a", "Cholestatic disease workup begins with imaging."),
@@ -104,7 +106,7 @@ def test_initial_package_full_flow():
     ], trace)
     pkg = build_initial_package(
         CASE, [finding(graph, "f1"), finding(graph, "f2")],
-        "Primary biliary cholangitis", graph, index, LexicalOverlapScorer(), gw)
+        "Primary biliary cholangitis", graph, index, LexicalOverlapScorer(), gw, *SETTINGS)
     # f1 contributes a direct hop and a 2-hop chain, f2 one 2-hop chain
     assert pkg.disease_concept_id == "d"
     assert not pkg.degraded
@@ -129,7 +131,7 @@ def test_out_of_range_candidate_number_for_a_hypothesis_is_an_error():
     with pytest.raises(JudgmentParseError):
         build_initial_package(
             CASE, [finding(graph, "f1")], "Primary biliary cholangitis", graph, index,
-            LexicalOverlapScorer(), gw)
+            LexicalOverlapScorer(), gw, *SETTINGS)
     [align] = trace.exchanges(task="align")
     assert "Mention: Primary biliary cholangitis" in align["prompt"]
 
@@ -140,7 +142,7 @@ def test_unmatchable_hypothesis_degrades_to_guidelines_only():
     gw = scripted_gateway([], trace)  # no rules: any model call would fail
     pkg = build_initial_package(
         CASE, [finding(graph, "f1")], "Zebra fever", graph, index,
-        LexicalOverlapScorer(), gw)
+        LexicalOverlapScorer(), gw, *SETTINGS)
     assert pkg.degraded
     assert pkg.disease_concept_id is None
     assert pkg.valid_paths == ()
@@ -154,7 +156,7 @@ def test_align_none_also_degrades():
     gw = scripted_gateway([(TaskKind.ALIGN, "", "NONE")])
     pkg = build_initial_package(
         CASE, [finding(graph, "f1")], "Primary cholangitis", graph, index,
-        LexicalOverlapScorer(), gw)
+        LexicalOverlapScorer(), gw, *SETTINGS)
     assert pkg.degraded
     assert pkg.valid_paths == ()
 
@@ -168,7 +170,7 @@ def test_rejected_paths_leave_the_valid_set_but_stay_in_the_audit():
     ])
     pkg = build_initial_package(
         CASE, [finding(graph, "f1"), finding(graph, "f2")],
-        "Primary biliary cholangitis", graph, index, LexicalOverlapScorer(), gw)
+        "Primary biliary cholangitis", graph, index, LexicalOverlapScorer(), gw, *SETTINGS)
     assert len(pkg.valid_paths) == 2
     flags = [rejected for _, rejected in pkg.pruned_paths]
     assert flags == [False, True, False]
@@ -184,7 +186,7 @@ def test_rejected_paths_leave_the_valid_set_but_stay_in_the_audit():
 def test_batch_split_sizes(n_paths, expected_sizes):
     trace = Trace("batching")
     gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner([1] * n_paths))], trace)
-    valid, rejected = prune_paths(parallel_paths(n_paths), CASE, [], gw)
+    valid, rejected = prune_paths(parallel_paths(n_paths), CASE, [], gw, DEFAULTS.batch_size)
     assert len(trace.exchanges(task="prune")) == len(expected_sizes)
     records = [r for r in trace.records if r["type"] == "prune_batch"]
     assert [r["size"] for r in records] == expected_sizes
@@ -204,7 +206,7 @@ def test_prune_filter_matches_hand_oracle():
     paths = parallel_paths(11)
     bits = [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1]
     gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner(bits))])
-    valid, rejected = prune_paths(paths, CASE, [], gw)
+    valid, rejected = prune_paths(paths, CASE, [], gw, DEFAULTS.batch_size)
     want_valid = [p for p, b in zip(paths, bits) if b == 1]
     want_rejected = [p for p, b in zip(paths, bits) if b == 0]
     assert [p.edge_key() for p in valid] == [p.edge_key() for p in want_valid]
@@ -214,7 +216,7 @@ def test_prune_filter_matches_hand_oracle():
 def test_all_rejected_batch():
     paths = parallel_paths(8)
     gw = scripted_gateway([(TaskKind.PRUNE, "", "0,0,0,0,0,0,0,0")])
-    valid, rejected = prune_paths(paths, CASE, [], gw)
+    valid, rejected = prune_paths(paths, CASE, [], gw, DEFAULTS.batch_size)
     assert valid == []
     assert len(rejected) == 8
 
@@ -223,7 +225,7 @@ def test_wrong_bit_count_is_a_length_error():
     gw = scripted_gateway([(TaskKind.PRUNE, "", "1,0")])
     with pytest.raises(JudgmentParseError, match=r"^got 2 judgments for a batch of 3 "
                                                  r"\(offending span: '1,0'\)$"):
-        prune_paths(parallel_paths(3), CASE, [], gw)
+        prune_paths(parallel_paths(3), CASE, [], gw, DEFAULTS.batch_size)
 
 
 def test_unverbalized_path_rejected_up_front():
@@ -231,7 +233,7 @@ def test_unverbalized_path_rejected_up_front():
     bare = g.enumerate_paths("f", "d", h_max=1)
     gw = scripted_gateway([(TaskKind.PRUNE, "", "1")])
     with pytest.raises(ValueError):
-        prune_paths(bare, CASE, [], gw)
+        prune_paths(bare, CASE, [], gw, DEFAULTS.batch_size)
 
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=20))
@@ -239,7 +241,7 @@ def test_pruning_partitions_the_enumerated_paths(bits):
     paths = parallel_paths(len(bits))
     trace = Trace("partition")
     gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner(bits))], trace)
-    valid, rejected = prune_paths(paths, CASE, [], gw)
+    valid, rejected = prune_paths(paths, CASE, [], gw, DEFAULTS.batch_size)
     assert len(valid) + len(rejected) == len(paths)
     assert {p.edge_key() for p in valid}.isdisjoint(
         p.edge_key() for p in rejected)
@@ -319,12 +321,12 @@ def test_a_path_rejected_in_one_pass_and_accepted_in_the_other_is_valid_once():
 
     base = build_initial_package(
         CASE, findings, "Primary biliary cholangitis", graph, index,
-        LexicalOverlapScorer(), pruned_by("1,0"))
+        LexicalOverlapScorer(), pruned_by("1,0"), *SETTINGS)
     supplement = build_supplement_package(
         CASE, findings, base, ["mechanistic chain linking jaundice to disease"],
-        graph, index, LexicalOverlapScorer(), pruned_by("0,1"))
+        graph, index, LexicalOverlapScorer(), pruned_by("0,1"), *SETTINGS)
     merged = merge_packages(base, supplement)
-    direct, chain = graph.enumerate_paths("f1", "d")
+    direct, chain = graph.enumerate_paths("f1", "d", DEFAULTS.h_max)
     assert [p.edge_key() for p in merged.valid_paths] == [direct.edge_key(),
                                                           chain.edge_key()]
     assert [rejected for _, rejected in merged.pruned_paths] == [False, True, True, False]
@@ -342,7 +344,7 @@ def test_supplement_reenumerates_only_named_findings():
     ])
     supp = build_supplement_package(
         CASE, findings, base, ["mechanistic chain linking jaundice to disease"],
-        graph, index, LexicalOverlapScorer(), gw)
+        graph, index, LexicalOverlapScorer(), gw, *SETTINGS)
     # only f1 (Jaundice) is named, so only its two routes return
     assert len(supp.valid_paths) == 2
     assert {p.start for p in supp.valid_paths} == {"f1"}
@@ -359,7 +361,7 @@ def test_supplement_without_named_findings_is_guideline_only():
     supp = build_supplement_package(
         CASE, [finding(graph, "f1")], base,
         ["staging criteria for decompensating events"],
-        graph, index, LexicalOverlapScorer(), gw)
+        graph, index, LexicalOverlapScorer(), gw, *SETTINGS)
     assert supp.valid_paths == ()
     assert supp.pruned_paths == ()
     assert len(supp.guideline_excerpts) >= 1
@@ -375,7 +377,7 @@ def test_supplement_dedupes_segments_across_queries():
     supp = build_supplement_package(
         CASE, [], base,
         ["bile acid management", "management of bile acids"],
-        graph, index, LexicalOverlapScorer(), gw)
+        graph, index, LexicalOverlapScorer(), gw, *SETTINGS)
     ids = [s.segment.segment_id for s in supp.guideline_excerpts]
     assert len(ids) == len(set(ids))
 
@@ -434,7 +436,7 @@ def test_an_unmatchable_hypothesis_writes_one_retrieval_record():
     trace = Trace(CASE.case_id)
     pkg = build_initial_package(
         CASE, [finding(graph, "f1")], "Zebra fever", graph, index,
-        LexicalOverlapScorer(), scripted_gateway([], trace))
+        LexicalOverlapScorer(), scripted_gateway([], trace), *SETTINGS)
     assert _record_kinds(trace) == [("retrieval", None)]
     assert _described(pkg) == (True, None, [], [])
 
@@ -444,7 +446,8 @@ def test_an_align_none_hypothesis_writes_retrieval_then_the_align_exchange():
     trace = Trace(CASE.case_id)
     pkg = build_initial_package(
         CASE, [finding(graph, "f1")], "Primary cholangitis", graph, index,
-        LexicalOverlapScorer(), scripted_gateway([(TaskKind.ALIGN, "", "NONE")], trace))
+        LexicalOverlapScorer(), scripted_gateway([(TaskKind.ALIGN, "", "NONE")], trace),
+        *SETTINGS)
     assert _record_kinds(trace) == [("retrieval", None), ("exchange", "align")]
     assert _described(pkg) == (True, None, [], [])
 
@@ -457,7 +460,7 @@ def test_a_finding_on_the_hypothesis_concept_contributes_no_path_and_no_paths_re
             CASE, [finding(graph, concept_id) for concept_id in findings],
             "Primary biliary cholangitis", graph, index, LexicalOverlapScorer(),
             scripted_gateway([(TaskKind.ALIGN, "", "1"), (TaskKind.VERBALIZE, "", verbalizer),
-                              (TaskKind.PRUNE, "", batch_pruner(["1,1"]))], trace))
+                              (TaskKind.PRUNE, "", batch_pruner(["1,1"]))], trace), *SETTINGS)
 
     # one of the case's findings is the disease itself: the package and its
     # record kinds are those of the package built without that finding
@@ -480,7 +483,7 @@ def test_a_two_query_supplement_merged_into_a_base_holding_one_of_its_paths():
     queries = ["jaundice and bile acid management", "jaundice and itching from bile acids"]
     supp = build_supplement_package(
         CASE, [finding(graph, "f1"), finding(graph, "f2")], base, queries,
-        graph, index, LexicalOverlapScorer(), gw)
+        graph, index, LexicalOverlapScorer(), gw, *SETTINGS)
     retrieved = [[row["segment_id"] for row in r["reranked"]]
                  for r in trace.records if r["type"] == "retrieval"]
     assert set(retrieved[0]) & set(retrieved[1])

@@ -32,7 +32,7 @@ from dxcouncil.kg import (
 )
 from dxcouncil.trace import Trace
 
-from conftest import FIXTURES, make_graph, scripted_gateway
+from conftest import DEFAULTS, FIXTURES, make_graph, scripted_gateway
 
 
 CONCEPTS_TSV = (
@@ -49,7 +49,7 @@ TRIPLES_TSV = (
 
 def test_load_counts_concepts_and_edges():
     g = load_kg(io.StringIO(TRIPLES_TSV), io.StringIO(CONCEPTS_TSV))
-    assert [p.describe() for p in g.enumerate_paths("c1", "c3")] == [
+    assert [p.describe() for p in g.enumerate_paths("c1", "c3", DEFAULTS.h_max)] == [
         "Jaundice --[indicates]--> Cholestasis --[leads_to]--> Primary biliary cholangitis"]
     assert g.concept("c1").preferred_name == "Jaundice"
     assert g.concept("c3").synonyms == frozenset({"PBC"})

@@ -161,6 +161,35 @@ def test_only_the_runner_builds_a_gateway_or_a_trace():
     assert found == ["runner.py Gateway", "runner.py Trace"]
 
 
+def test_deliberation_imports_nothing_from_retrieval_or_the_graph():
+    # a panel asks for more evidence through the supplement builder it is
+    # handed; the graph, the index and the scorer stay with the runner
+    tree = ast.parse((Path(dxcouncil.__file__).parent / "deliberation.py")
+                     .read_text(encoding="utf-8"))
+    imported = {name.split(".")[-1] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names)]}
+    assert sorted(imported & {"backends", "guidelines", "kg"}) == []
+
+
+def test_no_function_gives_a_run_setting_a_default():
+    # RunConfig's field defaults are the one copy of each run setting's
+    # default; every function takes the setting as a required argument
+    found = []
+    for path in sorted(Path(dxcouncil.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            positional = func.args.posonlyargs + func.args.args
+            defaulted = positional[len(positional) - len(func.args.defaults):] + [
+                arg for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
+                if default is not None]
+            found += [f"{path.name}:{func.lineno} {arg.arg}" for arg in defaulted
+                      if arg.arg in ("k", "n", "h_max", "batch_size", "k_max")]
+    assert found == []
+
+
 def _private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 

@@ -16,17 +16,20 @@ from __future__ import annotations
 import threading
 from collections import Counter, defaultdict
 from time import sleep
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from make_fixtures import build_rules
 
+from dxcouncil import runner as runner_module
 from dxcouncil.backends import (
     HashEmbedder,
     LexicalOverlapScorer,
     RecordingEmbedder,
     RecordingScorer,
 )
-from dxcouncil.errors import TransportError
+from dxcouncil.errors import CaseFailure, KgError, TransportError
 from dxcouncil.gateway import (
     LIVE,
     REPLAY,
@@ -36,7 +39,7 @@ from dxcouncil.gateway import (
     TaskKind,
     TranscriptRecorder,
 )
-from dxcouncil.runner import Runtime, run_batch, trace_path_for
+from dxcouncil.runner import Runtime, run_batch, run_case, trace_path_for
 from dxcouncil.trace import Trace
 
 from conftest import FIXTURES
@@ -430,3 +433,59 @@ def test_each_aligner_answer_waits_for_the_speculation_on_its_guess(tmp_path, se
     assert got.records == sequential.records
     for table in ("transcript", "embeddings", "scores"):
         assert getattr(got, table) == (FIXTURES / f"{table}.jsonl").read_bytes()
+
+
+# -- drawn aligner answers ---------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def align_counts(sequential) -> dict[str, int]:
+    """Each mention the fixture batch aligns, with its number of candidates.
+    Which mentions are aligned, and against which candidates, does not
+    depend on the aligner's answers: the mentions and the differential are
+    scripted per case, and the candidates are the mention's matches."""
+    counts = {}
+    for case_id in sequential.records:
+        for r in exchanges_of(sequential, case_id):
+            if r["task"] == "align":
+                mention = r["prompt"].split("Mention: ", 1)[1].split("\n", 1)[0]
+                entries = r["prompt"].split("Candidate standardized entries:\n", 1)[1]
+                counts[mention] = entries.split("\n\n", 1)[0].count("\n") + 1
+    return counts
+
+
+class CauseLog:
+    """``run_case`` that notes the class of each failed case's cause."""
+
+    def __init__(self):
+        self.causes: list[type] = []
+
+    def __call__(self, runtime, case):
+        try:
+            return run_case(runtime, case)
+        except CaseFailure as exc:
+            self.causes.append(type(exc.cause))
+            raise
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_over_drawn_aligner_answers_the_live_run_is_the_sequential_run(
+        tmp_path_factory, align_counts, data):
+    # each mention's aligner answer, one of its candidate numbers or NONE
+    picks = data.draw(st.fixed_dictionaries(
+        {mention: st.integers(0, count) for mention, count in align_counts.items()}))
+
+    def aligner(system: str, user: str) -> str:
+        pick = picks[user.split("Mention: ", 1)[1].split("\n", 1)[0]]
+        return str(pick) if pick else "NONE"
+
+    rules = [(TaskKind.ALIGN, "", aligner)]
+    log = CauseLog()
+    with mock.patch.object(runner_module, "run_case", log):
+        seq = run_scripted(tmp_path_factory.mktemp("seq"), ScriptedBackend(REPLAY, rules))
+        got = run_scripted(tmp_path_factory.mktemp("live"), ScriptedBackend(LIVE, rules))
+    assert KgError not in log.causes
+    assert got.rows == seq.rows
+    assert got.records == seq.records
+    assert (got.transcript, got.embeddings, got.scores) == (
+        seq.transcript, seq.embeddings, seq.scores)
