@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
-from .config import as_record, validate_config
+from .config import RunConfig, as_record, validate_config
 from .differential import read_cases
 from .errors import CaseFailure, ConfigError, EngineError, ResourceError
 from .runner import Runtime, run_batch, run_case, trace_path_for
@@ -109,10 +110,11 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = validate_config(args.config)
-    print(f"config OK: mode={config.mode.value}, "
-          f"k={config.k}, n={config.n}, h_max={config.h_max}, "
-          f"k_max={config.k_max}, t_max={config.t_max}, "
-          f"workers={config.workers}")
+    settings = [(setting.name, getattr(config, setting.name)) for setting in fields(RunConfig)
+                if setting.metadata["key"].startswith("params.") or setting.name == "workers"]
+    print(f"config OK: mode={config.mode.value}, " + ", ".join(
+        f"{name}=[{', '.join(value)}]" if isinstance(value, tuple) else f"{name}={value}"
+        for name, value in settings))
     return EXIT_OK
 
 

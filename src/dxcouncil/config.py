@@ -1,5 +1,9 @@
 """Run configuration: YAML parsing, defaults, and field-level validation.
 
+``RunConfig`` declares each run setting once: its field carries the YAML
+``section.key``, the reader that checks and converts the value, and the one
+default any module gives the setting.
+
 Relative paths resolve against the config file's own directory, so a config
 can travel with its fixtures. Validation stops at the config's internal
 consistency; whether the named files exist and parse is the loader's problem
@@ -8,13 +12,13 @@ at run time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 import yaml
 
-from .deliberation import DEFAULT_ROSTER, MAX_SPECIALISTS, T_MAX, TAU_HIGH, TAU_SUFF
 from .errors import ConfigError
 
 
@@ -22,34 +26,6 @@ class BackendMode(Enum):
     LIVE = "live"
     RECORD = "record"
     REPLAY = "replay"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    concepts_path: Path
-    triples_path: Path
-    corpus_path: Path
-    cases_path: Path
-    mode: BackendMode
-    output_dir: Path
-    endpoint: str | None = None
-    chat_model: str | None = None
-    embed_model: str | None = None
-    rerank_model: str | None = None
-    transcript_path: Path | None = None
-    embeddings_path: Path | None = None
-    scores_path: Path | None = None
-    k: int = 8
-    n: int = 4
-    h_max: int = 3
-    k_max: int = 4
-    prune_batch: int = 8
-    tau_suff: float = TAU_SUFF
-    tau_high: float = TAU_HIGH
-    t_max: int = T_MAX
-    roster: tuple[str, ...] = DEFAULT_ROSTER
-    max_specialists: int = MAX_SPECIALISTS
-    workers: int = 1
 
 
 def _check_text(value: object, field: str) -> None:
@@ -114,57 +90,70 @@ def _fraction(value: object, base: Path) -> float:
 
 
 def _roster(value: object, base: Path) -> tuple[str, ...]:
-    if (not isinstance(value, list) or not value
+    if (not isinstance(value, (list, tuple)) or not value
             or not all(isinstance(name, str) and name.strip() for name in value)
             or len(set(value)) != len(value)):
         raise ValueError(f"must be a non-empty list of distinct names, got {value!r}")
     return tuple(value)
 
 
-# section.key -> (RunConfig field, reader[, YAML value when absent]). A reader
-# takes the YAML value and the config's directory and returns the field's
-# value, or raises ValueError with the message of the key's ConfigError.
-# Without a third item an absent key reads as the field's default, or None
-# when the field has none. Table order is check order: the first fault found
-# is the one named.
-_SCHEMA = {
-    "kg.concepts": ("concepts_path", _path),
-    "kg.triples": ("triples_path", _path),
-    "corpus.path": ("corpus_path", _path),
-    "cases.path": ("cases_path", _path),
-    "backend.mode": ("mode", _mode, "replay"),
-    "backend.endpoint": ("endpoint", _text),
-    "backend.transcript": ("transcript_path", _opt_path),
-    "backend.embeddings": ("embeddings_path", _opt_path),
-    "backend.scores": ("scores_path", _opt_path),
-    "backend.chat_model": ("chat_model", _model),
-    "backend.embed_model": ("embed_model", _model),
-    "backend.rerank_model": ("rerank_model", _model),
-    "params.k": ("k", _count),
-    "params.n": ("n", _count),
-    "params.h_max": ("h_max", _count),
-    "params.k_max": ("k_max", _count),
-    "params.prune_batch": ("prune_batch", _count),
-    "params.t_max": ("t_max", _count),
-    "params.max_specialists": ("max_specialists", _count),
-    "params.tau_suff": ("tau_suff", _fraction),
-    "params.tau_high": ("tau_high", _fraction),
-    "params.roster": ("roster", _roster, list(DEFAULT_ROSTER)),
-    "output.directory": ("output_dir", _path, "runs"),
-    "output.workers": ("workers", _count),
-}
-_SECTIONS = dict.fromkeys(name.split(".")[0] for name in _SCHEMA)
-
-# The keys each mode needs set, in the order they are checked.
-_TABLES = ("backend.transcript", "backend.embeddings", "backend.scores")
-_NEEDS = {BackendMode.LIVE: ("backend.endpoint",),
-          BackendMode.RECORD: ("backend.endpoint", *_TABLES), BackendMode.REPLAY: _TABLES}
+def _setting(key: str, read: Callable[[object, Path], object], default: object = MISSING,
+             *, absent: object = None):
+    """A ``RunConfig`` field set by the YAML ``section.key`` ``key``. ``read``
+    takes the YAML value and the config's directory and returns the field's
+    value, or raises ValueError with the message of the key's ConfigError. An
+    absent key reads as ``default``, or as ``absent`` when the field has no
+    default."""
+    return field(default=default, metadata={
+        "key": key, "read": read, "absent": absent if default is MISSING else default})
 
 
-def _check_needs(fields: dict) -> None:
-    for name in _NEEDS[fields["mode"]]:
-        if fields[_SCHEMA[name][0]] is None:
-            raise ConfigError(name, f"required in {fields['mode'].value} mode")
+@dataclass(frozen=True, kw_only=True)
+class RunConfig:
+    """One run's settings, each declared once with its YAML key. Field order
+    is check order: the first fault found is the one named."""
+
+    concepts_path: Path = _setting("kg.concepts", _path)
+    triples_path: Path = _setting("kg.triples", _path)
+    corpus_path: Path = _setting("corpus.path", _path)
+    cases_path: Path = _setting("cases.path", _path)
+    mode: BackendMode = _setting("backend.mode", _mode, absent="replay")
+    endpoint: str | None = _setting("backend.endpoint", _text, None)
+    transcript_path: Path | None = _setting("backend.transcript", _opt_path, None)
+    embeddings_path: Path | None = _setting("backend.embeddings", _opt_path, None)
+    scores_path: Path | None = _setting("backend.scores", _opt_path, None)
+    chat_model: str | None = _setting("backend.chat_model", _model, None)
+    embed_model: str | None = _setting("backend.embed_model", _model, None)
+    rerank_model: str | None = _setting("backend.rerank_model", _model, None)
+    k: int = _setting("params.k", _count, 8)
+    n: int = _setting("params.n", _count, 4)
+    h_max: int = _setting("params.h_max", _count, 3)
+    k_max: int = _setting("params.k_max", _count, 4)
+    prune_batch: int = _setting("params.prune_batch", _count, 8)
+    t_max: int = _setting("params.t_max", _count, 3)
+    max_specialists: int = _setting("params.max_specialists", _count, 4)
+    tau_suff: float = _setting("params.tau_suff", _fraction, 0.5)
+    tau_high: float = _setting("params.tau_high", _fraction, 0.9)
+    roster: tuple[str, ...] = _setting("params.roster", _roster, (
+        "Hepatology", "Oncology", "Immunology", "Infectious Disease", "Gastroenterology",
+        "Nephrology", "Dermatology", "Hematology"))
+    output_dir: Path = _setting("output.directory", _path, absent="runs")
+    workers: int = _setting("output.workers", _count, 1)
+
+
+_KEYS = {setting.name: setting.metadata["key"] for setting in fields(RunConfig)}
+_SECTIONS = dict.fromkeys(key.split(".")[0] for key in _KEYS.values())
+
+# The fields each mode needs set, in the order they are checked.
+_TABLES = ("transcript_path", "embeddings_path", "scores_path")
+_NEEDS = {BackendMode.LIVE: ("endpoint",),
+          BackendMode.RECORD: ("endpoint", *_TABLES), BackendMode.REPLAY: _TABLES}
+
+
+def _check_needs(values: dict) -> None:
+    for name in _NEEDS[values["mode"]]:
+        if values[name] is None:
+            raise ConfigError(_KEYS[name], f"required in {values['mode'].value} mode")
 
 
 def as_record(config: RunConfig) -> RunConfig:
@@ -204,19 +193,18 @@ def validate_config(source: str | Path | dict, base_dir: Path | None = None) -> 
         section = sections[name] = {} if doc.get(name) is None else doc[name]
         if not isinstance(section, dict):
             raise ConfigError(name, "must be a mapping")
-        unknown = {key for key in section if f"{name}.{key}" not in _SCHEMA}
+        unknown = {key for key in section if f"{name}.{key}" not in _KEYS.values()}
         if unknown:
             raise ConfigError(name, f"unknown keys {sorted(unknown, key=str)}")
 
-    fields: dict = {}
-    for name, (field, read, *absent) in _SCHEMA.items():
-        if name == "params.k":  # the mode's needs rank after the backend keys, before params
-            _check_needs(fields)
+    values: dict = {}
+    for setting in fields(RunConfig):
+        if setting.name == "k":  # the mode's needs rank after the backend keys, before params
+            _check_needs(values)
+        name, read, absent = (setting.metadata[item] for item in ("key", "read", "absent"))
         section, key = name.split(".")
-        value = sections[section].get(key, absent[0] if absent
-                                      else getattr(RunConfig, field, None))
         try:
-            fields[field] = read(value, base)
+            values[setting.name] = read(sections[section].get(key, absent), base)
         except ValueError as exc:
             raise ConfigError(name, str(exc)) from None
-    return RunConfig(**fields)
+    return RunConfig(**values)

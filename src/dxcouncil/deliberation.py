@@ -39,22 +39,6 @@ from .errors import ConfigError, DeliberationError
 from .evidence import EvidencePackage, merge_packages, render_package, render_packages
 from .gateway import Gateway, TaskKind
 
-DEFAULT_ROSTER = (
-    "Hepatology",
-    "Oncology",
-    "Immunology",
-    "Infectious Disease",
-    "Gastroenterology",
-    "Nephrology",
-    "Dermatology",
-    "Hematology",
-)
-
-TAU_SUFF = 0.5
-TAU_HIGH = 0.9
-T_MAX = 3
-MAX_SPECIALISTS = 4
-
 NEXT_STEPS_MARKER = "Next steps:"
 
 
@@ -186,8 +170,8 @@ def generalist_direct_diagnosis(case: CaseDescription,
 
 def dispatch_specialists(case: CaseDescription, findings: list[AbnormalEntity],
                          hypotheses: HypothesisSet | list[str], gateway: Gateway,
-                         roster: tuple[str, ...] = DEFAULT_ROSTER,
-                         max_specialists: int = MAX_SPECIALISTS) -> list[SpecialistRoster]:
+                         roster: tuple[str, ...], max_specialists: int,
+                         ) -> list[SpecialistRoster]:
     """Choose which specialties review each candidate diagnosis, with one
     dispatch call per hypothesis, each a gateway branch.
 
@@ -291,9 +275,8 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
                           packages: list[EvidencePackage],
                           rosters: list[SpecialistRoster],
                           supplement: Callable[[EvidencePackage, list[str]], EvidencePackage],
-                          gateway: Gateway, *, tau_suff: float = TAU_SUFF,
-                          tau_high: float = TAU_HIGH, t_max: int = T_MAX,
-                          ) -> list[ConsensusSnapshot]:
+                          gateway: Gateway, *, tau_suff: float, tau_high: float,
+                          t_max: int) -> list[ConsensusSnapshot]:
     """Run every hypothesis's panel to its stopping point.
 
     Every roster is checked against its hypothesis before any panel runs;

@@ -77,12 +77,12 @@ def _check_partition(valid: list[KnowledgePath], rejected: list[KnowledgePath],
 
 
 def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
-                guideline_top: list[RankedSegment], gateway: Gateway, batch_size: int,
+                guideline_top: list[RankedSegment], gateway: Gateway, prune_batch: int,
                 ) -> tuple[list[KnowledgePath], list[KnowledgePath]]:
     """Judge verbalized paths in contiguous batches, preserving order.
 
     Returns (valid, rejected); len(valid) + len(rejected) equals len(paths)
-    and the number of model calls is ceil(len/batch_size). Each batch's bits
+    and the number of model calls is ceil(len/prune_batch). Each batch's bits
     and guideline context are recorded in the trace as a prune_batch record.
     """
     for path in paths:
@@ -92,8 +92,8 @@ def prune_paths(paths: list[KnowledgePath], case: CaseDescription,
         f"[{seg.segment.segment_id}] {seg.segment.text}" for seg in guideline_top
     ) or "none available"
     context_ids = tuple(seg.segment.segment_id for seg in guideline_top)
-    batches = [paths[start:start + batch_size]
-               for start in range(0, len(paths), batch_size)]
+    batches = [paths[start:start + prune_batch]
+               for start in range(0, len(paths), prune_batch)]
 
     def judge(batch_index: int, batch: list[KnowledgePath]) -> tuple[int, ...]:
         bits = gateway.complete(TaskKind.PRUNE, {
@@ -133,7 +133,7 @@ def _enumerate_and_verbalize(finding_ids: list[str], disease_id: str,
 def _package(case: CaseDescription, hypothesis: str, queries: list[str],
              paths: Callable[[], tuple[str | None, list[KnowledgePath]]],
              index: GuidelineIndex, scorer: CrossScorer, gateway: Gateway,
-             k: int, n: int, batch_size: int) -> EvidencePackage:
+             k: int, n: int, prune_batch: int) -> EvidencePackage:
     """The one package builder. Each query's retrieval runs as a branch
     beside ``paths``, which returns the disease concept id (None for a
     hypothesis the aligner cannot pin) and the verbalized paths; the first
@@ -143,7 +143,7 @@ def _package(case: CaseDescription, hypothesis: str, queries: list[str],
         + [paths])
     excerpts = first_by([seg for ranked in retrieved for seg in ranked], _segment_id)
     _, rejected = prune_paths(
-        verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, batch_size)
+        verbalized, case, excerpts[:PRUNE_CONTEXT_EXCERPTS], gateway, prune_batch)
     rejected_keys = {p.edge_key() for p in rejected}
     return EvidencePackage(
         hypothesis=hypothesis, iteration=0, guideline_excerpts=tuple(excerpts),
@@ -159,7 +159,7 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
                           hypothesis: str, graph: KnowledgeGraph,
                           index: GuidelineIndex, scorer: CrossScorer,
                           gateway: Gateway, k: int, n: int, h_max: int,
-                          batch_size: int) -> EvidencePackage:
+                          prune_batch: int) -> EvidencePackage:
     """Assemble the iteration-0 package for one hypothesis, retrieving with
     the composite query of hypothesis and findings. The path work aligns the
     hypothesis, then enumerates and verbalizes paths; when the hypothesis's
@@ -180,14 +180,14 @@ def build_initial_package(case: CaseDescription, findings: list[AbnormalEntity],
 
     query = composite_query(hypothesis, [f.concept.preferred_name for f in findings])
     return _package(case, hypothesis, [query], paths, index, scorer, gateway,
-                    k, n, batch_size)
+                    k, n, prune_batch)
 
 
 def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntity],
                              base: EvidencePackage, queries: list[str],
                              graph: KnowledgeGraph, index: GuidelineIndex,
                              scorer: CrossScorer, gateway: Gateway, k: int, n: int,
-                             h_max: int, batch_size: int) -> EvidencePackage:
+                             h_max: int, prune_batch: int) -> EvidencePackage:
     """Run refinement queries and package what they bring back.
 
     Each query's own text is a retrieval query. Path enumeration re-runs
@@ -203,7 +203,7 @@ def build_supplement_package(case: CaseDescription, findings: list[AbnormalEntit
             [f.concept.id for f in named], disease_id, graph, gateway, h_max)
 
     return _package(case, base.hypothesis, queries, paths, index, scorer, gateway,
-                    k, n, batch_size)
+                    k, n, prune_batch)
 
 
 def _findings_named_in_queries(findings: list[AbnormalEntity],

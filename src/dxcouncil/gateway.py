@@ -235,9 +235,9 @@ class ScriptedResponder:
 def load_transcript(path: str | Path) -> dict[str, str]:
     """Build the exact-match replay table from a transcript file."""
     table: dict[str, str] = {}
-    for _, (key, response) in read_jsonl(path, _transcript_row, "transcript"):
+    for location, (key, response) in read_jsonl(path, _transcript_row, "transcript"):
         if table.setdefault(key, response) != response:
-            raise _duplicate_key(key)
+            raise _duplicate_key(key, f"{location}: ")
     return table
 
 
@@ -245,8 +245,9 @@ def _transcript_row(row: dict) -> tuple[str, str]:
     return text_field(row, "key"), text_field(row, "response")
 
 
-def _duplicate_key(key: str) -> RecordConflictError:
-    return RecordConflictError(key, f"transcript key {key} appears twice with different responses")
+def _duplicate_key(key: str, where: str = "") -> RecordConflictError:
+    return RecordConflictError(
+        key, f"{where}transcript key {key} appears twice with different responses")
 
 
 class Gateway:

@@ -186,7 +186,7 @@ class KnowledgeGraph:
     def _lexicon(self) -> _Lexicon:
         return _Lexicon.build(self._concepts.values())
 
-    def match_entity(self, raw_mention: str, limit: int = 5) -> list[ConceptMatch]:
+    def match_entity(self, raw_mention: str, limit: int) -> list[ConceptMatch]:
         """Rank concepts against a raw mention.
 
         Tiers: exact normalized preferred-name match (score 1.0), then exact
@@ -308,13 +308,13 @@ def read_concepts(source: str | Path | TextIO) -> list[Concept]:
     return concepts
 
 
-def read_triples(source: str | Path | TextIO) -> list[tuple[int, Edge]]:
-    """Parse the tab-separated triple file into (line_no, edge) pairs."""
-    triples: list[tuple[int, Edge]] = []
+def read_triples(source: str | Path | TextIO) -> list[tuple[str, Edge]]:
+    """Parse the tab-separated triple file into ``(file:line, edge)`` pairs."""
+    triples: list[tuple[str, Edge]] = []
     for name, line_no, (source_id, relation, target_id) in _tsv_rows(source, 3):
         if not source_id or not relation or not target_id:
             raise ResourceError(f"{name}:{line_no}: empty field in triple")
-        triples.append((line_no, Edge(source_id, relation, target_id)))
+        triples.append((f"{name}:{line_no}", Edge(source_id, relation, target_id)))
     return triples
 
 
@@ -328,11 +328,11 @@ def load_kg(triples_source: str | Path | TextIO,
     concepts = read_concepts(concepts_source)
     ids = {c.id for c in concepts}
     edges: list[Edge] = []
-    for line_no, edge in read_triples(triples_source):
+    for location, edge in read_triples(triples_source):
         for concept_id in (edge.source, edge.target):
             if concept_id not in ids:
                 raise ResourceError(
-                    f"triple line {line_no} references unknown concept id {concept_id!r}")
+                    f"{location}: triple references unknown concept id {concept_id!r}")
         edges.append(edge)
     return KnowledgeGraph(concepts, edges)
 

@@ -18,8 +18,9 @@ another would.
 
 ``run_case`` names each step's stage once: a step's ``EngineError`` fails
 the case at that stage, unless a step inside it already failed the case.
-It names the evidence resources once too, for the package builder and for
-the supplement builder it hands the panels.
+It names the evidence resources and run settings once too, for the package
+builder and for the supplement builder it hands the panels, and passes every
+stage its settings from the config: no stage function defaults one.
 
 A case's trace does not depend on ``workers``, apart from the volatile
 ``backend`` labels: which calls are answered from the runtime's answer

@@ -10,7 +10,6 @@ import threading
 from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import settings
 
 from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
 from dxcouncil.config import RunConfig
-from dxcouncil.deliberation import DEFAULT_ROSTER, SpecialistRoster, run_deliberation_loop
+from dxcouncil.deliberation import SpecialistRoster, run_deliberation_loop
 from dxcouncil.differential import CaseDescription, HypothesisSet
 from dxcouncil.evidence import EvidencePackage, build_supplement_package
 from dxcouncil.gateway import Gateway, ScriptedResponder, TaskKind
@@ -30,11 +29,6 @@ settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-# RunConfig's default run settings, named as the stage functions name their
-# parameters, for stage calls made outside a run
-DEFAULTS = SimpleNamespace(k=RunConfig.k, n=RunConfig.n, h_max=RunConfig.h_max,
-                           batch_size=RunConfig.prune_batch, k_max=RunConfig.k_max)
 
 
 @pytest.fixture(scope="session")
@@ -198,14 +192,14 @@ PANEL_CORPUS = [
 ]
 
 
-def run_panel(rounds: list[list[tuple[str, str]]], *, tau_suff: float = 0.5,
-              tau_high: float = 0.9, t_max: int = 3):
+def run_panel(rounds: list[list[tuple[str, str]]], *, tau_suff: float = RunConfig.tau_suff,
+              tau_high: float = RunConfig.tau_high, t_max: int = RunConfig.t_max):
     """Drive one hypothesis's deliberation with scripted opinion streams.
 
     rounds[t] lists (stance, sufficiency) per specialist for round t; the
     roster size is len(rounds[0]). Returns (final snapshots, trace).
     """
-    specialists = DEFAULT_ROSTER[:len(rounds[0])]
+    specialists = RunConfig.roster[:len(rounds[0])]
     case = CaseDescription("panel-case", "A patient under panel review.")
     hypothesis = "Condition X"
 
@@ -233,7 +227,7 @@ def run_panel(rounds: list[list[tuple[str, str]]], *, tau_suff: float = 0.5,
     def supplement(base: EvidencePackage, queries: list[str]) -> EvidencePackage:
         return build_supplement_package(
             case, [], base, queries, graph, index, LexicalOverlapScorer(), gateway,
-            DEFAULTS.k, DEFAULTS.n, DEFAULTS.h_max, DEFAULTS.batch_size)
+            RunConfig.k, RunConfig.n, RunConfig.h_max, RunConfig.prune_batch)
 
     finals = run_deliberation_loop(
         case, [], HypothesisSet((hypothesis,)), [package], [roster], supplement, gateway,

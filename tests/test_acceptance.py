@@ -283,7 +283,7 @@ def test_pruning_exchange_count_follows_batch_size(n_paths, expected_batches):
     findings = [AbnormalEntity(raw_mention="test finding", concept=graph.concept("f"))]
     package = build_initial_package(case, findings, "Condition d", graph,
                                     index, LexicalOverlapScorer(), gateway,
-                                    k=8, n=4, h_max=1, batch_size=8)
+                                    k=8, n=4, h_max=1, prune_batch=8)
     if len(package.valid_paths) != n_paths:
         problems.append(
             f"{len(package.valid_paths)} paths survived, expected {n_paths}")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import pytest
 import yaml
 
 from dxcouncil import cli
+from dxcouncil.config import RunConfig
 
 from conftest import FIXTURES
 
@@ -44,6 +46,20 @@ def test_validate_reports_ok(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config OK" in out
     assert "mode=replay" in out
+
+
+def test_validate_prints_every_run_setting(tmp_path, capsys):
+    config = write_cli_config(tmp_path, params={"k": 5, "roster": ["Oncology", "Hepatology"]},
+                              output={"workers": 3})
+    assert cli.main(["validate", "--config", str(config)]) == 0
+    out = capsys.readouterr().out
+    printed = [setting.name for setting in fields(RunConfig)
+               if setting.metadata["key"].startswith("params.") or setting.name == "workers"]
+    assert len(printed) == 11
+    assert [name for name in printed if f" {name}=" not in out] == []
+    assert " k=5," in out
+    assert " roster=[Oncology, Hepatology]," in out
+    assert out.rstrip().endswith(" workers=3")
 
 
 def test_validate_rejects_bad_config(tmp_path, capsys):

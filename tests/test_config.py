@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 
 import pytest
 import yaml
 
-from dxcouncil import config as config_module
 from dxcouncil.config import BackendMode, RunConfig, validate_config
-from dxcouncil.deliberation import DEFAULT_ROSTER
 from dxcouncil.errors import ConfigError
 
 from conftest import FIXTURES
@@ -37,7 +36,7 @@ def test_minimal_replay_config_gets_all_defaults(tmp_path):
     assert (config.tau_suff, config.tau_high) == (0.5, 0.9)
     assert config.t_max == 3
     assert config.max_specialists == 4
-    assert config.roster == DEFAULT_ROSTER
+    assert config.roster == RunConfig.roster
     assert config.workers == 1
     assert config.endpoint is None
 
@@ -347,6 +346,10 @@ def test_the_readme_and_the_pinned_table_name_exactly_the_schema_keys():
     readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
     block = readme.split("\n## Configuration\n", 1)[1].split("```yaml\n", 1)[1]
     documented = yaml.safe_load(block.split("```", 1)[0])
+    settings = {setting.metadata["key"]: setting for setting in fields(RunConfig)}
     assert {f"{section}.{key}" for section, keys in documented.items()
-            for key in keys} == set(config_module._SCHEMA)
-    assert set(KEYS) == set(config_module._SCHEMA)
+            for key in keys} == set(settings)
+    assert set(KEYS) == set(settings)
+    # the README shows the params defaults, the roster's elided
+    shown = {key: value for key, value in documented["params"].items() if key != "roster"}
+    assert shown == {key: settings[f"params.{key}"].default for key in shown}

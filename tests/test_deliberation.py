@@ -10,7 +10,6 @@ import pytest
 
 from dxcouncil.deliberation import (
     ComplexityFlag,
-    DEFAULT_ROSTER,
     SpecialistOpinion,
     SpecialistRoster,
     Stance,
@@ -25,6 +24,7 @@ from dxcouncil.deliberation import (
     insufficiency_ratio,
     run_deliberation_loop,
 )
+from dxcouncil.config import RunConfig
 from dxcouncil.differential import CaseDescription, HypothesisSet
 from dxcouncil.errors import DeliberationError
 from dxcouncil.evidence import EvidencePackage
@@ -94,7 +94,8 @@ def test_complexity_verdict_parsed_and_traced():
 
 def test_dispatch_returns_the_scripted_roster():
     gw = scripted_gateway([(TaskKind.DISPATCH, "", '["Hepatology", "Immunology"]')])
-    [roster] = dispatch_specialists(CASE, [], ["AIH"], gw)
+    [roster] = dispatch_specialists(CASE, [], ["AIH"], gw, RunConfig.roster,
+                                    RunConfig.max_specialists)
     assert roster.specialties == ("Hepatology", "Immunology")
     assert roster.hypothesis == "AIH"
 
@@ -103,21 +104,21 @@ def test_dispatch_rejects_names_outside_the_roster():
     gw = scripted_gateway([(TaskKind.DISPATCH, "", '["Astrology"]')])
     with pytest.raises(DeliberationError,
                        match="^specialty 'Astrology' is not in the configured roster$"):
-        dispatch_specialists(CASE, [], ["AIH"], gw)
+        dispatch_specialists(CASE, [], ["AIH"], gw, RunConfig.roster, RunConfig.max_specialists)
 
 
 def test_dispatch_collapses_duplicates_and_truncates():
     gw = scripted_gateway([(TaskKind.DISPATCH, "",
                             json.dumps(["Hepatology", "Hepatology", "Oncology",
                                         "Immunology"]))])
-    [roster] = dispatch_specialists(CASE, [], ["HCC"], gw, max_specialists=2)
+    [roster] = dispatch_specialists(CASE, [], ["HCC"], gw, RunConfig.roster, 2)
     assert roster.specialties == ("Hepatology", "Oncology")
 
 
 def test_dispatch_of_nothing_is_an_error():
     gw = scripted_gateway([(TaskKind.DISPATCH, "", "[]")])
     with pytest.raises(DeliberationError, match="^dispatch chose no specialists for 'AIH'$"):
-        dispatch_specialists(CASE, [], ["AIH"], gw)
+        dispatch_specialists(CASE, [], ["AIH"], gw, RunConfig.roster, RunConfig.max_specialists)
 
 
 def test_roster_dataclass_invariants():
@@ -303,7 +304,9 @@ def test_a_mismatched_roster_is_rejected_before_any_panel_runs():
         raise AssertionError("no panel may run")
 
     with pytest.raises(DeliberationError, match="^roster for 'HCC' paired with 'AIH'$"):
-        run_deliberation_loop(CASE, [], hs, packages, rosters, no_supplement, gw)
+        run_deliberation_loop(CASE, [], hs, packages, rosters, no_supplement, gw,
+                              tau_suff=RunConfig.tau_suff, tau_high=RunConfig.tau_high,
+                              t_max=RunConfig.t_max)
     assert trace.records == []
 
 
@@ -349,4 +352,4 @@ def test_adjudication_outside_hypotheses_is_an_error():
 
 
 def test_default_roster_names_are_distinct():
-    assert len(set(DEFAULT_ROSTER)) == len(DEFAULT_ROSTER)
+    assert len(set(RunConfig.roster)) == len(RunConfig.roster)

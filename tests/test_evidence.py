@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dxcouncil.backends import HashEmbedder, LexicalOverlapScorer
+from dxcouncil.config import RunConfig
 from dxcouncil.differential import AbnormalEntity, CaseDescription
 from dxcouncil.errors import DeliberationError, JudgmentParseError
 from dxcouncil.evidence import (
@@ -26,11 +27,11 @@ from dxcouncil.gateway import TaskKind
 from dxcouncil.guidelines import GuidelineSegment, RankedSegment, ingest_corpus
 from dxcouncil.trace import Trace
 
-from conftest import DEFAULTS, make_graph, scripted_gateway
+from conftest import make_graph, scripted_gateway
 
 CASE = CaseDescription("ev-case", "Yellow sclerae and intense itching for a month.")
 # what the evidence builders take past their gateway
-SETTINGS = (DEFAULTS.k, DEFAULTS.n, DEFAULTS.h_max, DEFAULTS.batch_size)
+SETTINGS = (RunConfig.k, RunConfig.n, RunConfig.h_max, RunConfig.prune_batch)
 
 CORPUS = [
     GuidelineSegment("s1", "doc-a", "Cholestatic disease workup begins with imaging."),
@@ -186,7 +187,7 @@ def test_rejected_paths_leave_the_valid_set_but_stay_in_the_audit():
 def test_batch_split_sizes(n_paths, expected_sizes):
     trace = Trace("batching")
     gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner([1] * n_paths))], trace)
-    valid, rejected = prune_paths(parallel_paths(n_paths), CASE, [], gw, DEFAULTS.batch_size)
+    valid, rejected = prune_paths(parallel_paths(n_paths), CASE, [], gw, RunConfig.prune_batch)
     assert len(trace.exchanges(task="prune")) == len(expected_sizes)
     records = [r for r in trace.records if r["type"] == "prune_batch"]
     assert [r["size"] for r in records] == expected_sizes
@@ -197,7 +198,7 @@ def test_batch_split_sizes(n_paths, expected_sizes):
 def test_a_batch_wider_than_eight_is_one_prune_call():
     trace = Trace("wide")
     gw = scripted_gateway([(TaskKind.PRUNE, "", ",".join(["1"] * 9))], trace)
-    valid, rejected = prune_paths(parallel_paths(9), CASE, [], gw, batch_size=9)
+    valid, rejected = prune_paths(parallel_paths(9), CASE, [], gw, prune_batch=9)
     assert len(trace.exchanges(task="prune")) == 1
     assert len(valid) == 9 and rejected == []
 
@@ -206,7 +207,7 @@ def test_prune_filter_matches_hand_oracle():
     paths = parallel_paths(11)
     bits = [1, 0, 1, 1, 0, 0, 1, 0, 0, 1, 1]
     gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner(bits))])
-    valid, rejected = prune_paths(paths, CASE, [], gw, DEFAULTS.batch_size)
+    valid, rejected = prune_paths(paths, CASE, [], gw, RunConfig.prune_batch)
     want_valid = [p for p, b in zip(paths, bits) if b == 1]
     want_rejected = [p for p, b in zip(paths, bits) if b == 0]
     assert [p.edge_key() for p in valid] == [p.edge_key() for p in want_valid]
@@ -216,7 +217,7 @@ def test_prune_filter_matches_hand_oracle():
 def test_all_rejected_batch():
     paths = parallel_paths(8)
     gw = scripted_gateway([(TaskKind.PRUNE, "", "0,0,0,0,0,0,0,0")])
-    valid, rejected = prune_paths(paths, CASE, [], gw, DEFAULTS.batch_size)
+    valid, rejected = prune_paths(paths, CASE, [], gw, RunConfig.prune_batch)
     assert valid == []
     assert len(rejected) == 8
 
@@ -225,7 +226,7 @@ def test_wrong_bit_count_is_a_length_error():
     gw = scripted_gateway([(TaskKind.PRUNE, "", "1,0")])
     with pytest.raises(JudgmentParseError, match=r"^got 2 judgments for a batch of 3 "
                                                  r"\(offending span: '1,0'\)$"):
-        prune_paths(parallel_paths(3), CASE, [], gw, DEFAULTS.batch_size)
+        prune_paths(parallel_paths(3), CASE, [], gw, RunConfig.prune_batch)
 
 
 def test_unverbalized_path_rejected_up_front():
@@ -233,7 +234,7 @@ def test_unverbalized_path_rejected_up_front():
     bare = g.enumerate_paths("f", "d", h_max=1)
     gw = scripted_gateway([(TaskKind.PRUNE, "", "1")])
     with pytest.raises(ValueError):
-        prune_paths(bare, CASE, [], gw, DEFAULTS.batch_size)
+        prune_paths(bare, CASE, [], gw, RunConfig.prune_batch)
 
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=20))
@@ -241,7 +242,7 @@ def test_pruning_partitions_the_enumerated_paths(bits):
     paths = parallel_paths(len(bits))
     trace = Trace("partition")
     gw = scripted_gateway([(TaskKind.PRUNE, "", path_pruner(bits))], trace)
-    valid, rejected = prune_paths(paths, CASE, [], gw, DEFAULTS.batch_size)
+    valid, rejected = prune_paths(paths, CASE, [], gw, RunConfig.prune_batch)
     assert len(valid) + len(rejected) == len(paths)
     assert {p.edge_key() for p in valid}.isdisjoint(
         p.edge_key() for p in rejected)
@@ -326,7 +327,7 @@ def test_a_path_rejected_in_one_pass_and_accepted_in_the_other_is_valid_once():
         CASE, findings, base, ["mechanistic chain linking jaundice to disease"],
         graph, index, LexicalOverlapScorer(), pruned_by("0,1"), *SETTINGS)
     merged = merge_packages(base, supplement)
-    direct, chain = graph.enumerate_paths("f1", "d", DEFAULTS.h_max)
+    direct, chain = graph.enumerate_paths("f1", "d", RunConfig.h_max)
     assert [p.edge_key() for p in merged.valid_paths] == [direct.edge_key(),
                                                           chain.edge_key()]
     assert [rejected for _, rejected in merged.pruned_paths] == [False, True, True, False]

@@ -231,7 +231,8 @@ def test_load_transcript_rejects_conflicting_rows(tmp_path):
             {"key": "k", "task": "ner", "response": "B"}]
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
     with pytest.raises(RecordConflictError,
-                       match="^transcript key k appears twice with different responses$"):
+                       match=r"t\.jsonl:2: transcript key k appears twice with different "
+                             r"responses$"):
         load_transcript(path)
     path.write_text(json.dumps(rows[0]) + "\n" + json.dumps(rows[0]) + "\n")
     assert load_transcript(path) == {"k": "A"}

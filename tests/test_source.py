@@ -10,12 +10,14 @@ import shutil
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import dxcouncil
 from dxcouncil import errors
+from dxcouncil.config import RunConfig
 
 from conftest import FIXTURES
 
@@ -173,9 +175,17 @@ def test_deliberation_imports_nothing_from_retrieval_or_the_graph():
     assert sorted(imported & {"backends", "guidelines", "kg"}) == []
 
 
+def test_config_imports_nothing_from_the_package_but_errors():
+    # RunConfig declares every run setting and its default itself
+    tree = ast.parse((Path(dxcouncil.__file__).parent / "config.py").read_text(encoding="utf-8"))
+    assert [node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level > 0] == ["errors"]
+
+
 def test_no_function_gives_a_run_setting_a_default():
     # RunConfig's field defaults are the one copy of each run setting's
     # default; every function takes the setting as a required argument
+    settings = {setting.name for setting in fields(RunConfig)}
     found = []
     for path in sorted(Path(dxcouncil.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -186,7 +196,7 @@ def test_no_function_gives_a_run_setting_a_default():
                 arg for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults)
                 if default is not None]
             found += [f"{path.name}:{func.lineno} {arg.arg}" for arg in defaulted
-                      if arg.arg in ("k", "n", "h_max", "batch_size", "k_max")]
+                      if arg.arg in settings]
     assert found == []
 
 
