@@ -64,10 +64,10 @@ def _path(value: object, base: Path) -> Path:
     return _opt_path(value, base)
 
 
-def _model(value: object, base: Path) -> str | None:
-    if value is not None and not isinstance(value, str):
-        raise ValueError(f"must be a string, got {value!r}")
-    return value
+def _model(value: object, base: Path) -> str:
+    if value is None:
+        raise ValueError("must be a non-empty string, got None")
+    return _text(value, base)
 
 
 def _mode(value: object, base: Path) -> BackendMode:
@@ -122,9 +122,9 @@ class RunConfig:
     transcript_path: Path | None = _setting("backend.transcript", _opt_path, None)
     embeddings_path: Path | None = _setting("backend.embeddings", _opt_path, None)
     scores_path: Path | None = _setting("backend.scores", _opt_path, None)
-    chat_model: str | None = _setting("backend.chat_model", _model, None)
-    embed_model: str | None = _setting("backend.embed_model", _model, None)
-    rerank_model: str | None = _setting("backend.rerank_model", _model, None)
+    chat_model: str = _setting("backend.chat_model", _model, "default")
+    embed_model: str = _setting("backend.embed_model", _model, "default")
+    rerank_model: str = _setting("backend.rerank_model", _model, "default")
     k: int = _setting("params.k", _count, 8)
     n: int = _setting("params.n", _count, 4)
     h_max: int = _setting("params.h_max", _count, 3)

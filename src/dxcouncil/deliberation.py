@@ -288,7 +288,7 @@ def run_deliberation_loop(case: CaseDescription, findings: list[AbnormalEntity],
     one final snapshot per hypothesis, in differential order.
     """
     if t_max < 1:
-        raise ConfigError("t_max", "must be >= 1")
+        raise ConfigError("params.t_max", f"must be an integer >= 1, got {t_max!r}")
     panels = list(zip(hypotheses, packages, rosters))
     for hypothesis, _, roster in panels:
         if roster.hypothesis != hypothesis:

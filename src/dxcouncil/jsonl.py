@@ -1,8 +1,8 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
 transcript, embedding and score tables), the one decoder of a file line
 (``decode``, which trace files read through too), the one sink every
-recorder writes through, and the one writer of each whole output file
-(traces, ``results.jsonl``, ``summary.json``), so row format, error
+recorder writes through, and the writers of each output file (traces part
+by part, ``results.jsonl`` and ``summary.json`` whole), so row format, error
 reporting and how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
@@ -19,7 +19,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Hashable, Iterable, Iterator, TextIO
 
 from .errors import ResourceError
 
@@ -109,10 +109,31 @@ def write_whole(path: str | Path, text: str) -> Path:
     left as it was."""
     path = Path(path)
     data = text.encode("utf-8")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    with _create(path) as fh:
         fh.write(data)
     return path
+
+
+def write_parts(path: str | Path, parts: Iterable[str]) -> Path:
+    """Write each text of ``parts`` to ``path`` as the iterable yields it,
+    replacing what the file held; the parent directory is made if missing.
+    Only one part is held at a time, so a large file costs no buffer of its
+    size; a part that fails leaves the parts before it."""
+    path = Path(path)
+    with _create(path) as fh:
+        for part in parts:
+            fh.write(part.encode("utf-8"))
+    return path
+
+
+def _create(path: Path) -> BinaryIO:
+    """``open(path, "wb")``, making the parent directory only when it is
+    missing, so a run's later files cost no directory check."""
+    try:
+        return open(path, "wb")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return open(path, "wb")
 
 
 class JsonlSink:
@@ -120,13 +141,15 @@ class JsonlSink:
 
     A repeated key with an identical row is skipped; with a different row it
     raises ``conflict(key)``, because a table holding two answers for one key
-    could not replay the run that wrote it. Thread-safe; flushed per write.
-    A write made inside ``holding`` is only held; ``write_held`` writes it
-    later, and makes its repeat check then.
+    could not replay the run that wrote it. Thread-safe. Each row is encoded
+    when it is written; a write made inside ``holding`` is only held, as its
+    encoded lines, and ``write_held`` writes them later, making the repeat
+    check then.
 
     Rows go to a new sibling temp file, which ``close`` moves onto the table
     and ``discard`` deletes, so until then the table holds what it held
-    before. Either call closes the sink; a later call does nothing.
+    before, and nothing reads the temp file: it is not flushed per write.
+    Either call closes the sink; a later call does nothing.
     """
 
     def __init__(self, path: str | Path, conflict: Callable[[Any], Exception]):
@@ -139,19 +162,19 @@ class JsonlSink:
         self._lock = threading.Lock()
 
     def write(self, rows: Iterable[tuple[Hashable, dict]]) -> None:
-        rows = list(rows)
-        if hold(self.write, rows):
+        self._write_lines([(key, _ROW_ENCODER.encode(row) + "\n") for key, row in rows])
+
+    def _write_lines(self, lines: list[tuple[Hashable, str]]) -> None:
+        if hold(self._write_lines, lines):
             return
         with self._lock:
-            for key, row in rows:
-                line = _ROW_ENCODER.encode(row) + "\n"
+            for key, line in lines:
                 seen = self._lines.get(key)
                 if seen is None:
                     self._lines[key] = line
                     self._fh.write(line)
                 elif seen != line:
                     raise self._conflict(key)
-            self._fh.flush()
 
     def close(self) -> None:
         self._end(lambda tmp: os.replace(tmp, self._path))

@@ -6,6 +6,13 @@ resources, producing a final report plus an audit trace written as one file
 per case. Batches fan cases out across a thread pool and always leave a
 parseable partial trace behind a failed case.
 
+A runtime whose chat backend is not labelled replay writes each trace on
+the gateway's pool, behind the case that made it, so the write runs beside
+the next case's first model calls instead of on the case's own path; a
+replay runtime, with no round trip to hide the write behind, writes it
+inline. ``run_batch`` and ``Runtime.close`` wait for every such write
+before they return or raise, so no write outlives them.
+
 Each case has one gateway and one trace. Within it, the differential is
 generated on the guessed findings beside the finding aligns
 (``Gateway.speculate``, kept when the aligner confirms the guess); each
@@ -35,9 +42,9 @@ the tables are byte-stable.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable
@@ -74,6 +81,8 @@ from .differential import (
 from .errors import CaseFailure, EngineError, ResourceError
 from .evidence import EvidencePackage, build_initial_package, build_supplement_package
 from .gateway import (
+    _POOL,
+    REPLAY,
     ChatBackend,
     Gateway,
     HttpChatBackend,
@@ -107,6 +116,8 @@ class Runtime:
     row of that case is written, so a shared answer never stands in for a
     row still held in a branch. A failed case adds nothing, so a malformed
     answer is never shared; a transport error is never traced at all.
+    ``close`` waits for the trace writes still running before it closes the
+    backends.
     """
 
     def __init__(self, config: RunConfig, *, chat_backend: ChatBackend | None = None,
@@ -116,6 +127,7 @@ class Runtime:
             raise ValueError("inject chat_backend, embedder and scorer together, or none")
         self.config = config
         self.answers: dict[str, str] = {}
+        self._writes: list[Future] = []  # trace writes running behind their cases
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
         wired = chat_backend is None
         self.chat_backend, self.embedder, self.scorer = (
@@ -128,8 +140,27 @@ class Runtime:
                 self._end("discard")
             raise
 
+    def write_trace(self, trace: Trace, path: Path) -> None:
+        """``trace.write(path)``: here under a replay backend, and otherwise
+        on the gateway's pool, while the caller goes on."""
+        if self.chat_backend.label == REPLAY:
+            trace.write(path)
+        else:
+            self._writes.append(_POOL.submit(trace.write, path))
+
+    def wait_for_traces(self) -> None:
+        """Wait for every trace write still running, then raise the first
+        failed write's error, in the order the writes were started."""
+        writes, self._writes = self._writes, []
+        wait(writes)
+        for write in writes:
+            write.result()
+
     def close(self) -> None:
-        self._end("close")
+        try:
+            self.wait_for_traces()
+        finally:
+            self._end("close")
 
     def _end(self, how: str) -> None:
         for backend in (self.chat_backend, self.embedder, self.scorer):
@@ -146,9 +177,9 @@ def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScore
                 TableEmbedder.load(config.embeddings_path),
                 TableScorer.load(config.scores_path))
     chat = HttpChatBackend(f"{config.endpoint.rstrip('/')}/chat/completions",
-                           config.chat_model or "default")
-    embedder = HttpEmbedder(config.endpoint, config.embed_model or "default")
-    scorer = HttpScorer(config.endpoint, config.rerank_model or "default")
+                           config.chat_model)
+    embedder = HttpEmbedder(config.endpoint, config.embed_model)
+    scorer = HttpScorer(config.endpoint, config.rerank_model)
     if config.mode is BackendMode.LIVE:
         return chat, embedder, scorer
     # a table that fails to open discards the tables opened before it
@@ -169,10 +200,11 @@ def trace_path_for(config: RunConfig, case_id: str) -> Path:
 def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trace]:
     """Run one case through the whole workflow.
 
-    On failure the partial trace is still flushed to disk before the error
-    surfaces, wrapped with the failing stage's label. A case that returns
-    its report adds its exchanges to the runtime's answer table, once its
-    trace is written; a failed case adds nothing.
+    The trace, a failed case's partial trace included, is handed to
+    ``Runtime.write_trace`` before the report returns or the error surfaces,
+    wrapped with the failing stage's label. A case that returns its report
+    adds its exchanges to the runtime's answer table, once its trace is
+    complete; a failed case adds nothing.
     """
     config = runtime.config
     trace = Trace(case.case_id)
@@ -221,7 +253,7 @@ def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trac
             report = stage("adjudicate", final_adjudication, snapshots, case, findings,
                            hypotheses, gateway)
     finally:
-        trace.write(trace_path_for(config, case.case_id))
+        runtime.write_trace(trace, trace_path_for(config, case.case_id))
     runtime.answers.update((r["key"], r["response"]) for r in trace.exchanges())
     return report, trace
 
@@ -278,34 +310,41 @@ def run_batch(runtime: Runtime) -> BatchResult:
     """Run every case in the config's case file.
 
     Failures become rows, not batch aborts. Weighted metrics cover the
-    successfully diagnosed cases that carry a ground-truth label.
+    successfully diagnosed cases that carry a ground-truth label. Every
+    trace write has ended when this returns or raises; a failed write
+    raises its error, and then no results or summary are written.
     """
     config = runtime.config
     cases = read_cases(config.cases_path)
     if not cases:
         raise ResourceError(f"no cases in {config.cases_path}")
 
-    def one(case: CaseDescription) -> CaseRow:
+    def one(case: CaseDescription) -> tuple[CaseRow, Trace | None]:
         try:
             report, trace = run_case(runtime, case)
         except CaseFailure as exc:
             return CaseRow(case_id=case.case_id, status="error",
                            ground_truth=case.ground_truth,
-                           failed_stage=exc.stage, error=str(exc.cause))
+                           failed_stage=exc.stage, error=str(exc.cause)), None
         return CaseRow(
             case_id=case.case_id, status="ok",
             final_diagnosis=report.final_diagnosis,
             ground_truth=case.ground_truth,
             correct=(diagnoses_agree(runtime.graph, case.ground_truth,
                                      report.final_diagnosis)
-                     if case.ground_truth is not None else None),
-            trace_digest=trace.digest())
+                     if case.ground_truth is not None else None)), trace
 
-    if config.workers == 1:
-        rows = [one(case) for case in cases]
-    else:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            rows = list(pool.map(one, cases))
+    try:
+        if config.workers == 1:
+            done = [one(case) for case in cases]
+        else:
+            with ThreadPoolExecutor(max_workers=config.workers) as pool:
+                done = list(pool.map(one, cases))
+    finally:
+        runtime.wait_for_traces()
+    # each trace's write has computed its digest by now
+    rows = [row if trace is None else replace(row, trace_digest=trace.digest())
+            for row, trace in done]
 
     # correct predictions collapse onto the truth label so the confusion
     # matrix stays in label vocabulary even when the engine answers with the

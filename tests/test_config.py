@@ -223,7 +223,7 @@ KINDS = {
     "endpoint": ((["x"], "x\ud800", "http://localhost:9"),
                  (None, None, R, R, R, R, R, R, R, "http://localhost:9")),
     "model": ((["x"], "m\ud800", "m"),
-              (None, None, "", " ", R, R, R, R, R, "m")),
+              (DEFAULT, R, R, R, R, R, R, R, R, "m")),
     "mode": ((["replay"], "offline", "REPLAY"),
              (BackendMode.REPLAY, R, R, R, R, R, R, R, R, BackendMode.REPLAY)),
     "count": (("3", 1.5, 5),

@@ -26,7 +26,7 @@ from dxcouncil.deliberation import (
 )
 from dxcouncil.config import RunConfig
 from dxcouncil.differential import CaseDescription, HypothesisSet
-from dxcouncil.errors import DeliberationError
+from dxcouncil.errors import ConfigError, DeliberationError
 from dxcouncil.evidence import EvidencePackage
 from dxcouncil.gateway import TaskKind
 from dxcouncil.templates import EVIDENCE_CLOSE, EVIDENCE_OPEN
@@ -307,6 +307,25 @@ def test_a_mismatched_roster_is_rejected_before_any_panel_runs():
         run_deliberation_loop(CASE, [], hs, packages, rosters, no_supplement, gw,
                               tau_suff=RunConfig.tau_suff, tau_high=RunConfig.tau_high,
                               t_max=RunConfig.t_max)
+    assert trace.records == []
+
+
+def test_a_round_budget_below_one_names_its_key_before_any_panel_runs():
+    hs = HypothesisSet(("PBC",))
+    packages = [EvidencePackage(hypothesis="PBC", iteration=0, guideline_excerpts=(),
+                                pruned_paths=())]
+    trace = Trace("t")
+
+    def no_supplement(base, queries):
+        raise AssertionError("no panel may run")
+
+    with pytest.raises(ConfigError,
+                       match=r"^params\.t_max: must be an integer >= 1, got 0$") as exc:
+        run_deliberation_loop(CASE, [], hs, packages,
+                              [SpecialistRoster("PBC", ("Hepatology",))], no_supplement,
+                              scripted_gateway([], trace), tau_suff=RunConfig.tau_suff,
+                              tau_high=RunConfig.tau_high, t_max=0)
+    assert exc.value.field == "params.t_max"
     assert trace.records == []
 
 

@@ -523,6 +523,18 @@ def test_held_rows_land_in_call_order_when_written(tmp_path):
     assert [row["k"] for row in table_rows(tmp_path / "b.jsonl")] == ["y", "z"]
 
 
+def test_a_held_row_is_written_as_it_was_encoded_when_held(tmp_path):
+    sink = JsonlSink(tmp_path / "t.jsonl", RecordConflictError)
+    row = {"k": "when held"}
+    held: list = []
+    with holding(held):
+        sink.write([("key", row)])
+    row["k"] = "changed after"
+    write_held(held)
+    sink.close()
+    assert table_rows(tmp_path / "t.jsonl") == [{"k": "when held"}]
+
+
 def test_writes_held_under_an_outer_holding_are_held_again_and_committed_with_it(tmp_path):
     sink = JsonlSink(tmp_path / "t.jsonl", RecordConflictError)
     trace = Trace("case")
@@ -589,12 +601,12 @@ def test_a_thread_holding_nothing_writes_while_another_holds(tmp_path):
     try:
         assert holding_rows.wait(timeout=10)
         sink.write([("direct", {"k": "direct"})])
-        assert [row["k"] for row in written_rows(tmp_path / "t.jsonl")] == ["direct"]
     finally:
         done.set()
         thread.join(timeout=10)
     write_held(held)
     sink.close()
+    # the direct row, written while the other thread held its row, comes first
     assert [row["k"] for row in table_rows(tmp_path / "t.jsonl")] == ["direct", "held"]
 
 

@@ -24,8 +24,8 @@ from dxcouncil.differential import read_cases
 from dxcouncil.errors import CaseFailure, ResourceError, RetrievalError
 from dxcouncil.gateway import ReplayChatBackend, TaskKind, load_transcript
 from dxcouncil.guidelines import read_corpus
-from dxcouncil.runner import (Runtime, diagnoses_agree, resolve_diagnosis_label,
-                              run_batch, run_case, trace_path_for)
+from dxcouncil.runner import (Runtime, _wire_backends, diagnoses_agree,
+                              resolve_diagnosis_label, run_batch, run_case, trace_path_for)
 from dxcouncil.trace import Trace
 
 from conftest import FIXTURES
@@ -462,3 +462,23 @@ def test_backends_are_injected_all_together_or_not_at_all(replay_runtime, tmp_pa
     runtime.close()
     # injected backends leave the config's record tables untouched
     assert not any(path.exists() for path in tables)
+
+
+@pytest.mark.parametrize("models,sent", [
+    ({}, ["default", "default", "default"]),
+    ({"chat_model": "c", "embed_model": "e", "rerank_model": "r"}, ["c", "e", "r"]),
+], ids=["absent", "configured"])
+def test_each_model_name_is_posted_as_the_config_names_it(tmp_path, http_stub, no_network,
+                                                          models, sent):
+    doc = {"kg": {"concepts": "c.tsv", "triples": "t.tsv"}, "corpus": {"path": "g.jsonl"},
+           "cases": {"path": "cases.jsonl"},
+           "backend": {"mode": "live", "endpoint": http_stub.url + "/v1", **models}}
+    chat, embedder, scorer = _wire_backends(validate_config(doc, base_dir=tmp_path))
+    http_stub.reply({"choices": [{"message": {"content": "ok"}}]})
+    http_stub.reply({"data": [{"index": 0, "embedding": [1.0]}]})
+    http_stub.reply({"results": [{"index": 0, "relevance_score": 0.5}]})
+    chat.respond(TaskKind.NER, "system", "user", "key")
+    embedder.embed(["a"])
+    scorer.score("q", ["a"])
+    assert [(r["path"], r["body"]["model"]) for r in http_stub.requests] == list(zip(
+        ["/v1/chat/completions", "/v1/embeddings", "/v1/rerank"], sent))

@@ -16,10 +16,13 @@ from pathlib import Path
 import pytest
 
 import dxcouncil
-from dxcouncil import errors
+from dxcouncil import errors, runner
 from dxcouncil.config import RunConfig
+from dxcouncil.gateway import LIVE, REPLAY
+from dxcouncil.trace import Trace
 
 from conftest import FIXTURES
+from test_fanout import TableBackend, fixture_config, fixture_runtime
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -291,3 +294,32 @@ def test_a_cli_replay_loads_no_http_client_package(tmp_path):
                           env=env, timeout=120, check=True)
     assert done.stdout.splitlines()[-1] == "(0, [])"
     assert len((tmp_path / "runs" / "replay" / "results.jsonl").read_text().splitlines()) == 10
+
+
+@pytest.mark.parametrize("label", [LIVE, REPLAY])
+def test_a_batch_runs_each_case_through_run_case_and_writes_it_through_trace_write(
+        tmp_path, monkeypatch, label):
+    # perfbench times each case by rebinding the module-level name
+    # runner.run_case, refuses a run that did not call it once per case, and
+    # counts trace records and bytes by wrapping Trace.write
+    calls: Counter = Counter()
+    run_case, write = runner.run_case, Trace.write
+
+    def counted_run_case(runtime, case):
+        calls["run_case", case.case_id] += 1
+        return run_case(runtime, case)
+
+    def counted_write(trace, path):
+        calls["Trace.write", trace.case_id] += 1
+        return write(trace, path)
+
+    monkeypatch.setattr(runner, "run_case", counted_run_case)
+    monkeypatch.setattr(Trace, "write", counted_write)
+    runtime = fixture_runtime(fixture_config(tmp_path), TableBackend(label))
+    try:
+        result = runner.run_batch(runtime)
+    finally:
+        runtime.close()
+    assert len(result.rows) == 10
+    assert calls == Counter({(name, row.case_id): 1 for row in result.rows
+                             for name in ("run_case", "Trace.write")})

@@ -1,0 +1,142 @@
+"""Trace writes behind the case.
+
+A runtime whose chat backend is not labelled replay hands each case's trace
+write to the gateway's pool and goes on to the next case; a replay runtime
+writes inline. These tests pin what that may not change: every trace is on
+disk, loads and carries the digest of its row (the replay run's digest)
+once ``run_batch`` or ``Runtime.close`` has returned or raised, and no
+write is still running then.
+"""
+
+from __future__ import annotations
+
+import sys
+import threading
+from time import sleep
+from types import SimpleNamespace
+
+import pytest
+
+from dxcouncil.differential import read_cases
+from dxcouncil.gateway import LIVE, TaskKind
+from dxcouncil.runner import run_batch, run_case, trace_path_for
+from dxcouncil.trace import Trace
+
+from test_fanout import (  # noqa: F401  (sequential is a fixture)
+    TableBackend,
+    fixture_config,
+    fixture_runtime,
+    sequential,
+)
+
+CASE_IDS = [f"case-{i:02d}" for i in range(1, 11)]
+
+
+@pytest.fixture
+def slow_writes(monkeypatch):
+    """``Trace.write`` made 50 ms slower and watched: ``running`` counts
+    the writes in progress and ``threads`` the thread each one ran on."""
+    state = SimpleNamespace(running=0, threads=[], lock=threading.Lock())
+    write = Trace.write
+
+    def slow_write(trace, path):
+        with state.lock:
+            state.running += 1
+            state.threads.append(threading.get_ident())
+        try:
+            sleep(0.05)
+            return write(trace, path)
+        finally:
+            with state.lock:
+                state.running -= 1
+
+    monkeypatch.setattr(Trace, "write", slow_write)
+    return state
+
+
+class InterruptedAt(TableBackend):
+    """The fixture transcript under the live label, except that a
+    ``KeyboardInterrupt`` ends the complexity call of one case."""
+
+    def __init__(self, narrative: str):
+        super().__init__(LIVE)
+        self.narrative = narrative
+
+    def respond(self, kind, system, user, key):
+        if kind is TaskKind.ASSESS_COMPLEXITY and self.narrative in user:
+            raise KeyboardInterrupt
+        return super().respond(kind, system, user, key)
+
+
+def loaded_digests(config, case_ids) -> dict[str, str]:
+    return {case_id: Trace.load(trace_path_for(config, case_id)).digest()
+            for case_id in case_ids}
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_live_batch_has_every_trace_on_disk_when_it_returns(tmp_path, slow_writes,
+                                                              sequential, workers):
+    config = fixture_config(tmp_path, workers)
+    runtime = fixture_runtime(config, TableBackend(LIVE))
+    switch_s = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # case threads start their writes side by side
+    try:
+        result = run_batch(runtime)
+        sys.setswitchinterval(switch_s)
+        assert slow_writes.running == 0
+        assert loaded_digests(config, CASE_IDS) == {
+            row.case_id: row.trace_digest for row in result.rows} == {
+            case_id: digest for case_id, (_, _, digest) in sequential.rows.items()}
+    finally:
+        sys.setswitchinterval(switch_s)
+        runtime.close()
+    # the writes ran behind their cases, off the batch's own thread
+    assert len(slow_writes.threads) == 10
+    assert threading.get_ident() not in slow_writes.threads
+
+
+def test_a_failed_behind_write_raises_from_run_batch_and_writes_no_results(tmp_path):
+    config = fixture_config(tmp_path)
+    trace_path_for(config, "case-03").mkdir(parents=True)
+    runtime = fixture_runtime(config, TableBackend(LIVE))
+    try:
+        with pytest.raises(IsADirectoryError):
+            run_batch(runtime)
+        assert not (config.output_dir / "results.jsonl").exists()
+        assert not (config.output_dir / "summary.json").exists()
+        # the write failed behind case-03, so the later cases ran and wrote theirs
+        assert sorted(loaded_digests(config, set(CASE_IDS) - {"case-03"})) == sorted(
+            set(CASE_IDS) - {"case-03"})
+    finally:
+        runtime.close()  # the failed write was settled by run_batch
+
+
+def test_an_interrupt_in_a_case_surfaces_once_the_traces_so_far_are_written(tmp_path,
+                                                                            slow_writes):
+    config = fixture_config(tmp_path)
+    [case_03] = [c for c in read_cases(config.cases_path) if c.case_id == "case-03"]
+    runtime = fixture_runtime(config, InterruptedAt(case_03.narrative))
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(runtime)
+        assert slow_writes.running == 0
+        assert sorted(loaded_digests(config, CASE_IDS[:3])) == CASE_IDS[:3]
+        assert not any(trace_path_for(config, case_id).exists() for case_id in CASE_IDS[3:])
+        # the interrupted case's partial trace holds what ran before the interrupt
+        partial = Trace.load(trace_path_for(config, "case-03"))
+        assert [r["task"] for r in partial.exchanges()][:1] == ["ner"]
+        assert "assess_complexity" not in {r["task"] for r in partial.exchanges()}
+    finally:
+        runtime.close()
+
+
+def test_a_direct_run_case_has_its_trace_on_disk_once_the_runtime_closes(tmp_path,
+                                                                         slow_writes):
+    config = fixture_config(tmp_path)
+    runtime = fixture_runtime(config, TableBackend(LIVE))
+    try:
+        _, trace = run_case(runtime, read_cases(config.cases_path)[0])
+    finally:
+        runtime.close()
+    assert slow_writes.running == 0
+    assert loaded_digests(config, ["case-01"]) == {"case-01": trace.digest()}
