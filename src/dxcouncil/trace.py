@@ -28,7 +28,7 @@ _VOLATILE_KEYS = ("ts", "backend")
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
                               separators=(",", ":"))
 _VOLATILE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-# records per part of a written trace file
+# records per part of a trace file: a write holds one part at a time, not the file
 _PART_RECORDS = 8
 
 
