@@ -128,6 +128,7 @@ class Runtime:
         self.config = config
         self.answers: dict[str, str] = {}
         self._writes: list[Future] = []  # trace writes running behind their cases
+        self._digests: dict[str, str] = {}  # case id -> digest, set by its trace's write
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
         wired = chat_backend is None
         self.chat_backend, self.embedder, self.scorer = (
@@ -142,11 +143,17 @@ class Runtime:
 
     def write_trace(self, trace: Trace, path: Path) -> None:
         """``trace.write(path)``: here under a replay backend, and otherwise
-        on the gateway's pool, while the caller goes on."""
+        on the gateway's pool, while the caller goes on. The write leaves
+        the trace's digest under its case id, so nothing need keep the
+        trace to read it."""
         if self.chat_backend.label == REPLAY:
-            trace.write(path)
+            self._write(trace, path)
         else:
-            self._writes.append(_POOL.submit(trace.write, path))
+            self._writes.append(_POOL.submit(self._write, trace, path))
+
+    def _write(self, trace: Trace, path: Path) -> None:
+        trace.write(path)
+        self._digests[trace.case_id] = trace.digest()  # computed by the write
 
     def wait_for_traces(self) -> None:
         """Wait for every trace write still running, then raise the first
@@ -319,32 +326,31 @@ def run_batch(runtime: Runtime) -> BatchResult:
     if not cases:
         raise ResourceError(f"no cases in {config.cases_path}")
 
-    def one(case: CaseDescription) -> tuple[CaseRow, Trace | None]:
+    def one(case: CaseDescription) -> CaseRow:
         try:
-            report, trace = run_case(runtime, case)
+            report, _ = run_case(runtime, case)
         except CaseFailure as exc:
             return CaseRow(case_id=case.case_id, status="error",
                            ground_truth=case.ground_truth,
-                           failed_stage=exc.stage, error=str(exc.cause)), None
+                           failed_stage=exc.stage, error=str(exc.cause))
         return CaseRow(
             case_id=case.case_id, status="ok",
             final_diagnosis=report.final_diagnosis,
             ground_truth=case.ground_truth,
             correct=(diagnoses_agree(runtime.graph, case.ground_truth,
                                      report.final_diagnosis)
-                     if case.ground_truth is not None else None)), trace
+                     if case.ground_truth is not None else None))
 
     try:
         if config.workers == 1:
-            done = [one(case) for case in cases]
+            rows = [one(case) for case in cases]
         else:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                done = list(pool.map(one, cases))
+                rows = list(pool.map(one, cases))
     finally:
         runtime.wait_for_traces()
-    # each trace's write has computed its digest by now
-    rows = [row if trace is None else replace(row, trace_digest=trace.digest())
-            for row, trace in done]
+    rows = [replace(row, trace_digest=runtime._digests[row.case_id])
+            if row.status == "ok" else row for row in rows]
 
     # correct predictions collapse onto the truth label so the confusion
     # matrix stays in label vocabulary even when the engine answers with the
