@@ -84,8 +84,12 @@ def read_cases(source: str | Path | TextIO) -> list[CaseDescription]:
 
 
 def _case_row(row: dict) -> CaseDescription:
+    # the id names the case's trace file, so it must be one plain file name
+    case_id = text_field(row, "case_id")
+    if case_id in ("", ".", "..") or "/" in case_id or "\0" in case_id:
+        raise ValueError(f"case_id {case_id!r} is not a plain file name")
     return CaseDescription(
-        case_id=text_field(row, "case_id"),
+        case_id=case_id,
         narrative=text_field(row, "narrative"),
         ground_truth=(text_field(row, "ground_truth")
                       if row.get("ground_truth") is not None else None),

@@ -61,10 +61,8 @@ REPLAY = "replay"
 # pool threads across every live gateway of the process, those blocked in
 # ``_fork`` (under ``Gateway.branches`` or ``Gateway.speculate``) on their own
 # tasks included; each fork also runs a task on its caller, so requests in
-# flight can reach FANOUT plus the calling threads. The pool also runs the
-# trace writes a live runtime starts behind its cases (``Runtime.write_trace``).
-# The pool's threads start with the first live fork or trace write, so
-# importing this module or replaying starts none
+# flight can reach FANOUT plus the calling threads. The pool's threads start
+# with the first live fork, so importing this module or replaying starts none
 FANOUT = 32
 _POOL = ThreadPoolExecutor(max_workers=FANOUT, thread_name_prefix="dxcouncil-branch")
 

@@ -1,9 +1,9 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
 transcript, embedding and score tables), the one decoder of a file line
 (``decode``, which trace files read through too), the one sink every
-recorder writes through, and the writers of each output file (traces part
-by part, ``results.jsonl`` and ``summary.json`` whole), so row format, error
-reporting and how a file is replaced are decided here once.
+recorder writes through, and the one writer of every output file (each
+trace, ``results.jsonl`` and ``summary.json``, each whole), so row format,
+error reporting and how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
 what it writes, table rows and trace records alike, in a list, and the case
@@ -19,7 +19,7 @@ import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Hashable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
 from .errors import ResourceError
 
@@ -104,36 +104,19 @@ def text_field(row: dict, key: str) -> str:
 
 def write_whole(path: str | Path, text: str) -> Path:
     """Write ``text`` to ``path`` with one write, replacing what the file
-    held. The parent directory is made if missing. Text that does not
-    encode as UTF-8 raises before the file is opened, so the old file is
-    left as it was."""
+    held. The parent directory is made only when it is missing, so a run's
+    later files cost no directory check. Text that does not encode as UTF-8
+    raises before the file is opened, so the old file is left as it was."""
     path = Path(path)
     data = text.encode("utf-8")
-    with _create(path) as fh:
-        fh.write(data)
-    return path
-
-
-def write_parts(path: str | Path, parts: Iterable[str]) -> Path:
-    """Write each text of ``parts`` to ``path`` as the iterable yields it,
-    replacing what the file held; the parent directory is made if missing.
-    Only one part is held at a time, so a large file costs no buffer of its
-    size; a part that fails leaves the parts before it."""
-    path = Path(path)
-    with _create(path) as fh:
-        for part in parts:
-            fh.write(part.encode("utf-8"))
-    return path
-
-
-def _create(path: Path) -> BinaryIO:
-    """``open(path, "wb")``, making the parent directory only when it is
-    missing, so a run's later files cost no directory check."""
     try:
-        return open(path, "wb")
+        fh = open(path, "wb")
     except FileNotFoundError:
         path.parent.mkdir(parents=True, exist_ok=True)
-        return open(path, "wb")
+        fh = open(path, "wb")
+    with fh:
+        fh.write(data)
+    return path
 
 
 class JsonlSink:

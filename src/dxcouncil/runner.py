@@ -6,12 +6,11 @@ resources, producing a final report plus an audit trace written as one file
 per case. Batches fan cases out across a thread pool and always leave a
 parseable partial trace behind a failed case.
 
-A runtime whose chat backend is not labelled replay writes each trace on
-the gateway's pool, behind the case that made it, so the write runs beside
-the next case's first model calls instead of on the case's own path; a
-replay runtime, with no round trip to hide the write behind, writes it
-inline. ``run_batch`` and ``Runtime.close`` wait for every such write
-before they return or raise, so no write outlives them.
+Every trace is written whole on one thread, ``_WRITER``, shared by every
+runtime whatever its backend, behind the case that made it: the write runs
+beside the next case instead of on the case's own path. ``run_batch`` and
+``Runtime.close`` wait for every such write before they return or raise, so
+no write outlives them.
 
 Each case has one gateway and one trace. Within it, the differential is
 generated on the guessed findings beside the finding aligns
@@ -81,8 +80,6 @@ from .differential import (
 from .errors import CaseFailure, EngineError, ResourceError
 from .evidence import EvidencePackage, build_initial_package, build_supplement_package
 from .gateway import (
-    _POOL,
-    REPLAY,
     ChatBackend,
     Gateway,
     HttpChatBackend,
@@ -95,6 +92,10 @@ from .jsonl import write_whole
 from .kg import KnowledgeGraph, load_kg
 from .metrics import MetricsReport, weighted_metrics
 from .trace import Trace
+
+# the one thread every runtime's trace writes run on, one after another, in
+# the order their cases handed them over; it starts with the first write
+_WRITER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="dxcouncil-trace")
 
 
 class Runtime:
@@ -116,8 +117,8 @@ class Runtime:
     row of that case is written, so a shared answer never stands in for a
     row still held in a branch. A failed case adds nothing, so a malformed
     answer is never shared; a transport error is never traced at all.
-    ``close`` waits for the trace writes still running before it closes the
-    backends.
+    Its cases' traces are written on ``_WRITER``; ``close`` waits for the
+    writes still pending before it closes the backends.
     """
 
     def __init__(self, config: RunConfig, *, chat_backend: ChatBackend | None = None,
@@ -127,8 +128,7 @@ class Runtime:
             raise ValueError("inject chat_backend, embedder and scorer together, or none")
         self.config = config
         self.answers: dict[str, str] = {}
-        self._writes: list[Future] = []  # trace writes running behind their cases
-        self._digests: dict[str, str] = {}  # case id -> digest, set by its trace's write
+        self._writes: list[Future] = []  # pending trace writes, each giving (case id, digest)
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
         wired = chat_backend is None
         self.chat_backend, self.embedder, self.scorer = (
@@ -142,26 +142,18 @@ class Runtime:
             raise
 
     def write_trace(self, trace: Trace, path: Path) -> None:
-        """``trace.write(path)``: here under a replay backend, and otherwise
-        on the gateway's pool, while the caller goes on. The write leaves
-        the trace's digest under its case id, so nothing need keep the
-        trace to read it."""
-        if self.chat_backend.label == REPLAY:
-            self._write(trace, path)
-        else:
-            self._writes.append(_POOL.submit(self._write, trace, path))
+        """Hand ``trace.write(path)`` to ``_WRITER`` and return while it
+        runs; ``wait_for_traces`` gives the trace's digest."""
+        self._writes.append(_WRITER.submit(_write, trace, path))
 
-    def _write(self, trace: Trace, path: Path) -> None:
-        trace.write(path)
-        self._digests[trace.case_id] = trace.digest()  # computed by the write
-
-    def wait_for_traces(self) -> None:
-        """Wait for every trace write still running, then raise the first
-        failed write's error, in the order the writes were started."""
+    def wait_for_traces(self) -> dict[str, str]:
+        """Wait for every trace write handed over so far, then raise the
+        first failed write's error, in the order the writes were handed
+        over, or return each written trace's digest under its case id. An
+        interrupt during the wait leaves the writes for ``close`` to wait on."""
+        wait(self._writes)
         writes, self._writes = self._writes, []
-        wait(writes)
-        for write in writes:
-            write.result()
+        return dict(write.result() for write in writes)
 
     def close(self) -> None:
         try:
@@ -174,6 +166,11 @@ class Runtime:
             end = getattr(backend, how, None)
             if end is not None:
                 end()
+
+
+def _write(trace: Trace, path: Path) -> tuple[str, str]:
+    trace.write(path)
+    return trace.case_id, trace.digest()  # computed by the write
 
 
 def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScorer]:
@@ -348,8 +345,8 @@ def run_batch(runtime: Runtime) -> BatchResult:
             with ThreadPoolExecutor(max_workers=config.workers) as pool:
                 rows = list(pool.map(one, cases))
     finally:
-        runtime.wait_for_traces()
-    rows = [replace(row, trace_digest=runtime._digests[row.case_id])
+        digests = runtime.wait_for_traces()
+    rows = [replace(row, trace_digest=digests[row.case_id])
             if row.status == "ok" else row for row in rows]
 
     # correct predictions collapse onto the truth label so the confusion

@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
-from .jsonl import decode, hold, open_lines, write_parts
+from .jsonl import decode, hold, open_lines, write_whole
 
 # Keys excluded from the canonical serialization the digest is computed over.
 _VOLATILE_KEYS = ("ts", "backend")
@@ -28,8 +28,6 @@ _VOLATILE_KEYS = ("ts", "backend")
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
                               separators=(",", ":"))
 _VOLATILE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
-# records per part of a trace file: a write holds one part at a time, not the file
-_PART_RECORDS = 8
 
 
 class Trace:
@@ -123,31 +121,22 @@ class Trace:
         line.
 
         Each record is serialized once: its file line is the canonical line
-        the digest hashes, with the volatile keys appended. The file is
-        written ``_PART_RECORDS`` records at a time (``jsonl.write_parts``,
+        the digest hashes, with the volatile keys appended. The whole file
+        is built first and written with one call (``jsonl.write_whole``),
         which replaces what an earlier run left at ``path`` and makes the
-        parent directory if missing), so a write never holds a buffer the
-        size of the file: a live runtime writes traces on pool threads, and
-        such a buffer would stay behind in each thread's malloc arena.
+        parent directory if missing.
         """
         with self._lock:
             records = list(self._records)
-        hasher = hashlib.sha256(f"{self.case_id}\n".encode("utf-8"))
-
-        def parts() -> Iterator[str]:
-            yield json.dumps({"type": "header", "case_id": self.case_id}) + "\n"
-            for start in range(0, len(records), _PART_RECORDS):
-                part = records[start:start + _PART_RECORDS]
-                lines = [_canonical_line(r) for r in part]
-                hasher.update("\n".join([*lines, ""]).encode("utf-8"))
-                yield "\n".join([*map(_with_volatile_keys, lines, part), ""])
-            yield json.dumps({"type": "digest", "digest": hasher.hexdigest()}) + "\n"
-
-        path = write_parts(path, parts())
-        with self._lock:
-            if len(self._records) == len(records):  # nothing committed since
-                self._digest = hasher.hexdigest()
-        return path
+            lines = [_canonical_line(r) for r in records]
+            if self._digest is None:
+                self._digest = _digest_of(self.case_id, lines)
+            digest = self._digest
+        return write_whole(path, "\n".join([
+            json.dumps({"type": "header", "case_id": self.case_id}),
+            *map(_with_volatile_keys, lines, records),
+            json.dumps({"type": "digest", "digest": digest}),
+            ""]))
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":

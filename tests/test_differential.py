@@ -195,6 +195,22 @@ def test_read_cases_parses_and_validates(tmp_path):
         CaseDescription("x", "   ")
 
 
+@pytest.mark.parametrize("case_id", ["", ".", "..", "../../escaped-01", "nested/dir/case-02",
+                                     "/abs", "case\x00-03"],
+                         ids=["empty", "dot", "dot_dot", "parent_path", "nested_path",
+                              "absolute_path", "nul"])
+def test_a_case_id_that_is_not_one_plain_file_name_is_rejected_at_its_line(tmp_path, case_id):
+    # the id names the case's trace file in the output directory
+    path = tmp_path / "cases.jsonl"
+    path.write_text(json.dumps({"case_id": "a", "narrative": "Story A."}) + "\n"
+                    + json.dumps({"case_id": case_id, "narrative": "Story B."}) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ResourceError) as exc:
+        read_cases(path)
+    assert str(exc.value) == (f"{path}:2: bad case row: case_id {case_id!r} "
+                              "is not a plain file name")
+
+
 # a case-file field: any text, or very long text, with lone surrogates drawn
 # as often as all other characters together; or a value that is not text
 CHARACTER = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])

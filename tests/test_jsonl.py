@@ -353,11 +353,11 @@ def table_rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-def written_rows(path):
-    """The rows an open sink of ``path`` has written so far: those of its
-    one sibling temp file, as the table itself is written only on close."""
-    [tmp] = path.parent.glob(f".{path.name}.*.tmp")
-    return table_rows(tmp)
+def written_rows(sink: JsonlSink):
+    """The rows an open sink has written so far: those of its temp file,
+    flushed first, as the table itself is written only on close."""
+    sink._fh.flush()
+    return table_rows(sink._tmp)
 
 
 def test_a_sink_leaves_its_table_as_it_was_until_it_closes(tmp_path):
@@ -514,7 +514,7 @@ def test_held_rows_land_in_call_order_when_written(tmp_path):
         first.write([("x", {"k": "x"})])
         second.write([("y", {"k": "y"}), ("z", {"k": "z"})])
         first.write([("w", {"k": "w"})])
-    assert written_rows(tmp_path / "a.jsonl") == written_rows(tmp_path / "b.jsonl") == []
+    assert written_rows(first) == written_rows(second) == []
     first.write([("v", {"k": "v"})])  # outside the context: written at once
     write_held(held)
     first.close()
@@ -548,7 +548,7 @@ def test_writes_held_under_an_outer_holding_are_held_again_and_committed_with_it
         write_held(inner)
         assert [item for _, item in outer][1:] == [item for _, item in inner]
     assert len(outer) == 3
-    assert trace.records == [] and written_rows(tmp_path / "t.jsonl") == []
+    assert trace.records == [] and written_rows(sink) == []
     write_held(outer)
     sink.close()
     assert [(r["seq"], r["decision"]) for r in trace.records] == [(0, "first"), (1, "held")]
@@ -601,12 +601,12 @@ def test_a_thread_holding_nothing_writes_while_another_holds(tmp_path):
     try:
         assert holding_rows.wait(timeout=10)
         sink.write([("direct", {"k": "direct"})])
+        assert [row["k"] for row in written_rows(sink)] == ["direct"]
     finally:
         done.set()
         thread.join(timeout=10)
     write_held(held)
     sink.close()
-    # the direct row, written while the other thread held its row, comes first
     assert [row["k"] for row in table_rows(tmp_path / "t.jsonl")] == ["direct", "held"]
 
 

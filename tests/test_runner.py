@@ -94,6 +94,7 @@ def test_simple_case_takes_direct_route_and_is_correct(replay_runtime,
     final = trace.decisions(decision="final_report")
     assert len(final) == 1
     assert final[0]["payload"]["route"] == "direct"
+    replay_runtime.wait_for_traces()  # the trace is written behind the case
     path = trace_path_for(replay_runtime.config, "case-01")
     assert path.exists()
     assert Trace.load(path).digest() == trace.digest()
@@ -114,6 +115,7 @@ def test_unrecorded_case_fails_with_stage_and_partial_trace(replay_runtime):
         run_case(replay_runtime, bogus)
     assert exc.value.case_id == "case-xx"
     assert exc.value.stage == "extract"
+    replay_runtime.wait_for_traces()
     assert trace_path_for(replay_runtime.config, "case-xx").exists()
 
 

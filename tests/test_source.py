@@ -251,6 +251,19 @@ def test_every_private_helper_is_used_outside_its_own_definition():
     assert found == []
 
 
+def test_no_module_imports_a_private_name_from_another():
+    # a module's private names are its own: what another module needs from
+    # it is public, or stays where it is used
+    package = Path(dxcouncil.__file__).parent
+    found = [f"{path.name}:{node.lineno} {alias.name}"
+             for path in sorted(package.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.ImportFrom)
+             and (node.level > 0 or (node.module or "").split(".")[0] == "dxcouncil")
+             for alias in node.names if _private(alias.name)]
+    assert found == []
+
+
 # distributions whose import name differs from their name
 _IMPORT_NAMES = {"pyyaml": "yaml"}
 

@@ -1,10 +1,11 @@
 """Trace writes behind the case.
 
-A runtime whose chat backend is not labelled replay hands each case's trace
-write to the gateway's pool and goes on to the next case; a replay runtime
-writes inline. These tests pin what that may not change: every trace is on
+Every runtime, whatever its chat backend's label, hands each case's trace
+write to one writer thread and goes on to the next case. These tests pin,
+under a replay and a live label alike, what that may not change: every
+write runs on that one thread, never the batch's own; every trace is on
 disk, loads and carries the digest of its row (the replay run's digest)
-once ``run_batch`` or ``Runtime.close`` has returned or raised, and no
+once ``run_batch`` or ``Runtime.close`` has returned or raised; and no
 write is still running then.
 """
 
@@ -17,8 +18,9 @@ from types import SimpleNamespace
 
 import pytest
 
+from dxcouncil import runner
 from dxcouncil.differential import read_cases
-from dxcouncil.gateway import LIVE, TaskKind
+from dxcouncil.gateway import LIVE, REPLAY, TaskKind
 from dxcouncil.runner import run_batch, run_case, trace_path_for
 from dxcouncil.trace import Trace
 
@@ -30,6 +32,7 @@ from test_fanout import (  # noqa: F401  (sequential is a fixture)
 )
 
 CASE_IDS = [f"case-{i:02d}" for i in range(1, 11)]
+LABELS = pytest.mark.parametrize("label", [REPLAY, LIVE])
 
 
 @pytest.fixture
@@ -55,11 +58,11 @@ def slow_writes(monkeypatch):
 
 
 class InterruptedAt(TableBackend):
-    """The fixture transcript under the live label, except that a
+    """The fixture transcript under a chosen label, except that a
     ``KeyboardInterrupt`` ends the complexity call of one case."""
 
-    def __init__(self, narrative: str):
-        super().__init__(LIVE)
+    def __init__(self, label: str, narrative: str):
+        super().__init__(label)
         self.narrative = narrative
 
     def respond(self, kind, system, user, key):
@@ -73,11 +76,19 @@ def loaded_digests(config, case_ids) -> dict[str, str]:
             for case_id in case_ids}
 
 
+def written_behind(slow_writes, count: int) -> None:
+    """``count`` writes ran, all on one thread that is not this one."""
+    assert len(slow_writes.threads) == count
+    assert len(set(slow_writes.threads)) == 1
+    assert threading.get_ident() not in slow_writes.threads
+
+
+@LABELS
 @pytest.mark.parametrize("workers", [1, 4])
-def test_a_live_batch_has_every_trace_on_disk_when_it_returns(tmp_path, slow_writes,
-                                                              sequential, workers):
+def test_a_batch_has_every_trace_on_disk_when_it_returns(tmp_path, slow_writes, sequential,
+                                                         label, workers):
     config = fixture_config(tmp_path, workers)
-    runtime = fixture_runtime(config, TableBackend(LIVE))
+    runtime = fixture_runtime(config, TableBackend(label))
     switch_s = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)  # case threads start their writes side by side
     try:
@@ -90,15 +101,14 @@ def test_a_live_batch_has_every_trace_on_disk_when_it_returns(tmp_path, slow_wri
     finally:
         sys.setswitchinterval(switch_s)
         runtime.close()
-    # the writes ran behind their cases, off the batch's own thread
-    assert len(slow_writes.threads) == 10
-    assert threading.get_ident() not in slow_writes.threads
+    written_behind(slow_writes, 10)
 
 
-def test_a_failed_behind_write_raises_from_run_batch_and_writes_no_results(tmp_path):
+@LABELS
+def test_a_failed_behind_write_raises_from_run_batch_and_writes_no_results(tmp_path, label):
     config = fixture_config(tmp_path)
     trace_path_for(config, "case-03").mkdir(parents=True)
-    runtime = fixture_runtime(config, TableBackend(LIVE))
+    runtime = fixture_runtime(config, TableBackend(label))
     try:
         with pytest.raises(IsADirectoryError):
             run_batch(runtime)
@@ -111,11 +121,13 @@ def test_a_failed_behind_write_raises_from_run_batch_and_writes_no_results(tmp_p
         runtime.close()  # the failed write was settled by run_batch
 
 
+@LABELS
 def test_an_interrupt_in_a_case_surfaces_once_the_traces_so_far_are_written(tmp_path,
-                                                                            slow_writes):
+                                                                            slow_writes,
+                                                                            label):
     config = fixture_config(tmp_path)
     [case_03] = [c for c in read_cases(config.cases_path) if c.case_id == "case-03"]
-    runtime = fixture_runtime(config, InterruptedAt(case_03.narrative))
+    runtime = fixture_runtime(config, InterruptedAt(label, case_03.narrative))
     try:
         with pytest.raises(KeyboardInterrupt):
             run_batch(runtime)
@@ -128,15 +140,39 @@ def test_an_interrupt_in_a_case_surfaces_once_the_traces_so_far_are_written(tmp_
         assert "assess_complexity" not in {r["task"] for r in partial.exchanges()}
     finally:
         runtime.close()
+    written_behind(slow_writes, 3)
 
 
-def test_a_direct_run_case_has_its_trace_on_disk_once_the_runtime_closes(tmp_path,
-                                                                         slow_writes):
+@LABELS
+def test_an_interrupt_while_run_batch_waits_leaves_the_writes_to_close(tmp_path, slow_writes,
+                                                                      monkeypatch, label):
     config = fixture_config(tmp_path)
-    runtime = fixture_runtime(config, TableBackend(LIVE))
+    runtime = fixture_runtime(config, TableBackend(label))
+    wait = runner.wait
+
+    def interrupted_wait(futures):
+        monkeypatch.setattr(runner, "wait", wait)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(runner, "wait", interrupted_wait)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            run_batch(runtime)
+    finally:
+        runtime.close()
+    assert slow_writes.running == 0
+    assert sorted(loaded_digests(config, CASE_IDS)) == CASE_IDS
+
+
+@LABELS
+def test_a_direct_run_case_has_its_trace_on_disk_once_the_runtime_closes(tmp_path,
+                                                                         slow_writes, label):
+    config = fixture_config(tmp_path)
+    runtime = fixture_runtime(config, TableBackend(label))
     try:
         _, trace = run_case(runtime, read_cases(config.cases_path)[0])
     finally:
         runtime.close()
     assert slow_writes.running == 0
     assert loaded_digests(config, ["case-01"]) == {"case-01": trace.digest()}
+    written_behind(slow_writes, 1)
