@@ -21,6 +21,7 @@ from .errors import DeliberationError, JudgmentParseError, ResourceError
 from .gateway import Gateway, TaskKind
 from .jsonl import read_jsonl, text_field
 from .kg import Concept, KnowledgeGraph
+from .trace import SUFFIX
 
 # vocabulary entries offered to the aligner per mention
 ALIGN_CANDIDATES = 5
@@ -88,6 +89,10 @@ def _case_row(row: dict) -> CaseDescription:
     case_id = text_field(row, "case_id")
     if case_id in ("", ".", "..") or "/" in case_id or "\0" in case_id:
         raise ValueError(f"case_id {case_id!r} is not a plain file name")
+    size = len(case_id.encode("utf-8")) + len(SUFFIX)
+    if size > 255:  # NAME_MAX, the longest file name in bytes on Linux file systems
+        raise ValueError(f"case_id {case_id!r} makes a trace file name of {size} "
+                         "UTF-8 bytes, over 255")
     return CaseDescription(
         case_id=case_id,
         narrative=text_field(row, "narrative"),

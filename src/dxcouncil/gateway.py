@@ -11,9 +11,9 @@ writes each response to the transcript as it returns it.
 A gateway answers a key from its runtime's answer table, ``{canonical_key:
 response}``, before it asks the backend: a prompt an earlier case of the
 run already had answered costs no request, whatever the backend. Such an
-exchange is traced and parsed as any other, labelled ``"shared"``; the label
-is a volatile trace key, so digests do not change. ``runner.run_case`` fills
-the table, from the exchanges of each case that returns its report.
+exchange is traced and parsed as any other, labelled ``"shared"`` in the
+run's timing sidecar, not in the trace. ``runner.run_case`` fills the table,
+from the exchanges of each case that returns its report.
 
 ``Gateway.branches`` is the one way a case runs independent work side by
 side, and the stage modules say which of their steps are branches. Every
@@ -267,7 +267,7 @@ class Gateway:
         """Run one model call and return ``parse_judgment``'s payload.
 
         A key in the answer table is answered from it, with no backend call
-        (so nothing is recorded), and traced with the backend label
+        (so nothing is recorded), and traced with the sidecar backend label
         ``"shared"``. Any other response is checked for emptiness, traced
         and parsed only after the backend returns it (a recording backend
         has recorded it by then), so a response that breaks its task's

@@ -1,9 +1,9 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
 transcript, embedding and score tables), the one decoder of a file line
 (``decode``, which trace files read through too), the one sink every
-recorder writes through, and the one writer of every output file (each
-trace, ``results.jsonl`` and ``summary.json``, each whole), so row format,
-error reporting and how a file is replaced are decided here once.
+recorder writes through, and the one writer of every output file (traces,
+``results.jsonl``, ``summary.json`` and ``timings.jsonl``, each whole), so
+row format, error reporting and how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
 what it writes, table rows and trace records alike, in a list, and the case

@@ -10,7 +10,7 @@ Every trace is written whole on one thread, ``_WRITER``, shared by every
 runtime whatever its backend, behind the case that made it: the write runs
 beside the next case instead of on the case's own path. ``run_batch`` and
 ``Runtime.close`` wait for every such write before they return or raise, so
-no write outlives them.
+no write outlives them; then they write the timing sidecar.
 
 Each case has one gateway and one trace. Within it, the differential is
 generated on the guessed findings beside the finding aligns
@@ -28,9 +28,9 @@ It names the evidence resources and run settings once too, for the package
 builder and for the supplement builder it hands the panels, and passes every
 stage its settings from the config: no stage function defaults one.
 
-A case's trace does not depend on ``workers``, apart from the volatile
-``backend`` labels: which calls are answered from the runtime's answer
-table depends on which cases have finished. The record tables do: a
+A case's trace does not depend on ``workers``. Its backend labels in the
+sidecar do: which calls are answered from the runtime's answer table
+depends on which cases have finished. The record tables do too: a
 transcript row is written when its call returns and an embedding or score
 row when its retrieval returns (for work inside a branch, when the case
 commits the branch), so with ``workers > 1`` the rows of concurrent cases
@@ -91,7 +91,7 @@ from .guidelines import GuidelineIndex, ingest_corpus, read_corpus
 from .jsonl import write_whole
 from .kg import KnowledgeGraph, load_kg
 from .metrics import MetricsReport, weighted_metrics
-from .trace import Trace
+from .trace import SUFFIX, Trace
 
 # the one thread every runtime's trace writes run on, one after another, in
 # the order their cases handed them over; it starts with the first write
@@ -128,7 +128,8 @@ class Runtime:
             raise ValueError("inject chat_backend, embedder and scorer together, or none")
         self.config = config
         self.answers: dict[str, str] = {}
-        self._writes: list[Future] = []  # pending trace writes, each giving (case id, digest)
+        self._writes: list[Future] = []  # pending trace writes: (case id, digest, timing)
+        self._timings: dict[str, dict] = {}  # each written case's timing line
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
         wired = chat_backend is None
         self.chat_backend, self.embedder, self.scorer = (
@@ -149,11 +150,17 @@ class Runtime:
     def wait_for_traces(self) -> dict[str, str]:
         """Wait for every trace write handed over so far, then raise the
         first failed write's error, in the order the writes were handed
-        over, or return each written trace's digest under its case id. An
+        over, or write ``timings.jsonl`` whole, a line per case run so far
+        (``Trace.timings``), and return each new trace's digest by case id. An
         interrupt during the wait leaves the writes for ``close`` to wait on."""
         wait(self._writes)
         writes, self._writes = self._writes, []
-        return dict(write.result() for write in writes)
+        written = [write.result() for write in writes]
+        if written:
+            self._timings.update((case_id, line) for case_id, _, line in written)
+            write_whole(self.config.output_dir / "timings.jsonl", "".join(
+                json.dumps(line, ensure_ascii=False) + "\n" for line in self._timings.values()))
+        return {case_id: digest for case_id, digest, _ in written}
 
     def close(self) -> None:
         try:
@@ -168,9 +175,9 @@ class Runtime:
                 end()
 
 
-def _write(trace: Trace, path: Path) -> tuple[str, str]:
+def _write(trace: Trace, path: Path) -> tuple[str, str, dict]:
     trace.write(path)
-    return trace.case_id, trace.digest()  # computed by the write
+    return trace.case_id, trace.digest(), trace.timings()  # the write computed the digest
 
 
 def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScorer]:
@@ -198,7 +205,7 @@ def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScore
 
 
 def trace_path_for(config: RunConfig, case_id: str) -> Path:
-    return config.output_dir / f"{case_id}.trace.jsonl"
+    return config.output_dir / f"{case_id}{SUFFIX}"
 
 
 def run_case(runtime: Runtime, case: CaseDescription) -> tuple[FinalReport, Trace]:
@@ -316,7 +323,7 @@ def run_batch(runtime: Runtime) -> BatchResult:
     Failures become rows, not batch aborts. Weighted metrics cover the
     successfully diagnosed cases that carry a ground-truth label. Every
     trace write has ended when this returns or raises; a failed write
-    raises its error, and then no results or summary are written.
+    raises its error, and then no results, summary or timings are written.
     """
     config = runtime.config
     cases = read_cases(config.cases_path)

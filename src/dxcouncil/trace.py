@@ -3,9 +3,9 @@
 Every model exchange, retrieval, path enumeration, prune batch, and
 controller decision lands here with a gapless sequence number, given when
 the record is committed (inside a gateway branch a record is held, like a
-table row; see ``jsonl.holding``). The digest covers a canonical
-serialization that excludes timestamps and the backend label, so a
-record-mode run and its replay produce identical digests.
+table row; see ``jsonl.holding``). A record holds only what the digest
+covers, so a record-mode run and its replay write identical files; times
+and backend labels go to the run's timing sidecar (``Trace.timings``).
 """
 
 from __future__ import annotations
@@ -19,15 +19,10 @@ from typing import Any, Iterator
 
 from .jsonl import decode, hold, open_lines, write_whole
 
-# Keys excluded from the canonical serialization the digest is computed over.
-_VOLATILE_KEYS = ("ts", "backend")
-# built once: json.dumps with any non-default option builds a new encoder
-# per call. The canonical encoder is handed a copy of the record with the
-# volatile keys popped: the copy is one C call, where a comprehension that
-# leaves them out would run Python code for every key of every record
+SUFFIX = ".trace.jsonl"  # ends a trace file's name, after its case id
+# built once: json.dumps with a non-default option builds an encoder per call
 _CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
                               separators=(",", ":"))
-_VOLATILE = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
 class Trace:
@@ -36,20 +31,25 @@ class Trace:
     def __init__(self, case_id: str):
         self.case_id = case_id
         self._records: list[dict[str, Any]] = []
+        # each record's time and backend label, by seq
+        self._ts: list[float] = []
+        self._backends: list[str | None] = []
         self._lock = threading.Lock()
         self._digest: str | None = None  # valid until the next commit
 
-    def _append(self, record: dict[str, Any]) -> None:
-        record["ts"] = time.time()
-        self._commit(record)
+    def _append(self, record: dict[str, Any], backend: str | None = None) -> None:
+        self._commit((record, time.time(), backend))
 
-    def _commit(self, record: dict[str, Any]) -> None:
-        if hold(self._commit, record):
+    def _commit(self, made: tuple[dict[str, Any], float, str | None]) -> None:
+        if hold(self._commit, made):
             return
+        record, ts, backend = made
         with self._lock:
             self._digest = None
             record["seq"] = len(self._records)
             self._records.append(record)
+            self._ts.append(ts)
+            self._backends.append(backend)
 
     # -- typed appenders -----------------------------------------------------
 
@@ -57,8 +57,8 @@ class Trace:
                  backend: str) -> None:
         self._append({
             "type": "exchange", "task": task, "key": canonical_key,
-            "prompt": prompt, "response": response, "backend": backend,
-        })
+            "prompt": prompt, "response": response,
+        }, backend)
 
     def retrieval(self, query: str, dense: list[dict[str, Any]],
                   reranked: list[dict[str, Any]], k: int, n: int) -> None:
@@ -103,17 +103,22 @@ class Trace:
             if record["type"] == "exchange":
                 yield record["prompt"]
 
+    def timings(self) -> dict[str, Any]:
+        """The trace's timing-sidecar line: by ``seq``, each record's time
+        when made and backend label (null but for an exchange)."""
+        with self._lock:
+            return {"case_id": self.case_id, "ts": list(self._ts),
+                    "backend": list(self._backends)}
+
     # -- digest and persistence ---------------------------------------------
 
     def digest(self) -> str:
-        """SHA-256 over the canonical serialization, volatile keys excluded.
-
-        Computed once and reused until the next record is committed.
-        """
+        """SHA-256 over the case id and the records' canonical lines,
+        computed once and reused until the next record is committed."""
         with self._lock:
             if self._digest is None:
                 self._digest = _digest_of(self.case_id,
-                                          [_canonical_line(r) for r in self._records])
+                                          list(map(_CANONICAL.encode, self._records)))
             return self._digest
 
     def write(self, path: str | Path) -> Path:
@@ -121,20 +126,18 @@ class Trace:
         line.
 
         Each record is serialized once: its file line is the canonical line
-        the digest hashes, with the volatile keys appended. The whole file
-        is built first and written with one call (``jsonl.write_whole``),
-        which replaces what an earlier run left at ``path`` and makes the
-        parent directory if missing.
+        the digest hashes. The whole file is built first and written with
+        one call (``jsonl.write_whole``), which replaces what an earlier run
+        left at ``path`` and makes the parent directory if missing.
         """
         with self._lock:
-            records = list(self._records)
-            lines = [_canonical_line(r) for r in records]
+            lines = list(map(_CANONICAL.encode, self._records))
             if self._digest is None:
                 self._digest = _digest_of(self.case_id, lines)
             digest = self._digest
         return write_whole(path, "\n".join([
             json.dumps({"type": "header", "case_id": self.case_id}),
-            *map(_with_volatile_keys, lines, records),
+            *lines,
             json.dumps({"type": "digest", "digest": digest}),
             ""]))
 
@@ -173,25 +176,9 @@ class Trace:
         return trace
 
 
-def _canonical_line(record: dict[str, Any]) -> str:
-    canonical = record.copy()
-    for key in _VOLATILE_KEYS:
-        canonical.pop(key, None)
-    return _CANONICAL.encode(canonical)
-
-
 def _digest_of(case_id: str, lines: list[str]) -> str:
     text = "\n".join([case_id, *lines]) + "\n"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _with_volatile_keys(line: str, record: dict[str, Any]) -> str:
-    """``line`` (a canonical JSON object) with the record's volatile keys
-    added after its last key."""
-    volatile = {k: record[k] for k in _VOLATILE_KEYS if k in record}
-    if not volatile:
-        return line
-    return line[:-1] + "," + _VOLATILE.encode(volatile)[1:]
 
 
 def scan_for_leakage(trace: Trace, labels: list[str]) -> list[tuple[int, str]]:

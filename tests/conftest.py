@@ -61,6 +61,17 @@ def scripted_gateway(rules, trace: Trace | None = None) -> Gateway:
     return Gateway(ScriptedResponder(rules), trace or Trace("scripted"), {})
 
 
+def read_timings(output_dir: Path) -> dict[str, dict]:
+    """Each case's line of a run's timing sidecar, under its case id."""
+    text = (Path(output_dir) / "timings.jsonl").read_text(encoding="utf-8")
+    return {row["case_id"]: row for row in map(json.loads, text.splitlines())}
+
+
+def backend_label(trace: Trace, record: dict) -> str | None:
+    """The backend label ``trace`` keeps for one of its records."""
+    return trace.timings()["backend"][record["seq"]]
+
+
 def _loopback(address) -> bool:
     """Whether a connect address is a loopback IP; a host name is not
     resolved, so it never is."""

@@ -21,13 +21,14 @@ from dxcouncil.gateway import LIVE, REPLAY, Gateway, ScriptedResponder, TaskKind
 from dxcouncil.runner import Runtime, run_batch, run_case, trace_path_for
 from dxcouncil.trace import Trace
 
-from conftest import FIXTURES
+from conftest import FIXTURES, backend_label
 from test_fanout import (  # noqa: F401  (sequential is a fixture)
     MALFORMED,
     SHARED,
     Outcome,
     TableBackend,
     case_10,
+    exchange_labels,
     fixture_config,
     fixture_runtime,
     run_recorded,
@@ -77,27 +78,25 @@ class FirstAskFails(TableBackend):
                 self.fault_key = None
 
 
-def run_unrecorded(tmp_path, backend: TableBackend) -> tuple[Runtime, dict, dict]:
+def run_unrecorded(tmp_path, backend: TableBackend) -> tuple[Runtime, dict, dict, dict]:
     """The fixture batch against ``backend`` with no recorder (a recorder
-    would reject a key answered twice, differently): the closed runtime, and
-    each case's row and trace."""
+    would reject a key answered twice, differently): the closed runtime,
+    and each case's row, trace, and exchanges as (key, backend label)."""
     config = fixture_config(tmp_path)
     runtime = fixture_runtime(config, backend)
     try:
         result = run_batch(runtime)
     finally:
         runtime.close()
-    return (runtime, {row.case_id: row for row in result.rows},
-            {row.case_id: Trace.load(trace_path_for(config, row.case_id))
-             for row in result.rows})
+    traces = {row.case_id: Trace.load(trace_path_for(config, row.case_id))
+              for row in result.rows}
+    return (runtime, {row.case_id: row for row in result.rows}, traces,
+            exchange_labels(traces, config.output_dir))
 
 
-def labels_of(trace: Trace, key: str) -> list[str]:
-    return [r["backend"] for r in trace.exchanges() if r["key"] == key]
-
-
-def labels_in(outcome: Outcome, case_id: str, key: str) -> list[str]:
-    return [label for k, label in outcome.exchanges[case_id] if k == key]
+def labels_in(exchanges: dict[str, list[tuple[str, str]]], case_id: str,
+              key: str) -> list[str]:
+    return [label for k, label in exchanges[case_id] if k == key]
 
 
 def test_gateway_answers_a_key_in_its_table_without_the_backend():
@@ -111,8 +110,9 @@ def test_gateway_answers_a_key_in_its_table_without_the_backend():
                  {asked["key"]: "known"})
     assert gw.complete(TaskKind.VERBALIZE, {"path": "A --[r]--> B"}) == "known"
     [shared] = gw.trace.exchanges()
-    assert shared["backend"] == SHARED
-    # the digest leaves out the backend label, so sharing does not change it
+    assert backend_label(gw.trace, shared) == SHARED
+    # the record leaves out the backend label, so sharing does not change it
+    assert gw.trace.records == probe.trace.records
     assert gw.trace.digest() == probe.trace.digest()
 
 
@@ -127,8 +127,8 @@ def test_a_key_an_earlier_case_asked_reaches_the_backend_once(tmp_path, sequenti
             len(asked), sum(asked.values())) == (231, 208, 209)
 
     key, first, second = repeated_key(sequential, "align")
-    assert labels_in(got, first, key) == [LIVE]
-    assert labels_in(got, second, key) == [SHARED]
+    assert labels_in(got.exchanges, first, key) == [LIVE]
+    assert labels_in(got.exchanges, second, key) == [SHARED]
     assert got.rows == sequential.rows
     assert got.records == sequential.records
     assert (got.transcript, got.embeddings, got.scores) == (
@@ -145,20 +145,21 @@ def test_a_key_an_earlier_case_asked_reaches_the_backend_once(tmp_path, sequenti
     assert {row.case_id: row.trace_digest for row in replayed.rows} == {
         case_id: digest for case_id, (_, _, digest) in got.rows.items()}
     # and shares through the same table
-    assert {r["backend"] for row in replayed.rows
-            for r in Trace.load(trace_path_for(config, row.case_id)).exchanges()} == {
-        REPLAY, SHARED}
+    traces = {row.case_id: Trace.load(trace_path_for(config, row.case_id))
+              for row in replayed.rows}
+    assert {label for exchanges in exchange_labels(traces, config.output_dir).values()
+            for _, label in exchanges} == {REPLAY, SHARED}
 
 
 @pytest.mark.parametrize("fault", ["transport", "malformed"])
 def test_a_failed_first_ask_makes_the_next_case_ask_again(tmp_path, sequential, fault):
     key, first, second = repeated_key(sequential, "align")
     backend = FirstAskFails(LIVE, fault=(key, fault))
-    _, rows, traces = run_unrecorded(tmp_path, backend)
+    _, rows, traces, exchanges = run_unrecorded(tmp_path, backend)
 
     assert rows[first].status == "error"
     assert [k for k, _ in backend.calls].count(key) == 2
-    assert labels_of(traces[second], key) == [LIVE]
+    assert labels_in(exchanges, second, key) == [LIVE]
     # the malformed answer was traced by the case it failed, and shared
     # with none
     assert [r["response"] for r in traces[first].exchanges() if r["key"] == key] == (
@@ -176,11 +177,11 @@ def test_the_answers_of_a_failed_case_are_not_shared(tmp_path, sequential):
     # a call of the first case after its ask of ``key`` that no other case makes
     later = next(k for k in keys[first][keys[first].index(key) + 1:] if cases_asking[k] == 1)
     backend = TableBackend(LIVE, fault=(later, "transport"))
-    runtime, rows, traces = run_unrecorded(tmp_path, backend)
+    runtime, rows, _, exchanges = run_unrecorded(tmp_path, backend)
 
     assert rows[first].status == "error"
-    assert labels_of(traces[first], key) == [LIVE]
-    assert labels_of(traces[second], key) == [LIVE]
+    assert labels_in(exchanges, first, key) == [LIVE]
+    assert labels_in(exchanges, second, key) == [LIVE]
     assert [k for k, _ in backend.calls].count(key) == 2
     only_first = {k for k in keys[first] if cases_asking[k] == 1}
     assert only_first and not only_first & runtime.answers.keys()
@@ -208,5 +209,5 @@ def test_a_second_runtime_starts_with_an_empty_table(tmp_path):
     finally:
         second.close()
     assert len(backend.calls) == len(trace.exchanges()) == 42
-    assert {r["backend"] for r in trace.exchanges()} == {LIVE}
+    assert {backend_label(trace, r) for r in trace.exchanges()} == {LIVE}
 

@@ -207,6 +207,21 @@ def test_a_case_id_that_is_not_a_plain_file_name_exits_three_and_writes_nothing(
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["cases.jsonl", "cli.yaml"]
 
 
+def test_a_case_id_too_long_for_a_file_name_exits_three_and_writes_nothing(tmp_path, capsys):
+    case_id = "c" * 300
+    path = tmp_path / "cases.jsonl"
+    path.write_text((FIXTURES / "cases.jsonl").read_text(encoding="utf-8")
+                    + json.dumps({"case_id": case_id, "narrative": "Story."}) + "\n",
+                    encoding="utf-8")
+    config = write_cli_config(tmp_path, cases={"path": str(path)},
+                              output={"directory": str(tmp_path / "out")})
+    assert cli.main(["batch", "--config", str(config)]) == 3
+    lines = len((FIXTURES / "cases.jsonl").read_text(encoding="utf-8").splitlines())
+    assert (f"resource error: {path}:{lines + 1}: bad case row: case_id {case_id!r} makes "
+            "a trace file name of 312 UTF-8 bytes, over 255") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cases.jsonl", "cli.yaml"]
+
+
 def test_a_config_file_that_is_not_utf8_exits_one(tmp_path, capsys):
     config = not_utf8_copy(tmp_path, "replay_config.yaml")
     assert cli.main(["validate", "--config", str(config)]) == 1

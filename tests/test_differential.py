@@ -211,6 +211,29 @@ def test_a_case_id_that_is_not_one_plain_file_name_is_rejected_at_its_line(tmp_p
                               "is not a plain file name")
 
 
+@pytest.mark.parametrize("case_id,ok", [
+    ("c" * 243, True), ("c" * 244, False), ("c" * 300, False),
+    ("\u00e9" * 121 + "c", True), ("\u00e9" * 122, False), ("\U0001f600" * 61, False),
+], ids=["243_bytes", "244_bytes", "300_bytes", "243_bytes_two_byte_chars",
+        "244_bytes_two_byte_chars", "244_bytes_four_byte_chars"])
+def test_a_case_id_too_long_for_its_trace_file_name_is_rejected_at_its_line(tmp_path,
+                                                                          case_id, ok):
+    # the id and ".trace.jsonl" make the file name, at most 255 UTF-8 bytes
+    path = tmp_path / "cases.jsonl"
+    path.write_text(json.dumps({"case_id": "a", "narrative": "Story A."}) + "\n"
+                    + json.dumps({"case_id": case_id, "narrative": "Story B."}) + "\n",
+                    encoding="utf-8")
+    size = len(case_id.encode("utf-8")) + len(".trace.jsonl")
+    if ok:
+        assert read_cases(path)[1].case_id == case_id
+        (tmp_path / f"{case_id}.trace.jsonl").write_text("")  # the name can be made
+        return
+    with pytest.raises(ResourceError) as exc:
+        read_cases(path)
+    assert str(exc.value) == (f"{path}:2: bad case row: case_id {case_id!r} makes a "
+                              f"trace file name of {size} UTF-8 bytes, over 255")
+
+
 # a case-file field: any text, or very long text, with lone surrogates drawn
 # as often as all other characters together; or a value that is not text
 CHARACTER = st.characters(exclude_categories=()) | st.characters(categories=["Cs"])

@@ -46,7 +46,7 @@ from dxcouncil.gateway import (
 from dxcouncil.runner import Runtime, run_batch, run_case, trace_path_for
 from dxcouncil.trace import Trace
 
-from conftest import FIXTURES
+from conftest import FIXTURES, read_timings
 
 FIXTURE_TRANSCRIPT = load_transcript(FIXTURES / "transcript.jsonl")
 FAN_OUT_SITES = ("align", "verbalize", "prune", "dispatch", "specialist_opinion")
@@ -92,9 +92,12 @@ class Outcome(NamedTuple):
     scores: bytes
 
 
-def canonical_records(trace: Trace) -> list[dict]:
-    return [{k: v for k, v in r.items() if k not in ("ts", "backend")}
-            for r in trace.records]
+def exchange_labels(traces: dict[str, Trace], output_dir) -> dict[str, list[tuple[str, str]]]:
+    """Each case's exchanges as (key, backend label), the labels read from
+    the run's timing sidecar."""
+    labels = {case_id: row["backend"] for case_id, row in read_timings(output_dir).items()}
+    return {case_id: [(r["key"], labels[case_id][r["seq"]]) for r in trace.exchanges()]
+            for case_id, trace in traces.items()}
 
 
 def fixture_config(tmp_path, workers: int = 1):
@@ -156,9 +159,8 @@ def run_recorded(tmp_path, backend: TableBackend, workers: int = 1,
     return Outcome(
         rows={row.case_id: (row.status, row.failed_stage, row.trace_digest)
               for row in result.rows},
-        records={case_id: canonical_records(trace) for case_id, trace in traces.items()},
-        exchanges={case_id: [(r["key"], r["backend"]) for r in trace.exchanges()]
-                   for case_id, trace in traces.items()},
+        records={case_id: trace.records for case_id, trace in traces.items()},
+        exchanges=exchange_labels(traces, config.output_dir),
         transcript=transcript.read_bytes(),
         embeddings=(tmp_path / "embeddings.jsonl").read_bytes(),
         scores=(tmp_path / "scores.jsonl").read_bytes())
@@ -904,8 +906,7 @@ def test_branches_nest_three_deep_on_a_one_thread_pool(one_thread_pool):
     # is queued behind a thread that waits on it
     assert one_thread_pool.submit(gw.branches, tree).result(timeout=10) == ["0", "1", "2"]
     assert len(gw.trace.records) == 2 * (3 + 9 + 27)
-    assert gw.trace.records == [dict(r, ts=mine["ts"])
-                                for r, mine in zip(sequential.trace.records, gw.trace.records)]
+    assert gw.trace.records == sequential.trace.records
 
 
 def test_a_one_thread_pool_under_four_workers_runs_the_batch_as_the_sequential_run(

@@ -28,7 +28,7 @@ from dxcouncil.runner import (Runtime, _wire_backends, diagnoses_agree,
                               resolve_diagnosis_label, run_batch, run_case, trace_path_for)
 from dxcouncil.trace import Trace
 
-from conftest import FIXTURES
+from conftest import FIXTURES, read_timings
 
 
 @pytest.fixture
@@ -207,10 +207,6 @@ class MalformedHypotheses(ReplayChatBackend):
         return super().respond(kind, system, user, key)
 
 
-def masked_ts(text: str) -> str:
-    return re.sub(r'"ts":[0-9.e+-]+', '"ts":0', text)
-
-
 def test_a_rerun_into_the_same_output_dir_leaves_only_the_new_run(replay_runtime, tmp_path):
     config = replay_runtime.config
     failing = case_by_id(replay_runtime, "case-03")
@@ -233,7 +229,7 @@ def test_a_rerun_into_the_same_output_dir_leaves_only_the_new_run(replay_runtime
     # what a longer earlier run left behind
     rerun_dir.mkdir()
     names = sorted(path.name for path in fresh_dir.iterdir())
-    assert len(names) == 12
+    assert len(names) == 13 and "timings.jsonl" in names
     for name in names:
         text = (fresh_dir / name).read_text(encoding="utf-8")
         (rerun_dir / name).write_text(text * 2 if name.endswith(".trace.jsonl")
@@ -243,11 +239,18 @@ def test_a_rerun_into_the_same_output_dir_leaves_only_the_new_run(replay_runtime
     rerun = batch(rerun_dir)
     assert rerun.rows == fresh.rows
     for name in names:
-        new = (rerun_dir / name).read_text(encoding="utf-8")
-        assert masked_ts(new) == masked_ts((fresh_dir / name).read_text(encoding="utf-8"))
+        new, old = ((out / name).read_text(encoding="utf-8") for out in (rerun_dir, fresh_dir))
+        if name == "timings.jsonl":
+            # the times differ between two runs; how many there are does not
+            new, old = ([dict(row, ts=len(row["ts"])) for row in map(json.loads, text.splitlines())]
+                        for text in (new, old))
+        assert new == old
+    timings = read_timings(rerun_dir)
     for row in rerun.rows:
         trace = Trace.load(rerun_dir / f"{row.case_id}.trace.jsonl")
         assert trace.digest() == Trace.load(fresh_dir / f"{row.case_id}.trace.jsonl").digest()
+        # a failed case's partial trace has its timing line too
+        assert len(timings[row.case_id]["ts"]) == len(trace.records)
         if row.status == "ok":
             assert trace.digest() == row.trace_digest
         else:

@@ -48,7 +48,7 @@ from test_fanout import (  # noqa: F401  (sequential and one_thread_pool are fix
     Outcome,
     TableBackend,
     branches_of,
-    canonical_records,
+    exchange_labels,
     fixture_config,
     one_thread_pool,
     run_recorded,
@@ -213,7 +213,7 @@ def test_speculation_nests_inside_branches_and_commits_in_their_order():
         steps = [Step(gw, value, overlap=gw.backend.label == LIVE) for value in "AB"]
         assert gw.branches([lambda step=step: gw.speculate(step.decide, "A", step.then)
                             for step in steps]) == ["from A", "from B"]
-    assert canonical_records(gws[LIVE].trace) == canonical_records(gws[REPLAY].trace)
+    assert gws[LIVE].trace.records == gws[REPLAY].trace.records
 
 
 # -- the fixture batch -------------------------------------------------------------
@@ -321,9 +321,8 @@ def run_scripted(tmp_path, backend: ScriptedBackend) -> Outcome:
     return Outcome(
         rows={row.case_id: (row.status, row.failed_stage, row.trace_digest)
               for row in result.rows},
-        records={case_id: canonical_records(trace) for case_id, trace in traces.items()},
-        exchanges={case_id: [(r["key"], r["backend"]) for r in trace.exchanges()]
-                   for case_id, trace in traces.items()},
+        records={case_id: trace.records for case_id, trace in traces.items()},
+        exchanges=exchange_labels(traces, config.output_dir),
         **{name: path.read_bytes() for name, path in tables.items()})
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -39,14 +40,16 @@ def test_held_records_are_numbered_when_written_and_reset_the_digest():
     held: list = []
     with holding(held):
         append_sample(t)
-    held_records = [record for _, record in held]
+    held_records = [record for _, (record, _, _) in held]
     assert len(held_records) == 5 and not any("seq" in r for r in held_records)
-    stamps = [r["ts"] for r in held_records]
+    stamps = [ts for _, (_, ts, _) in held]
     assert len(t.records) == 1 and t.digest() == before
+    assert len(t.timings()["ts"]) == 1
     write_held(held)
     assert [r["seq"] for r in t.records] == list(range(6))
     assert [r["type"] for r in t.records[1:]] == [r["type"] for r in sample_trace().records]
-    assert [r["ts"] for r in t.records[1:]] == stamps
+    # each held record keeps the time it was made at, not its commit's
+    assert t.timings()["ts"][1:] == stamps
     assert t.digest() != before
     whole = Trace("case-x")
     whole.decision("complexity", {"flag": "SIMPLE"})
@@ -62,20 +65,41 @@ def test_filters_select_by_task_and_decision():
     assert list(t.rendered_prompts()) == ["Patient record: itching"]
 
 
-def test_digest_ignores_timestamps_and_backend_label():
+def test_record_and_replay_traces_write_equal_files(tmp_path):
     a, b = Trace("case"), Trace("case")
     a.exchange(task="ner", canonical_key="k", prompt="p", response="r",
                backend="live")
+    a.decision("complexity", {"flag": "SIMPLE"})
     b.exchange(task="ner", canonical_key="k", prompt="p", response="r",
                backend="replay")
-    for rec in b._records:
-        rec["ts"] = 0.0
+    b.decision("complexity", {"flag": "SIMPLE"})
+    assert (a.write(tmp_path / "a.trace.jsonl").read_bytes()
+            == b.write(tmp_path / "b.trace.jsonl").read_bytes())
     assert a.digest() == b.digest()
+    # the labels and times live in each trace's timing line
+    assert (a.timings()["backend"], b.timings()["backend"]) == (
+        ["live", None], ["replay", None])
 
     c = Trace("case")
     c.exchange(task="ner", canonical_key="k", prompt="different", response="r",
                backend="live")
     assert a.digest() != c.digest()
+
+
+def test_the_timing_line_holds_one_time_and_label_per_record():
+    before = time.time()
+    t = sample_trace()
+    after = time.time()
+    timings = t.timings()
+    assert list(timings) == ["case_id", "ts", "backend"]
+    assert timings["case_id"] == "case-x"
+    assert len(timings["ts"]) == len(t.records)
+    assert all(before <= ts <= after for ts in timings["ts"])
+    assert timings["backend"] == ["live", None, None, None, None]
+    assert not any("ts" in r or "backend" in r for r in t.records)
+    # the line is a copy, which a later record does not change
+    t.decision("final_report", {"diagnosis": "X"})
+    assert len(timings["ts"]) == 5 and len(t.timings()["ts"]) == 6
 
 
 def test_digest_covers_the_case_id():
@@ -108,7 +132,7 @@ def test_write_then_load_preserves_digest(tmp_path):
 def test_write_produces_these_exact_bytes(tmp_path):
     # the header and digest lines keep json.dumps' default separators and
     # ASCII escapes; a record line is its canonical line (sorted, compact,
-    # UTF-8) with the volatile keys appended in _VOLATILE_KEYS order
+    # UTF-8)
     t = Trace("case-\u00e9")
     t.exchange(task="ner", canonical_key="k1",
                prompt="Patient record: itching \u2192 jaundice",
@@ -116,46 +140,32 @@ def test_write_produces_these_exact_bytes(tmp_path):
     t.retrieval(query="q", dense=[{"segment_id": "s1", "dense_score": 0.5}],
                 reranked=[], k=8, n=4)
     t.decision("complexity", {"flag": "SIMPLE", "z": 1, "a": [True, None]})
-    for record, ts in zip(t._records, (1700000000.125, 0.5, 2.0)):
-        record["ts"] = ts
     path = t.write(tmp_path / "case.trace.jsonl")
     assert path.read_bytes() == (
         b'{"type": "header", "case_id": "case-\\u00e9"}\n'
         b'{"key":"k1","prompt":"Patient record: itching \xe2\x86\x92 jaundice",'
-        b'"response":"[\\"itching\\"]","seq":0,"task":"ner","type":"exchange",'
-        b'"ts":1700000000.125,"backend":"live"}\n'
+        b'"response":"[\\"itching\\"]","seq":0,"task":"ner","type":"exchange"}\n'
         b'{"dense":[{"dense_score":0.5,"segment_id":"s1"}],"k":8,"n":4,"query":"q",'
-        b'"reranked":[],"seq":1,"type":"retrieval","ts":0.5}\n'
+        b'"reranked":[],"seq":1,"type":"retrieval"}\n'
         b'{"decision":"complexity","payload":{"a":[true,null],"flag":"SIMPLE","z":1},'
-        b'"seq":2,"type":"decision","ts":2.0}\n'
+        b'"seq":2,"type":"decision"}\n'
         b'{"type": "digest", "digest": '
         b'"2b1c656b69db7036963bf27cd48e0bc3022db586f32b5d52aba10f1216a1621a"}\n')
 
 
-@pytest.mark.parametrize("value", [1.5, 0.1 + 0.2, 1e-7, 1e22, float("nan"),
-                                   float("inf"), -float("inf"), -0.0, 3, True, None,
-                                   "r\u00e9play", [1, "x"], {"b": 1, "a": 2}])
-def test_a_volatile_value_is_written_as_json_dumps_writes_it(tmp_path, value):
-    t = Trace("case")
-    t.decision("complexity", {"flag": "SIMPLE"})
-    t._records[0]["ts"] = value
-    t._records[0]["backend"] = value
-    line = t.write(tmp_path / "case.trace.jsonl").read_text(encoding="utf-8").splitlines()[1]
-    tail = json.dumps(value, ensure_ascii=False, separators=(",", ":"))
-    assert line.endswith(f',"ts":{tail},"backend":{tail}}}')
-
-
-def test_a_line_with_its_volatile_keys_moved_still_verifies(tmp_path):
+def test_load_rejects_a_file_whose_records_carry_their_times(tmp_path):
+    # the format written before the timing sidecar: each record line ends
+    # with its ts, and an exchange's with its backend label too, neither of
+    # which the stored digest covers
     t = sample_trace()
     path = t.write(tmp_path / "case-x.trace.jsonl")
-    lines = path.read_text().splitlines()
-    record = json.loads(lines[1])
-    moved = {"backend": record.pop("backend"), "ts": record.pop("ts"), **record}
-    lines[1] = json.dumps(moved)
-    path.write_text("\n".join(lines) + "\n")
-    loaded = Trace.load(path)
-    assert loaded.records == t.records
-    assert loaded.digest() == t.digest()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for i, record in enumerate(t.records, start=1):
+        tail = ',"backend":"live"' if record["type"] == "exchange" else ""
+        lines[i] = lines[i][:-1] + f',"ts":1700000000.125{tail}}}'
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="stored digest does not match"):
+        Trace.load(path)
 
 
 def test_load_detects_tampering(tmp_path):

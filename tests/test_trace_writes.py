@@ -6,11 +6,14 @@ under a replay and a live label alike, what that may not change: every
 write runs on that one thread, never the batch's own; every trace is on
 disk, loads and carries the digest of its row (the replay run's digest)
 once ``run_batch`` or ``Runtime.close`` has returned or raised; and no
-write is still running then.
+write is still running then. Each trace file holds no time and no backend
+label, so a record run and its replay write equal files; the run's timing
+sidecar holds those, one line per case.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import sys
 import threading
 from time import sleep
@@ -21,13 +24,17 @@ import pytest
 from dxcouncil import runner
 from dxcouncil.differential import read_cases
 from dxcouncil.gateway import LIVE, REPLAY, TaskKind
-from dxcouncil.runner import run_batch, run_case, trace_path_for
+from dxcouncil.config import validate_config
+from dxcouncil.runner import Runtime, run_batch, run_case, trace_path_for
 from dxcouncil.trace import Trace
 
+from conftest import FIXTURES, read_timings
 from test_fanout import (  # noqa: F401  (sequential is a fixture)
+    SHARED,
     TableBackend,
     fixture_config,
     fixture_runtime,
+    run_recorded,
     sequential,
 )
 
@@ -114,6 +121,7 @@ def test_a_failed_behind_write_raises_from_run_batch_and_writes_no_results(tmp_p
             run_batch(runtime)
         assert not (config.output_dir / "results.jsonl").exists()
         assert not (config.output_dir / "summary.json").exists()
+        assert not (config.output_dir / "timings.jsonl").exists()
         # the write failed behind case-03, so the later cases ran and wrote theirs
         assert sorted(loaded_digests(config, set(CASE_IDS) - {"case-03"})) == sorted(
             set(CASE_IDS) - {"case-03"})
@@ -138,6 +146,9 @@ def test_an_interrupt_in_a_case_surfaces_once_the_traces_so_far_are_written(tmp_
         partial = Trace.load(trace_path_for(config, "case-03"))
         assert [r["task"] for r in partial.exchanges()][:1] == ["ner"]
         assert "assess_complexity" not in {r["task"] for r in partial.exchanges()}
+        timings = read_timings(config.output_dir)
+        assert list(timings) == CASE_IDS[:3]
+        assert len(timings["case-03"]["ts"]) == len(partial.records)
     finally:
         runtime.close()
     written_behind(slow_writes, 3)
@@ -176,3 +187,58 @@ def test_a_direct_run_case_has_its_trace_on_disk_once_the_runtime_closes(tmp_pat
     assert slow_writes.running == 0
     assert loaded_digests(config, ["case-01"]) == {"case-01": trace.digest()}
     written_behind(slow_writes, 1)
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+def test_a_record_run_and_its_replay_write_equal_trace_files(tmp_path, workers):
+    recorded = run_recorded(tmp_path / "record", TableBackend(LIVE), workers)
+    assert all(status == "ok" for status, _, _ in recorded.rows.values())
+    config = dataclasses.replace(validate_config(FIXTURES / "replay_config.yaml"),
+                                 output_dir=tmp_path / "replay")
+    runtime = Runtime(config)
+    try:
+        run_batch(runtime)
+    finally:
+        runtime.close()
+    record_config = fixture_config(tmp_path / "record", workers)
+    for case_id in CASE_IDS:
+        assert (trace_path_for(record_config, case_id).read_bytes()
+                == trace_path_for(config, case_id).read_bytes()), case_id
+    # the backend labels differ, in the sidecars only
+    labels = [{label for row in read_timings(out).values() for label in row["backend"]}
+              for out in (record_config.output_dir, config.output_dir)]
+    assert labels == [{LIVE, SHARED, None}, {REPLAY, SHARED, None}]
+
+
+@LABELS
+@pytest.mark.parametrize("workers", [1, 4])
+def test_the_timing_sidecar_holds_a_time_per_record_and_each_exchanges_label(
+        tmp_path, sequential, label, workers):
+    config = fixture_config(tmp_path, workers)
+    runtime = fixture_runtime(config, TableBackend(label))
+    try:
+        run_batch(runtime)
+    finally:
+        runtime.close()
+    timings = read_timings(config.output_dir)
+    assert sorted(timings) == CASE_IDS
+    asked: set[str] = set()
+    shared = 0
+    for case_id, records in sequential.records.items():
+        line = timings[case_id]
+        assert len(line["ts"]) == len(line["backend"]) == len(records)
+        assert all(isinstance(ts, float) for ts in line["ts"])
+        # an exchange whose key an earlier case asked is answered from the
+        # runtime's answer table; a key asked twice within its first case is not
+        want = [None if r["type"] != "exchange" else SHARED if r["key"] in asked else label
+                for r in records]
+        if workers == 1:
+            assert line["backend"] == want, case_id
+        else:  # which case asks a key first depends on which cases have finished
+            assert [label is None for label in line["backend"]] == [
+                label is None for label in want]
+            assert set(line["backend"]) <= {None, label, SHARED}
+        shared += line["backend"].count(SHARED)
+        asked.update(r["key"] for r in records if r["type"] == "exchange")
+    if workers == 1:
+        assert shared == 22
