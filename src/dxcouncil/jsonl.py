@@ -2,7 +2,8 @@
 transcript, embedding and score tables), the one decoder of a file line
 (``decode``, which trace files read through too), the one sink every
 recorder writes through, and the one writer of every output file (traces,
-``results.jsonl``, ``summary.json`` and ``timings.jsonl``, each whole), so
+``results.jsonl``, ``summary.json`` and ``timings.jsonl``, each whole, from
+text or from bytes already encoded, as a trace's canonical lines are), so
 row format, error reporting and how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
@@ -102,13 +103,15 @@ def text_field(row: dict, key: str) -> str:
     return value
 
 
-def write_whole(path: str | Path, text: str) -> Path:
-    """Write ``text`` to ``path`` with one write, replacing what the file
-    held. The parent directory is made only when it is missing, so a run's
-    later files cost no directory check. Text that does not encode as UTF-8
-    raises before the file is opened, so the old file is left as it was."""
+def write_whole(path: str | Path, data: str | bytes) -> Path:
+    """Write ``data``, bytes or text written as UTF-8, to ``path`` with one
+    write, replacing what the file held. The parent directory is made only
+    when it is missing, so a run's later files cost no directory check. Text
+    that does not encode as UTF-8 raises before the file is opened, so the
+    old file is left as it was."""
     path = Path(path)
-    data = text.encode("utf-8")
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     try:
         fh = open(path, "wb")
     except FileNotFoundError:

@@ -91,7 +91,7 @@ from .guidelines import GuidelineIndex, ingest_corpus, read_corpus
 from .jsonl import write_whole
 from .kg import KnowledgeGraph, load_kg
 from .metrics import MetricsReport, weighted_metrics
-from .trace import SUFFIX, Trace
+from .trace import SUFFIX, Trace, encode_line
 
 # the one thread every runtime's trace writes run on, one after another, in
 # the order their cases handed them over; it starts with the first write
@@ -129,7 +129,7 @@ class Runtime:
         self.config = config
         self.answers: dict[str, str] = {}
         self._writes: list[Future] = []  # pending trace writes: (case id, digest, timing)
-        self._timings: dict[str, dict] = {}  # each written case's timing line
+        self._timings: dict[str, bytes] = {}  # each written case's timing line
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
         wired = chat_backend is None
         self.chat_backend, self.embedder, self.scorer = (
@@ -151,15 +151,16 @@ class Runtime:
         """Wait for every trace write handed over so far, then raise the
         first failed write's error, in the order the writes were handed
         over, or write ``timings.jsonl`` whole, a line per case run so far
-        (``Trace.timings``), and return each new trace's digest by case id. An
-        interrupt during the wait leaves the writes for ``close`` to wait on."""
+        (``Trace.timings``, encoded by ``trace.encode_line`` with the trace),
+        and return each new trace's digest by case id. An interrupt during
+        the wait leaves the writes for ``close`` to wait on."""
         wait(self._writes)
         writes, self._writes = self._writes, []
         written = [write.result() for write in writes]
         if written:
             self._timings.update((case_id, line) for case_id, _, line in written)
-            write_whole(self.config.output_dir / "timings.jsonl", "".join(
-                json.dumps(line, ensure_ascii=False) + "\n" for line in self._timings.values()))
+            write_whole(self.config.output_dir / "timings.jsonl",
+                        b"\n".join([*self._timings.values(), b""]))
         return {case_id: digest for case_id, digest, _ in written}
 
     def close(self) -> None:
@@ -175,9 +176,10 @@ class Runtime:
                 end()
 
 
-def _write(trace: Trace, path: Path) -> tuple[str, str, dict]:
+def _write(trace: Trace, path: Path) -> tuple[str, str, bytes]:
     trace.write(path)
-    return trace.case_id, trace.digest(), trace.timings()  # the write computed the digest
+    # the write computed the digest
+    return trace.case_id, trace.digest(), encode_line(trace.timings())
 
 
 def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScorer]:

@@ -617,6 +617,13 @@ def test_write_whole_replaces_all_a_longer_file_held(tmp_path):
     assert path.read_bytes() == "\u00e9\n".encode("utf-8")
 
 
+def test_write_whole_writes_bytes_as_they_are(tmp_path):
+    path = tmp_path / "out" / "case.trace.jsonl"
+    write_whole(path, "\u00e9 text first\n")
+    assert write_whole(path, b"\xc3\xa9\n\xff") == path  # bytes are not decoded or checked
+    assert path.read_bytes() == b"\xc3\xa9\n\xff"
+
+
 def test_write_whole_makes_every_missing_parent(tmp_path):
     path = tmp_path / "a" / "b" / "case.trace.jsonl"
     write_whole(path, "one\n")

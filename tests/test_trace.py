@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dxcouncil.jsonl import holding, write_held
-from dxcouncil.trace import Trace, scan_for_leakage
+from dxcouncil.trace import _CANONICAL, Trace, encode_line, scan_for_leakage
 
 
 def sample_trace():
@@ -153,6 +156,88 @@ def test_write_produces_these_exact_bytes(tmp_path):
         b'"2b1c656b69db7036963bf27cd48e0bc3022db586f32b5d52aba10f1216a1621a"}\n')
 
 
+class Label(str):
+    pass
+
+
+def test_a_value_orjson_writes_otherwise_is_written_as_the_stdlib_writes_it(tmp_path):
+    # one record per value, so each value alone must send its line to the
+    # stdlib encoder, whose bytes these are
+    t = Trace("case-f")
+    for value in [1e-05, 9.999999999999999e-05, 1e16, 5e-324, -0.0, math.nan, -math.inf,
+                  2**64, -(2**63) - 1, {7: "seven"}, Label("PBC")]:
+        t.decision("probe", {"value": value})
+    path = t.write(tmp_path / "case-f.trace.jsonl")
+    records = b"".join(
+        b'{"decision":"probe","payload":{"value":%s},"seq":%d,"type":"decision"}\n'
+        % (written, seq) for seq, written in enumerate([
+            b"1e-05", b"9.999999999999999e-05", b"1e+16", b"5e-324", b"-0.0", b"NaN",
+            b"-Infinity", b"18446744073709551616", b"-9223372036854775809",
+            b'{"7":"seven"}', b'"PBC"']))
+    assert path.read_bytes() == (
+        b'{"type": "header", "case_id": "case-f"}\n' + records
+        + b'{"type": "digest", "digest": '
+        b'"eee237e15f28ac3b16d246998b22dad7cd722846dbda56fe3626ff25fc104495"}\n')
+
+
+def _canonical_or_error(encode, value):
+    try:
+        return encode(value)
+    except Exception as exc:  # the error's type is what is compared
+        return type(exc)
+
+
+# each end of the range where orjson writes floats, its neighbours, and the
+# floats JSON has no number for
+_EDGE_FLOATS = [s * x for s in (1.0, -1.0) for b in (1e-4, 1e16)
+                for x in (math.nextafter(b, 0), b, math.nextafter(b, math.inf))
+                ] + [math.nan, math.inf, -math.inf]
+# values orjson writes as the stdlib does
+_PLAIN = (st.none() | st.booleans() | st.integers(-(2**63), 2**64 - 1) | st.text()
+          | st.sampled_from([0.0, -0.0]) | st.floats(1e-4, 1e16, exclude_max=True)
+          | st.floats(-1e16, -1e-4, exclude_min=True))
+# values it writes otherwise, raises on, or writes where the stdlib raises
+_ODD = (st.text(st.characters(exclude_categories=()))  # lone surrogates too
+        | st.integers() | st.sampled_from([2**64, -(2**63) - 1]) | st.floats()
+        | st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                    st.integers(-1074, 1024))  # every exponent
+        | st.builds(Label, st.text(max_size=3)) | st.dates())
+
+
+def _mostly(plain, *odd):
+    # six values in eight are plain, and each odd strategy gives one, so
+    # most values hold one odd part or none
+    return st.integers(0, 7).flatmap(lambda i: odd[i] if i < len(odd) else plain)
+
+
+_JSON_LIKE = st.recursive(
+    _mostly(_PLAIN, _ODD, st.sampled_from(_EDGE_FLOATS)),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_mostly(st.text(), _ODD, st.builds(Label, st.text(max_size=2))),
+                      children, max_size=4),
+    max_leaves=8)
+
+
+@settings(max_examples=100)
+@given(st.lists(_JSON_LIKE, min_size=1, max_size=4))
+def test_encode_line_writes_the_stdlib_canonical_bytes_or_raises_its_error(values):
+    for value in [values, *values]:
+        assert _canonical_or_error(encode_line, value) == _canonical_or_error(
+            lambda v: _CANONICAL.encode(v).encode("utf-8"), value)
+
+
+def test_encode_line_leaves_a_value_orjson_refuses_to_the_stdlib_encoder():
+    deep = []
+    for _ in range(300):  # orjson refuses more than 254 levels
+        deep = [deep]
+    assert encode_line(deep) == b"[" * 301 + b"]" * 301
+    circular = {"a": []}
+    circular["a"].append(circular)
+    with pytest.raises(ValueError, match="Circular reference"):
+        encode_line(circular)
+
+
 def test_load_rejects_a_file_whose_records_carry_their_times(tmp_path):
     # the format written before the timing sidecar: each record line ends
     # with its ts, and an exchange's with its backend label too, neither of
@@ -164,8 +249,32 @@ def test_load_rejects_a_file_whose_records_carry_their_times(tmp_path):
         tail = ',"backend":"live"' if record["type"] == "exchange" else ""
         lines[i] = lines[i][:-1] + f',"ts":1700000000.125{tail}}}'
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="stored digest does not match"):
+    with pytest.raises(ValueError, match="holds no ts or backend key") as caught:
         Trace.load(path)
+    assert str(caught.value).startswith(f"{path}:2: ")
+
+
+def write_partial(tmp_path, edit):
+    # a crashed case's partial trace: header and records, no digest line
+    path = sample_trace().write(tmp_path / "case-x.trace.jsonl")
+    header, *records = path.read_text(encoding="utf-8").splitlines()[:-1]
+    rows = [json.loads(line) for line in records]
+    edit(rows)
+    path.write_text("\n".join([header, *map(json.dumps, rows)]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rows: rows[1].update(ts=1700000000.125),
+    lambda rows: rows[1].update(backend="live"),
+    lambda rows: rows[1].update(seq=0),  # seqs 0, 0
+    lambda rows: rows[1].update(seq=7),  # seqs 0, 7
+], ids=["ts", "backend", "repeated-seq", "gapped-seq"])
+def test_load_rejects_a_partial_trace_at_its_second_record(tmp_path, edit):
+    path = write_partial(tmp_path, edit)
+    with pytest.raises(ValueError) as caught:
+        Trace.load(path)
+    assert str(caught.value).startswith(f"{path}:3: bad trace line: ")
 
 
 def test_load_detects_tampering(tmp_path):
