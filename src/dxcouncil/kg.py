@@ -10,6 +10,7 @@ bidirectional reasoning must materialize inverse triples itself.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -20,12 +21,14 @@ from .errors import KgError, ResourceError
 from .jsonl import open_lines
 from .templates import TaskKind
 
-_PUNCT_TABLE = str.maketrans({c: " " for c in string.punctuation})
+# each ASCII punctuation mark; a regex replaces them in one C pass, where
+# str.translate looks up each distinct character of every call in a dict
+_PUNCT = re.compile(f"[{re.escape(string.punctuation)}]")
 
 
 def normalize_term(text: str) -> str:
     """Lowercase, strip punctuation, collapse whitespace."""
-    return " ".join(text.lower().translate(_PUNCT_TABLE).split())
+    return " ".join(_PUNCT.sub(" ", text.lower()).split())
 
 
 def term_tokens(text: str) -> frozenset[str]:
@@ -203,22 +206,37 @@ class KnowledgeGraph:
         mention_tokens = frozenset(mention.split())
         lexicon = self._lexicon
 
+        # (tier, -score, concept id), so the rows sort into the ranking
         scored: list[tuple[int, float, str]] = []
         exact: set[str] = set()
         for tier, table in enumerate((lexicon.by_name, lexicon.by_synonym)):
             for concept_id in table.get(mention, ()):
                 if concept_id not in exact:
                     exact.add(concept_id)
-                    scored.append((tier, 1.0, concept_id))
+                    scored.append((tier, -1.0, concept_id))
         overlapping = set().union(*(lexicon.by_token.get(t, ()) for t in mention_tokens))
+        size = len(mention_tokens)
         for concept_id in overlapping - exact:
-            best = max(len(mention_tokens & tokens) / len(mention_tokens | tokens)
-                       for tokens in lexicon.name_tokens[concept_id])
-            scored.append((2, best, concept_id))
+            best = 0.0
+            for tokens in lexicon.name_tokens[concept_id]:
+                shared = len(mention_tokens & tokens)
+                # the Jaccard index; the union's size is counted, not built
+                best = max(best, shared / (size + len(tokens) - shared))
+            scored.append((2, -best, concept_id))
 
-        scored.sort(key=lambda row: (row[0], -row[1], row[2]))
-        return [ConceptMatch(self._concepts[concept_id], score, _MATCH_KINDS[tier])
-                for tier, score, concept_id in scored[:limit]]
+        scored.sort()
+        return [ConceptMatch(self._concepts[concept_id], -negated, _MATCH_KINDS[tier])
+                for tier, negated, concept_id in scored[:limit]]
+
+    def exact_match(self, raw_mention: str) -> Concept | None:
+        """The concept ``match_entity(raw_mention, limit=1)`` ranks first when
+        that match is exact (a name or synonym tier), else None: the lowest
+        id among the concepts named by the normalized mention, else among
+        those holding it as a synonym."""
+        mention = normalize_term(raw_mention)
+        lexicon = self._lexicon
+        ids = lexicon.by_name.get(mention) or lexicon.by_synonym.get(mention)
+        return self._concepts[min(ids)] if mention and ids else None
 
     # -- path enumeration ----------------------------------------------------
 

@@ -8,9 +8,9 @@ never predicted simply contributes nothing.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass
@@ -73,28 +73,34 @@ def weighted_metrics(pairs: list[tuple[str, str]]) -> MetricsReport:
     """Support-weighted precision/recall/F1/F0.5 on a 0-100 scale.
 
     Labels with zero support (predicted but never true) carry zero weight
-    and so cannot affect the averages. Sums are exact fractions, rounded to
-    float once, so a perfect batch reads exactly 100.0.
+    and so cannot affect the averages. Each average is an exact fraction,
+    rounded to float once, so a perfect batch reads exactly 100.0. In counts,
+    F-beta is ``(1 + b2) tp / ((1 + b2) tp + b2 fn + fp)`` with ``b2 = beta**2``,
+    which is ``2 tp / (2 tp + fn + fp)`` for F1 and, times 4 above and below,
+    ``5 tp / (5 tp + fn + 4 fp)`` for F0.5.
     """
     counts = confusion_counts(pairs)
     total_support = sum(c.support for c in counts.values())
-    w_precision = w_recall = w_f1 = w_f05 = Fraction(0)
-    for c in counts.values():
-        if c.tp == 0:
-            continue  # precision, recall and both F-scores are 0
-        precision = Fraction(c.tp, c.tp + c.fp)
-        recall = Fraction(c.tp, c.tp + c.fn)
-        weight = Fraction(c.support, total_support)
-        w_precision += weight * precision
-        w_recall += weight * recall
-        w_f1 += weight * fbeta(precision, recall, Fraction(1))
-        w_f05 += weight * fbeta(precision, recall, Fraction(1, 2))
+    # a class with no true positive scores 0 on all four
+    scored = [c for c in counts.values() if c.tp]
+
+    def average(fraction) -> float:
+        # 100 * sum(support * num / den) / total_support, summed over one
+        # common denominator; int / int rounds the exact quotient once, as
+        # float(Fraction) does
+        if not scored:
+            return 0.0
+        parts = [(c.support, *fraction(c)) for c in scored]
+        common = math.lcm(*(den for _, _, den in parts))
+        return 100 * sum(support * num * (common // den) for support, num, den in parts) / (
+            common * total_support)
+
     return MetricsReport(
         cases=len(pairs),
         correct=sum(1 for truth, predicted in pairs if truth == predicted),
-        weighted_precision=float(100 * w_precision),
-        weighted_recall=float(100 * w_recall),
-        weighted_f1=float(100 * w_f1),
-        weighted_f05=float(100 * w_f05),
+        weighted_precision=average(lambda c: (c.tp, c.tp + c.fp)),
+        weighted_recall=average(lambda c: (c.tp, c.tp + c.fn)),
+        weighted_f1=average(lambda c: (2 * c.tp, 2 * c.tp + c.fn + c.fp)),
+        weighted_f05=average(lambda c: (5 * c.tp, 5 * c.tp + c.fn + 4 * c.fp)),
         per_class=counts,
     )

@@ -275,10 +275,8 @@ def resolve_diagnosis_label(graph: KnowledgeGraph, text: str) -> str | None:
     """Canonical concept id for a diagnosis string, via the exact-match tiers
     only. Fuzzy token overlap is deliberately excluded: label equivalence must
     never ride on partial word matches between disease names."""
-    matches = graph.match_entity(text, limit=1)
-    if matches and matches[0].exact:
-        return matches[0].concept.id
-    return None
+    concept = graph.exact_match(text)
+    return concept.id if concept is not None else None
 
 
 def diagnoses_agree(graph: KnowledgeGraph, truth: str, predicted: str) -> bool:

@@ -44,7 +44,8 @@ def encode_line(value: Any) -> bytes:
     magnitude in [1e-4, 1e16), a ``list``, a ``tuple``, or a ``dict`` with
     exact-``str`` keys. Outside that the two differ (orjson writes ``1e-05``
     as ``0.00001``, ``1e+16`` as ``1e16`` and NaN as ``null``), so the
-    stdlib encoder writes the value, as it does when orjson raises.
+    stdlib encoder writes the value, as it does when orjson raises. The
+    range was measured on orjson 3.8, the series ``pyproject.toml`` allows.
     """
     try:
         if _agrees((value,)):

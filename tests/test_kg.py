@@ -199,11 +199,24 @@ def test_full_ranking_matches_brute_force(fixture_graph, mention):
     assert _ranking(fixture_graph, mention, 50) == _oracle_match(fixture_graph, mention, 50)
 
 
+def _exact_top(graph: KnowledgeGraph, mention: str):
+    top = graph.match_entity(mention, limit=1)
+    return top[0].concept if top and top[0].exact else None
+
+
+@given(st.one_of(noisy_mentions(), st.text(max_size=12)))
+def test_exact_match_is_the_top_match_when_it_is_exact(fixture_graph, mention):
+    assert fixture_graph.exact_match(mention) == _exact_top(fixture_graph, mention)
+
+
 def test_synonym_equal_to_another_concepts_name_ranks_second():
     g = make_graph(["a", "b"], [], names={"a": "Hepatitis", "b": "Viral hepatitis"},
                    synonyms={"a": frozenset({"HEPATITIS!"}), "b": frozenset({"hepatitis"})})
     assert _ranking(g, "HEPATITIS", 50) == [("a", 1.0, 0), ("b", 1.0, 1)]
     assert _ranking(g, "hepatitis", 50) == _oracle_match(g, "hepatitis", 50)
+    assert g.exact_match("hepatitis") == _exact_top(g, "hepatitis") == g.concept("a")
+    assert g.exact_match("viral hepatitis") == g.concept("b")
+    assert g.exact_match("viral") is None
 
 
 def test_synonyms_normalizing_alike_match_once():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -94,3 +96,27 @@ def test_pair_order_does_not_change_the_scores(pairs, rng):
     assert a.weighted_precision == pytest.approx(b.weighted_precision)
     assert a.weighted_f1 == pytest.approx(b.weighted_f1)
     assert a.weighted_f05 == pytest.approx(b.weighted_f05)
+
+
+def _fraction_sums(pairs):
+    # the support-weighted sums of exact per-class fractions, F-beta from
+    # precision and recall, rounded to float at the end
+    counts = confusion_counts(pairs)
+    total = sum(c.support for c in counts.values())
+    sums = [Fraction(0)] * 4
+    for c in counts.values():
+        if c.tp:
+            precision, recall = Fraction(c.tp, c.tp + c.fp), Fraction(c.tp, c.tp + c.fn)
+            weight = Fraction(c.support, total)
+            for i, score in enumerate([precision, recall, fbeta(precision, recall, 1),
+                                       fbeta(precision, recall, Fraction(1, 2))]):
+                sums[i] += weight * score
+    return [float(100 * s) for s in sums]
+
+
+@given(st.lists(st.tuples(st.sampled_from("ABCDEFG"), st.sampled_from("ABCDEFG")),
+                max_size=50))
+def test_scores_are_the_exact_weighted_sums_rounded_once(pairs):
+    report = weighted_metrics(pairs)
+    assert [report.weighted_precision, report.weighted_recall, report.weighted_f1,
+            report.weighted_f05] == _fraction_sums(pairs)

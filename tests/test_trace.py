@@ -161,8 +161,9 @@ class Label(str):
 
 
 def test_a_value_orjson_writes_otherwise_is_written_as_the_stdlib_writes_it(tmp_path):
-    # one record per value, so each value alone must send its line to the
-    # stdlib encoder, whose bytes these are
+    # one record per value, so each value but -0.0 (which orjson writes as
+    # the stdlib does) sends its line to the stdlib encoder alone; these are
+    # the stdlib's bytes
     t = Trace("case-f")
     for value in [1e-05, 9.999999999999999e-05, 1e16, 5e-324, -0.0, math.nan, -math.inf,
                   2**64, -(2**63) - 1, {7: "seven"}, Label("PBC")]:
