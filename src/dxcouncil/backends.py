@@ -14,6 +14,7 @@ import json
 import math
 import urllib.error
 import urllib.request
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Protocol
 
@@ -144,8 +145,9 @@ class TableEmbedder:
 
     ``load`` converts and checks all vectors with one ``np.array``, one
     ``isfinite`` and one pass over the entries' types, and keeps them as
-    read-only rows of that (N, d) matrix. A table that fails any of them is
-    read again row by row, which names the first fault in file order.
+    read-only rows of that (N, d) matrix; a table whose texts are distinct
+    is then one ``dict`` of them. A table that fails any check is read again
+    row by row, which names the first fault in file order.
     """
 
     def __init__(self, table: dict[str, np.ndarray]):
@@ -155,26 +157,32 @@ class TableEmbedder:
     def load(cls, path: str | Path) -> "TableEmbedder":
         try:
             rows = list(read_jsonl(path, _embedding_fields, "embedding"))
-            matrix = np.array([vec for _, (_, vec) in rows], dtype=float)
+            vectors = [vec for _, _, (_, vec) in rows]
+            matrix = np.array(vectors, dtype=float)
             if (matrix.ndim != 2 or not np.isfinite(matrix).all()
-                    or not {type(x) for _, (_, vec) in rows for x in vec} <= {int, float}):
+                    or not set(map(type, chain.from_iterable(vectors))) <= {int, float}):
                 raise ValueError("not one matrix of finite numbers")
         except (ResourceError, ValueError, TypeError, OverflowError):
             located = read_jsonl(path, _embedding_row, "embedding")
         else:
             matrix.flags.writeable = False
-            located = ((location, (text, vec))
-                       for (location, (text, _)), vec in zip(rows, matrix))
-        table: dict[str, np.ndarray] = {}
+            table = dict(zip([text for _, _, (text, _) in rows], matrix))
+            if len(table) == len(rows):
+                return cls(table)
+            located = ((name, line_no, (text, vec))
+                       for (name, line_no, (text, _)), vec in zip(rows, matrix))
+        table = {}
         dim: int | None = None
-        for location, (text, vec) in located:
+        for name, line_no, (text, vec) in located:
             if dim is None:
                 dim = vec.shape[0]
             elif vec.shape[0] != dim:
-                raise ResourceError(f"{location}: embedding dim {vec.shape[0]} != {dim}")
+                raise ResourceError(
+                    f"{name}:{line_no}: embedding dim {vec.shape[0]} != {dim}")
             if (seen := table.setdefault(text, vec)) is not vec and not np.array_equal(seen, vec):
                 raise RecordConflictError(
-                    text, f"{location}: text {text!r} appears twice with different embeddings")
+                    text, f"{name}:{line_no}: text {text!r} appears twice "
+                    "with different embeddings")
         if dim is None:
             raise ResourceError(f"{path}: embedding table is empty")
         return cls(table)
@@ -249,10 +257,10 @@ class TableScorer:
     @classmethod
     def load(cls, path: str | Path) -> "TableScorer":
         table: dict[tuple[str, str], float] = {}
-        for location, (key, score) in read_jsonl(path, _score_row, "score"):
+        for name, line_no, (key, score) in read_jsonl(path, _score_row, "score"):
             if table.setdefault(key, score) != score:
                 raise RecordConflictError(
-                    key, f"{location}: pair {key!r} appears twice with different scores")
+                    key, f"{name}:{line_no}: pair {key!r} appears twice with different scores")
         return cls(table)
 
     def score(self, query_text: str, segment_texts: list[str]) -> list[float]:
@@ -267,9 +275,11 @@ class TableScorer:
 
 def _score_row(row: dict) -> tuple[tuple[str, str], float]:
     score = row["score"]
-    if type(score) not in (int, float):  # not a JSON number; bool is an int
-        raise ValueError(f"score must be a number, got {type(score).__name__}")
-    score = float(score)
+    kind = type(score)
+    if kind is not float:
+        if kind is not int:  # not a JSON number; bool is an int
+            raise ValueError(f"score must be a number, got {kind.__name__}")
+        score = float(score)
     if not math.isfinite(score):  # Python's JSON reads NaN
         raise ValueError(f"score {score} is not finite")
     return (text_field(row, "query"), text_field(row, "text")), score

@@ -76,9 +76,9 @@ def read_cases(source: str | Path | TextIO) -> list[CaseDescription]:
     """Parse a JSONL case file: case_id, narrative, optional ground_truth."""
     cases: list[CaseDescription] = []
     seen: set[str] = set()
-    for location, case in read_jsonl(source, _case_row, "case"):
+    for name, line_no, case in read_jsonl(source, _case_row, "case"):
         if case.case_id in seen:
-            raise ResourceError(f"{location}: duplicate case id {case.case_id!r}")
+            raise ResourceError(f"{name}:{line_no}: duplicate case id {case.case_id!r}")
         seen.add(case.case_id)
         cases.append(case)
     return cases

@@ -235,9 +235,9 @@ class ScriptedResponder:
 def load_transcript(path: str | Path) -> dict[str, str]:
     """Build the exact-match replay table from a transcript file."""
     table: dict[str, str] = {}
-    for location, (key, response) in read_jsonl(path, _transcript_row, "transcript"):
+    for name, line_no, (key, response) in read_jsonl(path, _transcript_row, "transcript"):
         if table.setdefault(key, response) != response:
-            raise _duplicate_key(key, f"{location}: ")
+            raise _duplicate_key(key, f"{name}:{line_no}: ")
     return table
 
 

@@ -13,10 +13,11 @@ vectors, so cosine is a plain dot product. Stage one takes every score in
 one mat-vec, ``units @ q``, and shortlists each row within
 ``_SHORTLIST_MARGIN`` of the k-th best. The mat-vec rounds differently
 from a single row's product in the last bits, so each shortlisted row is
-scored again as ``units[i] @ q``, and those scores are the ones ranked and
+scored again with the bits of its own ``units[i] @ q``, all in one stacked
+``np.matmul`` (``row_scores``), and those scores are the ones ranked and
 recorded. For unit vectors the gap between the two is at most about
 d * 2**-52 (7e-15 at d = 32), far inside the margin, so the shortlist holds
-every row of the exact top-k, ties included. Every per-row product is a
+every row of the exact top-k, ties included. Each norm at ingest is a
 1-d ``@``: it gives the bits ``np.dot`` gives, but keeps the GIL, where
 ``np.dot`` and ``np.linalg.norm`` release and re-take it on every call and
 so wait behind any busy Python thread.
@@ -64,11 +65,13 @@ def read_corpus(source: str | Path | TextIO) -> list[GuidelineSegment]:
     source_doc, and text."""
     segments: list[GuidelineSegment] = []
     seen: set[str] = set()
-    for location, segment in read_jsonl(source, _segment_row, "corpus"):
+    for name, line_no, segment in read_jsonl(source, _segment_row, "corpus"):
         if not segment.text.strip():
-            raise ResourceError(f"{location}: segment {segment.segment_id!r} has empty text")
+            raise ResourceError(
+                f"{name}:{line_no}: segment {segment.segment_id!r} has empty text")
         if segment.segment_id in seen:
-            raise ResourceError(f"{location}: duplicate segment id {segment.segment_id!r}")
+            raise ResourceError(
+                f"{name}:{line_no}: duplicate segment id {segment.segment_id!r}")
         seen.add(segment.segment_id)
         segments.append(segment)
     return segments
@@ -198,23 +201,32 @@ _SHORTLIST_MARGIN = 1e-9
 def dense_retrieve(index: GuidelineIndex, query: str, k: int) -> list[RankedSegment]:
     """Top-k segments by cosine similarity, ties by ascending segment id.
 
-    One mat-vec shortlists the rows that can be in the top-k; each of those
-    is scored again on its own, and the ranking uses those scores."""
+    One mat-vec shortlists the rows that can be in the top-k; those rows are
+    scored again, each on its own (``row_scores``), and the ranking uses
+    those scores."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if index.segment_count == 0:
         raise RetrievalError("cannot retrieve from an empty index")
     q = index.embed_query(query)
     units = index.units
-    rows = range(index.segment_count)
     if index.segment_count > k:
         scores = units @ q
         kth = np.partition(scores, -k)[-k]
-        rows = np.flatnonzero(scores >= kth - _SHORTLIST_MARGIN).tolist()
-    scored = [RankedSegment(segment=index._segments[i], dense_score=float(units[i] @ q))
-              for i in rows]
-    scored.sort(key=lambda r: (-r.dense_score, r.segment.segment_id))
-    return scored[:k]
+        rows = np.flatnonzero(scores >= kth - _SHORTLIST_MARGIN)
+    else:
+        rows = np.arange(index.segment_count)
+    segments = index._segments
+    ranked = sorted(zip(row_scores(units, rows, q).tolist(), rows.tolist()),
+                    key=lambda scored: (-scored[0], segments[scored[1]].segment_id))
+    return [RankedSegment(segments[row], score) for score, row in ranked[:k]]
+
+
+def row_scores(units: np.ndarray, rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``units[i] @ q`` for each ``i`` in ``rows``, with those bits, in one
+    call: stacked, each row is a (1, d) by (d,) product, which numpy takes
+    as the 1-d dot ``units[i] @ q`` is."""
+    return np.matmul(units[rows][:, None, :], q)[:, 0]
 
 
 def rerank(candidates: list[RankedSegment], query: str,

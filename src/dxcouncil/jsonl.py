@@ -1,6 +1,7 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
 transcript, embedding and score tables), the one decoder of a file line
-(``decode``, which trace files read through too), the one sink every
+(``decode``, which trace files read through too, reading through orjson
+wherever orjson reads the value ``json.loads`` reads), the one sink every
 recorder writes through, and the one writer of every output file (traces,
 ``results.jsonl``, ``summary.json`` and ``timings.jsonl``, each whole, from
 text or from bytes already encoded, as a trace's canonical lines are), so
@@ -22,18 +23,26 @@ from contextvars import ContextVar
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
+import orjson
+
 from .errors import ResourceError
 
 # (write, item) of every write held in the current context, or None when
 # writes are committed at once
 _HELD: ContextVar[list | None] = ContextVar("dxcouncil_held_writes", default=None)
 
-# built once: json.loads checks its arguments and matches whitespace on
-# every call
-_DECODER = json.JSONDecoder()
-# built once, like the decoder: json.dumps with a non-default option builds
-# a new encoder per call
+# built once: json.dumps with a non-default option builds a new encoder per
+# call
 _ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+# orjson reads an integer literal outside [-2**63, 2**64) as a float, so a
+# value holding a float of this magnitude or more is read by json.loads
+# instead
+_BIG = 2 ** 63
+# and so is a row nested deeper than this: orjson reads any depth, while
+# json.loads raises RecursionError at a depth its caller's stack decides
+_DEPTH = 16
+_NUMBERS = frozenset({int, float})
 
 
 def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
@@ -51,44 +60,79 @@ def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
 
 def decode(line: str) -> Any:
     """``json.loads(line)``: the same value, or the same error at the same
-    position. A row that starts at the first character and ends at the last
-    is decoded in one call; any other line takes ``json.loads``' own steps:
-    the BOM check, then ``JSONDecoder.decode``, which skips JSON whitespace
-    (space, tab, CR, LF) on both sides and rejects anything else after the
-    row as extra data."""
+    position.
+
+    orjson reads the line first, and its value is kept when ``_plain``
+    finds in it no float of magnitude ``_BIG`` or more and no nesting past
+    ``_DEPTH`` levels. Whatever else orjson would read differently it
+    refuses (checked on orjson 3.8, the series ``pyproject.toml`` allows):
+    ``NaN``, ``Infinity``, numbers that overflow to infinity, escapes of
+    lone surrogates, a leading BOM. A line orjson refuses, or whose value
+    ``_plain`` refuses, is read by ``json.loads`` itself. Only near the
+    recursion limit can the result differ from the caller's own
+    ``json.loads``: that call runs a few calls deeper here, and orjson reads
+    a row within ``_DEPTH`` levels whatever the stack."""
     try:
-        value, end = _DECODER.raw_decode(line)
-    except json.JSONDecodeError:
-        pass
-    else:
-        if end == len(line):
+        value = orjson.loads(line)
+        if _plain(value, _DEPTH):
             return value
-    if line.startswith("\ufeff"):
-        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
-    return _DECODER.decode(line)
+    except (orjson.JSONDecodeError, RecursionError):
+        pass
+    return json.loads(line)
+
+
+def _plain(value: Any, depth: int) -> bool:
+    """Whether ``value`` holds no float of magnitude ``_BIG`` or more and no
+    list or dict nested past ``depth`` levels. A list that starts with a
+    number is checked whole by ``min`` and ``max`` (an int that large in it
+    refuses it too): both succeed only when every item is a number, as a
+    number compares with no other JSON value."""
+    kind = type(value)
+    if kind is float:
+        return -_BIG < value < _BIG
+    if kind is not dict and kind is not list:
+        return True
+    if depth == 0:
+        return False
+    if kind is list:
+        if value and type(value[0]) in _NUMBERS:
+            try:
+                return -_BIG < min(value) and max(value) < _BIG
+            except TypeError:  # not every item is a number
+                pass
+    else:
+        value = value.values()
+    for item in value:
+        kind = type(item)
+        if kind is float:
+            if not -_BIG < item < _BIG:
+                return False
+        elif (kind is dict or kind is list) and not _plain(item, depth - 1):
+            return False
+    return True
 
 
 def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
-               what: str) -> Iterator[tuple[str, Any]]:
-    """Yield ``(location, parse(row))`` for each non-blank line, each row
-    read by ``decode``.
+               what: str) -> Iterator[tuple[str, int, Any]]:
+    """Yield ``(file name, line number, parse(row))`` for each non-blank
+    line, each row read by ``decode``; a caller's own error about the row
+    names it as ``file:line``, as this reader's errors do.
 
-    ``location`` is ``file:line``. Invalid JSON, JSON nested too deep for
-    the parser, and any ``ValueError``, ``KeyError``, ``TypeError`` or
-    ``OverflowError`` from ``parse`` (a row that is not an object raises
-    ``TypeError`` at its first key lookup; ``float`` of a huge integer
-    overflows) raise ``ResourceError(location: ...)``.
+    Invalid JSON, JSON nested too deep for the parser, and any
+    ``ValueError``, ``KeyError``, ``TypeError`` or ``OverflowError`` from
+    ``parse`` (a row that is not an object raises ``TypeError`` at its first
+    key lookup; ``float`` of a huge integer overflows) raise
+    ``ResourceError(file:line: ...)``.
     """
     name, lines = open_lines(source)
     for line_no, line in enumerate(lines, start=1):
         if not line or line.isspace():  # the lines str.strip empties
             continue
-        location = f"{name}:{line_no}"
         try:
             item = parse(decode(line))
         except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
-            raise ResourceError(f"{location}: bad {what} row: {exc}") from exc
-        yield location, item
+            raise ResourceError(f"{name}:{line_no}: bad {what} row: {exc}") from exc
+        yield name, line_no, item
 
 
 def text_field(row: dict, key: str) -> str:

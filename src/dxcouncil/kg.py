@@ -298,7 +298,7 @@ def _tsv_rows(source: str | Path | TextIO, width: int
         if len(fields) != width:
             raise ResourceError(f"{name}:{line_no}: expected {width} tab-separated "
                                 f"fields, got {len(fields)}")
-        yield name, line_no, [f.strip() for f in fields]
+        yield name, line_no, list(map(str.strip, fields))
 
 
 def read_concepts(source: str | Path | TextIO) -> list[Concept]:
@@ -309,6 +309,9 @@ def read_concepts(source: str | Path | TextIO) -> list[Concept]:
     """
     concepts: list[Concept] = []
     seen: set[str] = set()
+    # each distinct synonym or semantic-type field, split once: most
+    # concepts share their semantic types with others
+    names: dict[str, frozenset[str]] = {}
     for name, line_no, (concept_id, preferred, synonyms, semtypes) in _tsv_rows(source, 4):
         if not concept_id:
             raise ResourceError(f"{name}:{line_no}: empty concept id")
@@ -317,12 +320,10 @@ def read_concepts(source: str | Path | TextIO) -> list[Concept]:
         if concept_id in seen:
             raise ResourceError(f"{name}:{line_no}: duplicate concept id {concept_id!r}")
         seen.add(concept_id)
-        concepts.append(Concept(
-            id=concept_id,
-            preferred_name=preferred,
-            synonyms=frozenset(filter(None, map(str.strip, synonyms.split("|")))),
-            semantic_types=frozenset(filter(None, map(str.strip, semtypes.split("|")))),
-        ))
+        for field in (synonyms, semtypes):
+            if field not in names:
+                names[field] = frozenset(filter(None, map(str.strip, field.split("|"))))
+        concepts.append(Concept(concept_id, preferred, names[synonyms], names[semtypes]))
     return concepts
 
 

@@ -22,6 +22,7 @@ from dxcouncil.guidelines import (
     ingest_corpus,
     read_corpus,
     rerank,
+    row_scores,
 )
 from dxcouncil.trace import Trace
 
@@ -332,6 +333,27 @@ def test_dense_retrieval_matches_per_row_products_bit_for_bit(corpus):
     got = [(r.segment.segment_id, r.dense_score.hex())
            for r in dense_retrieve(index, "q", k)]
     assert got == _brute_force_top_k(vectors, segment_ids, query, k)
+
+
+@given(st.integers(1, 1536), st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from(["unit", "normal", "wide"]))
+@example(1, 1, 0, "unit")
+@example(1536, 12, 1, "wide")
+def test_row_scores_hold_each_rows_own_product_bit_for_bit(dim, count, seed, scale):
+    # dense_retrieve ranks and records these scores, so they must be what
+    # units[i] @ q gives each row alone, whatever the dimension
+    rng = np.random.default_rng(seed)
+    units = rng.standard_normal((count + 3, dim))
+    q = rng.standard_normal(dim)
+    if scale == "unit":
+        units /= np.linalg.norm(units, axis=1)[:, None]
+        q /= np.linalg.norm(q)
+    elif scale == "wide":
+        units *= 10.0 ** rng.integers(-30, 30, size=units.shape)
+    units.flags.writeable = False
+    rows = np.sort(rng.choice(len(units), size=count, replace=False))
+    assert ([score.hex() for score in row_scores(units, rows, q).tolist()]
+            == [float(units[i] @ q).hex() for i in rows])
 
 
 def test_empty_index_and_bad_k():

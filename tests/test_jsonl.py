@@ -4,11 +4,15 @@ behind every recorder, with the writes a gateway branch holds."""
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
+from contextlib import contextmanager
 
 import numpy as np
+import orjson
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dxcouncil.backends import (
     HashEmbedder,
@@ -22,8 +26,11 @@ from dxcouncil.differential import read_cases
 from dxcouncil.errors import RecordConflictError, ResourceError, RetrievalError
 from dxcouncil.gateway import TranscriptRecorder, load_transcript
 from dxcouncil.guidelines import read_corpus
-from dxcouncil.jsonl import JsonlSink, holding, write_held, write_whole
+from dxcouncil.jsonl import (_DEPTH, JsonlSink, _plain, decode, holding, open_lines,
+                             write_held, write_whole)
 from dxcouncil.trace import Trace
+
+from conftest import FIXTURES
 
 LOADERS = [
     pytest.param(read_cases, {"case_id": "a", "narrative": "Story A."}, "case",
@@ -134,6 +141,143 @@ def test_every_reader_rejects_a_bad_line_as_json_loads_does(tmp_path, load, row,
         load(path)
     assert type(exc.value) is error
     assert str(exc.value) == f"{path}:{line_no}: {what}: {reason}"
+
+
+def exact(value):
+    """``value`` in a form ``==`` compares with its types and float bits."""
+    kind = type(value)
+    if kind is float:
+        return kind, value.hex()
+    if kind is list:
+        return kind, [exact(item) for item in value]
+    if kind is dict:
+        return kind, [(key, exact(item)) for key, item in value.items()]
+    return kind, value
+
+
+def decoded(read, line):
+    """What ``read(line)`` gives: the exact value, or the error's type and
+    text."""
+    try:
+        return exact(read(line))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+@contextmanager
+def deep_stack(limit):
+    # json.loads and decode each reach the C scanner a different number of
+    # calls down, so near the recursion limit one can raise where the other
+    # reads; a raised limit lets both read the deepest row drawn here
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, limit))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+# number literals on each side of where orjson reads numbers as json.loads
+# does: the 64-bit integer edges and past them, subnormals, -0, the floats
+# that overflow or underflow, and the literals only Python's JSON reads
+_EDGE_INTS = st.sampled_from([2**63, 2**64, -(2**63), 10**19, 10**30]).flatmap(
+    lambda edge: st.integers(edge - 2, edge + 2)) | st.integers()
+_DECIMALS = st.builds(
+    "{}{}{}{}".format, st.sampled_from(["", "-"]),
+    st.from_regex(r"0|[1-9][0-9]{0,24}", fullmatch=True),
+    st.just("") | st.from_regex(r"\.[0-9]{1,25}", fullmatch=True),
+    st.just("") | st.builds("{}{}".format, st.sampled_from(["e", "E", "e+", "e-", "E-"]),
+                            st.integers(0, 400)))
+_NUMBERS = (
+    _EDGE_INTS.map(str) | _DECIMALS
+    | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    | st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True),
+                st.integers(-1074, 1024)).map(repr)  # every exponent, subnormals too
+    | st.sampled_from(["-0", "-0.0", "0e0", "-0E-0", "5e-324", "2.4703282292062327e-324",
+                       "2.4703282292062328e-324", "2.2250738585072011e-308",
+                       "1.7976931348623158e308", "1.7976931348623159e308", "1e400",
+                       "-1e400", "1e-400", "NaN", "Infinity", "-Infinity"]))
+_STRINGS = (
+    st.text().map(lambda text: json.dumps(text, ensure_ascii=False))
+    | st.text(st.characters(exclude_categories=())).map(json.dumps)  # escaped surrogates
+    | st.text(st.characters(exclude_categories=())).map(  # raw surrogates
+        lambda text: json.dumps(text, ensure_ascii=False))
+    | st.sampled_from(['"\\ud800"', '"\\udc00"', '"\\ud83d\\ude00"',
+                       '"\\ude00\\ud83d"', '"\\ud800x"', '"\\u0000"']))
+# a few keys, so objects often repeat one
+_KEYS = st.sampled_from(['"a"', '"b"', '"text"']) | _STRINGS
+_SPACE = st.sampled_from(["", " ", "\t", "\r", "\r\n", " \r\t", "\n"])
+_VALUES = st.recursive(
+    _NUMBERS | _STRINGS | st.sampled_from(["true", "false", "null"]),
+    lambda children: st.lists(children, max_size=5).map(lambda items: f"[{','.join(items)}]")
+    | st.lists(st.tuples(_KEYS, _SPACE, children), max_size=4).map(
+        lambda pairs: "{" + ",".join(f"{key}{space}:{value}" for key, space, value in pairs)
+        + "}"),
+    max_leaves=12)
+
+
+@st.composite
+def _nested(draw):
+    depth = draw(st.integers(60, 1100))
+    opens = draw(st.lists(st.sampled_from(["[", '{"a":']), min_size=depth, max_size=depth))
+    closes = "".join("]" if part == "[" else "}" for part in reversed(opens))
+    return "".join(opens) + draw(_VALUES) + closes
+
+
+_FIXTURE_ROWS = [line for path in sorted(FIXTURES.glob("*.jsonl"))
+                 for line in open_lines(path)[1] if line.strip()]
+_ROWS = st.builds("{}{}{}{}".format, st.sampled_from(["", "\ufeff"]), _SPACE,
+                  _VALUES | _nested(), _SPACE)
+
+
+@st.composite
+def _mutated(draw):
+    # a row with one character inserted, replaced or deleted
+    line = draw(_ROWS | st.sampled_from(_FIXTURE_ROWS))
+    at = draw(st.integers(0, len(line)))
+    char = draw(st.sampled_from(list('{}[]":,\\ \r\t\n\x00\x1f-+.0eE19tfn\ufeff\u2028'))
+                | st.characters())
+    edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+    tail = line[at:] if edit == "insert" else line[at + 1:]
+    return line[:at] + ("" if edit == "delete" else char) + tail
+
+
+@given(_ROWS | _mutated())
+@example("18446744073709551616")  # orjson reads it as the float 2.0**64
+@example("[-9223372036854775809]")
+@example('{"a": 1, "a": 2.5}\r')
+@example("\ufeff{}")
+@example('"\\ud800"')
+@example("[NaN, Infinity]")
+@example("[1e400]")
+@example("[" * 1100 + "]" * 1100)
+def test_decode_reads_a_line_as_json_loads_does(line):
+    with deep_stack(5000):
+        assert decoded(decode, line) == decoded(json.loads, line)
+
+
+@pytest.mark.parametrize("depth", [1_100, 3_000, 100_000])
+def test_a_row_nested_too_deep_for_the_stack_fails_as_in_json_loads(depth):
+    line = "[" * depth + "]" * depth  # orjson reads it, past the default limit of 1,000
+    assert decoded(decode, line) == decoded(json.loads, line)
+    assert decoded(decode, line)[0] is RecursionError
+
+
+@pytest.mark.parametrize("wrap", [lambda value: [value], lambda value: {"a": value}],
+                         ids=["list", "dict"])
+def test_a_value_nested_past_the_fixed_depth_goes_to_the_stdlib_decoder(wrap):
+    value = 0.5
+    for _ in range(_DEPTH):
+        value = wrap(value)
+    assert _plain(value, _DEPTH)
+    assert not _plain(wrap(value), _DEPTH)
+
+
+def test_every_fixture_row_is_read_by_orjson_as_by_json_loads():
+    for line in _FIXTURE_ROWS:
+        value = orjson.loads(line)
+        assert _plain(value, _DEPTH), line  # so decode keeps orjson's value
+        assert exact(value) == exact(json.loads(line)), line
 
 
 @pytest.mark.parametrize("value", ["Story \ud800.", None, 5],

@@ -116,18 +116,28 @@ def test_package_takes_vector_products_with_matmul_only():
 
 def test_file_lines_are_decoded_by_the_jsonl_decoder_only():
     # json.loads reads a model's answer and an HTTP reply; a line of a file
-    # goes through jsonl.decode, one decoder built once
+    # goes through jsonl.decode, orjson's loads first, then json.loads
     package = Path(dxcouncil.__file__).parent
-    found = sorted(f"{path.name} {getattr(top, 'name', top.lineno)}"
-                   for path in package.glob("*.py")
-                   for top in ast.parse(path.read_text(encoding="utf-8")).body
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    found = sorted(f"{name} {getattr(top, 'name', top.lineno)}"
+                   for name, tree in trees.items()
+                   for top in tree.body
                    for node in ast.walk(top)
                    if isinstance(node, ast.Attribute) and node.attr == "loads"
                    or isinstance(node, ast.ImportFrom)
                    and any(alias.name == "loads" for alias in node.names))
+    allowed = {"backends.py post_json", "jsonl.py decode"}
     assert [site for site in found
-            if not site.startswith("judgments.py ") and site != "backends.py post_json"] == []
-    assert "backends.py post_json" in found
+            if not site.startswith("judgments.py ") and site not in allowed] == []
+    assert allowed <= set(found)
+    # orjson encodes trace lines and decodes file lines, nothing else
+    assert sorted(name for name, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Import)
+                  and any(alias.name == "orjson" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.module == "orjson"
+                  ) == ["jsonl.py", "trace.py"]
 
 
 def test_every_exception_class_is_defined_in_errors_py():
