@@ -143,11 +143,11 @@ class TableEmbedder:
     everything the pipeline will ask for. A text repeated with a different
     vector is a ``RecordConflictError``.
 
-    ``load`` converts and checks all vectors with one ``np.array``, one
-    ``isfinite`` and one pass over the entries' types, and keeps them as
-    read-only rows of that (N, d) matrix; a table whose texts are distinct
-    is then one ``dict`` of them. A table that fails any check is read again
-    row by row, which names the first fault in file order.
+    ``load`` converts and checks all vectors with one ``np.array`` and one
+    pass over the entries' types, and keeps them as read-only rows of that
+    (N, d) matrix; a table whose texts are distinct is then one ``dict`` of
+    them. A table that fails any check is read again row by row, which
+    names the first fault in file order.
     """
 
     def __init__(self, table: dict[str, np.ndarray]):
@@ -159,10 +159,10 @@ class TableEmbedder:
             rows = list(read_jsonl(path, _embedding_fields, "embedding"))
             vectors = [vec for _, _, (_, vec) in rows]
             matrix = np.array(vectors, dtype=float)
-            if (matrix.ndim != 2 or not np.isfinite(matrix).all()
+            if (matrix.ndim != 2
                     or not set(map(type, chain.from_iterable(vectors))) <= {int, float}):
-                raise ValueError("not one matrix of finite numbers")
-        except (ResourceError, ValueError, TypeError, OverflowError):
+                raise ValueError("not one matrix of numbers")
+        except (ResourceError, ValueError, TypeError):
             located = read_jsonl(path, _embedding_row, "embedding")
         else:
             matrix.flags.writeable = False
@@ -202,9 +202,8 @@ def _embedding_fields(row: dict) -> tuple[str, Any]:
 
 def _embedding_row(row: dict) -> tuple[str, np.ndarray]:
     vec = np.asarray(row["embedding"], dtype=float)
-    # Python's JSON reads NaN, and numpy converts "1.5" and true
-    if (vec.ndim != 1 or not np.isfinite(vec).all()
-            or not set(map(type, row["embedding"])) <= {int, float}):
+    # numpy converts "1.5" and true; decode reads no NaN or infinity
+    if vec.ndim != 1 or not set(map(type, row["embedding"])) <= {int, float}:
         raise ValueError("embedding must be a flat list of finite numbers")
     return text_field(row, "text"), vec
 
@@ -280,8 +279,6 @@ def _score_row(row: dict) -> tuple[tuple[str, str], float]:
         if kind is not int:  # not a JSON number; bool is an int
             raise ValueError(f"score must be a number, got {kind.__name__}")
         score = float(score)
-    if not math.isfinite(score):  # Python's JSON reads NaN
-        raise ValueError(f"score {score} is not finite")
     return (text_field(row, "query"), text_field(row, "text")), score
 
 

@@ -1,11 +1,12 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
 transcript, embedding and score tables), the one decoder of a file line
-(``decode``, which trace files read through too, reading through orjson
-wherever orjson reads the value ``json.loads`` reads), the one sink every
-recorder writes through, and the one writer of every output file (traces,
-``results.jsonl``, ``summary.json`` and ``timings.jsonl``, each whole, from
-text or from bytes already encoded, as a trace's canonical lines are), so
-row format, error reporting and how a file is replaced are decided here once.
+(``decode``, which trace files read through too), the one encoder of a
+trace's canonical line (``encode_line``), the one sink every recorder writes
+through, and the one writer of every output file (traces, ``results.jsonl``,
+``summary.json`` and ``timings.jsonl``, each whole, from text or from bytes
+already encoded, as a trace's canonical lines are), so the file dialect
+(strict JSON, RFC 8259: no NaN or infinity either way), row format, error
+reporting and how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
 what it writes, table rows and trace records alike, in a list, and the case
@@ -17,9 +18,11 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
+from itertools import accumulate
 from pathlib import Path
 from typing import Any, Callable, Hashable, Iterable, Iterator, TextIO
 
@@ -33,16 +36,21 @@ _HELD: ContextVar[list | None] = ContextVar("dxcouncil_held_writes", default=Non
 
 # built once: json.dumps with a non-default option builds a new encoder per
 # call
-_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False)
+_ROW_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+# a trace record's canonical line: sorted keys, no spaces, UTF-8
+_CANONICAL = json.JSONEncoder(ensure_ascii=False, allow_nan=False, sort_keys=True,
+                              separators=(",", ":"))
+# the leaf types orjson writes as _CANONICAL does; it raises, and then
+# _CANONICAL writes, on an int past 64 bits, a str holding a lone surrogate
+# and a dict key that is not an exact str
+_ATOMS = frozenset({str, int, bool, type(None)})
 
-# orjson reads an integer literal outside [-2**63, 2**64) as a float, so a
-# value holding a float of this magnitude or more is read by json.loads
-# instead
-_BIG = 2 ** 63
-# and so is a row nested deeper than this: orjson reads any depth, while
-# json.loads raises RecursionError at a depth its caller's stack decides
-_DEPTH = 16
-_NUMBERS = frozenset({int, float})
+# orjson reads a nested value on the C stack, and the process dies when that
+# overflows: a row 20,000 levels deep did on a 1 MiB thread stack, and one
+# 150,000 deep on 8 MiB; 10,000 read on 1 MiB
+_MAX_DEPTH = 10_000
+# a JSON string, escapes included: a bracket inside one nests nothing
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"')
 
 
 def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
@@ -59,55 +67,69 @@ def open_lines(source: str | Path | TextIO) -> tuple[str, list[str]]:
 
 
 def decode(line: str) -> Any:
-    """``json.loads(line)``: the same value, or the same error at the same
-    position.
+    """The value of one strict JSON line (RFC 8259), as orjson reads it.
 
-    orjson reads the line first, and its value is kept when ``_plain``
-    finds in it no float of magnitude ``_BIG`` or more and no nesting past
-    ``_DEPTH`` levels. Whatever else orjson would read differently it
-    refuses (checked on orjson 3.8, the series ``pyproject.toml`` allows):
+    orjson refuses what RFC 8259 leaves out and ``json.loads`` reads:
     ``NaN``, ``Infinity``, numbers that overflow to infinity, escapes of
-    lone surrogates, a leading BOM. A line orjson refuses, or whose value
-    ``_plain`` refuses, is read by ``json.loads`` itself. Only near the
-    recursion limit can the result differ from the caller's own
-    ``json.loads``: that call runs a few calls deeper here, and orjson reads
-    a row within ``_DEPTH`` levels whatever the stack."""
-    try:
-        value = orjson.loads(line)
-        if _plain(value, _DEPTH):
-            return value
-    except (orjson.JSONDecodeError, RecursionError):
-        pass
-    return json.loads(line)
+    lone surrogates, a leading BOM. It reads an integer outside
+    [-2**63, 2**64) as the float equal to it. Both checked on orjson 3.8,
+    the series ``pyproject.toml`` allows. A line nested past ``_MAX_DEPTH``
+    levels is refused before orjson reads it. Every refusal is a
+    ``ValueError``."""
+    # a line of n characters holds at most n brackets
+    if len(line) > _MAX_DEPTH and _too_deep(line):
+        raise ValueError(f"nested deeper than {_MAX_DEPTH} levels")
+    return orjson.loads(line)
 
 
-def _plain(value: Any, depth: int) -> bool:
-    """Whether ``value`` holds no float of magnitude ``_BIG`` or more and no
-    list or dict nested past ``depth`` levels. A list that starts with a
-    number is checked whole by ``min`` and ``max`` (an int that large in it
-    refuses it too): both succeed only when every item is a number, as a
-    number compares with no other JSON value."""
-    kind = type(value)
-    if kind is float:
-        return -_BIG < value < _BIG
-    if kind is not dict and kind is not list:
-        return True
-    if depth == 0:
+def _too_deep(line: str) -> bool:
+    """Whether the brackets of ``line`` nest past ``_MAX_DEPTH`` levels
+    outside its strings; counted only when it holds that many opening
+    brackets."""
+    if line.count("[") + line.count("{") <= _MAX_DEPTH:
         return False
-    if kind is list:
-        if value and type(value[0]) in _NUMBERS:
-            try:
-                return -_BIG < min(value) and max(value) < _BIG
-            except TypeError:  # not every item is a number
-                pass
-    else:
-        value = value.values()
-    for item in value:
+    brackets = re.findall(r"[\[\]{}]", _STRING.sub("", line))
+    return max(accumulate(1 if bracket in "[{" else -1 for bracket in brackets),
+               default=0) > _MAX_DEPTH
+
+
+def encode_line(value: Any) -> bytes:
+    """``_CANONICAL.encode(value)`` as UTF-8 bytes: the same bytes, or the
+    same error type (a NaN or an infinity is a ``ValueError``).
+
+    orjson writes the value when every part of it is an exact ``str``,
+    ``int``, ``bool``, ``None``, a ``float`` that is zero or finite with
+    magnitude in [1e-4, 1e16), a ``list``, a ``tuple``, or a ``dict`` with
+    exact-``str`` keys. Outside that the two differ (orjson writes ``1e-05``
+    as ``0.00001``, ``1e+16`` as ``1e16`` and NaN as ``null``), so the
+    stdlib encoder writes the value, as it does when orjson raises. The
+    range was measured on orjson 3.8, the series ``pyproject.toml`` allows.
+    """
+    try:
+        if _agrees((value,)):
+            return orjson.dumps(value, option=orjson.OPT_SORT_KEYS)
+    except (orjson.JSONEncodeError, RecursionError):  # RecursionError: a circular value
+        pass
+    return _CANONICAL.encode(value).encode("utf-8")
+
+
+def _agrees(items: Iterable[Any]) -> bool:
+    """Whether each of ``items`` lies where orjson writes what ``_CANONICAL``
+    writes (see ``encode_line``)."""
+    for item in items:
         kind = type(item)
+        if kind in _ATOMS:
+            continue
         if kind is float:
-            if not -_BIG < item < _BIG:
+            if not (item == 0.0 or 1e-4 <= abs(item) < 1e16):  # NaN fails both
                 return False
-        elif (kind is dict or kind is list) and not _plain(item, depth - 1):
+        elif kind is dict:
+            if not _agrees(item.values()):
+                return False
+        elif kind is list or kind is tuple:
+            if not _agrees(item):
+                return False
+        else:
             return False
     return True
 
@@ -118,10 +140,9 @@ def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
     line, each row read by ``decode``; a caller's own error about the row
     names it as ``file:line``, as this reader's errors do.
 
-    Invalid JSON, JSON nested too deep for the parser, and any
-    ``ValueError``, ``KeyError``, ``TypeError`` or ``OverflowError`` from
-    ``parse`` (a row that is not an object raises ``TypeError`` at its first
-    key lookup; ``float`` of a huge integer overflows) raise
+    A line ``decode`` refuses, and any ``ValueError``, ``KeyError`` or
+    ``TypeError`` from ``parse`` (a row that is not an object raises
+    ``TypeError`` at its first key lookup) raise
     ``ResourceError(file:line: ...)``.
     """
     name, lines = open_lines(source)
@@ -130,7 +151,7 @@ def read_jsonl(source: str | Path | TextIO, parse: Callable[[dict], Any],
             continue
         try:
             item = parse(decode(line))
-        except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ResourceError(f"{name}:{line_no}: bad {what} row: {exc}") from exc
         yield name, line_no, item
 

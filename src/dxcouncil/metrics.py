@@ -36,14 +36,6 @@ def confusion_counts(pairs: list[tuple[str, str]]) -> dict[str, ClassCounts]:
     return dict(counts)
 
 
-def fbeta(precision, recall, beta):
-    """F-beta of floats or of Fractions; 0.0 when both inputs are zero."""
-    denom = beta * beta * precision + recall
-    if denom == 0:
-        return 0.0
-    return (1 + beta * beta) * precision * recall / denom
-
-
 @dataclass(frozen=True)
 class MetricsReport:
     cases: int

@@ -88,10 +88,10 @@ from .gateway import (
     TranscriptRecorder,
 )
 from .guidelines import GuidelineIndex, ingest_corpus, read_corpus
-from .jsonl import write_whole
+from .jsonl import encode_line, write_whole
 from .kg import KnowledgeGraph, load_kg
 from .metrics import MetricsReport, weighted_metrics
-from .trace import SUFFIX, Trace, encode_line
+from .trace import SUFFIX, Trace
 
 # the one thread every runtime's trace writes run on, one after another, in
 # the order their cases handed them over; it starts with the first write
@@ -151,7 +151,7 @@ class Runtime:
         """Wait for every trace write handed over so far, then raise the
         first failed write's error, in the order the writes were handed
         over, or write ``timings.jsonl`` whole, a line per case run so far
-        (``Trace.timings``, encoded by ``trace.encode_line`` with the trace),
+        (``Trace.timings``, encoded by ``jsonl.encode_line`` with the trace),
         and return each new trace's digest by case id. An interrupt during
         the wait leaves the writes for ``close`` to wait on."""
         wait(self._writes)

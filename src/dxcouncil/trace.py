@@ -7,73 +7,21 @@ table row; see ``jsonl.holding``). A record holds only what the digest
 covers, so a record-mode run and its replay write identical files; times
 and backend labels go to the run's timing sidecar (``Trace.timings``).
 
-A record's canonical line is what the stdlib encoder ``_CANONICAL`` writes
-(sorted keys, no spaces, UTF-8). ``encode_line`` writes it, through orjson
-wherever orjson writes the same bytes, so no digest depends on orjson.
+A record's line is its canonical line (``jsonl.encode_line``), and so are
+the header and digest lines.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterator
 
-import orjson
-
-from .jsonl import decode, hold, open_lines, write_whole
+from .jsonl import decode, encode_line, hold, open_lines, text_field, write_whole
 
 SUFFIX = ".trace.jsonl"  # ends a trace file's name, after its case id
-# built once: json.dumps with a non-default option builds an encoder per call
-_CANONICAL = json.JSONEncoder(ensure_ascii=False, sort_keys=True,
-                              separators=(",", ":"))
-# the leaf types orjson writes as _CANONICAL does; it raises, and then
-# _CANONICAL writes, on an int past 64 bits, a str holding a lone surrogate
-# and a dict key that is not an exact str
-_ATOMS = frozenset({str, int, bool, type(None)})
-
-
-def encode_line(value: Any) -> bytes:
-    """``_CANONICAL.encode(value)`` as UTF-8 bytes: the same bytes, or the
-    same error type.
-
-    orjson writes the value when every part of it is an exact ``str``,
-    ``int``, ``bool``, ``None``, a ``float`` that is zero or finite with
-    magnitude in [1e-4, 1e16), a ``list``, a ``tuple``, or a ``dict`` with
-    exact-``str`` keys. Outside that the two differ (orjson writes ``1e-05``
-    as ``0.00001``, ``1e+16`` as ``1e16`` and NaN as ``null``), so the
-    stdlib encoder writes the value, as it does when orjson raises. The
-    range was measured on orjson 3.8, the series ``pyproject.toml`` allows.
-    """
-    try:
-        if _agrees((value,)):
-            return orjson.dumps(value, option=orjson.OPT_SORT_KEYS)
-    except (orjson.JSONEncodeError, RecursionError):  # RecursionError: a circular value
-        pass
-    return _CANONICAL.encode(value).encode("utf-8")
-
-
-def _agrees(items: Iterable[Any]) -> bool:
-    """Whether each of ``items`` lies where orjson writes what ``_CANONICAL``
-    writes (see ``encode_line``)."""
-    for item in items:
-        kind = type(item)
-        if kind in _ATOMS:
-            continue
-        if kind is float:
-            if not (item == 0.0 or 1e-4 <= abs(item) < 1e16):  # NaN fails both
-                return False
-        elif kind is dict:
-            if not _agrees(item.values()):
-                return False
-        elif kind is list or kind is tuple:
-            if not _agrees(item):
-                return False
-        else:
-            return False
-    return True
 
 
 class Trace:
@@ -187,18 +135,20 @@ class Trace:
                 self._digest = _digest_of(self.case_id, body)
             digest = self._digest
         return write_whole(path, b"".join([
-            json.dumps({"type": "header", "case_id": self.case_id}).encode(), b"\n",
-            body,
-            json.dumps({"type": "digest", "digest": digest}).encode(), b"\n"]))
+            encode_line({"type": "header", "case_id": self.case_id}), b"\n", body,
+            encode_line({"type": "digest", "digest": digest}), b"\n"]))
 
     @classmethod
     def load(cls, path: str | Path) -> "Trace":
         """Rebuild a trace from file; tolerates a missing digest line
         (a crashed case leaves header + records only). A malformed line is
-        a ``ValueError`` naming its ``file:line``, and so is a record whose
-        ``seq`` is not its place among the records (a repeat or a gap), or
-        that holds a ``ts`` or ``backend`` key, as records did in files
-        written before the timing sidecar."""
+        a ``ValueError`` naming its ``file:line``: a line before the header
+        or after the digest line, a second header, a ``case_id`` or digest
+        that is not text, and a record whose ``seq`` is not its place among
+        the records (a repeat or a gap), or that holds a ``ts`` or
+        ``backend`` key, as records did in files written before the timing
+        sidecar. A record nested too deep to encode is a ``ValueError``
+        naming the file."""
         trace: Trace | None = None
         stored_digest: str | None = None
         records: list[dict[str, Any]] = []
@@ -210,10 +160,15 @@ class Trace:
                 row = decode(line)
                 if not isinstance(row, dict):
                     raise ValueError("not a JSON object")
-                if row.get("type") == "header":
-                    trace = cls(row["case_id"])
-                elif row.get("type") == "digest":
-                    stored_digest = row["digest"]
+                kind = row.get("type")
+                if stored_digest is not None:
+                    raise ValueError("a line after the digest line")
+                if (trace is None) != (kind == "header"):
+                    raise ValueError("a second header" if trace else "a line before the header")
+                if kind == "header":
+                    trace = cls(text_field(row, "case_id"))
+                elif kind == "digest":
+                    stored_digest = text_field(row, "digest")
                 elif type(row.get("seq")) is int:
                     if row["seq"] != len(records):
                         raise ValueError(f"seq {row['seq']} where {len(records)} is due")
@@ -223,12 +178,16 @@ class Trace:
                     records.append(row)
                 else:
                     raise ValueError("a record needs an integer seq")
-            except (ValueError, KeyError, RecursionError) as exc:
+            except (ValueError, KeyError) as exc:
                 raise ValueError(f"{name}:{line_no}: bad trace line: {exc}") from exc
         if trace is None:
             raise ValueError(f"{path} has no trace header line")
         trace._records = records
-        if stored_digest is not None and trace.digest() != stored_digest:
+        try:
+            digest = trace.digest()
+        except RecursionError as exc:
+            raise ValueError(f"{name}: a record is nested too deep to encode") from exc
+        if stored_digest is not None and digest != stored_digest:
             raise ValueError(f"{path}: stored digest does not match recomputed digest")
         return trace
 

@@ -179,15 +179,17 @@ def test_an_input_file_that_is_not_utf8_exits_three(tmp_path, capsys, section, k
     assert f"resource error: {path}: 'utf-8' codec can't decode" in capsys.readouterr().err
 
 
-def test_a_case_row_nested_too_deep_exits_three(tmp_path, capsys):
+@pytest.mark.parametrize("row", ["[" * 100_000, "[" * 100_000 + "]" * 100_000],
+                         ids=["open", "terminated"])
+def test_a_case_row_nested_too_deep_exits_three(tmp_path, capsys, row):
     path = tmp_path / "cases.jsonl"
     path.write_text((FIXTURES / "cases.jsonl").read_text(encoding="utf-8")
-                    + "[" * 100_000 + "\n", encoding="utf-8")
+                    + row + "\n", encoding="utf-8")
     config = write_cli_config(tmp_path, cases={"path": str(path)})
     assert cli.main(["batch", "--config", str(config)]) == 3
     lines = len((FIXTURES / "cases.jsonl").read_text(encoding="utf-8").splitlines())
-    assert (f"resource error: {path}:{lines + 1}: bad case row: maximum recursion depth"
-            in capsys.readouterr().err)
+    assert (f"resource error: {path}:{lines + 1}: bad case row: nested deeper than 10000 "
+            "levels" in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("case_id", ["../../escaped-01", "nested/dir/case-02", "case\x00-03"],

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
 import sys
 import threading
 from contextlib import contextmanager
@@ -26,8 +28,8 @@ from dxcouncil.differential import read_cases
 from dxcouncil.errors import RecordConflictError, ResourceError, RetrievalError
 from dxcouncil.gateway import TranscriptRecorder, load_transcript
 from dxcouncil.guidelines import read_corpus
-from dxcouncil.jsonl import (_DEPTH, JsonlSink, _plain, decode, holding, open_lines,
-                             write_held, write_whole)
+from dxcouncil.jsonl import (_MAX_DEPTH, JsonlSink, decode, holding, open_lines, write_held,
+                             write_whole)
 from dxcouncil.trace import Trace
 
 from conftest import FIXTURES
@@ -106,12 +108,13 @@ def test_every_reader_takes_json_whitespace_around_a_row(tmp_path, load, row, er
             == contents(load(tmp_path / "bare.jsonl")))
 
 
-def json_loads_error(line: str) -> str:
-    try:
-        json.loads(line)
-    except (ValueError, RecursionError) as exc:
-        return str(exc)
-    raise AssertionError(f"json.loads takes {line!r}")
+def orjson_error(line: str) -> str:
+    with pytest.raises(orjson.JSONDecodeError) as exc:
+        orjson.loads(line)
+    return str(exc.value)
+
+
+DEEPER = f"nested deeper than {_MAX_DEPTH} levels"
 
 
 @pytest.mark.parametrize("bad,reason", [
@@ -124,17 +127,19 @@ def json_loads_error(line: str) -> str:
     (lambda row: row.replace(":", "", 1), None),
     (lambda row: '["a"]', {"trace": "not a JSON object",
                            "row": "list indices must be integers or slices, not str"}),
-    (lambda row: "[" * 100_000, None),
+    (lambda row: "[" * 100_000, {"trace": DEEPER, "row": DEEPER}),
+    (lambda row: "[" * 100_000 + "]" * 100_000, {"trace": DEEPER, "row": DEEPER}),
 ], ids=["bom", "extra_data", "extra_data_after_whitespace", "form_feed_before",
-        "form_feed_after", "truncated_object", "missing_colon", "non_object", "nested_too_deep"])
+        "form_feed_after", "truncated_object", "missing_colon", "non_object", "nested_too_deep",
+        "nested_too_deep_terminated"])
 @pytest.mark.parametrize("load,row,error,what", READERS)
-def test_every_reader_rejects_a_bad_line_as_json_loads_does(tmp_path, load, row, error, what,
-                                                           bad, reason):
+def test_every_reader_rejects_a_bad_line_with_the_decoders_error(tmp_path, load, row, error,
+                                                                 what, bad, reason):
     line = bad(json.dumps(row))
     path = tmp_path / "rows.jsonl"
     line_no = write_rows(path, load, line)
     if reason is None:
-        reason = json_loads_error(line)
+        reason = orjson_error(line)
     else:
         reason = reason["trace" if load == Trace.load else "row"]
     with pytest.raises(error) as exc:
@@ -155,20 +160,48 @@ def exact(value):
     return kind, value
 
 
-def decoded(read, line):
-    """What ``read(line)`` gives: the exact value, or the error's type and
-    text."""
-    try:
-        return exact(read(line))
-    except (ValueError, RecursionError) as exc:
-        return type(exc), str(exc)
+def strict(value) -> bool:
+    """Whether ``value``, as ``json.loads`` read it with each object as its
+    list of (key, value) pairs, is strict JSON (RFC 8259): no NaN or
+    infinity, no number past the float range, no text holding a lone
+    surrogate, in a value a repeated key replaces too."""
+    kind = type(value)
+    if kind is float:
+        return math.isfinite(value)
+    if kind is int:
+        try:
+            float(value)
+        except OverflowError:
+            return False
+        return True
+    if kind is str:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+    if kind is list or kind is tuple:
+        return all(map(strict, value))
+    return True
+
+
+def widened(value):
+    """``value`` with each integer outside [-2**63, 2**64) as the float
+    equal to it, as orjson reads such an integer."""
+    kind = type(value)
+    if kind is int and not -(2**63) <= value < 2**64:
+        return float(value)
+    if kind is list:
+        return [widened(item) for item in value]
+    if kind is dict:
+        return {key: widened(item) for key, item in value.items()}
+    return value
 
 
 @contextmanager
 def deep_stack(limit):
-    # json.loads and decode each reach the C scanner a different number of
-    # calls down, so near the recursion limit one can raise where the other
-    # reads; a raised limit lets both read the deepest row drawn here
+    # json.loads recurses on the interpreter's stack, and decode does not; a
+    # raised limit lets json.loads read the deepest row drawn here
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old, limit))
     try:
@@ -178,9 +211,11 @@ def deep_stack(limit):
 
 
 # number literals on each side of where orjson reads numbers as json.loads
-# does: the 64-bit integer edges and past them, subnormals, -0, the floats
-# that overflow or underflow, and the literals only Python's JSON reads
-_EDGE_INTS = st.sampled_from([2**63, 2**64, -(2**63), 10**19, 10**30]).flatmap(
+# does: the 64-bit integer edges and past them, the integers that round to
+# the largest float or past it, subnormals, -0, the floats that overflow or
+# underflow, and the literals only Python's JSON reads
+_EDGE_INTS = st.sampled_from([2**63, 2**64, -(2**63), 10**19, 10**30,
+                              2**1024 - 2**970, -(2**1024 - 2**970)]).flatmap(
     lambda edge: st.integers(edge - 2, edge + 2)) | st.integers()
 _DECIMALS = st.builds(
     "{}{}{}{}".format, st.sampled_from(["", "-"]),
@@ -245,39 +280,66 @@ def _mutated(draw):
 @given(_ROWS | _mutated())
 @example("18446744073709551616")  # orjson reads it as the float 2.0**64
 @example("[-9223372036854775809]")
+@example(str(2**1024 - 2**970))  # rounds to infinity
+@example(str(2**1024 - 2**970 - 1))  # rounds to the largest float
 @example('{"a": 1, "a": 2.5}\r')
+@example('{"a": 1e400, "a": 2.5}')
 @example("\ufeff{}")
 @example('"\\ud800"')
 @example("[NaN, Infinity]")
 @example("[1e400]")
 @example("[" * 1100 + "]" * 1100)
-def test_decode_reads_a_line_as_json_loads_does(line):
+def test_decode_reads_strict_json_as_json_loads_does_and_refuses_the_rest(line):
     with deep_stack(5000):
-        assert decoded(decode, line) == decoded(json.loads, line)
+        try:
+            expected = json.loads(line)
+        except (ValueError, RecursionError):
+            refused = True
+        else:
+            refused = not strict(json.loads(line, object_pairs_hook=list))
+        if refused:
+            with pytest.raises(ValueError):
+                decode(line)
+        else:
+            assert exact(decode(line)) == exact(widened(expected))
 
 
-@pytest.mark.parametrize("depth", [1_100, 3_000, 100_000])
-def test_a_row_nested_too_deep_for_the_stack_fails_as_in_json_loads(depth):
-    line = "[" * depth + "]" * depth  # orjson reads it, past the default limit of 1,000
-    assert decoded(decode, line) == decoded(json.loads, line)
-    assert decoded(decode, line)[0] is RecursionError
+@pytest.mark.parametrize("opening,closing", [("[", "]"), ('{"a":', "}")], ids=["list", "dict"])
+def test_decode_reads_a_row_nested_to_its_limit_and_refuses_one_level_deeper(opening, closing):
+    line = opening * _MAX_DEPTH + "0" + closing * _MAX_DEPTH
+    value = decode(line)
+    for _ in range(_MAX_DEPTH):
+        [value] = value if type(value) is list else value.values()
+    assert value == 0
+    with pytest.raises(ValueError, match=f"^{DEEPER}$"):
+        decode(opening + line + closing)
 
 
-@pytest.mark.parametrize("wrap", [lambda value: [value], lambda value: {"a": value}],
-                         ids=["list", "dict"])
-def test_a_value_nested_past_the_fixed_depth_goes_to_the_stdlib_decoder(wrap):
-    value = 0.5
-    for _ in range(_DEPTH):
-        value = wrap(value)
-    assert _plain(value, _DEPTH)
-    assert not _plain(wrap(value), _DEPTH)
+@pytest.mark.parametrize("line", [
+    '["' + "[" * 20_000 + '"]', '["\\"' + "{" * 20_000 + '"]',
+    "[" + '"[",' * 20_000 + "0]"], ids=["in_one_string", "after_an_escaped_quote",
+                                      "in_many_strings"])
+def test_decode_counts_no_bracket_inside_a_string(line):
+    assert decode(line) == json.loads(line)
+
+
+def test_a_row_deep_enough_to_overflow_the_stack_is_refused_not_a_crash():
+    # handed to orjson, this row overflowed an 8 MiB stack and killed the process
+    script = ("from dxcouncil.jsonl import decode\n"
+              "try:\n"
+              "    decode('[' * 200_000 + ']' * 200_000)\n"
+              "except ValueError as exc:\n"
+              "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(FIXTURES.parent / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout) == (0, DEEPER + "\n")
 
 
 def test_every_fixture_row_is_read_by_orjson_as_by_json_loads():
     for line in _FIXTURE_ROWS:
-        value = orjson.loads(line)
-        assert _plain(value, _DEPTH), line  # so decode keeps orjson's value
-        assert exact(value) == exact(json.loads(line)), line
+        assert exact(decode(line)) == exact(json.loads(line)), line
 
 
 @pytest.mark.parametrize("value", ["Story \ud800.", None, 5],
@@ -363,7 +425,7 @@ def test_table_embedder_rejects_an_embedding_that_is_not_a_list(tmp_path):
     (TableScorer.load, lambda value: {"query": "q", "text": "t", "score": value}, "score"),
 ], ids=["TableEmbedder.load", "TableScorer.load"])
 def test_replay_tables_reject_a_non_finite_value(tmp_path, load, row, what, value):
-    # Python's JSON reader takes NaN and Infinity, and json.dumps writes them
+    # json.dumps writes NaN and Infinity, which strict JSON has no number for
     path = tmp_path / "rows.jsonl"
     path.write_text(json.dumps(row(value)) + "\n", encoding="utf-8")
     with pytest.raises(ResourceError, match=rf"rows\.jsonl:1: bad {what} row: "):
@@ -419,8 +481,15 @@ def numpy_error(value) -> str:
 NOT_FLAT = "bad embedding row: embedding must be a flat list of finite numbers"
 
 
+def refused(line):
+    # a NaN, an infinity or a number past the float range is refused as
+    # the line is decoded
+    return f"bad embedding row: {orjson_error(line)}"
+
+
 @pytest.mark.parametrize("lines,error,fault", [
-    ([embedding_line("a", [1.0, float("nan")]), "{not json"], ResourceError, f"1: {NOT_FLAT}"),
+    ([embedding_line("a", [1.0, float("nan")]), "{not json"], ResourceError,
+     f"1: {refused(embedding_line('a', [1.0, float('nan')]))}"),
     ([embedding_line("a", [1.0, 0.5]), embedding_line("b", [1.0, 0.5, 0.25]),
       embedding_line("a", [0.0, 1.0])], ResourceError, "2: embedding dim 3 != 2"),
     ([embedding_line("a", [1.0, 0.5]), embedding_line("a", [0.0, 1.0]),
@@ -433,9 +502,9 @@ NOT_FLAT = "bad embedding row: embedding must be a flat list of finite numbers"
      f"2: bad embedding row: {numpy_error([1.0, [0.5, 0.25]])}"),
     ([embedding_line("a", [1.0, 0.5]), embedding_line("b", [1.0, 10 ** 400]),
       embedding_line("c", [float("nan"), 0.5])], ResourceError,
-     f"2: bad embedding row: {numpy_error([1.0, 10 ** 400])}"),
+     f"2: {refused(embedding_line('b', [1.0, 10 ** 400]))}"),
     ([embedding_line("a", [float("nan"), 0.5]), embedding_line("b", [1.0, 10 ** 400])],
-     ResourceError, f"1: {NOT_FLAT}"),
+     ResourceError, f"1: {refused(embedding_line('a', [float('nan'), 0.5]))}"),
     ([embedding_line("a", [1.0, 0.5]), embedding_line("b", {"x": 1.0}),
       embedding_line("c", 5)], ResourceError,
      f"2: bad embedding row: {numpy_error({'x': 1.0})}"),
@@ -450,7 +519,7 @@ NOT_FLAT = "bad embedding row: embedding must be a flat list of finite numbers"
     ([embedding_line("a", [1.0, 0.5]), embedding_line("b", [True, 0.1]),
       embedding_line("c", [float("nan"), 0.5])], ResourceError, f"2: {NOT_FLAT}"),
     ([embedding_line("a", [float("nan"), 0.5]), embedding_line("b", [1.0, False])],
-     ResourceError, f"1: {NOT_FLAT}"),
+     ResourceError, f"1: {refused(embedding_line('a', [float('nan'), 0.5]))}"),
 ], ids=["nan_before_malformed", "dim_before_conflict", "conflict_before_dim",
         "nested_row", "ragged_row", "int_too_large_before_nan", "nan_before_int_too_large",
         "object_row", "bad_text_before_nan", "string_and_bool_row",

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from dxcouncil.metrics import confusion_counts, fbeta, weighted_metrics
+from dxcouncil.metrics import confusion_counts, weighted_metrics
 
 
 def test_all_correct_scores_one_hundred_everywhere():
@@ -59,10 +59,14 @@ def test_predicted_only_class_carries_no_weight():
     assert with_b.weighted_precision == pytest.approx(100.0)
 
 
-def test_fbeta_zero_denominator():
-    assert fbeta(0.0, 0.0, 1.0) == 0.0
-    assert fbeta(1.0, 1.0, 1.0) == pytest.approx(1.0)
-    assert fbeta(1.0, 0.5, 0.5) == pytest.approx(1.25 * 0.5 / 0.75)
+def test_a_class_never_predicted_scores_zero_instead_of_dividing_by_zero():
+    # class A: tp=0 fn=1 fp=0, so its precision is 0/0; class B: tp=1 fp=1,
+    # precision 0.5 and recall 1; each has support 1
+    report = weighted_metrics([("A", "B"), ("B", "B")])
+    assert report.weighted_precision == pytest.approx(100.0 * 0.5 / 2)
+    assert report.weighted_recall == pytest.approx(100.0 * 1.0 / 2)
+    assert report.weighted_f1 == pytest.approx(100.0 * (2 * 0.5 / 1.5) / 2)
+    assert report.weighted_f05 == pytest.approx(100.0 * (1.25 * 0.5 / 1.125) / 2)
 
 
 def test_report_serialization_shape():
@@ -96,6 +100,12 @@ def test_pair_order_does_not_change_the_scores(pairs, rng):
     assert a.weighted_precision == pytest.approx(b.weighted_precision)
     assert a.weighted_f1 == pytest.approx(b.weighted_f1)
     assert a.weighted_f05 == pytest.approx(b.weighted_f05)
+
+
+def fbeta(precision, recall, beta):
+    """F-beta of two Fractions, from precision and recall: the textbook
+    form ``weighted_metrics`` computes from counts instead."""
+    return (1 + beta * beta) * precision * recall / (beta * beta * precision + recall)
 
 
 def _fraction_sums(pairs):

@@ -115,8 +115,10 @@ def test_package_takes_vector_products_with_matmul_only():
 
 
 def test_file_lines_are_decoded_by_the_jsonl_decoder_only():
-    # json.loads reads a model's answer and an HTTP reply; a line of a file
-    # goes through jsonl.decode, orjson's loads first, then json.loads
+    # a line of a file goes through jsonl.decode, which is orjson's loads;
+    # json.loads reads only a model's answer (judgments.py) and an HTTP
+    # reply (post_json), which are not file lines, and an HTTP body may be
+    # UTF-16 or UTF-32, which orjson does not read
     package = Path(dxcouncil.__file__).parent
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in package.glob("*.py")}
@@ -131,13 +133,20 @@ def test_file_lines_are_decoded_by_the_jsonl_decoder_only():
     assert [site for site in found
             if not site.startswith("judgments.py ") and site not in allowed] == []
     assert allowed <= set(found)
-    # orjson encodes trace lines and decodes file lines, nothing else
+    # jsonl.py decides the file dialect both ways: only it imports orjson,
+    # and only it builds a stdlib encoder
     assert sorted(name for name, tree in trees.items()
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Import)
                   and any(alias.name == "orjson" for alias in node.names)
                   or isinstance(node, ast.ImportFrom) and node.module == "orjson"
-                  ) == ["jsonl.py", "trace.py"]
+                  ) == ["jsonl.py"]
+    assert sorted(name for name, tree in trees.items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "attr", None) == "JSONEncoder"
+                       or getattr(node.func, "id", None) == "JSONEncoder")
+                  ) == ["jsonl.py", "jsonl.py"]
 
 
 def test_every_exception_class_is_defined_in_errors_py():

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dxcouncil.jsonl import holding, write_held
-from dxcouncil.trace import _CANONICAL, Trace, encode_line, scan_for_leakage
+from dxcouncil.jsonl import _CANONICAL, encode_line, holding, write_held
+from dxcouncil.trace import Trace, scan_for_leakage
 
 
 def sample_trace():
@@ -133,9 +133,8 @@ def test_write_then_load_preserves_digest(tmp_path):
 
 
 def test_write_produces_these_exact_bytes(tmp_path):
-    # the header and digest lines keep json.dumps' default separators and
-    # ASCII escapes; a record line is its canonical line (sorted, compact,
-    # UTF-8)
+    # every line is its canonical line (sorted, compact, UTF-8): the header
+    # and the digest line too
     t = Trace("case-\u00e9")
     t.exchange(task="ner", canonical_key="k1",
                prompt="Patient record: itching \u2192 jaundice",
@@ -145,15 +144,15 @@ def test_write_produces_these_exact_bytes(tmp_path):
     t.decision("complexity", {"flag": "SIMPLE", "z": 1, "a": [True, None]})
     path = t.write(tmp_path / "case.trace.jsonl")
     assert path.read_bytes() == (
-        b'{"type": "header", "case_id": "case-\\u00e9"}\n'
+        b'{"case_id":"case-\xc3\xa9","type":"header"}\n'
         b'{"key":"k1","prompt":"Patient record: itching \xe2\x86\x92 jaundice",'
         b'"response":"[\\"itching\\"]","seq":0,"task":"ner","type":"exchange"}\n'
         b'{"dense":[{"dense_score":0.5,"segment_id":"s1"}],"k":8,"n":4,"query":"q",'
         b'"reranked":[],"seq":1,"type":"retrieval"}\n'
         b'{"decision":"complexity","payload":{"a":[true,null],"flag":"SIMPLE","z":1},'
         b'"seq":2,"type":"decision"}\n'
-        b'{"type": "digest", "digest": '
-        b'"2b1c656b69db7036963bf27cd48e0bc3022db586f32b5d52aba10f1216a1621a"}\n')
+        b'{"digest":"2b1c656b69db7036963bf27cd48e0bc3022db586f32b5d52aba10f1216a1621a",'
+        b'"type":"digest"}\n')
 
 
 class Label(str):
@@ -165,20 +164,30 @@ def test_a_value_orjson_writes_otherwise_is_written_as_the_stdlib_writes_it(tmp_
     # the stdlib does) sends its line to the stdlib encoder alone; these are
     # the stdlib's bytes
     t = Trace("case-f")
-    for value in [1e-05, 9.999999999999999e-05, 1e16, 5e-324, -0.0, math.nan, -math.inf,
-                  2**64, -(2**63) - 1, {7: "seven"}, Label("PBC")]:
+    for value in [1e-05, 9.999999999999999e-05, 1e16, 5e-324, -0.0, 2**64, -(2**63) - 1,
+                  {7: "seven"}, Label("PBC")]:
         t.decision("probe", {"value": value})
     path = t.write(tmp_path / "case-f.trace.jsonl")
     records = b"".join(
         b'{"decision":"probe","payload":{"value":%s},"seq":%d,"type":"decision"}\n'
         % (written, seq) for seq, written in enumerate([
-            b"1e-05", b"9.999999999999999e-05", b"1e+16", b"5e-324", b"-0.0", b"NaN",
-            b"-Infinity", b"18446744073709551616", b"-9223372036854775809",
-            b'{"7":"seven"}', b'"PBC"']))
+            b"1e-05", b"9.999999999999999e-05", b"1e+16", b"5e-324", b"-0.0",
+            b"18446744073709551616", b"-9223372036854775809", b'{"7":"seven"}', b'"PBC"']))
     assert path.read_bytes() == (
-        b'{"type": "header", "case_id": "case-f"}\n' + records
-        + b'{"type": "digest", "digest": '
-        b'"eee237e15f28ac3b16d246998b22dad7cd722846dbda56fe3626ff25fc104495"}\n')
+        b'{"case_id":"case-f","type":"header"}\n' + records
+        + b'{"digest":"1dde3e96d90d52c43bbf4b48c3c9f6ea67854c81f5d2e74e4865164832d0efd8",'
+        b'"type":"digest"}\n')
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_a_trace_holding_a_nan_or_an_infinity_is_not_written(tmp_path, value):
+    # strict JSON has no number for them, and decode reads none back
+    t = sample_trace()
+    t.decision("probe", {"value": [0.5, value]})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        t.write(tmp_path / "case-x.trace.jsonl")
+    assert not (tmp_path / "case-x.trace.jsonl").exists()
 
 
 def _canonical_or_error(encode, value):
@@ -315,6 +324,61 @@ def test_load_names_the_file_and_line_of_a_malformed_line(tmp_path, line):
         Trace.load(path)
     assert type(caught.value) is ValueError
     assert str(caught.value).startswith(f"{path}:3: ")
+
+
+# a sample trace file's lines: header (line 1), five records, digest (line 7)
+@pytest.mark.parametrize("edit,line_no,reason", [
+    (lambda lines: [lines[0].replace('"case-x"', "7"), *lines[1:]], 1,
+     "'case_id' must be a string, got int"),
+    (lambda lines: [lines[0].replace('"case-x"', "7"), *lines[1:-1]], 1,
+     "'case_id' must be a string, got int"),
+    (lambda lines: [lines[0], lines[1], lines[0], *lines[2:]], 3, "a second header"),
+    (lambda lines: [lines[1], lines[0], *lines[2:]], 1, "a line before the header"),
+    (lambda lines: [lines[-1], *lines], 1, "a line before the header"),
+    (lambda lines: [*lines, lines[-1]], 8, "a line after the digest line"),
+    (lambda lines: [*lines, lines[-2]], 8, "a line after the digest line"),
+    (lambda lines: [*lines, lines[0]], 8, "a line after the digest line"),
+    (lambda lines: [*lines[:-1], '{"digest":null,"type":"digest"}', lines[-2]], 7,
+     "'digest' must be a string, got NoneType"),
+], ids=["int_case_id", "int_case_id_without_digest", "second_header",
+        "record_before_header", "digest_before_header", "second_digest",
+        "record_after_digest", "header_after_digest", "null_digest"])
+def test_load_rejects_a_malformed_trace_at_its_line(tmp_path, edit, line_no, reason):
+    path = sample_trace().write(tmp_path / "case-x.trace.jsonl")
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        Trace.load(path)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{path}:{line_no}: bad trace line: {reason}"
+
+
+def deep_record(depth):
+    return ('{"decision":"d","payload":' + "[" * depth + "]" * depth
+            + ',"seq":0,"type":"decision"}')
+
+
+@pytest.mark.parametrize("digest", [False, True], ids=["partial", "with_digest"])
+def test_load_rejects_a_record_too_deep_to_encode_naming_the_file(tmp_path, digest):
+    # decode reads it, and encoding it for the digest passes the recursion limit
+    path = tmp_path / "case-x.trace.jsonl"
+    tail = ['{"digest":"x","type":"digest"}'] if digest else []
+    path.write_text("\n".join(['{"case_id":"case-x","type":"header"}', deep_record(5_000),
+                               *tail]) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        Trace.load(path)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"{path}: a record is nested too deep to encode"
+
+
+def test_load_rejects_a_record_nested_past_the_decoders_limit_at_its_line(tmp_path):
+    path = tmp_path / "case-x.trace.jsonl"
+    path.write_text('{"case_id":"case-x","type":"header"}\n' + deep_record(100_000) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError) as caught:
+        Trace.load(path)
+    assert str(caught.value) == (
+        f"{path}:2: bad trace line: nested deeper than 10000 levels")
 
 
 @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"],
