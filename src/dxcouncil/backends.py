@@ -50,7 +50,7 @@ def checked_scores(scores: list[float], segment_texts: list[str]) -> list[float]
 def checked_vectors(vectors: list[np.ndarray], texts: list[str]) -> list[np.ndarray]:
     """``vectors``, once they hold one vector per text and each is 1-d (a
     bare number or a nested list would fail later, outside the engine's
-    errors) and finite; otherwise ``RetrievalError``."""
+    errors), not empty and finite; otherwise ``RetrievalError``."""
     if len(vectors) != len(texts):
         raise RetrievalError(
             f"embedder returned {len(vectors)} vectors for {len(texts)} texts")
@@ -58,6 +58,8 @@ def checked_vectors(vectors: list[np.ndarray], texts: list[str]) -> list[np.ndar
         if np.ndim(vec) != 1:
             raise RetrievalError(
                 f"embedder returned a {np.ndim(vec)}-d vector at position {position}")
+        if not np.size(vec):
+            raise RetrievalError(f"embedder returned an empty vector at position {position}")
         if not np.isfinite(vec).all():
             raise RetrievalError(
                 f"embedder returned a non-finite vector at position {position}")
@@ -139,7 +141,7 @@ class TableEmbedder:
 
     Row format: ``{"text": ..., "embedding": [...]}``, every entry a finite
     JSON number (not a numeric string or a boolean) and every vector of one
-    length. A lookup miss is an error: replay must be closed over
+    length, not zero. A lookup miss is an error: replay must be closed over
     everything the pipeline will ask for. A text repeated with a different
     vector is a ``RecordConflictError``.
 
@@ -159,7 +161,7 @@ class TableEmbedder:
             rows = list(read_jsonl(path, _embedding_fields, "embedding"))
             vectors = [vec for _, _, (_, vec) in rows]
             matrix = np.array(vectors, dtype=float)
-            if (matrix.ndim != 2
+            if (matrix.ndim != 2 or not matrix.size
                     or not set(map(type, chain.from_iterable(vectors))) <= {int, float}):
                 raise ValueError("not one matrix of numbers")
         except (ResourceError, ValueError, TypeError):
@@ -201,11 +203,21 @@ def _embedding_fields(row: dict) -> tuple[str, Any]:
 
 
 def _embedding_row(row: dict) -> tuple[str, np.ndarray]:
-    vec = np.asarray(row["embedding"], dtype=float)
-    # numpy converts "1.5" and true; decode reads no NaN or infinity
-    if vec.ndim != 1 or not set(map(type, row["embedding"])) <= {int, float}:
+    vec = _vector(row["embedding"])
+    if vec.ndim != 1:
         raise ValueError("embedding must be a flat list of finite numbers")
+    if not vec.size:
+        raise ValueError("embedding is empty")
     return text_field(row, "text"), vec
+
+
+def _vector(entries: Any) -> np.ndarray:
+    """``entries`` as a float array, once a 1-d one holds JSON numbers only
+    (numpy converts "1.5" and true); otherwise ``ValueError`` or ``TypeError``."""
+    vec = np.asarray(entries, dtype=float)
+    if vec.ndim == 1 and not set(map(type, entries)) <= {int, float}:
+        raise ValueError("embedding must be a flat list of finite numbers")
+    return vec
 
 
 class HttpEmbedder:
@@ -213,7 +225,8 @@ class HttpEmbedder:
 
     POST ``{"input": [texts], "model": ...}`` ->
     ``{"data": [{"index": i, "embedding": [...]}]}``. Each vector is placed
-    by its ``index``, under the rule ``HttpScorer`` follows.
+    by its ``index``, under the rule ``HttpScorer`` follows; an entry that
+    is not a JSON number (``"0.5"``, ``true``) makes the reply malformed.
     """
 
     def __init__(self, endpoint: str, model: str):
@@ -223,8 +236,7 @@ class HttpEmbedder:
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         return checked_vectors(post_json(
             f"{self.endpoint}/embeddings", {"input": texts, "model": self.model},
-            lambda reply: _by_index(reply["data"],
-                                    lambda row: np.asarray(row["embedding"], dtype=float))),
+            lambda reply: _by_index(reply["data"], lambda row: _vector(row["embedding"]))),
             texts)
 
 
@@ -273,13 +285,16 @@ class TableScorer:
 
 
 def _score_row(row: dict) -> tuple[tuple[str, str], float]:
-    score = row["score"]
-    kind = type(score)
-    if kind is not float:
-        if kind is not int:  # not a JSON number; bool is an int
-            raise ValueError(f"score must be a number, got {kind.__name__}")
-        score = float(score)
-    return (text_field(row, "query"), text_field(row, "text")), score
+    return (text_field(row, "query"), text_field(row, "text")), _number(row["score"], "score")
+
+
+def _number(value: Any, what: str) -> float:
+    """``value`` as a float, once it is a JSON number: not a numeric string
+    or a boolean (a bool's type is not int), which ``float`` converts.
+    Otherwise ``ValueError``."""
+    if type(value) not in (float, int):
+        raise ValueError(f"{what} must be a number, got {type(value).__name__}")
+    return float(value)
 
 
 class HttpScorer:
@@ -289,8 +304,8 @@ class HttpScorer:
     ``{"results": [{"index": i, "relevance_score": x}, ...]}`` with one
     result per document. Services sort ``results`` by relevance, so each
     score is placed by its ``index``; a missing, repeated or out-of-range
-    index, or a result count that differs from the documents, is a
-    ``TransportError``.
+    index, a score that is not a JSON number (``"0.5"``, ``true``), or a
+    result count that differs from the documents, is a ``TransportError``.
     """
 
     def __init__(self, endpoint: str, model: str):
@@ -302,7 +317,8 @@ class HttpScorer:
             count, results = len(segment_texts), reply["results"]
             if len(results) != count:
                 raise ValueError(f"{len(results)} results for {count} documents")
-            return _by_index(results, lambda row: float(row["relevance_score"]))
+            return _by_index(results,
+                             lambda row: _number(row["relevance_score"], "relevance_score"))
 
         return post_json(
             f"{self.endpoint}/rerank",
@@ -348,9 +364,6 @@ class RecordingEmbedder:
     def close(self) -> None:
         self._sink.close()
 
-    def discard(self) -> None:
-        self._sink.discard()
-
 
 class RecordingScorer:
     """Wraps a cross-scorer and captures every scored pair, one row per pair
@@ -372,6 +385,3 @@ class RecordingScorer:
 
     def close(self) -> None:
         self._sink.close()
-
-    def discard(self) -> None:
-        self._sink.discard()

@@ -146,8 +146,8 @@ class ReplayChatBackend:
 
 class TranscriptRecorder:
     """Append-only transcript sink, one JSON object per line. The file is
-    written when the recorder closes, and left as it was if it is discarded
-    (see ``JsonlSink``).
+    written when the recorder closes, and left as it was until then (see
+    ``JsonlSink``).
 
     Repeated identical (key, response) pairs are written once; the same key
     with a different response means the upstream model was nondeterministic
@@ -163,9 +163,6 @@ class TranscriptRecorder:
     def close(self) -> None:
         self._sink.close()
 
-    def discard(self) -> None:
-        self._sink.discard()
-
 
 class RecordingBackend:
     """Wraps a backend and writes every (canonical_key, response) pair it
@@ -176,7 +173,8 @@ class RecordingBackend:
     has its row held (see ``jsonl.holding``) and written when its case
     commits the branch, so the transcript holds the rows of a sequential
     run in that run's order, and no row for a call made after the first
-    failing branch.
+    failing branch. ``close`` closes the recorder, which writes the
+    transcript.
     """
 
     def __init__(self, inner: ChatBackend, recorder: TranscriptRecorder):
@@ -194,9 +192,6 @@ class RecordingBackend:
 
     def close(self) -> None:
         self._recorder.close()
-
-    def discard(self) -> None:
-        self._recorder.discard()
 
 
 ScriptRule = tuple[TaskKind, "str | Callable[[str, str], bool]",

@@ -1,12 +1,12 @@
 """JSONL resource files: the one reader every loader uses (cases, corpus,
 transcript, embedding and score tables), the one decoder of a file line
 (``decode``, which trace files read through too), the one encoder of a
-trace's canonical line (``encode_line``), the one sink every recorder writes
-through, and the one writer of every output file (traces, ``results.jsonl``,
-``summary.json`` and ``timings.jsonl``, each whole, from text or from bytes
-already encoded, as a trace's canonical lines are), so the file dialect
-(strict JSON, RFC 8259: no NaN or infinity either way), row format, error
-reporting and how a file is replaced are decided here once.
+trace's canonical line (``encode_line``) and of any other row
+(``encode_row``), the one sink every recorder writes through, and the one
+writer of every output file (traces, ``results.jsonl``, ``summary.json`` and
+``timings.jsonl``, each whole, from text or from bytes already encoded), so
+the file dialect (strict JSON, RFC 8259: no NaN or infinity either way), row
+format, error reporting and how a file is replaced are decided here once.
 
 Code that runs beside other work of the same case (a gateway branch) holds
 what it writes, table rows and trace records alike, in a list, and the case
@@ -91,6 +91,15 @@ def _too_deep(line: str) -> bool:
     brackets = re.findall(r"[\[\]{}]", _STRING.sub("", line))
     return max(accumulate(1 if bracket in "[{" else -1 for bracket in brackets),
                default=0) > _MAX_DEPTH
+
+
+def encode_row(row: Any, indent: int | None = None) -> str:
+    """``row`` as ``json.dumps(row, ensure_ascii=False, indent=indent)``
+    writes it, plus a newline: a table or results line, or with ``indent`` a
+    document. A NaN or an infinity is a ``ValueError``."""
+    if indent is None:
+        return _ROW_ENCODER.encode(row) + "\n"
+    return json.dumps(row, ensure_ascii=False, allow_nan=False, indent=indent) + "\n"
 
 
 def encode_line(value: Any) -> bytes:
@@ -197,48 +206,48 @@ class JsonlSink:
     encoded lines, and ``write_held`` writes them later, making the repeat
     check then.
 
-    Rows go to a new sibling temp file, which ``close`` moves onto the table
-    and ``discard`` deletes, so until then the table holds what it held
-    before, and nothing reads the temp file: it is not flushed per write.
-    Either call closes the sink; a later call does nothing.
+    The sink holds its lines, and ``close`` writes them once, through a new
+    sibling temp file that it moves onto the table, so a sink that is never
+    closed, or a process killed before it closes, leaves the table as it
+    was. A table that cannot be created fails when the sink is made, with
+    the ``OSError`` that creating the temp file raises. A write after
+    ``close`` raises ``ValueError``; a second ``close`` does nothing.
     """
 
     def __init__(self, path: str | Path, conflict: Callable[[Any], Exception]):
         self._path = Path(path)
-        self._tmp: Path | None = self._path.with_name(
-            f".{self._path.name}.{os.urandom(16).hex()}.tmp")
-        self._fh = open(self._tmp, "x", encoding="utf-8")
+        self._tmp = self._path.with_name(f".{self._path.name}.{os.urandom(16).hex()}.tmp")
+        open(self._tmp, "xb").close()
+        os.unlink(self._tmp)
         self._conflict = conflict
-        self._lines: dict[Hashable, str] = {}
+        self._lines: dict[Hashable, str] | None = {}
         self._lock = threading.Lock()
 
     def write(self, rows: Iterable[tuple[Hashable, dict]]) -> None:
-        self._write_lines([(key, _ROW_ENCODER.encode(row) + "\n") for key, row in rows])
+        self._write_lines([(key, encode_row(row)) for key, row in rows])
 
     def _write_lines(self, lines: list[tuple[Hashable, str]]) -> None:
         if hold(self._write_lines, lines):
             return
         with self._lock:
+            if self._lines is None:
+                raise ValueError(f"{self._path}: write after close")
             for key, line in lines:
-                seen = self._lines.get(key)
-                if seen is None:
-                    self._lines[key] = line
-                    self._fh.write(line)
-                elif seen != line:
+                if self._lines.setdefault(key, line) != line:
                     raise self._conflict(key)
 
     def close(self) -> None:
-        self._end(lambda tmp: os.replace(tmp, self._path))
-
-    def discard(self) -> None:
-        self._end(os.unlink)
-
-    def _end(self, settle: Callable[[Path], None]) -> None:
         with self._lock:
-            tmp, self._tmp = self._tmp, None
-            if tmp is not None:
-                self._fh.close()
-                settle(tmp)
+            lines, self._lines = self._lines, None
+            if lines is None:
+                return
+            try:
+                with open(self._tmp, "x", encoding="utf-8") as fh:
+                    fh.writelines(lines.values())
+                os.replace(self._tmp, self._path)
+            except BaseException:
+                self._tmp.unlink(missing_ok=True)
+                raise
 
 
 @contextmanager

@@ -40,9 +40,7 @@ the tables are byte-stable.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import Future, ThreadPoolExecutor, wait
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -88,7 +86,7 @@ from .gateway import (
     TranscriptRecorder,
 )
 from .guidelines import GuidelineIndex, ingest_corpus, read_corpus
-from .jsonl import encode_line, write_whole
+from .jsonl import encode_line, encode_row, write_whole
 from .kg import KnowledgeGraph, load_kg
 from .metrics import MetricsReport, weighted_metrics
 from .trace import SUFFIX, Trace
@@ -105,10 +103,9 @@ class Runtime:
     backends replace the config's backend section: nothing is built from it,
     so no record table is opened. ``close`` closes all three backends,
     injected or wired, so a caller that injects recorders closes them by
-    closing the runtime; closing a recorder is what writes its table. If
-    set-up fails, the backends wired here are discarded before the error
-    propagates, so each record table keeps what it held before; injected
-    ones are left open, as no runtime was returned to close them.
+    closing the runtime; closing a recorder is what writes its table, and
+    ``close`` is the only end of a runtime. If set-up fails, no runtime is
+    returned to close, so each record table keeps what it held before.
 
     ``answers`` is the runtime's answer table, ``{canonical_key: response}``,
     which its gateways read before the backend (see ``gateway``). It lasts
@@ -131,16 +128,10 @@ class Runtime:
         self._writes: list[Future] = []  # pending trace writes: (case id, digest, timing)
         self._timings: dict[str, bytes] = {}  # each written case's timing line
         self.graph: KnowledgeGraph = load_kg(config.triples_path, config.concepts_path)
-        wired = chat_backend is None
         self.chat_backend, self.embedder, self.scorer = (
-            _wire_backends(config) if wired else backends)
-        try:
-            segments = read_corpus(config.corpus_path)
-            self.index: GuidelineIndex = ingest_corpus(segments, self.embedder)
-        except BaseException:
-            if wired:
-                self._end("discard")
-            raise
+            _wire_backends(config) if chat_backend is None else backends)
+        segments = read_corpus(config.corpus_path)
+        self.index: GuidelineIndex = ingest_corpus(segments, self.embedder)
 
     def write_trace(self, trace: Trace, path: Path) -> None:
         """Hand ``trace.write(path)`` to ``_WRITER`` and return while it
@@ -167,13 +158,10 @@ class Runtime:
         try:
             self.wait_for_traces()
         finally:
-            self._end("close")
-
-    def _end(self, how: str) -> None:
-        for backend in (self.chat_backend, self.embedder, self.scorer):
-            end = getattr(backend, how, None)
-            if end is not None:
-                end()
+            for backend in (self.chat_backend, self.embedder, self.scorer):
+                close = getattr(backend, "close", None)
+                if close is not None:
+                    close()
 
 
 def _write(trace: Trace, path: Path) -> tuple[str, str, bytes]:
@@ -195,15 +183,9 @@ def _wire_backends(config: RunConfig) -> tuple[ChatBackend, Embedder, CrossScore
     scorer = HttpScorer(config.endpoint, config.rerank_model)
     if config.mode is BackendMode.LIVE:
         return chat, embedder, scorer
-    # a table that fails to open discards the tables opened before it
-    with ExitStack() as opened:
-        chat = RecordingBackend(chat, TranscriptRecorder(config.transcript_path))
-        opened.callback(chat.discard)
-        embedder = RecordingEmbedder(embedder, config.embeddings_path)
-        opened.callback(embedder.discard)
-        scorer = RecordingScorer(scorer, config.scores_path)
-        opened.pop_all()
-    return chat, embedder, scorer
+    return (RecordingBackend(chat, TranscriptRecorder(config.transcript_path)),
+            RecordingEmbedder(embedder, config.embeddings_path),
+            RecordingScorer(scorer, config.scores_path))
 
 
 def trace_path_for(config: RunConfig, case_id: str) -> Path:
@@ -367,13 +349,11 @@ def run_batch(runtime: Runtime) -> BatchResult:
     failed = sum(1 for row in rows if row.status != "ok")
 
     write_whole(config.output_dir / "results.jsonl",
-                "".join(json.dumps(row.to_dict(), ensure_ascii=False) + "\n"
-                        for row in rows))
+                "".join(encode_row(row.to_dict()) for row in rows))
     # cases/correct cover the whole batch; the weighted metrics cover the
     # labeled cases that produced a diagnosis
     summary = metrics.to_dict()
     summary["cases"] = len(rows)
     summary["correct"] = sum(1 for row in rows if row.correct)
-    write_whole(config.output_dir / "summary.json",
-                json.dumps(summary, indent=2, ensure_ascii=False) + "\n")
+    write_whole(config.output_dir / "summary.json", encode_row(summary, indent=2))
     return BatchResult(rows=rows, metrics=metrics, failed=failed)

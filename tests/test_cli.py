@@ -156,6 +156,17 @@ def test_missing_resource_file_exits_three(tmp_path, capsys):
     assert "resource error" in capsys.readouterr().err
 
 
+def test_an_embedding_table_of_empty_vectors_exits_three(tmp_path, capsys):
+    table = tmp_path / "embeddings.jsonl"
+    table.write_text("".join(
+        json.dumps({**json.loads(line), "embedding": []}) + "\n"
+        for line in (FIXTURES / "embeddings.jsonl").read_text().splitlines()))
+    config = write_cli_config(tmp_path, backend={"embeddings": str(table)})
+    assert cli.main(["batch", "--config", str(config)]) == 3
+    assert capsys.readouterr().err == (
+        f"resource error: {table}:1: bad embedding row: embedding is empty\n")
+
+
 def test_missing_config_file_exits_one(tmp_path, capsys):
     code = cli.main(["validate", "--config", str(tmp_path / "nope.yaml")])
     assert code == 1

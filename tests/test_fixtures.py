@@ -9,9 +9,12 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from make_fixtures import build_rules, fixture_config
 
@@ -62,6 +65,59 @@ from test_fixtures import replay_fixtures
 print(json.dumps(replay_fixtures(sys.argv[1])))
 """
 
+# records the fixture batch into the tables in argv[1], and kills itself
+# with SIGKILL as it makes chat call number argv[2]
+_KILLED_RECORD_SCRIPT = """
+import itertools, os, signal, sys
+from pathlib import Path
+from make_fixtures import build_rules
+from dxcouncil.gateway import ScriptedResponder
+from dxcouncil.runner import run_batch
+from test_fixtures import record_config, record_runtime
+
+calls = itertools.count(1)
+
+class KilledAt(ScriptedResponder):
+    def respond(self, *args):
+        if next(calls) == int(sys.argv[2]):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().respond(*args)
+
+tables = Path(sys.argv[1])
+runtime = record_runtime(record_config(tables, tables.parent / "record"),
+                         KilledAt(build_rules()))
+try:
+    run_batch(runtime)
+finally:
+    runtime.close()
+"""
+
+
+def subprocess_env() -> dict[str, str]:
+    """The environment of a child Python that imports these tests, the
+    package and the fixture scripts."""
+    path = [Path(__file__).parent, Path(dxcouncil.__file__).parents[1],
+            Path(__file__).parents[1] / "scripts"]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
+
+
+def record_config(tables: Path, output_dir: Path):
+    """The fixture record config, writing its tables into ``tables``."""
+    config = fixture_config(BackendMode.RECORD, "record")
+    return dataclasses.replace(
+        config, output_dir=output_dir,
+        **{field: tables / getattr(config, field).name for field in TABLES})
+
+
+def record_runtime(config, responder) -> Runtime:
+    """A runtime recording ``responder``'s answers and the offline
+    embedder's and scorer's, as scripts/make_fixtures.py wires it."""
+    return Runtime(
+        config,
+        chat_backend=RecordingBackend(responder, TranscriptRecorder(config.transcript_path)),
+        embedder=RecordingEmbedder(HashEmbedder(), config.embeddings_path),
+        scorer=RecordingScorer(LexicalOverlapScorer(), config.scores_path))
+
 
 def run(runtime: Runtime) -> dict[str, tuple[str, str, str]]:
     try:
@@ -83,26 +139,15 @@ def test_replay_reproduces_the_pinned_diagnoses_and_digests(tmp_path):
 
 def test_replay_under_python_optimize_reproduces_the_pinned_digests(tmp_path):
     """``python -O`` strips asserts; no invariant or output may depend on one."""
-    path = [Path(__file__).parent, Path(dxcouncil.__file__).parents[1],
-            Path(__file__).parents[1] / "scripts"]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, path)))
     done = subprocess.run([sys.executable, "-O", "-c", _REPLAY_SCRIPT, str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=subprocess_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert {case_id: tuple(row) for case_id, row in json.loads(done.stdout).items()} == PINNED
 
 
 def test_re_recording_reproduces_the_fixture_tables_and_their_replay(tmp_path):
-    config = fixture_config(BackendMode.RECORD, "record")
-    config = dataclasses.replace(
-        config, output_dir=tmp_path / "record",
-        **{field: tmp_path / getattr(config, field).name for field in TABLES})
-    recorded = run(Runtime(
-        config,
-        chat_backend=RecordingBackend(ScriptedResponder(build_rules()),
-                                      TranscriptRecorder(config.transcript_path)),
-        embedder=RecordingEmbedder(HashEmbedder(), config.embeddings_path),
-        scorer=RecordingScorer(LexicalOverlapScorer(), config.scores_path)))
+    config = record_config(tmp_path, tmp_path / "record")
+    recorded = run(record_runtime(config, ScriptedResponder(build_rules())))
 
     for field in TABLES:
         path = getattr(config, field)
@@ -114,3 +159,21 @@ def test_re_recording_reproduces_the_fixture_tables_and_their_replay(tmp_path):
     replayed = run(Runtime(dataclasses.replace(config, mode=BackendMode.REPLAY,
                                                output_dir=tmp_path / "replay")))
     assert replayed == recorded
+
+
+@pytest.mark.parametrize("kill_at", [1, 150])
+def test_a_record_run_killed_part_way_leaves_the_old_tables_and_no_temp_file(tmp_path,
+                                                                             kill_at):
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    old = {}
+    for field in TABLES:
+        name = getattr(fixture_config(BackendMode.RECORD, "record"), field).name
+        # a shorter table than the run would write
+        old[name] = b"".join((FIXTURES / name).read_bytes().splitlines(keepends=True)[:2])
+        (tables / name).write_bytes(old[name])
+    done = subprocess.run([sys.executable, "-c", _KILLED_RECORD_SCRIPT, str(tables),
+                           str(kill_at)], env=subprocess_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == -signal.SIGKILL, done.stderr
+    assert {path.name: path.read_bytes() for path in tables.iterdir()} == old

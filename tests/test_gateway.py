@@ -479,6 +479,37 @@ def test_a_reply_too_deep_or_too_large_to_read_is_malformed_and_not_retried(http
     assert len(http_stub.requests) == 1
 
 
+@pytest.mark.parametrize("post,reply,fault", [
+    (lambda url: HttpScorer(url + "/v1", "m").score("q", ["t"]),
+     {"results": [{"index": 0, "relevance_score": "0.5"}]},
+     "relevance_score must be a number, got str"),
+    (lambda url: HttpScorer(url + "/v1", "m").score("q", ["t"]),
+     {"results": [{"index": 0, "relevance_score": True}]},
+     "relevance_score must be a number, got bool"),
+    (lambda url: HttpEmbedder(url + "/v1", "m").embed(["t"]),
+     {"data": [{"index": 0, "embedding": [1.0, "0.5"]}]},
+     "embedding must be a flat list of finite numbers"),
+    (lambda url: HttpEmbedder(url + "/v1", "m").embed(["t"]),
+     {"data": [{"index": 0, "embedding": [True, 0.5]}]},
+     "embedding must be a flat list of finite numbers"),
+], ids=["text-score", "bool-score", "text-embedding-value", "bool-embedding-value"])
+def test_a_reply_giving_a_number_as_text_or_a_boolean_is_malformed_and_not_retried(
+        http_stub, post, reply, fault):
+    # numpy and float() convert both, but neither is a JSON number
+    http_stub.reply(reply)
+    http_stub.reply(reply)
+    with pytest.raises(TransportError, match=f"^malformed response from .*: {fault}$"):
+        post(http_stub.url)
+    assert len(http_stub.requests) == 1
+
+
+def test_http_embedder_rejects_an_empty_vector(http_stub):
+    http_stub.reply({"data": [{"index": 0, "embedding": [1.0, 0.0]},
+                              {"index": 1, "embedding": []}]})
+    with pytest.raises(RetrievalError, match="^embedder returned an empty vector at position 1$"):
+        HttpEmbedder(http_stub.url + "/v1", "m").embed(["a", "b"])
+
+
 def test_a_reply_in_utf16_or_utf32_reads_as_json(http_stub):
     for codec in ("utf-16", "utf-32-le"):
         http_stub.reply(json.dumps({"choices": [{"message": {"content": "héllo"}}]})

@@ -520,10 +520,16 @@ def refused(line):
       embedding_line("c", [float("nan"), 0.5])], ResourceError, f"2: {NOT_FLAT}"),
     ([embedding_line("a", [float("nan"), 0.5]), embedding_line("b", [1.0, False])],
      ResourceError, f"1: {refused(embedding_line('a', [float('nan'), 0.5]))}"),
+    # a bulk read sees rows of [] as an (N, 0) matrix
+    ([embedding_line("a", []), embedding_line("b", [])], ResourceError,
+     "1: bad embedding row: embedding is empty"),
+    ([embedding_line("a", [1.0, 0.5]), embedding_line("b", []),
+      embedding_line("c", [1.0])], ResourceError, "2: bad embedding row: embedding is empty"),
 ], ids=["nan_before_malformed", "dim_before_conflict", "conflict_before_dim",
         "nested_row", "ragged_row", "int_too_large_before_nan", "nan_before_int_too_large",
         "object_row", "bad_text_before_nan", "string_and_bool_row",
-        "numeric_strings_before_dim", "bool_before_nan", "nan_before_bool"])
+        "numeric_strings_before_dim", "bool_before_nan", "nan_before_bool", "all_empty",
+        "empty_before_dim"])
 def test_an_embedding_table_with_several_faults_names_the_first_in_file_order(
         tmp_path, lines, error, fault):
     path = tmp_path / "e.jsonl"
@@ -566,27 +572,37 @@ def table_rows(path):
     return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
 
 
-def written_rows(sink: JsonlSink):
-    """The rows an open sink has written so far: those of its temp file,
-    flushed first, as the table itself is written only on close."""
-    sink._fh.flush()
-    return table_rows(sink._tmp)
-
-
 def test_a_sink_leaves_its_table_as_it_was_until_it_closes(tmp_path):
     table = tmp_path / "t.jsonl"
     table.write_text("old\n")
     kept, dropped = (JsonlSink(table, RecordConflictError) for _ in range(2))
     kept.write([("k", {"k": "new"})])
-    dropped.write([("d", {"k": "dropped"})])
+    dropped.write([("d", {"k": "dropped"})])  # never closed
     assert table.read_text() == "old\n"
-    dropped.discard()
-    dropped.close()
-    assert table.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
     kept.close()
-    kept.close()
-    kept.discard()
+    kept.close()  # does nothing
     assert table_rows(table) == [{"k": "new"}]
+    with pytest.raises(ValueError, match="write after close$"):
+        kept.write([("late", {"k": "late"})])
+    assert table_rows(table) == [{"k": "new"}]
+    assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
+
+def test_a_sink_whose_table_cannot_be_created_fails_when_it_is_made(tmp_path):
+    with pytest.raises(FileNotFoundError):
+        JsonlSink(tmp_path / "missing" / "t.jsonl", RecordConflictError)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_sink_whose_close_fails_leaves_its_table_and_no_temp_file(tmp_path):
+    table = tmp_path / "t.jsonl"
+    table.write_text("old\n")
+    sink = JsonlSink(table, RecordConflictError)
+    sink.write([("a", {"k": "a"}), ("b", {"k": "\ud800"})])  # no UTF-8 encodes a lone surrogate
+    with pytest.raises(UnicodeEncodeError):
+        sink.close()
+    assert table.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
 
@@ -727,7 +743,6 @@ def test_held_rows_land_in_call_order_when_written(tmp_path):
         first.write([("x", {"k": "x"})])
         second.write([("y", {"k": "y"}), ("z", {"k": "z"})])
         first.write([("w", {"k": "w"})])
-    assert written_rows(first) == written_rows(second) == []
     first.write([("v", {"k": "v"})])  # outside the context: written at once
     write_held(held)
     first.close()
@@ -761,7 +776,7 @@ def test_writes_held_under_an_outer_holding_are_held_again_and_committed_with_it
         write_held(inner)
         assert [item for _, item in outer][1:] == [item for _, item in inner]
     assert len(outer) == 3
-    assert trace.records == [] and written_rows(sink) == []
+    assert trace.records == []
     write_held(outer)
     sink.close()
     assert [(r["seq"], r["decision"]) for r in trace.records] == [(0, "first"), (1, "held")]
@@ -814,7 +829,9 @@ def test_a_thread_holding_nothing_writes_while_another_holds(tmp_path):
     try:
         assert holding_rows.wait(timeout=10)
         sink.write([("direct", {"k": "direct"})])
-        assert [row["k"] for row in written_rows(sink)] == ["direct"]
+        # written at once: another row for its key conflicts now
+        with pytest.raises(RecordConflictError):
+            sink.write([("direct", {"k": "other"})])
     finally:
         done.set()
         thread.join(timeout=10)

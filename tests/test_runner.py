@@ -6,12 +6,10 @@ import dataclasses
 import json
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dxcouncil import jsonl
 from dxcouncil.backends import (
     HashEmbedder,
     HttpEmbedder,
@@ -356,6 +354,10 @@ def bare_number(texts):
     return [np.float64(1.0)]
 
 
+def empty_vector(texts):
+    return [np.zeros(0)]
+
+
 def connection_reset(texts_or_vectors):
     raise ConnectionResetError("connection reset")
 
@@ -363,8 +365,9 @@ def connection_reset(texts_or_vectors):
 @pytest.mark.parametrize("reply,error", [
     (no_vector, "embedder returned 0 vectors for 1 texts"),
     (bare_number, "embedder returned a 0-d vector at position 0"),
+    (empty_vector, "embedder returned an empty vector at position 0"),
     (connection_reset, "embedding 1 texts failed: connection reset"),
-], ids=["no-vector", "bare-number", "raises"])
+], ids=["no-vector", "bare-number", "empty", "raises"])
 def test_a_bad_query_embedding_fails_cases_at_the_evidence_stage(replay_runtime, reply,
                                                                  error):
     config = replay_runtime.config
@@ -390,10 +393,15 @@ def fourth_is_a_bare_number(vectors):
     return vectors[:3] + [np.float64(1.0)] + vectors[4:]
 
 
+def fourth_is_empty(vectors):
+    return vectors[:3] + [np.zeros(0)] + vectors[4:]
+
+
 @pytest.mark.parametrize("reply,error", [
     (fourth_is_a_bare_number, "embedder returned a 0-d vector at position 3"),
+    (fourth_is_empty, "embedder returned an empty vector at position 3"),
     (connection_reset, "embedding 25 texts failed: connection reset"),
-], ids=["bare-number", "raises"])
+], ids=["bare-number", "empty", "raises"])
 def test_a_bad_corpus_embedding_fails_the_runtime(replay_runtime, reply, error):
     config = replay_runtime.config
     table = TableEmbedder.load(config.embeddings_path)
@@ -407,50 +415,46 @@ def test_a_bad_corpus_embedding_fails_the_runtime(replay_runtime, reply, error):
                 embedder=BadCorpusVectors(), scorer=replay_runtime.scorer)
 
 
-def test_a_failed_set_up_closes_the_record_tables_it_opened(replay_runtime, tmp_path,
-                                                             monkeypatch):
-    opened = []
-
-    def tracking_open(*args, **kwargs):
-        opened.append(open(*args, **kwargs))
-        return opened[-1]
-
-    monkeypatch.setattr(jsonl, "open", tracking_open, raising=False)
+def test_a_failed_set_up_leaves_the_record_tables_and_no_stray_file(replay_runtime, tmp_path,
+                                                                    http_stub):
     bad_corpus = tmp_path / "corpus.jsonl"
     bad_corpus.write_text("{not json\n")
-    tables = [tmp_path / name for name in ("t.jsonl", "e.jsonl", "s.jsonl")]
+    tables = [tmp_path / "tables" / name for name in ("t.jsonl", "e.jsonl", "s.jsonl")]
+    tables[0].parent.mkdir()
+    for table in tables:
+        table.write_text(f"old {table.name}\n")
     record = dataclasses.replace(replay_runtime.config, mode=BackendMode.RECORD,
-                                 endpoint="http://model.invalid/v1", corpus_path=bad_corpus,
+                                 endpoint=http_stub.url + "/v1", corpus_path=bad_corpus,
                                  transcript_path=tables[0], embeddings_path=tables[1],
                                  scores_path=tables[2])
-    # the corpus fails after all three tables are open; a score table in a
-    # missing directory fails while the other two are open
+    # the corpus fails after all three sinks are made; a score table in a
+    # missing directory fails when its sink is made, before any model call
     missing_scores = tmp_path / "missing" / "s.jsonl"
     bad_row = r"corpus\.jsonl:1: bad corpus row: "
-    for config, error, match, opened_tables in [
-            (record, ResourceError, bad_row, tables),
+    for config, error, match in [
+            (record, ResourceError, bad_row),
             (dataclasses.replace(record, corpus_path=replay_runtime.config.corpus_path,
-                                 scores_path=missing_scores),
-             FileNotFoundError, None, tables[:2])]:
-        opened.clear()
+                                 scores_path=missing_scores), FileNotFoundError, None)]:
         with pytest.raises(error, match=match):
             Runtime(config)
-        # each table is written to a sibling temp file, which set-up deletes
-        assert [Path(fh.name).parent for fh in opened] == [p.parent for p in opened_tables]
-        assert [Path(fh.name).name.startswith(f".{p.name}.") for fh, p in
-                zip(opened, opened_tables)] == [True] * len(opened_tables)
-        assert all(fh.closed for fh in opened)
-        assert not any(Path(fh.name).exists() for fh in opened)
-        assert not any(table.exists() for table in tables)
+        assert [table.read_text() for table in tables] == [
+            f"old {table.name}\n" for table in tables]
+        assert sorted(p.name for p in tables[0].parent.iterdir()) == sorted(
+            table.name for table in tables)
+    assert http_stub.requests == []
+    assert not missing_scores.parent.exists()
 
-    # injected backends stay open: they belong to the caller
-    embedder = RecordingEmbedder(HashEmbedder(), tmp_path / "injected.jsonl")
+    # injected backends are the caller's: closing one still writes its table
+    injected = tmp_path / "injected.jsonl"
+    embedder = RecordingEmbedder(HashEmbedder(), injected)
     with pytest.raises(ResourceError, match=bad_row):
         Runtime(record, chat_backend=replay_runtime.chat_backend, embedder=embedder,
                 scorer=replay_runtime.scorer)
-    assert not opened[-1].closed
+    assert not injected.exists()
+    embedder.embed(["late"])
     embedder.close()
-    assert opened[-1].closed
+    assert [row["text"] for row in map(json.loads, injected.read_text().splitlines())] == [
+        "late"]
 
 
 def test_backends_are_injected_all_together_or_not_at_all(replay_runtime, tmp_path):

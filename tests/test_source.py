@@ -12,6 +12,7 @@ import sys
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -114,19 +115,29 @@ def test_package_takes_vector_products_with_matmul_only():
     assert found == []
 
 
+def _module_trees() -> dict[str, ast.Module]:
+    package = Path(dxcouncil.__file__).parent
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+
+
+def _sites(predicate: Callable[[ast.AST], bool]) -> list[str]:
+    """``module top-level-name`` of each node of the package that
+    ``predicate`` accepts, the top-level name a def's or class's name, else
+    its line."""
+    return sorted(f"{name} {getattr(top, 'name', top.lineno)}"
+                  for name, tree in _module_trees().items()
+                  for top in tree.body
+                  for node in ast.walk(top) if predicate(node))
+
+
 def test_file_lines_are_decoded_by_the_jsonl_decoder_only():
     # a line of a file goes through jsonl.decode, which is orjson's loads;
     # json.loads reads only a model's answer (judgments.py) and an HTTP
     # reply (post_json), which are not file lines, and an HTTP body may be
     # UTF-16 or UTF-32, which orjson does not read
-    package = Path(dxcouncil.__file__).parent
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in package.glob("*.py")}
-    found = sorted(f"{name} {getattr(top, 'name', top.lineno)}"
-                   for name, tree in trees.items()
-                   for top in tree.body
-                   for node in ast.walk(top)
-                   if isinstance(node, ast.Attribute) and node.attr == "loads"
+    trees = _module_trees()
+    found = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "loads"
                    or isinstance(node, ast.ImportFrom)
                    and any(alias.name == "loads" for alias in node.names))
     allowed = {"backends.py post_json", "jsonl.py decode"}
@@ -147,6 +158,48 @@ def test_file_lines_are_decoded_by_the_jsonl_decoder_only():
                   and (getattr(node.func, "attr", None) == "JSONEncoder"
                        or getattr(node.func, "id", None) == "JSONEncoder")
                   ) == ["jsonl.py", "jsonl.py"]
+
+
+def _writes_a_file(node: ast.AST) -> bool:
+    """Whether ``node`` is a call that creates, replaces or removes a file:
+    ``open`` in a mode other than read (or a mode not written out),
+    ``os.replace``, ``os.rename``, ``os.remove``, ``os.unlink``, or
+    ``unlink``, ``touch``, ``write_text`` or ``write_bytes`` on anything."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name == "open":
+        # open(path, mode) or path.open(mode)
+        modes = node.args[1 if isinstance(func, ast.Name) else 0:][:1] + [
+            keyword.value for keyword in node.keywords if keyword.arg == "mode"]
+        return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and set(mode.value) <= set("rbt")) for mode in modes)
+    if name in ("replace", "rename", "remove"):
+        return (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                and func.value.id == "os")
+    return name in ("unlink", "touch", "write_text", "write_bytes")
+
+
+def test_only_jsonl_py_creates_replaces_or_removes_files():
+    # every file the package writes, it writes through jsonl.py, where how
+    # a file is replaced is decided once
+    found = _sites(_writes_a_file)
+    assert [site for site in found if not site.startswith("jsonl.py ")] == []
+    assert {"jsonl.py write_whole", "jsonl.py JsonlSink"} <= set(found)
+
+
+def test_only_jsonl_py_and_post_json_encode_with_json_dumps():
+    # jsonl.py encodes every row and document written; post_json encodes a
+    # request body, which is not a file
+    found = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "dumps"
+                   and isinstance(node.value, ast.Name) and node.value.id == "json"
+                   or isinstance(node, ast.ImportFrom) and node.module == "json"
+                   and any(alias.name == "dumps" for alias in node.names))
+    assert [site for site in found if not site.startswith("jsonl.py ")
+            and site != "backends.py post_json"] == []
+    assert "backends.py post_json" in found and any(
+        site.startswith("jsonl.py ") for site in found)
 
 
 def test_every_exception_class_is_defined_in_errors_py():
